@@ -16,6 +16,7 @@ from .errors import (
     DivisionByZeroJet,
     InvalidQ,
     NonFiniteInput,
+    NonFiniteResult,
     QWaveError,
     StencilEvaluationFailed,
     StepTooCoarse,
@@ -30,6 +31,7 @@ from .qcore import (
     q_exp,
     q_exp_jet,
     q_pow,
+    q_pow_array,
 )
 from .planewave import PhasePoint, SchrodingerWave, ratio_R, residual_schrodinger
 from .separation import residual_f, residual_g
@@ -57,6 +59,7 @@ __all__ = [
     "InvalidQ",
     "KGWave",
     "NonFiniteInput",
+    "NonFiniteResult",
     "OrderFit",
     "ParticleScenario",
     "PhasePoint",
@@ -80,6 +83,7 @@ __all__ = [
     "q_exp",
     "q_exp_jet",
     "q_pow",
+    "q_pow_array",
     "ratio_R",
     "ratio_gaussian",
     "residual_f",

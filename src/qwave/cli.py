@@ -11,10 +11,9 @@ Two subcommands:
 Exit codes: 0 success, 1 verify found a failing check, 2 bad flags or
 config, 3 numeric failure while computing.
 
-Output determinism: floats are formatted with 17 significant digits and
-"\n" line endings regardless of platform, and sweep evaluation is mapped
-over contiguous index chunks whose results are reassembled in order, so
-the byte stream does not depend on QWAVE_THREADS.
+Output determinism: CSV prints floats with 17 significant digits (%.17g),
+JSON with the shortest repr that round-trips, and lines end in "\n" on
+every platform, so repeated runs write identical bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,44 +36,15 @@ from . import qgaussian as qg
 from . import scenarios
 from . import separation as sep
 from . import verify
-from .errors import QWaveError
+from .errors import NonFiniteResult, QWaveError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-
-# -- worker pool ---------------------------------------------------------
-
-
-def thread_count() -> int:
-    """Worker count from QWAVE_THREADS; unset means sequential."""
-    raw = os.environ.get("QWAVE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"QWAVE_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
-def parallel_map(fn, items, threads: int | None = None) -> list:
-    """Order-preserving map over contiguous chunks of items.
-
-    Results are concatenated by chunk index, never by completion order,
-    so the output is identical for any worker count.
-    """
-    items = list(items)
-    n = thread_count() if threads is None else max(1, threads)
-    if n == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    size = math.ceil(len(items) / n)
-    chunks = [items[i : i + size] for i in range(0, len(items), size)]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        parts = pool.map(lambda chunk: [fn(item) for item in chunk], chunks)
-        return [row for part in parts for row in part]
+# Largest --points accepted; checked before the grid is allocated.
+MAX_POINTS = 10_000_000
 
 
 # -- config file ---------------------------------------------------------
@@ -164,14 +133,19 @@ def _merge_options(args, parser, casts) -> dict:
 
 
 def format_rows_csv(header: tuple[str, str], rows) -> str:
+    """CSV text of (x, value) rows: a Sweep or any sequence of pairs."""
     lines = [",".join(header)]
-    lines.extend(f"{x:.17g},{v:.17g}" for x, v in rows)
+    lines.extend(["%.17g,%.17g" % (x, v) for x, v in rows])
     return "\n".join(lines) + "\n"
 
 
 def format_rows_json(header: tuple[str, str], rows) -> str:
-    records = [{header[0]: x, header[1]: v} for x, v in rows]
-    return json.dumps(records, indent=1) + "\n"
+    """The bytes of json.dumps(records, indent=1) + "\n" for the records
+    {header[0]: x, header[1]: value}, written without building them."""
+    # str of a finite float is its shortest round-trip repr, as json writes it
+    record = " {\n  %s: %%s,\n  %s: %%s\n }" % (json.dumps(header[0]), json.dumps(header[1]))
+    body = ",\n".join([record % (x, v) for x, v in rows])
+    return f"[\n{body}\n]\n" if body else "[]\n"
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -226,24 +200,26 @@ print("wrote", out)
 
 def emit_plot_svg(rows, meta: dict[str, str], out_path: str) -> None:
     """Hand-rolled SVG line plot; no plotting dependency at run time."""
-    if not rows:
+    if not len(rows):
         raise ValueError("no data rows to plot")
     width, height = 800.0, 500.0
     ml, mr, mt, mb = 75.0, 20.0, 45.0, 55.0
-    xs = [row[0] for row in rows]
-    ys = [row[1] for row in rows]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+    if isinstance(rows, scenarios.Sweep):
+        xs, ys = rows.x, rows.values
+    else:
+        xs, ys = np.asarray(rows, dtype=float).T
+    xmin, xmax = float(xs.min()), float(xs.max())
+    ymin, ymax = float(ys.min()), float(ys.max())
     if xmax == xmin:
         xmax = xmin + 1.0
     pad = (ymax - ymin) or abs(ymax) or 1.0
     ymin -= 0.05 * pad
     ymax += 0.05 * pad
 
-    def sx(x: float) -> float:
+    def sx(x):
         return ml + (x - xmin) / (xmax - xmin) * (width - ml - mr)
 
-    def sy(y: float) -> float:
+    def sy(y):
         return height - mb - (y - ymin) / (ymax - ymin) * (height - mt - mb)
 
     parts = [
@@ -276,7 +252,7 @@ def emit_plot_svg(rows, meta: dict[str, str], out_path: str) -> None:
         f'<rect x="{ml:.2f}" y="{mt:.2f}" width="{width - ml - mr:.2f}" '
         f'height="{height - mt - mb:.2f}" fill="none" stroke="black"/>'
     )
-    points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in rows)
+    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(sx(xs).tolist(), sy(ys).tolist()))
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="1.3"/>'
     )
@@ -313,8 +289,10 @@ def cmd_ratio(args, parser) -> int:
 
     if opt["points"] < 2:
         parser.error(f"--points must be at least 2, got {opt['points']}")
-    if not opt["xmax"] > 0:
-        parser.error(f"--xmax must be positive, got {opt['xmax']}")
+    if opt["points"] > MAX_POINTS:
+        parser.error(f"--points must be at most {MAX_POINTS}, got {opt['points']}")
+    if not (math.isfinite(opt["xmax"]) and opt["xmax"] > 0):
+        parser.error(f"--xmax must be finite and positive, got {opt['xmax']}")
     if not gaussian and opt["energy_mev"] <= 0:
         parser.error(f"--energy-mev must be positive, got {opt['energy_mev']}")
     if gaussian and opt["m"] <= 0:
@@ -326,13 +304,10 @@ def cmd_ratio(args, parser) -> int:
     if opt["plot"] == "script" and opt["format"] != "csv":
         parser.error("--plot script reads the CSV, use --format csv")
 
-    q = 1.0 + opt["q_minus_1"]
-    xs = [float(x) for x in np.linspace(0.0, opt["xmax"], opt["points"])]
+    x_range = (0.0, opt["xmax"], opt["points"])
     if gaussian:
-        params = qg.GaussianParams(m=opt["m"], beta=opt["beta"], q=q)
-        rows = parallel_map(
-            lambda x: (x, qg.ratio_gaussian(x, opt["t"], params)), xs
-        )
+        params = qg.GaussianParams(m=opt["m"], beta=opt["beta"], q=1.0 + opt["q_minus_1"])
+        sweep = scenarios.run_gaussian_sweep(params, x_range, opt["t"])
         header = ("x", "ratio")
         meta = {
             "title": (
@@ -348,13 +323,10 @@ def cmd_ratio(args, parser) -> int:
             kinetic_mev=opt["energy_mev"],
             q_minus_1=opt["q_minus_1"],
             momentum_model=opt["momentum_model"],
-            x_range=(0.0, opt["xmax"], opt["points"]),
+            x_range=x_range,
             t=opt["t"],
         )
-        wave = scenarios.wave_for(scn)
-        rows = parallel_map(
-            lambda x: (x, pw.ratio_R(pw.PhasePoint(x, opt["t"]), wave, q)), xs
-        )
+        sweep = scenarios.run_ratio_sweep(scn)
         header = ("x", "R")
         meta = {
             "title": (
@@ -364,18 +336,21 @@ def cmd_ratio(args, parser) -> int:
             "xlabel": "x (m)",
             "ylabel": "R",
         }
+    bad = np.count_nonzero(~np.isfinite(sweep.values))
+    if bad:
+        raise NonFiniteResult(f"{bad} of {len(sweep)} {header[1]} values are not finite")
 
     if opt["format"] == "csv":
-        text = format_rows_csv(header, rows)
+        text = format_rows_csv(header, sweep)
     else:
-        text = format_rows_json(header, rows)
+        text = format_rows_json(header, sweep)
     try:
         _write_output(opt["out"], text)
         if opt["plot"] == "script":
             emit_plot_script(opt["out"], meta)
         elif opt["plot"] == "svg":
             base, _ = os.path.splitext(opt["out"])
-            emit_plot_svg(rows, meta, base + ".svg")
+            emit_plot_svg(sweep, meta, base + ".svg")
     except OSError as exc:
         print(f"qwave: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -1211,7 +1186,9 @@ def build_parser() -> argparse.ArgumentParser:
     ratio.add_argument("--energy-mev", type=float, help="kinetic energy in MeV")
     ratio.add_argument("--q-minus-1", type=float)
     ratio.add_argument("--xmax", type=float)
-    ratio.add_argument("--points", type=int)
+    ratio.add_argument(
+        "--points", type=int, help=f"grid points, 2 to {MAX_POINTS} (default 2001; 1001 packet)"
+    )
     ratio.add_argument("--t", type=float)
     ratio.add_argument("--momentum-model", choices=scenarios.MOMENTUM_MODELS)
     ratio.add_argument(

@@ -13,6 +13,10 @@ class BranchCutViolation(QWaveError, ValueError):
     """A complex power or logarithm landed on the principal branch cut."""
 
 
+class NonFiniteResult(QWaveError, OverflowError):
+    """A computed value left the double range (overflow, or NaN from one)."""
+
+
 class InvalidQ(QWaveError, ValueError):
     """The deformation parameter sits on a pole of the requested formula."""
 

@@ -24,8 +24,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import qcore
-from .errors import BranchCutViolation, NonFiniteInput
+from .errors import BranchCutViolation, NonFiniteInput, NonFiniteResult
 
 
 @dataclass(frozen=True)
@@ -57,13 +59,17 @@ class SchrodingerWave:
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A spacetime sample point (x, t)."""
+    """A spacetime sample point (x, t); ratio_R also takes an array of x."""
 
-    x: float
+    x: float | np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.t)):
+        if isinstance(self.x, np.ndarray):
+            x_finite = bool(np.isfinite(self.x).all())
+        else:
+            x_finite = math.isfinite(self.x)
+        if not (x_finite and math.isfinite(self.t)):
             raise NonFiniteInput(f"phase point must be finite, got {self!r}")
 
 
@@ -205,9 +211,20 @@ def expansion_terms(
     return term_t, term_x
 
 
-def ratio_R(pt: PhasePoint, w: SchrodingerWave, q: float) -> float:
-    """Deviation diagnostic R = |approx_psi / exact_psi|."""
-    den = exact_psi(pt, w, q)
-    if den == 0:
+def ratio_R(pt: PhasePoint, w: SchrodingerWave, q: float) -> float | np.ndarray:
+    """Deviation diagnostic R = |approx_psi| / |exact_psi|.
+
+    With an array pt.x the whole sweep is one numpy pass through
+    qcore.q_pow_array and an array comes back; a float pt.x is the
+    one-point case of the same code, so both give identical values.
+    """
+    u = np.atleast_1d(phase(pt, w))
+    exact = qcore.q_pow_array(1j * u, q)
+    if not exact.all():
         raise ZeroDivisionError("exact wave vanishes at this point")
-    return abs(approx_psi(pt, w, q) / den)
+    with np.errstate(all="ignore"):
+        approx = np.exp(1j * u) * (1.0 + (1.0 - q) * u * u / 2.0)
+        r = np.abs(approx) / np.abs(exact)
+    if not np.isfinite(r).all():
+        raise NonFiniteResult("ratio R overflows the double range")
+    return r if np.ndim(pt.x) else float(r[0])

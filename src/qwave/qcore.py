@@ -21,7 +21,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import BranchCutViolation, DivisionByZeroJet, NonFiniteInput
+import numpy as np
+
+from .errors import BranchCutViolation, DivisionByZeroJet, NonFiniteInput, NonFiniteResult
 
 # Below this |w| the S and E series are exact to double precision with the
 # term counts used; above it the compensated direct forms are.
@@ -125,6 +127,48 @@ def q_pow(z, q: float, scale: float = 1.0) -> complex:
     else:
         s = complex_log1p(w) / w
     return cmath.exp(scale * z * s)
+
+
+def q_pow_array(z, q: float, scale: float = 1.0) -> np.ndarray:
+    """Elementwise q_pow over an array of z: one numpy pass per branch.
+
+    Same arithmetic and the same checks as q_pow: non-finite z or q raise
+    NonFiniteInput, a base on the branch cut raises BranchCutViolation, and
+    a (1-q) z or a result beyond the double range raises NonFiniteResult
+    (an OverflowError, as cmath.exp raises on the scalar path), so no inf
+    or nan is ever returned.  Per-point callers stay on q_pow: numpy's
+    per-call overhead makes a one-point array call tens of times slower.
+    """
+    z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise NonFiniteInput("z must be finite")
+    if not math.isfinite(q):
+        raise NonFiniteInput(f"q must be finite, got {q!r}")
+    with np.errstate(all="ignore"):
+        if q == 1.0:
+            out = np.exp(scale * z)
+        else:
+            w = (1.0 - q) * z
+            if not np.isfinite(w).all():
+                raise NonFiniteResult(f"(1-q) z overflows at q-1 = {q - 1.0!r}")
+            u = 1.0 + w
+            if ((u.imag == 0.0) & (u.real <= 0.0)).any():
+                raise BranchCutViolation("q_pow base: a point lies on the branch cut")
+            small = np.abs(w) < SERIES_RADIUS
+            s = np.empty_like(w)
+            # w = 0 needs no case of its own: the series gives exactly 1
+            s[small] = _log1p_over_w_series(w[small])
+            big = ~small
+            if big.any():
+                # complex_log1p; its u == 1 case needs |w| < eps, so never here
+                wb, ub = w[big], u[big]
+                d = ub - 1.0
+                log_u = np.log(ub)
+                s[big] = np.where(d == wb, log_u, log_u * (wb / d)) / wb
+            out = np.exp(scale * z * s)
+    if not np.isfinite(out).all():
+        raise NonFiniteResult("q-power overflows the double range")
+    return out
 
 
 def q_exp(z, q: float) -> complex:

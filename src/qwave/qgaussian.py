@@ -35,11 +35,14 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import qcore, verify
 from .errors import (
     BranchCutViolation,
     InvalidQ,
     NonFiniteInput,
+    NonFiniteResult,
     StepTooCoarse,
 )
 from .qcore import QJet, as_jet, jet_exp, jet_ln, log1p_over_w_jet, expm1_over_w_jet
@@ -216,12 +219,32 @@ def approx_qgaussian(
     return (1.0 - eps * (G1 - 0.5 * squared * squared)) * cmath.exp(-G0)
 
 
-def ratio_gaussian(x: float, t: float, params: GaussianParams) -> float:
-    """Modulus of approx/exact, the packet's deviation diagnostic."""
-    den = exact_qgaussian(x, t, params)
-    if den == 0:
-        raise ZeroDivisionError("exact packet vanishes at this point")
-    return abs(approx_qgaussian(x, t, params) / den)
+def ratio_gaussian(x, t: float, params: GaussianParams) -> float | np.ndarray:
+    """Modulus ratio |approx| / |exact|, the packet's deviation diagnostic.
+
+    x may be an array: both coefficient sets are computed once for the time
+    t and the exact packet comes from qcore.q_pow_array.  A float x is the
+    one-point case of the same code, so both give identical values.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not (np.isfinite(xs).all() and math.isfinite(t)):
+        raise NonFiniteInput("packet sweep points must be finite")
+    cs = coeffs_exact(t, params)
+    j = coeffs_first_order(t, params)
+    eps = params.q - 1.0
+    with np.errstate(all="ignore"):
+        G = cs.a * xs * xs + cs.b * xs + cs.c
+        exact = qcore.q_pow_array(-G, params.q)
+        if not exact.all():
+            raise ZeroDivisionError("exact packet vanishes at this point")
+        # approx_qgaussian, evaluated on the whole grid
+        G0 = j.a1 * xs * xs + j.b1 * xs + j.c1
+        G1 = j.a2 * xs * xs + j.b2 * xs + j.c2
+        approx = (1.0 - eps * (G1 - 0.5 * G0 * G0)) * np.exp(-G0)
+        r = np.abs(approx) / np.abs(exact)
+    if not np.isfinite(r).all():
+        raise NonFiniteResult("packet ratio overflows the double range")
+    return r if np.ndim(x) else float(r[0])
 
 
 def gaussian_terms(

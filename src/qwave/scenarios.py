@@ -143,22 +143,36 @@ def kg_wave_for(scn: ParticleScenario) -> KGWave:
     return KGWave.on_shell(k=pc, m=mass_energy_mev(scn.mass_kg), c=1.0, hbar=1.0)
 
 
-def _grid(x_range: tuple[float, float, int]) -> list[float]:
-    start, stop, npoints = x_range
-    return [float(x) for x in np.linspace(start, stop, npoints)]
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """A ratio sweep as two arrays; iterates and indexes as (x, value) rows."""
+
+    x: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __iter__(self):
+        return zip(self.x.tolist(), self.values.tolist())
+
+    def __getitem__(self, i: int) -> tuple[float, float]:
+        return float(self.x[i]), float(self.values[i])
 
 
-def run_ratio_sweep(scn: ParticleScenario) -> list[tuple[float, float]]:
-    """(x, R) rows of a plane-wave ratio figure."""
+def run_ratio_sweep(scn: ParticleScenario) -> Sweep:
+    """x and R of a plane-wave ratio figure, one array pass."""
     w = wave_for(scn)
     q = 1.0 + scn.q_minus_1
-    return [(x, ratio_R(PhasePoint(x, scn.t), w, q)) for x in _grid(scn.x_range)]
+    xs = np.linspace(*scn.x_range)
+    return Sweep(xs, ratio_R(PhasePoint(xs, scn.t), w, q))
 
 
 def run_gaussian_sweep(
     params: GaussianParams,
     x_range: tuple[float, float, int] = (0.0, 4.0, 1001),
     t: float = 0.0,
-) -> list[tuple[float, float]]:
-    """(x, ratio) rows of a packet ratio figure (natural units)."""
-    return [(x, ratio_gaussian(x, t, params)) for x in _grid(x_range)]
+) -> Sweep:
+    """x and ratio of a packet ratio figure (natural units), one array pass."""
+    xs = np.linspace(*x_range)
+    return Sweep(xs, ratio_gaussian(xs, t, params))

@@ -18,27 +18,6 @@ def run(argv, capsys):
 # -- helpers -------------------------------------------------------------
 
 
-def test_parallel_map_preserves_order():
-    items = list(range(37))
-    expected = [i * i for i in items]
-    assert cli.parallel_map(lambda i: i * i, items, threads=1) == expected
-    assert cli.parallel_map(lambda i: i * i, items, threads=4) == expected
-    assert cli.parallel_map(lambda i: i * i, items, threads=100) == expected
-    assert cli.parallel_map(lambda i: i, []) == []
-
-
-def test_thread_count_from_env(monkeypatch):
-    monkeypatch.delenv("QWAVE_THREADS", raising=False)
-    assert cli.thread_count() == 1
-    monkeypatch.setenv("QWAVE_THREADS", "4")
-    assert cli.thread_count() == 4
-    monkeypatch.setenv("QWAVE_THREADS", "0")
-    assert cli.thread_count() == 1
-    monkeypatch.setenv("QWAVE_THREADS", "x")
-    with pytest.raises(ValueError):
-        cli.thread_count()
-
-
 def test_read_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\n\nspecies = proton\nenergy-mev=2.5\n")
@@ -77,6 +56,39 @@ def test_ratio_json(capsys):
     records = json.loads(out)
     assert [r["x"] for r in records] == [0.0, 0.5, 1.0]
     assert all(set(r) == {"x", "R"} for r in records)
+    assert out == json.dumps(records, indent=1) + "\n"
+    rows = [(5e-324, 1.7976931348623157e308), (-0.0, 0.1 + 0.2), (1e-05, 123456789.0)]
+    records = [{"x": x, "ratio": v} for x, v in rows]
+    assert cli.format_rows_json(("x", "ratio"), rows) == json.dumps(records, indent=1) + "\n"
+    assert cli.format_rows_json(("x", "R"), []) == json.dumps([], indent=1) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ratio_refuses_non_finite_values(fmt, capsys):
+    # (1-q) x^2 overflows the double range at q - 1 = 1e300
+    code, out, err = run(
+        ["ratio", "--gaussian", "--q-minus-1", "1e300", "--points", "5", "--format", fmt],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert "numeric failure" in err
+
+
+@pytest.mark.parametrize("xmax", ["inf", "nan", "-inf"])
+def test_non_finite_xmax_is_usage_error(xmax, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ratio", "--xmax", xmax])
+    assert exc.value.code == 2
+    assert "Warning" not in capsys.readouterr().err
+
+
+def test_points_bound_is_checked_before_allocating(capsys):
+    for points in (10**11, cli.MAX_POINTS + 1):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ratio", "--points", str(points)])
+        assert exc.value.code == 2
+    assert str(cli.MAX_POINTS) in capsys.readouterr().err
 
 
 def test_config_layering(tmp_path, capsys):
@@ -106,19 +118,10 @@ def test_bad_flag_value_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_bad_threads_env_is_numeric_error(monkeypatch, capsys):
-    monkeypatch.setenv("QWAVE_THREADS", "many")
-    code, _, err = run(["ratio", "--points", "3"], capsys)
-    assert code == 3
-    assert "QWAVE_THREADS" in err
-
-
-def test_output_file_and_determinism(tmp_path, monkeypatch, capsys):
+def test_output_file_and_determinism(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    monkeypatch.setenv("QWAVE_THREADS", "1")
     assert cli.main(["ratio", "--points", "64", "--out", str(a)]) == 0
-    monkeypatch.setenv("QWAVE_THREADS", "4")
     assert cli.main(["ratio", "--points", "64", "--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()

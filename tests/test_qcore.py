@@ -7,11 +7,17 @@ pasted in; nothing here calls back into the code paths under test.
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qwave import qcore
-from qwave.errors import BranchCutViolation, DivisionByZeroJet, NonFiniteInput
+from qwave.errors import (
+    BranchCutViolation,
+    DivisionByZeroJet,
+    NonFiniteInput,
+    NonFiniteResult,
+)
 
 # mpmath, mp.dps=50: (1 - 0.15j)**(-10) = e_q(1.5j) at q=1.1
 Q_EXP_15J_11 = 0.073192239193782492005 + 0.89171353487106878592j
@@ -128,6 +134,68 @@ def test_non_finite_rejected():
         qcore.q_exp(1.0, float("inf"))
     with pytest.raises(NonFiniteInput):
         qcore.QJet(complex("nan"), 0.0)
+
+
+# -- array kernel --------------------------------------------------------
+
+
+def _kernel_points(q):
+    """Imaginary axis, the packet's left half-plane, and w = 0 and |w| just
+    below and above SERIES_RADIUS along directions where |e_q| stays finite."""
+    zs = [1j * y for y in np.linspace(-40.0, 40.0, 81)]
+    zs += [complex(re, im) for re in np.linspace(-20.0, 0.0, 11) for im in (-7.0, -0.5, 0.0, 3.0)]
+    zs.append(0.0)
+    if q != 1.0:
+        for direction in (1j, -1j, -1.0, (-1.0 + 1j) / math.sqrt(2.0)):
+            for factor in (1.0 - 1e-9, 1.0 + 1e-9):
+                zs.append(direction * factor * qcore.SERIES_RADIUS / abs(1.0 - q))
+    return np.array(zs, dtype=complex)
+
+
+@pytest.mark.parametrize("eps", [1e-3, -1e-3, 1e-6, 1e-9, 1e-12, 0.0])
+def test_q_pow_array_matches_scalar(eps):
+    q = 1.0 + eps
+    zs = _kernel_points(q)
+    for scale in (1.0, q, 2.0 * q - 1.0):
+        got = qcore.q_pow_array(zs, q, scale)
+        for z, g in zip(zs.tolist(), got.tolist()):
+            want = qcore.q_pow(z, q, scale)
+            if want == 0 and g == 0:
+                continue  # both underflowed
+            assert abs(g - want) <= 2e-15 * max(1.0, abs(z)) * abs(want), (z, scale)
+
+
+def test_q_pow_array_one_point_is_the_sweep():
+    zs = _kernel_points(1.0 + 1e-3)
+    got = qcore.q_pow_array(zs, 1.0 + 1e-3, 1.2)
+    for k, z in enumerate(zs):
+        assert qcore.q_pow_array(zs[k : k + 1], 1.0 + 1e-3, 1.2)[0] == got[k]
+
+
+@pytest.mark.parametrize(
+    "z,q,error",
+    [
+        (-4.0, 0.5, BranchCutViolation),  # 1 + w = -1
+        (2.0, 2.0, BranchCutViolation),  # 1 + w = -1
+        (-2.0, 0.5, BranchCutViolation),  # 1 + w = 0
+        (complex("nan"), 1.1, NonFiniteInput),
+        (complex(1.0, math.inf), 1.1, NonFiniteInput),
+        (1.0, math.inf, NonFiniteInput),
+        (800.0, 1.0, OverflowError),  # exp(800)
+        (-1e300, 1.0 + 1e300, OverflowError),  # (1-q) z
+    ],
+)
+def test_q_pow_array_raises_like_scalar(z, q, error):
+    with pytest.raises(error):
+        qcore.q_pow_array(np.array([0.5j, z]), q)
+    if z != -1e300:  # the scalar path lets (1-q) z overflow into a NaN result
+        with pytest.raises(error):
+            qcore.q_pow(z, q)
+
+
+def test_q_pow_array_overflow_is_typed():
+    with pytest.raises(NonFiniteResult):
+        qcore.q_pow_array(np.array([1.0, 1e3 + 1j]), 1.0 + 1e-9)
 
 
 # -- jet ring ------------------------------------------------------------

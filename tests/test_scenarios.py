@@ -91,6 +91,16 @@ def test_ratio_sweep_matches_pointwise_calls():
         assert r == ratio_R(PhasePoint(x, scn.t), w, 1.0 + scn.q_minus_1)
 
 
+def test_gaussian_sweep_matches_pointwise_calls():
+    from qwave.qgaussian import GaussianParams, ratio_gaussian
+
+    params = GaussianParams(m=1.0, beta=1.0, q=1.001)
+    for t in (0.0, 0.7):
+        sweep = scenarios.run_gaussian_sweep(params, (-3.0, 4.0, 29), t)
+        for x, r in sweep:
+            assert r == ratio_gaussian(x, t, params)
+
+
 def test_gaussian_sweep_range():
     from qwave.qgaussian import GaussianParams
 
