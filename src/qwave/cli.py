@@ -13,7 +13,10 @@ config, 3 numeric failure while computing.
 
 Output determinism: CSV prints floats with 17 significant digits (%.17g),
 JSON with the shortest repr that round-trips, and lines end in "\n" on
-every platform, so repeated runs write identical bytes.
+every platform, so repeated runs write identical bytes.  Each output file
+is formatted in one pass: a row template repeated once per row, filled by
+one % operation from the interleaved (x, value) floats.  The bytes are the
+same as formatting row by row.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import cmath
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -132,20 +136,33 @@ def _merge_options(args, parser, casts) -> dict:
 # -- ratio subcommand ----------------------------------------------------
 
 
+def _columns(rows) -> tuple[np.ndarray, np.ndarray]:
+    """x and value arrays of a Sweep or of any sequence of (x, value) pairs."""
+    if isinstance(rows, scenarios.Sweep):
+        return rows.x, rows.values
+    return np.asarray(rows, dtype=float).reshape(-1, 2).T
+
+
+def _interleaved(xs: np.ndarray, ys: np.ndarray) -> tuple[float, ...]:
+    """x0, y0, x1, y1, ... as Python floats (%r of an np.float64 is not a number)."""
+    return tuple(np.column_stack((xs, ys)).ravel().tolist())
+
+
 def format_rows_csv(header: tuple[str, str], rows) -> str:
     """CSV text of (x, value) rows: a Sweep or any sequence of pairs."""
-    lines = [",".join(header)]
-    lines.extend(["%.17g,%.17g" % (x, v) for x, v in rows])
-    return "\n".join(lines) + "\n"
+    values = _interleaved(*_columns(rows))
+    return ",".join(header) + "\n" + ("%.17g,%.17g\n" * (len(values) // 2)) % values
 
 
 def format_rows_json(header: tuple[str, str], rows) -> str:
     """The bytes of json.dumps(records, indent=1) + "\n" for the records
     {header[0]: x, header[1]: value}, written without building them."""
-    # str of a finite float is its shortest round-trip repr, as json writes it
-    record = " {\n  %s: %%s,\n  %s: %%s\n }" % (json.dumps(header[0]), json.dumps(header[1]))
-    body = ",\n".join([record % (x, v) for x, v in rows])
-    return f"[\n{body}\n]\n" if body else "[]\n"
+    values = _interleaved(*_columns(rows))
+    if not values:
+        return "[]\n"
+    # repr of a finite float is its shortest round-trip form, as json writes it
+    record = " {\n  %s: %%r,\n  %s: %%r\n }" % (json.dumps(header[0]), json.dumps(header[1]))
+    return ("[\n" + ",\n".join([record] * (len(values) // 2)) + "\n]\n") % values
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -204,10 +221,7 @@ def emit_plot_svg(rows, meta: dict[str, str], out_path: str) -> None:
         raise ValueError("no data rows to plot")
     width, height = 800.0, 500.0
     ml, mr, mt, mb = 75.0, 20.0, 45.0, 55.0
-    if isinstance(rows, scenarios.Sweep):
-        xs, ys = rows.x, rows.values
-    else:
-        xs, ys = np.asarray(rows, dtype=float).T
+    xs, ys = _columns(rows)
     xmin, xmax = float(xs.min()), float(xs.max())
     ymin, ymax = float(ys.min()), float(ys.max())
     if xmax == xmin:
@@ -252,7 +266,7 @@ def emit_plot_svg(rows, meta: dict[str, str], out_path: str) -> None:
         f'<rect x="{ml:.2f}" y="{mt:.2f}" width="{width - ml - mr:.2f}" '
         f'height="{height - mt - mb:.2f}" fill="none" stroke="black"/>'
     )
-    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(sx(xs).tolist(), sy(ys).tolist()))
+    points = " ".join(["%.2f,%.2f"] * len(xs)) % _interleaved(sx(xs), sy(ys))
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="1.3"/>'
     )
@@ -1202,7 +1216,10 @@ def build_parser() -> argparse.ArgumentParser:
     ratio.add_argument("--format", choices=("csv", "json"))
     ratio.add_argument("--plot", choices=("none", "script", "svg"))
     ratio.add_argument("--config", help="key=value defaults, overridden by flags")
-    ratio.set_defaults(func=cmd_ratio)
+    # Python 3.11's argparse takes "-1e-3" for an option; later versions use
+    # this rule: an argument starting "-digit" or "-.digit" is a number
+    ratio._negative_number_matcher = re.compile(r"-\.?\d")
+    ratio.set_defaults(func=cmd_ratio, parser=ratio)
 
     verify_p = sub.add_parser("verify", help="run the self-consistency suites")
     verify_p.add_argument(
@@ -1216,7 +1233,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override one check's tolerance (repeatable)",
     )
     verify_p.add_argument("--config", help="key=value defaults, overridden by flags")
-    verify_p.set_defaults(func=cmd_verify)
+    verify_p.set_defaults(func=cmd_verify, parser=verify_p)
     return parser
 
 
@@ -1224,7 +1241,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except (QWaveError, ArithmeticError, ValueError) as exc:
         print(f"qwave: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

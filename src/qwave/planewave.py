@@ -12,10 +12,10 @@ Two residual notions coexist and both are exposed:
   equation.  The exact family cancels to round-off for a free particle at
   any q; the approximant leaves a genuine O((q-1)^2) remainder, which is
   what the order-of-convergence certification measures.
-* expansion_residual combines the truncated first-order derivative
-  expansions directly.  Their (q-1) brackets are identical, so for a free
-  particle it vanishes identically; this is the first-order cancellation
-  statement, checked pointwise at round-off level.
+* expansion_terms gives the truncated first-order derivative expansions
+  of the two sides.  Their (q-1) brackets are identical, so for a free
+  particle their sum vanishes identically; this is the first-order
+  cancellation statement, checked pointwise at round-off level.
 """
 
 from __future__ import annotations
@@ -86,23 +86,6 @@ def exact_psi(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
 def exact_psi_q(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
     """q-th power of the exact wave, [1 + (1-q) i u]**(q/(1-q))."""
     return qcore.q_pow(1j * phase(pt, w), q, q)
-
-
-def exact_dx_psi(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
-    """d/dx of the exact wave: (i p/hbar) [1 + (1-q) i u]**(q/(1-q))."""
-    return (1j * w.p / w.hbar) * qcore.q_pow(1j * phase(pt, w), q, q)
-
-
-def exact_d2x_psi(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
-    """d2/dx2 of the exact wave: -(q p^2/hbar^2) [.]**((2q-1)/(1-q))."""
-    g = qcore.q_pow(1j * phase(pt, w), q, 2.0 * q - 1.0)
-    return -(q * w.p * w.p / (w.hbar * w.hbar)) * g
-
-
-def exact_dt_psi_q(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
-    """d/dt of psi^q for the exact wave: -(i q E/hbar) [.]**((2q-1)/(1-q))."""
-    g = qcore.q_pow(1j * phase(pt, w), q, 2.0 * q - 1.0)
-    return -(1j * q * w.E / w.hbar) * g
 
 
 def approx_psi(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
@@ -191,21 +174,15 @@ def residual_schrodinger(
     return term_t + term_x
 
 
-def expansion_residual(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
-    """Residual assembled from the truncated first-order derivative forms.
-
-    Both terms carry one and the same (q-1) bracket, so with E = p^2/(2m)
-    this cancels identically: the first-order expansion is self-consistent.
-    """
-    term_t = 1j * w.hbar * dt_approx_psi_q(pt, w, q)
-    term_x = (w.hbar * w.hbar / (2.0 * w.m)) * d2x_approx_psi(pt, w, q)
-    return term_t + term_x
-
-
 def expansion_terms(
     pt: PhasePoint, w: SchrodingerWave, q: float
 ) -> tuple[complex, complex]:
-    """Term pair of expansion_residual, for relative-scale reporting."""
+    """Truncated first-order forms of i hbar dt(psi^q) and (hbar^2/2m) d2x(psi).
+
+    Both terms carry one and the same (q-1) bracket, so with E = p^2/(2m)
+    their sum cancels identically: the first-order expansion is
+    self-consistent.  Returned as a pair for relative-scale reporting.
+    """
     term_t = 1j * w.hbar * dt_approx_psi_q(pt, w, q)
     term_x = (w.hbar * w.hbar / (2.0 * w.m)) * d2x_approx_psi(pt, w, q)
     return term_t, term_x

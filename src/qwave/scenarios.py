@@ -23,9 +23,8 @@ from .kleingordon import KGWave
 from .planewave import PhasePoint, SchrodingerWave, ratio_R
 from .qgaussian import GaussianParams, ratio_gaussian
 
-# CODATA 2018.  c and e are exact by SI definition; hbar is exact since
-# the 2019 redefinition; the masses carry experimental uncertainty.
-HBAR_JS = 1.054571817e-34  # J s
+# CODATA 2018.  c and e are exact by SI definition; the masses carry
+# experimental uncertainty.
 C_M_PER_S = 299792458.0  # m / s
 EV_J = 1.602176634e-19  # J
 M_ELECTRON_KG = 9.1093837015e-31  # kg

@@ -3,10 +3,14 @@ emission, exit codes, and the verify table."""
 
 import json
 import os
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qwave import cli
+from qwave import cli, scenarios
+from qwave import qgaussian as qg
 
 
 def run(argv, capsys):
@@ -30,6 +34,73 @@ def test_read_config(tmp_path):
 def test_csv_formatting_17_digits():
     text = cli.format_rows_csv(("x", "R"), [(1.0 / 3.0, 0.1234567890123456789)])
     assert text == "x,R\n0.33333333333333331,0.12345678901234568\n"
+
+
+# -- writers on Sweep input ---------------------------------------------
+
+EDGE_DOUBLES = [5e-324, 1.7976931348623157e308, -0.0, 0.1 + 0.2, 1e-05, 1e16, 1e22]
+
+
+def csv_reference(header, xs, vs):
+    lines = [",".join(header)] + ["%.17g,%.17g" % row for row in zip(xs, vs)]
+    return "\n".join(lines) + "\n"
+
+
+def json_reference(header, xs, vs):
+    records = [{header[0]: x, header[1]: v} for x, v in zip(xs, vs)]
+    return json.dumps(records, indent=1) + "\n"
+
+
+def check_writers(xs, vs):
+    sweep = scenarios.Sweep(np.array(xs, dtype=float), np.array(vs, dtype=float))
+    assert cli.format_rows_csv(("x", "R"), sweep) == csv_reference(("x", "R"), xs, vs)
+    assert cli.format_rows_json(("x", "ratio"), sweep) == json_reference(("x", "ratio"), xs, vs)
+
+
+def test_writers_on_edge_doubles():
+    edges = EDGE_DOUBLES + [-v for v in EDGE_DOUBLES]
+    check_writers(edges, edges[::-1])
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(finite, finite), max_size=20))
+def test_writers_on_finite_doubles(rows):
+    check_writers([x for x, _ in rows], [v for _, v in rows])
+
+
+def test_writers_on_empty_sweep():
+    empty = scenarios.Sweep(np.array([]), np.array([]))
+    assert cli.format_rows_csv(("x", "R"), empty) == "x,R\n"
+    assert cli.format_rows_json(("x", "R"), empty) == "[]\n"
+
+
+def polyline_reference(sweep):
+    """The polyline points of emit_plot_svg, formatted point by point."""
+    width, height, ml, mr, mt, mb = 800.0, 500.0, 75.0, 20.0, 45.0, 55.0
+    xmin, xmax = float(sweep.x.min()), float(sweep.x.max())
+    ymin, ymax = float(sweep.values.min()), float(sweep.values.max())
+    pad = (ymax - ymin) or abs(ymax) or 1.0
+    ymin, ymax = ymin - 0.05 * pad, ymax + 0.05 * pad
+    sx = ml + (sweep.x - xmin) / (xmax - xmin) * (width - ml - mr)
+    sy = height - mb - (sweep.values - ymin) / (ymax - ymin) * (height - mt - mb)
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(sx.tolist(), sy.tolist()))
+
+
+@pytest.mark.parametrize("figure", ["packet", "electron"])
+def test_svg_polyline_matches_pointwise_form(figure, tmp_path):
+    if figure == "packet":
+        params = qg.GaussianParams(m=1.0, beta=1.0, q=1.001)
+        sweep = scenarios.run_gaussian_sweep(params, (0.0, 4.0, 1001))
+    else:
+        scn = scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-3, x_range=(0.0, 1.0, 2001))
+        sweep = scenarios.run_ratio_sweep(scn)
+    path = tmp_path / "fig.svg"
+    cli.emit_plot_svg(sweep, {"title": "t", "xlabel": "x", "ylabel": "y"}, str(path))
+    points = re.search(r'<polyline points="([^"]*)"', path.read_text()).group(1)
+    assert points == polyline_reference(sweep)
 
 
 # -- ratio ---------------------------------------------------------------
@@ -81,6 +152,28 @@ def test_non_finite_xmax_is_usage_error(xmax, capsys):
         cli.main(["ratio", "--xmax", xmax])
     assert exc.value.code == 2
     assert "Warning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["ratio", "--xmax", "inf"], ["verify", "--tol", "no-equals-sign"]]
+)
+def test_usage_error_shows_subcommand_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: qwave {argv[0]}")
+
+
+@pytest.mark.parametrize(
+    "mode, flag",
+    [("--no-gaussian", "--q-minus-1"), ("--gaussian", "--q-minus-1"), ("--gaussian", "--t")],
+)
+def test_negative_exponent_form_is_a_value(mode, flag, capsys):
+    base = ["ratio", mode, "--points", "5"]
+    assert cli.main(base + [flag, "-1e-3"]) == 0
+    spaced = capsys.readouterr().out
+    assert cli.main(base + [f"{flag}=-1e-3"]) == 0
+    assert spaced == capsys.readouterr().out
 
 
 def test_points_bound_is_checked_before_allocating(capsys):
