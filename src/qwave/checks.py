@@ -1,0 +1,623 @@
+"""The check registry: one declaration per numerical check of ``qwave verify``.
+
+Each Check has a key ("suite.name"; the suite is the prefix), the claim it
+certifies, a default tolerance, a sense ("le": measured <= tolerance, "ge":
+measured >= tolerance, "report": printed, never failing) and measure(),
+which returns one float.  The @check decorator declares a function as the
+measure of a check; REGISTRY holds the checks in declaration order, which
+is the order ``qwave verify`` prints them in.  The acceptance tests call
+the same measure functions on their own grids and read the same
+tolerances.
+
+The repeated patterns are helpers: max_rel reduces (difference, scale)
+pairs, fd_gap and q_jet_gap compare closed forms with finite differences in
+x/t and in q, and @order_fit turns one convergence fit of a residual norm
+into a slope check and its _r2 fit-quality check.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable
+
+import numpy as np
+
+from . import kleingordon as kg
+from . import planewave as pw
+from . import qcore
+from . import qgaussian as qg
+from . import scenarios
+from . import separation as sep
+from . import verify
+
+
+@dataclass(frozen=True)
+class Check:
+    """One registry entry."""
+
+    key: str
+    claim: str
+    tolerance: float
+    sense: str  # "le", "ge", or "report"
+    measure: Callable[[], float]
+
+    @property
+    def suite(self) -> str:
+        return self.key.partition(".")[0]
+
+
+REGISTRY: dict[str, Check] = {}
+
+
+def _register(*entries: Check) -> None:
+    for entry in entries:
+        if entry.key in REGISTRY:
+            raise ValueError(f"duplicate check key {entry.key!r}")
+        REGISTRY[entry.key] = entry
+
+
+def check(key: str, claim: str, tolerance: float, sense: str = "le"):
+    """Declare the decorated function as the measure of a check.
+
+    check(...)(measure) declares a measure written as an expression.
+    """
+
+    def declare(measure: Callable[[], float]):
+        _register(Check(key, claim, tolerance, sense, measure))
+        return measure
+
+    return declare
+
+
+def order_fit(key: str, claim: str):
+    """Declare the order fit of the decorated norm(eps) as two checks: the
+    slope (>= 1.9, first order leaves O(eps^2)) and key_r2 (>= 0.999).
+
+    One fit per run: the slope check fits and leaves the fit to the _r2
+    check after it, which takes it away (or fits afresh if measured alone).
+    """
+
+    def declare(norm: Callable[[float], float]):
+        fit: list[verify.OrderFit] = []
+
+        def slope() -> float:
+            fit[:] = [verify.order_of_convergence(norm)]
+            return fit[0].slope
+
+        def r_squared() -> float:
+            return (fit.pop() if fit else verify.order_of_convergence(norm)).r_squared
+
+        _register(
+            Check(key, claim, 1.9, "ge", slope),
+            Check(key + "_r2", "order fit quality", 0.999, "ge", r_squared),
+        )
+        return norm
+
+    return declare
+
+
+# -- helpers ---------------------------------------------------------------
+
+
+def max_rel(pairs: Iterable[tuple[float, float]]) -> float:
+    """Worst d / s over (abs difference d, scale s) pairs; 0 / 0 counts as 0."""
+    return max(d / s if s > 0 else (0.0 if d == 0 else math.inf) for d, s in pairs)
+
+
+def residual_pair(terms) -> tuple[float, float]:
+    """|sum of an equation's addends| and the largest addend, for max_rel."""
+    return abs(sum(terms)), max(map(abs, terms))
+
+
+def fd_gap(cases, scheme: verify.FDScheme, deriv: int) -> float:
+    """Worst relative gap of closed-form x/t derivatives against Richardson FD.
+
+    cases are (closed, fn, at): fn differentiated deriv times at at.
+    """
+    return max_rel(
+        (abs(closed - verify.fd_derivative(fn, at, scheme, deriv=deriv)[0]), abs(closed))
+        for closed, fn, at in cases
+    )
+
+
+def q_jet_gap(cases) -> float:
+    """Worst gap of closed-form eps-coefficients against FD in q at q = 1.
+
+    cases are (fn of q, closed); each gap is relative to max(1, |closed|).
+    """
+    return max_rel(
+        (abs(verify.jet_from_fd(fn).v1 - closed), max(1.0, abs(closed))) for fn, closed in cases
+    )
+
+
+def _grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
+    return tuple(float(v) for v in np.linspace(lo, hi, n))
+
+
+_PAIR_EPSILONS = (1e-3, 1e-6, 1e-9)
+
+# -- planewave -------------------------------------------------------------
+
+_PW_WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
+_PW_XS = _grid(-6.0, 6.0, 31)
+_PW_TS = _grid(0.0, 3.0, 5)
+_PW_POINTS = tuple(pw.PhasePoint(x, t) for x in _PW_XS for t in _PW_TS)
+
+
+def pw_exact_residual(q: float, xs=_PW_XS, ts=_PW_TS) -> float:
+    """Exact plane wave in its equation: max |residual| over the largest addend."""
+    return verify.grid_residual(
+        lambda x, t: residual_pair(
+            pw.schrodinger_terms(pw.PhasePoint(x, t), _PW_WAVE, q, "exact")
+        ),
+        xs,
+        ts,
+    ).max_rel
+
+
+for _q in (0.999, 1.001, 1.1):
+    check(
+        f"planewave.exact_residual_q{_q:g}",
+        f"exact wave inserted with closed-form derivatives, q={_q:g}",
+        1e-10,
+    )(partial(pw_exact_residual, _q))
+
+
+@check(
+    "planewave.pair_cancellation",
+    "truncated dt(psi^q) and d2x(psi) brackets cancel identically",
+    1e-12,
+)
+def _pw_pair_cancellation() -> float:
+    return max_rel(
+        residual_pair(pw.expansion_terms(pt, _PW_WAVE, 1.0 + eps))
+        for eps in _PAIR_EPSILONS
+        for pt in _PW_POINTS
+    )
+
+
+@order_fit("planewave.approx_order", "approximant inserted in the full equation leaves O(eps^2)")
+def pw_approx_norm(eps: float, xs=_PW_XS[::2], ts=_PW_TS) -> float:
+    """Largest |residual| of the first-order plane wave at q = 1 + eps."""
+    return max(
+        abs(pw.residual_schrodinger(pw.PhasePoint(x, t), _PW_WAVE, 1.0 + eps, "approx"))
+        for x in xs
+        for t in ts
+    )
+
+
+def _pw_error_norm(eps: float) -> float:
+    q = 1.0 + eps
+    return max(
+        abs(pw.approx_psi(pt, _PW_WAVE, q) - pw.exact_psi(pt, _PW_WAVE, q))
+        for pt in (pw.PhasePoint(x, t) for x in _PW_XS[::2] for t in _PW_TS)
+    )
+
+
+@check("planewave.approx_error_order", "approx_psi - exact_psi shrinks as eps^2", 1.9, "ge")
+def _pw_error_order() -> float:
+    return verify.order_of_convergence(_pw_error_norm, (1e-2, 1e-3, 1e-4, 1e-5)).slope
+
+
+@check("planewave.modulus_identity", "|exact_psi|^2 = [1+(1-q)^2 u^2]^{1/(1-q)}", 1e-12)
+def _pw_modulus_identity(q: float = 1.37) -> float:
+    def pair(pt):
+        u = pw.phase(pt, _PW_WAVE)
+        closed = math.exp(math.log1p((1.0 - q) ** 2 * u * u) / (1.0 - q))
+        return abs(abs(pw.exact_psi(pt, _PW_WAVE, q)) ** 2 - closed), abs(closed)
+
+    return max_rel(pair(pt) for pt in _PW_POINTS)
+
+
+@check(
+    "planewave.psi_q_jet",
+    "jet of psi^q reproduces the closed-form expansion coefficient",
+    1e-12,
+)
+def _pw_psi_q_jet() -> float:
+    def pair(u):
+        # psi^q = exp(q * iu * S(w)); build the exponent jet directly,
+        # jet_ln of e^{iu} would lose the winding for |u| > pi
+        exponent = qcore.QJet(1.0, 1.0) * (
+            qcore.as_jet(1j * u) * qcore.log1p_over_w_jet(-1j * u)
+        )
+        # eps-coefficient of the closed-form psi^q expansion
+        closed = (1j * u - u * u / 2.0) * complex(math.cos(u), math.sin(u))
+        return abs(qcore.jet_exp(exponent).v1 - closed), max(1.0, abs(closed))
+
+    return max_rel(pair(pw.phase(pt, _PW_WAVE)) for pt in _PW_POINTS)
+
+
+@check("planewave.q_exp_jet_fd", "q_exp_jet.v1 = (z^2/2)e^z against FD in q", 1e-6)
+def _pw_q_exp_jet_fd() -> float:
+    return q_jet_gap(
+        (partial(qcore.q_exp, z), qcore.q_exp_jet(z).v1)
+        for z in (0.0, 1.0, 1.5j, -0.8 + 1.2j, 2.5 - 2.0j, 4.0j)
+    )
+
+
+@check("planewave.d2x_approx_fd", "closed-form d2x of the approximant against FD", 1e-8)
+def _pw_d2x_fd(q: float = 1.02) -> float:
+    return fd_gap(
+        (
+            (
+                pw.d2x_approx_psi(pw.PhasePoint(x, t), _PW_WAVE, q),
+                lambda xv, t=t: pw.approx_psi(pw.PhasePoint(xv, t), _PW_WAVE, q),
+                x,
+            )
+            for x in _PW_XS[::3]
+            for t in _PW_TS
+        ),
+        verify.default_scheme(_PW_WAVE.hbar / _PW_WAVE.p, deriv=2),
+        2,
+    )
+
+
+@check(
+    "planewave.dt_approx_q_fd",
+    "closed-form dt of the approximant's q-th power against FD",
+    1e-8,
+)
+def _pw_dt_q_fd(q: float = 1.02) -> float:
+    return fd_gap(
+        (
+            (
+                pw.dt_approx_psi_q(pw.PhasePoint(x, t), _PW_WAVE, q),
+                lambda tv, x=x: pw.approx_psi_q(pw.PhasePoint(x, tv), _PW_WAVE, q),
+                t,
+            )
+            for x in _PW_XS[::3]
+            for t in _PW_TS
+        ),
+        verify.default_scheme(_PW_WAVE.hbar / _PW_WAVE.E, deriv=1),
+        1,
+    )
+
+
+# -- separation ------------------------------------------------------------
+
+_SEP_E = 0.845
+_SEP_P = 1.3
+_SEP_LAM = _SEP_P * _SEP_P / 2.0
+_SEP_TS = _grid(0.0, 4.0, 17)
+_SEP_XS = _grid(-6.0, 6.0, 17)
+
+
+@check(
+    "separation.exact_residual_f",
+    "exact time factor satisfies its separated equation, q=1.1",
+    1e-10,
+)
+def _sep_exact_residual_f(q: float = 1.1) -> float:
+    return max_rel(
+        (
+            abs(sep.residual_f(t, _SEP_E, q, family="exact")),
+            abs(_SEP_E * sep.exact_f(t, _SEP_E, q)),
+        )
+        for t in _SEP_TS
+    )
+
+
+@check(
+    "separation.exact_residual_g",
+    "exact space factor satisfies its separated equation, q=1.1",
+    1e-10,
+)
+def _sep_exact_residual_g(q: float = 1.1) -> float:
+    return max_rel(
+        (
+            abs(sep.residual_g(x, _SEP_P, None, q, family="exact")),
+            abs(_SEP_LAM * sep.exact_g_q(x, _SEP_P, q)),
+        )
+        for x in _SEP_XS
+    )
+
+
+def _sep_pairs(q: float):
+    for t in _SEP_TS:
+        yield abs(sep.expansion_residual_f(t, _SEP_E, q)), abs(_SEP_E * sep.approx_f(t, _SEP_E, q))
+    for x in _SEP_XS:
+        yield (
+            abs(sep.expansion_residual_g(x, _SEP_P, None, q)),
+            abs(_SEP_LAM * sep.approx_g_q(x, _SEP_P, q)),
+        )
+
+
+@check(
+    "separation.pair_cancellation",
+    "truncated pairs for f and g cancel identically at lam = p^2/2m",
+    1e-12,
+)
+def _sep_pair_cancellation() -> float:
+    return max(max_rel(_sep_pairs(1.0 + eps)) for eps in _PAIR_EPSILONS)
+
+
+@order_fit("separation.f_order", "first-order f inserted in its equation")
+def sep_f_norm(eps: float, ts=_SEP_TS) -> float:
+    """Largest |residual| of the first-order time factor at q = 1 + eps."""
+    return max(abs(sep.residual_f(t, _SEP_E, 1.0 + eps, family="approx")) for t in ts)
+
+
+@order_fit("separation.g_order", "first-order g inserted in its equation")
+def sep_g_norm(eps: float, xs=_SEP_XS) -> float:
+    """Largest |residual| of the first-order space factor at q = 1 + eps."""
+    return max(abs(sep.residual_g(x, _SEP_P, None, 1.0 + eps, family="approx")) for x in xs)
+
+
+def _factor_jet_gap(exact_of_q, grid, k: float, sign: float, coefficient) -> float:
+    """FD-in-q jet of exact_of_q(s, k, q) against coefficient(ks) e^{sign i ks}."""
+    cases = []
+    for s in grid:
+        w = k * s
+        phase = complex(math.cos(w), sign * math.sin(w))
+        cases.append((partial(exact_of_q, s, k), coefficient(w) * phase))
+    return q_jet_gap(cases)
+
+
+check(
+    "separation.f_jet",
+    "q-derivative of exact f matches (i tau + tau^2/2)e^{-i tau}",
+    1e-10,
+)(lambda: _factor_jet_gap(sep.exact_f, _SEP_TS, _SEP_E, -1.0, lambda w: 1j * w + w * w / 2.0))
+check(
+    "separation.f_q_jet",
+    "q-derivative of exact f^q keeps only the tau^2/2 term",
+    1e-8,
+)(lambda: _factor_jet_gap(sep.exact_f_q, _SEP_TS, _SEP_E, -1.0, lambda w: w * w / 2.0))
+check(
+    "separation.g_jet",
+    "q-derivative of exact g matches -(i xi + xi^2)/4 e^{i xi}",
+    1e-10,
+)(lambda: _factor_jet_gap(sep.exact_g, _SEP_XS, _SEP_P, 1.0, lambda w: -0.25 * (1j * w + w * w)))
+check(
+    "separation.g_q_jet",
+    "q-derivative of exact g^q matches (3 i xi - xi^2)/4 e^{i xi}",
+    1e-8,
+)(lambda: _factor_jet_gap(sep.exact_g_q, _SEP_XS, _SEP_P, 1.0, lambda w: 0.75j * w - 0.25 * w * w))
+
+
+@check("separation.dt_f_q_fd", "closed-form dt of the first-order f^q against FD", 1e-8)
+def _sep_dt_f_q_fd(q: float = 1.02) -> float:
+    return fd_gap(
+        (
+            (sep.dt_approx_f_q(t, _SEP_E, q), lambda tv: sep.approx_f_q(tv, _SEP_E, q), t)
+            for t in _SEP_TS
+        ),
+        verify.default_scheme(1.0 / _SEP_E, deriv=1),
+        1,
+    )
+
+
+@check("separation.d2x_g_fd", "closed-form d2x of the first-order g against FD", 1e-8)
+def _sep_d2x_g_fd(q: float = 1.02) -> float:
+    return fd_gap(
+        (
+            (sep.d2x_approx_g(x, _SEP_P, q), lambda xv: sep.approx_g(xv, _SEP_P, q), x)
+            for x in _SEP_XS
+        ),
+        verify.default_scheme(1.0 / _SEP_P, deriv=2),
+        2,
+    )
+
+
+@check(
+    "separation.product_not_planewave",
+    "first-order f*g differs from the plane-wave approximant",
+    1e-2,
+    "ge",
+)
+def _sep_product_not_planewave(x0: float = 0.7, t0: float = 0.9) -> float:
+    # f(t)g(x) is a different first-order solution than the plane wave;
+    # their eps-coefficients must not be conflated
+    wave = pw.SchrodingerWave.free(p=_SEP_P, m=1.0)
+    tau = wave.E * t0
+    xi = _SEP_P * x0
+    u = xi - tau
+    coef_fg = (1j * tau + tau * tau / 2.0) - 0.25 * (1j * xi + xi * xi)
+    coef_pw = -u * u / 2.0
+    return abs(coef_fg - coef_pw) / max(abs(coef_fg), abs(coef_pw))
+
+
+# -- gaussian --------------------------------------------------------------
+
+_QG_XS = _grid(-3.0, 3.0, 13)
+_QG_TS = _grid(0.0, 2.0, 5)
+_QG_QS = (0.999, 1.001, 1.1)
+_QG_PROBES = tuple((x, t) for x in (0.3, 0.9, 1.6) for t in (0.2, 0.8))
+
+
+def _qg_params(q: float) -> qg.GaussianParams:
+    return qg.GaussianParams(m=1.0, beta=1.0, q=q)
+
+
+check("gaussian.c_at_zero", "c(0) = 0 exactly", 1e-13)(
+    lambda: max(abs(qg.coeffs_exact(0.0, _qg_params(q)).c) for q in _QG_QS)
+)
+check("gaussian.psi_origin", "psi(0,0) = 1 exactly", 1e-13)(
+    lambda: max(abs(qg.exact_qgaussian(0.0, 0.0, _qg_params(q)) - 1.0) for q in _QG_QS)
+)
+
+
+@check("gaussian.coeff_jets", "mechanical coefficient jets match the closed-form splits", 1e-11)
+def _qg_coeff_jets() -> float:
+    def pairs(t, params):
+        split = qg.coeffs_first_order(t, params)
+        for jet, c0, c1 in zip(
+            qg._coeff_jets(t, params),
+            (split.a1, split.b1, split.c1),
+            (split.a2, split.b2, split.c2),
+        ):
+            yield abs(jet.v0 - c0), max(1.0, abs(c0))
+            yield abs(jet.v1 - c1), max(1.0, abs(c1))
+
+    return max(max_rel(pairs(t, _qg_params(1.001))) for t in _QG_TS)
+
+
+@check("gaussian.jet_authority", "packet jet equals the assembled first-order closed forms", 1e-11)
+def _qg_jet_authority() -> float:
+    params = _qg_params(1.001)
+
+    def pairs(x, t):
+        jet = qg.wavefunction_jet(x, t, params)
+        split = qg.coeffs_first_order(t, params)
+        G0 = split.a1 * x * x + split.b1 * x + split.c1
+        G1 = split.a2 * x * x + split.b2 * x + split.c2
+        assembled0 = cmath.exp(-G0)
+        assembled1 = -(G1 - 0.5 * G0 * G0) * assembled0
+        scale = max(abs(assembled0), abs(assembled1))
+        yield abs(jet.v0 - assembled0), scale
+        yield abs(jet.v1 - assembled1), scale
+
+    return max(max_rel(pairs(x, t)) for x in _QG_XS for t in _QG_TS)
+
+
+@check("gaussian.coeff_fd", "FD in q of the exact coefficients matches (a2, b2, c2)", 1e-6)
+def _qg_coeff_fd() -> float:
+    cases = []
+    for t in _QG_TS:
+        split = qg.coeffs_first_order(t, _qg_params(1.001))
+        for name, closed in (("a", split.a2), ("b", split.b2), ("c", split.c2)):
+            cases.append(
+                (lambda q, t=t, name=name: getattr(qg.coeffs_exact(t, _qg_params(q)), name), closed)
+            )
+    return q_jet_gap(cases)
+
+
+@order_fit("gaussian.approx_order", "first-order packet inserted in the full equation")
+def _qg_packet_norm(eps: float) -> float:
+    params = _qg_params(1.0 + eps)
+    return max(
+        abs(qg.residual_qgaussian(x, t, params, family="approx")) for x, t in _QG_PROBES
+    )
+
+
+@check(
+    "gaussian.exact_residual_report",
+    "exact packet residual at q=1.001 (FD-limited, reported only)",
+    math.nan,
+    "report",
+)
+def _qg_exact_residual() -> float:
+    params = _qg_params(1.001)
+    return max_rel(
+        residual_pair(qg.gaussian_terms(x, t, params, family="exact")) for x, t in _QG_PROBES
+    )
+
+
+check(
+    "gaussian.ratio_band",
+    "packet ratio stays within [0.9, 1.1] over the default sweep",
+    0.1,
+)(lambda: max(abs(r - 1.0) for _, r in scenarios.run_gaussian_sweep(_qg_params(1.001))))
+
+# -- kleingordon -----------------------------------------------------------
+
+_KG_WAVE = kg.KGWave.on_shell(k=1.1, m=1.0)
+_KG_XS = _grid(-4.0, 4.0, 17)
+_KG_TS = _grid(0.0, 3.0, 5)
+
+
+def _kg_exact_residual(q: float, wave: kg.KGWave = _KG_WAVE) -> float:
+    return max_rel(
+        residual_pair(kg.kg_terms(x, t, wave, q, "exact")) for x in _KG_XS for t in _KG_TS
+    )
+
+
+for _q in (0.999, 1.1):
+    check(
+        f"kleingordon.exact_residual_q{_q:g}", f"exact wave on shell, q={_q:g}", 1e-10
+    )(partial(_kg_exact_residual, _q))
+
+
+@check(
+    "kleingordon.dispersion_sensitivity",
+    "1% omega perturbation inflates the residual",
+    1e4,
+    "ge",
+)
+def _kg_dispersion_sensitivity() -> float:
+    off = kg.KGWave(k=_KG_WAVE.k, omega=_KG_WAVE.omega * 1.01, m=_KG_WAVE.m)
+    on_res = _kg_exact_residual(1.1)
+    return _kg_exact_residual(1.1, off) / on_res if on_res > 0 else math.inf
+
+
+@check(
+    "kleingordon.bracket_identity",
+    "d2x, d2t and qF^{2q-1} expansions share one bracket",
+    1e-14,
+)
+def _kg_bracket_identity(q: float = 1.2) -> float:
+    def pair(x, t):
+        u = kg.phase(x, t, _KG_WAVE)
+        eiu = complex(math.cos(u), math.sin(u))
+        bx = kg.d2x_approx_F(x, t, _KG_WAVE, q) / (-_KG_WAVE.k**2 * eiu)
+        bt = kg.d2t_approx_F(x, t, _KG_WAVE, q) / (-_KG_WAVE.omega**2 * eiu)
+        bm = kg.approx_qF2qm1(x, t, _KG_WAVE, q) / eiu
+        return max(abs(bx - bm), abs(bt - bm)), abs(bm)
+
+    return max_rel(pair(x, t) for x in _KG_XS for t in _KG_TS)
+
+
+@check("kleingordon.pair_cancellation", "truncated expansions cancel identically on shell", 1e-12)
+def _kg_pair_cancellation() -> float:
+    return max_rel(
+        residual_pair(kg.expansion_terms_kg(x, t, _KG_WAVE, 1.0 + eps))
+        for eps in _PAIR_EPSILONS
+        for x in _KG_XS
+        for t in _KG_TS
+    )
+
+
+@order_fit(
+    "kleingordon.approx_order", "approximant inserted in the full equation leaves O(eps^2)"
+)
+def kg_approx_norm(eps: float, xs=_KG_XS[::2], ts=_KG_TS) -> float:
+    """Largest |residual| of the first-order Klein-Gordon wave at q = 1 + eps."""
+    return max(abs(kg.residual_kg(x, t, _KG_WAVE, 1.0 + eps, "approx")) for x in xs for t in ts)
+
+
+@check(
+    "kleingordon.qF_jet",
+    "q-derivative of qF^{2q-1} matches e^{iu}(1 + 2iu - u^2/2)",
+    1e-6,
+)
+def _kg_qF_jet() -> float:
+    cases = []
+    for x in _KG_XS[::2]:
+        for t in _KG_TS:
+            u = kg.phase(x, t, _KG_WAVE)
+            closed = (1.0 + 2j * u - u * u / 2.0) * complex(math.cos(u), math.sin(u))
+            cases.append(((lambda q, x=x, t=t: q * kg.exact_F_2qm1(x, t, _KG_WAVE, q)), closed))
+    return q_jet_gap(cases)
+
+
+@check(
+    "kleingordon.d2_approx_fd",
+    "closed-form second derivatives of the approximant against FD",
+    1e-8,
+)
+def _kg_d2_fd(q: float = 1.02) -> float:
+    points = [(x, t) for x in _KG_XS[::3] for t in _KG_TS]
+    d2x = fd_gap(
+        (
+            (kg.d2x_approx_F(x, t, _KG_WAVE, q), lambda v, t=t: kg.approx_F(v, t, _KG_WAVE, q), x)
+            for x, t in points
+        ),
+        verify.default_scheme(1.0 / _KG_WAVE.k, deriv=2),
+        2,
+    )
+    d2t = fd_gap(
+        (
+            (kg.d2t_approx_F(x, t, _KG_WAVE, q), lambda v, x=x: kg.approx_F(x, v, _KG_WAVE, q), t)
+            for x, t in points
+        ),
+        verify.default_scheme(1.0 / _KG_WAVE.omega, deriv=2),
+        2,
+    )
+    return max(d2x, d2t)
+
+
+SUITES: tuple[str, ...] = tuple(dict.fromkeys(entry.suite for entry in REGISTRY.values()))

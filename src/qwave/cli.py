@@ -4,12 +4,13 @@ Two subcommands:
 
 * ``qwave ratio`` sweeps the approximate/exact deviation ratio over x and
   writes CSV (or JSON), optionally with a companion plot script or SVG.
-* ``qwave verify`` runs the self-consistency suites (residual grids,
-  jet-vs-FD cross-checks, order-of-convergence fits) and prints a
-  claim/measured/tolerance table.
+* ``qwave verify`` measures the checks declared in ``qwave.checks``
+  (residual grids, jet-vs-FD cross-checks, order-of-convergence fits),
+  selected by suite, and prints a claim/measured/tolerance table.
 
 Exit codes: 0 success, 1 verify found a failing check, 2 bad flags or
-config, 3 numeric failure while computing.
+config (including a --tol for no check or with a non-finite value), 3
+numeric failure while computing.
 
 Output determinism: CSV prints floats with 17 significant digits (%.17g),
 JSON with the shortest repr that round-trips, and lines end in "\n" on
@@ -22,24 +23,18 @@ same as formatting row by row.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import kleingordon as kg
-from . import planewave as pw
-from . import qcore
+from . import checks
 from . import qgaussian as qg
 from . import scenarios
-from . import separation as sep
-from . import verify
 from .errors import NonFiniteResult, QWaveError
 
 EXIT_OK = 0
@@ -103,9 +98,8 @@ _RATIO_CASTS = {
     "plot": _cast_choice(("none", "script", "svg")),
 }
 
-_VERIFY_CASTS = {
-    "suite": _cast_choice(("planewave", "separation", "gaussian", "kleingordon", "all")),
-}
+_SUITE_CHOICES = (*checks.SUITES, "all")
+_VERIFY_CASTS = {"suite": _cast_choice(_SUITE_CHOICES)}
 
 
 def _merge_options(args, parser, casts) -> dict:
@@ -374,780 +368,21 @@ def cmd_ratio(args, parser) -> int:
 # -- verify subcommand ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    """One verification table line."""
-
-    key: str
-    claim: str
-    measured: float
-    tolerance: float
-    sense: str  # "le", "ge", or "report"
-
-    @property
-    def passed(self) -> bool:
-        if self.sense == "le":
-            return self.measured <= self.tolerance
-        if self.sense == "ge":
-            return self.measured >= self.tolerance
-        return True  # report-only rows never fail
-
-
-def _rel(diff: float, scale: float) -> float:
-    return diff / scale if scale > 0 else (0.0 if diff == 0 else math.inf)
-
-
-def _max_rel(pairs) -> float:
-    """pairs of (abs difference, scale) -> worst relative deviation."""
-    return max(_rel(d, s) for d, s in pairs)
-
-
-_PW_WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
-_PW_XS = tuple(float(x) for x in np.linspace(-6.0, 6.0, 31))
-_PW_TS = tuple(float(t) for t in np.linspace(0.0, 3.0, 5))
-_PAIR_EPSILONS = (1e-3, 1e-6, 1e-9)
-
-
-def _suite_planewave(tol) -> list[CheckRow]:
-    rows = []
-    for q in (0.999, 1.001, 1.1):
-        def fn(x, t, q=q):
-            term_t, term_x = pw.schrodinger_terms(
-                pw.PhasePoint(x, t), _PW_WAVE, q, "exact"
-            )
-            return term_t + term_x, max(abs(term_t), abs(term_x))
-
-        report = verify.grid_residual(fn, _PW_XS, _PW_TS)
-        key = f"planewave.exact_residual_q{q:g}"
-        rows.append(
-            CheckRow(
-                key,
-                f"exact wave inserted with closed-form derivatives, q={q:g}",
-                report.max_rel,
-                tol.get(key, 1e-10),
-                "le",
-            )
-        )
-
-    pairs = []
-    for eps in _PAIR_EPSILONS:
-        for x in _PW_XS:
-            for t in _PW_TS:
-                pt = pw.PhasePoint(x, t)
-                term_t, term_x = pw.expansion_terms(pt, _PW_WAVE, 1.0 + eps)
-                pairs.append(
-                    (abs(term_t + term_x), max(abs(term_t), abs(term_x)))
-                )
-    key = "planewave.pair_cancellation"
-    rows.append(
-        CheckRow(
-            key,
-            "truncated dt(psi^q) and d2x(psi) brackets cancel identically",
-            _max_rel(pairs),
-            tol.get(key, 1e-12),
-            "le",
-        )
-    )
-
-    def genuine_norm(eps: float) -> float:
-        q = 1.0 + eps
-        return max(
-            abs(pw.residual_schrodinger(pw.PhasePoint(x, t), _PW_WAVE, q, "approx"))
-            for x in _PW_XS[::2]
-            for t in _PW_TS
-        )
-
-    fit = verify.order_of_convergence(genuine_norm)
-    key = "planewave.approx_order"
-    rows.append(
-        CheckRow(
-            key,
-            "approximant inserted in the full equation leaves O(eps^2)",
-            fit.slope,
-            tol.get(key, 1.9),
-            "ge",
-        )
-    )
-    key = "planewave.approx_order_r2"
-    rows.append(CheckRow(key, "order fit quality", fit.r_squared, tol.get(key, 0.999), "ge"))
-
-    def error_norm(eps: float) -> float:
-        q = 1.0 + eps
-        return max(
-            abs(
-                pw.approx_psi(pw.PhasePoint(x, t), _PW_WAVE, q)
-                - pw.exact_psi(pw.PhasePoint(x, t), _PW_WAVE, q)
-            )
-            for x in _PW_XS[::2]
-            for t in _PW_TS
-        )
-
-    fit = verify.order_of_convergence(error_norm, (1e-2, 1e-3, 1e-4, 1e-5))
-    key = "planewave.approx_error_order"
-    rows.append(
-        CheckRow(
-            key,
-            "approx_psi - exact_psi shrinks as eps^2",
-            fit.slope,
-            tol.get(key, 1.9),
-            "ge",
-        )
-    )
-
-    q = 1.37
-    pairs = []
-    for x in _PW_XS:
-        for t in _PW_TS:
-            u = pw.phase(pw.PhasePoint(x, t), _PW_WAVE)
-            direct = abs(pw.exact_psi(pw.PhasePoint(x, t), _PW_WAVE, q)) ** 2
-            closed = math.exp(math.log1p((1.0 - q) ** 2 * u * u) / (1.0 - q))
-            pairs.append((abs(direct - closed), abs(closed)))
-    key = "planewave.modulus_identity"
-    rows.append(
-        CheckRow(
-            key,
-            "|exact_psi|^2 = [1+(1-q)^2 u^2]^{1/(1-q)}",
-            _max_rel(pairs),
-            tol.get(key, 1e-12),
-            "le",
-        )
-    )
-
-    pairs = []
-    for x in _PW_XS:
-        for t in _PW_TS:
-            pt = pw.PhasePoint(x, t)
-            u = pw.phase(pt, _PW_WAVE)
-            # psi^q = exp(q * iu * S(w)); build the exponent jet directly,
-            # jet_ln of e^{iu} would lose the winding for |u| > pi
-            exponent = qcore.QJet(1.0, 1.0) * (
-                qcore.as_jet(1j * u) * qcore.log1p_over_w_jet(-1j * u)
-            )
-            jet = qcore.jet_exp(exponent)
-            # eps-coefficient of the closed-form psi^q expansion
-            closed = (1j * u - u * u / 2.0) * complex(math.cos(u), math.sin(u))
-            pairs.append((abs(jet.v1 - closed), max(1.0, abs(closed))))
-    key = "planewave.psi_q_jet"
-    rows.append(
-        CheckRow(
-            key,
-            "jet of psi^q reproduces the closed-form expansion coefficient",
-            _max_rel(pairs),
-            tol.get(key, 1e-12),
-            "le",
-        )
-    )
-
-    zs = (0.0, 1.0, 1.5j, -0.8 + 1.2j, 2.5 - 2.0j, 4.0j)
-    pairs = []
-    for z in zs:
-        jet = qcore.q_exp_jet(z)
-        fd = verify.jet_from_fd(lambda q, z=z: qcore.q_exp(z, q))
-        pairs.append((abs(fd.v1 - jet.v1), max(1.0, abs(jet.v1))))
-    key = "planewave.q_exp_jet_fd"
-    rows.append(
-        CheckRow(
-            key,
-            "q_exp_jet.v1 = (z^2/2)e^z against FD in q",
-            _max_rel(pairs),
-            tol.get(key, 1e-6),
-            "le",
-        )
-    )
-
-    q = 1.02
-    scheme_x = verify.default_scheme(_PW_WAVE.hbar / _PW_WAVE.p, deriv=2)
-    scheme_t = verify.default_scheme(_PW_WAVE.hbar / _PW_WAVE.E, deriv=1)
-    pairs = []
-    for x in _PW_XS[::3]:
-        for t in _PW_TS:
-            closed = pw.d2x_approx_psi(pw.PhasePoint(x, t), _PW_WAVE, q)
-            fd, _ = verify.fd_derivative(
-                lambda xv, t=t: pw.approx_psi(pw.PhasePoint(xv, t), _PW_WAVE, q),
-                x,
-                scheme_x,
-                deriv=2,
-            )
-            pairs.append((abs(closed - fd), abs(closed)))
-    key = "planewave.d2x_approx_fd"
-    rows.append(
-        CheckRow(
-            key,
-            "closed-form d2x of the approximant against FD",
-            _max_rel(pairs),
-            tol.get(key, 1e-8),
-            "le",
-        )
-    )
-    pairs = []
-    for x in _PW_XS[::3]:
-        for t in _PW_TS:
-            closed = pw.dt_approx_psi_q(pw.PhasePoint(x, t), _PW_WAVE, q)
-            fd, _ = verify.fd_derivative(
-                lambda tv, x=x: pw.approx_psi_q(pw.PhasePoint(x, tv), _PW_WAVE, q),
-                t,
-                scheme_t,
-                deriv=1,
-            )
-            pairs.append((abs(closed - fd), abs(closed)))
-    key = "planewave.dt_approx_q_fd"
-    rows.append(
-        CheckRow(
-            key,
-            "closed-form dt of the approximant's q-th power against FD",
-            _max_rel(pairs),
-            tol.get(key, 1e-8),
-            "le",
-        )
-    )
-    return rows
-
-
-_SEP_E = 0.845
-_SEP_P = 1.3
-_SEP_TS = tuple(float(t) for t in np.linspace(0.0, 4.0, 17))
-_SEP_XS = tuple(float(x) for x in np.linspace(-6.0, 6.0, 17))
-
-
-def _suite_separation(tol) -> list[CheckRow]:
-    rows = []
-    q = 1.1
-    pairs = [
-        (
-            abs(sep.residual_f(t, _SEP_E, q, family="exact")),
-            abs(_SEP_E * sep.exact_f(t, _SEP_E, q)),
-        )
-        for t in _SEP_TS
-    ]
-    key = "separation.exact_residual_f"
-    rows.append(
-        CheckRow(
-            key,
-            "exact time factor satisfies its separated equation, q=1.1",
-            _max_rel(pairs),
-            tol.get(key, 1e-10),
-            "le",
-        )
-    )
-    lam = _SEP_P * _SEP_P / 2.0
-    pairs = [
-        (
-            abs(sep.residual_g(x, _SEP_P, None, q, family="exact")),
-            abs(lam * sep.exact_g_q(x, _SEP_P, q)),
-        )
-        for x in _SEP_XS
-    ]
-    key = "separation.exact_residual_g"
-    rows.append(
-        CheckRow(
-            key,
-            "exact space factor satisfies its separated equation, q=1.1",
-            _max_rel(pairs),
-            tol.get(key, 1e-10),
-            "le",
-        )
-    )
-
-    pairs = []
-    for eps in _PAIR_EPSILONS:
-        qq = 1.0 + eps
-        for t in _SEP_TS:
-            pairs.append(
-                (
-                    abs(sep.expansion_residual_f(t, _SEP_E, qq)),
-                    abs(_SEP_E * sep.approx_f(t, _SEP_E, qq)),
-                )
-            )
-        for x in _SEP_XS:
-            pairs.append(
-                (
-                    abs(sep.expansion_residual_g(x, _SEP_P, None, qq)),
-                    abs(lam * sep.approx_g_q(x, _SEP_P, qq)),
-                )
-            )
-    key = "separation.pair_cancellation"
-    rows.append(
-        CheckRow(
-            key,
-            "truncated pairs for f and g cancel identically at lam = p^2/2m",
-            _max_rel(pairs),
-            tol.get(key, 1e-12),
-            "le",
-        )
-    )
-
-    def f_norm(eps: float) -> float:
-        return max(
-            abs(sep.residual_f(t, _SEP_E, 1.0 + eps, family="approx"))
-            for t in _SEP_TS
-        )
-
-    fit = verify.order_of_convergence(f_norm)
-    key = "separation.f_order"
-    rows.append(
-        CheckRow(key, "first-order f inserted in its equation", fit.slope, tol.get(key, 1.9), "ge")
-    )
-    key = "separation.f_order_r2"
-    rows.append(CheckRow(key, "order fit quality", fit.r_squared, tol.get(key, 0.999), "ge"))
-
-    def g_norm(eps: float) -> float:
-        return max(
-            abs(sep.residual_g(x, _SEP_P, None, 1.0 + eps, family="approx"))
-            for x in _SEP_XS
-        )
-
-    fit = verify.order_of_convergence(g_norm)
-    key = "separation.g_order"
-    rows.append(
-        CheckRow(key, "first-order g inserted in its equation", fit.slope, tol.get(key, 1.9), "ge")
-    )
-    key = "separation.g_order_r2"
-    rows.append(CheckRow(key, "order fit quality", fit.r_squared, tol.get(key, 0.999), "ge"))
-
-    pairs_f, pairs_fq = [], []
-    for t in _SEP_TS:
-        tau = _SEP_E * t
-        phase = complex(math.cos(tau), -math.sin(tau))
-        fd = verify.jet_from_fd(lambda q, t=t: sep.exact_f(t, _SEP_E, q))
-        closed = (1j * tau + tau * tau / 2.0) * phase
-        pairs_f.append((abs(fd.v1 - closed), max(1.0, abs(closed))))
-        fd = verify.jet_from_fd(lambda q, t=t: sep.exact_f_q(t, _SEP_E, q))
-        closed = (tau * tau / 2.0) * phase
-        pairs_fq.append((abs(fd.v1 - closed), max(1.0, abs(closed))))
-    key = "separation.f_jet"
-    rows.append(
-        CheckRow(
-            key,
-            "q-derivative of exact f matches (i tau + tau^2/2)e^{-i tau}",
-            _max_rel(pairs_f),
-            tol.get(key, 1e-10),
-            "le",
-        )
-    )
-    key = "separation.f_q_jet"
-    rows.append(
-        CheckRow(
-            key,
-            "q-derivative of exact f^q keeps only the tau^2/2 term",
-            _max_rel(pairs_fq),
-            tol.get(key, 1e-8),
-            "le",
-        )
-    )
-
-    pairs_g, pairs_gq = [], []
-    for x in _SEP_XS:
-        xi = _SEP_P * x
-        phase = complex(math.cos(xi), math.sin(xi))
-        fd = verify.jet_from_fd(lambda q, x=x: sep.exact_g(x, _SEP_P, q))
-        closed = -0.25 * (1j * xi + xi * xi) * phase
-        pairs_g.append((abs(fd.v1 - closed), max(1.0, abs(closed))))
-        fd = verify.jet_from_fd(lambda q, x=x: sep.exact_g_q(x, _SEP_P, q))
-        closed = (0.75j * xi - 0.25 * xi * xi) * phase
-        pairs_gq.append((abs(fd.v1 - closed), max(1.0, abs(closed))))
-    key = "separation.g_jet"
-    rows.append(
-        CheckRow(
-            key,
-            "q-derivative of exact g matches -(i xi + xi^2)/4 e^{i xi}",
-            _max_rel(pairs_g),
-            tol.get(key, 1e-10),
-            "le",
-        )
-    )
-    key = "separation.g_q_jet"
-    rows.append(
-        CheckRow(
-            key,
-            "q-derivative of exact g^q matches (3 i xi - xi^2)/4 e^{i xi}",
-            _max_rel(pairs_gq),
-            tol.get(key, 1e-8),
-            "le",
-        )
-    )
-
-    q = 1.02
-    scheme_t = verify.default_scheme(1.0 / _SEP_E, deriv=1)
-    pairs = []
-    for t in _SEP_TS:
-        closed = sep.dt_approx_f_q(t, _SEP_E, q)
-        fd, _ = verify.fd_derivative(
-            lambda tv: sep.approx_f_q(tv, _SEP_E, q), t, scheme_t, deriv=1
-        )
-        pairs.append((abs(closed - fd), abs(closed)))
-    key = "separation.dt_f_q_fd"
-    rows.append(
-        CheckRow(
-            key,
-            "closed-form dt of the first-order f^q against FD",
-            _max_rel(pairs),
-            tol.get(key, 1e-8),
-            "le",
-        )
-    )
-    scheme_x = verify.default_scheme(1.0 / _SEP_P, deriv=2)
-    pairs = []
-    for x in _SEP_XS:
-        closed = sep.d2x_approx_g(x, _SEP_P, q)
-        fd, _ = verify.fd_derivative(
-            lambda xv: sep.approx_g(xv, _SEP_P, q), x, scheme_x, deriv=2
-        )
-        pairs.append((abs(closed - fd), abs(closed)))
-    key = "separation.d2x_g_fd"
-    rows.append(
-        CheckRow(
-            key,
-            "closed-form d2x of the first-order g against FD",
-            _max_rel(pairs),
-            tol.get(key, 1e-8),
-            "le",
-        )
-    )
-
-    # f(t)g(x) is a different first-order solution than the plane wave;
-    # their eps-coefficients must not be conflated
-    x0, t0 = 0.7, 0.9
-    wave = pw.SchrodingerWave.free(p=_SEP_P, m=1.0)
-    tau = wave.E * t0
-    xi = _SEP_P * x0
-    u = xi - tau
-    coef_fg = (1j * tau + tau * tau / 2.0) - 0.25 * (1j * xi + xi * xi)
-    coef_pw = -u * u / 2.0
-    key = "separation.product_not_planewave"
-    rows.append(
-        CheckRow(
-            key,
-            "first-order f*g differs from the plane-wave approximant",
-            abs(coef_fg - coef_pw) / max(abs(coef_fg), abs(coef_pw)),
-            tol.get(key, 1e-2),
-            "ge",
-        )
-    )
-    return rows
-
-
-_QG_XS = tuple(float(x) for x in np.linspace(-3.0, 3.0, 13))
-_QG_TS = tuple(float(t) for t in np.linspace(0.0, 2.0, 5))
-
-
-def _qg_params(q: float) -> qg.GaussianParams:
-    return qg.GaussianParams(m=1.0, beta=1.0, q=q)
-
-
-def _suite_gaussian(tol) -> list[CheckRow]:
-    rows = []
-    measured = max(
-        abs(qg.coeffs_exact(0.0, _qg_params(q)).c) for q in (0.999, 1.001, 1.1)
-    )
-    key = "gaussian.c_at_zero"
-    rows.append(CheckRow(key, "c(0) = 0 exactly", measured, tol.get(key, 1e-13), "le"))
-    measured = max(
-        abs(qg.exact_qgaussian(0.0, 0.0, _qg_params(q)) - 1.0)
-        for q in (0.999, 1.001, 1.1)
-    )
-    key = "gaussian.psi_origin"
-    rows.append(CheckRow(key, "psi(0,0) = 1 exactly", measured, tol.get(key, 1e-13), "le"))
-
-    pairs = []
-    for t in _QG_TS:
-        jets = qg._coeff_jets(t, _qg_params(1.001))
-        closed = qg.coeffs_first_order(t, _qg_params(1.001))
-        for jet, c0, c1 in (
-            (jets[0], closed.a1, closed.a2),
-            (jets[1], closed.b1, closed.b2),
-            (jets[2], closed.c1, closed.c2),
-        ):
-            pairs.append((abs(jet.v0 - c0), max(1.0, abs(c0))))
-            pairs.append((abs(jet.v1 - c1), max(1.0, abs(c1))))
-    key = "gaussian.coeff_jets"
-    rows.append(
-        CheckRow(
-            key,
-            "mechanical coefficient jets match the closed-form splits",
-            _max_rel(pairs),
-            tol.get(key, 1e-11),
-            "le",
-        )
-    )
-
-    pairs = []
-    params = _qg_params(1.001)
-    for x in _QG_XS:
-        for t in _QG_TS:
-            jet = qg.wavefunction_jet(x, t, params)
-            split = qg.coeffs_first_order(t, params)
-            G0 = split.a1 * x * x + split.b1 * x + split.c1
-            G1 = split.a2 * x * x + split.b2 * x + split.c2
-            assembled0 = cmath.exp(-G0)
-            assembled1 = -(G1 - 0.5 * G0 * G0) * assembled0
-            scale = max(abs(assembled0), abs(assembled1))
-            pairs.append((abs(jet.v0 - assembled0), scale))
-            pairs.append((abs(jet.v1 - assembled1), scale))
-    key = "gaussian.jet_authority"
-    rows.append(
-        CheckRow(
-            key,
-            "packet jet equals the assembled first-order closed forms",
-            _max_rel(pairs),
-            tol.get(key, 1e-11),
-            "le",
-        )
-    )
-
-    pairs = []
-    for t in _QG_TS:
-        split = qg.coeffs_first_order(t, _qg_params(1.001))
-        for pick, closed1 in (
-            (lambda cs: cs.a, split.a2),
-            (lambda cs: cs.b, split.b2),
-            (lambda cs: cs.c, split.c2),
-        ):
-            fd = verify.jet_from_fd(
-                lambda q, t=t, pick=pick: pick(qg.coeffs_exact(t, _qg_params(q)))
-            )
-            pairs.append((abs(fd.v1 - closed1), max(1.0, abs(closed1))))
-    key = "gaussian.coeff_fd"
-    rows.append(
-        CheckRow(
-            key,
-            "FD in q of the exact coefficients matches (a2, b2, c2)",
-            _max_rel(pairs),
-            tol.get(key, 1e-6),
-            "le",
-        )
-    )
-
-    def packet_norm(eps: float) -> float:
-        params = _qg_params(1.0 + eps)
-        return max(
-            abs(qg.residual_qgaussian(x, t, params, family="approx"))
-            for x in (0.3, 0.9, 1.6)
-            for t in (0.2, 0.8)
-        )
-
-    fit = verify.order_of_convergence(packet_norm)
-    key = "gaussian.approx_order"
-    rows.append(
-        CheckRow(
-            key,
-            "first-order packet inserted in the full equation",
-            fit.slope,
-            tol.get(key, 1.9),
-            "ge",
-        )
-    )
-    key = "gaussian.approx_order_r2"
-    rows.append(CheckRow(key, "order fit quality", fit.r_squared, tol.get(key, 0.999), "ge"))
-
-    params = _qg_params(1.001)
-    measured = 0.0
-    for x in (0.3, 0.9, 1.6):
-        for t in (0.2, 0.8):
-            term_t, term_x = qg.gaussian_terms(x, t, params, family="exact")
-            measured = max(
-                measured,
-                _rel(abs(term_t + term_x), max(abs(term_t), abs(term_x))),
-            )
-    key = "gaussian.exact_residual_report"
-    rows.append(
-        CheckRow(
-            key,
-            "exact packet residual at q=1.001 (FD-limited, reported only)",
-            measured,
-            math.nan,
-            "report",
-        )
-    )
-
-    band = max(
-        abs(r - 1.0) for _, r in scenarios.run_gaussian_sweep(_qg_params(1.001))
-    )
-    key = "gaussian.ratio_band"
-    rows.append(
-        CheckRow(
-            key,
-            "packet ratio stays within [0.9, 1.1] over the default sweep",
-            band,
-            tol.get(key, 0.1),
-            "le",
-        )
-    )
-    return rows
-
-
-_KG_WAVE = kg.KGWave.on_shell(k=1.1, m=1.0)
-_KG_XS = tuple(float(x) for x in np.linspace(-4.0, 4.0, 17))
-_KG_TS = tuple(float(t) for t in np.linspace(0.0, 3.0, 5))
-
-
-def _kg_rel_residual(wave: kg.KGWave, q: float) -> float:
-    measured = 0.0
-    for x in _KG_XS:
-        for t in _KG_TS:
-            terms = kg.kg_terms(x, t, wave, q, "exact")
-            measured = max(
-                measured, _rel(abs(sum(terms)), max(abs(v) for v in terms))
-            )
-    return measured
-
-
-def _suite_kleingordon(tol) -> list[CheckRow]:
-    rows = []
-    for q in (0.999, 1.1):
-        key = f"kleingordon.exact_residual_q{q:g}"
-        rows.append(
-            CheckRow(
-                key,
-                f"exact wave on shell, q={q:g}",
-                _kg_rel_residual(_KG_WAVE, q),
-                tol.get(key, 1e-10),
-                "le",
-            )
-        )
-
-    off = kg.KGWave(k=_KG_WAVE.k, omega=_KG_WAVE.omega * 1.01, m=_KG_WAVE.m)
-    on_res = _kg_rel_residual(_KG_WAVE, 1.1)
-    off_res = _kg_rel_residual(off, 1.1)
-    key = "kleingordon.dispersion_sensitivity"
-    rows.append(
-        CheckRow(
-            key,
-            "1% omega perturbation inflates the residual",
-            off_res / on_res if on_res > 0 else math.inf,
-            tol.get(key, 1e4),
-            "ge",
-        )
-    )
-
-    q = 1.2
-    pairs = []
-    for x in _KG_XS:
-        for t in _KG_TS:
-            u = kg.phase(x, t, _KG_WAVE)
-            eiu = complex(math.cos(u), math.sin(u))
-            bx = kg.d2x_approx_F(x, t, _KG_WAVE, q) / (-_KG_WAVE.k**2 * eiu)
-            bt = kg.d2t_approx_F(x, t, _KG_WAVE, q) / (-_KG_WAVE.omega**2 * eiu)
-            bm = kg.approx_qF2qm1(x, t, _KG_WAVE, q) / eiu
-            pairs.append((max(abs(bx - bm), abs(bt - bm)), abs(bm)))
-    key = "kleingordon.bracket_identity"
-    rows.append(
-        CheckRow(
-            key,
-            "d2x, d2t and qF^{2q-1} expansions share one bracket",
-            _max_rel(pairs),
-            tol.get(key, 1e-14),
-            "le",
-        )
-    )
-
-    pairs = []
-    for eps in _PAIR_EPSILONS:
-        qq = 1.0 + eps
-        for x in _KG_XS:
-            for t in _KG_TS:
-                terms = kg.expansion_terms_kg(x, t, _KG_WAVE, qq)
-                pairs.append((abs(sum(terms)), max(abs(v) for v in terms)))
-    key = "kleingordon.pair_cancellation"
-    rows.append(
-        CheckRow(
-            key,
-            "truncated expansions cancel identically on shell",
-            _max_rel(pairs),
-            tol.get(key, 1e-12),
-            "le",
-        )
-    )
-
-    def kg_norm(eps: float) -> float:
-        q = 1.0 + eps
-        return max(
-            abs(kg.residual_kg(x, t, _KG_WAVE, q, "approx"))
-            for x in _KG_XS[::2]
-            for t in _KG_TS
-        )
-
-    fit = verify.order_of_convergence(kg_norm)
-    key = "kleingordon.approx_order"
-    rows.append(
-        CheckRow(
-            key,
-            "approximant inserted in the full equation leaves O(eps^2)",
-            fit.slope,
-            tol.get(key, 1.9),
-            "ge",
-        )
-    )
-    key = "kleingordon.approx_order_r2"
-    rows.append(CheckRow(key, "order fit quality", fit.r_squared, tol.get(key, 0.999), "ge"))
-
-    pairs = []
-    for x in _KG_XS[::2]:
-        for t in _KG_TS:
-            u = kg.phase(x, t, _KG_WAVE)
-            eiu = complex(math.cos(u), math.sin(u))
-            closed = (1.0 + 2j * u - u * u / 2.0) * eiu
-            fd = verify.jet_from_fd(
-                lambda q, x=x, t=t: q * kg.exact_F_2qm1(x, t, _KG_WAVE, q)
-            )
-            pairs.append((abs(fd.v1 - closed), max(1.0, abs(closed))))
-    key = "kleingordon.qF_jet"
-    rows.append(
-        CheckRow(
-            key,
-            "q-derivative of qF^{2q-1} matches e^{iu}(1 + 2iu - u^2/2)",
-            _max_rel(pairs),
-            tol.get(key, 1e-6),
-            "le",
-        )
-    )
-
-    q = 1.02
-    scheme_x = verify.default_scheme(1.0 / _KG_WAVE.k, deriv=2)
-    scheme_t = verify.default_scheme(1.0 / _KG_WAVE.omega, deriv=2)
-    pairs = []
-    for x in _KG_XS[::3]:
-        for t in _KG_TS:
-            closed = kg.d2x_approx_F(x, t, _KG_WAVE, q)
-            fd, _ = verify.fd_derivative(
-                lambda xv, t=t: kg.approx_F(xv, t, _KG_WAVE, q), x, scheme_x, deriv=2
-            )
-            pairs.append((abs(closed - fd), abs(closed)))
-            closed = kg.d2t_approx_F(x, t, _KG_WAVE, q)
-            fd, _ = verify.fd_derivative(
-                lambda tv, x=x: kg.approx_F(x, tv, _KG_WAVE, q), t, scheme_t, deriv=2
-            )
-            pairs.append((abs(closed - fd), abs(closed)))
-    key = "kleingordon.d2_approx_fd"
-    rows.append(
-        CheckRow(
-            key,
-            "closed-form second derivatives of the approximant against FD",
-            _max_rel(pairs),
-            tol.get(key, 1e-8),
-            "le",
-        )
-    )
-    return rows
-
-
-_SUITES = {
-    "planewave": _suite_planewave,
-    "separation": _suite_separation,
-    "gaussian": _suite_gaussian,
-    "kleingordon": _suite_kleingordon,
-}
-
-
 def _parse_tol_overrides(entries, parser) -> dict[str, float]:
     overrides: dict[str, float] = {}
     for entry in entries or ():
         key, eq, value = entry.partition("=")
+        key = key.strip()
         if not eq:
             parser.error(f"--tol expects CHECK=VALUE, got {entry!r}")
+        if key not in checks.REGISTRY:
+            parser.error(f"--tol: no check named {key!r}")
         try:
-            overrides[key.strip()] = float(value)
+            overrides[key] = float(value)
         except ValueError:
             parser.error(f"--tol {key}: not a number: {value!r}")
+        if not math.isfinite(overrides[key]):
+            parser.error(f"--tol {key}: must be finite, got {value!r}")
     return overrides
 
 
@@ -1155,30 +390,29 @@ def cmd_verify(args, parser) -> int:
     opt = _merge_options(args, parser, _VERIFY_CASTS)
     suite = opt.get("suite", "all")
     tol = _parse_tol_overrides(args.tol, parser)
-    names = list(_SUITES) if suite == "all" else [suite]
+    selected = [c for c in checks.REGISTRY.values() if suite in ("all", c.suite)]
     started = time.perf_counter()
-    rows: list[CheckRow] = []
-    for name in names:
-        rows.extend(_SUITES[name](tol))
+    measured = [check.measure() for check in selected]
     elapsed = time.perf_counter() - started
 
-    width = max(len(row.key) for row in rows)
+    width = max(len(check.key) for check in selected)
     print(f"{'check':<{width}}  {'measured':>12}  {'tolerance':>12}  status  claim")
     failed = 0
-    for row in rows:
-        if row.sense == "report":
+    for check, value in zip(selected, measured):
+        if check.sense == "report":
             tol_text, status = "-", "INFO"
         else:
-            cmp = "<=" if row.sense == "le" else ">="
-            tol_text = f"{cmp}{row.tolerance:g}"
-            status = "PASS" if row.passed else "FAIL"
-            failed += 0 if row.passed else 1
+            tolerance = tol.get(check.key, check.tolerance)
+            tol_text = f"{'<=' if check.sense == 'le' else '>='}{tolerance:g}"
+            passed = value <= tolerance if check.sense == "le" else value >= tolerance
+            status = "PASS" if passed else "FAIL"
+            failed += 0 if passed else 1
         print(
-            f"{row.key:<{width}}  {row.measured:>12.3e}  {tol_text:>12}  "
-            f"{status:<6}  {row.claim}"
+            f"{check.key:<{width}}  {value:>12.3e}  {tol_text:>12}  "
+            f"{status:<6}  {check.claim}"
         )
     print(
-        f"{len(rows)} checks: {len(rows) - failed} passed, {failed} failed "
+        f"{len(selected)} checks: {len(selected) - failed} passed, {failed} failed "
         f"[{elapsed:.2f} s]"
     )
     return EXIT_OK if failed == 0 else EXIT_FAIL
@@ -1217,15 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
     ratio.add_argument("--plot", choices=("none", "script", "svg"))
     ratio.add_argument("--config", help="key=value defaults, overridden by flags")
     # Python 3.11's argparse takes "-1e-3" for an option; later versions use
-    # this rule: an argument starting "-digit" or "-.digit" is a number
-    ratio._negative_number_matcher = re.compile(r"-\.?\d")
+    # this rule: an argument starting "-digit" or "-.digit" is a number.
+    # -inf and -nan, in any case, are numbers too, as float() reads them.
+    ratio._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     ratio.set_defaults(func=cmd_ratio, parser=ratio)
 
     verify_p = sub.add_parser("verify", help="run the self-consistency suites")
-    verify_p.add_argument(
-        "--suite",
-        choices=("planewave", "separation", "gaussian", "kleingordon", "all"),
-    )
+    verify_p.add_argument("--suite", choices=_SUITE_CHOICES)
     verify_p.add_argument(
         "--tol",
         action="append",

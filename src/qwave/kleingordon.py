@@ -18,8 +18,8 @@ derives, exposed as dispersion_omega.
 
 First order in (q-1), the expansions of d2x F, d2t F and q F^(2q-1) all
 share one bracket q + 2i(q-1)u - (q-1)u^2/2, which is the entire
-self-consistency mechanism: expansion_residual_kg combines the truncated
-forms and vanishes identically on shell, while residual_kg with
+self-consistency mechanism: the addends of expansion_terms_kg, built from
+the truncated forms, cancel identically on shell, while residual_kg with
 family="approx" inserts the approximant into the full equation (powering
 along its continuous logarithm) and leaves a genuine O((q-1)^2) remainder.
 """
@@ -95,16 +95,6 @@ def exact_F(x: float, t: float, w: KGWave, q: float) -> complex:
 def exact_F_2qm1(x: float, t: float, w: KGWave, q: float) -> complex:
     """(2q-1)-th power of the exact wave, [1+i(1-q)u]**((2q-1)/(1-q))."""
     return qcore.q_pow(1j * phase(x, t, w), q, 2.0 * q - 1.0)
-
-
-def exact_d2x_F(x: float, t: float, w: KGWave, q: float) -> complex:
-    """d2/dx2 of the exact wave."""
-    return -(w.k * w.k) * q * exact_F_2qm1(x, t, w, q)
-
-
-def exact_d2t_F(x: float, t: float, w: KGWave, q: float) -> complex:
-    """d2/dt2 of the exact wave."""
-    return -(w.omega * w.omega) * q * exact_F_2qm1(x, t, w, q)
 
 
 def approx_F(x: float, t: float, w: KGWave, q: float) -> complex:
@@ -192,12 +182,3 @@ def expansion_terms_kg(
     term_mass = (w.m * w.c / w.hbar) ** 2 * approx_qF2qm1(x, t, w, q)
     return term_tt, term_xx, term_mass
 
-
-def expansion_residual_kg(x: float, t: float, w: KGWave, q: float) -> complex:
-    """Residual assembled from the truncated first-order forms.
-
-    All three carry the same bracket, so on shell this cancels
-    identically at every q: the first-order expansion is self-consistent.
-    """
-    term_tt, term_xx, term_mass = expansion_terms_kg(x, t, w, q)
-    return term_tt + term_xx + term_mass

@@ -13,9 +13,11 @@ import math
 import subprocess
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
+from qwave import checks
 from qwave import kleingordon as kg
 from qwave import planewave as pw
 from qwave import qgaussian as qg
@@ -36,68 +38,42 @@ def _rel_to(diff: float, *scales: float) -> float:
 
 def test_criterion_1_exact_planewave_residual():
     start = time.perf_counter()
-    wave = pw.SchrodingerWave.free(p=1.3, m=1.0)
     xs = np.linspace(-8.0, 8.0, 2001)
     ts = np.linspace(0.0, 5.0, 11)
-    worst = 0.0
+    worst, tol = 0.0, math.inf
     for q in (1.0 - 1e-3, 1.0 + 1e-3, 1.1):
-
-        def fn(x, t, q=q):
-            term_t, term_x = pw.schrodinger_terms(PhasePoint(x, t), wave, q, "exact")
-            return term_t + term_x, max(abs(term_t), abs(term_x))
-
-        worst = max(worst, verify.grid_residual(fn, xs, ts).max_rel)
+        worst = max(worst, checks.pw_exact_residual(q, xs, ts))
+        tol = min(tol, checks.REGISTRY[f"planewave.exact_residual_q{q:g}"].tolerance)
     elapsed = time.perf_counter() - start
     _gate(
         "1 exact plane-wave residual",
-        f"max rel residual {worst:.3e} (tol 1e-10) on 2001x11 grid, "
+        f"max rel residual {worst:.3e} (tol {tol:g}) on 2001x11 grid, "
         f"{elapsed:.2f} s (budget 1 s)",
-        worst <= 1e-10 and elapsed < 1.0,
+        worst <= tol and elapsed < 1.0,
     )
 
 
 def test_criterion_2_first_order_convergence():
     start = time.perf_counter()
-    wave = pw.SchrodingerWave.free(p=1.3, m=1.0)
-    kgw = kg.KGWave.on_shell(k=1.1, m=1.0)
     xs = np.linspace(-6.0, 6.0, 13)
     ts = np.linspace(0.0, 3.0, 5)
     f_ts = np.linspace(0.0, 4.0, 17)
-
-    def pw_norm(eps):
-        q = 1.0 + eps
-        return max(
-            abs(pw.residual_schrodinger(PhasePoint(x, t), wave, q, "approx"))
-            for x in xs
-            for t in ts
-        )
-
-    def f_norm(eps):
-        q = 1.0 + eps
-        return max(abs(sep.residual_f(t, 0.845, q, family="approx")) for t in f_ts)
-
-    def g_norm(eps):
-        q = 1.0 + eps
-        return max(abs(sep.residual_g(x, 1.3, None, q, family="approx")) for x in xs)
-
-    def kg_norm(eps):
-        q = 1.0 + eps
-        return max(
-            abs(kg.residual_kg(x, t, kgw, q, "approx")) for x in xs for t in ts
-        )
-
-    fits = {
-        "plane wave": verify.order_of_convergence(pw_norm),
-        "time factor": verify.order_of_convergence(f_norm),
-        "space factor": verify.order_of_convergence(g_norm),
-        "klein-gordon": verify.order_of_convergence(kg_norm),
+    norms = {
+        "planewave.approx_order": partial(checks.pw_approx_norm, xs=xs, ts=ts),
+        "separation.f_order": partial(checks.sep_f_norm, ts=f_ts),
+        "separation.g_order": partial(checks.sep_g_norm, xs=xs),
+        "kleingordon.approx_order": partial(checks.kg_approx_norm, xs=xs, ts=ts),
     }
+    fits = {key: verify.order_of_convergence(norm) for key, norm in norms.items()}
     elapsed = time.perf_counter() - start
     detail = ", ".join(
-        f"{name} slope {fit.slope:.3f} r2 {fit.r_squared:.5f}"
-        for name, fit in fits.items()
+        f"{key} slope {fit.slope:.3f} r2 {fit.r_squared:.5f}" for key, fit in fits.items()
     )
-    ok = all(f.slope >= 1.9 and f.r_squared >= 0.999 for f in fits.values())
+    ok = all(
+        fit.slope >= checks.REGISTRY[key].tolerance
+        and fit.r_squared >= checks.REGISTRY[key + "_r2"].tolerance
+        for key, fit in fits.items()
+    )
     _gate(
         "2 first-order residual convergence",
         f"{detail}, {elapsed:.2f} s (budget 5 s)",

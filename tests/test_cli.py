@@ -1,6 +1,7 @@
 """CLI contract: flag/config merging, deterministic writers, plot
 emission, exit codes, and the verify table."""
 
+import argparse
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwave import cli, scenarios
+from qwave import checks, cli, scenarios
 from qwave import qgaussian as qg
 
 
@@ -146,12 +147,23 @@ def test_ratio_refuses_non_finite_values(fmt, capsys):
     assert "numeric failure" in err
 
 
-@pytest.mark.parametrize("xmax", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize("xmax", ["inf", "nan", "-inf", "-nan", "-INF", "-NaN", "-Infinity"])
 def test_non_finite_xmax_is_usage_error(xmax, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["ratio", "--xmax", xmax])
     assert exc.value.code == 2
-    assert "Warning" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--xmax must be finite and positive" in err
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("spelling", ["-inf", "-nan"])
+def test_negative_non_finite_t_is_numeric_failure(spelling, capsys):
+    assert cli.main(["ratio", "--points", "3", "--t", spelling]) == 3
+    spaced = capsys.readouterr()
+    assert cli.main(["ratio", "--points", "3", f"--t={spelling}"]) == 3
+    assert spaced == capsys.readouterr()
+    assert spaced.out == "" and "numeric failure" in spaced.err
 
 
 @pytest.mark.parametrize(
@@ -296,3 +308,50 @@ def test_verify_report_row_never_fails(capsys):
     report_lines = [l for l in out.splitlines() if "INFO" in l]
     assert len(report_lines) == 1
     assert "exact packet residual" in report_lines[0]
+
+
+def test_verify_unknown_tol_key_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "planewave", "--tol", "planewave.pair_cancelation=1e-30"])
+    assert exc.value.code == 2
+    assert "'planewave.pair_cancelation'" in capsys.readouterr().err
+
+
+def test_verify_tol_for_unselected_suite_is_accepted(capsys):
+    code, out, _ = run(
+        ["verify", "--suite", "planewave", "--tol", "separation.f_jet=1e-30"], capsys
+    )
+    assert code == 0
+    assert out.strip().splitlines()[-1].startswith("12 checks: 12 passed, 0 failed")
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "inf", "NaN"])
+def test_verify_non_finite_tol_is_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "planewave", "--tol", f"planewave.pair_cancellation={value}"])
+    assert exc.value.code == 2
+    assert "planewave.pair_cancellation: must be finite" in capsys.readouterr().err
+
+
+def test_verify_runs_every_registry_entry_in_order(capsys):
+    code, out, _ = run(["verify"], capsys)
+    lines = out.strip().splitlines()
+    assert code == 0
+    assert lines[-1].startswith("44 checks: 44 passed, 0 failed")
+    assert [line.split()[0] for line in lines[1:-1]] == list(checks.REGISTRY)
+    assert len(checks.REGISTRY) == 44
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert set(suite.choices) == {c.key.split(".")[0] for c in checks.REGISTRY.values()} | {"all"}
+
+
+def test_verify_fits_each_order_once_per_run(monkeypatch, capsys):
+    fits = []
+    real_fit = checks.verify.order_of_convergence
+    monkeypatch.setattr(
+        checks.verify, "order_of_convergence", lambda *a: fits.append(a) or real_fit(*a)
+    )
+    for runs in (1, 2):
+        code, out, _ = run(["verify", "--suite", "separation"], capsys)
+        assert code == 0
+        assert len(fits) == 2 * runs  # f_order and g_order, each fitted afresh per run
