@@ -9,8 +9,8 @@ Two subcommands:
   selected by suite, and prints a claim/measured/tolerance table.
 
 Exit codes: 0 success, 1 verify found a failing check, 2 bad flags or
-config (including a --tol for no check or with a non-finite value), 3
-numeric failure while computing.
+config (including a --tol for no check, for a report-only check or with a
+non-finite value), 3 numeric failure while computing.
 
 Output determinism: CSV prints floats with 17 significant digits (%.17g),
 JSON with the shortest repr that round-trips, and lines end in "\n" on
@@ -375,8 +375,8 @@ def _parse_tol_overrides(entries, parser) -> dict[str, float]:
         key = key.strip()
         if not eq:
             parser.error(f"--tol expects CHECK=VALUE, got {entry!r}")
-        if key not in checks.REGISTRY:
-            parser.error(f"--tol: no check named {key!r}")
+        if key not in checks.REGISTRY or checks.REGISTRY[key].sense == "report":
+            parser.error(f"--tol: no check with a tolerance named {key!r}")
         try:
             overrides[key] = float(value)
         except ValueError:

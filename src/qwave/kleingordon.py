@@ -22,6 +22,8 @@ self-consistency mechanism: the addends of expansion_terms_kg, built from
 the truncated forms, cancel identically on shell, while residual_kg with
 family="approx" inserts the approximant into the full equation (powering
 along its continuous logarithm) and leaves a genuine O((q-1)^2) remainder.
+The first-order wave, bracket and amplitude power are those of the
+Schrodinger plane wave: planewave.first_order_wave, bracket_wave, amp_pow.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from . import planewave as pw
 from . import qcore
-from .errors import BranchCutViolation, NonFiniteInput
+from .errors import NonFiniteInput
 
 
 def dispersion_omega(k: float, m: float, c: float = 1.0, hbar: float = 1.0) -> float:
@@ -99,31 +102,22 @@ def exact_F_2qm1(x: float, t: float, w: KGWave, q: float) -> complex:
 
 def approx_F(x: float, t: float, w: KGWave, q: float) -> complex:
     """First-order wave e^{iu}[1 + (1-q)u^2/2]."""
-    u = phase(x, t, w)
-    return cmath.exp(1j * u) * (1.0 + (1.0 - q) * u * u / 2.0)
-
-
-def _bracket(u: float, q: float) -> complex:
-    # the single bracket shared by d2x_approx_F, d2t_approx_F, approx_qF2qm1
-    return q + 2j * (q - 1.0) * u - (q - 1.0) * u * u / 2.0
+    return pw.first_order_wave(phase(x, t, w), q)
 
 
 def d2x_approx_F(x: float, t: float, w: KGWave, q: float) -> complex:
     """Exact d2/dx2 of the first-order wave."""
-    u = phase(x, t, w)
-    return -(w.k * w.k) * cmath.exp(1j * u) * _bracket(u, q)
+    return pw.bracket_wave(phase(x, t, w), q, -(w.k * w.k))
 
 
 def d2t_approx_F(x: float, t: float, w: KGWave, q: float) -> complex:
     """Exact d2/dt2 of the first-order wave."""
-    u = phase(x, t, w)
-    return -(w.omega * w.omega) * cmath.exp(1j * u) * _bracket(u, q)
+    return pw.bracket_wave(phase(x, t, w), q, -(w.omega * w.omega))
 
 
 def approx_qF2qm1(x: float, t: float, w: KGWave, q: float) -> complex:
     """First-order expansion of q F^(2q-1): e^{iu} times the shared bracket."""
-    u = phase(x, t, w)
-    return cmath.exp(1j * u) * _bracket(u, q)
+    return pw.bracket_wave(phase(x, t, w), q)
 
 
 def kg_terms(
@@ -144,15 +138,7 @@ def kg_terms(
         return term_tt, term_xx, term_mass
     if family == "approx":
         u = phase(x, t, w)
-        amp = 1.0 + (1.0 - q) * u * u / 2.0
-        if amp <= 0.0:
-            raise BranchCutViolation(
-                f"approximant amplitude 1 + (1-q) u^2/2 = {amp!r} is not positive"
-            )
-        power = cmath.exp(
-            1j * (2.0 * q - 1.0) * u
-            + (2.0 * q - 1.0) * math.log1p((1.0 - q) * u * u / 2.0)
-        )
+        power = cmath.exp(1j * (2.0 * q - 1.0) * u) * pw.amp_pow(u, q, 2.0 * q - 1.0)
         term_tt = (1.0 / (w.c * w.c)) * d2t_approx_F(x, t, w, q)
         term_xx = -d2x_approx_F(x, t, w, q)
         term_mass = mass_coef * q * power

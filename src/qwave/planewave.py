@@ -4,7 +4,9 @@ The equation is i*hbar d/dt(psi^q) = -(hbar^2/2m) d2/dx2(psi), whose exact
 free-particle solution is the q-exponential of the phase z = i(px - Et)/hbar.
 This module provides the exact wave, its first-order expansion around q = 1,
 closed-form derivatives for both, the self-consistency residuals, and the
-ratio R = |approx/exact| used for the deviation sweeps.
+ratio R = |approx/exact| used for the deviation sweeps.  The first-order
+forms are built from three functions of the phase u alone (first_order_wave,
+bracket_wave, amp_pow), which kleingordon shares.
 
 Two residual notions coexist and both are exposed:
 
@@ -78,46 +80,19 @@ def phase(pt: PhasePoint, w: SchrodingerWave) -> float:
     return (w.p * pt.x - w.E * pt.t) / w.hbar
 
 
-def exact_psi(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
-    """Exact wave: q-exponential of i*u."""
-    return qcore.q_exp(1j * phase(pt, w), q)
-
-
-def exact_psi_q(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
-    """q-th power of the exact wave, [1 + (1-q) i u]**(q/(1-q))."""
-    return qcore.q_pow(1j * phase(pt, w), q, q)
-
-
-def approx_psi(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
-    """First-order wave e^{iu} [1 + (1-q) u^2/2]."""
-    u = phase(pt, w)
+def first_order_wave(u: float, q: float) -> complex:
+    """First-order wave e^{iu} [1 + (1-q) u^2/2] at phase u."""
     return cmath.exp(1j * u) * (1.0 + (1.0 - q) * u * u / 2.0)
 
 
-def approx_psi_q(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
-    """First-order expansion of psi^q: e^{iu} [1 + (q-1)(iu - u^2/2)]."""
-    u = phase(pt, w)
-    return cmath.exp(1j * u) * (1.0 + (q - 1.0) * (1j * u - u * u / 2.0))
+def bracket_wave(u: float, q: float, coef: complex = 1.0) -> complex:
+    """coef e^{iu} [q + 2i(q-1)u - (q-1)u^2/2], the one bracket of the truncated
+    forms of d2x psi, dt psi^q and the Klein-Gordon d2x F, d2t F, q F^(2q-1)."""
+    bracket = q + 2j * (q - 1.0) * u - (q - 1.0) * u * u / 2.0
+    return coef * cmath.exp(1j * u) * bracket
 
 
-def _bracket(u: float, q: float) -> complex:
-    # shared by d2x_approx_psi and dt_approx_psi_q
-    return q + 2j * (q - 1.0) * u - (q - 1.0) * u * u / 2.0
-
-
-def d2x_approx_psi(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
-    """Exact d2/dx2 of the first-order wave."""
-    u = phase(pt, w)
-    return -(w.p * w.p / (w.hbar * w.hbar)) * cmath.exp(1j * u) * _bracket(u, q)
-
-
-def dt_approx_psi_q(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
-    """Exact d/dt of the first-order psi^q."""
-    u = phase(pt, w)
-    return -(1j * w.E / w.hbar) * cmath.exp(1j * u) * _bracket(u, q)
-
-
-def _amp_pow(u: float, q: float, exponent: float) -> float:
+def amp_pow(u: float, q: float, exponent: float) -> float:
     """Real amplitude factor [1 + (1-q) u^2/2]**exponent of the approximant.
 
     Powers of the approximant must follow its continuous logarithm
@@ -131,6 +106,37 @@ def _amp_pow(u: float, q: float, exponent: float) -> float:
             f"approximant amplitude 1 + (1-q) u^2/2 = {amp!r} is not positive"
         )
     return math.exp(exponent * math.log1p((1.0 - q) * u * u / 2.0))
+
+
+def exact_psi(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
+    """Exact wave: q-exponential of i*u."""
+    return qcore.q_exp(1j * phase(pt, w), q)
+
+
+def exact_psi_q(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
+    """q-th power of the exact wave, [1 + (1-q) i u]**(q/(1-q))."""
+    return qcore.q_pow(1j * phase(pt, w), q, q)
+
+
+def approx_psi(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
+    """First-order wave e^{iu} [1 + (1-q) u^2/2]."""
+    return first_order_wave(phase(pt, w), q)
+
+
+def approx_psi_q(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
+    """First-order expansion of psi^q: e^{iu} [1 + (q-1)(iu - u^2/2)]."""
+    u = phase(pt, w)
+    return cmath.exp(1j * u) * (1.0 + (q - 1.0) * (1j * u - u * u / 2.0))
+
+
+def d2x_approx_psi(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
+    """Exact d2/dx2 of the first-order wave."""
+    return bracket_wave(phase(pt, w), q, -(w.p * w.p / (w.hbar * w.hbar)))
+
+
+def dt_approx_psi_q(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
+    """Exact d/dt of the first-order psi^q."""
+    return bracket_wave(phase(pt, w), q, -(1j * w.E / w.hbar))
 
 
 def schrodinger_terms(
@@ -154,7 +160,7 @@ def schrodinger_terms(
         eps = q - 1.0
         amp = 1.0 - eps * u * u / 2.0
         # i hbar d/dt (psi_approx^q) in closed form
-        term_t = q * w.E * cmath.exp(1j * q * u) * _amp_pow(u, q, q - 1.0) * (
+        term_t = q * w.E * cmath.exp(1j * q * u) * amp_pow(u, q, q - 1.0) * (
             amp + 1j * eps * u
         )
         term_x = (w.hbar * w.hbar / (2.0 * w.m)) * d2x_approx_psi(pt, w, q)
@@ -195,11 +201,11 @@ def ratio_R(pt: PhasePoint, w: SchrodingerWave, q: float) -> float | np.ndarray:
     qcore.q_pow_array and an array comes back; a float pt.x is the
     one-point case of the same code, so both give identical values.
     """
-    u = np.atleast_1d(phase(pt, w))
-    exact = qcore.q_pow_array(1j * u, q)
-    if not exact.all():
-        raise ZeroDivisionError("exact wave vanishes at this point")
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # an overflowing phase is refused as non-finite z
+        u = np.atleast_1d(phase(pt, w))
+        exact = qcore.q_pow_array(1j * u, q)
+        if not exact.all():
+            raise ZeroDivisionError("exact wave vanishes at this point")
         approx = np.exp(1j * u) * (1.0 + (1.0 - q) * u * u / 2.0)
         r = np.abs(approx) / np.abs(exact)
     if not np.isfinite(r).all():

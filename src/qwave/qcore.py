@@ -85,15 +85,19 @@ def _expm1_over_w_series(w: complex) -> complex:
     return acc
 
 
+def _log1p_over_w(w: complex) -> complex:
+    # S(w) for a finite w off the branch cut; callers check w first.
+    # w = 0 needs no case of its own: the series gives exactly 1
+    if abs(w) < SERIES_RADIUS:
+        return _log1p_over_w_series(w)
+    return complex_log1p(w) / w
+
+
 def stable_log1p_over_w(w) -> complex:
     """log1p(w)/w with the removable singularity at w = 0 filled with 1."""
     w = _as_finite_complex(w, "w")
     _require_off_cut(1.0 + w, "log1p(w)/w")
-    if w == 0:
-        return 1.0 + 0.0j
-    if abs(w) < SERIES_RADIUS:
-        return _log1p_over_w_series(w)
-    return complex_log1p(w) / w
+    return _log1p_over_w(w)
 
 
 def stable_expm1_over_w(w) -> complex:
@@ -111,22 +115,16 @@ def q_pow(z, q: float, scale: float = 1.0) -> complex:
 
     The exponent is computed as scale * z * S((1-q) z), so any power whose
     exponent numerator is known in closed form (1, q, 2q-1, ...) shares one
-    cancellation-free code path.  q = 1 returns exp(scale * z).
+    cancellation-free code path.  q = 1 is the w = 0 case: exp(scale * z).
     """
     z = _as_finite_complex(z, "z")
     if not math.isfinite(q):
         raise NonFiniteInput(f"q must be finite, got {q!r}")
-    if q == 1.0:
-        return cmath.exp(scale * z)
     w = (1.0 - q) * z
+    if not cmath.isfinite(w):
+        raise NonFiniteResult(f"(1-q) z overflows at q-1 = {q - 1.0!r}")
     _require_off_cut(1.0 + w, "q_pow base")
-    if w == 0:
-        return cmath.exp(scale * z)
-    if abs(w) < SERIES_RADIUS:
-        s = _log1p_over_w_series(w)
-    else:
-        s = complex_log1p(w) / w
-    return cmath.exp(scale * z * s)
+    return cmath.exp(scale * z * _log1p_over_w(w))
 
 
 def q_pow_array(z, q: float, scale: float = 1.0) -> np.ndarray:

@@ -6,9 +6,9 @@ u = px/hbar reaches ~1e13 at x = 1 m and the sweep probes nothing but the
 tails of the q-power; the curves of interest live where u is order unity.
 The sweeps therefore use "figure units": energies in MeV (p as pc, E as
 p^2 c^2 / 2 mc^2, m as mc^2), hbar = 1, and x in meters entering the
-phase as a plain number.  The SI constants and MeV converters are still
-here for the kinematics (momentum from kinetic energy) and for callers
-who want real conversions.
+phase as a plain number.  The SI constants and joule_to_mev are still
+here for the rest energies (mc^2 in MeV) and for callers who want real
+conversions.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ SPECIES_MASS_KG = {
 MOMENTUM_MODELS = ("relativistic", "nonrelativistic")
 
 
-def mev_to_joule(energy_mev: float) -> float:
-    return energy_mev * 1.0e6 * EV_J
-
-
 def joule_to_mev(energy_j: float) -> float:
     return energy_j / (1.0e6 * EV_J)
 
@@ -55,25 +51,25 @@ def mass_energy_mev(mass_kg: float) -> float:
 class ParticleScenario:
     """One ratio-figure configuration.
 
-    Kinetic energy is stored in SI (joules); use from_mev for the usual
-    construction.  x_range is (start, stop, npoints) in meters.
+    Kinetic energy is stored in MeV, as given; the mass in kg.  Use
+    from_mev for a named species.  x_range is (start, stop, npoints) in meters.
     """
 
     species: str
     mass_kg: float
-    kinetic_energy_j: float
+    kinetic_mev: float
     q_minus_1: float
     momentum_model: str = "relativistic"
     x_range: tuple[float, float, int] = (0.0, 1.0, 2001)
     t: float = 0.0
 
     def __post_init__(self):
-        for name in ("mass_kg", "kinetic_energy_j", "q_minus_1", "t"):
+        for name in ("mass_kg", "kinetic_mev", "q_minus_1", "t"):
             if not math.isfinite(getattr(self, name)):
                 raise NonFiniteInput(f"{name} must be finite")
         if self.mass_kg <= 0:
             raise ValueError(f"mass must be positive, got {self.mass_kg!r}")
-        if self.kinetic_energy_j <= 0:
+        if self.kinetic_mev <= 0:
             raise ValueError("kinetic energy must be positive")
         if self.momentum_model not in MOMENTUM_MODELS:
             raise ValueError(
@@ -109,7 +105,7 @@ class ParticleScenario:
         return cls(
             species=species,
             mass_kg=mass_kg,
-            kinetic_energy_j=mev_to_joule(kinetic_mev),
+            kinetic_mev=kinetic_mev,
             q_minus_1=q_minus_1,
             momentum_model=momentum_model,
             x_range=x_range,
@@ -123,7 +119,7 @@ def momentum_from_energy(scn: ParticleScenario) -> float:
     relativistic: pc = sqrt(T^2 + 2 T mc^2); nonrelativistic:
     pc = sqrt(2 mc^2 T) (i.e. p = sqrt(2mT) scaled by c).
     """
-    T = joule_to_mev(scn.kinetic_energy_j)
+    T = scn.kinetic_mev
     mc2 = mass_energy_mev(scn.mass_kg)
     if scn.momentum_model == "relativistic":
         return math.sqrt(T * T + 2.0 * T * mc2)
@@ -163,7 +159,8 @@ def run_ratio_sweep(scn: ParticleScenario) -> Sweep:
     """x and R of a plane-wave ratio figure, one array pass."""
     w = wave_for(scn)
     q = 1.0 + scn.q_minus_1
-    xs = np.linspace(*scn.x_range)
+    with np.errstate(all="ignore"):  # a non-finite x or phase is refused by ratio_R
+        xs = np.linspace(*scn.x_range)
     return Sweep(xs, ratio_R(PhasePoint(xs, scn.t), w, q))
 
 
@@ -173,5 +170,6 @@ def run_gaussian_sweep(
     t: float = 0.0,
 ) -> Sweep:
     """x and ratio of a packet ratio figure (natural units), one array pass."""
-    xs = np.linspace(*x_range)
+    with np.errstate(all="ignore"):  # a non-finite x is refused by ratio_gaussian
+        xs = np.linspace(*x_range)
     return Sweep(xs, ratio_gaussian(xs, t, params))

@@ -11,9 +11,11 @@ The exact factors are
     f(t) = [1 + i (1-q) E t / (hbar q)]^(1/(q-1)),
     g(x) = [1 + i (1-q) p x / (hbar sqrt(2(q+1)))]^(2/(1-q)),
 
-self-consistent with lam = E = p^2/(2m).  Both satisfy closed-form
-derivative identities, d/dt (f^q) = -(iE/hbar) f and
-d2/dx2 (g) = -(p^2/hbar^2) g^q, so the exact residuals reduce to
+self-consistent with lam = E = p^2/(2m).  Each exact factor and its q-th
+power is one qcore.q_pow: f = q_pow(iEt/(hbar q), q, -1), f^q with scale -q,
+g = q_pow(i mu x, q, 2) with mu = p/(hbar sqrt(2(q+1))), g^q with scale 2q.
+Both satisfy closed-form derivative identities, d/dt (f^q) = -(iE/hbar) f
+and d2/dx2 (g) = -(p^2/hbar^2) g^q, so the exact residuals reduce to
 (E - lam) f and (p^2/2m - lam) g^q with no branch bookkeeping at all.
 
 As in the plane-wave module, residual_f / residual_g insert a whole wave
@@ -33,7 +35,7 @@ import cmath
 import math
 
 from .errors import BranchCutViolation, InvalidQ, NonFiniteInput
-from .qcore import stable_log1p_over_w
+from .qcore import q_pow
 
 
 def _require_finite(**values: float) -> None:
@@ -59,20 +61,14 @@ def exact_f(t: float, E: float, q: float, hbar: float = 1.0) -> complex:
     """Exact time factor; q -> 1 limit is e^{-iEt/hbar}."""
     _require_finite(t=t, E=E, q=q, hbar=hbar)
     _check_q_for_f(q)
-    z = -1j * E * t / (hbar * q)
-    # bracket argument i(1-q)Et/(hbar q) = (q-1) z; exponent 1/(q-1) makes
-    # ln f = z * log1p(w)/w, stable down to q-1 ~ 1e-12
-    w = (q - 1.0) * z
-    return cmath.exp(z * stable_log1p_over_w(w))
+    return q_pow(1j * E * t / (hbar * q), q, -1.0)
 
 
 def exact_f_q(t: float, E: float, q: float, hbar: float = 1.0) -> complex:
     """q-th power of the exact time factor."""
     _require_finite(t=t, E=E, q=q, hbar=hbar)
     _check_q_for_f(q)
-    z = -1j * E * t / (hbar * q)
-    w = (q - 1.0) * z
-    return cmath.exp(q * z * stable_log1p_over_w(w))
+    return q_pow(1j * E * t / (hbar * q), q, -q)
 
 
 def exact_dt_f_q(t: float, E: float, q: float, hbar: float = 1.0) -> complex:
@@ -163,10 +159,7 @@ def exact_g(x: float, p: float, q: float, hbar: float = 1.0) -> complex:
     _require_finite(x=x, p=p, q=q, hbar=hbar)
     _check_q_for_g(q)
     mu = p / (hbar * math.sqrt(2.0 * (q + 1.0)))
-    z = 2j * mu * x
-    # bracket argument i(1-q) mu x = (1-q) z / 2; exponent 2/(1-q)
-    w = 1j * (1.0 - q) * mu * x
-    return cmath.exp(z * stable_log1p_over_w(w))
+    return q_pow(1j * mu * x, q, 2.0)
 
 
 def exact_g_q(x: float, p: float, q: float, hbar: float = 1.0) -> complex:
@@ -174,9 +167,7 @@ def exact_g_q(x: float, p: float, q: float, hbar: float = 1.0) -> complex:
     _require_finite(x=x, p=p, q=q, hbar=hbar)
     _check_q_for_g(q)
     mu = p / (hbar * math.sqrt(2.0 * (q + 1.0)))
-    z = 2j * mu * x
-    w = 1j * (1.0 - q) * mu * x
-    return cmath.exp(q * z * stable_log1p_over_w(w))
+    return q_pow(1j * mu * x, q, 2.0 * q)
 
 
 def exact_d2x_g(x: float, p: float, q: float, hbar: float = 1.0) -> complex:

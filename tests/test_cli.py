@@ -2,13 +2,16 @@
 emission, exit codes, and the verify table."""
 
 import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qwave import checks, cli, scenarios
 from qwave import qgaussian as qg
@@ -196,6 +199,42 @@ def test_points_bound_is_checked_before_allocating(capsys):
     assert str(cli.MAX_POINTS) in capsys.readouterr().err
 
 
+# -- the exit-code contract under hostile values --------------------------
+
+HOSTILE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
+                  1.7976931348623157e308, -1.7976931348623157e308,
+                  math.inf, -math.inf, math.nan, 1.0, -1e-3, 1e-9]
+FLOAT_FLAGS = ("--energy-mev", "--q-minus-1", "--xmax", "--t", "--m", "--beta")
+
+
+@st.composite
+def ratio_argvs(draw):
+    argv = ["ratio", "--points", str(draw(st.integers(2, 40)))]
+    argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    argv.append(draw(st.sampled_from(["--gaussian", "--no-gaussian"])))
+    for flag in FLOAT_FLAGS:
+        if draw(st.booleans()):
+            text = repr(draw(st.sampled_from(HOSTILE_FLOATS) | st.floats()))
+            argv += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
+    return argv
+
+
+@settings(deadline=None, max_examples=200)
+@example(["ratio", "--points", "8", "--t=1.7976931348623157e308"])
+@example(["ratio", "--points", "39", "--xmax=1.7976931348623157e308"])
+@example(["ratio", "--points", "39", "--xmax=1.7976931348623157e308", "--gaussian"])
+@given(ratio_argvs())
+def test_ratio_exit_code_contract(argv):
+    # in process; a warning is an error here, so one printed to stderr fails
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERIC), (code, err.getvalue())
+
+
 def test_config_layering(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("points=7\nxmax=2.0\n")
@@ -315,6 +354,16 @@ def test_verify_unknown_tol_key_is_usage_error(capsys):
         cli.main(["verify", "--suite", "planewave", "--tol", "planewave.pair_cancelation=1e-30"])
     assert exc.value.code == 2
     assert "'planewave.pair_cancelation'" in capsys.readouterr().err
+
+
+def test_verify_tol_for_report_only_check_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(
+            ["verify", "--suite", "gaussian", "--tol", "gaussian.exact_residual_report=1e-30"]
+        )
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "no check with a tolerance named 'gaussian.exact_residual_report'" in err
 
 
 def test_verify_tol_for_unselected_suite_is_accepted(capsys):

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qwave import kleingordon as kg
+from qwave import planewave as pw
 from qwave import verify
-from qwave.errors import NonFiniteInput
+from qwave.errors import BranchCutViolation, NonFiniteInput
 
 WAVE = kg.KGWave.on_shell(k=1.1, m=1.0)
 XS = tuple(np.linspace(-4.0, 4.0, 17))
@@ -62,6 +64,34 @@ def test_dispersion_sensitivity_factor():
 def test_massless_wave_on_shell():
     w = kg.KGWave.on_shell(k=2.0, m=0.0)
     assert rel_residual(w, 1.2) <= 1e-10
+
+
+@pytest.mark.parametrize("x", [2.0, 3.0, -5.0])
+def test_branch_cut_in_approx_family(x):
+    # massless, omega = k = 1, t = 0: u = x, and at q = 1.5 the amplitude
+    # 1 - (q-1) u^2/2 is exactly 0 at x = 2 and negative beyond
+    wave = kg.KGWave.on_shell(k=1.0, m=0.0)
+    with pytest.raises(BranchCutViolation):
+        kg.residual_kg(x, 0.0, wave, 1.5, "approx")
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.floats(-30.0, 30.0),
+    st.floats(-30.0, 30.0),
+    st.floats(-3.0, 3.0),
+    st.floats(0.1, 3.0),
+    st.sampled_from([1.0, 1.0 + 1e-9, 1.001, 0.9, 1.5]),
+)
+def test_first_order_forms_are_the_plane_wave_core(x, t, k, omega, q):
+    # with hbar = 1 both modules see the phase k x - omega t, and both take
+    # their first-order forms from one core: equal bit for bit
+    kw = kg.KGWave(k=k, omega=omega, m=1.0)
+    sw = pw.SchrodingerWave(p=k, E=omega, m=1.0)
+    pt = pw.PhasePoint(x, t)
+    assert kg.phase(x, t, kw) == pw.phase(pt, sw)
+    assert kg.approx_F(x, t, kw, q) == pw.approx_psi(pt, sw, q)
+    assert kg.d2x_approx_F(x, t, kw, q) == pw.d2x_approx_psi(pt, sw, q)
 
 
 def test_shared_bracket_identity():

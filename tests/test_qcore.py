@@ -188,9 +188,8 @@ def test_q_pow_array_one_point_is_the_sweep():
 def test_q_pow_array_raises_like_scalar(z, q, error):
     with pytest.raises(error):
         qcore.q_pow_array(np.array([0.5j, z]), q)
-    if z != -1e300:  # the scalar path lets (1-q) z overflow into a NaN result
-        with pytest.raises(error):
-            qcore.q_pow(z, q)
+    with pytest.raises(error):
+        qcore.q_pow(z, q)
 
 
 def test_q_pow_array_overflow_is_typed():

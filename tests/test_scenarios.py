@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwave import scenarios
+from qwave.errors import NonFiniteInput
 from qwave.planewave import PhasePoint, ratio_R
 
 # published rest energies, used as independent anchors for the kg masses
@@ -51,8 +52,16 @@ def test_momentum_models_agree_at_low_energy():
 
 @settings(deadline=None, max_examples=50)
 @given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
-def test_mev_joule_round_trip(e_mev):
-    assert abs(scenarios.joule_to_mev(scenarios.mev_to_joule(e_mev)) - e_mev) <= 1e-12 * e_mev
+def test_kinetic_energy_is_stored_as_given(e_mev):
+    # no unit round trip: the scenario keeps the very float it was given
+    assert scenarios.ParticleScenario.from_mev("electron", e_mev, 1e-9).kinetic_mev == e_mev
+
+
+def test_momentum_overflow_is_typed():
+    # 1e308 MeV is a valid scenario; its momentum pc overflows to inf
+    scn = scenarios.ParticleScenario.from_mev("electron", 1e308, 1e-9)
+    with pytest.raises(NonFiniteInput, match="p must be finite"):
+        scenarios.wave_for(scn)
 
 
 def test_wave_for_satisfies_free_relation():
