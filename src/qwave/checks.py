@@ -23,13 +23,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable
 
-import numpy as np
-
 from . import kleingordon as kg
 from . import planewave as pw
 from . import qcore
 from . import qgaussian as qg
-from . import scenarios
 from . import separation as sep
 from . import verify
 
@@ -134,7 +131,12 @@ def q_jet_gap(cases) -> float:
 
 
 def _grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
-    return tuple(float(v) for v in np.linspace(lo, hi, n))
+    """n points from lo to hi, equal bit for bit to np.linspace(lo, hi, n)."""
+    delta = hi - lo
+    step = delta / (n - 1)
+    if step == 0.0:  # a subnormal spacing: linspace scales i / (n - 1) by delta instead
+        return tuple([i / (n - 1) * delta + lo for i in range(n - 1)] + [hi])
+    return tuple([i * step + lo for i in range(n - 1)] + [hi])
 
 
 _PAIR_EPSILONS = (1e-3, 1e-6, 1e-9)
@@ -507,11 +509,19 @@ def _qg_exact_residual() -> float:
     )
 
 
-check(
+@check(
     "gaussian.ratio_band",
     "packet ratio stays within [0.9, 1.1] over the default sweep",
     0.1,
-)(lambda: max(abs(r - 1.0) for _, r in scenarios.run_gaussian_sweep(_qg_params(1.001))))
+)
+def _qg_ratio_band() -> float:
+    params = _qg_params(1.001)
+    ratios = (
+        abs(qg.approx_qgaussian(x, 0.0, params)) / abs(qg.exact_qgaussian(x, 0.0, params))
+        for x in _grid(0.0, 4.0, 1001)
+    )
+    return max(abs(r - 1.0) for r in ratios)
+
 
 # -- kleingordon -----------------------------------------------------------
 

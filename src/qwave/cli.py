@@ -8,9 +8,14 @@ Two subcommands:
   (residual grids, jet-vs-FD cross-checks, order-of-convergence fits),
   selected by suite, and prints a claim/measured/tolerance table.
 
+Only ``qwave ratio`` loads numpy: the sweeps and the writers below import
+it in the functions that build or take arrays.  Importing this module and
+running ``qwave verify`` load none.
+
 Exit codes: 0 success, 1 verify found a failing check, 2 bad flags or
 config (including a --tol for no check, for a report-only check or with a
-non-finite value), 3 numeric failure while computing.
+non-finite value), 3 numeric failure while computing (an overflow of the
+momentum, phase or packet exponent names --energy-mev, --t or --xmax).
 
 Output determinism: CSV prints floats with 17 significant digits (%.17g),
 JSON with the shortest repr that round-trips, and lines end in "\n" on
@@ -23,19 +28,23 @@ same as formatting row by row.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
 import re
 import sys
 import time
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import checks
+from . import planewave as pw
 from . import qgaussian as qg
 from . import scenarios
-from .errors import NonFiniteResult, QWaveError
+from .errors import NonFiniteInput, NonFiniteResult, QWaveError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -134,11 +143,15 @@ def _columns(rows) -> tuple[np.ndarray, np.ndarray]:
     """x and value arrays of a Sweep or of any sequence of (x, value) pairs."""
     if isinstance(rows, scenarios.Sweep):
         return rows.x, rows.values
+    import numpy as np
+
     return np.asarray(rows, dtype=float).reshape(-1, 2).T
 
 
 def _interleaved(xs: np.ndarray, ys: np.ndarray) -> tuple[float, ...]:
     """x0, y0, x1, y1, ... as Python floats (%r of an np.float64 is not a number)."""
+    import numpy as np
+
     return tuple(np.column_stack((xs, ys)).ravel().tolist())
 
 
@@ -279,6 +292,39 @@ def emit_plot_svg(rows, meta: dict[str, str], out_path: str) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
+def _overflow_refusal(opt: dict, model) -> NonFiniteResult | None:
+    """The refusal of a sweep that met a non-finite value, naming a flag.
+
+    It names the first of --energy-mev, --t and --xmax at whose value, with
+    the ones before it, the model's argument is not finite: the plane wave's
+    momentum or its phase p x - E t, or the packet's exponent a x^2 + b x + c.
+    None when the fault lies elsewhere.
+    """
+    if isinstance(model, qg.GaussianParams):
+        quantity, argument = "packet exponent", lambda x, t: qg.exponent(x, t, model)
+    else:
+        try:
+            wave = scenarios.wave_for(model)
+        except NonFiniteInput:
+            return NonFiniteResult(
+                f"the momentum is not finite at --energy-mev {opt['energy_mev']!r}"
+            )
+        quantity, argument = "phase p x - E t", lambda x, t: pw.phase(pw.PhasePoint(x, t), wave)
+
+    def finite(x: float, t: float) -> bool:
+        try:
+            return cmath.isfinite(argument(x, t))
+        except NonFiniteInput:
+            return False
+
+    if not finite(0.0, 0.0):
+        return None
+    for flag, key, x in (("--t", "t", 0.0), ("--xmax", "xmax", opt["xmax"])):
+        if not finite(x, opt["t"]):
+            return NonFiniteResult(f"the {quantity} is not finite at {flag} {opt[key]!r}")
+    return None
+
+
 def cmd_ratio(args, parser) -> int:
     opt = _merge_options(args, parser, _RATIO_CASTS)
     gaussian = opt.get("gaussian", False)
@@ -314,8 +360,7 @@ def cmd_ratio(args, parser) -> int:
 
     x_range = (0.0, opt["xmax"], opt["points"])
     if gaussian:
-        params = qg.GaussianParams(m=opt["m"], beta=opt["beta"], q=1.0 + opt["q_minus_1"])
-        sweep = scenarios.run_gaussian_sweep(params, x_range, opt["t"])
+        model = qg.GaussianParams(m=opt["m"], beta=opt["beta"], q=1.0 + opt["q_minus_1"])
         header = ("x", "ratio")
         meta = {
             "title": (
@@ -326,7 +371,7 @@ def cmd_ratio(args, parser) -> int:
             "ylabel": "ratio",
         }
     else:
-        scn = scenarios.ParticleScenario.from_mev(
+        model = scenarios.ParticleScenario.from_mev(
             species=opt["species"],
             kinetic_mev=opt["energy_mev"],
             q_minus_1=opt["q_minus_1"],
@@ -334,7 +379,6 @@ def cmd_ratio(args, parser) -> int:
             x_range=x_range,
             t=opt["t"],
         )
-        sweep = scenarios.run_ratio_sweep(scn)
         header = ("x", "R")
         meta = {
             "title": (
@@ -344,9 +388,16 @@ def cmd_ratio(args, parser) -> int:
             "xlabel": "x (m)",
             "ylabel": "R",
         }
-    bad = np.count_nonzero(~np.isfinite(sweep.values))
-    if bad:
-        raise NonFiniteResult(f"{bad} of {len(sweep)} {header[1]} values are not finite")
+    try:
+        if gaussian:
+            sweep = scenarios.run_gaussian_sweep(model, x_range, opt["t"])
+        else:
+            sweep = scenarios.run_ratio_sweep(model)
+    except (NonFiniteInput, NonFiniteResult) as exc:
+        refusal = _overflow_refusal(opt, model)
+        if refusal is None:
+            raise
+        raise refusal from exc
 
     if opt["format"] == "csv":
         text = format_rows_csv(header, sweep)

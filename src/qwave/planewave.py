@@ -25,11 +25,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import qcore
 from .errors import BranchCutViolation, NonFiniteInput, NonFiniteResult
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,12 @@ class PhasePoint:
     t: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.x, np.ndarray):
-            x_finite = bool(np.isfinite(self.x).all())
-        else:
+        if isinstance(self.x, (float, int)):
             x_finite = math.isfinite(self.x)
+        else:
+            import numpy as np
+
+            x_finite = bool(np.isfinite(self.x).all())
         if not (x_finite and math.isfinite(self.t)):
             raise NonFiniteInput(f"phase point must be finite, got {self!r}")
 
@@ -201,6 +205,8 @@ def ratio_R(pt: PhasePoint, w: SchrodingerWave, q: float) -> float | np.ndarray:
     qcore.q_pow_array and an array comes back; a float pt.x is the
     one-point case of the same code, so both give identical values.
     """
+    import numpy as np
+
     with np.errstate(all="ignore"):  # an overflowing phase is refused as non-finite z
         u = np.atleast_1d(phase(pt, w))
         exact = qcore.q_pow_array(1j * u, q)

@@ -20,10 +20,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BranchCutViolation, DivisionByZeroJet, NonFiniteInput, NonFiniteResult
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Below this |w| the S and E series are exact to double precision with the
 # term counts used; above it the compensated direct forms are.
@@ -137,6 +139,8 @@ def q_pow_array(z, q: float, scale: float = 1.0) -> np.ndarray:
     or nan is ever returned.  Per-point callers stay on q_pow: numpy's
     per-call overhead makes a one-point array call tens of times slower.
     """
+    import numpy as np
+
     z = np.asarray(z, dtype=complex)
     if not np.isfinite(z).all():
         raise NonFiniteInput("z must be finite")

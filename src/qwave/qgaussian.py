@@ -34,8 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import qcore, verify
 from .errors import (
@@ -46,6 +45,9 @@ from .errors import (
     StepTooCoarse,
 )
 from .qcore import QJet, as_jet, jet_exp, jet_ln, log1p_over_w_jet, expm1_over_w_jet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,12 @@ def coeffs_exact(t: float, params: GaussianParams) -> GaussianCoeffSet:
     return GaussianCoeffSet(a=a, b=b, c=c)
 
 
+def exponent(x, t: float, params: GaussianParams):
+    """G = a x^2 + b x + c of the exact packet e_q(-G), at a float or an array of x."""
+    cs = coeffs_exact(t, params)
+    return cs.a * x * x + cs.b * x + cs.c
+
+
 def coeffs_first_order(t: float, params: GaussianParams) -> GaussianCoeffJet:
     """Closed-form first-order splits of the coefficients."""
     if not math.isfinite(t):
@@ -171,8 +179,7 @@ def _log_psi(x: float, t: float, params: GaussianParams, family: str) -> complex
     """Continuous-branch log of the packet, the safe base for q-th powers."""
     q = params.q
     if family == "exact":
-        cs = coeffs_exact(t, params)
-        G = cs.a * x * x + cs.b * x + cs.c
+        G = exponent(x, t, params)
         return -G * qcore.stable_log1p_over_w((q - 1.0) * G)
     if family == "approx":
         j = coeffs_first_order(t, params)
@@ -189,8 +196,7 @@ def exact_qgaussian(x: float, t: float, params: GaussianParams) -> complex:
     """Exact packet value; branch checks live in the q-power core."""
     if not (math.isfinite(x) and math.isfinite(t)):
         raise NonFiniteInput(f"point must be finite, got {(x, t)!r}")
-    cs = coeffs_exact(t, params)
-    G = cs.a * x * x + cs.b * x + cs.c
+    G = exponent(x, t, params)
     # {1+(q-1)G}^{1/(1-q)} = e_q(-G): the sign convention of this packet
     # is opposite to the plane-wave phase argument
     return qcore.q_exp(-G, params.q)
@@ -226,14 +232,15 @@ def ratio_gaussian(x, t: float, params: GaussianParams) -> float | np.ndarray:
     t and the exact packet comes from qcore.q_pow_array.  A float x is the
     one-point case of the same code, so both give identical values.
     """
+    import numpy as np
+
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not (np.isfinite(xs).all() and math.isfinite(t)):
         raise NonFiniteInput("packet sweep points must be finite")
-    cs = coeffs_exact(t, params)
     j = coeffs_first_order(t, params)
     eps = params.q - 1.0
     with np.errstate(all="ignore"):
-        G = cs.a * xs * xs + cs.b * xs + cs.c
+        G = exponent(xs, t, params)
         exact = qcore.q_pow_array(-G, params.q)
         if not exact.all():
             raise ZeroDivisionError("exact packet vanishes at this point")

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NonFiniteInput
 from .kleingordon import KGWave
 from .planewave import PhasePoint, SchrodingerWave, ratio_R
 from .qgaussian import GaussianParams, ratio_gaussian
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # CODATA 2018.  c and e are exact by SI definition; the masses carry
 # experimental uncertainty.
@@ -157,6 +159,8 @@ class Sweep:
 
 def run_ratio_sweep(scn: ParticleScenario) -> Sweep:
     """x and R of a plane-wave ratio figure, one array pass."""
+    import numpy as np
+
     w = wave_for(scn)
     q = 1.0 + scn.q_minus_1
     with np.errstate(all="ignore"):  # a non-finite x or phase is refused by ratio_R
@@ -170,6 +174,8 @@ def run_gaussian_sweep(
     t: float = 0.0,
 ) -> Sweep:
     """x and ratio of a packet ratio figure (natural units), one array pass."""
+    import numpy as np
+
     with np.errstate(all="ignore"):  # a non-finite x is refused by ratio_gaussian
         xs = np.linspace(*x_range)
     return Sweep(xs, ratio_gaussian(xs, t, params))

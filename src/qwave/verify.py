@@ -5,7 +5,8 @@ by the wave modules: central stencils differentiate black-box callables,
 Richardson extrapolation sharpens them and prices the truncation error, and
 least-squares fits of log(residual norm) against log(q - 1) certify the
 order of a first-order approximant (slope ~2 means the linear coefficient
-of the residual vanishes).
+of the residual vanishes).  The fits are closed-form least squares summed
+with math.fsum, so verification runs without numpy.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import DegenerateFit, StencilEvaluationFailed
 
@@ -162,14 +161,18 @@ def order_of_convergence(
         return OrderFit(eps, norms, float("inf"), 1.0)
     if any(n == 0.0 for n in norms):
         raise DegenerateFit(f"mixed zero and nonzero residual norms: {norms!r}")
-    logx = np.log(eps)
-    logy = np.log(norms)
-    slope, intercept = np.polyfit(logx, logy, 1)
-    pred = slope * logx + intercept
-    ss_tot = float(np.sum((logy - logy.mean()) ** 2))
-    ss_res = float(np.sum((logy - pred) ** 2))
+    # closed-form least squares of y = slope * x + intercept, x = log eps, y = log norm
+    logx = [math.log(e) for e in eps]
+    logy = [math.log(n) for n in norms]
+    mean_x = math.fsum(logx) / len(eps)
+    mean_y = math.fsum(logy) / len(eps)
+    dx = [x - mean_x for x in logx]
+    slope = math.fsum(d * y for d, y in zip(dx, logy)) / math.fsum(d * d for d in dx)
+    intercept = mean_y - slope * mean_x
+    ss_tot = math.fsum((y - mean_y) ** 2 for y in logy)
+    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(logx, logy))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return OrderFit(eps, norms, float(slope), float(r2))
+    return OrderFit(eps, norms, slope, r2)
 
 
 @dataclass(frozen=True)

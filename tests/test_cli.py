@@ -8,11 +8,14 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qwave
 from qwave import checks, cli, scenarios
 from qwave import qgaussian as qg
 
@@ -150,6 +153,28 @@ def test_ratio_refuses_non_finite_values(fmt, capsys):
     assert "numeric failure" in err
 
 
+MAX = "1.7976931348623157e308"
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--points", "8", f"--t={MAX}"], "phase p x - E t is not finite at --t 1.797"),
+        (["--points", "39", f"--xmax={MAX}"], "phase p x - E t is not finite at --xmax 1.797"),
+        (["--gaussian", "--points", "39", f"--xmax={MAX}"], "exponent is not finite at --xmax"),
+        (["--gaussian", "--points", "8", f"--t={MAX}"], "exponent is not finite at --t 1.797"),
+        (["--gaussian", "--points", "3", "--t=-inf"], "exponent is not finite at --t -inf"),
+        (["--points", "3", "--energy-mev", "1e308"], "momentum is not finite at --energy-mev 1e"),
+    ],
+)
+def test_overflow_refusal_names_the_flag(argv, named, capsys):
+    code, out, err = run(["ratio", *argv], capsys)
+    assert code == 3
+    assert out == ""
+    assert named in err
+    assert "must be finite" not in err
+
+
 @pytest.mark.parametrize("xmax", ["inf", "nan", "-inf", "-nan", "-INF", "-NaN", "-Infinity"])
 def test_non_finite_xmax_is_usage_error(xmax, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -233,6 +258,50 @@ def test_ratio_exit_code_contract(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERIC), (code, err.getvalue())
+
+
+SUITE_CHOICES = (*checks.SUITES, "all")
+TOL_KEYS = [key for key, entry in checks.REGISTRY.items() if entry.sense != "report"]
+TOL_VALUES = ["1e-3", "0", "-1", "1e400", "nan", "inf", "-inf", "abc", ""]
+CONFIG_LINES = ["suite=planewave", "suite = separation", "suite=bogus", "warp=9",
+                "no equals sign", "=1", "# comment", ""]
+
+
+@st.composite
+def verify_argvs(draw):
+    argv = ["verify"]
+    if draw(st.booleans()):
+        argv += ["--suite", draw(st.sampled_from(SUITE_CHOICES))]
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(
+            st.sampled_from(TOL_KEYS)
+            | st.sampled_from(["planewave.nope", "gaussian.exact_residual_report", ""])
+        )
+        value = draw(st.sampled_from(TOL_VALUES) | st.floats().map(repr))
+        argv += ["--tol", f"{key}={value}" if draw(st.booleans()) else key]
+    config = draw(st.none() | st.just("missing") | st.lists(st.sampled_from(CONFIG_LINES)))
+    return argv, config
+
+
+@settings(deadline=None, max_examples=60)
+@given(verify_argvs())
+def test_verify_exit_code_contract(tmp_path_factory, drawn):
+    # in process; every suite is cheap enough to run once per example
+    argv, config = drawn
+    if config is not None:
+        path = tmp_path_factory.getbasetemp() / "verify.cfg"
+        if config == "missing":
+            path.unlink(missing_ok=True)
+        else:
+            path.write_text("\n".join(config) + "\n")
+        argv = [*argv, "--config", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_USAGE), (code, err.getvalue())
 
 
 def test_config_layering(tmp_path, capsys):
@@ -404,3 +473,32 @@ def test_verify_fits_each_order_once_per_run(monkeypatch, capsys):
         code, out, _ = run(["verify", "--suite", "separation"], capsys)
         assert code == 0
         assert len(fits) == 2 * runs  # f_order and g_order, each fitted afresh per run
+
+
+# -- numpy is loaded by the sweep path only -------------------------------
+
+NUMPY_PROBE = """
+import sys
+import qwave
+assert "numpy" not in sys.modules, "import qwave"
+from qwave import cli
+assert "numpy" not in sys.modules, "import qwave.cli"
+assert cli.main(["verify"]) == 0
+assert "numpy" not in sys.modules, "qwave verify"
+assert cli.main(["ratio", "--points", "3"]) == 0
+assert "numpy" in sys.modules, "qwave ratio"
+"""
+
+
+def test_only_the_sweep_path_imports_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qwave.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "44 checks: 44 passed, 0 failed" in proc.stdout

@@ -1,12 +1,15 @@
 """The FD oracles are themselves checked against functions with known
-derivatives, and the order fit against synthetic residual norms."""
+derivatives, and the order fit against synthetic residual norms and
+against np.polyfit, the fit it replaced."""
 
 import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from qwave import verify
+from qwave import checks, verify
 from qwave.errors import DegenerateFit, StencilEvaluationFailed
 
 
@@ -109,6 +112,63 @@ def test_order_fit_ladder_validation():
 def test_order_fit_non_finite_norm_raises():
     with pytest.raises(DegenerateFit):
         verify.order_of_convergence(lambda e: float("inf"))
+
+
+def polyfit_reference(fit):
+    """Slope and r^2 of a fit's norms by np.polyfit, as the fit was computed before."""
+    logx, logy = np.log(fit.epsilons), np.log(fit.residual_norms)
+    slope, intercept = np.polyfit(logx, logy, 1)
+    ss_tot = np.sum((logy - logy.mean()) ** 2)
+    ss_res = np.sum((logy - (slope * logx + intercept)) ** 2)
+    return float(slope), float(1.0 - ss_res / ss_tot)
+
+
+def assert_matches_polyfit(fit):
+    slope, r_squared = polyfit_reference(fit)
+    assert math.isclose(fit.slope, slope, rel_tol=1e-12), (fit.slope, slope)
+    assert math.isclose(fit.r_squared, r_squared, rel_tol=1e-12), (fit.r_squared, r_squared)
+
+
+def test_order_fit_matches_polyfit_on_registry_fits(monkeypatch):
+    fits = []
+    real_fit = verify.order_of_convergence
+    monkeypatch.setattr(
+        verify, "order_of_convergence", lambda *a: fits.append(real_fit(*a)) or fits[-1]
+    )
+    slopes = [c for c in checks.REGISTRY.values() if c.key.endswith("_order")]
+    for entry in checks.REGISTRY.values():
+        if "_order" in entry.key:
+            entry.measure()
+    assert len(fits) == len(slopes) == 6  # five @order_fit pairs and approx_error_order
+    for fit in fits:
+        assert_matches_polyfit(fit)
+
+
+@settings(deadline=None)
+@given(
+    st.floats(1e-6, 1e6),
+    st.floats(0.5, 4.0),
+    st.lists(st.floats(0.8, 1.25), min_size=5, max_size=5),
+)
+@example(7.3, 2.0, [1.0] * 5)
+def test_order_fit_matches_polyfit_on_power_laws(c, k, jitter):
+    factor = dict(zip(verify.DEFAULT_EPSILONS, jitter))
+    assert_matches_polyfit(verify.order_of_convergence(lambda e: c * e**k * factor[e]))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None)
+@given(finite, finite, st.integers(2, 500))
+@example(0.0, 2e-323, 10)  # a subnormal span: the step rounds to zero
+@example(-6.0, 6.0, 31)
+def test_checks_grid_is_linspace_bit_for_bit(lo, hi, n):
+    lo, hi = sorted((lo, hi))
+    assume(lo < hi and math.isfinite(hi - lo))  # linspace of an overflowing span is nan
+    with np.errstate(over="ignore"):  # near the double range, (n-1) step + lo may overflow
+        reference = np.linspace(lo, hi, n).tolist()  # before linspace sets the last point to hi
+    assert [v.hex() for v in checks._grid(lo, hi, n)] == [v.hex() for v in reference]
 
 
 def test_grid_residual_report():
