@@ -464,9 +464,7 @@ def _qg_jet_authority() -> float:
 
     def pairs(x, t):
         jet = qg.wavefunction_jet(x, t, params)
-        split = qg.coeffs_first_order(t, params)
-        G0 = split.a1 * x * x + split.b1 * x + split.c1
-        G1 = split.a2 * x * x + split.b2 * x + split.c2
+        G0, G1 = qg.first_order_exponents(x, t, params)
         assembled0 = cmath.exp(-G0)
         assembled1 = -(G1 - 0.5 * G0 * G0) * assembled0
         scale = max(abs(assembled0), abs(assembled1))

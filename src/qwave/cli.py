@@ -3,7 +3,7 @@
 Two subcommands:
 
 * ``qwave ratio`` sweeps the approximate/exact deviation ratio over x and
-  writes CSV (or JSON), optionally with a companion plot script or SVG.
+  writes CSV (or JSON), optionally with an SVG plot.
 * ``qwave verify`` measures the checks declared in ``qwave.checks``
   (residual grids, jet-vs-FD cross-checks, order-of-convergence fits),
   selected by suite, and prints a claim/measured/tolerance table.
@@ -12,10 +12,16 @@ Only ``qwave ratio`` loads numpy: the sweeps and the writers below import
 it in the functions that build or take arrays.  Importing this module and
 running ``qwave verify`` load none.
 
+Each option is declared once, on the subcommand's argparse parser.  A
+--config file's key=value lines are read as --key=value arguments of the
+same parser, so flags, defaults and config keys cannot drift apart;
+precedence is defaults, then the config file, then explicit flags.
+
 Exit codes: 0 success, 1 verify found a failing check, 2 bad flags or
 config (including a --tol for no check, for a report-only check or with a
 non-finite value), 3 numeric failure while computing (an overflow of the
-momentum, phase or packet exponent names --energy-mev, --t or --xmax).
+momentum, phase or packet exponent names the flag at whose value it
+occurred).
 
 Output determinism: CSV prints floats with 17 significant digits (%.17g),
 JSON with the shortest repr that round-trips, and lines end in "\n" on
@@ -73,67 +79,36 @@ def read_config(path: str) -> dict[str, str]:
     return options
 
 
-def _cast_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
-def _cast_choice(options: tuple[str, ...]):
-    def cast(text: str) -> str:
-        if text not in options:
-            raise ValueError(f"expected one of {options}, got {text!r}")
-        return text
+def _config_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The config file's key=value lines as --key=value arguments of parser.
 
-    return cast
-
-
-_RATIO_CASTS = {
-    "species": _cast_choice(("electron", "proton")),
-    "energy_mev": float,
-    "q_minus_1": float,
-    "xmax": float,
-    "points": int,
-    "t": float,
-    "momentum_model": _cast_choice(scenarios.MOMENTUM_MODELS),
-    "gaussian": _cast_bool,
-    "m": float,
-    "beta": float,
-    "out": str,
-    "format": _cast_choice(("csv", "json")),
-    "plot": _cast_choice(("none", "script", "svg")),
-}
-
-_SUITE_CHOICES = (*checks.SUITES, "all")
-_VERIFY_CASTS = {"suite": _cast_choice(_SUITE_CHOICES)}
-
-
-def _merge_options(args, parser, casts) -> dict:
-    """Hard defaults < config file < explicit flags, with typed casting."""
-    merged: dict = {}
-    config = {}
-    if args.config is not None:
-        try:
-            config = read_config(args.config)
-        except OSError as exc:
-            parser.error(f"cannot read config: {exc}")
-        except ValueError as exc:
-            parser.error(str(exc))
+    A key is a long flag of the subcommand without its dashes; --config and
+    --help are not keys.  A switch (--gaussian) reads 1/true/yes/on or
+    0/false/no/off.
+    """
+    try:
+        config = read_config(path)
+    except OSError as exc:
+        parser.error(f"cannot read config: {exc}")
+    except ValueError as exc:
+        parser.error(str(exc))
+    flags = {a.option_strings[0]: a for a in parser._actions if a.dest not in ("help", "config")}
+    args = []
     for key, value in config.items():
-        if key not in casts:
-            parser.error(f"unknown config key {key!r} in {args.config}")
-        try:
-            merged[key] = casts[key](value)
-        except ValueError as exc:
-            parser.error(f"config {args.config}: {key}: {exc}")
-    for key in casts:
-        explicit = getattr(args, key, None)
-        if explicit is not None:
-            merged[key] = explicit
-    return merged
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags:
+            parser.error(f"unknown config key {key!r} in {path}")
+        if isinstance(flags[flag], argparse.BooleanOptionalAction):
+            if value.lower() not in _BOOL_WORDS:
+                parser.error(f"config {path}: {key}: expected a boolean, got {value!r}")
+            args.append(flag if _BOOL_WORDS[value.lower()] else "--no-" + flag[2:])
+        else:
+            args.append(f"{flag}={value}")
+    return args
 
 
 # -- ratio subcommand ----------------------------------------------------
@@ -178,48 +153,6 @@ def _write_output(path: str | None, text: str) -> None:
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-
-
-def emit_plot_script(csv_path: str, meta: dict[str, str]) -> str:
-    """Write a self-contained matplotlib script next to the CSV."""
-    with open(csv_path, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line]
-    if len(lines) < 2:
-        raise ValueError(f"{csv_path} has no data rows to plot")
-    base, _ = os.path.splitext(csv_path)
-    script_path = base + "_plot.py"
-    csv_name = os.path.basename(csv_path)
-    body = f'''#!/usr/bin/env python3
-"""Plot {meta["title"]}."""
-
-import csv
-import os
-
-import matplotlib.pyplot as plt
-
-csv_path = os.path.join(os.path.dirname(os.path.abspath(__file__)), {csv_name!r})
-xs, ys = [], []
-with open(csv_path, newline="") as fh:
-    reader = csv.DictReader(fh)
-    ycol = reader.fieldnames[1]
-    for row in reader:
-        xs.append(float(row["x"]))
-        ys.append(float(row[ycol]))
-
-fig, ax = plt.subplots(figsize=(7.0, 4.5))
-ax.plot(xs, ys, lw=1.2)
-ax.set_xlabel({meta["xlabel"]!r})
-ax.set_ylabel({meta["ylabel"]!r})
-ax.set_title({meta["title"]!r})
-ax.grid(True, alpha=0.3)
-fig.tight_layout()
-out = os.path.splitext(csv_path)[0] + ".png"
-fig.savefig(out, dpi=150)
-print("wrote", out)
-'''
-    with open(script_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(body)
-    return script_path
 
 
 def emit_plot_svg(rows, meta: dict[str, str], out_path: str) -> None:
@@ -292,123 +225,106 @@ def emit_plot_svg(rows, meta: dict[str, str], out_path: str) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
-def _overflow_refusal(opt: dict, model) -> NonFiniteResult | None:
+def _overflow_refusal(args) -> NonFiniteResult | None:
     """The refusal of a sweep that met a non-finite value, naming a flag.
 
-    It names the first of --energy-mev, --t and --xmax at whose value, with
-    the ones before it, the model's argument is not finite: the plane wave's
-    momentum or its phase p x - E t, or the packet's exponent a x^2 + b x + c.
-    None when the fault lies elsewhere.
+    Starting from a finite reference point (x = 0, t = 0 and unit energy,
+    mass and width), the flags take the user's values one at a time until
+    the model's argument is not finite: the plane wave's momentum
+    (--energy-mev) or its phase p x - E t (--t, --xmax), or the packet's
+    exponent a x^2 + b x + c (--t, --xmax, --m, --beta).  The flag set last
+    is named.  None when the fault lies elsewhere.
     """
-    if isinstance(model, qg.GaussianParams):
-        quantity, argument = "packet exponent", lambda x, t: qg.exponent(x, t, model)
-    else:
-        try:
-            wave = scenarios.wave_for(model)
-        except NonFiniteInput:
-            return NonFiniteResult(
-                f"the momentum is not finite at --energy-mev {opt['energy_mev']!r}"
-            )
-        quantity, argument = "phase p x - E t", lambda x, t: pw.phase(pw.PhasePoint(x, t), wave)
+    if args.gaussian:
+        steps = [(key, "packet exponent") for key in ("t", "xmax", "m", "beta")]
 
-    def finite(x: float, t: float) -> bool:
+        def argument(m=1.0, beta=1.0, t=0.0, xmax=0.0):
+            params = qg.GaussianParams(m=m, beta=beta, q=1.0 + args.q_minus_1)
+            return qg.exponent(xmax, t, params)
+
+    else:
+        steps = [("energy_mev", "momentum"), ("t", "phase p x - E t"), ("xmax", "phase p x - E t")]
+
+        def argument(energy_mev=1.0, t=0.0, xmax=0.0):
+            scn = scenarios.ParticleScenario.from_mev(
+                args.species, energy_mev, args.q_minus_1, args.momentum_model
+            )
+            return pw.phase(pw.PhasePoint(xmax, t), scenarios.wave_for(scn))
+
+    def finite(**values) -> bool:
         try:
-            return cmath.isfinite(argument(x, t))
-        except NonFiniteInput:
+            return cmath.isfinite(argument(**values))
+        except (NonFiniteInput, ZeroDivisionError):
             return False
 
-    if not finite(0.0, 0.0):
+    if not finite():
         return None
-    for flag, key, x in (("--t", "t", 0.0), ("--xmax", "xmax", opt["xmax"])):
-        if not finite(x, opt["t"]):
-            return NonFiniteResult(f"the {quantity} is not finite at {flag} {opt[key]!r}")
+    values: dict[str, float] = {}
+    for key, quantity in steps:
+        values[key] = getattr(args, key)
+        if not finite(**values):
+            flag = "--" + key.replace("_", "-")
+            return NonFiniteResult(f"the {quantity} is not finite at {flag} {values[key]!r}")
     return None
 
 
 def cmd_ratio(args, parser) -> int:
-    opt = _merge_options(args, parser, _RATIO_CASTS)
-    gaussian = opt.get("gaussian", False)
-    opt.setdefault("species", "electron")
-    opt.setdefault("energy_mev", 1.0)
-    opt.setdefault("q_minus_1", 1e-9 if not gaussian else 1e-3)
-    opt.setdefault("xmax", 4.0 if gaussian else 1.0)
-    opt.setdefault("points", 1001 if gaussian else 2001)
-    opt.setdefault("t", 0.0)
-    opt.setdefault("momentum_model", "relativistic")
-    opt.setdefault("m", 1.0)
-    opt.setdefault("beta", 1.0)
-    opt.setdefault("out", None)
-    opt.setdefault("format", "csv")
-    opt.setdefault("plot", "none")
+    gaussian = args.gaussian
+    if args.q_minus_1 is None:
+        args.q_minus_1 = 1e-3 if gaussian else 1e-9
+    if args.xmax is None:
+        args.xmax = 4.0 if gaussian else 1.0
+    if args.points is None:
+        args.points = 1001 if gaussian else 2001
 
-    if opt["points"] < 2:
-        parser.error(f"--points must be at least 2, got {opt['points']}")
-    if opt["points"] > MAX_POINTS:
-        parser.error(f"--points must be at most {MAX_POINTS}, got {opt['points']}")
-    if not (math.isfinite(opt["xmax"]) and opt["xmax"] > 0):
-        parser.error(f"--xmax must be finite and positive, got {opt['xmax']}")
-    if not gaussian and opt["energy_mev"] <= 0:
-        parser.error(f"--energy-mev must be positive, got {opt['energy_mev']}")
-    if gaussian and opt["m"] <= 0:
-        parser.error(f"--m must be positive, got {opt['m']}")
-    if gaussian and opt["beta"] == 0:
+    if args.points < 2:
+        parser.error(f"--points must be at least 2, got {args.points}")
+    if args.points > MAX_POINTS:
+        parser.error(f"--points must be at most {MAX_POINTS}, got {args.points}")
+    if not (math.isfinite(args.xmax) and args.xmax > 0):
+        parser.error(f"--xmax must be finite and positive, got {args.xmax}")
+    if not gaussian and args.energy_mev <= 0:
+        parser.error(f"--energy-mev must be positive, got {args.energy_mev}")
+    if gaussian and args.m <= 0:
+        parser.error(f"--m must be positive, got {args.m}")
+    if gaussian and args.beta == 0:
         parser.error("--beta must be nonzero")
-    if opt["plot"] != "none" and opt["out"] is None:
+    if args.plot != "none" and args.out is None:
         parser.error("--plot requires --out")
-    if opt["plot"] == "script" and opt["format"] != "csv":
-        parser.error("--plot script reads the CSV, use --format csv")
 
-    x_range = (0.0, opt["xmax"], opt["points"])
+    x_range = (0.0, args.xmax, args.points)
     if gaussian:
-        model = qg.GaussianParams(m=opt["m"], beta=opt["beta"], q=1.0 + opt["q_minus_1"])
-        header = ("x", "ratio")
-        meta = {
-            "title": (
-                f"q-Gaussian ratio vs. x: m={opt['m']:g}, beta={opt['beta']:g}, "
-                f"q-1={opt['q_minus_1']:g}"
-            ),
-            "xlabel": "x (natural units)",
-            "ylabel": "ratio",
-        }
+        header, xlabel = ("x", "ratio"), "x (natural units)"
+        title = (f"q-Gaussian ratio vs. x: m={args.m:g}, beta={args.beta:g}, "
+                 f"q-1={args.q_minus_1:g}")
     else:
-        model = scenarios.ParticleScenario.from_mev(
-            species=opt["species"],
-            kinetic_mev=opt["energy_mev"],
-            q_minus_1=opt["q_minus_1"],
-            momentum_model=opt["momentum_model"],
-            x_range=x_range,
-            t=opt["t"],
-        )
-        header = ("x", "R")
-        meta = {
-            "title": (
-                f"Ratio R vs. x: {opt['energy_mev']:g} MeV {opt['species']}, "
-                f"q-1={opt['q_minus_1']:g}"
-            ),
-            "xlabel": "x (m)",
-            "ylabel": "R",
-        }
+        header, xlabel = ("x", "R"), "x (m)"
+        title = (f"Ratio R vs. x: {args.energy_mev:g} MeV {args.species}, "
+                 f"q-1={args.q_minus_1:g}")
+    meta = {"title": title, "xlabel": xlabel, "ylabel": header[1]}
     try:
         if gaussian:
-            sweep = scenarios.run_gaussian_sweep(model, x_range, opt["t"])
+            params = qg.GaussianParams(m=args.m, beta=args.beta, q=1.0 + args.q_minus_1)
+            sweep = scenarios.run_gaussian_sweep(params, x_range, args.t)
         else:
-            sweep = scenarios.run_ratio_sweep(model)
-    except (NonFiniteInput, NonFiniteResult) as exc:
-        refusal = _overflow_refusal(opt, model)
+            scn = scenarios.ParticleScenario.from_mev(
+                args.species, args.energy_mev, args.q_minus_1, args.momentum_model, x_range, args.t
+            )
+            sweep = scenarios.run_ratio_sweep(scn)
+    except (NonFiniteInput, NonFiniteResult, ZeroDivisionError) as exc:
+        refusal = _overflow_refusal(args)
         if refusal is None:
             raise
         raise refusal from exc
 
-    if opt["format"] == "csv":
+    if args.format == "csv":
         text = format_rows_csv(header, sweep)
     else:
         text = format_rows_json(header, sweep)
     try:
-        _write_output(opt["out"], text)
-        if opt["plot"] == "script":
-            emit_plot_script(opt["out"], meta)
-        elif opt["plot"] == "svg":
-            base, _ = os.path.splitext(opt["out"])
+        _write_output(args.out, text)
+        if args.plot == "svg":
+            base, _ = os.path.splitext(args.out)
             emit_plot_svg(sweep, meta, base + ".svg")
     except OSError as exc:
         print(f"qwave: cannot write output: {exc}", file=sys.stderr)
@@ -438,10 +354,8 @@ def _parse_tol_overrides(entries, parser) -> dict[str, float]:
 
 
 def cmd_verify(args, parser) -> int:
-    opt = _merge_options(args, parser, _VERIFY_CASTS)
-    suite = opt.get("suite", "all")
     tol = _parse_tol_overrides(args.tol, parser)
-    selected = [c for c in checks.REGISTRY.values() if suite in ("all", c.suite)]
+    selected = [c for c in checks.REGISTRY.values() if args.suite in ("all", c.suite)]
     started = time.perf_counter()
     measured = [check.measure() for check in selected]
     elapsed = time.perf_counter() - started
@@ -481,25 +395,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ratio = sub.add_parser("ratio", help="sweep the approx/exact ratio over x")
-    ratio.add_argument("--species", choices=("electron", "proton"))
-    ratio.add_argument("--energy-mev", type=float, help="kinetic energy in MeV")
-    ratio.add_argument("--q-minus-1", type=float)
-    ratio.add_argument("--xmax", type=float)
+    ratio.add_argument("--species", choices=tuple(scenarios.SPECIES_MASS_KG), default="electron")
+    ratio.add_argument("--energy-mev", type=float, default=1.0, help="kinetic energy in MeV")
+    ratio.add_argument("--q-minus-1", type=float, help="default 1e-9; 1e-3 packet")
+    ratio.add_argument("--xmax", type=float, help="default 1; 4 packet")
     ratio.add_argument(
         "--points", type=int, help=f"grid points, 2 to {MAX_POINTS} (default 2001; 1001 packet)"
     )
-    ratio.add_argument("--t", type=float)
-    ratio.add_argument("--momentum-model", choices=scenarios.MOMENTUM_MODELS)
-    ratio.add_argument(
-        "--gaussian",
-        action=argparse.BooleanOptionalAction,
-        help="sweep the packet ratio instead of the plane wave",
-    )
-    ratio.add_argument("--m", type=float, help="packet mass (gaussian mode)")
-    ratio.add_argument("--beta", type=float, help="packet width (gaussian mode)")
+    ratio.add_argument("--t", type=float, default=0.0)
+    ratio.add_argument("--momentum-model", choices=scenarios.MOMENTUM_MODELS,
+                       default="relativistic")
+    ratio.add_argument("--gaussian", action=argparse.BooleanOptionalAction, default=False,
+                       help="sweep the packet ratio instead of the plane wave")
+    ratio.add_argument("--m", type=float, default=1.0, help="packet mass (gaussian mode)")
+    ratio.add_argument("--beta", type=float, default=1.0, help="packet width (gaussian mode)")
     ratio.add_argument("--out", help="output path (default: stdout)")
-    ratio.add_argument("--format", choices=("csv", "json"))
-    ratio.add_argument("--plot", choices=("none", "script", "svg"))
+    ratio.add_argument("--format", choices=("csv", "json"), default="csv")
+    ratio.add_argument("--plot", choices=("none", "svg"), default="none")
     ratio.add_argument("--config", help="key=value defaults, overridden by flags")
     # Python 3.11's argparse takes "-1e-3" for an option; later versions use
     # this rule: an argument starting "-digit" or "-.digit" is a number.
@@ -508,13 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     ratio.set_defaults(func=cmd_ratio, parser=ratio)
 
     verify_p = sub.add_parser("verify", help="run the self-consistency suites")
-    verify_p.add_argument("--suite", choices=_SUITE_CHOICES)
-    verify_p.add_argument(
-        "--tol",
-        action="append",
-        metavar="CHECK=VALUE",
-        help="override one check's tolerance (repeatable)",
-    )
+    verify_p.add_argument("--suite", choices=(*checks.SUITES, "all"), default="all")
+    verify_p.add_argument("--tol", action="append", metavar="CHECK=VALUE",
+                          help="override one check's tolerance (repeatable)")
     verify_p.add_argument("--config", help="key=value defaults, overridden by flags")
     verify_p.set_defaults(func=cmd_verify, parser=verify_p)
     return parser
@@ -523,6 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.config is not None:
+        # the config's arguments become the subcommand's defaults, so that
+        # flags given on the command line still win
+        config = args.parser.parse_args(_config_args(args.config, args.parser))
+        args.parser.set_defaults(**vars(config))
+        args = parser.parse_args(argv)
     try:
         return args.func(args, args.parser)
     except (QWaveError, ArithmeticError, ValueError) as exc:

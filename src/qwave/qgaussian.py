@@ -145,6 +145,13 @@ def coeffs_first_order(t: float, params: GaussianParams) -> GaussianCoeffJet:
     return GaussianCoeffJet(a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2)
 
 
+def first_order_exponents(x, t: float, params: GaussianParams):
+    """G0 = a1 x^2 + b1 x + c1 and G1 = a2 x^2 + b2 x + c2 of the first-order
+    packet {1 - (q-1)(G1 - G0^2/2)} e^{-G0}, at a float or an array of x."""
+    j = coeffs_first_order(t, params)
+    return j.a1 * x * x + j.b1 * x + j.c1, j.a2 * x * x + j.b2 * x + j.c2
+
+
 def _coeff_jets(t: float, params: GaussianParams) -> tuple[QJet, QJet, QJet]:
     """Coefficient jets in eps = q-1 derived mechanically from the formulas.
 
@@ -182,9 +189,7 @@ def _log_psi(x: float, t: float, params: GaussianParams, family: str) -> complex
         G = exponent(x, t, params)
         return -G * qcore.stable_log1p_over_w((q - 1.0) * G)
     if family == "approx":
-        j = coeffs_first_order(t, params)
-        G0 = j.a1 * x * x + j.b1 * x + j.c1
-        G1 = j.a2 * x * x + j.b2 * x + j.c2
+        G0, G1 = first_order_exponents(x, t, params)
         corr = -(q - 1.0) * (G1 - 0.5 * G0 * G0)
         if corr == -1.0:
             raise BranchCutViolation("first-order packet vanishes here")
@@ -202,27 +207,18 @@ def exact_qgaussian(x: float, t: float, params: GaussianParams) -> complex:
     return qcore.q_exp(-G, params.q)
 
 
-def approx_qgaussian(
-    x: float, t: float, params: GaussianParams, literal_typo: bool = False
-) -> complex:
+def approx_qgaussian(x: float, t: float, params: GaussianParams) -> complex:
     """First-order packet assembled from the closed-form coefficient splits.
 
     {1 - (q-1)[a2 x^2 + b2 x + c2 - (a1 x^2 + b1 x + c1)^2 / 2]} e^{-(a1 x^2 + b1 x + c1)}
 
-    literal_typo=True reproduces a transcription slip seen in print where
-    the squared bracket reads a1 x^2 + b1 x c1 (a product swallowing the
-    "+"): kept only so the discrepancy can be demonstrated, never used
-    by anything else.  The default reading is the one certified against
+    This reading of the squared bracket is the one certified against
     wavefunction_jet.
     """
     if not (math.isfinite(x) and math.isfinite(t)):
         raise NonFiniteInput(f"point must be finite, got {(x, t)!r}")
-    j = coeffs_first_order(t, params)
-    eps = params.q - 1.0
-    G0 = j.a1 * x * x + j.b1 * x + j.c1
-    G1 = j.a2 * x * x + j.b2 * x + j.c2
-    squared = j.a1 * x * x + j.b1 * x * j.c1 if literal_typo else G0
-    return (1.0 - eps * (G1 - 0.5 * squared * squared)) * cmath.exp(-G0)
+    G0, G1 = first_order_exponents(x, t, params)
+    return (1.0 - (params.q - 1.0) * (G1 - 0.5 * G0 * G0)) * cmath.exp(-G0)
 
 
 def ratio_gaussian(x, t: float, params: GaussianParams) -> float | np.ndarray:
@@ -237,7 +233,6 @@ def ratio_gaussian(x, t: float, params: GaussianParams) -> float | np.ndarray:
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not (np.isfinite(xs).all() and math.isfinite(t)):
         raise NonFiniteInput("packet sweep points must be finite")
-    j = coeffs_first_order(t, params)
     eps = params.q - 1.0
     with np.errstate(all="ignore"):
         G = exponent(xs, t, params)
@@ -245,8 +240,7 @@ def ratio_gaussian(x, t: float, params: GaussianParams) -> float | np.ndarray:
         if not exact.all():
             raise ZeroDivisionError("exact packet vanishes at this point")
         # approx_qgaussian, evaluated on the whole grid
-        G0 = j.a1 * xs * xs + j.b1 * xs + j.c1
-        G1 = j.a2 * xs * xs + j.b2 * xs + j.c2
+        G0, G1 = first_order_exponents(xs, t, params)
         approx = (1.0 - eps * (G1 - 0.5 * G0 * G0)) * np.exp(-G0)
         r = np.abs(approx) / np.abs(exact)
     if not np.isfinite(r).all():

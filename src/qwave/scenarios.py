@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import NonFiniteInput
-from .kleingordon import KGWave
 from .planewave import PhasePoint, SchrodingerWave, ratio_R
 from .qgaussian import GaussianParams, ratio_gaussian
 
@@ -132,12 +131,6 @@ def wave_for(scn: ParticleScenario) -> SchrodingerWave:
     """Free-particle wave in figure units (MeV energies, hbar = 1)."""
     pc = momentum_from_energy(scn)
     return SchrodingerWave.free(p=pc, m=mass_energy_mev(scn.mass_kg), hbar=1.0)
-
-
-def kg_wave_for(scn: ParticleScenario) -> KGWave:
-    """On-shell relativistic wave in the same figure units (c = 1)."""
-    pc = momentum_from_energy(scn)
-    return KGWave.on_shell(k=pc, m=mass_energy_mev(scn.mass_kg), c=1.0, hbar=1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,5 @@
-"""CLI contract: flag/config merging, deterministic writers, plot
-emission, exit codes, and the verify table."""
+"""CLI contract: flags and config files as one declaration, deterministic
+writers, SVG plots, exit codes, and the verify table."""
 
 import argparse
 import contextlib
@@ -165,6 +165,10 @@ MAX = "1.7976931348623157e308"
         (["--gaussian", "--points", "8", f"--t={MAX}"], "exponent is not finite at --t 1.797"),
         (["--gaussian", "--points", "3", "--t=-inf"], "exponent is not finite at --t -inf"),
         (["--points", "3", "--energy-mev", "1e308"], "momentum is not finite at --energy-mev 1e"),
+        (["--gaussian", "--points", "3", "--beta", "1e-320"], "exponent is not finite at --beta"),
+        (["--gaussian", "--points", "3", "--m", "1e-320"], "exponent is not finite at --m 1e-32"),
+        (["--gaussian", "--points", "3", "--m", "1e308"], "exponent is not finite at --m 1e+308"),
+        (["--points", "3", "--t=-inf"], "phase p x - E t is not finite at --t -inf"),
     ],
 )
 def test_overflow_refusal_names_the_flag(argv, named, capsys):
@@ -232,6 +236,38 @@ HOSTILE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
 FLOAT_FLAGS = ("--energy-mev", "--q-minus-1", "--xmax", "--t", "--m", "--beta")
 
 
+def main_in_process(argv, config, tmp_path_factory):
+    """Exit code and stderr of cli.main(argv), with config as a --config file:
+    None for no file, "missing" for a path that does not exist, else its lines."""
+    if config is not None:
+        path = tmp_path_factory.getbasetemp() / "contract.cfg"
+        if config == "missing":
+            path.unlink(missing_ok=True)
+        else:
+            path.write_text("\n".join(config) + "\n")
+        argv = [*argv, "--config", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+# no out= line: a drawn config must not write files
+RATIO_CONFIG_LINES = ["points=5", "points=abc", "gaussian=yes", "gaussian=off", "gaussian=maybe",
+                      "species=proton", "species=muon", "momentum_model=nonrelativistic",
+                      "format=json", "format=xml", "plot=svg", "plot=script", "no-gaussian=1",
+                      "config=other.cfg", "help=1", "warp=9", "tol=x=1", "no equals sign", "=1",
+                      "# comment", ""]
+hostile_config_lines = st.builds(
+    lambda flag, value: f"{flag[2:]}={value!r}",
+    st.sampled_from(FLOAT_FLAGS),
+    st.sampled_from(HOSTILE_FLOATS),
+)
+
+
 @st.composite
 def ratio_argvs(draw):
     argv = ["ratio", "--points", str(draw(st.integers(2, 40)))]
@@ -241,23 +277,20 @@ def ratio_argvs(draw):
         if draw(st.booleans()):
             text = repr(draw(st.sampled_from(HOSTILE_FLOATS) | st.floats()))
             argv += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
-    return argv
+    lines = st.sampled_from(RATIO_CONFIG_LINES) | hostile_config_lines
+    config = draw(st.none() | st.just("missing") | st.lists(lines, max_size=4))
+    return argv, config
 
 
 @settings(deadline=None, max_examples=200)
-@example(["ratio", "--points", "8", "--t=1.7976931348623157e308"])
-@example(["ratio", "--points", "39", "--xmax=1.7976931348623157e308"])
-@example(["ratio", "--points", "39", "--xmax=1.7976931348623157e308", "--gaussian"])
+@example((["ratio", "--points", "8", "--t=1.7976931348623157e308"], None))
+@example((["ratio", "--points", "39", "--xmax=1.7976931348623157e308"], None))
+@example((["ratio", "--points", "39", "--xmax=1.7976931348623157e308", "--gaussian"], None))
 @given(ratio_argvs())
-def test_ratio_exit_code_contract(argv):
+def test_ratio_exit_code_contract(tmp_path_factory, drawn):
     # in process; a warning is an error here, so one printed to stderr fails
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERIC), (code, err.getvalue())
+    code, err = main_in_process(*drawn, tmp_path_factory)
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERIC), (code, err)
 
 
 SUITE_CHOICES = (*checks.SUITES, "all")
@@ -287,21 +320,8 @@ def verify_argvs(draw):
 @given(verify_argvs())
 def test_verify_exit_code_contract(tmp_path_factory, drawn):
     # in process; every suite is cheap enough to run once per example
-    argv, config = drawn
-    if config is not None:
-        path = tmp_path_factory.getbasetemp() / "verify.cfg"
-        if config == "missing":
-            path.unlink(missing_ok=True)
-        else:
-            path.write_text("\n".join(config) + "\n")
-        argv = [*argv, "--config", str(path)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_USAGE), (code, err.getvalue())
+    code, err = main_in_process(*drawn, tmp_path_factory)
+    assert code in (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_USAGE), (code, err)
 
 
 def test_config_layering(tmp_path, capsys):
@@ -319,6 +339,126 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfg.write_text("warp=9\n")
     with pytest.raises(SystemExit) as exc:
         cli.main(["ratio", "--config", str(cfg)])
+    assert exc.value.code == 2
+
+
+def subcommand_parser(name):
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+# a non-default value of every ratio flag but --config, with the flags that
+# make it show in the output
+RATIO_FLAG_CASES = [
+    (["--species", "proton"], ["--q-minus-1", "0.01"]),
+    (["--energy-mev", "2.5"], ["--q-minus-1", "0.01"]),
+    (["--q-minus-1", "1e-6"], []),
+    (["--xmax", "0.5"], ["--q-minus-1", "0.01"]),
+    (["--points", "7"], []),
+    (["--t", "0.25"], ["--q-minus-1", "0.01"]),
+    (["--momentum-model", "nonrelativistic"], ["--q-minus-1", "0.01"]),
+    (["--gaussian"], []),
+    (["--m", "2.0"], ["--gaussian"]),
+    (["--beta", "0.5"], ["--gaussian"]),
+    (["--out", "sweep.csv"], []),
+    (["--format", "json"], []),
+    (["--plot", "svg"], ["--out", "sweep.csv"]),
+]
+
+
+def test_ratio_flag_cases_cover_every_flag():
+    ratio = subcommand_parser("ratio")
+    flags = {a.option_strings[0] for a in ratio._actions} - {"-h", "--config"}
+    assert {flag[0] for flag, _ in RATIO_FLAG_CASES} == flags
+
+
+@pytest.mark.parametrize("flag, context", RATIO_FLAG_CASES, ids=lambda v: " ".join(v))
+def test_config_line_equals_flag(flag, context, tmp_path, monkeypatch, capsys):
+    """A config line gives the same stdout and files as the flag itself."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[0][2:]}={flag[1] if len(flag) > 1 else 'yes'}\n")
+    base = ["ratio", *context] + ([] if flag[0] == "--points" else ["--points", "5"])
+    results = {}
+    for how, extra in (("flag", flag), ("config", ["--config", str(cfg)]), ("neither", [])):
+        workdir = tmp_path / how
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        code = cli.main([*base, *extra])
+        files = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        results[how] = (code, capsys.readouterr().out, files)
+    assert results["flag"][0] == 0
+    assert results["config"] == results["flag"]
+    assert results["neither"] != results["flag"]
+
+
+def test_flag_overrides_config(tmp_path, capsys):
+    cfg_ratio = tmp_path / "ratio.cfg"
+    cfg_ratio.write_text("species=proton\nq-minus-1=0.01\n")
+    base = ["ratio", "--points", "5"]
+    _, layered, _ = run([*base, "--config", str(cfg_ratio), "--species", "electron"], capsys)
+    _, electron, _ = run([*base, "--species", "electron", "--q-minus-1", "0.01"], capsys)
+    _, proton, _ = run([*base, "--species", "proton", "--q-minus-1", "0.01"], capsys)
+    assert layered == electron != proton
+    cfg_verify = tmp_path / "verify.cfg"
+    cfg_verify.write_text("suite=gaussian\n")
+    code, out, _ = run(["verify", "--config", str(cfg_verify), "--suite", "separation"], capsys)
+    assert code == 0
+    assert {line.split(".")[0] for line in out.splitlines()[1:-1]} == {"separation"}
+
+
+@pytest.mark.parametrize(
+    "value, header",
+    [(v, "x,ratio") for v in ("true", "yes", "on", "1", "TRUE", "Yes")]
+    + [(v, "x,R") for v in ("false", "no", "off", "0", "FALSE", "Off")],
+)
+def test_config_gaussian_spellings(value, header, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"gaussian={value}\n")
+    code, out, _ = run(["ratio", "--points", "3", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == header
+
+
+@pytest.mark.parametrize("value", ["maybe", "2", "", "y"])
+def test_config_gaussian_other_value_is_usage_error(value, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"gaussian={value}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ratio", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "gaussian: expected a boolean" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ratio", "verify"])
+@pytest.mark.parametrize("line", ["config=other.cfg", "help=1", "warp=9", "no-gaussian=1",
+                                  "spec=proton", "suit=all"])
+def test_config_key_that_is_no_flag_is_refused(command, line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_bad_config_value_gets_the_flags_message(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points=abc\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ratio", "--config", str(cfg), "--points", "5"])
+    assert exc.value.code == 2
+    assert "argument --points: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_verify_config_tol_is_the_tol_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol=planewave.modulus_identity=1e-20\n")
+    code, out, _ = run(["verify", "--suite", "planewave", "--config", str(cfg)], capsys)
+    assert code == 1
+    assert "FAIL" in out
+    cfg.write_text("tol=planewave.nope=1\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--config", str(cfg)])
     assert exc.value.code == 2
 
 
@@ -341,17 +481,13 @@ def test_output_file_and_determinism(tmp_path, capsys):
     assert b"\r" not in a.read_bytes()
 
 
-def test_plot_script_emission(tmp_path, capsys):
+def test_plot_script_is_usage_error(tmp_path, capsys):
     out = tmp_path / "fig.csv"
-    code = cli.main(
-        ["ratio", "--points", "10", "--out", str(out), "--plot", "script"]
-    )
-    capsys.readouterr()
-    assert code == 0
-    script = tmp_path / "fig_plot.py"
-    assert script.exists()
-    body = script.read_text()
-    assert "fig.csv" in body and "matplotlib" in body
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ratio", "--points", "10", "--out", str(out), "--plot", "script"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'script'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plot_svg_emission(tmp_path, capsys):
@@ -375,11 +511,7 @@ def test_plot_requires_out_and_csv(capsys):
     assert exc.value.code == 2
 
 
-def test_plot_script_refuses_empty_csv(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("x,R\n")
-    with pytest.raises(ValueError):
-        cli.emit_plot_script(str(empty), {"title": "t", "xlabel": "x", "ylabel": "y"})
+def test_plot_svg_refuses_empty_rows(tmp_path):
     with pytest.raises(ValueError):
         cli.emit_plot_svg([], {"title": "t", "xlabel": "x", "ylabel": "y"}, str(tmp_path / "e.svg"))
 
@@ -458,8 +590,7 @@ def test_verify_runs_every_registry_entry_in_order(capsys):
     assert lines[-1].startswith("44 checks: 44 passed, 0 failed")
     assert [line.split()[0] for line in lines[1:-1]] == list(checks.REGISTRY)
     assert len(checks.REGISTRY) == 44
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    suite = next(a for a in subcommand_parser("verify")._actions if a.dest == "suite")
     assert set(suite.choices) == {c.key.split(".")[0] for c in checks.REGISTRY.values()} | {"all"}
 
 

@@ -120,15 +120,22 @@ def test_approx_packet_consistent_with_jet():
 
 
 def test_literal_typo_reading_differs():
-    # at t = 0: c1 = 0 makes the typo's product term vanish while the
-    # correct bracket keeps b1 x, so the two readings split for x != 0
+    # a transcription slip seen in print reads the squared bracket as
+    # a1 x^2 + b1 x c1, a product swallowing the "+".  At t = 0, c1 = 0
+    # makes that product vanish while the correct bracket keeps b1 x, so
+    # the two readings split for x != 0
     p = params_for(1.01)
+
+    def typo(x, t):
+        j = qg.coeffs_first_order(t, p)
+        G0 = j.a1 * x * x + j.b1 * x + j.c1
+        G1 = j.a2 * x * x + j.b2 * x + j.c2
+        squared = j.a1 * x * x + j.b1 * x * j.c1
+        return (1.0 - (p.q - 1.0) * (G1 - 0.5 * squared * squared)) * cmath.exp(-G0)
+
     good = qg.approx_qgaussian(1.3, 0.0, p)
-    typo = qg.approx_qgaussian(1.3, 0.0, p, literal_typo=True)
-    assert abs(good - typo) > 1e-5 * abs(good)
-    assert qg.approx_qgaussian(0.0, 0.0, p) == qg.approx_qgaussian(
-        0.0, 0.0, p, literal_typo=True
-    )
+    assert abs(good - typo(1.3, 0.0)) > 1e-5 * abs(good)
+    assert qg.approx_qgaussian(0.0, 0.0, p) == typo(0.0, 0.0)
 
 
 def test_exact_packet_residual_fd_floor():

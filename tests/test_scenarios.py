@@ -1,8 +1,6 @@
 """Laboratory units to dimensionless phase: constants, momentum models,
 and the sweep drivers behind the figures."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -72,13 +70,6 @@ def test_wave_for_satisfies_free_relation():
     assert w.free_particle
     # mass slot carries the rest energy in MeV
     assert abs(w.m - ELECTRON_MC2_MEV) / ELECTRON_MC2_MEV < 1e-8
-
-
-def test_kg_wave_for_is_on_shell():
-    scn = scenarios.ParticleScenario.from_mev("proton", 1.0, 1e-9)
-    w = scenarios.kg_wave_for(scn)
-    assert w.dispersion
-    assert w.omega == math.hypot(w.k, w.m)
 
 
 def test_ratio_sweep_shape_and_trivial_q():
