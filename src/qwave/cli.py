@@ -230,30 +230,31 @@ def _overflow_refusal(args) -> NonFiniteResult | None:
 
     Starting from a finite reference point (x = 0, t = 0 and unit energy,
     mass and width), the flags take the user's values one at a time until
-    the model's argument is not finite: the plane wave's momentum
+    one of the model's arguments is not finite: the plane wave's momentum
     (--energy-mev) or its phase p x - E t (--t, --xmax), or the packet's
-    exponent a x^2 + b x + c (--t, --xmax, --m, --beta).  The flag set last
-    is named.  None when the fault lies elsewhere.
+    ratio terms c, G0 and G of qgaussian.ratio_terms (--t, --xmax, --m,
+    --beta).  The flag set last is named.  None when the fault lies
+    elsewhere.
     """
     if args.gaussian:
         steps = [(key, "packet exponent") for key in ("t", "xmax", "m", "beta")]
 
-        def argument(m=1.0, beta=1.0, t=0.0, xmax=0.0):
+        def arguments(m=1.0, beta=1.0, t=0.0, xmax=0.0):
             params = qg.GaussianParams(m=m, beta=beta, q=1.0 + args.q_minus_1)
-            return qg.exponent(xmax, t, params)
+            return qg.ratio_terms(xmax, t, params)
 
     else:
         steps = [("energy_mev", "momentum"), ("t", "phase p x - E t"), ("xmax", "phase p x - E t")]
 
-        def argument(energy_mev=1.0, t=0.0, xmax=0.0):
+        def arguments(energy_mev=1.0, t=0.0, xmax=0.0):
             scn = scenarios.ParticleScenario.from_mev(
                 args.species, energy_mev, args.q_minus_1, args.momentum_model
             )
-            return pw.phase(pw.PhasePoint(xmax, t), scenarios.wave_for(scn))
+            return (pw.phase(pw.PhasePoint(xmax, t), scenarios.wave_for(scn)),)
 
     def finite(**values) -> bool:
         try:
-            return cmath.isfinite(argument(**values))
+            return all(map(cmath.isfinite, arguments(**values)))
         except (NonFiniteInput, ZeroDivisionError):
             return False
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import qcore
-from .errors import BranchCutViolation, NonFiniteInput, NonFiniteResult
+from .errors import BranchCutViolation, NonFiniteInput
 
 if TYPE_CHECKING:
     import numpy as np
@@ -201,19 +201,14 @@ def expansion_terms(
 def ratio_R(pt: PhasePoint, w: SchrodingerWave, q: float) -> float | np.ndarray:
     """Deviation diagnostic R = |approx_psi| / |exact_psi|.
 
-    With an array pt.x the whole sweep is one numpy pass through
-    qcore.q_pow_array and an array comes back; a float pt.x is the
-    one-point case of the same code, so both give identical values.
+    approx_psi = (1 + c) e^{iu} with c = (1-q) u^2/2 and exact_psi =
+    e_q(iu), so R is qcore.modulus_ratio(c, -iu, -iu, q), formed in real
+    log-modulus arithmetic.  An array pt.x gives an array; a float pt.x
+    is the one-point case of the same code, so both give identical values.
     """
     import numpy as np
 
-    with np.errstate(all="ignore"):  # an overflowing phase is refused as non-finite z
-        u = np.atleast_1d(phase(pt, w))
-        exact = qcore.q_pow_array(1j * u, q)
-        if not exact.all():
-            raise ZeroDivisionError("exact wave vanishes at this point")
-        approx = np.exp(1j * u) * (1.0 + (1.0 - q) * u * u / 2.0)
-        r = np.abs(approx) / np.abs(exact)
-    if not np.isfinite(r).all():
-        raise NonFiniteResult("ratio R overflows the double range")
-    return r if np.ndim(pt.x) else float(r[0])
+    with np.errstate(all="ignore"):  # an overflowing phase is refused by the kernel
+        u = np.asarray(phase(pt, w), dtype=float)
+        r = qcore.modulus_ratio((1.0 - q) * u * u / 2.0, -1j * u, -1j * u, q)
+    return r if np.ndim(pt.x) else float(r)

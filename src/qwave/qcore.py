@@ -10,6 +10,9 @@ costs no precision.  S is evaluated by an alternating series for |w| below
 SERIES_RADIUS and through a compensated complex log1p otherwise; the two
 paths agree to ~1e-15 across the switch.
 
+modulus_ratio forms the deviation ratio |approx|/|exact| of either wave
+family over arrays, in real log-modulus arithmetic.
+
 Jets are truncated first-order Taylor pairs (value at q = 1, d/dq at q = 1)
 with ring arithmetic.  They mechanize the first-order expansions the wave
 modules need and serve as oracles for the closed forms implemented there.
@@ -129,48 +132,44 @@ def q_pow(z, q: float, scale: float = 1.0) -> complex:
     return cmath.exp(scale * z * _log1p_over_w(w))
 
 
-def q_pow_array(z, q: float, scale: float = 1.0) -> np.ndarray:
-    """Elementwise q_pow over an array of z: one numpy pass per branch.
+def _log_abs_1p(w: np.ndarray) -> np.ndarray:
+    """log|1 + w| over a complex array, to full precision near w = 0 and
+    near 1 + w = 0, where log1p(2 Re w + |w|^2)/2 would square the
+    cancellation."""
+    import numpy as np
 
-    Same arithmetic and the same checks as q_pow: non-finite z or q raise
-    NonFiniteInput, a base on the branch cut raises BranchCutViolation, and
-    a (1-q) z or a result beyond the double range raises NonFiniteResult
-    (an OverflowError, as cmath.exp raises on the scalar path), so no inf
-    or nan is ever returned.  Per-point callers stay on q_pow: numpy's
-    per-call overhead makes a one-point array call tens of times slower.
+    # |w| < 1/2 keeps 1 + Re w > 1/2
+    near = np.log1p(w.real) + 0.5 * np.log1p(np.square(w.imag / (1.0 + w.real)))
+    return np.where(np.abs(w) < 0.5, near, np.log(np.abs(1.0 + w)))
+
+
+def modulus_ratio(c, g0, g, q: float) -> np.ndarray:
+    """|(1 + c) e^{-g0}| / |e_q(-g)| elementwise, formed in real arithmetic as
+    exp(log|1 + c| - Re g0 + log|1 + (q-1) g| / (q-1)), with Re g for the
+    last term at q = 1, so neither modulus overflows or vanishes on its own.
+
+    A non-finite q raises NonFiniteInput; a non-finite c, g0 or (q-1) g, or
+    an R beyond the double range, NonFiniteResult; a base 1 + (q-1) g on the
+    branch cut BranchCutViolation.  No inf or nan is ever returned.
     """
     import numpy as np
 
-    z = np.asarray(z, dtype=complex)
-    if not np.isfinite(z).all():
-        raise NonFiniteInput("z must be finite")
     if not math.isfinite(q):
         raise NonFiniteInput(f"q must be finite, got {q!r}")
+    eps = q - 1.0
     with np.errstate(all="ignore"):
-        if q == 1.0:
-            out = np.exp(scale * z)
-        else:
-            w = (1.0 - q) * z
-            if not np.isfinite(w).all():
-                raise NonFiniteResult(f"(1-q) z overflows at q-1 = {q - 1.0!r}")
-            u = 1.0 + w
-            if ((u.imag == 0.0) & (u.real <= 0.0)).any():
-                raise BranchCutViolation("q_pow base: a point lies on the branch cut")
-            small = np.abs(w) < SERIES_RADIUS
-            s = np.empty_like(w)
-            # w = 0 needs no case of its own: the series gives exactly 1
-            s[small] = _log1p_over_w_series(w[small])
-            big = ~small
-            if big.any():
-                # complex_log1p; its u == 1 case needs |w| < eps, so never here
-                wb, ub = w[big], u[big]
-                d = ub - 1.0
-                log_u = np.log(ub)
-                s[big] = np.where(d == wb, log_u, log_u * (wb / d)) / wb
-            out = np.exp(scale * z * s)
-    if not np.isfinite(out).all():
-        raise NonFiniteResult("q-power overflows the double range")
-    return out
+        c, g0, g = (np.asarray(v, dtype=complex) for v in (c, g0, g))
+        w = eps * g
+        if not (np.isfinite(c).all() and np.isfinite(g0).all() and np.isfinite(w).all()):
+            raise NonFiniteResult("a term of the ratio overflows the double range")
+        base = 1.0 + w
+        if ((base.imag == 0.0) & (base.real <= 0.0)).any():
+            raise BranchCutViolation("q-power base: a point lies on the branch cut")
+        exact = g.real if eps == 0.0 else _log_abs_1p(w) / eps
+        r = np.exp(_log_abs_1p(c) - g0.real + exact)
+    if not np.isfinite(r).all():
+        raise NonFiniteResult("ratio R overflows the double range")
+    return r
 
 
 def q_exp(z, q: float) -> complex:
@@ -240,11 +239,6 @@ def jet_ln(a: QJet) -> QJet:
         raise DivisionByZeroJet("jet logarithm of a jet with zero value part")
     _require_off_cut(a.v0, "jet_ln")
     return QJet(cmath.log(a.v0), a.v1 / a.v0)
-
-
-def jet_pow_linear(a: QJet, alpha: float, beta: float) -> QJet:
-    """a**(alpha + beta*(q-1)) for an exponent affine in q."""
-    return jet_exp(QJet(alpha, beta) * jet_ln(a))
 
 
 def q_exp_jet(z) -> QJet:

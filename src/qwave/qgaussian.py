@@ -41,7 +41,6 @@ from .errors import (
     BranchCutViolation,
     InvalidQ,
     NonFiniteInput,
-    NonFiniteResult,
     StepTooCoarse,
 )
 from .qcore import QJet, as_jet, jet_exp, jet_ln, log1p_over_w_jet, expm1_over_w_jet
@@ -221,31 +220,30 @@ def approx_qgaussian(x: float, t: float, params: GaussianParams) -> complex:
     return (1.0 - (params.q - 1.0) * (G1 - 0.5 * G0 * G0)) * cmath.exp(-G0)
 
 
+def ratio_terms(x, t: float, params: GaussianParams):
+    """(c, G0, G) such that approx_qgaussian = (1 + c) e^{-G0} and
+    exact_qgaussian = e_q(-G): c = -(q-1)(G1 - G0^2/2), at a float or an
+    array of x."""
+    G0, G1 = first_order_exponents(x, t, params)
+    return -(params.q - 1.0) * (G1 - 0.5 * G0 * G0), G0, exponent(x, t, params)
+
+
 def ratio_gaussian(x, t: float, params: GaussianParams) -> float | np.ndarray:
     """Modulus ratio |approx| / |exact|, the packet's deviation diagnostic.
 
-    x may be an array: both coefficient sets are computed once for the time
-    t and the exact packet comes from qcore.q_pow_array.  A float x is the
-    one-point case of the same code, so both give identical values.
+    qcore.modulus_ratio forms it from the terms (c, G0, G) of ratio_terms
+    in real log-modulus arithmetic.  x may be an array: both coefficient
+    sets are computed once for the time t.  A float x is the one-point
+    case of the same code, so both give identical values.
     """
     import numpy as np
 
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.asarray(x, dtype=float)
     if not (np.isfinite(xs).all() and math.isfinite(t)):
         raise NonFiniteInput("packet sweep points must be finite")
-    eps = params.q - 1.0
-    with np.errstate(all="ignore"):
-        G = exponent(xs, t, params)
-        exact = qcore.q_pow_array(-G, params.q)
-        if not exact.all():
-            raise ZeroDivisionError("exact packet vanishes at this point")
-        # approx_qgaussian, evaluated on the whole grid
-        G0, G1 = first_order_exponents(xs, t, params)
-        approx = (1.0 - eps * (G1 - 0.5 * G0 * G0)) * np.exp(-G0)
-        r = np.abs(approx) / np.abs(exact)
-    if not np.isfinite(r).all():
-        raise NonFiniteResult("packet ratio overflows the double range")
-    return r if np.ndim(x) else float(r[0])
+    with np.errstate(all="ignore"):  # an overflowing term is refused by the kernel
+        r = qcore.modulus_ratio(*ratio_terms(xs, t, params), params.q)
+    return r if np.ndim(x) else float(r)
 
 
 def gaussian_terms(

@@ -169,6 +169,8 @@ MAX = "1.7976931348623157e308"
         (["--gaussian", "--points", "3", "--m", "1e-320"], "exponent is not finite at --m 1e-32"),
         (["--gaussian", "--points", "3", "--m", "1e308"], "exponent is not finite at --m 1e+308"),
         (["--points", "3", "--t=-inf"], "phase p x - E t is not finite at --t -inf"),
+        (["--gaussian", "--points", "3", "--beta", "1e200"], "exponent is not finite at --beta 1e+200"),
+        (["--gaussian", "--points", "3", "--m", "1e300"], "exponent is not finite at --m 1e+300"),
     ],
 )
 def test_overflow_refusal_names_the_flag(argv, named, capsys):
@@ -232,7 +234,7 @@ def test_points_bound_is_checked_before_allocating(capsys):
 
 HOSTILE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
                   1.7976931348623157e308, -1.7976931348623157e308,
-                  math.inf, -math.inf, math.nan, 1.0, -1e-3, 1e-9]
+                  math.inf, -math.inf, math.nan, 1.0, -1e-3, 1e-9, -0.5, 0.5]
 FLOAT_FLAGS = ("--energy-mev", "--q-minus-1", "--xmax", "--t", "--m", "--beta")
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qwave import planewave as pw
 from qwave import qcore, verify
-from qwave.errors import BranchCutViolation, NonFiniteInput
+from qwave.errors import BranchCutViolation, NonFiniteInput, NonFiniteResult
 
 WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
 XS = tuple(np.linspace(-6.0, 6.0, 25))
@@ -150,8 +150,9 @@ def test_ratio_even_in_x_at_t0():
 
 
 def test_ratio_underflow_guard():
-    # q = 1.5 pushes |exact_psi| ~ |u|^{-2}; u ~ 1e200 underflows it to 0.0
-    with pytest.raises(ZeroDivisionError):
+    # q = 1.5 pushes |exact_psi| ~ |u|^{-2} below the double range at
+    # u ~ 1.3e200, and (1-q) u^2/2 overflows: the true R ~ 1e799 is refused
+    with pytest.raises(NonFiniteResult):
         pw.ratio_R(pw.PhasePoint(1e200, 0.0), WAVE, 1.5)
 
 

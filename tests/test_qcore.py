@@ -1,7 +1,9 @@
-"""Oracles and algebraic properties for the q-exponential kernel and jets.
+"""Oracles and algebraic properties for the q-exponential, the ratio
+kernel and the jets.
 
 Frozen reference values were computed once with mpmath at 50 digits and
-pasted in; nothing here calls back into the code paths under test.
+pasted in; the ratio kernel is held to a 50-digit mpmath oracle of the
+figures' closed forms, evaluated here.
 """
 
 import cmath
@@ -11,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qwave import qcore
+from qwave import planewave as pw
+from qwave import qcore, scenarios
+from qwave import qgaussian as qg
 from qwave.errors import (
     BranchCutViolation,
     DivisionByZeroJet,
@@ -136,7 +140,7 @@ def test_non_finite_rejected():
         qcore.QJet(complex("nan"), 0.0)
 
 
-# -- array kernel --------------------------------------------------------
+# -- ratio kernel --------------------------------------------------------
 
 
 def _kernel_points(q):
@@ -152,24 +156,32 @@ def _kernel_points(q):
     return np.array(zs, dtype=complex)
 
 
+def _terms(z, q):
+    """(c, g0, g) of the ratio (1 + c) e^{z} / e_q(z) with c = (q-1) z."""
+    return (q - 1.0) * z, -z, -z
+
+
 @pytest.mark.parametrize("eps", [1e-3, -1e-3, 1e-6, 1e-9, 1e-12, 0.0])
-def test_q_pow_array_matches_scalar(eps):
+def test_modulus_ratio_matches_scalar(eps):
     q = 1.0 + eps
+    zs, want = [], []
+    for z in _kernel_points(q).tolist():
+        approx = abs((1.0 + _terms(z, q)[0]) * cmath.exp(z))
+        exact = abs(qcore.q_exp(z, q))
+        if approx > 0.0 and exact > 0.0:  # else a modulus underflows; the kernel's logs do not
+            zs.append(z)
+            want.append(approx / exact)
+    got = qcore.modulus_ratio(*_terms(np.array(zs), q), q)
+    for z, g, r in zip(zs, got.tolist(), want):
+        assert abs(g - r) <= 4e-15 * max(1.0, abs(z)) * r, z
+
+
+def test_modulus_ratio_one_point_is_the_sweep():
+    q = 1.0 + 1e-3
     zs = _kernel_points(q)
-    for scale in (1.0, q, 2.0 * q - 1.0):
-        got = qcore.q_pow_array(zs, q, scale)
-        for z, g in zip(zs.tolist(), got.tolist()):
-            want = qcore.q_pow(z, q, scale)
-            if want == 0 and g == 0:
-                continue  # both underflowed
-            assert abs(g - want) <= 2e-15 * max(1.0, abs(z)) * abs(want), (z, scale)
-
-
-def test_q_pow_array_one_point_is_the_sweep():
-    zs = _kernel_points(1.0 + 1e-3)
-    got = qcore.q_pow_array(zs, 1.0 + 1e-3, 1.2)
-    for k, z in enumerate(zs):
-        assert qcore.q_pow_array(zs[k : k + 1], 1.0 + 1e-3, 1.2)[0] == got[k]
+    got = qcore.modulus_ratio(*_terms(zs, q), q)
+    for k, z in enumerate(zs.tolist()):
+        assert qcore.modulus_ratio(*_terms(z, q), q) == got[k]
 
 
 @pytest.mark.parametrize(
@@ -185,16 +197,106 @@ def test_q_pow_array_one_point_is_the_sweep():
         (-1e300, 1.0 + 1e300, OverflowError),  # (1-q) z
     ],
 )
-def test_q_pow_array_raises_like_scalar(z, q, error):
-    with pytest.raises(error):
-        qcore.q_pow_array(np.array([0.5j, z]), q)
+def test_q_pow_raises_typed(z, q, error):
     with pytest.raises(error):
         qcore.q_pow(z, q)
 
 
-def test_q_pow_array_overflow_is_typed():
-    with pytest.raises(NonFiniteResult):
-        qcore.q_pow_array(np.array([1.0, 1e3 + 1j]), 1.0 + 1e-9)
+def test_modulus_ratio_overflow_is_typed():
+    # R = e^{1000}; an infinite c; (q-1) g beyond the double range
+    for c, g0, g, q in [
+        (0.0, np.array([0.0, -1e3 + 1j]), 0.0, 1.0 + 1e-9),
+        (np.array([0.0, math.inf]), 0.0, 0.0, 1.5),
+        (0.0, 0.0, np.array([1.0, 1e308]), 11.0),
+    ]:
+        with pytest.raises(NonFiniteResult):
+            qcore.modulus_ratio(c, g0, g, q)
+
+
+PACKET = qg.GaussianParams(m=1.0, beta=1.0, q=1.001)
+WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
+
+
+@pytest.mark.parametrize(
+    "ratio, error",
+    [
+        (lambda: qg.ratio_gaussian(np.array([0.0, math.nan]), 0.0, PACKET), NonFiniteInput),
+        (lambda: pw.ratio_R(pw.PhasePoint(np.array([0.0, math.nan])), WAVE, 1.001), NonFiniteInput),
+        (lambda: qcore.modulus_ratio(0.0, 0.0, 0.0, math.nan), NonFiniteInput),
+        # 1 + (q-1) G = 1 - (x^2/2 + x)/2 is on the cut beyond x = sqrt(5) - 1
+        (lambda: qg.ratio_gaussian(np.linspace(0.0, 4.0, 9), 0.0,
+                                   qg.GaussianParams(m=1.0, beta=1.0, q=0.5)), BranchCutViolation),
+        # G0^2/2 overflows in c at x = 4
+        (lambda: qg.ratio_gaussian(np.linspace(0.0, 4.0, 3), 0.0,
+                                   qg.GaussianParams(m=1e300, beta=1.0, q=1.001)), NonFiniteResult),
+    ],
+    ids=["nan-x-packet", "nan-x-plane-wave", "nan-q", "packet-cut", "packet-overflow"],
+)
+def test_ratio_refusals_are_typed(ratio, error):
+    with pytest.raises(error):
+        ratio()
+
+
+# Grids of the figures' ratios at t = 0 and their bounds against a 50-digit
+# oracle: 2e-13 where the ratio is well conditioned, 1e-9 on the grids that
+# cross a zero of the first-order amplitude 1 + c or end 8e-8 short of the
+# packet's cut at x = sqrt(5) - 1, where rounding the inputs alone costs up
+# to that much.  Each zero of 1 + c is approached to 1e-4, 1e-5 and 1e-6 of
+# its x from both sides.
+ORACLE_GRIDS = [
+    *[(species, eps, 1.0, 2e-13) for species in ("electron", "proton")
+      for eps in (1e-12, 1e-9, 1e-3)],
+    ("packet", 1e-3, 4.0, 2e-13),
+    ("packet", -1e-3, 4.0, 2e-13),
+    ("packet", 0.5, 20.0, 2e-13),
+    ("packet", -0.05, 3.0, 1e-9),
+    ("packet", -0.5, 1.2360679, 1e-9),
+    ("electron", 0.3, 2.0, 1e-9),
+]
+
+
+@pytest.mark.parametrize("family, q_minus_1, xmax, bound", ORACLE_GRIDS)
+def test_ratio_against_50_digit_oracle(family, q_minus_1, xmax, bound):
+    import mpmath as mp
+
+    q = 1.0 + q_minus_1
+    if family == "packet":
+        params = qg.GaussianParams(m=1.0, beta=1.0, q=q)
+
+        def ratio(xs):
+            return qg.ratio_gaussian(xs, 0.0, params)
+
+        def terms(x):
+            # t = 0: a = m q, b = 1/beta, c = 0; a1 = a2 = m, b1 = 1/beta, the rest 0
+            x = mp.mpf(x)
+            g0 = x * x + x
+            return 1 - eps * (x * x - g0 * g0 / 2), g0, mp.mpf(q) * x * x + x
+
+    else:
+        wave = scenarios.wave_for(scenarios.ParticleScenario.from_mev(family, 1.0, q_minus_1))
+
+        def ratio(xs):
+            return pw.ratio_R(pw.PhasePoint(xs), wave, q)
+
+        def terms(x):
+            u = mp.mpf(wave.p * x)  # the double phase p x at t = 0
+            return 1 - eps * u * u / 2, 0, mp.mpc(0, -u)
+
+    with mp.workdps(50):
+        eps = mp.mpf(q) - 1  # the exact double offset
+        xs = np.linspace(0.0, xmax, 201).tolist()
+        amp = [terms(x)[0] for x in xs]
+        for i in range(len(xs) - 1):
+            if amp[i] * amp[i + 1] < 0:
+                x0 = mp.findroot(lambda x: terms(x)[0], (xs[i], xs[i + 1]), solver="anderson")
+                xs += [float(x0 * (1 + s * mp.mpf(10) ** -k)) for s in (-1, 1) for k in (4, 5, 6)]
+        worst = 0.0
+        for x, r in zip(xs, ratio(np.array(xs)).tolist()):
+            one_plus_c, g0, g = terms(x)
+            oracle = abs(one_plus_c) * mp.exp(-mp.re(g0) + mp.log(abs(1 + eps * g)) / eps)
+            worst = max(worst, float(abs(r - oracle) / oracle))
+    print(f"{family} q-1 = {q_minus_1:g} on [0, {xmax}]: max rel error {worst:.3e}")
+    assert worst <= bound
 
 
 # -- jet ring ------------------------------------------------------------
@@ -313,11 +415,3 @@ def test_pole_absorber_jets():
     s_minus = qcore.stable_log1p_over_w(-h * lead)
     fd = (s_plus - s_minus) / (2.0 * h)
     assert abs(fd - (-0.5 * lead)) < 1e-9
-
-
-def test_jet_pow_linear_against_hand_expansion():
-    # a = 2 + 0j constant jet: a**(1 + 2 eps) = 2 * (1 + 2 eps ln 2)
-    a = qcore.as_jet(2.0)
-    jet = qcore.jet_pow_linear(a, 1.0, 2.0)
-    assert rel(jet.v0, 2.0) < 1e-15
-    assert rel(jet.v1, 4.0 * math.log(2.0)) < 1e-15

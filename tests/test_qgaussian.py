@@ -187,6 +187,16 @@ def test_ratio_band_at_desk_scale():
     assert 0.0125 <= worst <= 0.0130, worst
 
 
+@pytest.mark.parametrize("t", [0.7, 3.0])
+@pytest.mark.parametrize("q", [1.001, 0.999, 1.3])
+def test_ratio_matches_scalar_packets(q, t):
+    p = params_for(q)
+    xs = np.linspace(-4.0, 4.0, 81)
+    for x, r in zip(xs.tolist(), qg.ratio_gaussian(xs, t, p).tolist()):
+        want = abs(qg.approx_qgaussian(x, t, p)) / abs(qg.exact_qgaussian(x, t, p))
+        assert abs(r - want) <= 1e-13 * want, x
+
+
 def test_step_too_coarse_guard():
     with pytest.raises(StepTooCoarse):
         qg.gaussian_terms(0.9, 0.4, params_for(1.001), family="exact", fd_tol=1e-16)
