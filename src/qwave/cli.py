@@ -25,29 +25,34 @@ occurred).
 
 Output determinism: CSV prints floats with 17 significant digits (%.17g),
 JSON with the shortest repr that round-trips, and lines end in "\n" on
-every platform, so repeated runs write identical bytes.  Each output file
-is formatted in one pass: a row template repeated once per row, filled by
-one % operation from the interleaved (x, value) floats.  The bytes are the
-same as formatting row by row.
+every platform, so repeated runs write identical bytes.  A sweep is
+evaluated in full, then formatted and written block by block
+(scenarios.BLOCK_ROWS rows): each block fills a row template repeated
+once per row of the block by one % operation from its interleaved
+(x, value) floats, and is written before the next is formatted.  The
+bytes are the same as formatting the whole file, or row by row, in one
+pass.  A refused sweep writes no byte: the output is opened only after
+every point has been evaluated.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import math
 import os
 import re
 import sys
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 from . import checks
 from . import planewave as pw
 from . import qgaussian as qg
 from . import scenarios
-from .errors import NonFiniteInput, NonFiniteResult, QWaveError
+from .errors import BranchCutViolation, NonFiniteInput, NonFiniteResult, QWaveError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -130,29 +135,46 @@ def _interleaved(xs: np.ndarray, ys: np.ndarray) -> tuple[float, ...]:
     return tuple(np.column_stack((xs, ys)).ravel().tolist())
 
 
-def format_rows_csv(header: tuple[str, str], rows) -> str:
-    """CSV text of (x, value) rows: a Sweep or any sequence of pairs."""
+# Both writers format a whole file, or one block of its rows: first=False
+# leaves out what opens the file and last=False what closes it, so the
+# texts of consecutive non-empty blocks concatenate to the whole file.
+
+
+def format_rows_csv(header: tuple[str, str], rows, *, first: bool = True,
+                    last: bool = True) -> str:
+    """CSV text of (x, value) rows: a Sweep or any sequence of pairs.
+    first=False leaves out the header; CSV has no closing text to leave out."""
     values = _interleaved(*_columns(rows))
-    return ",".join(header) + "\n" + ("%.17g,%.17g\n" * (len(values) // 2)) % values
+    text = ("%.17g,%.17g\n" * (len(values) // 2)) % values
+    return ",".join(header) + "\n" + text if first else text
 
 
-def format_rows_json(header: tuple[str, str], rows) -> str:
+def format_rows_json(header: tuple[str, str], rows, *, first: bool = True,
+                     last: bool = True) -> str:
     """The bytes of json.dumps(records, indent=1) + "\n" for the records
-    {header[0]: x, header[1]: value}, written without building them."""
+    {header[0]: x, header[1]: value}, written without building them.
+    first=False starts with the "," after the previous block instead of
+    "["; last=False leaves out the closing "]"."""
     values = _interleaved(*_columns(rows))
     if not values:
-        return "[]\n"
+        return "[]\n" if first and last else ""
     # repr of a finite float is its shortest round-trip form, as json writes it
     record = " {\n  %s: %%r,\n  %s: %%r\n }" % (json.dumps(header[0]), json.dumps(header[1]))
-    return ("[\n" + ",\n".join([record] * (len(values) // 2)) + "\n]\n") % values
+    template = ",\n".join([record] * (len(values) // 2))
+    return (("[\n" if first else ",\n") + template + ("\n]\n" if last else "")) % values
 
 
-def _write_output(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _write_output(out: TextIO, text: str) -> None:
+    """Write one formatted block: the write stage that perfbench times."""
+    out.write(text)
+
+
+def _write_sweep(out: TextIO, fmt: str, header: tuple[str, str], sweep: scenarios.Sweep) -> None:
+    """Format the sweep block by block, writing each block before the next."""
+    format_rows = format_rows_csv if fmt == "csv" else format_rows_json
+    blocks = sweep.blocks()
+    for i, block in enumerate(blocks):
+        _write_output(out, format_rows(header, block, first=i == 0, last=i == len(blocks) - 1))
 
 
 def emit_plot_svg(rows, meta: dict[str, str], out_path: str) -> None:
@@ -230,42 +252,48 @@ def _overflow_refusal(args) -> NonFiniteResult | None:
 
     Starting from a finite reference point (x = 0, t = 0 and unit energy,
     mass and width), the flags take the user's values one at a time until
-    one of the model's arguments is not finite: the plane wave's momentum
-    (--energy-mev) or its phase p x - E t (--t, --xmax), or the packet's
-    ratio terms c, G0 and G of qgaussian.ratio_terms (--t, --xmax, --m,
-    --beta).  The flag set last is named.  None when the fault lies
-    elsewhere.
+    one of the model's terms is not finite: for the plane wave its momentum
+    (--energy-mev), its phase p x - E t or its first-order term
+    (1-q) u^2/2 (--t, --xmax); for the packet its exponents G0, G or its
+    first-order term c of qgaussian.ratio_terms (--t, --xmax, --m, --beta).
+    The message names the first such term and the flag set last.  None
+    when the fault lies elsewhere.
     """
+    q = 1.0 + args.q_minus_1
     if args.gaussian:
         steps = [(key, "packet exponent") for key in ("t", "xmax", "m", "beta")]
 
-        def arguments(m=1.0, beta=1.0, t=0.0, xmax=0.0):
-            params = qg.GaussianParams(m=m, beta=beta, q=1.0 + args.q_minus_1)
-            return qg.ratio_terms(xmax, t, params)
+        def terms(m=1.0, beta=1.0, t=0.0, xmax=0.0):
+            c, g0, g = qg.ratio_terms(xmax, t, qg.GaussianParams(m=m, beta=beta, q=q))
+            return [("packet exponent", g0), ("packet exponent", g), ("first-order term", c)]
 
     else:
         steps = [("energy_mev", "momentum"), ("t", "phase p x - E t"), ("xmax", "phase p x - E t")]
 
-        def arguments(energy_mev=1.0, t=0.0, xmax=0.0):
+        def terms(energy_mev=1.0, t=0.0, xmax=0.0):
             scn = scenarios.ParticleScenario.from_mev(
                 args.species, energy_mev, args.q_minus_1, args.momentum_model
             )
-            return (pw.phase(pw.PhasePoint(xmax, t), scenarios.wave_for(scn)),)
+            c, g0, _ = pw.ratio_terms(pw.PhasePoint(xmax, t), scenarios.wave_for(scn), q)
+            return [("phase p x - E t", g0), ("first-order term", c)]
 
-    def finite(**values) -> bool:
+    def non_finite(quantity, **values) -> str | None:
+        """The first term that is not finite at these values; quantity when
+        one cannot be evaluated."""
         try:
-            return all(map(cmath.isfinite, arguments(**values)))
+            return next((name for name, v in terms(**values) if not cmath.isfinite(v)), None)
         except (NonFiniteInput, ZeroDivisionError):
-            return False
+            return quantity
 
-    if not finite():
+    if non_finite("reference point"):
         return None
     values: dict[str, float] = {}
     for key, quantity in steps:
         values[key] = getattr(args, key)
-        if not finite(**values):
+        name = non_finite(quantity, **values)
+        if name:
             flag = "--" + key.replace("_", "-")
-            return NonFiniteResult(f"the {quantity} is not finite at {flag} {values[key]!r}")
+            return NonFiniteResult(f"the {name} is not finite at {flag} {values[key]!r}")
     return None
 
 
@@ -312,18 +340,18 @@ def cmd_ratio(args, parser) -> int:
                 args.species, args.energy_mev, args.q_minus_1, args.momentum_model, x_range, args.t
             )
             sweep = scenarios.run_ratio_sweep(scn)
-    except (NonFiniteInput, NonFiniteResult, ZeroDivisionError) as exc:
+    except (NonFiniteInput, NonFiniteResult, ZeroDivisionError, BranchCutViolation) as exc:
+        # the sweep stops at its first failing block, so a cut met there may
+        # come before an overflow that a later block holds: the overflow wins
         refusal = _overflow_refusal(args)
         if refusal is None:
             raise
         raise refusal from exc
 
-    if args.format == "csv":
-        text = format_rows_csv(header, sweep)
-    else:
-        text = format_rows_json(header, sweep)
     try:
-        _write_output(args.out, text)
+        with (open(args.out, "w", encoding="utf-8", newline="")
+              if args.out is not None else contextlib.nullcontext(sys.stdout)) as out:
+            _write_sweep(out, args.format, header, sweep)
         if args.plot == "svg":
             base, _ = os.path.splitext(args.out)
             emit_plot_svg(sweep, meta, base + ".svg")

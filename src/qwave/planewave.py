@@ -198,17 +198,24 @@ def expansion_terms(
     return term_t, term_x
 
 
+def ratio_terms(pt: PhasePoint, w: SchrodingerWave, q: float):
+    """(c, g0, g) such that approx_psi = (1 + c) e^{-g0} and exact_psi =
+    e_q(-g): c = (1-q) u^2/2 and g0 = g = -iu at the phase u, at a float or
+    an array of x."""
+    u = phase(pt, w)
+    return (1.0 - q) * u * u / 2.0, -1j * u, -1j * u
+
+
 def ratio_R(pt: PhasePoint, w: SchrodingerWave, q: float) -> float | np.ndarray:
     """Deviation diagnostic R = |approx_psi| / |exact_psi|.
 
-    approx_psi = (1 + c) e^{iu} with c = (1-q) u^2/2 and exact_psi =
-    e_q(iu), so R is qcore.modulus_ratio(c, -iu, -iu, q), formed in real
-    log-modulus arithmetic.  An array pt.x gives an array; a float pt.x
-    is the one-point case of the same code, so both give identical values.
+    qcore.modulus_ratio forms it from the terms (c, g0, g) of ratio_terms
+    in real log-modulus arithmetic.  An array pt.x gives an array; a float
+    pt.x is the one-point case of the same code, so both give identical
+    values.
     """
     import numpy as np
 
-    with np.errstate(all="ignore"):  # an overflowing phase is refused by the kernel
-        u = np.asarray(phase(pt, w), dtype=float)
-        r = qcore.modulus_ratio((1.0 - q) * u * u / 2.0, -1j * u, -1j * u, q)
+    with np.errstate(all="ignore"):  # an overflowing term is refused by the kernel
+        r = qcore.modulus_ratio(*ratio_terms(pt, w, q), q)
     return r if np.ndim(pt.x) else float(r)

@@ -133,6 +133,13 @@ def wave_for(scn: ParticleScenario) -> SchrodingerWave:
     return SchrodingerWave.free(p=pc, m=mass_energy_mev(scn.mass_kg), hbar=1.0)
 
 
+# Rows per block of a sweep.  The ratio kernels and the CLI writers take a
+# sweep this many points at a time, so their temporaries stay in the cache
+# and are reused instead of spanning the whole grid; 512 and 65,536 rows
+# measured slower on 200,001-point sweeps.
+BLOCK_ROWS = 2048
+
+
 @dataclass(frozen=True, eq=False)
 class Sweep:
     """A ratio sweep as two arrays; iterates and indexes as (x, value) rows."""
@@ -149,16 +156,33 @@ class Sweep:
     def __getitem__(self, i: int) -> tuple[float, float]:
         return float(self.x[i]), float(self.values[i])
 
+    def blocks(self) -> list[Sweep]:
+        """Consecutive views of BLOCK_ROWS rows each (the last may be shorter)."""
+        return [Sweep(self.x[i:i + BLOCK_ROWS], self.values[i:i + BLOCK_ROWS])
+                for i in range(0, len(self), BLOCK_ROWS)]
 
-def run_ratio_sweep(scn: ParticleScenario) -> Sweep:
-    """x and R of a plane-wave ratio figure, one array pass."""
+
+def _blockwise_sweep(x_range: tuple[float, float, int], ratio) -> Sweep:
+    """The sweep of ratio(xs) over xs = np.linspace(*x_range), block by block.
+
+    ratio is elementwise and each block is a view of the one grid, so the
+    values are those of a single whole-grid call, bit for bit.
+    """
     import numpy as np
 
+    with np.errstate(all="ignore"):  # a non-finite x is refused by ratio
+        xs = np.linspace(*x_range)
+    sweep = Sweep(xs, np.empty_like(xs))
+    for block in sweep.blocks():
+        block.values[:] = ratio(block.x)
+    return sweep
+
+
+def run_ratio_sweep(scn: ParticleScenario) -> Sweep:
+    """x and R of a plane-wave ratio figure."""
     w = wave_for(scn)
     q = 1.0 + scn.q_minus_1
-    with np.errstate(all="ignore"):  # a non-finite x or phase is refused by ratio_R
-        xs = np.linspace(*scn.x_range)
-    return Sweep(xs, ratio_R(PhasePoint(xs, scn.t), w, q))
+    return _blockwise_sweep(scn.x_range, lambda xs: ratio_R(PhasePoint(xs, scn.t), w, q))
 
 
 def run_gaussian_sweep(
@@ -166,9 +190,5 @@ def run_gaussian_sweep(
     x_range: tuple[float, float, int] = (0.0, 4.0, 1001),
     t: float = 0.0,
 ) -> Sweep:
-    """x and ratio of a packet ratio figure (natural units), one array pass."""
-    import numpy as np
-
-    with np.errstate(all="ignore"):  # a non-finite x is refused by ratio_gaussian
-        xs = np.linspace(*x_range)
-    return Sweep(xs, ratio_gaussian(xs, t, params))
+    """x and ratio of a packet ratio figure (natural units)."""
+    return _blockwise_sweep(x_range, lambda xs: ratio_gaussian(xs, t, params))

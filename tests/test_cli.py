@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import qwave
 from qwave import checks, cli, scenarios
+from qwave import planewave as pw
 from qwave import qgaussian as qg
+from qwave.errors import BranchCutViolation
 
 
 def run(argv, capsys):
@@ -170,7 +173,12 @@ MAX = "1.7976931348623157e308"
         (["--gaussian", "--points", "3", "--m", "1e308"], "exponent is not finite at --m 1e+308"),
         (["--points", "3", "--t=-inf"], "phase p x - E t is not finite at --t -inf"),
         (["--gaussian", "--points", "3", "--beta", "1e200"], "exponent is not finite at --beta 1e+200"),
-        (["--gaussian", "--points", "3", "--m", "1e300"], "exponent is not finite at --m 1e+300"),
+        (["--gaussian", "--points", "3", "--m", "1e300"], "first-order term is not finite at --m 1e+300"),
+        (["--q-minus-1", "0.5", "--xmax", "1e200", "--points", "3"],
+         "first-order term is not finite at --xmax 1e+200"),
+        # the first block meets the branch cut, a later one the overflow
+        (["--gaussian", "--q-minus-1", "-0.5", "--xmax", "1e79", "--points", "1000000"],
+         "first-order term is not finite at --xmax 1e+79"),
     ],
 )
 def test_overflow_refusal_names_the_flag(argv, named, capsys):
@@ -516,6 +524,83 @@ def test_plot_requires_out_and_csv(capsys):
 def test_plot_svg_refuses_empty_rows(tmp_path):
     with pytest.raises(ValueError):
         cli.emit_plot_svg([], {"title": "t", "xlabel": "x", "ylabel": "y"}, str(tmp_path / "e.svg"))
+
+
+# -- sweeps are evaluated and written in blocks ---------------------------
+
+B = scenarios.BLOCK_ROWS
+
+
+def whole_grid_sweeps(n):
+    """(CLI flags, header, Sweep, values of one whole-array ratio call) for
+    the plane wave and the packet at n points."""
+    scn = scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-3, x_range=(0.0, 1.0, n))
+    params = qg.GaussianParams(m=1.0, beta=1.0, q=1.001)
+    xs_pw, xs_pk = np.linspace(0.0, 1.0, n), np.linspace(0.0, 4.0, n)
+    return [
+        (["--q-minus-1", "1e-3"], ("x", "R"), scenarios.run_ratio_sweep(scn),
+         pw.ratio_R(pw.PhasePoint(xs_pw), scenarios.wave_for(scn), 1.001)),
+        (["--gaussian"], ("x", "ratio"), scenarios.run_gaussian_sweep(params, (0.0, 4.0, n)),
+         qg.ratio_gaussian(xs_pk, 0.0, params)),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, B - 1, B, B + 1, 2 * B + 1])
+def test_block_boundaries_keep_values_and_bytes(n, tmp_path, capsys):
+    for flags, header, sweep, whole in whole_grid_sweeps(n):
+        assert sweep.values.tobytes() == whole.tobytes()
+        xs, vs = sweep.x.tolist(), whole.tolist()
+        for fmt, reference in (("csv", csv_reference), ("json", json_reference)):
+            expected = reference(header, xs, vs)
+            argv = ["ratio", *flags, "--points", str(n), "--format", fmt]
+            assert run(argv, capsys) == (0, expected, "")
+            path = tmp_path / f"sweep.{fmt}"
+            assert run([*argv, "--out", str(path)], capsys) == (0, "", "")
+            assert path.read_text() == expected
+
+
+def test_refusal_in_the_last_block_writes_nothing(tmp_path, capsys):
+    # 1 - 0.5 G reaches the branch cut at x = sqrt(5) - 1 = 1.236, which the
+    # 5,000-point grid over [0, 1.25] reaches only in its last block
+    params = qg.GaussianParams(m=1.0, beta=1.0, q=0.5)
+    xs = np.linspace(0.0, 1.25, 5000)
+    qg.ratio_gaussian(xs[: 2 * B], 0.0, params)
+    with pytest.raises(BranchCutViolation):
+        qg.ratio_gaussian(xs[2 * B:], 0.0, params)
+    out = tmp_path / "sweep.csv"
+    argv = ["ratio", "--gaussian", "--q-minus-1", "-0.5", "--xmax", "1.25", "--points", "5000",
+            "--out", str(out)]
+    refusal = (3, "", "qwave: numeric failure: q-power base: a point lies on the branch cut\n")
+    assert run(argv, capsys) == refusal
+    assert not out.exists()
+    out.write_text("earlier run\n")
+    os.utime(out, ns=(1, 1))
+    assert run(argv, capsys) == refusal
+    assert out.read_text() == "earlier run\n"
+    assert out.stat().st_mtime_ns == 1
+
+
+def test_benchmark_sweeps_hold_no_whole_grid_temporaries(tmp_path, capsys):
+    """The 200,001-point sweeps keep their two grid arrays (3.2 MB) and one
+    block of temporaries and text at a time; formatting the whole file at
+    once peaked at about 30 MB."""
+    commands = [
+        ["ratio", "--species", "electron", "--energy-mev", "1.0", "--q-minus-1", "1e-9",
+         "--format", "json"],
+        ["ratio", "--gaussian", "--q-minus-1", "1e-3", "--m", "1.0", "--beta", "1.0",
+         "--xmax", "4.0", "--format", "csv"],
+    ]
+    for argv in commands:
+        out = str(tmp_path / "sweep")
+        assert cli.main([*argv, "--points", "3", "--out", out]) == 0  # loads what the run imports
+        tracemalloc.start()
+        try:
+            assert cli.main([*argv, "--points", "200001", "--out", out]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, (argv, peak)
+    assert capsys.readouterr() == ("", "")
 
 
 # -- verify --------------------------------------------------------------
