@@ -119,15 +119,6 @@ def _config_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
 # -- ratio subcommand ----------------------------------------------------
 
 
-def _columns(rows) -> tuple[np.ndarray, np.ndarray]:
-    """x and value arrays of a Sweep or of any sequence of (x, value) pairs."""
-    if isinstance(rows, scenarios.Sweep):
-        return rows.x, rows.values
-    import numpy as np
-
-    return np.asarray(rows, dtype=float).reshape(-1, 2).T
-
-
 def _interleaved(xs: np.ndarray, ys: np.ndarray) -> tuple[float, ...]:
     """x0, y0, x1, y1, ... as Python floats (%r of an np.float64 is not a number)."""
     import numpy as np
@@ -140,22 +131,22 @@ def _interleaved(xs: np.ndarray, ys: np.ndarray) -> tuple[float, ...]:
 # texts of consecutive non-empty blocks concatenate to the whole file.
 
 
-def format_rows_csv(header: tuple[str, str], rows, *, first: bool = True,
+def format_rows_csv(header: tuple[str, str], rows: scenarios.Sweep, *, first: bool = True,
                     last: bool = True) -> str:
-    """CSV text of (x, value) rows: a Sweep or any sequence of pairs.
+    """CSV text of a sweep's (x, value) rows.
     first=False leaves out the header; CSV has no closing text to leave out."""
-    values = _interleaved(*_columns(rows))
+    values = _interleaved(rows.x, rows.values)
     text = ("%.17g,%.17g\n" * (len(values) // 2)) % values
     return ",".join(header) + "\n" + text if first else text
 
 
-def format_rows_json(header: tuple[str, str], rows, *, first: bool = True,
+def format_rows_json(header: tuple[str, str], rows: scenarios.Sweep, *, first: bool = True,
                      last: bool = True) -> str:
     """The bytes of json.dumps(records, indent=1) + "\n" for the records
     {header[0]: x, header[1]: value}, written without building them.
     first=False starts with the "," after the previous block instead of
     "["; last=False leaves out the closing "]"."""
-    values = _interleaved(*_columns(rows))
+    values = _interleaved(rows.x, rows.values)
     if not values:
         return "[]\n" if first and last else ""
     # repr of a finite float is its shortest round-trip form, as json writes it
@@ -177,13 +168,13 @@ def _write_sweep(out: TextIO, fmt: str, header: tuple[str, str], sweep: scenario
         _write_output(out, format_rows(header, block, first=i == 0, last=i == len(blocks) - 1))
 
 
-def emit_plot_svg(rows, meta: dict[str, str], out_path: str) -> None:
+def emit_plot_svg(rows: scenarios.Sweep, meta: dict[str, str], out_path: str) -> None:
     """Hand-rolled SVG line plot; no plotting dependency at run time."""
     if not len(rows):
         raise ValueError("no data rows to plot")
     width, height = 800.0, 500.0
     ml, mr, mt, mb = 75.0, 20.0, 45.0, 55.0
-    xs, ys = _columns(rows)
+    xs, ys = rows.x, rows.values
     xmin, xmax = float(xs.min()), float(xs.max())
     ymin, ymax = float(ys.min()), float(ys.max())
     if xmax == xmin:
@@ -247,39 +238,50 @@ def emit_plot_svg(rows, meta: dict[str, str], out_path: str) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
+# --q-minus-1, --xmax and --points when not given: plane wave, packet (--gaussian).
+_MODE_DEFAULTS = {
+    False: {"q_minus_1": 1e-9, "xmax": 1.0, "points": 2001},
+    True: {"q_minus_1": 1e-3, "xmax": 4.0, "points": 1001},
+}
+
+
 def _overflow_refusal(args) -> NonFiniteResult | None:
     """The refusal of a sweep that met a non-finite value, naming a flag.
 
-    Starting from a finite reference point (x = 0, t = 0 and unit energy,
-    mass and width), the flags take the user's values one at a time until
-    one of the model's terms is not finite: for the plane wave its momentum
-    (--energy-mev), its phase p x - E t or its first-order term
-    (1-q) u^2/2 (--t, --xmax); for the packet its exponents G0, G or its
-    first-order term c of qgaussian.ratio_terms (--t, --xmax, --m, --beta).
-    The message names the first such term and the flag set last.  None
-    when the fault lies elsewhere.
+    Starting from the mode's defaults (x = --xmax and q - 1 = --q-minus-1
+    of _MODE_DEFAULTS, t = 0, unit energy, mass and width), the flags take
+    the user's values one at a time until one of the model's terms is not
+    finite: for the plane wave its momentum (--energy-mev), its phase
+    p x - E t or its first-order term (1-q) u^2/2 (--t, --xmax); for the
+    packet its exponents G0, G, its first-order term c of
+    qgaussian.ratio_terms or the q-exponential's argument (q-1) G (--t,
+    --xmax, --m, --beta); --q-minus-1 comes last.  The message names the
+    first such term and the flag set last.  None when the fault lies
+    elsewhere.
     """
-    q = 1.0 + args.q_minus_1
+    values = {key: _MODE_DEFAULTS[args.gaussian][key] for key in ("xmax", "q_minus_1")}
     if args.gaussian:
         steps = [(key, "packet exponent") for key in ("t", "xmax", "m", "beta")]
 
-        def terms(m=1.0, beta=1.0, t=0.0, xmax=0.0):
-            c, g0, g = qg.ratio_terms(xmax, t, qg.GaussianParams(m=m, beta=beta, q=q))
-            return [("packet exponent", g0), ("packet exponent", g), ("first-order term", c)]
+        def terms(xmax, q_minus_1, m=1.0, beta=1.0, t=0.0):
+            c, g0, g = qg.ratio_terms(xmax, t, qg.GaussianParams(m=m, beta=beta, q=1 + q_minus_1))
+            return [("packet exponent", g0), ("packet exponent", g), ("first-order term", c),
+                    ("q-exponential argument (q-1) G", q_minus_1 * g)]
 
     else:
         steps = [("energy_mev", "momentum"), ("t", "phase p x - E t"), ("xmax", "phase p x - E t")]
 
-        def terms(energy_mev=1.0, t=0.0, xmax=0.0):
+        def terms(xmax, q_minus_1, energy_mev=1.0, t=0.0):
             scn = scenarios.ParticleScenario.from_mev(
-                args.species, energy_mev, args.q_minus_1, args.momentum_model
+                args.species, energy_mev, q_minus_1, args.momentum_model
             )
-            c, g0, _ = pw.ratio_terms(pw.PhasePoint(xmax, t), scenarios.wave_for(scn), q)
+            point = pw.PhasePoint(xmax, t)
+            c, g0, _ = pw.ratio_terms(point, scenarios.wave_for(scn), 1 + q_minus_1)
             return [("phase p x - E t", g0), ("first-order term", c)]
 
-    def non_finite(quantity, **values) -> str | None:
-        """The first term that is not finite at these values; quantity when
-        one cannot be evaluated."""
+    def non_finite(quantity) -> str | None:
+        """The first term that is not finite at values; quantity when one
+        cannot be evaluated."""
         try:
             return next((name for name, v in terms(**values) if not cmath.isfinite(v)), None)
         except (NonFiniteInput, ZeroDivisionError):
@@ -287,10 +289,9 @@ def _overflow_refusal(args) -> NonFiniteResult | None:
 
     if non_finite("reference point"):
         return None
-    values: dict[str, float] = {}
-    for key, quantity in steps:
+    for key, quantity in [*steps, ("q_minus_1", "first-order term")]:
         values[key] = getattr(args, key)
-        name = non_finite(quantity, **values)
+        name = non_finite(quantity)
         if name:
             flag = "--" + key.replace("_", "-")
             return NonFiniteResult(f"the {name} is not finite at {flag} {values[key]!r}")
@@ -299,12 +300,9 @@ def _overflow_refusal(args) -> NonFiniteResult | None:
 
 def cmd_ratio(args, parser) -> int:
     gaussian = args.gaussian
-    if args.q_minus_1 is None:
-        args.q_minus_1 = 1e-3 if gaussian else 1e-9
-    if args.xmax is None:
-        args.xmax = 4.0 if gaussian else 1.0
-    if args.points is None:
-        args.points = 1001 if gaussian else 2001
+    for key, default in _MODE_DEFAULTS[gaussian].items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
 
     if args.points < 2:
         parser.error(f"--points must be at least 2, got {args.points}")

@@ -250,7 +250,6 @@ def gaussian_terms(
     x: float,
     t: float,
     params: GaussianParams,
-    scheme: verify.FDScheme | None = None,
     family: str = "exact",
     fd_tol: float = 1e-6,
 ) -> tuple[complex, complex]:
@@ -272,10 +271,8 @@ def gaussian_terms(
     def psi_of_x(xv: float) -> complex:
         return cmath.exp(_log_psi(xv, t, params, family))
 
-    scheme_t = scheme if scheme is not None else verify.default_scheme(deriv=1)
-    scheme_x = scheme if scheme is not None else verify.default_scheme(deriv=2)
-    dt_val, dt_err = verify.fd_derivative(psi_q_of_t, t, scheme_t, deriv=1)
-    d2x_val, d2x_err = verify.fd_derivative(psi_of_x, x, scheme_x, deriv=2)
+    dt_val, dt_err = verify.fd_derivative(psi_q_of_t, t, verify.default_scheme(deriv=1), deriv=1)
+    d2x_val, d2x_err = verify.fd_derivative(psi_of_x, x, verify.default_scheme(deriv=2), deriv=2)
     term_t = 1j * hbar * dt_val
     term_x = (hbar * hbar / (2.0 * m)) * d2x_val
     scale = max(abs(term_t), abs(term_x))
@@ -291,10 +288,9 @@ def residual_qgaussian(
     x: float,
     t: float,
     params: GaussianParams,
-    scheme: verify.FDScheme | None = None,
     family: str = "exact",
     fd_tol: float = 1e-6,
 ) -> complex:
     """FD residual i hbar dt(psi^q) + (hbar^2/2m) d2x(psi) of a packet family."""
-    term_t, term_x = gaussian_terms(x, t, params, scheme, family, fd_tol)
+    term_t, term_x = gaussian_terms(x, t, params, family, fd_tol)
     return term_t + term_x

@@ -142,19 +142,13 @@ BLOCK_ROWS = 2048
 
 @dataclass(frozen=True, eq=False)
 class Sweep:
-    """A ratio sweep as two arrays; iterates and indexes as (x, value) rows."""
+    """A ratio sweep as two arrays: the grid x and the ratio at each x."""
 
     x: np.ndarray
     values: np.ndarray
 
     def __len__(self) -> int:
         return len(self.x)
-
-    def __iter__(self):
-        return zip(self.x.tolist(), self.values.tolist())
-
-    def __getitem__(self, i: int) -> tuple[float, float]:
-        return float(self.x[i]), float(self.values[i])
 
     def blocks(self) -> list[Sweep]:
         """Consecutive views of BLOCK_ROWS rows each (the last may be shorter)."""

@@ -1,12 +1,13 @@
 """Finite-difference oracles, Richardson extrapolation, and convergence fits.
 
 Everything here is deliberately independent of the closed forms implemented
-by the wave modules: central stencils differentiate black-box callables,
-Richardson extrapolation sharpens them and prices the truncation error, and
-least-squares fits of log(residual norm) against log(q - 1) certify the
-order of a first-order approximant (slope ~2 means the linear coefficient
-of the residual vanishes).  The fits are closed-form least squares summed
-with math.fsum, so verification runs without numpy.
+by the wave modules: fourth-order central stencils differentiate black-box
+callables, Richardson extrapolation sharpens them and prices the truncation
+error, and least-squares fits of log(residual norm) against log(q - 1)
+certify the order of a first-order approximant (slope ~2 means the linear
+coefficient of the residual vanishes).  The fits are closed-form least
+squares summed with math.fsum, so verification runs without numpy.
+Residuals are reduced in one place, qwave.checks.max_rel.
 """
 
 from __future__ import annotations
@@ -23,19 +24,17 @@ DEFAULT_EPSILONS = (1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5, 1e-4)
 
 @dataclass(frozen=True)
 class FDScheme:
-    """Central finite-difference scheme: base step, stencil order, levels."""
+    """Fourth-order central finite-difference scheme: base step and the
+    number of Richardson halvings (at least one, which prices the error)."""
 
     step: float
-    order: int = 4
     richardson_levels: int = 1
 
     def __post_init__(self):
         if not (self.step > 0 and math.isfinite(self.step)):
             raise ValueError(f"step must be positive and finite, got {self.step!r}")
-        if self.order not in (2, 4):
-            raise ValueError(f"stencil order must be 2 or 4, got {self.order!r}")
-        if self.richardson_levels < 0:
-            raise ValueError("richardson_levels must be >= 0")
+        if self.richardson_levels < 1:
+            raise ValueError("richardson_levels must be >= 1")
 
 
 def default_scheme(char_scale: float = 1.0, deriv: int = 1) -> FDScheme:
@@ -46,12 +45,12 @@ def default_scheme(char_scale: float = 1.0, deriv: int = 1) -> FDScheme:
     ten digits on d2/dx2.
     """
     step = 1e-5 if deriv == 1 else 5e-3
-    return FDScheme(step=step * char_scale, order=4, richardson_levels=1)
+    return FDScheme(step=step * char_scale)
 
 
 # Scheme for d/dq of expansion coefficients at q = 1; deep extrapolation
 # because some coefficients have fast-growing higher q-derivatives.
-Q_DERIV_SCHEME = FDScheme(step=1e-3, order=4, richardson_levels=2)
+Q_DERIV_SCHEME = FDScheme(step=1e-3, richardson_levels=2)
 
 
 def _eval(fn: Callable[[float], complex], x: float) -> complex:
@@ -64,10 +63,8 @@ def _eval(fn: Callable[[float], complex], x: float) -> complex:
     return y
 
 
-def _stencil(fn, at: float, h: float, deriv: int, order: int) -> complex:
+def _stencil(fn, at: float, h: float, deriv: int) -> complex:
     if deriv == 1:
-        if order == 2:
-            return (_eval(fn, at + h) - _eval(fn, at - h)) / (2.0 * h)
         return (
             -_eval(fn, at + 2 * h)
             + 8.0 * _eval(fn, at + h)
@@ -75,8 +72,6 @@ def _stencil(fn, at: float, h: float, deriv: int, order: int) -> complex:
             + _eval(fn, at - 2 * h)
         ) / (12.0 * h)
     if deriv == 2:
-        if order == 2:
-            return (_eval(fn, at + h) - 2.0 * _eval(fn, at) + _eval(fn, at - h)) / (h * h)
         return (
             -_eval(fn, at + 2 * h)
             + 16.0 * _eval(fn, at + h)
@@ -97,21 +92,15 @@ def fd_derivative(
 
     Returns (value, err).  The value is the diagonal of a Richardson
     triangle built from step halvings; err is the magnitude of the last
-    diagonal correction (for zero levels, the difference between the full
-    and half step stencils).
+    diagonal correction.
     """
-    h, p = scheme.step, scheme.order
-    levels = scheme.richardson_levels
-    if levels == 0:
-        d0 = _stencil(fn, at, h, deriv, p)
-        d1 = _stencil(fn, at, h / 2.0, deriv, p)
-        return d0, abs(d1 - d0)
-    rows = [[_stencil(fn, at, h, deriv, p)]]
+    h, levels = scheme.step, scheme.richardson_levels
+    rows = [[_stencil(fn, at, h, deriv)]]
     for j in range(1, levels + 1):
-        row = [_stencil(fn, at, h / 2.0 ** j, deriv, p)]
+        row = [_stencil(fn, at, h / 2.0 ** j, deriv)]
         for k in range(1, j + 1):
-            # central stencils have even error series: h^p, h^(p+2), ...
-            fac = 2.0 ** (p + 2 * (k - 1))
+            # the fourth-order central stencils have even error series: h^4, h^6, ...
+            fac = 2.0 ** (4 + 2 * (k - 1))
             row.append(row[k - 1] + (row[k - 1] - rows[j - 1][k - 1]) / (fac - 1.0))
         rows.append(row)
     value = rows[levels][levels]
@@ -173,45 +162,3 @@ def order_of_convergence(
     ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(logx, logy))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return OrderFit(eps, norms, slope, r2)
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Max-norm summary of a residual over a rectangular (x, t) grid."""
-
-    max_abs: float
-    max_rel: float
-    argmax_point: tuple[float, float]
-    grid_shape: tuple[int, int]
-
-
-def grid_residual(
-    residual_fn: Callable[[float, float], tuple[complex, float]],
-    xs: Sequence[float],
-    ts: Sequence[float],
-) -> ResidualReport:
-    """Evaluate residual_fn(x, t) -> (residual, term_scale) over a grid.
-
-    max_rel is max |residual| divided by the largest term magnitude seen
-    anywhere on the grid, so it is meaningful for equations whose natural
-    scale the caller reports alongside each residual.
-    """
-    max_abs = 0.0
-    scale = 0.0
-    argmax = (float(xs[0]), float(ts[0]))
-    for x in xs:
-        for t in ts:
-            r, s = residual_fn(x, t)
-            mag = abs(r)
-            if mag > max_abs:
-                max_abs = mag
-                argmax = (float(x), float(t))
-            if s > scale:
-                scale = s
-    if max_abs == 0.0:
-        max_rel = 0.0
-    elif scale == 0.0:
-        max_rel = float("inf")
-    else:
-        max_rel = max_abs / scale
-    return ResidualReport(max_abs, max_rel, argmax, (len(xs), len(ts)))

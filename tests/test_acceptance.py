@@ -204,14 +204,11 @@ def test_criterion_4_figure_bands():
 
     rows9 = electron(1e-9)
     rows12 = electron(1e-12)
-    worst9 = max(abs(r - 1.0) for _, r in rows9)
-    closer = all(
-        abs(r12 - 1.0) <= abs(r9 - 1.0)
-        for (_, r9), (_, r12) in zip(rows9, rows12)
-    )
+    worst9 = float(np.abs(rows9.values - 1.0).max())
+    closer = bool((np.abs(rows12.values - 1.0) <= np.abs(rows9.values - 1.0)).all())
     params = qg.GaussianParams(m=1.0, beta=1.0, q=1.0 + 1e-3)
-    ratios = [r for _, r in scenarios.run_gaussian_sweep(params)]
-    lo, hi = min(ratios), max(ratios)
+    ratios = scenarios.run_gaussian_sweep(params).values
+    lo, hi = float(ratios.min()), float(ratios.max())
     elapsed = time.perf_counter() - start
     _gate(
         "4 ratio figure bands",
@@ -260,11 +257,7 @@ def test_criterion_6_kg_dispersion():
     ts = np.linspace(0.0, 3.0, 9)
 
     def rel(wave, q):
-        def fn(x, t):
-            tt, xx, mass = kg.kg_terms(x, t, wave, q, "exact")
-            return tt + xx + mass, max(abs(tt), abs(xx), abs(mass))
-
-        return verify.grid_residual(fn, xs, ts).max_rel
+        return checks.kg_exact_residual(q, wave, xs, ts)
 
     qs = (0.999, 1.001, 1.1)
     worst_on = max(rel(on, q) for q in qs)

@@ -42,7 +42,8 @@ def test_read_config(tmp_path):
 
 
 def test_csv_formatting_17_digits():
-    text = cli.format_rows_csv(("x", "R"), [(1.0 / 3.0, 0.1234567890123456789)])
+    rows = scenarios.Sweep(np.array([1.0 / 3.0]), np.array([0.1234567890123456789]))
+    text = cli.format_rows_csv(("x", "R"), rows)
     assert text == "x,R\n0.33333333333333331,0.12345678901234568\n"
 
 
@@ -140,8 +141,10 @@ def test_ratio_json(capsys):
     assert out == json.dumps(records, indent=1) + "\n"
     rows = [(5e-324, 1.7976931348623157e308), (-0.0, 0.1 + 0.2), (1e-05, 123456789.0)]
     records = [{"x": x, "ratio": v} for x, v in rows]
-    assert cli.format_rows_json(("x", "ratio"), rows) == json.dumps(records, indent=1) + "\n"
-    assert cli.format_rows_json(("x", "R"), []) == json.dumps([], indent=1) + "\n"
+    sweep = scenarios.Sweep(*np.array(rows).T)
+    assert cli.format_rows_json(("x", "ratio"), sweep) == json.dumps(records, indent=1) + "\n"
+    empty = scenarios.Sweep(np.array([]), np.array([]))
+    assert cli.format_rows_json(("x", "R"), empty) == json.dumps([], indent=1) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -179,6 +182,13 @@ MAX = "1.7976931348623157e308"
         # the first block meets the branch cut, a later one the overflow
         (["--gaussian", "--q-minus-1", "-0.5", "--xmax", "1e79", "--points", "1000000"],
          "first-order term is not finite at --xmax 1e+79"),
+        # --q-minus-1 is set last, on top of the mode's defaults
+        (["--q-minus-1", "1e308", "--points", "3"], "is not finite at --q-minus-1 1e+308"),
+        (["--gaussian", "--q-minus-1", "1e308"], "is not finite at --q-minus-1 1e+308"),
+        (["--q-minus-1", "nan", "--points", "3"], "is not finite at --q-minus-1 nan"),
+        (["--gaussian", "--q-minus-1", "inf"], "is not finite at --q-minus-1 inf"),
+        (["--gaussian", "--q-minus-1", "1e300", "--points", "5"],
+         "argument (q-1) G is not finite at --q-minus-1 1e+300"),
     ],
 )
 def test_overflow_refusal_names_the_flag(argv, named, capsys):
@@ -679,6 +689,16 @@ def test_verify_runs_every_registry_entry_in_order(capsys):
     assert len(checks.REGISTRY) == 44
     suite = next(a for a in subcommand_parser("verify")._actions if a.dest == "suite")
     assert set(suite.choices) == {c.key.split(".")[0] for c in checks.REGISTRY.values()} | {"all"}
+
+
+def test_registry_size_matches_the_benchmark_gate():
+    # perfbench/run.py fails a verify_session run whose table does not list
+    # exactly VERIFY_CHECKS checks; a new check must update both together
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench", "run.py")
+    with open(path, encoding="utf-8") as fh:
+        gate = re.search(r"^VERIFY_CHECKS = (\d+)$", fh.read(), re.MULTILINE)
+    assert gate is not None
+    assert len(checks.REGISTRY) == int(gate.group(1))
 
 
 def test_verify_fits_each_order_once_per_run(monkeypatch, capsys):

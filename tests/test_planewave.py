@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwave import planewave as pw
-from qwave import qcore, verify
+from qwave import checks, qcore, verify
 from qwave.errors import BranchCutViolation, NonFiniteInput, NonFiniteResult
 
 WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
@@ -42,12 +42,8 @@ def test_phase():
 
 @pytest.mark.parametrize("q", [0.999, 1.001, 1.1])
 def test_exact_residual_machine_zero(q):
-    def fn(x, t):
-        term_t, term_x = pw.schrodinger_terms(pw.PhasePoint(x, t), WAVE, q, "exact")
-        return term_t + term_x, max(abs(term_t), abs(term_x))
-
-    report = verify.grid_residual(fn, XS, TS)
-    assert report.max_rel <= 1e-10, report
+    residual = checks.pw_exact_residual(q, XS, TS)
+    assert residual <= checks.REGISTRY[f"planewave.exact_residual_q{q:g}"].tolerance, residual
 
 
 def test_exact_residual_needs_free_particle():

@@ -78,8 +78,8 @@ def test_ratio_sweep_shape_and_trivial_q():
     )
     rows = scenarios.run_ratio_sweep(scn)
     assert len(rows) == 11
-    assert rows[0][0] == 0.0 and rows[-1][0] == 1.0
-    assert all(r == 1.0 for _, r in rows)
+    assert rows.x[0] == 0.0 and rows.x[-1] == 1.0
+    assert (rows.values == 1.0).all()
 
 
 def test_ratio_sweep_matches_pointwise_calls():
@@ -87,7 +87,8 @@ def test_ratio_sweep_matches_pointwise_calls():
         "proton", 1.0, 1e-9, x_range=(0.0, 1.0, 7)
     )
     w = scenarios.wave_for(scn)
-    for x, r in scenarios.run_ratio_sweep(scn):
+    sweep = scenarios.run_ratio_sweep(scn)
+    for x, r in zip(sweep.x.tolist(), sweep.values.tolist()):
         assert r == ratio_R(PhasePoint(x, scn.t), w, 1.0 + scn.q_minus_1)
 
 
@@ -97,7 +98,7 @@ def test_gaussian_sweep_matches_pointwise_calls():
     params = GaussianParams(m=1.0, beta=1.0, q=1.001)
     for t in (0.0, 0.7):
         sweep = scenarios.run_gaussian_sweep(params, (-3.0, 4.0, 29), t)
-        for x, r in sweep:
+        for x, r in zip(sweep.x.tolist(), sweep.values.tolist()):
             assert r == ratio_gaussian(x, t, params)
 
 
@@ -106,8 +107,8 @@ def test_gaussian_sweep_range():
 
     rows = scenarios.run_gaussian_sweep(GaussianParams(m=1.0, beta=1.0, q=1.001))
     assert len(rows) == 1001
-    assert rows[0] == (0.0, 1.0)
-    assert rows[-1][0] == 4.0
+    assert (rows.x[0], rows.values[0]) == (0.0, 1.0)
+    assert rows.x[-1] == 4.0
 
 
 def test_scenario_validation():
