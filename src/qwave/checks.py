@@ -10,9 +10,11 @@ the same measure functions on their own grids and read the same
 tolerances.
 
 The repeated patterns are helpers: max_rel reduces (difference, scale)
-pairs, fd_gap and q_jet_gap compare closed forms with finite differences in
-x/t and in q, and @order_fit turns one convergence fit of a residual norm
-into a slope check and its _r2 fit-quality check.
+pairs, fd_gap compares closed forms with finite differences in x/t,
+approx_jet_gap compares the FD-in-q jet of each exact form with the jet of
+its shipped approximant, so the jet checks read every first-order
+coefficient from the approx_* forms, and @order_fit turns one convergence
+fit of a residual norm into a slope check and its _r2 fit-quality check.
 """
 
 from __future__ import annotations
@@ -120,14 +122,18 @@ def fd_gap(cases, scheme: verify.FDScheme, deriv: int) -> float:
     )
 
 
-def q_jet_gap(cases) -> float:
-    """Worst gap of closed-form eps-coefficients against FD in q at q = 1.
+def approx_jet_gap(pairs) -> float:
+    """Worst gap of the FD-in-q jet of each exact form against the jet of its
+    approximant, (approx(1), approx(2) - approx(1)), exact because every
+    approx_* is linear in q.  pairs are (exact fn of q, approx fn of q); each
+    gap is relative to max(1, |approximant jet|)."""
 
-    cases are (fn of q, closed); each gap is relative to max(1, |closed|).
-    """
-    return max_rel(
-        (abs(verify.jet_from_fd(fn).v1 - closed), max(1.0, abs(closed))) for fn, closed in cases
-    )
+    def pair(exact, approx):
+        jet, v0 = verify.jet_from_fd(exact), approx(1.0)
+        v1 = approx(2.0) - v0
+        return max(abs(jet.v0 - v0), abs(jet.v1 - v1)), max(1.0, abs(v0), abs(v1))
+
+    return max_rel(pair(*p) for p in pairs)
 
 
 def _grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
@@ -216,28 +222,30 @@ def _pw_modulus_identity(q: float = 1.37) -> float:
 
 @check(
     "planewave.psi_q_jet",
-    "jet of psi^q reproduces the closed-form expansion coefficient",
+    "jet of psi^q reproduces the expansion coefficient of approx_psi_q",
     1e-12,
 )
 def _pw_psi_q_jet() -> float:
-    def pair(u):
+    def pair(pt):
         # psi^q = exp(q * iu * S(w)); build the exponent jet directly,
         # jet_ln of e^{iu} would lose the winding for |u| > pi
+        u = pw.phase(pt, _PW_WAVE)
         exponent = qcore.QJet(1.0, 1.0) * (
             qcore.as_jet(1j * u) * qcore.log1p_over_w_jet(-1j * u)
         )
-        # eps-coefficient of the closed-form psi^q expansion
-        closed = (1j * u - u * u / 2.0) * complex(math.cos(u), math.sin(u))
+        # approx_psi_q is linear in q: its eps-coefficient is approx(2) - approx(1)
+        closed = pw.approx_psi_q(pt, _PW_WAVE, 2.0) - pw.approx_psi_q(pt, _PW_WAVE, 1.0)
         return abs(qcore.jet_exp(exponent).v1 - closed), max(1.0, abs(closed))
 
-    return max_rel(pair(pw.phase(pt, _PW_WAVE)) for pt in _PW_POINTS)
+    return max_rel(pair(pt) for pt in _PW_POINTS)
 
 
-@check("planewave.q_exp_jet_fd", "q_exp_jet.v1 = (z^2/2)e^z against FD in q", 1e-6)
-def _pw_q_exp_jet_fd() -> float:
-    return q_jet_gap(
-        (partial(qcore.q_exp, z), qcore.q_exp_jet(z).v1)
-        for z in (0.0, 1.0, 1.5j, -0.8 + 1.2j, 2.5 - 2.0j, 4.0j)
+@check("planewave.approx_jet_fd", "approx_psi, approx_psi_q are q-jets of the exact forms", 1e-6)
+def _pw_approx_jet_fd() -> float:
+    return approx_jet_gap(
+        (partial(exact, pt, _PW_WAVE), partial(approx, pt, _PW_WAVE))
+        for pt in _PW_POINTS[::3]
+        for exact, approx in ((pw.exact_psi, pw.approx_psi), (pw.exact_psi_q, pw.approx_psi_q))
     )
 
 
@@ -349,36 +357,19 @@ def sep_g_norm(eps: float, xs=_SEP_XS) -> float:
     return max(abs(sep.residual_g(x, _SEP_P, None, 1.0 + eps, family="approx")) for x in xs)
 
 
-def _factor_jet_gap(exact_of_q, grid, k: float, sign: float, coefficient) -> float:
-    """FD-in-q jet of exact_of_q(s, k, q) against coefficient(ks) e^{sign i ks}."""
-    cases = []
-    for s in grid:
-        w = k * s
-        phase = complex(math.cos(w), sign * math.sin(w))
-        cases.append((partial(exact_of_q, s, k), coefficient(w) * phase))
-    return q_jet_gap(cases)
+def _sep_jet_gap(exact, approx, grid, k: float) -> float:
+    return approx_jet_gap((partial(exact, s, k), partial(approx, s, k)) for s in grid)
 
 
-check(
-    "separation.f_jet",
-    "q-derivative of exact f matches (i tau + tau^2/2)e^{-i tau}",
-    1e-10,
-)(lambda: _factor_jet_gap(sep.exact_f, _SEP_TS, _SEP_E, -1.0, lambda w: 1j * w + w * w / 2.0))
-check(
-    "separation.f_q_jet",
-    "q-derivative of exact f^q keeps only the tau^2/2 term",
-    1e-8,
-)(lambda: _factor_jet_gap(sep.exact_f_q, _SEP_TS, _SEP_E, -1.0, lambda w: w * w / 2.0))
-check(
-    "separation.g_jet",
-    "q-derivative of exact g matches -(i xi + xi^2)/4 e^{i xi}",
-    1e-10,
-)(lambda: _factor_jet_gap(sep.exact_g, _SEP_XS, _SEP_P, 1.0, lambda w: -0.25 * (1j * w + w * w)))
-check(
-    "separation.g_q_jet",
-    "q-derivative of exact g^q matches (3 i xi - xi^2)/4 e^{i xi}",
-    1e-8,
-)(lambda: _factor_jet_gap(sep.exact_g_q, _SEP_XS, _SEP_P, 1.0, lambda w: 0.75j * w - 0.25 * w * w))
+for _key, _exact, _approx, _grid_s, _k, _tol in (
+    ("f_jet", sep.exact_f, sep.approx_f, _SEP_TS, _SEP_E, 1e-10),
+    ("f_q_jet", sep.exact_f_q, sep.approx_f_q, _SEP_TS, _SEP_E, 1e-8),
+    ("g_jet", sep.exact_g, sep.approx_g, _SEP_XS, _SEP_P, 1e-10),
+    ("g_q_jet", sep.exact_g_q, sep.approx_g_q, _SEP_XS, _SEP_P, 1e-8),
+):
+    check(
+        f"separation.{_key}", f"{_approx.__name__} is the q-jet of {_exact.__name__}", _tol
+    )(partial(_sep_jet_gap, _exact, _approx, _grid_s, _k))
 
 
 @check("separation.dt_f_q_fd", "closed-form dt of the first-order f^q against FD", 1e-8)
@@ -459,7 +450,9 @@ def _qg_coeff_jets() -> float:
 
 
 @check("gaussian.jet_authority", "packet jet equals the assembled first-order closed forms", 1e-11)
-def _qg_jet_authority() -> float:
+def qg_jet_authority(xs=_QG_XS, ts=_QG_TS) -> float:
+    """Worst gap of the packet jet at q = 1.001 against the first-order
+    closed forms assembled from first_order_exponents."""
     params = _qg_params(1.001)
 
     def pairs(x, t):
@@ -471,19 +464,18 @@ def _qg_jet_authority() -> float:
         yield abs(jet.v0 - assembled0), scale
         yield abs(jet.v1 - assembled1), scale
 
-    return max(max_rel(pairs(x, t)) for x in _QG_XS for t in _QG_TS)
+    return max(max_rel(pairs(x, t)) for x in xs for t in ts)
 
 
 @check("gaussian.coeff_fd", "FD in q of the exact coefficients matches (a2, b2, c2)", 1e-6)
 def _qg_coeff_fd() -> float:
-    cases = []
-    for t in _QG_TS:
+    def pairs(t):
         split = qg.coeffs_first_order(t, _qg_params(1.001))
         for name, closed in (("a", split.a2), ("b", split.b2), ("c", split.c2)):
-            cases.append(
-                (lambda q, t=t, name=name: getattr(qg.coeffs_exact(t, _qg_params(q)), name), closed)
-            )
-    return q_jet_gap(cases)
+            fd = verify.jet_from_fd(lambda q: getattr(qg.coeffs_exact(t, _qg_params(q)), name))
+            yield abs(fd.v1 - closed), max(1.0, abs(closed))
+
+    return max_rel(pair for t in _QG_TS for pair in pairs(t))
 
 
 @order_fit("gaussian.approx_order", "first-order packet inserted in the full equation")
@@ -587,19 +579,16 @@ def kg_approx_norm(eps: float, xs=_KG_XS[::2], ts=_KG_TS) -> float:
     return max(abs(kg.residual_kg(x, t, _KG_WAVE, 1.0 + eps, "approx")) for x in xs for t in ts)
 
 
-@check(
-    "kleingordon.qF_jet",
-    "q-derivative of qF^{2q-1} matches e^{iu}(1 + 2iu - u^2/2)",
-    1e-6,
-)
+@check("kleingordon.qF_jet", "approx_qF2qm1 is the q-jet of q F^{2q-1}", 1e-6)
 def _kg_qF_jet() -> float:
-    cases = []
-    for x in _KG_XS[::2]:
-        for t in _KG_TS:
-            u = kg.phase(x, t, _KG_WAVE)
-            closed = (1.0 + 2j * u - u * u / 2.0) * complex(math.cos(u), math.sin(u))
-            cases.append(((lambda q, x=x, t=t: q * kg.exact_F_2qm1(x, t, _KG_WAVE, q)), closed))
-    return q_jet_gap(cases)
+    return approx_jet_gap(
+        (
+            lambda q, x=x, t=t: q * kg.exact_F_2qm1(x, t, _KG_WAVE, q),
+            partial(kg.approx_qF2qm1, x, t, _KG_WAVE),
+        )
+        for x in _KG_XS[::2]
+        for t in _KG_TS
+    )
 
 
 @check(

@@ -298,6 +298,25 @@ def _overflow_refusal(args) -> NonFiniteResult | None:
     return None
 
 
+def _cutoff_refusal(args) -> BranchCutViolation | None:
+    """The refusal of a packet sweep whose base 1 + (q-1) G met the branch
+    cut, naming x_c and --xmax.  With real a, b, c (t = 0) the base first
+    meets the cut at the least root x_c in [0, --xmax] of
+    (q-1)(a x^2 + b x + c) = -1, the edge of a q < 1 packet's support."""
+    params = qg.GaussianParams(m=args.m, beta=args.beta, q=1.0 + args.q_minus_1)
+    cs, eps = qg.coeffs_exact(args.t, params), params.q - 1.0
+    A, B, C = eps * cs.a, eps * cs.b, 1.0 + eps * cs.c
+    disc = (B * B - 4.0 * A * C).real
+    if any(v.imag for v in (A, B, C)) or disc < 0.0:
+        return None
+    s = -(B.real + math.copysign(math.sqrt(disc), B.real)) / 2.0  # roots s/A, C/s
+    x_c = min((r for r in (s / A.real, C.real / s) if 0.0 <= r <= args.xmax), default=None)
+    return None if x_c is None else BranchCutViolation(
+        f"the packet's q-power base 1 + (q-1) G reaches the branch cut where (q-1) G = -1: "
+        f"set --xmax below x_c = {x_c!r} (got --xmax {args.xmax!r})"
+    )
+
+
 def cmd_ratio(args, parser) -> int:
     gaussian = args.gaussian
     for key, default in _MODE_DEFAULTS[gaussian].items():
@@ -325,7 +344,7 @@ def cmd_ratio(args, parser) -> int:
         title = (f"q-Gaussian ratio vs. x: m={args.m:g}, beta={args.beta:g}, "
                  f"q-1={args.q_minus_1:g}")
     else:
-        header, xlabel = ("x", "R"), "x (m)"
+        header, xlabel = ("x", "R"), "x (hbar c/MeV)"
         title = (f"Ratio R vs. x: {args.energy_mev:g} MeV {args.species}, "
                  f"q-1={args.q_minus_1:g}")
     meta = {"title": title, "xlabel": xlabel, "ylabel": header[1]}
@@ -342,6 +361,8 @@ def cmd_ratio(args, parser) -> int:
         # the sweep stops at its first failing block, so a cut met there may
         # come before an overflow that a later block holds: the overflow wins
         refusal = _overflow_refusal(args)
+        if refusal is None and gaussian and isinstance(exc, BranchCutViolation):
+            refusal = _cutoff_refusal(args)
         if refusal is None:
             raise
         raise refusal from exc

@@ -23,7 +23,8 @@ the truncated forms, cancel identically on shell, while residual_kg with
 family="approx" inserts the approximant into the full equation (powering
 along its continuous logarithm) and leaves a genuine O((q-1)^2) remainder.
 The first-order wave, bracket and amplitude power are those of the
-Schrodinger plane wave: planewave.first_order_wave, bracket_wave, amp_pow.
+Schrodinger plane wave: planewave.first_order_wave, bracket_wave, amp_pow;
+the exact wave F is planewave.exact_psi at p = k, E = omega, hbar = 1.
 """
 
 from __future__ import annotations
@@ -90,11 +91,6 @@ def phase(x: float, t: float, w: KGWave) -> float:
     return w.k * x - w.omega * t
 
 
-def exact_F(x: float, t: float, w: KGWave, q: float) -> complex:
-    """Exact wave: q-exponential of iu."""
-    return qcore.q_exp(1j * phase(x, t, w), q)
-
-
 def exact_F_2qm1(x: float, t: float, w: KGWave, q: float) -> complex:
     """(2q-1)-th power of the exact wave, [1+i(1-q)u]**((2q-1)/(1-q))."""
     return qcore.q_pow(1j * phase(x, t, w), q, 2.0 * q - 1.0)
@@ -121,7 +117,7 @@ def approx_qF2qm1(x: float, t: float, w: KGWave, q: float) -> complex:
 
 
 def kg_terms(
-    x: float, t: float, w: KGWave, q: float, family: str = "exact"
+    x: float, t: float, w: KGWave, q: float, family: str
 ) -> tuple[complex, complex, complex]:
     """The three equation addends ((1/c^2) d2t F, -d2x F, mass term).
 
@@ -146,9 +142,7 @@ def kg_terms(
     raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
 
 
-def residual_kg(
-    x: float, t: float, w: KGWave, q: float, family: str = "exact"
-) -> complex:
+def residual_kg(x: float, t: float, w: KGWave, q: float, family: str) -> complex:
     """Residual of the q-Klein-Gordon equation for a wave family.
 
     On shell the exact family cancels to round-off at any q; the approx

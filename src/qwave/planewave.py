@@ -144,7 +144,7 @@ def dt_approx_psi_q(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
 
 
 def schrodinger_terms(
-    pt: PhasePoint, w: SchrodingerWave, q: float, family: str = "exact"
+    pt: PhasePoint, w: SchrodingerWave, q: float, family: str
 ) -> tuple[complex, complex]:
     """The two sides of the equation as (i hbar dt psi^q, (hbar^2/2m) d2x psi).
 
@@ -172,9 +172,7 @@ def schrodinger_terms(
     raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
 
 
-def residual_schrodinger(
-    pt: PhasePoint, w: SchrodingerWave, q: float, family: str = "exact"
-) -> complex:
+def residual_schrodinger(pt: PhasePoint, w: SchrodingerWave, q: float, family: str) -> complex:
     """Residual i hbar dt(psi^q) + (hbar^2/2m) d2x(psi) of a wave family.
 
     For a free particle the exact family cancels to round-off at any q;

@@ -241,13 +241,6 @@ def jet_ln(a: QJet) -> QJet:
     return QJet(cmath.log(a.v0), a.v1 / a.v0)
 
 
-def q_exp_jet(z) -> QJet:
-    """Jet of the q-exponential at fixed argument: (exp(z), (z^2/2) exp(z))."""
-    z = _as_finite_complex(z, "z")
-    e = cmath.exp(z)
-    return QJet(e, 0.5 * z * z * e)
-
-
 def log1p_over_w_jet(lead) -> QJet:
     """Jet of S(w) = log1p(w)/w along a path w(q) = (q-1)*lead + O((q-1)^2).
 

@@ -250,7 +250,7 @@ def gaussian_terms(
     x: float,
     t: float,
     params: GaussianParams,
-    family: str = "exact",
+    family: str,
     fd_tol: float = 1e-6,
 ) -> tuple[complex, complex]:
     """FD-evaluated equation terms (i hbar dt psi^q, (hbar^2/2m) d2x psi).
@@ -288,7 +288,7 @@ def residual_qgaussian(
     x: float,
     t: float,
     params: GaussianParams,
-    family: str = "exact",
+    family: str,
     fd_tol: float = 1e-6,
 ) -> complex:
     """FD residual i hbar dt(psi^q) + (hbar^2/2m) d2x(psi) of a packet family."""

@@ -1,14 +1,14 @@
 """Physical constants and the desk-scale figure scenarios.
 
 The deviation-ratio figures sweep R = |approx/exact| for a 1 MeV electron
-or proton over laboratory distances.  Carried out in SI units the phase
-u = px/hbar reaches ~1e13 at x = 1 m and the sweep probes nothing but the
-tails of the q-power; the curves of interest live where u is order unity.
-The sweeps therefore use "figure units": energies in MeV (p as pc, E as
-p^2 c^2 / 2 mc^2, m as mc^2), hbar = 1, and x in meters entering the
-phase as a plain number.  The SI constants and joule_to_mev are still
-here for the rest energies (mc^2 in MeV) and for callers who want real
-conversions.
+or proton in "figure units": energies in MeV (p as pc, E as
+p^2 c^2 / 2 mc^2, m as mc^2) and hbar = 1, so the phase is u = pc x and x
+is in units of hbar c/MeV = 197.327 fm; one metre is 5.068e12 of them.
+The default x range 0..1 (about 200 fm) keeps u of order unity, where the
+curves of interest live; at x = 1 m a 1 MeV electron's phase is ~7e12 and
+a sweep would probe nothing but the tails of the q-power.  The SI
+constants and joule_to_mev are here for the rest energies (mc^2 in MeV)
+and for callers who want real conversions.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ class ParticleScenario:
     """One ratio-figure configuration.
 
     Kinetic energy is stored in MeV, as given; the mass in kg.  Use
-    from_mev for a named species.  x_range is (start, stop, npoints) in meters.
+    from_mev for a named species.  x_range is (start, stop, npoints) in
+    units of hbar c/MeV.
     """
 
     species: str

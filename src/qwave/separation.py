@@ -104,7 +104,8 @@ def residual_f(
     q: float,
     lam: float | None = None,
     hbar: float = 1.0,
-    family: str = "approx",
+    *,
+    family: str,
 ) -> complex:
     """Residual i hbar d/dt(f^q) - lam f of a time-factor family.
 
@@ -205,7 +206,8 @@ def residual_g(
     q: float,
     hbar: float = 1.0,
     m: float = 1.0,
-    family: str = "approx",
+    *,
+    family: str,
 ) -> complex:
     """Residual -(hbar^2/2m) d2/dx2(g) - lam g^q of a space-factor family.
 

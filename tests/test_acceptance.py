@@ -8,7 +8,6 @@ failure here means a shipped guarantee is broken, not that a detail
 drifted.
 """
 
-import cmath
 import math
 import subprocess
 import sys
@@ -87,54 +86,29 @@ def test_criterion_3_closed_forms_vs_oracles():
     kgw = kg.KGWave.on_shell(k=1.1, m=1.0)  # |u| <= 8.9
     E, P = 0.845, 1.3
 
-    # Part A: each first-order coefficient against FD in q at q = 1.
-    # The first-order forms are exactly linear in q, so their jet is
-    # (value at 1, value at 2 minus value at 1); the exact forms supply
-    # the measured jet through Richardson FD.
+    # Part A: each shipped first-order form is the q-jet of its exact form,
+    # measured by FD in q at q = 1 (checks.approx_jet_gap).
     coeff_cases = []
     for x in np.linspace(-5.5, 5.5, 7):
         for t in (0.0, 1.5, 3.0):
             pt = PhasePoint(x, t)
             coeff_cases.append(
-                (lambda q, pt=pt: pw.exact_psi(pt, wave, q),
-                 lambda q, pt=pt: pw.approx_psi(pt, wave, q))
+                (partial(pw.exact_psi, pt, wave), partial(pw.approx_psi, pt, wave))
             )
             coeff_cases.append(
-                (lambda q, pt=pt: pw.exact_psi_q(pt, wave, q),
-                 lambda q, pt=pt: pw.approx_psi_q(pt, wave, q))
+                (partial(pw.exact_psi_q, pt, wave), partial(pw.approx_psi_q, pt, wave))
             )
             coeff_cases.append(
-                (lambda q, x=x, t=t: kg.exact_F(x, t, kgw, q),
-                 lambda q, x=x, t=t: kg.approx_F(x, t, kgw, q))
+                (lambda q, x=x, t=t: q * kg.exact_F_2qm1(x, t, kgw, q),
+                 partial(kg.approx_qF2qm1, x, t, kgw))
             )
     for t in np.linspace(0.0, 4.0, 9):
-        coeff_cases.append(
-            (lambda q, t=t: sep.exact_f(t, E, q),
-             lambda q, t=t: sep.approx_f(t, E, q))
-        )
-        coeff_cases.append(
-            (lambda q, t=t: sep.exact_f_q(t, E, q),
-             lambda q, t=t: sep.approx_f_q(t, E, q))
-        )
+        coeff_cases.append((partial(sep.exact_f, t, E), partial(sep.approx_f, t, E)))
+        coeff_cases.append((partial(sep.exact_f_q, t, E), partial(sep.approx_f_q, t, E)))
     for x in np.linspace(-6.0, 6.0, 9):
-        coeff_cases.append(
-            (lambda q, x=x: sep.exact_g(x, P, q),
-             lambda q, x=x: sep.approx_g(x, P, q))
-        )
-        coeff_cases.append(
-            (lambda q, x=x: sep.exact_g_q(x, P, q),
-             lambda q, x=x: sep.approx_g_q(x, P, q))
-        )
-
-    worst_coeff = 0.0
-    for exact_of_q, linear_of_q in coeff_cases:
-        measured = verify.jet_from_fd(exact_of_q)
-        v0 = linear_of_q(1.0)
-        v1 = linear_of_q(2.0) - v0
-        err = _rel_to(
-            max(abs(measured.v0 - v0), abs(measured.v1 - v1)), v0, v1
-        )
-        worst_coeff = max(worst_coeff, err)
+        coeff_cases.append((partial(sep.exact_g, x, P), partial(sep.approx_g, x, P)))
+        coeff_cases.append((partial(sep.exact_g_q, x, P), partial(sep.approx_g_q, x, P)))
+    worst_coeff = checks.approx_jet_gap(coeff_cases)
 
     # Part B: each closed-form x/t derivative of a first-order wave
     # against Richardson FD at fixed q.
@@ -225,22 +199,9 @@ def test_criterion_4_figure_bands():
 
 
 def test_criterion_5_gaussian_jet_authority():
-    params = qg.GaussianParams(m=1.0, beta=1.0, q=1.0 + 1e-3)
-    worst = 0.0
-    for t in (0.0, 0.4, 1.1, 2.0):
-        j = qg.coeffs_first_order(t, params)
-        for x in np.linspace(-3.0, 3.0, 25):
-            g0 = j.a1 * x * x + j.b1 * x + j.c1
-            g1 = j.a2 * x * x + j.b2 * x + j.c2
-            v0 = cmath.exp(-g0)
-            v1 = -(g1 - 0.5 * g0 * g0) * v0
-            jet = qg.wavefunction_jet(x, t, params)
-            err = _rel_to(
-                max(abs(jet.v0 - v0), abs(jet.v1 - v1)), v0, v1
-            )
-            worst = max(worst, err)
-    c0 = abs(qg.coeffs_exact(0.0, params).c)
-    psi00 = abs(qg.exact_qgaussian(0.0, 0.0, params) - 1.0)
+    worst = checks.qg_jet_authority(np.linspace(-3.0, 3.0, 25), (0.0, 0.4, 1.1, 2.0))
+    c0 = checks.REGISTRY["gaussian.c_at_zero"].measure()
+    psi00 = checks.REGISTRY["gaussian.psi_origin"].measure()
     _gate(
         "5 packet jet vs closed forms",
         f"jet mismatch {worst:.3e} (tol 1e-11), |c(0)| {c0:.1e} and "

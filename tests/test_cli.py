@@ -189,6 +189,10 @@ MAX = "1.7976931348623157e308"
         (["--gaussian", "--q-minus-1", "inf"], "is not finite at --q-minus-1 inf"),
         (["--gaussian", "--q-minus-1", "1e300", "--points", "5"],
          "argument (q-1) G is not finite at --q-minus-1 1e+300"),
+        # a q < 1 packet at t = 0 has compact support: the base reaches the
+        # cut at sqrt(5) - 1, where (q-1) G = -1
+        (["--gaussian", "--q-minus-1", "-0.5"],
+         "branch cut where (q-1) G = -1: set --xmax below x_c = 1.236067977499789"),
     ],
 )
 def test_overflow_refusal_names_the_flag(argv, named, capsys):
@@ -197,6 +201,14 @@ def test_overflow_refusal_names_the_flag(argv, named, capsys):
     assert out == ""
     assert named in err
     assert "must be finite" not in err
+
+
+@pytest.mark.parametrize("flags", [["--xmax", "1.2"], ["--t", "0.3"]])
+def test_q_below_one_packet_inside_its_cutoff_is_not_refused(flags, capsys):
+    # below x_c = sqrt(5) - 1, or off t = 0 where the base leaves the real axis
+    code, out, err = run(["ratio", "--gaussian", "--q-minus-1", "-0.5", *flags], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("x,ratio\n")
 
 
 @pytest.mark.parametrize("xmax", ["inf", "nan", "-inf", "-nan", "-INF", "-NaN", "-Infinity"])
@@ -580,7 +592,9 @@ def test_refusal_in_the_last_block_writes_nothing(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     argv = ["ratio", "--gaussian", "--q-minus-1", "-0.5", "--xmax", "1.25", "--points", "5000",
             "--out", str(out)]
-    refusal = (3, "", "qwave: numeric failure: q-power base: a point lies on the branch cut\n")
+    refusal = (3, "", "qwave: numeric failure: the packet's q-power base 1 + (q-1) G reaches the "
+               "branch cut where (q-1) G = -1: set --xmax below x_c = 1.2360679774997896 "
+               "(got --xmax 1.25)\n")
     assert run(argv, capsys) == refusal
     assert not out.exists()
     out.write_text("earlier run\n")

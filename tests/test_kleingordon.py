@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qwave import checks
 from qwave import kleingordon as kg
 from qwave import planewave as pw
 from qwave import verify
@@ -16,15 +17,6 @@ from qwave.errors import BranchCutViolation, NonFiniteInput
 WAVE = kg.KGWave.on_shell(k=1.1, m=1.0)
 XS = tuple(np.linspace(-4.0, 4.0, 17))
 TS = tuple(np.linspace(0.0, 3.0, 5))
-
-
-def rel_residual(wave, q, family="exact"):
-    worst = 0.0
-    for x in XS:
-        for t in TS:
-            terms = kg.kg_terms(x, t, wave, q, family)
-            worst = max(worst, abs(sum(terms)) / max(abs(v) for v in terms))
-    return worst
 
 
 def test_dispersion_omega():
@@ -48,22 +40,22 @@ def test_on_shell_constructor():
 
 @pytest.mark.parametrize("q", [0.999, 1.001, 1.1, 1.4])
 def test_exact_residual_zero_iff_on_shell(q):
-    assert rel_residual(WAVE, q) <= 1e-10
+    assert checks.kg_exact_residual(q, WAVE, XS, TS) <= 1e-10
     off = kg.KGWave(k=WAVE.k, omega=WAVE.omega * 1.01, m=WAVE.m)
-    assert rel_residual(off, q) > 1e-6
+    assert checks.kg_exact_residual(q, off, XS, TS) > 1e-6
 
 
 def test_dispersion_sensitivity_factor():
-    on = rel_residual(WAVE, 1.1)
-    off = rel_residual(
-        kg.KGWave(k=WAVE.k, omega=WAVE.omega * 1.01, m=WAVE.m), 1.1
+    on = checks.kg_exact_residual(1.1, WAVE, XS, TS)
+    off = checks.kg_exact_residual(
+        1.1, kg.KGWave(k=WAVE.k, omega=WAVE.omega * 1.01, m=WAVE.m), XS, TS
     )
     assert off >= 1e4 * max(on, 1e-300)
 
 
 def test_massless_wave_on_shell():
     w = kg.KGWave.on_shell(k=2.0, m=0.0)
-    assert rel_residual(w, 1.2) <= 1e-10
+    assert checks.kg_exact_residual(1.2, w, XS, TS) <= 1e-10
 
 
 @pytest.mark.parametrize("x", [2.0, 3.0, -5.0])
@@ -120,13 +112,7 @@ def test_expansion_pair_cancels_on_shell():
 
 
 def test_genuine_insertion_second_order():
-    def norm(eps):
-        q = 1.0 + eps
-        return max(
-            abs(kg.residual_kg(x, t, WAVE, q, "approx")) for x in XS for t in TS
-        )
-
-    fit = verify.order_of_convergence(norm)
+    fit = verify.order_of_convergence(lambda eps: checks.kg_approx_norm(eps, XS, TS))
     assert fit.slope >= 1.9, fit
     assert fit.r_squared >= 0.999, fit
 
@@ -165,12 +151,13 @@ def test_first_order_derivatives_against_fd():
 
 
 def test_exact_reduces_to_classical_at_q1():
-    # at q = 1 the equation is the classical KG equation and F = e^{iu}
+    # at q = 1 the equation is the classical KG equation and F = e^{iu};
+    # 2q - 1 = 1 there, so F^(2q-1) is F itself
     for x in (0.3, 1.7):
         for t in (0.0, 1.1):
             u = kg.phase(x, t, WAVE)
-            assert kg.exact_F(x, t, WAVE, 1.0) == cmath.exp(1j * u)
-    assert rel_residual(WAVE, 1.0) <= 1e-15
+            assert kg.exact_F_2qm1(x, t, WAVE, 1.0) == cmath.exp(1j * u)
+    assert checks.kg_exact_residual(1.0, WAVE, XS, TS) <= 1e-15
 
 
 def test_unknown_family_rejected():

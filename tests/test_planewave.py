@@ -70,15 +70,7 @@ def test_expansion_pair_cancels_identically():
 
 
 def test_genuine_insertion_second_order():
-    def norm(eps):
-        q = 1.0 + eps
-        return max(
-            abs(pw.residual_schrodinger(pw.PhasePoint(x, t), WAVE, q, "approx"))
-            for x in XS
-            for t in TS
-        )
-
-    fit = verify.order_of_convergence(norm)
+    fit = verify.order_of_convergence(lambda eps: checks.pw_approx_norm(eps, XS, TS))
     assert fit.slope >= 1.9, fit
     assert fit.r_squared >= 0.999, fit
 

@@ -396,13 +396,6 @@ def test_q_exp_at_zero_argument(q):
     assert qcore.q_exp(0.0, q) == 1.0
 
 
-def test_q_exp_jet_closed_form():
-    for z in (0.0, 1.0, 1.5j, -0.8 + 1.2j):
-        jet = qcore.q_exp_jet(z)
-        assert jet.v0 == cmath.exp(z)
-        assert rel(jet.v1 + (z == 0), 0.5 * z * z * cmath.exp(z) + (z == 0)) < 1e-15
-
-
 def test_pole_absorber_jets():
     # S(w) = 1 - w/2 + ... along w = eps*lead gives (1, -lead/2); the
     # expm1 counterpart flips the sign

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from qwave import checks
 from qwave import qgaussian as qg
 from qwave import verify
 from qwave.errors import InvalidQ, StepTooCoarse
@@ -150,17 +151,11 @@ def test_exact_packet_residual_fd_floor():
 
 
 def test_approx_packet_insertion_order():
-    def norm(eps):
-        p = params_for(1.0 + eps)
-        return max(
-            abs(qg.residual_qgaussian(x, t, p, family="approx"))
-            for x in (0.3, 0.9, 1.6)
-            for t in (0.2, 0.8)
-        )
-
-    fit = verify.order_of_convergence(norm)
-    assert fit.slope >= 1.9, fit
-    assert fit.r_squared >= 0.999, fit
+    # the registry's own probes: x in (0.3, 0.9, 1.6), t in (0.2, 0.8)
+    slope = checks.REGISTRY["gaussian.approx_order"].measure()
+    r_squared = checks.REGISTRY["gaussian.approx_order_r2"].measure()
+    assert slope >= 1.9, slope
+    assert r_squared >= 0.999, r_squared
 
 
 def test_approx_error_second_order():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qwave import checks
 from qwave import separation as sep
 from qwave import verify
 from qwave.errors import InvalidQ
@@ -77,19 +78,13 @@ def test_expansion_pairs_cancel():
 
 
 def test_genuine_f_insertion_order():
-    fit = verify.order_of_convergence(
-        lambda eps: max(abs(sep.residual_f(t, E, 1.0 + eps, family="approx")) for t in TS)
-    )
+    fit = verify.order_of_convergence(lambda eps: checks.sep_f_norm(eps, TS))
     assert fit.slope >= 1.9, fit
     assert fit.r_squared >= 0.999, fit
 
 
 def test_genuine_g_insertion_order():
-    fit = verify.order_of_convergence(
-        lambda eps: max(
-            abs(sep.residual_g(x, P, None, 1.0 + eps, family="approx")) for x in XS
-        )
-    )
+    fit = verify.order_of_convergence(lambda eps: checks.sep_g_norm(eps, XS))
     assert fit.slope >= 1.9, fit
     assert fit.r_squared >= 0.999, fit
 
@@ -150,8 +145,13 @@ def test_product_differs_from_planewave_approximant():
 
 def test_lambda_defaults():
     t, x, q = 1.3, 0.8, 1.07
-    assert sep.residual_f(t, E, q) == sep.residual_f(t, E, q, lam=E)
-    assert sep.residual_g(x, P, None, q) == sep.residual_g(x, P, LAM, q)
+    for family in ("exact", "approx"):
+        assert sep.residual_f(t, E, q, family=family) == sep.residual_f(
+            t, E, q, lam=E, family=family
+        )
+        assert sep.residual_g(x, P, None, q, family=family) == sep.residual_g(
+            x, P, LAM, q, family=family
+        )
 
 
 def test_invalid_q_domains():

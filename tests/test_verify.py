@@ -196,3 +196,76 @@ def test_pw_exact_residual_has_one_scale_for_the_grid():
 def test_default_scheme_second_derivative_step():
     # eps/h^2 round-off would eat a 1e-5 step alive on deriv=2
     assert verify.default_scheme(deriv=2).step > 100 * verify.default_scheme(deriv=1).step
+
+
+# Every gated verify value as measured when this table was last set.  A
+# change that moves a value past the bounds below must reset the table and
+# say in CHANGES.md which value moved and why.
+PINNED = {
+    "planewave.exact_residual_q0.999": 1.7634237052388905e-16,
+    "planewave.exact_residual_q1.001": 0.0,
+    "planewave.exact_residual_q1.1": 1.6891796220374123e-16,
+    "planewave.pair_cancellation": 0.0,
+    "planewave.approx_order": 2.0008707392680045,
+    "planewave.approx_order_r2": 0.9999999444965734,
+    "planewave.approx_error_order": 1.9763034402651427,
+    "planewave.modulus_identity": 1.8583863085044295e-15,
+    "planewave.psi_q_jet": 2.350007834493068e-16,
+    "planewave.approx_jet_fd": 4.527227204161252e-13,
+    "planewave.d2x_approx_fd": 2.7051790316161625e-10,
+    "planewave.dt_approx_q_fd": 2.189619796632323e-10,
+    "separation.exact_residual_f": 0.0,
+    "separation.exact_residual_g": 0.0,
+    "separation.pair_cancellation": 2.626280316356925e-16,
+    "separation.f_order": 2.000746878676632,
+    "separation.f_order_r2": 0.9999999483551865,
+    "separation.g_order": 1.9992084371102263,
+    "separation.g_order_r2": 0.9999999358876778,
+    "separation.f_jet": 7.67044020694589e-13,
+    "separation.f_q_jet": 1.0529281327962938e-12,
+    "separation.g_jet": 8.421942772536044e-13,
+    "separation.g_q_jet": 4.984315381614497e-13,
+    "separation.dt_f_q_fd": 8.628829072980856e-11,
+    "separation.d2x_g_fd": 2.2271739063045684e-10,
+    "separation.product_not_planewave": 1.0033657451674263,
+    "gaussian.c_at_zero": 0.0,
+    "gaussian.psi_origin": 0.0,
+    "gaussian.coeff_jets": 7.076311083754595e-17,
+    "gaussian.jet_authority": 1.3916797781259665e-15,
+    "gaussian.coeff_fd": 5.690417917854175e-13,
+    "gaussian.approx_order": 1.9985262526742382,
+    "gaussian.approx_order_r2": 0.9999998452557972,
+    "gaussian.ratio_band": 0.012706596635008505,
+    "kleingordon.exact_residual_q0.999": 1.955961707335161e-16,
+    "kleingordon.exact_residual_q1.1": 3.029982217458847e-16,
+    "kleingordon.dispersion_sensitivity": 65029921560412.33,
+    "kleingordon.bracket_identity": 3.7960499618704134e-16,
+    "kleingordon.pair_cancellation": 4.0501829068748373e-16,
+    "kleingordon.approx_order": 1.9991184682254755,
+    "kleingordon.approx_order_r2": 0.9999998574366472,
+    "kleingordon.qF_jet": 9.40074626796345e-13,
+    "kleingordon.d2_approx_fd": 4.812205239851067e-10,
+}
+
+
+def test_verify_values_do_not_erode():
+    # a residual that grows from 1e-16 to 1e-11 still passes a 1e-10
+    # tolerance; here it fails.  An upper-bound value may at most double
+    # (or reach 4.4e-16, two ulps at 1), a slope may drop by 0.02, an r^2
+    # by 1e-4, and any other lower-bound value may halve
+    gated = {key: entry for key, entry in checks.REGISTRY.items() if entry.sense != "report"}
+    assert set(PINNED) == set(gated)
+    eroded = {}
+    for key, entry in gated.items():  # registry order: each _r2 reuses its slope's fit
+        value, pinned = entry.measure(), PINNED[key]
+        if entry.sense == "le":
+            kept = value <= max(2.0 * pinned, 4.4e-16)
+        elif key.endswith("_r2"):
+            kept = value >= pinned - 1e-4
+        elif key.endswith("_order"):
+            kept = value >= pinned - 0.02
+        else:
+            kept = value >= pinned / 2.0
+        if not kept:
+            eroded[key] = (pinned, value)
+    assert not eroded, eroded
