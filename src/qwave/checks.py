@@ -122,16 +122,22 @@ def fd_gap(cases, scheme: verify.FDScheme, deriv: int) -> float:
     )
 
 
+def approx_jet(approx: Callable[[float], complex]) -> qcore.QJet:
+    """The q-jet (approx(1), approx(2) - approx(1)) of an approximant given as
+    a function of q, exact because every approx_* is linear in q."""
+    v0 = approx(1.0)
+    return qcore.QJet(v0, approx(2.0) - v0)
+
+
 def approx_jet_gap(pairs) -> float:
     """Worst gap of the FD-in-q jet of each exact form against the jet of its
-    approximant, (approx(1), approx(2) - approx(1)), exact because every
-    approx_* is linear in q.  pairs are (exact fn of q, approx fn of q); each
-    gap is relative to max(1, |approximant jet|)."""
+    approximant.  pairs are (exact fn of q, approx fn of q); each gap is
+    relative to max(1, |approximant jet|)."""
 
     def pair(exact, approx):
-        jet, v0 = verify.jet_from_fd(exact), approx(1.0)
-        v1 = approx(2.0) - v0
-        return max(abs(jet.v0 - v0), abs(jet.v1 - v1)), max(1.0, abs(v0), abs(v1))
+        fd, jet = verify.jet_from_fd(exact), approx_jet(approx)
+        gap = max(abs(fd.v0 - jet.v0), abs(fd.v1 - jet.v1))
+        return gap, max(1.0, abs(jet.v0), abs(jet.v1))
 
     return max_rel(pair(*p) for p in pairs)
 
@@ -156,14 +162,13 @@ _PW_POINTS = tuple(pw.PhasePoint(x, t) for x in _PW_XS for t in _PW_TS)
 
 
 def pw_exact_residual(q: float, xs=_PW_XS, ts=_PW_TS) -> float:
-    """Exact plane wave in its equation: the largest |residual| on the grid
-    over the largest addend on the grid (one scale for the whole grid)."""
-    d, s = zip(*(
+    """Exact plane wave in its equation: the worst |residual| over its
+    largest addend, point by point."""
+    return max_rel(
         residual_pair(pw.schrodinger_terms(pw.PhasePoint(x, t), _PW_WAVE, q, "exact"))
         for x in xs
         for t in ts
-    ))
-    return max_rel([(max(d), max(s))])
+    )
 
 
 for _q in (0.999, 1.001, 1.1):
@@ -233,8 +238,7 @@ def _pw_psi_q_jet() -> float:
         exponent = qcore.QJet(1.0, 1.0) * (
             qcore.as_jet(1j * u) * qcore.log1p_over_w_jet(-1j * u)
         )
-        # approx_psi_q is linear in q: its eps-coefficient is approx(2) - approx(1)
-        closed = pw.approx_psi_q(pt, _PW_WAVE, 2.0) - pw.approx_psi_q(pt, _PW_WAVE, 1.0)
+        closed = approx_jet(partial(pw.approx_psi_q, pt, _PW_WAVE)).v1
         return abs(qcore.jet_exp(exponent).v1 - closed), max(1.0, abs(closed))
 
     return max_rel(pair(pt) for pt in _PW_POINTS)
@@ -261,7 +265,7 @@ def _pw_d2x_fd(q: float = 1.02) -> float:
             for x in _PW_XS[::3]
             for t in _PW_TS
         ),
-        verify.default_scheme(_PW_WAVE.hbar / _PW_WAVE.p, deriv=2),
+        verify.default_scheme(1.0 / _PW_WAVE.p, deriv=2),
         2,
     )
 
@@ -282,7 +286,7 @@ def _pw_dt_q_fd(q: float = 1.02) -> float:
             for x in _PW_XS[::3]
             for t in _PW_TS
         ),
-        verify.default_scheme(_PW_WAVE.hbar / _PW_WAVE.E, deriv=1),
+        verify.default_scheme(1.0 / _PW_WAVE.E, deriv=1),
         1,
     )
 
@@ -319,7 +323,7 @@ def _sep_exact_residual_f(q: float = 1.1) -> float:
 def _sep_exact_residual_g(q: float = 1.1) -> float:
     return max_rel(
         (
-            abs(sep.residual_g(x, _SEP_P, None, q, family="exact")),
+            abs(sep.residual_g(x, _SEP_P, q, family="exact")),
             abs(_SEP_LAM * sep.exact_g_q(x, _SEP_P, q)),
         )
         for x in _SEP_XS
@@ -331,14 +335,14 @@ def _sep_pairs(q: float):
         yield abs(sep.expansion_residual_f(t, _SEP_E, q)), abs(_SEP_E * sep.approx_f(t, _SEP_E, q))
     for x in _SEP_XS:
         yield (
-            abs(sep.expansion_residual_g(x, _SEP_P, None, q)),
+            abs(sep.expansion_residual_g(x, _SEP_P, q)),
             abs(_SEP_LAM * sep.approx_g_q(x, _SEP_P, q)),
         )
 
 
 @check(
     "separation.pair_cancellation",
-    "truncated pairs for f and g cancel identically at lam = p^2/2m",
+    "truncated pairs for f and g cancel identically at lam = p^2/2",
     1e-12,
 )
 def _sep_pair_cancellation() -> float:
@@ -354,7 +358,7 @@ def sep_f_norm(eps: float, ts=_SEP_TS) -> float:
 @order_fit("separation.g_order", "first-order g inserted in its equation")
 def sep_g_norm(eps: float, xs=_SEP_XS) -> float:
     """Largest |residual| of the first-order space factor at q = 1 + eps."""
-    return max(abs(sep.residual_g(x, _SEP_P, None, 1.0 + eps, family="approx")) for x in xs)
+    return max(abs(sep.residual_g(x, _SEP_P, 1.0 + eps, family="approx")) for x in xs)
 
 
 def _sep_jet_gap(exact, approx, grid, k: float) -> float:
@@ -404,13 +408,13 @@ def _sep_d2x_g_fd(q: float = 1.02) -> float:
 )
 def _sep_product_not_planewave(x0: float = 0.7, t0: float = 0.9) -> float:
     # f(t)g(x) is a different first-order solution than the plane wave;
-    # their eps-coefficients must not be conflated
+    # their eps-coefficients v1/v0 must not be conflated
     wave = pw.SchrodingerWave.free(p=_SEP_P, m=1.0)
-    tau = wave.E * t0
-    xi = _SEP_P * x0
-    u = xi - tau
-    coef_fg = (1j * tau + tau * tau / 2.0) - 0.25 * (1j * xi + xi * xi)
-    coef_pw = -u * u / 2.0
+    fg = approx_jet(partial(sep.approx_f, t0, wave.E)) * approx_jet(
+        partial(sep.approx_g, x0, _SEP_P)
+    )
+    psi = approx_jet(partial(pw.approx_psi, pw.PhasePoint(x0, t0), wave))
+    coef_fg, coef_pw = fg.v1 / fg.v0, psi.v1 / psi.v0
     return abs(coef_fg - coef_pw) / max(abs(coef_fg), abs(coef_pw))
 
 

@@ -245,6 +245,11 @@ _MODE_DEFAULTS = {
 }
 
 
+def _defaults_help(key: str) -> str:
+    """The help text's defaults of one flag, read from _MODE_DEFAULTS."""
+    return "default {:g}; {:g} packet".format(*(_MODE_DEFAULTS[g][key] for g in (False, True)))
+
+
 def _overflow_refusal(args) -> NonFiniteResult | None:
     """The refusal of a sweep that met a non-finite value, naming a flag.
 
@@ -445,10 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     ratio = sub.add_parser("ratio", help="sweep the approx/exact ratio over x")
     ratio.add_argument("--species", choices=tuple(scenarios.SPECIES_MASS_KG), default="electron")
     ratio.add_argument("--energy-mev", type=float, default=1.0, help="kinetic energy in MeV")
-    ratio.add_argument("--q-minus-1", type=float, help="default 1e-9; 1e-3 packet")
-    ratio.add_argument("--xmax", type=float, help="default 1; 4 packet")
+    ratio.add_argument("--q-minus-1", type=float, help=_defaults_help("q_minus_1"))
+    ratio.add_argument("--xmax", type=float, help=_defaults_help("xmax"))
     ratio.add_argument(
-        "--points", type=int, help=f"grid points, 2 to {MAX_POINTS} (default 2001; 1001 packet)"
+        "--points", type=int, help=f"grid points, 2 to {MAX_POINTS} ({_defaults_help('points')})"
     )
     ratio.add_argument("--t", type=float, default=0.0)
     ratio.add_argument("--momentum-model", choices=scenarios.MOMENTUM_MODELS,

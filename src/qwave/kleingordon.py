@@ -1,18 +1,18 @@
 """Plane-wave solutions of the nonlinear q-Klein-Gordon equation.
 
-The equation is
+In natural units (hbar = c = 1) the equation is
 
-    (1/c^2) d2/dt2 F - d2/dx2 F + (q m^2 c^2 / hbar^2) F^(2q-1) = 0,
+    d2/dt2 F - d2/dx2 F + q m^2 F^(2q-1) = 0,
 
-solved exactly by the q-exponential of the phase u = kx - wt (no hbar in
-the phase; this module works in (k, omega) rather than (p, E)).  The
-closed-form second derivatives both collapse onto q F^(2q-1):
+solved exactly by the q-exponential of the phase u = kx - wt (this module
+works in (k, omega) rather than (p, E)).  The closed-form second
+derivatives both collapse onto q F^(2q-1):
 
     d2/dx2 F = -k^2 q [1+i(1-q)u]^((2q-1)/(1-q)),
     d2/dt2 F = -w^2 q [same],
 
-so the exact residual is q F^(2q-1) (-w^2/c^2 + k^2 + m^2 c^2/hbar^2),
-zero precisely on the dispersion relation w^2 = c^2 k^2 + m^2 c^4/hbar^2.
+so the exact residual is q F^(2q-1) (-w^2 + k^2 + m^2), zero precisely on
+the dispersion relation w^2 = k^2 + m^2.
 The equation never states that relation; it is what the residual engine
 derives, exposed as dispersion_omega.
 
@@ -24,7 +24,7 @@ family="approx" inserts the approximant into the full equation (powering
 along its continuous logarithm) and leaves a genuine O((q-1)^2) remainder.
 The first-order wave, bracket and amplitude power are those of the
 Schrodinger plane wave: planewave.first_order_wave, bracket_wave, amp_pow;
-the exact wave F is planewave.exact_psi at p = k, E = omega, hbar = 1.
+the exact wave F is planewave.exact_psi at p = k, E = omega.
 """
 
 from __future__ import annotations
@@ -38,50 +38,33 @@ from . import qcore
 from .errors import NonFiniteInput
 
 
-def dispersion_omega(k: float, m: float, c: float = 1.0, hbar: float = 1.0) -> float:
-    """Positive root of w^2 = c^2 k^2 + m^2 c^4 / hbar^2."""
-    return math.hypot(c * k, m * c * c / hbar)
+def dispersion_omega(k: float, m: float) -> float:
+    """Positive root of w^2 = k^2 + m^2."""
+    return math.hypot(k, m)
 
 
 @dataclass(frozen=True)
 class KGWave:
-    """Relativistic wave parameters: wavenumber, frequency, mass, c, hbar."""
+    """Relativistic wave parameters: wavenumber, frequency, mass."""
 
     k: float
     omega: float
     m: float
-    c: float = 1.0
-    hbar: float = 1.0
     dispersion: bool = False
 
     def __post_init__(self):
-        for name in ("k", "omega", "m", "c", "hbar"):
+        for name in ("k", "omega", "m"):
             if not math.isfinite(getattr(self, name)):
                 raise NonFiniteInput(f"{name} must be finite")
         if self.m < 0:
             raise ValueError(f"mass must be nonnegative, got {self.m!r}")
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c!r}")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar!r}")
-        if self.dispersion and self.omega != dispersion_omega(
-            self.k, self.m, self.c, self.hbar
-        ):
+        if self.dispersion and self.omega != dispersion_omega(self.k, self.m):
             raise ValueError("dispersion waves require omega = dispersion_omega(k)")
 
     @classmethod
-    def on_shell(
-        cls, k: float, m: float, c: float = 1.0, hbar: float = 1.0
-    ) -> "KGWave":
+    def on_shell(cls, k: float, m: float) -> "KGWave":
         """Wave with the dispersion relation built in."""
-        return cls(
-            k=k,
-            omega=dispersion_omega(k, m, c, hbar),
-            m=m,
-            c=c,
-            hbar=hbar,
-            dispersion=True,
-        )
+        return cls(k=k, omega=dispersion_omega(k, m), m=m, dispersion=True)
 
 
 def phase(x: float, t: float, w: KGWave) -> float:
@@ -119,23 +102,23 @@ def approx_qF2qm1(x: float, t: float, w: KGWave, q: float) -> complex:
 def kg_terms(
     x: float, t: float, w: KGWave, q: float, family: str
 ) -> tuple[complex, complex, complex]:
-    """The three equation addends ((1/c^2) d2t F, -d2x F, mass term).
+    """The three equation addends (d2t F, -d2x F, mass term).
 
     family "exact" uses the closed forms; family "approx" inserts the
     first-order wave, powering its amplitude along log1p so that
     F^(2q-1) never crosses the principal branch cut for |u| > pi.
     """
-    mass_coef = (w.m * w.c / w.hbar) ** 2
+    mass_coef = w.m ** 2
     if family == "exact":
         g2 = exact_F_2qm1(x, t, w, q)
-        term_tt = (1.0 / (w.c * w.c)) * (-(w.omega * w.omega) * q * g2)
+        term_tt = -(w.omega * w.omega) * q * g2
         term_xx = (w.k * w.k) * q * g2
         term_mass = mass_coef * q * g2
         return term_tt, term_xx, term_mass
     if family == "approx":
         u = phase(x, t, w)
         power = cmath.exp(1j * (2.0 * q - 1.0) * u) * pw.amp_pow(u, q, 2.0 * q - 1.0)
-        term_tt = (1.0 / (w.c * w.c)) * d2t_approx_F(x, t, w, q)
+        term_tt = d2t_approx_F(x, t, w, q)
         term_xx = -d2x_approx_F(x, t, w, q)
         term_mass = mass_coef * q * power
         return term_tt, term_xx, term_mass
@@ -157,8 +140,8 @@ def expansion_terms_kg(
     x: float, t: float, w: KGWave, q: float
 ) -> tuple[complex, complex, complex]:
     """Addends of the truncated-pair residual, for relative-scale reporting."""
-    term_tt = (1.0 / (w.c * w.c)) * d2t_approx_F(x, t, w, q)
+    term_tt = d2t_approx_F(x, t, w, q)
     term_xx = -d2x_approx_F(x, t, w, q)
-    term_mass = (w.m * w.c / w.hbar) ** 2 * approx_qF2qm1(x, t, w, q)
+    term_mass = w.m ** 2 * approx_qF2qm1(x, t, w, q)
     return term_tt, term_xx, term_mass
 

@@ -1,7 +1,8 @@
 """Plane-wave solutions of the nonlinear q-Schrodinger equation.
 
-The equation is i*hbar d/dt(psi^q) = -(hbar^2/2m) d2/dx2(psi), whose exact
-free-particle solution is the q-exponential of the phase z = i(px - Et)/hbar.
+In natural units (hbar = 1) the equation is i d/dt(psi^q) = -(1/2m) d2/dx2(psi),
+whose exact free-particle solution is the q-exponential of the phase
+z = i(px - Et).
 This module provides the exact wave, its first-order expansion around q = 1,
 closed-form derivatives for both, the self-consistency residuals, and the
 ratio R = |approx/exact| used for the deviation sweeps.  The first-order
@@ -36,29 +37,26 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class SchrodingerWave:
-    """Free-particle wave parameters: momentum, energy, mass, hbar."""
+    """Free-particle wave parameters: momentum, energy, mass."""
 
     p: float
     E: float
     m: float
-    hbar: float = 1.0
     free_particle: bool = False
 
     def __post_init__(self):
-        for name in ("p", "E", "m", "hbar"):
+        for name in ("p", "E", "m"):
             if not math.isfinite(getattr(self, name)):
                 raise NonFiniteInput(f"{name} must be finite")
         if self.m <= 0:
             raise ValueError(f"mass must be positive, got {self.m!r}")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar!r}")
         if self.free_particle and self.E != self.p * self.p / (2.0 * self.m):
             raise ValueError("free_particle waves require E = p^2/(2m) exactly")
 
     @classmethod
-    def free(cls, p: float, m: float, hbar: float = 1.0) -> "SchrodingerWave":
+    def free(cls, p: float, m: float) -> "SchrodingerWave":
         """Wave with the free-particle dispersion E = p^2/(2m) built in."""
-        return cls(p=p, E=p * p / (2.0 * m), m=m, hbar=hbar, free_particle=True)
+        return cls(p=p, E=p * p / (2.0 * m), m=m, free_particle=True)
 
 
 @dataclass(frozen=True)
@@ -80,8 +78,8 @@ class PhasePoint:
 
 
 def phase(pt: PhasePoint, w: SchrodingerWave) -> float:
-    """Dimensionless phase u = (p x - E t) / hbar."""
-    return (w.p * pt.x - w.E * pt.t) / w.hbar
+    """Dimensionless phase u = p x - E t."""
+    return w.p * pt.x - w.E * pt.t
 
 
 def first_order_wave(u: float, q: float) -> complex:
@@ -135,18 +133,18 @@ def approx_psi_q(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
 
 def d2x_approx_psi(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
     """Exact d2/dx2 of the first-order wave."""
-    return bracket_wave(phase(pt, w), q, -(w.p * w.p / (w.hbar * w.hbar)))
+    return bracket_wave(phase(pt, w), q, -(w.p * w.p))
 
 
 def dt_approx_psi_q(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
     """Exact d/dt of the first-order psi^q."""
-    return bracket_wave(phase(pt, w), q, -(1j * w.E / w.hbar))
+    return bracket_wave(phase(pt, w), q, -(1j * w.E))
 
 
 def schrodinger_terms(
     pt: PhasePoint, w: SchrodingerWave, q: float, family: str
 ) -> tuple[complex, complex]:
-    """The two sides of the equation as (i hbar dt psi^q, (hbar^2/2m) d2x psi).
+    """The two sides of the equation as (i dt psi^q, (1/2m) d2x psi).
 
     family "exact" uses the closed-form derivatives of the exact wave;
     family "approx" treats the first-order wave as a bona fide candidate
@@ -154,26 +152,24 @@ def schrodinger_terms(
     """
     if family == "exact":
         g = qcore.q_pow(1j * phase(pt, w), q, 2.0 * q - 1.0)
-        term_t = 1j * w.hbar * (-(1j * q * w.E / w.hbar) * g)
-        term_x = (w.hbar * w.hbar / (2.0 * w.m)) * (
-            -(q * w.p * w.p / (w.hbar * w.hbar)) * g
-        )
+        term_t = 1j * (-(1j * q * w.E) * g)
+        term_x = (1.0 / (2.0 * w.m)) * (-(q * w.p * w.p) * g)
         return term_t, term_x
     if family == "approx":
         u = phase(pt, w)
         eps = q - 1.0
         amp = 1.0 - eps * u * u / 2.0
-        # i hbar d/dt (psi_approx^q) in closed form
+        # i d/dt (psi_approx^q) in closed form
         term_t = q * w.E * cmath.exp(1j * q * u) * amp_pow(u, q, q - 1.0) * (
             amp + 1j * eps * u
         )
-        term_x = (w.hbar * w.hbar / (2.0 * w.m)) * d2x_approx_psi(pt, w, q)
+        term_x = (1.0 / (2.0 * w.m)) * d2x_approx_psi(pt, w, q)
         return term_t, term_x
     raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
 
 
 def residual_schrodinger(pt: PhasePoint, w: SchrodingerWave, q: float, family: str) -> complex:
-    """Residual i hbar dt(psi^q) + (hbar^2/2m) d2x(psi) of a wave family.
+    """Residual i dt(psi^q) + (1/2m) d2x(psi) of a wave family.
 
     For a free particle the exact family cancels to round-off at any q;
     the approx family leaves an O((q-1)^2) remainder.
@@ -185,14 +181,14 @@ def residual_schrodinger(pt: PhasePoint, w: SchrodingerWave, q: float, family: s
 def expansion_terms(
     pt: PhasePoint, w: SchrodingerWave, q: float
 ) -> tuple[complex, complex]:
-    """Truncated first-order forms of i hbar dt(psi^q) and (hbar^2/2m) d2x(psi).
+    """Truncated first-order forms of i dt(psi^q) and (1/2m) d2x(psi).
 
     Both terms carry one and the same (q-1) bracket, so with E = p^2/(2m)
     their sum cancels identically: the first-order expansion is
     self-consistent.  Returned as a pair for relative-scale reporting.
     """
-    term_t = 1j * w.hbar * dt_approx_psi_q(pt, w, q)
-    term_x = (w.hbar * w.hbar / (2.0 * w.m)) * d2x_approx_psi(pt, w, q)
+    term_t = 1j * dt_approx_psi_q(pt, w, q)
+    term_x = (1.0 / (2.0 * w.m)) * d2x_approx_psi(pt, w, q)
     return term_t, term_x
 
 

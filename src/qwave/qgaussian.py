@@ -4,9 +4,10 @@ The packet is
 
     psi(x,t) = {1 + (q-1)[a(t) x^2 + b(t) x + c(t)]}^(1/(1-q))
 
-with coefficients (natural units, the convention m q alpha = 1 baked in)
+with coefficients (natural units hbar = 1, the convention m q alpha = 1
+baked in)
 
-    a(t) = m q / D,   b(t) = 1 / (beta D),   D = 1 + i hbar (q+1) t,
+    a(t) = m q / D,   b(t) = 1 / (beta D),   D = 1 + i (q+1) t,
 
 and c(t) the integral of its Riccati-type ODE with c(0) = 0.  The printed
 closed form of c pairs 1/(q-1) against 1/(1-q) and cancels only
@@ -19,7 +20,7 @@ q-1 = 1e-6.  Here the pair is folded into expm1:
 which is exact at t = 0 (all three terms cancel, c(0) = 0 recovers
 psi(0,0) = 1) and smooth through q = 1.  Substituting the ansatz into the
 wave equation reduces it to the polynomial identity
--i hbar q G' = (hbar^2/2m)[(1 + (q-1)G) Gxx - q Gx^2], G = ax^2+bx+c, and
+-i q G' = (1/2m)[(1 + (q-1)G) Gxx - q Gx^2], G = ax^2+bx+c, and
 the coefficient ODEs this implies are solved by the forms above, so the
 packet is an exact solution, not merely a first-order one.
 
@@ -51,23 +52,20 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class GaussianParams:
-    """Packet parameters: mass, width parameter beta, q, hbar."""
+    """Packet parameters: mass, width parameter beta, q."""
 
     m: float
     beta: float
     q: float
-    hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("m", "beta", "q", "hbar"):
+        for name in ("m", "beta", "q"):
             if not math.isfinite(getattr(self, name)):
                 raise NonFiniteInput(f"{name} must be finite")
         if self.m <= 0:
             raise ValueError(f"mass must be positive, got {self.m!r}")
         if self.beta == 0:
             raise ValueError("beta must be nonzero")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar!r}")
         # the coefficient formulas divide by q and by q+1
         if self.q == 0.0:
             raise InvalidQ("q = 0 breaks the c(t) formula (divides by q)")
@@ -97,7 +95,7 @@ class GaussianCoeffJet:
 
 
 def _denominator(t: float, params: GaussianParams) -> complex:
-    return 1.0 + 1j * params.hbar * (params.q + 1.0) * t
+    return 1.0 + 1j * (params.q + 1.0) * t
 
 
 def coeffs_exact(t: float, params: GaussianParams) -> GaussianCoeffSet:
@@ -125,19 +123,19 @@ def coeffs_first_order(t: float, params: GaussianParams) -> GaussianCoeffJet:
     """Closed-form first-order splits of the coefficients."""
     if not math.isfinite(t):
         raise NonFiniteInput(f"t must be finite, got {t!r}")
-    m, beta, hbar = params.m, params.beta, params.hbar
-    D0 = 1.0 + 2j * hbar * t
+    m, beta = params.m, params.beta
+    D0 = 1.0 + 2j * t
     L0 = cmath.log(D0)
     kappa = 1.0 / (4.0 * m * beta * beta)
     a1 = m / D0
-    a2 = m * (1.0 + 1j * hbar * t) / (D0 * D0)
+    a2 = m * (1.0 + 1j * t) / (D0 * D0)
     b1 = 1.0 / (beta * D0)
-    b2 = -1j * hbar * t / (beta * D0 * D0)
-    c1 = L0 / 2.0 - 1j * hbar * t / (2.0 * m * beta * beta * D0)
+    b2 = -1j * t / (beta * D0 * D0)
+    c1 = L0 / 2.0 - 1j * t / (2.0 * m * beta * beta * D0)
     c2 = (
         kappa
-        + 1j * hbar * t / (2.0 * D0)
-        - kappa * (1.0 + 3j * hbar * t) / (D0 * D0)
+        + 1j * t / (2.0 * D0)
+        - kappa * (1.0 + 3j * t) / (D0 * D0)
         + L0 * L0 / 8.0
         - (1.0 + 2.0 * m * beta * beta) / (8.0 * m * beta * beta) * L0
     )
@@ -159,9 +157,9 @@ def _coeff_jets(t: float, params: GaussianParams) -> tuple[QJet, QJet, QJet]:
     of c.  The eps-linear factors of D and M are absorbed by the
     dedicated pole jets (log1p_over_w_jet, expm1_over_w_jet).
     """
-    m, beta, hbar = params.m, params.beta, params.hbar
-    # D = 1 + i hbar (2+eps) t
-    D = QJet(1.0 + 2j * hbar * t, 1j * hbar * t)
+    m, beta = params.m, params.beta
+    # D = 1 + i (2+eps) t
+    D = QJet(1.0 + 2j * t, 1j * t)
     a = QJet(m, m) / D  # numerator m q = m (1 + eps)
     b = 1.0 / (beta * D)
     kappa = 1.0 / (4.0 * m * beta * beta)
@@ -253,7 +251,7 @@ def gaussian_terms(
     family: str,
     fd_tol: float = 1e-6,
 ) -> tuple[complex, complex]:
-    """FD-evaluated equation terms (i hbar dt psi^q, (hbar^2/2m) d2x psi).
+    """FD-evaluated equation terms (i dt psi^q, (1/2m) d2x psi).
 
     The packet has no closed-form derivative API, so both terms come from
     Richardson-extrapolated finite differences on the continuous-branch
@@ -263,7 +261,7 @@ def gaussian_terms(
     """
     if family not in ("exact", "approx"):
         raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
-    q, hbar, m = params.q, params.hbar, params.m
+    q, m = params.q, params.m
 
     def psi_q_of_t(tv: float) -> complex:
         return cmath.exp(q * _log_psi(x, tv, params, family))
@@ -273,10 +271,10 @@ def gaussian_terms(
 
     dt_val, dt_err = verify.fd_derivative(psi_q_of_t, t, verify.default_scheme(deriv=1), deriv=1)
     d2x_val, d2x_err = verify.fd_derivative(psi_of_x, x, verify.default_scheme(deriv=2), deriv=2)
-    term_t = 1j * hbar * dt_val
-    term_x = (hbar * hbar / (2.0 * m)) * d2x_val
+    term_t = 1j * dt_val
+    term_x = (1.0 / (2.0 * m)) * d2x_val
     scale = max(abs(term_t), abs(term_x))
-    noise = hbar * dt_err + (hbar * hbar / (2.0 * m)) * d2x_err
+    noise = dt_err + (1.0 / (2.0 * m)) * d2x_err
     if scale > 0.0 and noise > fd_tol * scale:
         raise StepTooCoarse(
             f"FD error {noise:.3e} exceeds {fd_tol:.1e} of term scale {scale:.3e}"
@@ -291,6 +289,6 @@ def residual_qgaussian(
     family: str,
     fd_tol: float = 1e-6,
 ) -> complex:
-    """FD residual i hbar dt(psi^q) + (hbar^2/2m) d2x(psi) of a packet family."""
+    """FD residual i dt(psi^q) + (1/2m) d2x(psi) of a packet family."""
     term_t, term_x = gaussian_terms(x, t, params, family, fd_tol)
     return term_t + term_x

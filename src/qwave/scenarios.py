@@ -93,20 +93,13 @@ class ParticleScenario:
         momentum_model: str = "relativistic",
         x_range: tuple[float, float, int] = (0.0, 1.0, 2001),
         t: float = 0.0,
-        mass_kg: float | None = None,
     ) -> "ParticleScenario":
-        """Scenario for a named species ("electron", "proton") or, with
-        mass_kg given, any custom species label."""
-        if mass_kg is None:
-            try:
-                mass_kg = SPECIES_MASS_KG[species]
-            except KeyError:
-                raise ValueError(
-                    f"unknown species {species!r}; pass mass_kg for a custom one"
-                ) from None
+        """Scenario for a named species: "electron" or "proton"."""
+        if species not in SPECIES_MASS_KG:
+            raise ValueError(f"unknown species {species!r}")
         return cls(
             species=species,
-            mass_kg=mass_kg,
+            mass_kg=SPECIES_MASS_KG[species],
             kinetic_mev=kinetic_mev,
             q_minus_1=q_minus_1,
             momentum_model=momentum_model,
@@ -131,7 +124,7 @@ def momentum_from_energy(scn: ParticleScenario) -> float:
 def wave_for(scn: ParticleScenario) -> SchrodingerWave:
     """Free-particle wave in figure units (MeV energies, hbar = 1)."""
     pc = momentum_from_energy(scn)
-    return SchrodingerWave.free(p=pc, m=mass_energy_mev(scn.mass_kg), hbar=1.0)
+    return SchrodingerWave.free(p=pc, m=mass_energy_mev(scn.mass_kg))
 
 
 # Rows per block of a sweep.  The ratio kernels and the CLI writers take a

@@ -108,11 +108,12 @@ def fd_derivative(
     return value, err
 
 
-def jet_from_fd(fn_of_q: Callable[[float], complex], scheme: FDScheme = Q_DERIV_SCHEME):
-    """First-order jet (f(1), df/dq at 1) measured by finite differences."""
+def jet_from_fd(fn_of_q: Callable[[float], complex]):
+    """First-order jet (f(1), df/dq at 1) measured by finite differences
+    with Q_DERIV_SCHEME."""
     from .qcore import QJet
 
-    slope, _ = fd_derivative(fn_of_q, 1.0, scheme, deriv=1)
+    slope, _ = fd_derivative(fn_of_q, 1.0, Q_DERIV_SCHEME, deriv=1)
     return QJet(complex(fn_of_q(1.0)), slope)
 
 

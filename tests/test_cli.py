@@ -252,6 +252,18 @@ def test_negative_exponent_form_is_a_value(mode, flag, capsys):
     assert spaced == capsys.readouterr().out
 
 
+def test_ratio_help_shows_both_modes_defaults(capsys):
+    # each flag's help reads its plane-wave and packet defaults from _MODE_DEFAULTS
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ratio", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for key in ("q_minus_1", "xmax", "points"):
+        flag = "--" + key.replace("_", "-")
+        plane, packet = (re.escape(f"{cli._MODE_DEFAULTS[g][key]:g}") for g in (False, True))
+        assert re.search(rf"{flag} [A-Z_0-9]+ [^-]*default {plane}; {packet} packet", text), key
+
+
 def test_points_bound_is_checked_before_allocating(capsys):
     for points in (10**11, cli.MAX_POINTS + 1):
         with pytest.raises(SystemExit) as exc:

@@ -21,9 +21,8 @@ TS = tuple(np.linspace(0.0, 3.0, 5))
 
 def test_dispersion_omega():
     assert kg.dispersion_omega(1.1, 1.0) == math.hypot(1.1, 1.0)
-    assert kg.dispersion_omega(0.0, 2.0, c=3.0, hbar=0.5) == 2.0 * 9.0 / 0.5
-    # massless: omega = c |k|
-    assert kg.dispersion_omega(-2.0, 0.0, c=1.5) == 3.0
+    # massless: omega = |k|
+    assert kg.dispersion_omega(-2.0, 0.0) == 2.0
 
 
 def test_on_shell_constructor():
@@ -76,7 +75,7 @@ def test_branch_cut_in_approx_family(x):
     st.sampled_from([1.0, 1.0 + 1e-9, 1.001, 0.9, 1.5]),
 )
 def test_first_order_forms_are_the_plane_wave_core(x, t, k, omega, q):
-    # with hbar = 1 both modules see the phase k x - omega t, and both take
+    # both modules see the phase k x - omega t, and both take
     # their first-order forms from one core: equal bit for bit
     kw = kg.KGWave(k=k, omega=omega, m=1.0)
     sw = pw.SchrodingerWave(p=k, E=omega, m=1.0)

@@ -29,15 +29,13 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         pw.SchrodingerWave(p=1.0, E=1.0, m=0.0)
     with pytest.raises(ValueError):
-        pw.SchrodingerWave(p=1.0, E=1.0, m=1.0, hbar=-1.0)
-    with pytest.raises(ValueError):
         # free_particle demands E = p^2/2m exactly
         pw.SchrodingerWave(p=1.0, E=0.5000001, m=1.0, free_particle=True)
 
 
 def test_phase():
-    w = pw.SchrodingerWave(p=2.0, E=3.0, m=1.0, hbar=2.0)
-    assert pw.phase(pw.PhasePoint(1.5, 0.5), w) == (2.0 * 1.5 - 3.0 * 0.5) / 2.0
+    w = pw.SchrodingerWave(p=2.0, E=3.0, m=1.0)
+    assert pw.phase(pw.PhasePoint(1.5, 0.5), w) == 2.0 * 1.5 - 3.0 * 0.5
 
 
 @pytest.mark.parametrize("q", [0.999, 1.001, 1.1])

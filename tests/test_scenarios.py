@@ -66,7 +66,6 @@ def test_wave_for_satisfies_free_relation():
     scn = scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-9)
     w = scenarios.wave_for(scn)
     assert w.E == w.p * w.p / (2.0 * w.m)
-    assert w.hbar == 1.0
     assert w.free_particle
     # mass slot carries the rest energy in MeV
     assert abs(w.m - ELECTRON_MC2_MEV) / ELECTRON_MC2_MEV < 1e-8
@@ -120,10 +119,3 @@ def test_scenario_validation():
         scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-9, momentum_model="warp")
     with pytest.raises(ValueError):
         scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-9, x_range=(0.0, 1.0, 1))
-
-
-def test_custom_mass_override():
-    scn = scenarios.ParticleScenario.from_mev(
-        "electron", 1.0, 1e-9, mass_kg=2.0 * scenarios.M_ELECTRON_KG
-    )
-    assert scn.mass_kg == 2.0 * scenarios.M_ELECTRON_KG

@@ -179,18 +179,18 @@ def test_max_rel_reduces_pairs():
     assert checks.max_rel([(0.0, 0.0), (1e-300, 0.0)]) == math.inf
 
 
-def test_pw_exact_residual_has_one_scale_for_the_grid():
-    # the worst residual on the grid over the largest addend on the grid,
-    # not the worst of the point-by-point ratios
+def test_pw_exact_residual_is_point_by_point():
+    # the worst of the point-by-point ratios, as kg_exact_residual reduces,
+    # not the worst residual on the grid over the largest addend on the grid
     xs, ts = checks._PW_XS[::5], checks._PW_TS[::2]
     points = [pw.PhasePoint(x, t) for x in xs for t in ts]
     pairs = [
         checks.residual_pair(pw.schrodinger_terms(pt, checks._PW_WAVE, 1.1, "exact"))
         for pt in points
     ]
-    expected = max(d for d, _ in pairs) / max(s for _, s in pairs)
+    expected = max(d / s for d, s in pairs)
     assert checks.pw_exact_residual(1.1, xs, ts) == expected
-    assert expected < max(d / s for d, s in pairs)
+    assert expected > max(d for d, _ in pairs) / max(s for _, s in pairs)
 
 
 def test_default_scheme_second_derivative_step():
