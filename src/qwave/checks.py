@@ -543,7 +543,7 @@ for _q in (0.999, 1.1):
     "ge",
 )
 def _kg_dispersion_sensitivity() -> float:
-    off = kg.KGWave(k=_KG_WAVE.k, omega=_KG_WAVE.omega * 1.01, m=_KG_WAVE.m)
+    off = kg.KGWave(p=_KG_WAVE.p, E=_KG_WAVE.E * 1.01, m=_KG_WAVE.m)
     on_res = kg_exact_residual(1.1)
     return kg_exact_residual(1.1, off) / on_res if on_res > 0 else math.inf
 
@@ -555,10 +555,11 @@ def _kg_dispersion_sensitivity() -> float:
 )
 def _kg_bracket_identity(q: float = 1.2) -> float:
     def pair(x, t):
-        u = kg.phase(x, t, _KG_WAVE)
+        pt = pw.PhasePoint(x, t)
+        u = pw.phase(pt, _KG_WAVE)
         eiu = complex(math.cos(u), math.sin(u))
-        bx = kg.d2x_approx_F(x, t, _KG_WAVE, q) / (-_KG_WAVE.k**2 * eiu)
-        bt = kg.d2t_approx_F(x, t, _KG_WAVE, q) / (-_KG_WAVE.omega**2 * eiu)
+        bx = pw.d2x_approx_psi(pt, _KG_WAVE, q) / (-_KG_WAVE.p**2 * eiu)
+        bt = kg.d2t_approx_F(x, t, _KG_WAVE, q) / (-_KG_WAVE.E**2 * eiu)
         bm = kg.approx_qF2qm1(x, t, _KG_WAVE, q) / eiu
         return max(abs(bx - bm), abs(bt - bm)), abs(bm)
 
@@ -587,7 +588,7 @@ def kg_approx_norm(eps: float, xs=_KG_XS[::2], ts=_KG_TS) -> float:
 def _kg_qF_jet() -> float:
     return approx_jet_gap(
         (
-            lambda q, x=x, t=t: q * kg.exact_F_2qm1(x, t, _KG_WAVE, q),
+            lambda q, x=x, t=t: q * pw.exact_psi_2qm1(pw.PhasePoint(x, t), _KG_WAVE, q),
             partial(kg.approx_qF2qm1, x, t, _KG_WAVE),
         )
         for x in _KG_XS[::2]
@@ -601,21 +602,21 @@ def _kg_qF_jet() -> float:
     1e-8,
 )
 def _kg_d2_fd(q: float = 1.02) -> float:
+    def approx(x, t):
+        return pw.approx_psi(pw.PhasePoint(x, t), _KG_WAVE, q)
+
     points = [(x, t) for x in _KG_XS[::3] for t in _KG_TS]
     d2x = fd_gap(
         (
-            (kg.d2x_approx_F(x, t, _KG_WAVE, q), lambda v, t=t: kg.approx_F(v, t, _KG_WAVE, q), x)
+            (pw.d2x_approx_psi(pw.PhasePoint(x, t), _KG_WAVE, q), lambda v, t=t: approx(v, t), x)
             for x, t in points
         ),
-        verify.default_scheme(1.0 / _KG_WAVE.k, deriv=2),
+        verify.default_scheme(1.0 / _KG_WAVE.p, deriv=2),
         2,
     )
     d2t = fd_gap(
-        (
-            (kg.d2t_approx_F(x, t, _KG_WAVE, q), lambda v, x=x: kg.approx_F(x, v, _KG_WAVE, q), t)
-            for x, t in points
-        ),
-        verify.default_scheme(1.0 / _KG_WAVE.omega, deriv=2),
+        ((kg.d2t_approx_F(x, t, _KG_WAVE, q), lambda v, x=x: approx(x, v), t) for x, t in points),
+        verify.default_scheme(1.0 / _KG_WAVE.E, deriv=2),
         2,
     )
     return max(d2x, d2t)

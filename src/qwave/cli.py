@@ -19,7 +19,8 @@ precedence is defaults, then the config file, then explicit flags.
 
 Exit codes: 0 success, 1 verify found a failing check, 2 bad flags or
 config (including a --tol for no check, for a report-only check or with a
-non-finite value), 3 numeric failure while computing (an overflow of the
+non-finite value, and a nonzero --q-minus-1 that rounds away in
+q = 1 + (q-1)), 3 numeric failure while computing (an overflow of the
 momentum, phase or packet exponent names the flag at whose value it
 occurred).
 
@@ -334,6 +335,8 @@ def cmd_ratio(args, parser) -> int:
         parser.error(f"--points must be at most {MAX_POINTS}, got {args.points}")
     if not (math.isfinite(args.xmax) and args.xmax > 0):
         parser.error(f"--xmax must be finite and positive, got {args.xmax}")
+    if args.q_minus_1 != 0 and 1.0 + args.q_minus_1 == 1.0:
+        parser.error(f"--q-minus-1 {args.q_minus_1!r} rounds away: 1 + (q-1) == 1 in double")
     if not gaussian and args.energy_mev <= 0:
         parser.error(f"--energy-mev must be positive, got {args.energy_mev}")
     if gaussian and args.m <= 0:

@@ -1,12 +1,13 @@
-"""Plane-wave solutions of the nonlinear q-Klein-Gordon equation.
+"""The nonlinear q-Klein-Gordon equation and its plane-wave residuals.
 
 In natural units (hbar = c = 1) the equation is
 
     d2/dt2 F - d2/dx2 F + q m^2 F^(2q-1) = 0,
 
-solved exactly by the q-exponential of the phase u = kx - wt (this module
-works in (k, omega) rather than (p, E)).  The closed-form second
-derivatives both collapse onto q F^(2q-1):
+solved exactly by the q-exponential of the phase u = kx - wt, which is the
+plane wave of planewave at p = k, E = omega: KGWave is a planewave.PlaneWave
+and this module evaluates no wave of its own.  The closed-form second
+derivatives both collapse onto q F^(2q-1) (planewave.exact_psi_2qm1):
 
     d2/dx2 F = -k^2 q [1+i(1-q)u]^((2q-1)/(1-q)),
     d2/dt2 F = -w^2 q [same],
@@ -14,28 +15,24 @@ derivatives both collapse onto q F^(2q-1):
 so the exact residual is q F^(2q-1) (-w^2 + k^2 + m^2), zero precisely on
 the dispersion relation w^2 = k^2 + m^2.
 The equation never states that relation; it is what the residual engine
-derives, exposed as dispersion_omega.
+derives, exposed as dispersion_omega (E = hypot(k, m)).
 
 First order in (q-1), the expansions of d2x F, d2t F and q F^(2q-1) all
-share one bracket q + 2i(q-1)u - (q-1)u^2/2, which is the entire
-self-consistency mechanism: the addends of expansion_terms_kg, built from
-the truncated forms, cancel identically on shell, while residual_kg with
-family="approx" inserts the approximant into the full equation (powering
-along its continuous logarithm) and leaves a genuine O((q-1)^2) remainder.
-The first-order wave, bracket and amplitude power are those of the
-Schrodinger plane wave: planewave.first_order_wave, bracket_wave, amp_pow;
-the exact wave F is planewave.exact_psi at p = k, E = omega.
+share one bracket q + 2i(q-1)u - (q-1)u^2/2 (planewave.bracket_wave), which
+is the entire self-consistency mechanism: the addends of
+expansion_terms_kg, built from the truncated forms, cancel identically on
+shell, while residual_kg with family="approx" inserts the approximant into
+the full equation (powering along its continuous logarithm) and leaves a
+genuine O((q-1)^2) remainder.  The approximant F and its d2/dx2 are
+planewave.approx_psi and d2x_approx_psi.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import planewave as pw
-from . import qcore
-from .errors import NonFiniteInput
 
 
 def dispersion_omega(k: float, m: float) -> float:
@@ -43,60 +40,28 @@ def dispersion_omega(k: float, m: float) -> float:
     return math.hypot(k, m)
 
 
-@dataclass(frozen=True)
-class KGWave:
-    """Relativistic wave parameters: wavenumber, frequency, mass."""
-
-    k: float
-    omega: float
-    m: float
-    dispersion: bool = False
+class KGWave(pw.PlaneWave):
+    """Relativistic plane wave: p = k, E = omega, nonnegative mass."""
 
     def __post_init__(self):
-        for name in ("k", "omega", "m"):
-            if not math.isfinite(getattr(self, name)):
-                raise NonFiniteInput(f"{name} must be finite")
+        super().__post_init__()
         if self.m < 0:
             raise ValueError(f"mass must be nonnegative, got {self.m!r}")
-        if self.dispersion and self.omega != dispersion_omega(self.k, self.m):
-            raise ValueError("dispersion waves require omega = dispersion_omega(k)")
 
     @classmethod
     def on_shell(cls, k: float, m: float) -> "KGWave":
         """Wave with the dispersion relation built in."""
-        return cls(k=k, omega=dispersion_omega(k, m), m=m, dispersion=True)
-
-
-def phase(x: float, t: float, w: KGWave) -> float:
-    """Dimensionless phase u = k x - omega t."""
-    if not (math.isfinite(x) and math.isfinite(t)):
-        raise NonFiniteInput(f"point must be finite, got {(x, t)!r}")
-    return w.k * x - w.omega * t
-
-
-def exact_F_2qm1(x: float, t: float, w: KGWave, q: float) -> complex:
-    """(2q-1)-th power of the exact wave, [1+i(1-q)u]**((2q-1)/(1-q))."""
-    return qcore.q_pow(1j * phase(x, t, w), q, 2.0 * q - 1.0)
-
-
-def approx_F(x: float, t: float, w: KGWave, q: float) -> complex:
-    """First-order wave e^{iu}[1 + (1-q)u^2/2]."""
-    return pw.first_order_wave(phase(x, t, w), q)
-
-
-def d2x_approx_F(x: float, t: float, w: KGWave, q: float) -> complex:
-    """Exact d2/dx2 of the first-order wave."""
-    return pw.bracket_wave(phase(x, t, w), q, -(w.k * w.k))
+        return cls(p=k, E=dispersion_omega(k, m), m=m)
 
 
 def d2t_approx_F(x: float, t: float, w: KGWave, q: float) -> complex:
     """Exact d2/dt2 of the first-order wave."""
-    return pw.bracket_wave(phase(x, t, w), q, -(w.omega * w.omega))
+    return pw.bracket_wave(pw.phase(pw.PhasePoint(x, t), w), q, -(w.E * w.E))
 
 
 def approx_qF2qm1(x: float, t: float, w: KGWave, q: float) -> complex:
     """First-order expansion of q F^(2q-1): e^{iu} times the shared bracket."""
-    return pw.bracket_wave(phase(x, t, w), q)
+    return pw.bracket_wave(pw.phase(pw.PhasePoint(x, t), w), q)
 
 
 def kg_terms(
@@ -108,18 +73,19 @@ def kg_terms(
     first-order wave, powering its amplitude along log1p so that
     F^(2q-1) never crosses the principal branch cut for |u| > pi.
     """
+    pt = pw.PhasePoint(x, t)
     mass_coef = w.m ** 2
     if family == "exact":
-        g2 = exact_F_2qm1(x, t, w, q)
-        term_tt = -(w.omega * w.omega) * q * g2
-        term_xx = (w.k * w.k) * q * g2
+        g2 = pw.exact_psi_2qm1(pt, w, q)
+        term_tt = -(w.E * w.E) * q * g2
+        term_xx = (w.p * w.p) * q * g2
         term_mass = mass_coef * q * g2
         return term_tt, term_xx, term_mass
     if family == "approx":
-        u = phase(x, t, w)
+        u = pw.phase(pt, w)
         power = cmath.exp(1j * (2.0 * q - 1.0) * u) * pw.amp_pow(u, q, 2.0 * q - 1.0)
         term_tt = d2t_approx_F(x, t, w, q)
-        term_xx = -d2x_approx_F(x, t, w, q)
+        term_xx = -pw.d2x_approx_psi(pt, w, q)
         term_mass = mass_coef * q * power
         return term_tt, term_xx, term_mass
     raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
@@ -141,7 +107,6 @@ def expansion_terms_kg(
 ) -> tuple[complex, complex, complex]:
     """Addends of the truncated-pair residual, for relative-scale reporting."""
     term_tt = d2t_approx_F(x, t, w, q)
-    term_xx = -d2x_approx_F(x, t, w, q)
+    term_xx = -pw.d2x_approx_psi(pw.PhasePoint(x, t), w, q)
     term_mass = w.m ** 2 * approx_qF2qm1(x, t, w, q)
     return term_tt, term_xx, term_mass
-

@@ -1,13 +1,15 @@
-"""Plane-wave solutions of the nonlinear q-Schrodinger equation.
+"""Plane waves of the nonlinear q-Schrodinger and q-Klein-Gordon equations.
 
-In natural units (hbar = 1) the equation is i d/dt(psi^q) = -(1/2m) d2/dx2(psi),
-whose exact free-particle solution is the q-exponential of the phase
-z = i(px - Et).
-This module provides the exact wave, its first-order expansion around q = 1,
-closed-form derivatives for both, the self-consistency residuals, and the
-ratio R = |approx/exact| used for the deviation sweeps.  The first-order
-forms are built from three functions of the phase u alone (first_order_wave,
-bracket_wave, amp_pow), which kleingordon shares.
+In natural units (hbar = c = 1) both equations are solved by the
+q-exponential of the phase z = i(px - Et), with k = p and omega = E, so
+this module is the one place that evaluates a plane wave (PlaneWave) and
+kleingordon keeps only its equation.  The Schrodinger equation is
+i d/dt(psi^q) = -(1/2m) d2/dx2(psi), free on E = p^2/(2m).
+This module provides the exact wave and its q-th and (2q-1)-th powers, its
+first-order expansion around q = 1, closed-form derivatives for both, the
+Schrodinger residuals, and the ratio R = |approx/exact| used for the
+deviation sweeps.  The truncated forms share one bracket (bracket_wave) and
+amp_pow powers the approximant; kleingordon uses both.
 
 Two residual notions coexist and both are exposed:
 
@@ -36,27 +38,31 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class SchrodingerWave:
-    """Free-particle wave parameters: momentum, energy, mass."""
+class PlaneWave:
+    """Plane-wave parameters: momentum p, energy E, mass m (k = p, omega = E)."""
 
     p: float
     E: float
     m: float
-    free_particle: bool = False
 
     def __post_init__(self):
         for name in ("p", "E", "m"):
             if not math.isfinite(getattr(self, name)):
                 raise NonFiniteInput(f"{name} must be finite")
+
+
+class SchrodingerWave(PlaneWave):
+    """Schrodinger plane wave: positive mass."""
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.m <= 0:
             raise ValueError(f"mass must be positive, got {self.m!r}")
-        if self.free_particle and self.E != self.p * self.p / (2.0 * self.m):
-            raise ValueError("free_particle waves require E = p^2/(2m) exactly")
 
     @classmethod
     def free(cls, p: float, m: float) -> "SchrodingerWave":
         """Wave with the free-particle dispersion E = p^2/(2m) built in."""
-        return cls(p=p, E=p * p / (2.0 * m), m=m, free_particle=True)
+        return cls(p=p, E=p * p / (2.0 * m), m=m)
 
 
 @dataclass(frozen=True)
@@ -77,14 +83,9 @@ class PhasePoint:
             raise NonFiniteInput(f"phase point must be finite, got {self!r}")
 
 
-def phase(pt: PhasePoint, w: SchrodingerWave) -> float:
+def phase(pt: PhasePoint, w: PlaneWave) -> float:
     """Dimensionless phase u = p x - E t."""
     return w.p * pt.x - w.E * pt.t
-
-
-def first_order_wave(u: float, q: float) -> complex:
-    """First-order wave e^{iu} [1 + (1-q) u^2/2] at phase u."""
-    return cmath.exp(1j * u) * (1.0 + (1.0 - q) * u * u / 2.0)
 
 
 def bracket_wave(u: float, q: float, coef: complex = 1.0) -> complex:
@@ -110,33 +111,40 @@ def amp_pow(u: float, q: float, exponent: float) -> float:
     return math.exp(exponent * math.log1p((1.0 - q) * u * u / 2.0))
 
 
-def exact_psi(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
+def exact_psi(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
     """Exact wave: q-exponential of i*u."""
     return qcore.q_exp(1j * phase(pt, w), q)
 
 
-def exact_psi_q(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
+def exact_psi_q(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
     """q-th power of the exact wave, [1 + (1-q) i u]**(q/(1-q))."""
     return qcore.q_pow(1j * phase(pt, w), q, q)
 
 
-def approx_psi(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
+def exact_psi_2qm1(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
+    """(2q-1)-th power of the exact wave, [1 + (1-q) i u]**((2q-1)/(1-q)),
+    onto which the exact terms of both equations reduce."""
+    return qcore.q_pow(1j * phase(pt, w), q, 2.0 * q - 1.0)
+
+
+def approx_psi(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
     """First-order wave e^{iu} [1 + (1-q) u^2/2]."""
-    return first_order_wave(phase(pt, w), q)
+    u = phase(pt, w)
+    return cmath.exp(1j * u) * (1.0 + (1.0 - q) * u * u / 2.0)
 
 
-def approx_psi_q(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
+def approx_psi_q(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
     """First-order expansion of psi^q: e^{iu} [1 + (q-1)(iu - u^2/2)]."""
     u = phase(pt, w)
     return cmath.exp(1j * u) * (1.0 + (q - 1.0) * (1j * u - u * u / 2.0))
 
 
-def d2x_approx_psi(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
+def d2x_approx_psi(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
     """Exact d2/dx2 of the first-order wave."""
     return bracket_wave(phase(pt, w), q, -(w.p * w.p))
 
 
-def dt_approx_psi_q(pt: PhasePoint, w: SchrodingerWave, q: float) -> complex:
+def dt_approx_psi_q(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
     """Exact d/dt of the first-order psi^q."""
     return bracket_wave(phase(pt, w), q, -(1j * w.E))
 
@@ -151,7 +159,7 @@ def schrodinger_terms(
     solution, powering it along the unwrapped logarithm.
     """
     if family == "exact":
-        g = qcore.q_pow(1j * phase(pt, w), q, 2.0 * q - 1.0)
+        g = exact_psi_2qm1(pt, w, q)
         term_t = 1j * (-(1j * q * w.E) * g)
         term_x = (1.0 / (2.0 * w.m)) * (-(q * w.p * w.p) * g)
         return term_t, term_x
@@ -192,7 +200,7 @@ def expansion_terms(
     return term_t, term_x
 
 
-def ratio_terms(pt: PhasePoint, w: SchrodingerWave, q: float):
+def ratio_terms(pt: PhasePoint, w: PlaneWave, q: float):
     """(c, g0, g) such that approx_psi = (1 + c) e^{-g0} and exact_psi =
     e_q(-g): c = (1-q) u^2/2 and g0 = g = -iu at the phase u, at a float or
     an array of x."""
@@ -200,7 +208,7 @@ def ratio_terms(pt: PhasePoint, w: SchrodingerWave, q: float):
     return (1.0 - q) * u * u / 2.0, -1j * u, -1j * u
 
 
-def ratio_R(pt: PhasePoint, w: SchrodingerWave, q: float) -> float | np.ndarray:
+def ratio_R(pt: PhasePoint, w: PlaneWave, q: float) -> float | np.ndarray:
     """Deviation diagnostic R = |approx_psi| / |exact_psi|.
 
     qcore.modulus_ratio forms it from the terms (c, g0, g) of ratio_terms

@@ -121,6 +121,7 @@ def q_pow(z, q: float, scale: float = 1.0) -> complex:
     The exponent is computed as scale * z * S((1-q) z), so any power whose
     exponent numerator is known in closed form (1, q, 2q-1, ...) shares one
     cancellation-free code path.  q = 1 is the w = 0 case: exp(scale * z).
+    A power beyond the double range raises NonFiniteResult.
     """
     z = _as_finite_complex(z, "z")
     if not math.isfinite(q):
@@ -129,7 +130,10 @@ def q_pow(z, q: float, scale: float = 1.0) -> complex:
     if not cmath.isfinite(w):
         raise NonFiniteResult(f"(1-q) z overflows at q-1 = {q - 1.0!r}")
     _require_off_cut(1.0 + w, "q_pow base")
-    return cmath.exp(scale * z * _log1p_over_w(w))
+    try:
+        return cmath.exp(scale * z * _log1p_over_w(w))
+    except OverflowError:
+        raise NonFiniteResult(f"q_pow overflows the double range at q-1 = {q - 1.0!r}") from None
 
 
 def _log_abs_1p(w: np.ndarray) -> np.ndarray:

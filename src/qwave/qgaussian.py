@@ -49,6 +49,8 @@ from .qcore import QJet, as_jet, jet_exp, jet_ln, log1p_over_w_jet, expm1_over_w
 if TYPE_CHECKING:
     import numpy as np
 
+FD_TOL = 1e-6  # largest FD error estimate of gaussian_terms, relative to its larger term
+
 
 @dataclass(frozen=True)
 class GaussianParams:
@@ -245,18 +247,14 @@ def ratio_gaussian(x, t: float, params: GaussianParams) -> float | np.ndarray:
 
 
 def gaussian_terms(
-    x: float,
-    t: float,
-    params: GaussianParams,
-    family: str,
-    fd_tol: float = 1e-6,
+    x: float, t: float, params: GaussianParams, family: str
 ) -> tuple[complex, complex]:
     """FD-evaluated equation terms (i dt psi^q, (1/2m) d2x psi).
 
     The packet has no closed-form derivative API, so both terms come from
     Richardson-extrapolated finite differences on the continuous-branch
     log representation.  Raises StepTooCoarse when the FD error estimate
-    exceeds fd_tol relative to the larger term: a residual smaller than
+    exceeds FD_TOL relative to the larger term: a residual smaller than
     the differencing noise would otherwise masquerade as zero.
     """
     if family not in ("exact", "approx"):
@@ -275,20 +273,14 @@ def gaussian_terms(
     term_x = (1.0 / (2.0 * m)) * d2x_val
     scale = max(abs(term_t), abs(term_x))
     noise = dt_err + (1.0 / (2.0 * m)) * d2x_err
-    if scale > 0.0 and noise > fd_tol * scale:
+    if scale > 0.0 and noise > FD_TOL * scale:
         raise StepTooCoarse(
-            f"FD error {noise:.3e} exceeds {fd_tol:.1e} of term scale {scale:.3e}"
+            f"FD error {noise:.3e} exceeds {FD_TOL:.1e} of term scale {scale:.3e}"
         )
     return term_t, term_x
 
 
-def residual_qgaussian(
-    x: float,
-    t: float,
-    params: GaussianParams,
-    family: str,
-    fd_tol: float = 1e-6,
-) -> complex:
+def residual_qgaussian(x: float, t: float, params: GaussianParams, family: str) -> complex:
     """FD residual i dt(psi^q) + (1/2m) d2x(psi) of a packet family."""
-    term_t, term_x = gaussian_terms(x, t, params, family, fd_tol)
+    term_t, term_x = gaussian_terms(x, t, params, family)
     return term_t + term_x

@@ -31,10 +31,6 @@ def _gate(label: str, detail: str, ok: bool) -> None:
     assert ok, f"criterion {label}: {detail}"
 
 
-def _rel_to(diff: float, *scales: float) -> float:
-    return diff / max(1.0, *(abs(s) for s in scales))
-
-
 def test_criterion_1_exact_planewave_residual():
     start = time.perf_counter()
     xs = np.linspace(-8.0, 8.0, 2001)
@@ -99,7 +95,7 @@ def test_criterion_3_closed_forms_vs_oracles():
                 (partial(pw.exact_psi_q, pt, wave), partial(pw.approx_psi_q, pt, wave))
             )
             coeff_cases.append(
-                (lambda q, x=x, t=t: q * kg.exact_F_2qm1(x, t, kgw, q),
+                (lambda q, pt=pt: q * pw.exact_psi_2qm1(pt, kgw, q),
                  partial(kg.approx_qF2qm1, x, t, kgw))
             )
     for t in np.linspace(0.0, 4.0, 9):
@@ -111,51 +107,37 @@ def test_criterion_3_closed_forms_vs_oracles():
     worst_coeff = checks.approx_jet_gap(coeff_cases)
 
     # Part B: each closed-form x/t derivative of a first-order wave
-    # against Richardson FD at fixed q.
+    # against Richardson FD at fixed q (checks.fd_gap), first and second
+    # derivatives apart.
     q = 1.05
-    d1 = verify.default_scheme(1.0, deriv=1)
-    d2 = verify.default_scheme(1.0, deriv=2)
-    deriv_cases = []
+    d1_cases, d2_cases = [], []
     for x in np.linspace(-5.5, 5.5, 8):
         for t in (0.4, 2.1):
             pt = PhasePoint(x, t)
-            deriv_cases.append(
-                (pw.d2x_approx_psi(pt, wave, q),
-                 lambda xx, t=t: pw.approx_psi(PhasePoint(xx, t), wave, q),
-                 x, d2, 2)
-            )
-            deriv_cases.append(
+            for w in (wave, kgw):
+                d2_cases.append(
+                    (pw.d2x_approx_psi(pt, w, q),
+                     lambda xx, t=t, w=w: pw.approx_psi(PhasePoint(xx, t), w, q),
+                     x)
+                )
+            d1_cases.append(
                 (pw.dt_approx_psi_q(pt, wave, q),
                  lambda tt, x=x: pw.approx_psi_q(PhasePoint(x, tt), wave, q),
-                 t, d1, 1)
+                 t)
             )
-            deriv_cases.append(
-                (kg.d2x_approx_F(x, t, kgw, q),
-                 lambda xx, t=t: kg.approx_F(xx, t, kgw, q),
-                 x, d2, 2)
-            )
-            deriv_cases.append(
+            d2_cases.append(
                 (kg.d2t_approx_F(x, t, kgw, q),
-                 lambda tt, x=x: kg.approx_F(x, tt, kgw, q),
-                 t, d2, 2)
+                 lambda tt, x=x: pw.approx_psi(PhasePoint(x, tt), kgw, q),
+                 t)
             )
     for t in np.linspace(0.0, 4.0, 8):
-        deriv_cases.append(
-            (sep.dt_approx_f_q(t, E, q),
-             lambda tt: sep.approx_f_q(tt, E, q),
-             t, d1, 1)
-        )
+        d1_cases.append((sep.dt_approx_f_q(t, E, q), lambda tt: sep.approx_f_q(tt, E, q), t))
     for x in np.linspace(-6.0, 6.0, 8):
-        deriv_cases.append(
-            (sep.d2x_approx_g(x, P, q),
-             lambda xx: sep.approx_g(xx, P, q),
-             x, d2, 2)
-        )
-
-    worst_deriv = 0.0
-    for closed, fn, at, scheme, deriv in deriv_cases:
-        fd, _ = verify.fd_derivative(fn, at, scheme, deriv=deriv)
-        worst_deriv = max(worst_deriv, _rel_to(abs(fd - closed), closed))
+        d2_cases.append((sep.d2x_approx_g(x, P, q), lambda xx: sep.approx_g(xx, P, q), x))
+    worst_deriv = max(
+        checks.fd_gap(d1_cases, verify.default_scheme(1.0, deriv=1), 1),
+        checks.fd_gap(d2_cases, verify.default_scheme(1.0, deriv=2), 2),
+    )
 
     elapsed = time.perf_counter() - start
     _gate(
@@ -213,7 +195,7 @@ def test_criterion_5_gaussian_jet_authority():
 def test_criterion_6_kg_dispersion():
     k, m = 1.1, 1.0
     on = kg.KGWave.on_shell(k=k, m=m)
-    off = kg.KGWave(k=k, omega=1.01 * kg.dispersion_omega(k, m), m=m)
+    off = kg.KGWave(p=k, E=1.01 * kg.dispersion_omega(k, m), m=m)
     xs = np.linspace(-4.0, 4.0, 41)
     ts = np.linspace(0.0, 3.0, 9)
 

@@ -252,6 +252,25 @@ def test_negative_exponent_form_is_a_value(mode, flag, capsys):
     assert spaced == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode, qm1", [("--no-gaussian", "1e-17"), ("--gaussian", "-1e-17")])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_q_minus_1_that_rounds_away_is_usage_error(mode, qm1, via_config, tmp_path, capsys):
+    # 1.0 + 1e-17 == 1.0 in double: the sweep would run the undeformed q = 1
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text(f"q-minus-1={qm1}\n")
+    given = ["--config", str(cfg)] if via_config else ["--q-minus-1", qm1]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ratio", mode, "--points", "3", "--xmax", "1e6", *given])
+    assert exc.value.code == 2
+    assert "--q-minus-1" in capsys.readouterr().err.splitlines()[-1]
+
+
+def test_zero_q_minus_1_is_not_refused(capsys):
+    code, out, err = run(["ratio", "--points", "3", "--q-minus-1", "0"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["0,1", "0.5,1", "1,1"]
+
+
 def test_ratio_help_shows_both_modes_defaults(capsys):
     # each flag's help reads its plane-wave and packet defaults from _MODE_DEFAULTS
     with pytest.raises(SystemExit) as exc:

@@ -20,7 +20,6 @@ TS = tuple(np.linspace(0.0, 3.0, 5))
 def test_free_constructor():
     w = pw.SchrodingerWave.free(p=2.0, m=4.0)
     assert w.E == 0.5  # p^2 / 2m exactly
-    assert w.free_particle
 
 
 def test_constructor_validation():
@@ -28,9 +27,6 @@ def test_constructor_validation():
         pw.SchrodingerWave(p=float("nan"), E=1.0, m=1.0)
     with pytest.raises(ValueError):
         pw.SchrodingerWave(p=1.0, E=1.0, m=0.0)
-    with pytest.raises(ValueError):
-        # free_particle demands E = p^2/2m exactly
-        pw.SchrodingerWave(p=1.0, E=0.5000001, m=1.0, free_particle=True)
 
 
 def test_phase():

@@ -193,7 +193,8 @@ def test_modulus_ratio_one_point_is_the_sweep():
         (complex("nan"), 1.1, NonFiniteInput),
         (complex(1.0, math.inf), 1.1, NonFiniteInput),
         (1.0, math.inf, NonFiniteInput),
-        (800.0, 1.0, OverflowError),  # exp(800)
+        (800.0, 1.0, NonFiniteResult),  # exp(800)
+        (complex(50, 1.175494351e-38), 1.02, NonFiniteResult),  # |1 + w| ~ 2e-40, power ~ 1e2000
         (-1e300, 1.0 + 1e300, OverflowError),  # (1-q) z
     ],
 )
@@ -384,7 +385,7 @@ def test_jet_ln_inverts_exp(a):
 def test_q_exp_conjugation_symmetry(z, q):
     try:
         v = qcore.q_exp(z, q)
-    except BranchCutViolation:
+    except (BranchCutViolation, NonFiniteResult):  # a value beyond the double range has no conjugate
         assume(False)
     v_conj = qcore.q_exp(z.conjugate(), q)
     assert abs(v_conj - v.conjugate()) <= 1e-13 * max(1.0, abs(v))

@@ -192,9 +192,10 @@ def test_ratio_matches_scalar_packets(q, t):
         assert abs(r - want) <= 1e-13 * want, x
 
 
-def test_step_too_coarse_guard():
+def test_step_too_coarse_guard(monkeypatch):
+    monkeypatch.setattr(qg, "FD_TOL", 1e-16)
     with pytest.raises(StepTooCoarse):
-        qg.gaussian_terms(0.9, 0.4, params_for(1.001), family="exact", fd_tol=1e-16)
+        qg.gaussian_terms(0.9, 0.4, params_for(1.001), family="exact")
 
 
 def test_unknown_family_rejected():

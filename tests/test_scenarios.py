@@ -66,7 +66,6 @@ def test_wave_for_satisfies_free_relation():
     scn = scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-9)
     w = scenarios.wave_for(scn)
     assert w.E == w.p * w.p / (2.0 * w.m)
-    assert w.free_particle
     # mass slot carries the rest energy in MeV
     assert abs(w.m - ELECTRON_MC2_MEV) / ELECTRON_MC2_MEV < 1e-8
 
