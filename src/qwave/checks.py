@@ -5,16 +5,23 @@ certifies, a default tolerance, a sense ("le": measured <= tolerance, "ge":
 measured >= tolerance, "report": printed, never failing) and measure(),
 which returns one float.  The @check decorator declares a function as the
 measure of a check; REGISTRY holds the checks in declaration order, which
-is the order ``qwave verify`` prints them in.  The acceptance tests call
-the same measure functions on their own grids and read the same
-tolerances.
+is the order ``qwave verify`` prints them in.
+
+A measure that the tests also take is a public function of its grid (and
+of q where the claim holds at any q), each parameter defaulting to the
+registry's value, as in pw_exact_residual(q, xs, ts).  The tests call it
+on their own grids with their own bounds instead of restating it, so each
+claim is measured by one piece of code.
 
 The repeated patterns are helpers: max_rel reduces (difference, scale)
-pairs, fd_gap compares closed forms with finite differences in x/t,
-approx_jet_gap compares the FD-in-q jet of each exact form with the jet of
-its shipped approximant, so the jet checks read every first-order
-coefficient from the approx_* forms, and @order_fit turns one convergence
-fit of a residual norm into a slope check and its _r2 fit-quality check.
+pairs; fd_gap(closed, fn, ats, scale, deriv) gives the worst relative gap
+of closed(a) against the Richardson FD of fn at a over ats, stepping by
+verify.default_scheme(scale, deriv=deriv) for an fn that varies on the
+length scale; approx_jet_gap compares the FD-in-q jet of each exact
+form with the jet of its shipped approximant, so the jet checks read every
+first-order coefficient from the approx_* forms; and @order_fit turns one
+convergence fit of a residual norm into a slope check and its _r2
+fit-quality check.
 """
 
 from __future__ import annotations
@@ -111,15 +118,17 @@ def residual_pair(terms) -> tuple[float, float]:
     return abs(sum(terms)), max(map(abs, terms))
 
 
-def fd_gap(cases, scheme: verify.FDScheme, deriv: int) -> float:
-    """Worst relative gap of closed-form x/t derivatives against Richardson FD.
+def fd_gap(closed, fn, ats, scale: float, deriv: int) -> float:
+    """Worst |closed(a) - FD of fn at a| / |closed(a)| over ats: a closed-form
+    x or t derivative of order deriv against Richardson FD, stepping as
+    verify.default_scheme does for a function varying on the length scale."""
+    scheme = verify.default_scheme(scale, deriv=deriv)
 
-    cases are (closed, fn, at): fn differentiated deriv times at at.
-    """
-    return max_rel(
-        (abs(closed - verify.fd_derivative(fn, at, scheme, deriv=deriv)[0]), abs(closed))
-        for closed, fn, at in cases
-    )
+    def pair(at):
+        value = closed(at)
+        return abs(value - verify.fd_derivative(fn, at, scheme, deriv=deriv)[0]), abs(value)
+
+    return max_rel(map(pair, ats))
 
 
 def approx_jet(approx: Callable[[float], complex]) -> qcore.QJet:
@@ -184,11 +193,13 @@ for _q in (0.999, 1.001, 1.1):
     "truncated dt(psi^q) and d2x(psi) brackets cancel identically",
     1e-12,
 )
-def _pw_pair_cancellation() -> float:
+def pw_pair_cancellation(xs=_PW_XS, ts=_PW_TS) -> float:
+    """Worst truncated dt(psi^q) + d2x(psi) pair over its larger term."""
     return max_rel(
-        residual_pair(pw.expansion_terms(pt, _PW_WAVE, 1.0 + eps))
+        residual_pair(pw.expansion_terms(pw.PhasePoint(x, t), _PW_WAVE, 1.0 + eps))
         for eps in _PAIR_EPSILONS
-        for pt in _PW_POINTS
+        for x in xs
+        for t in ts
     )
 
 
@@ -202,27 +213,30 @@ def pw_approx_norm(eps: float, xs=_PW_XS[::2], ts=_PW_TS) -> float:
     )
 
 
-def _pw_error_norm(eps: float) -> float:
+def pw_error_norm(eps: float, xs=_PW_XS[::2], ts=_PW_TS) -> float:
+    """Largest |approx_psi - exact_psi| at q = 1 + eps."""
     q = 1.0 + eps
     return max(
         abs(pw.approx_psi(pt, _PW_WAVE, q) - pw.exact_psi(pt, _PW_WAVE, q))
-        for pt in (pw.PhasePoint(x, t) for x in _PW_XS[::2] for t in _PW_TS)
+        for pt in (pw.PhasePoint(x, t) for x in xs for t in ts)
     )
 
 
 @check("planewave.approx_error_order", "approx_psi - exact_psi shrinks as eps^2", 1.9, "ge")
 def _pw_error_order() -> float:
-    return verify.order_of_convergence(_pw_error_norm, (1e-2, 1e-3, 1e-4, 1e-5)).slope
+    return verify.order_of_convergence(pw_error_norm, (1e-2, 1e-3, 1e-4, 1e-5)).slope
 
 
 @check("planewave.modulus_identity", "|exact_psi|^2 = [1+(1-q)^2 u^2]^{1/(1-q)}", 1e-12)
-def _pw_modulus_identity(q: float = 1.37) -> float:
+def pw_modulus_identity(q: float = 1.37, xs=_PW_XS, ts=_PW_TS) -> float:
+    """Worst relative gap of |exact_psi|^2 against its closed form."""
+
     def pair(pt):
         u = pw.phase(pt, _PW_WAVE)
         closed = math.exp(math.log1p((1.0 - q) ** 2 * u * u) / (1.0 - q))
         return abs(abs(pw.exact_psi(pt, _PW_WAVE, q)) ** 2 - closed), abs(closed)
 
-    return max_rel(pair(pt) for pt in _PW_POINTS)
+    return max_rel(pair(pw.PhasePoint(x, t)) for x in xs for t in ts)
 
 
 @check(
@@ -245,29 +259,26 @@ def _pw_psi_q_jet() -> float:
 
 
 @check("planewave.approx_jet_fd", "approx_psi, approx_psi_q are q-jets of the exact forms", 1e-6)
-def _pw_approx_jet_fd() -> float:
+def pw_approx_jet_fd(points=_PW_POINTS[::3]) -> float:
+    """approx_jet_gap of approx_psi and approx_psi_q at the PhasePoints."""
     return approx_jet_gap(
         (partial(exact, pt, _PW_WAVE), partial(approx, pt, _PW_WAVE))
-        for pt in _PW_POINTS[::3]
+        for pt in points
         for exact, approx in ((pw.exact_psi, pw.approx_psi), (pw.exact_psi_q, pw.approx_psi_q))
     )
 
 
 @check("planewave.d2x_approx_fd", "closed-form d2x of the approximant against FD", 1e-8)
-def _pw_d2x_fd(q: float = 1.02) -> float:
-    return fd_gap(
-        (
-            (
-                pw.d2x_approx_psi(pw.PhasePoint(x, t), _PW_WAVE, q),
-                lambda xv, t=t: pw.approx_psi(pw.PhasePoint(xv, t), _PW_WAVE, q),
-                x,
-            )
-            for x in _PW_XS[::3]
-            for t in _PW_TS
-        ),
-        verify.default_scheme(1.0 / _PW_WAVE.p, deriv=2),
-        2,
-    )
+def pw_d2x_fd(
+    q: float = 1.02, xs=_PW_XS[::3], ts=_PW_TS, w: pw.PlaneWave = _PW_WAVE
+) -> float:
+    """fd_gap of d2x_approx_psi of the wave w, in x at each t."""
+
+    def at_t(t):
+        return fd_gap(lambda x: pw.d2x_approx_psi(pw.PhasePoint(x, t), w, q),
+                      lambda x: pw.approx_psi(pw.PhasePoint(x, t), w, q), xs, 1.0 / w.p, 2)
+
+    return max(map(at_t, ts))
 
 
 @check(
@@ -275,20 +286,15 @@ def _pw_d2x_fd(q: float = 1.02) -> float:
     "closed-form dt of the approximant's q-th power against FD",
     1e-8,
 )
-def _pw_dt_q_fd(q: float = 1.02) -> float:
-    return fd_gap(
-        (
-            (
-                pw.dt_approx_psi_q(pw.PhasePoint(x, t), _PW_WAVE, q),
-                lambda tv, x=x: pw.approx_psi_q(pw.PhasePoint(x, tv), _PW_WAVE, q),
-                t,
-            )
-            for x in _PW_XS[::3]
-            for t in _PW_TS
-        ),
-        verify.default_scheme(1.0 / _PW_WAVE.E, deriv=1),
-        1,
-    )
+def pw_dt_q_fd(q: float = 1.02, xs=_PW_XS[::3], ts=_PW_TS) -> float:
+    """fd_gap of dt_approx_psi_q, in t at each x."""
+
+    def at_x(x):
+        return fd_gap(lambda t: pw.dt_approx_psi_q(pw.PhasePoint(x, t), _PW_WAVE, q),
+                      lambda t: pw.approx_psi_q(pw.PhasePoint(x, t), _PW_WAVE, q),
+                      ts, 1.0 / _PW_WAVE.E, 1)
+
+    return max(map(at_x, xs))
 
 
 # -- separation ------------------------------------------------------------
@@ -305,13 +311,14 @@ _SEP_XS = _grid(-6.0, 6.0, 17)
     "exact time factor satisfies its separated equation, q=1.1",
     1e-10,
 )
-def _sep_exact_residual_f(q: float = 1.1) -> float:
+def sep_exact_residual_f(q: float = 1.1, ts=_SEP_TS) -> float:
+    """Worst |residual| of the exact time factor over E |f|."""
     return max_rel(
         (
             abs(sep.residual_f(t, _SEP_E, q, family="exact")),
             abs(_SEP_E * sep.exact_f(t, _SEP_E, q)),
         )
-        for t in _SEP_TS
+        for t in ts
     )
 
 
@@ -320,24 +327,15 @@ def _sep_exact_residual_f(q: float = 1.1) -> float:
     "exact space factor satisfies its separated equation, q=1.1",
     1e-10,
 )
-def _sep_exact_residual_g(q: float = 1.1) -> float:
+def sep_exact_residual_g(q: float = 1.1, xs=_SEP_XS) -> float:
+    """Worst |residual| of the exact space factor over lam |g^q|."""
     return max_rel(
         (
             abs(sep.residual_g(x, _SEP_P, q, family="exact")),
             abs(_SEP_LAM * sep.exact_g_q(x, _SEP_P, q)),
         )
-        for x in _SEP_XS
+        for x in xs
     )
-
-
-def _sep_pairs(q: float):
-    for t in _SEP_TS:
-        yield abs(sep.expansion_residual_f(t, _SEP_E, q)), abs(_SEP_E * sep.approx_f(t, _SEP_E, q))
-    for x in _SEP_XS:
-        yield (
-            abs(sep.expansion_residual_g(x, _SEP_P, q)),
-            abs(_SEP_LAM * sep.approx_g_q(x, _SEP_P, q)),
-        )
 
 
 @check(
@@ -345,8 +343,22 @@ def _sep_pairs(q: float):
     "truncated pairs for f and g cancel identically at lam = p^2/2",
     1e-12,
 )
-def _sep_pair_cancellation() -> float:
-    return max(max_rel(_sep_pairs(1.0 + eps)) for eps in _PAIR_EPSILONS)
+def sep_pair_cancellation(ts=_SEP_TS, xs=_SEP_XS) -> float:
+    """Worst truncated pair of f over E |f| and of g over lam |g^q|."""
+
+    def pairs(q):
+        for t in ts:
+            yield (
+                abs(sep.expansion_residual_f(t, _SEP_E, q)),
+                abs(_SEP_E * sep.approx_f(t, _SEP_E, q)),
+            )
+        for x in xs:
+            yield (
+                abs(sep.expansion_residual_g(x, _SEP_P, q)),
+                abs(_SEP_LAM * sep.approx_g_q(x, _SEP_P, q)),
+            )
+
+    return max(max_rel(pairs(1.0 + eps)) for eps in _PAIR_EPSILONS)
 
 
 @order_fit("separation.f_order", "first-order f inserted in its equation")
@@ -361,7 +373,8 @@ def sep_g_norm(eps: float, xs=_SEP_XS) -> float:
     return max(abs(sep.residual_g(x, _SEP_P, 1.0 + eps, family="approx")) for x in xs)
 
 
-def _sep_jet_gap(exact, approx, grid, k: float) -> float:
+def sep_jet_gap(exact, approx, grid, k: float) -> float:
+    """approx_jet_gap of approx(s, k) against exact(s, k) over s in grid."""
     return approx_jet_gap((partial(exact, s, k), partial(approx, s, k)) for s in grid)
 
 
@@ -373,31 +386,21 @@ for _key, _exact, _approx, _grid_s, _k, _tol in (
 ):
     check(
         f"separation.{_key}", f"{_approx.__name__} is the q-jet of {_exact.__name__}", _tol
-    )(partial(_sep_jet_gap, _exact, _approx, _grid_s, _k))
+    )(partial(sep_jet_gap, _exact, _approx, _grid_s, _k))
 
 
 @check("separation.dt_f_q_fd", "closed-form dt of the first-order f^q against FD", 1e-8)
-def _sep_dt_f_q_fd(q: float = 1.02) -> float:
-    return fd_gap(
-        (
-            (sep.dt_approx_f_q(t, _SEP_E, q), lambda tv: sep.approx_f_q(tv, _SEP_E, q), t)
-            for t in _SEP_TS
-        ),
-        verify.default_scheme(1.0 / _SEP_E, deriv=1),
-        1,
-    )
+def sep_dt_f_q_fd(q: float = 1.02, ts=_SEP_TS) -> float:
+    """fd_gap of dt_approx_f_q."""
+    return fd_gap(lambda t: sep.dt_approx_f_q(t, _SEP_E, q),
+                  lambda t: sep.approx_f_q(t, _SEP_E, q), ts, 1.0 / _SEP_E, 1)
 
 
 @check("separation.d2x_g_fd", "closed-form d2x of the first-order g against FD", 1e-8)
-def _sep_d2x_g_fd(q: float = 1.02) -> float:
-    return fd_gap(
-        (
-            (sep.d2x_approx_g(x, _SEP_P, q), lambda xv: sep.approx_g(xv, _SEP_P, q), x)
-            for x in _SEP_XS
-        ),
-        verify.default_scheme(1.0 / _SEP_P, deriv=2),
-        2,
-    )
+def sep_d2x_g_fd(q: float = 1.02, xs=_SEP_XS) -> float:
+    """fd_gap of d2x_approx_g."""
+    return fd_gap(lambda x: sep.d2x_approx_g(x, _SEP_P, q),
+                  lambda x: sep.approx_g(x, _SEP_P, q), xs, 1.0 / _SEP_P, 2)
 
 
 @check(
@@ -430,6 +433,9 @@ def _qg_params(q: float) -> qg.GaussianParams:
     return qg.GaussianParams(m=1.0, beta=1.0, q=q)
 
 
+_QG_PARAMS = _qg_params(1.001)
+
+
 check("gaussian.c_at_zero", "c(0) = 0 exactly", 1e-13)(
     lambda: max(abs(qg.coeffs_exact(0.0, _qg_params(q)).c) for q in _QG_QS)
 )
@@ -439,8 +445,10 @@ check("gaussian.psi_origin", "psi(0,0) = 1 exactly", 1e-13)(
 
 
 @check("gaussian.coeff_jets", "mechanical coefficient jets match the closed-form splits", 1e-11)
-def _qg_coeff_jets() -> float:
-    def pairs(t, params):
+def qg_coeff_jets(params: qg.GaussianParams = _QG_PARAMS, ts=_QG_TS) -> float:
+    """Worst gap of the coefficient jets against coeffs_first_order."""
+
+    def pairs(t):
         split = qg.coeffs_first_order(t, params)
         for jet, c0, c1 in zip(
             qg._coeff_jets(t, params),
@@ -450,18 +458,17 @@ def _qg_coeff_jets() -> float:
             yield abs(jet.v0 - c0), max(1.0, abs(c0))
             yield abs(jet.v1 - c1), max(1.0, abs(c1))
 
-    return max(max_rel(pairs(t, _qg_params(1.001))) for t in _QG_TS)
+    return max(max_rel(pairs(t)) for t in ts)
 
 
 @check("gaussian.jet_authority", "packet jet equals the assembled first-order closed forms", 1e-11)
 def qg_jet_authority(xs=_QG_XS, ts=_QG_TS) -> float:
     """Worst gap of the packet jet at q = 1.001 against the first-order
     closed forms assembled from first_order_exponents."""
-    params = _qg_params(1.001)
 
     def pairs(x, t):
-        jet = qg.wavefunction_jet(x, t, params)
-        G0, G1 = qg.first_order_exponents(x, t, params)
+        jet = qg.wavefunction_jet(x, t, _QG_PARAMS)
+        G0, G1 = qg.first_order_exponents(x, t, _QG_PARAMS)
         assembled0 = cmath.exp(-G0)
         assembled1 = -(G1 - 0.5 * G0 * G0) * assembled0
         scale = max(abs(assembled0), abs(assembled1))
@@ -474,7 +481,7 @@ def qg_jet_authority(xs=_QG_XS, ts=_QG_TS) -> float:
 @check("gaussian.coeff_fd", "FD in q of the exact coefficients matches (a2, b2, c2)", 1e-6)
 def _qg_coeff_fd() -> float:
     def pairs(t):
-        split = qg.coeffs_first_order(t, _qg_params(1.001))
+        split = qg.coeffs_first_order(t, _QG_PARAMS)
         for name, closed in (("a", split.a2), ("b", split.b2), ("c", split.c2)):
             fd = verify.jet_from_fd(lambda q: getattr(qg.coeffs_exact(t, _qg_params(q)), name))
             yield abs(fd.v1 - closed), max(1.0, abs(closed))
@@ -496,22 +503,18 @@ def _qg_packet_norm(eps: float) -> float:
     math.nan,
     "report",
 )
-def _qg_exact_residual() -> float:
-    params = _qg_params(1.001)
+def qg_exact_residual(probes=_QG_PROBES) -> float:
+    """Worst exact packet residual at q = 1.001 over its larger term, at
+    the (x, t) probes."""
     return max_rel(
-        residual_pair(qg.gaussian_terms(x, t, params, family="exact")) for x, t in _QG_PROBES
+        residual_pair(qg.gaussian_terms(x, t, _QG_PARAMS, family="exact")) for x, t in probes
     )
 
 
-@check(
-    "gaussian.ratio_band",
-    "packet ratio stays within [0.9, 1.1] over the default sweep",
-    0.1,
-)
+@check("gaussian.ratio_band", "packet ratio stays within [0.9, 1.1] over the default sweep", 0.1)
 def _qg_ratio_band() -> float:
-    params = _qg_params(1.001)
     ratios = (
-        abs(qg.approx_qgaussian(x, 0.0, params)) / abs(qg.exact_qgaussian(x, 0.0, params))
+        abs(qg.approx_qgaussian(x, 0.0, _QG_PARAMS)) / abs(qg.exact_qgaussian(x, 0.0, _QG_PARAMS))
         for x in _grid(0.0, 4.0, 1001)
     )
     return max(abs(r - 1.0) for r in ratios)
@@ -537,15 +540,13 @@ for _q in (0.999, 1.1):
 
 
 @check(
-    "kleingordon.dispersion_sensitivity",
-    "1% omega perturbation inflates the residual",
-    1e4,
-    "ge",
+    "kleingordon.dispersion_sensitivity", "1% omega perturbation inflates the residual", 1e4, "ge"
 )
-def _kg_dispersion_sensitivity() -> float:
+def kg_dispersion_sensitivity(q: float = 1.1, xs=_KG_XS, ts=_KG_TS) -> float:
+    """kg_exact_residual of a wave with omega 1% off shell over the on-shell one."""
     off = kg.KGWave(p=_KG_WAVE.p, E=_KG_WAVE.E * 1.01, m=_KG_WAVE.m)
-    on_res = kg_exact_residual(1.1)
-    return kg_exact_residual(1.1, off) / on_res if on_res > 0 else math.inf
+    on_res = kg_exact_residual(q, _KG_WAVE, xs, ts)
+    return kg_exact_residual(q, off, xs, ts) / on_res if on_res > 0 else math.inf
 
 
 @check(
@@ -553,7 +554,9 @@ def _kg_dispersion_sensitivity() -> float:
     "d2x, d2t and qF^{2q-1} expansions share one bracket",
     1e-14,
 )
-def _kg_bracket_identity(q: float = 1.2) -> float:
+def kg_bracket_identity(q: float = 1.2, xs=_KG_XS, ts=_KG_TS) -> float:
+    """Worst gap of the d2x and d2t brackets against the qF^{2q-1} one."""
+
     def pair(x, t):
         pt = pw.PhasePoint(x, t)
         u = pw.phase(pt, _KG_WAVE)
@@ -563,16 +566,17 @@ def _kg_bracket_identity(q: float = 1.2) -> float:
         bm = kg.approx_qF2qm1(x, t, _KG_WAVE, q) / eiu
         return max(abs(bx - bm), abs(bt - bm)), abs(bm)
 
-    return max_rel(pair(x, t) for x in _KG_XS for t in _KG_TS)
+    return max_rel(pair(x, t) for x in xs for t in ts)
 
 
 @check("kleingordon.pair_cancellation", "truncated expansions cancel identically on shell", 1e-12)
-def _kg_pair_cancellation() -> float:
+def kg_pair_cancellation(xs=_KG_XS, ts=_KG_TS) -> float:
+    """Worst sum of the truncated expansions over their largest term."""
     return max_rel(
         residual_pair(kg.expansion_terms_kg(x, t, _KG_WAVE, 1.0 + eps))
         for eps in _PAIR_EPSILONS
-        for x in _KG_XS
-        for t in _KG_TS
+        for x in xs
+        for t in ts
     )
 
 
@@ -585,14 +589,15 @@ def kg_approx_norm(eps: float, xs=_KG_XS[::2], ts=_KG_TS) -> float:
 
 
 @check("kleingordon.qF_jet", "approx_qF2qm1 is the q-jet of q F^{2q-1}", 1e-6)
-def _kg_qF_jet() -> float:
+def kg_qF_jet(xs=_KG_XS[::2], ts=_KG_TS) -> float:
+    """approx_jet_gap of approx_qF2qm1 against q F^{2q-1}."""
     return approx_jet_gap(
         (
             lambda q, x=x, t=t: q * pw.exact_psi_2qm1(pw.PhasePoint(x, t), _KG_WAVE, q),
             partial(kg.approx_qF2qm1, x, t, _KG_WAVE),
         )
-        for x in _KG_XS[::2]
-        for t in _KG_TS
+        for x in xs
+        for t in ts
     )
 
 
@@ -601,25 +606,16 @@ def _kg_qF_jet() -> float:
     "closed-form second derivatives of the approximant against FD",
     1e-8,
 )
-def _kg_d2_fd(q: float = 1.02) -> float:
-    def approx(x, t):
-        return pw.approx_psi(pw.PhasePoint(x, t), _KG_WAVE, q)
+def kg_d2_fd(q: float = 1.02, xs=_KG_XS[::3], ts=_KG_TS) -> float:
+    """pw_d2x_fd of the Klein-Gordon wave, and fd_gap of d2t_approx_F in t
+    at each x."""
 
-    points = [(x, t) for x in _KG_XS[::3] for t in _KG_TS]
-    d2x = fd_gap(
-        (
-            (pw.d2x_approx_psi(pw.PhasePoint(x, t), _KG_WAVE, q), lambda v, t=t: approx(v, t), x)
-            for x, t in points
-        ),
-        verify.default_scheme(1.0 / _KG_WAVE.p, deriv=2),
-        2,
-    )
-    d2t = fd_gap(
-        ((kg.d2t_approx_F(x, t, _KG_WAVE, q), lambda v, x=x: approx(x, v), t) for x, t in points),
-        verify.default_scheme(1.0 / _KG_WAVE.E, deriv=2),
-        2,
-    )
-    return max(d2x, d2t)
+    def d2t_at_x(x):
+        return fd_gap(lambda t: kg.d2t_approx_F(x, t, _KG_WAVE, q),
+                      lambda t: pw.approx_psi(pw.PhasePoint(x, t), _KG_WAVE, q),
+                      ts, 1.0 / _KG_WAVE.E, 2)
+
+    return max(pw_d2x_fd(q, xs, ts, _KG_WAVE), *map(d2t_at_x, xs))
 
 
 SUITES: tuple[str, ...] = tuple(dict.fromkeys(entry.suite for entry in REGISTRY.values()))

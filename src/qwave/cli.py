@@ -70,9 +70,9 @@ MAX_POINTS = 10_000_000
 # -- config file ---------------------------------------------------------
 
 
-def read_config(path: str) -> dict[str, str]:
-    """key=value lines; blank lines and # comments ignored."""
-    options: dict[str, str] = {}
+def read_config(path: str) -> list[tuple[str, str]]:
+    """(key, value) of each key=value line in order; blank lines and # comments ignored."""
+    options: list[tuple[str, str]] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -81,7 +81,7 @@ def read_config(path: str) -> dict[str, str]:
             key, eq, value = line.partition("=")
             if not eq or not key.strip():
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            options[key.strip().replace("-", "_")] = value.strip()
+            options.append((key.strip().replace("-", "_"), value.strip()))
     return options
 
 
@@ -90,11 +90,11 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def _config_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
-    """The config file's key=value lines as --key=value arguments of parser.
+    """The config file's lines, in order, as --key=value arguments of parser.
 
-    A key is a long flag of the subcommand without its dashes; --config and
-    --help are not keys.  A switch (--gaussian) reads 1/true/yes/on or
-    0/false/no/off.
+    A key is a long flag of the subcommand without its dashes (repeated, it
+    acts as a repeated flag); --config and --help are not keys.  A switch
+    (--gaussian) reads 1/true/yes/on or 0/false/no/off.
     """
     try:
         config = read_config(path)
@@ -104,7 +104,7 @@ def _config_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
         parser.error(str(exc))
     flags = {a.option_strings[0]: a for a in parser._actions if a.dest not in ("help", "config")}
     args = []
-    for key, value in config.items():
+    for key, value in config:
         flag = "--" + key.replace("_", "-")
         if flag not in flags:
             parser.error(f"unknown config key {key!r} in {path}")
@@ -345,6 +345,8 @@ def cmd_ratio(args, parser) -> int:
         parser.error("--beta must be nonzero")
     if args.plot != "none" and args.out is None:
         parser.error("--plot requires --out")
+    if args.plot == "svg" and os.path.splitext(args.out)[0] + ".svg" == args.out:
+        parser.error(f"--plot svg writes its plot to --out {args.out!r}: give --out another suffix")
 
     x_range = (0.0, args.xmax, args.points)
     if gaussian:
@@ -380,8 +382,7 @@ def cmd_ratio(args, parser) -> int:
               if args.out is not None else contextlib.nullcontext(sys.stdout)) as out:
             _write_sweep(out, args.format, header, sweep)
         if args.plot == "svg":
-            base, _ = os.path.splitext(args.out)
-            emit_plot_svg(sweep, meta, base + ".svg")
+            emit_plot_svg(sweep, meta, os.path.splitext(args.out)[0] + ".svg")
     except OSError as exc:
         print(f"qwave: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,7 +18,6 @@ import numpy as np
 
 from qwave import checks
 from qwave import kleingordon as kg
-from qwave import planewave as pw
 from qwave import qgaussian as qg
 from qwave import scenarios
 from qwave import separation as sep
@@ -78,65 +77,31 @@ def test_criterion_2_first_order_convergence():
 
 def test_criterion_3_closed_forms_vs_oracles():
     start = time.perf_counter()
-    wave = pw.SchrodingerWave.free(p=1.3, m=1.0)  # |u| <= 9.7 on the grid below
-    kgw = kg.KGWave.on_shell(k=1.1, m=1.0)  # |u| <= 8.9
+    # on the registry's waves, |u| <= 9.7 (plane wave) and 8.9 (Klein-Gordon)
+    xs7, ts3 = np.linspace(-5.5, 5.5, 7), (0.0, 1.5, 3.0)
+    sep_ts, sep_xs = np.linspace(0.0, 4.0, 9), np.linspace(-6.0, 6.0, 9)
     E, P = 0.845, 1.3
 
     # Part A: each shipped first-order form is the q-jet of its exact form,
-    # measured by FD in q at q = 1 (checks.approx_jet_gap).
-    coeff_cases = []
-    for x in np.linspace(-5.5, 5.5, 7):
-        for t in (0.0, 1.5, 3.0):
-            pt = PhasePoint(x, t)
-            coeff_cases.append(
-                (partial(pw.exact_psi, pt, wave), partial(pw.approx_psi, pt, wave))
-            )
-            coeff_cases.append(
-                (partial(pw.exact_psi_q, pt, wave), partial(pw.approx_psi_q, pt, wave))
-            )
-            coeff_cases.append(
-                (lambda q, pt=pt: q * pw.exact_psi_2qm1(pt, kgw, q),
-                 partial(kg.approx_qF2qm1, x, t, kgw))
-            )
-    for t in np.linspace(0.0, 4.0, 9):
-        coeff_cases.append((partial(sep.exact_f, t, E), partial(sep.approx_f, t, E)))
-        coeff_cases.append((partial(sep.exact_f_q, t, E), partial(sep.approx_f_q, t, E)))
-    for x in np.linspace(-6.0, 6.0, 9):
-        coeff_cases.append((partial(sep.exact_g, x, P), partial(sep.approx_g, x, P)))
-        coeff_cases.append((partial(sep.exact_g_q, x, P), partial(sep.approx_g_q, x, P)))
-    worst_coeff = checks.approx_jet_gap(coeff_cases)
+    # measured by FD in q at q = 1.
+    worst_coeff = max(
+        checks.pw_approx_jet_fd([PhasePoint(x, t) for x in xs7 for t in ts3]),
+        checks.kg_qF_jet(xs7, ts3),
+        checks.sep_jet_gap(sep.exact_f, sep.approx_f, sep_ts, E),
+        checks.sep_jet_gap(sep.exact_f_q, sep.approx_f_q, sep_ts, E),
+        checks.sep_jet_gap(sep.exact_g, sep.approx_g, sep_xs, P),
+        checks.sep_jet_gap(sep.exact_g_q, sep.approx_g_q, sep_xs, P),
+    )
 
     # Part B: each closed-form x/t derivative of a first-order wave
-    # against Richardson FD at fixed q (checks.fd_gap), first and second
-    # derivatives apart.
-    q = 1.05
-    d1_cases, d2_cases = [], []
-    for x in np.linspace(-5.5, 5.5, 8):
-        for t in (0.4, 2.1):
-            pt = PhasePoint(x, t)
-            for w in (wave, kgw):
-                d2_cases.append(
-                    (pw.d2x_approx_psi(pt, w, q),
-                     lambda xx, t=t, w=w: pw.approx_psi(PhasePoint(xx, t), w, q),
-                     x)
-                )
-            d1_cases.append(
-                (pw.dt_approx_psi_q(pt, wave, q),
-                 lambda tt, x=x: pw.approx_psi_q(PhasePoint(x, tt), wave, q),
-                 t)
-            )
-            d2_cases.append(
-                (kg.d2t_approx_F(x, t, kgw, q),
-                 lambda tt, x=x: pw.approx_psi(PhasePoint(x, tt), kgw, q),
-                 t)
-            )
-    for t in np.linspace(0.0, 4.0, 8):
-        d1_cases.append((sep.dt_approx_f_q(t, E, q), lambda tt: sep.approx_f_q(tt, E, q), t))
-    for x in np.linspace(-6.0, 6.0, 8):
-        d2_cases.append((sep.d2x_approx_g(x, P, q), lambda xx: sep.approx_g(xx, P, q), x))
+    # against Richardson FD at fixed q, stepping on the wave's length scale.
+    q, xs8, ts2 = 1.05, np.linspace(-5.5, 5.5, 8), (0.4, 2.1)
     worst_deriv = max(
-        checks.fd_gap(d1_cases, verify.default_scheme(1.0, deriv=1), 1),
-        checks.fd_gap(d2_cases, verify.default_scheme(1.0, deriv=2), 2),
+        checks.pw_d2x_fd(q, xs8, ts2),
+        checks.pw_dt_q_fd(q, xs8, ts2),
+        checks.kg_d2_fd(q, xs8, ts2),
+        checks.sep_dt_f_q_fd(q, np.linspace(0.0, 4.0, 8)),
+        checks.sep_d2x_g_fd(q, np.linspace(-6.0, 6.0, 8)),
     )
 
     elapsed = time.perf_counter() - start

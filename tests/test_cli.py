@@ -35,7 +35,7 @@ def run(argv, capsys):
 def test_read_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\n\nspecies = proton\nenergy-mev=2.5\n")
-    assert cli.read_config(str(path)) == {"species": "proton", "energy_mev": "2.5"}
+    assert cli.read_config(str(path)) == [("species", "proton"), ("energy_mev", "2.5")]
     path.write_text("not a pair\n")
     with pytest.raises(ValueError):
         cli.read_config(str(path))
@@ -389,12 +389,12 @@ def test_verify_exit_code_contract(tmp_path_factory, drawn):
 
 def test_config_layering(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("points=7\nxmax=2.0\n")
+    cfg.write_text("xmax=3.0\npoints=7\nxmax=2.0\n")
     code, out, _ = run(["ratio", "--config", str(cfg), "--points", "5"], capsys)
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 6  # explicit flag beats config
-    assert lines[-1].startswith("2,")  # config beats hard default
+    assert lines[-1].startswith("2,")  # config beats hard default; its last xmax line wins
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
@@ -515,10 +515,9 @@ def test_bad_config_value_gets_the_flags_message(tmp_path, capsys):
 
 def test_verify_config_tol_is_the_tol_flag(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("tol=planewave.modulus_identity=1e-20\n")
+    cfg.write_text("tol=planewave.modulus_identity=1e-20\ntol=planewave.psi_q_jet=1e-20\n")
     code, out, _ = run(["verify", "--suite", "planewave", "--config", str(cfg)], capsys)
-    assert code == 1
-    assert "FAIL" in out
+    assert (code, out.count(" FAIL ")) == (1, 2)  # each line applies, as repeated --tol flags do
     cfg.write_text("tol=planewave.nope=1\n")
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--config", str(cfg)])
@@ -563,6 +562,21 @@ def test_plot_svg_emission(tmp_path, capsys):
     svg = (tmp_path / "fig.svg").read_text()
     assert svg.startswith("<svg ")
     assert "polyline" in svg
+
+
+def test_plot_svg_refuses_an_svg_out(tmp_path, capsys):
+    out = tmp_path / "fig.svg"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ratio", "--points", "3", "--out", str(out), "--plot", "svg"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    code, _, err = run(["ratio", "--points", "3", "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "cannot write output" in err
 
 
 def test_plot_requires_out_and_csv(capsys):
@@ -682,6 +696,13 @@ def test_verify_bad_tol_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--tol", "no-equals-sign"])
     assert exc.value.code == 2
+
+
+def test_verify_tol_that_is_not_a_number_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--tol", "planewave.pair_cancellation=abc"])
+    assert exc.value.code == 2
+    assert "not a number" in capsys.readouterr().err
 
 
 def test_verify_report_row_never_fails(capsys):

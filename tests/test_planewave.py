@@ -2,7 +2,6 @@
 cancellation, genuine insertion order, and the ratio diagnostic."""
 
 import cmath
-import math
 
 import numpy as np
 import pytest
@@ -48,19 +47,10 @@ def test_exact_residual_needs_free_particle():
 
 
 def test_expansion_pair_cancels_identically():
-    # 101 x 11 grid per the stated invariant; scale-relative bound 1e-12
-    xs = np.linspace(-8.0, 8.0, 101)
-    ts = np.linspace(0.0, 5.0, 11)
-    for eps in (1e-3, 1e-6, 1e-9):
-        q = 1.0 + eps
-        worst = 0.0
-        for x in xs:
-            for t in ts:
-                pt = pw.PhasePoint(float(x), float(t))
-                term_t, term_x = pw.expansion_terms(pt, WAVE, q)
-                scale = max(abs(term_t), abs(term_x))
-                worst = max(worst, abs(term_t + term_x) / scale)
-        assert worst <= 1e-12, f"eps={eps}: {worst}"
+    # 101 x 11 grid per the stated invariant, at q - 1 = 1e-3, 1e-6 and
+    # 1e-9; scale-relative bound 1e-12
+    worst = checks.pw_pair_cancellation(np.linspace(-8.0, 8.0, 101), np.linspace(0.0, 5.0, 11))
+    assert worst <= 1e-12, worst
 
 
 def test_genuine_insertion_second_order():
@@ -70,27 +60,15 @@ def test_genuine_insertion_second_order():
 
 
 def test_approx_error_second_order():
-    def norm(eps):
-        q = 1.0 + eps
-        return max(
-            abs(pw.approx_psi(pw.PhasePoint(x, t), WAVE, q)
-                - pw.exact_psi(pw.PhasePoint(x, t), WAVE, q))
-            for x in XS
-            for t in TS
-        )
-
-    fit = verify.order_of_convergence(norm, (1e-2, 1e-3, 1e-4, 1e-5))
+    fit = verify.order_of_convergence(
+        lambda eps: checks.pw_error_norm(eps, XS, TS), (1e-2, 1e-3, 1e-4, 1e-5)
+    )
     assert fit.slope >= 1.9, fit
 
 
 def test_modulus_identity():
-    q = 1.37
-    for x in XS:
-        for t in TS:
-            u = pw.phase(pw.PhasePoint(x, t), WAVE)
-            direct = abs(pw.exact_psi(pw.PhasePoint(x, t), WAVE, q)) ** 2
-            closed = math.exp(math.log1p((1.0 - q) ** 2 * u * u) / (1.0 - q))
-            assert abs(direct - closed) / closed <= 1e-12
+    worst = checks.pw_modulus_identity(1.37, XS, TS)
+    assert worst <= 1e-12, worst
 
 
 def test_psi_q_jet_matches_closed_coefficient():

@@ -10,7 +10,7 @@ import pytest
 from qwave import checks
 from qwave import qgaussian as qg
 from qwave import verify
-from qwave.errors import InvalidQ, StepTooCoarse
+from qwave.errors import InvalidQ, NonFiniteInput, StepTooCoarse
 
 XS = tuple(np.linspace(-3.0, 3.0, 13))
 TS = tuple(np.linspace(0.0, 2.0, 5))
@@ -29,6 +29,17 @@ def test_params_validation():
         params_for(0.0)  # kappa_q has 1/q
     with pytest.raises(InvalidQ):
         params_for(-1.0)  # D(t) degenerates, M has 1/(q+1)
+
+
+@pytest.mark.parametrize("fn, point", [
+    (qg.coeffs_exact, (math.nan,)),
+    (qg.wavefunction_jet, (math.inf, 0.0)),
+    (qg.exact_qgaussian, (0.0, math.nan)),
+    (qg.approx_qgaussian, (-math.inf, 0.0)),
+])
+def test_non_finite_point_is_refused(fn, point):
+    with pytest.raises(NonFiniteInput):
+        fn(*point, params_for(1.1))
 
 
 def test_coefficients_at_t0():
@@ -63,18 +74,8 @@ def test_c_exact_at_q1_limit_form():
 
 
 def test_coeff_jets_match_closed_splits():
-    p = params_for(1.001, m=1.4, beta=0.8)
-    for t in TS:
-        jets = qg._coeff_jets(t, p)
-        split = qg.coeffs_first_order(t, p)
-        closed = (
-            (split.a1, split.a2),
-            (split.b1, split.b2),
-            (split.c1, split.c2),
-        )
-        for jet, (c0, c1) in zip(jets, closed):
-            assert abs(jet.v0 - c0) <= 1e-11 * max(1.0, abs(c0))
-            assert abs(jet.v1 - c1) <= 1e-11 * max(1.0, abs(c1))
+    worst = checks.qg_coeff_jets(params_for(1.001, m=1.4, beta=0.8), TS)
+    assert worst <= 1e-11, worst
 
 
 def test_coeff_splits_against_fd_in_q():
@@ -94,18 +95,9 @@ def test_coeff_splits_against_fd_in_q():
 
 
 def test_wavefunction_jet_matches_assembled_forms():
-    p = params_for(1.001)
-    for x in XS:
-        for t in TS:
-            jet = qg.wavefunction_jet(x, t, p)
-            split = qg.coeffs_first_order(t, p)
-            G0 = split.a1 * x * x + split.b1 * x + split.c1
-            G1 = split.a2 * x * x + split.b2 * x + split.c2
-            v0 = cmath.exp(-G0)
-            v1 = -(G1 - 0.5 * G0 * G0) * v0
-            scale = max(abs(v0), abs(v1))
-            assert abs(jet.v0 - v0) <= 1e-11 * scale
-            assert abs(jet.v1 - v1) <= 1e-11 * scale
+    # at q = 1.001
+    worst = checks.qg_jet_authority(XS, TS)
+    assert worst <= 1e-11, worst
 
 
 def test_approx_packet_consistent_with_jet():
@@ -142,12 +134,9 @@ def test_literal_typo_reading_differs():
 def test_exact_packet_residual_fd_floor():
     # the exact packet solves the equation identically; what remains is
     # differencing noise, orders below the equation's term scale
-    p = params_for(1.001)
-    for x in (0.3, 0.9, 1.6):
-        for t in (0.2, 0.8):
-            term_t, term_x = qg.gaussian_terms(x, t, p, family="exact")
-            scale = max(abs(term_t), abs(term_x))
-            assert abs(term_t + term_x) <= 1e-8 * scale
+    # at q = 1.001
+    worst = checks.qg_exact_residual([(x, t) for x in (0.3, 0.9, 1.6) for t in (0.2, 0.8)])
+    assert worst <= 1e-8, worst
 
 
 def test_approx_packet_insertion_order():

@@ -2,6 +2,7 @@
 first-order pair cancellation, and the q-derivative closed forms."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -9,11 +10,10 @@ import pytest
 from qwave import checks
 from qwave import separation as sep
 from qwave import verify
-from qwave.errors import InvalidQ
+from qwave.errors import InvalidQ, NonFiniteInput
 
 E = 0.845
 P = 1.3
-LAM = P * P / 2.0  # lambda = p^2/2m with m = 1
 TS = tuple(np.linspace(0.0, 4.0, 17))
 XS = tuple(np.linspace(-6.0, 6.0, 17))
 
@@ -26,53 +26,35 @@ def test_initial_values():
 
 @pytest.mark.parametrize("q", [0.999, 1.001, 1.1, 1.5])
 def test_exact_f_eigenrelation(q):
-    for t in TS:
-        r = sep.residual_f(t, E, q, family="exact")
-        scale = abs(E * sep.exact_f(t, E, q))
-        assert abs(r) <= 1e-10 * scale
+    worst = checks.sep_exact_residual_f(q, TS)
+    assert worst <= 1e-10, worst
 
 
 @pytest.mark.parametrize("q", [0.999, 1.001, 1.1, 1.5])
 def test_exact_g_eigenrelation(q):
-    for x in XS:
-        r = sep.residual_g(x, P, q, family="exact")
-        scale = abs(LAM * sep.exact_g_q(x, P, q))
-        assert abs(r) <= 1e-10 * scale
+    worst = checks.sep_exact_residual_g(q, XS)
+    assert worst <= 1e-10, worst
 
 
 def test_dt_of_f_q_closed_form():
     # d/dt of f^q is -iE f with no q factor left over
     for q in (0.95, 1.2):
-        for t in TS[1::3]:
-            closed = sep.exact_dt_f_q(t, E, q)
-            fd, _ = verify.fd_derivative(
-                lambda tv: sep.exact_f_q(tv, E, q), t, verify.default_scheme(1.0 / E)
-            )
-            assert abs(closed - fd) <= 1e-9 * abs(closed)
+        worst = checks.fd_gap(lambda t: sep.exact_dt_f_q(t, E, q),
+                              lambda t: sep.exact_f_q(t, E, q), TS[1::3], 1.0 / E, 1)
+        assert worst <= 1e-9, (q, worst)
 
 
 def test_d2x_of_g_closed_form():
     for q in (0.95, 1.2):
-        for x in XS[1::3]:
-            closed = sep.exact_d2x_g(x, P, q)
-            fd, _ = verify.fd_derivative(
-                lambda xv: sep.exact_g(xv, P, q),
-                x,
-                verify.default_scheme(1.0 / P, deriv=2),
-                deriv=2,
-            )
-            assert abs(closed - fd) <= 1e-7 * abs(closed)
+        worst = checks.fd_gap(lambda x: sep.exact_d2x_g(x, P, q),
+                              lambda x: sep.exact_g(x, P, q), XS[1::3], 1.0 / P, 2)
+        assert worst <= 1e-7, (q, worst)
 
 
 def test_expansion_pairs_cancel():
-    for eps in (1e-3, 1e-6, 1e-9):
-        q = 1.0 + eps
-        for t in TS:
-            r = sep.expansion_residual_f(t, E, q)
-            assert abs(r) <= 1e-12 * abs(E * sep.approx_f(t, E, q))
-        for x in XS:
-            r = sep.expansion_residual_g(x, P, q)
-            assert abs(r) <= 1e-12 * abs(LAM * sep.approx_g_q(x, P, q))
+    # at q - 1 = 1e-3, 1e-6 and 1e-9
+    worst = checks.sep_pair_cancellation(TS, XS)
+    assert worst <= 1e-12, worst
 
 
 def test_genuine_f_insertion_order():
@@ -112,22 +94,8 @@ def test_g_jets_against_closed_forms():
 
 
 def test_first_order_derivative_forms_against_fd():
-    q = 1.02
-    for t in TS[1::2]:
-        closed = sep.dt_approx_f_q(t, E, q)
-        fd, _ = verify.fd_derivative(
-            lambda tv: sep.approx_f_q(tv, E, q), t, verify.default_scheme(1.0 / E)
-        )
-        assert abs(closed - fd) <= 1e-8 * abs(closed)
-    for x in XS[1::2]:
-        closed = sep.d2x_approx_g(x, P, q)
-        fd, _ = verify.fd_derivative(
-            lambda xv: sep.approx_g(xv, P, q),
-            x,
-            verify.default_scheme(1.0 / P, deriv=2),
-            deriv=2,
-        )
-        assert abs(closed - fd) <= 1e-8 * abs(closed)
+    worst = max(checks.sep_dt_f_q_fd(1.02, TS[1::2]), checks.sep_d2x_g_fd(1.02, XS[1::2]))
+    assert worst <= 1e-8, worst
 
 
 def test_product_differs_from_planewave_approximant():
@@ -151,6 +119,11 @@ def test_product_check_reads_the_hand_coefficients_from_the_approximants():
     hand = abs(coef_fg - coef_pw) / max(abs(coef_fg), abs(coef_pw))
     measured = checks.REGISTRY["separation.product_not_planewave"].measure()
     assert abs(measured - hand) <= 1e-14 * hand
+
+
+def test_non_finite_argument_is_refused():
+    with pytest.raises(NonFiniteInput, match="t must be finite"):
+        sep.exact_f(math.nan, E, 1.1)
 
 
 def test_unknown_family_rejected():
