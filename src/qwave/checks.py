@@ -7,21 +7,19 @@ which returns one float.  The @check decorator declares a function as the
 measure of a check; REGISTRY holds the checks in declaration order, which
 is the order ``qwave verify`` prints them in.
 
-A measure that the tests also take is a public function of its grid (and
-of q where the claim holds at any q), each parameter defaulting to the
-registry's value, as in pw_exact_residual(q, xs, ts).  The tests call it
-on their own grids with their own bounds instead of restating it, so each
-claim is measured by one piece of code.
+A measure that the tests also take is public, a function of the grid or
+q that some caller varies, each parameter defaulting to the registry's
+value, as in pw_exact_residual(q, xs, ts).  The tests call it with their
+own bounds instead of restating it, so each claim is measured by one
+piece of code.
 
 The repeated patterns are helpers: max_rel reduces (difference, scale)
 pairs; fd_gap(closed, fn, ats, scale, deriv) gives the worst relative gap
-of closed(a) against the Richardson FD of fn at a over ats, stepping by
-verify.default_scheme(scale, deriv=deriv) for an fn that varies on the
-length scale; approx_jet_gap compares the FD-in-q jet of each exact
-form with the jet of its shipped approximant, so the jet checks read every
-first-order coefficient from the approx_* forms; and @order_fit turns one
-convergence fit of a residual norm into a slope check and its _r2
-fit-quality check.
+of closed(a) against the Richardson FD of fn at a over ats; approx_jet_gap
+compares the FD-in-q jet of each exact form with the jet of its shipped
+approximant, so the jet checks read every first-order coefficient from the
+approx_* forms; and @order_fit turns one convergence fit of a residual
+norm into a slope check and its _r2 fit-quality check.
 """
 
 from __future__ import annotations
@@ -311,14 +309,14 @@ _SEP_XS = _grid(-6.0, 6.0, 17)
     "exact time factor satisfies its separated equation, q=1.1",
     1e-10,
 )
-def sep_exact_residual_f(q: float = 1.1, ts=_SEP_TS) -> float:
+def sep_exact_residual_f(q: float = 1.1) -> float:
     """Worst |residual| of the exact time factor over E |f|."""
     return max_rel(
         (
             abs(sep.residual_f(t, _SEP_E, q, family="exact")),
             abs(_SEP_E * sep.exact_f(t, _SEP_E, q)),
         )
-        for t in ts
+        for t in _SEP_TS
     )
 
 
@@ -327,14 +325,14 @@ def sep_exact_residual_f(q: float = 1.1, ts=_SEP_TS) -> float:
     "exact space factor satisfies its separated equation, q=1.1",
     1e-10,
 )
-def sep_exact_residual_g(q: float = 1.1, xs=_SEP_XS) -> float:
+def sep_exact_residual_g(q: float = 1.1) -> float:
     """Worst |residual| of the exact space factor over lam |g^q|."""
     return max_rel(
         (
             abs(sep.residual_g(x, _SEP_P, q, family="exact")),
             abs(_SEP_LAM * sep.exact_g_q(x, _SEP_P, q)),
         )
-        for x in xs
+        for x in _SEP_XS
     )
 
 
@@ -343,16 +341,16 @@ def sep_exact_residual_g(q: float = 1.1, xs=_SEP_XS) -> float:
     "truncated pairs for f and g cancel identically at lam = p^2/2",
     1e-12,
 )
-def sep_pair_cancellation(ts=_SEP_TS, xs=_SEP_XS) -> float:
+def sep_pair_cancellation() -> float:
     """Worst truncated pair of f over E |f| and of g over lam |g^q|."""
 
     def pairs(q):
-        for t in ts:
+        for t in _SEP_TS:
             yield (
                 abs(sep.expansion_residual_f(t, _SEP_E, q)),
                 abs(_SEP_E * sep.approx_f(t, _SEP_E, q)),
             )
-        for x in xs:
+        for x in _SEP_XS:
             yield (
                 abs(sep.expansion_residual_g(x, _SEP_P, q)),
                 abs(_SEP_LAM * sep.approx_g_q(x, _SEP_P, q)),
@@ -445,7 +443,7 @@ check("gaussian.psi_origin", "psi(0,0) = 1 exactly", 1e-13)(
 
 
 @check("gaussian.coeff_jets", "mechanical coefficient jets match the closed-form splits", 1e-11)
-def qg_coeff_jets(params: qg.GaussianParams = _QG_PARAMS, ts=_QG_TS) -> float:
+def qg_coeff_jets(params: qg.GaussianParams = _QG_PARAMS) -> float:
     """Worst gap of the coefficient jets against coeffs_first_order."""
 
     def pairs(t):
@@ -458,7 +456,7 @@ def qg_coeff_jets(params: qg.GaussianParams = _QG_PARAMS, ts=_QG_TS) -> float:
             yield abs(jet.v0 - c0), max(1.0, abs(c0))
             yield abs(jet.v1 - c1), max(1.0, abs(c1))
 
-    return max(max_rel(pairs(t)) for t in ts)
+    return max(max_rel(pairs(t)) for t in _QG_TS)
 
 
 @check("gaussian.jet_authority", "packet jet equals the assembled first-order closed forms", 1e-11)
@@ -503,15 +501,18 @@ def _qg_packet_norm(eps: float) -> float:
     math.nan,
     "report",
 )
-def qg_exact_residual(probes=_QG_PROBES) -> float:
-    """Worst exact packet residual at q = 1.001 over its larger term, at
-    the (x, t) probes."""
+def qg_exact_residual() -> float:
+    """Worst exact packet residual at q = 1.001 over its larger term."""
     return max_rel(
-        residual_pair(qg.gaussian_terms(x, t, _QG_PARAMS, family="exact")) for x, t in probes
+        residual_pair(qg.gaussian_terms(x, t, _QG_PARAMS, family="exact")) for x, t in _QG_PROBES
     )
 
 
-@check("gaussian.ratio_band", "packet ratio stays within [0.9, 1.1] over the default sweep", 0.1)
+@check(
+    "gaussian.ratio_band",
+    "packet ratio stays within [0.9, 1.1] over the default sweep",
+    0.1,
+)
 def _qg_ratio_band() -> float:
     ratios = (
         abs(qg.approx_qgaussian(x, 0.0, _QG_PARAMS)) / abs(qg.exact_qgaussian(x, 0.0, _QG_PARAMS))
@@ -540,13 +541,15 @@ for _q in (0.999, 1.1):
 
 
 @check(
-    "kleingordon.dispersion_sensitivity", "1% omega perturbation inflates the residual", 1e4, "ge"
+    "kleingordon.dispersion_sensitivity",
+    "1% omega perturbation inflates the residual",
+    1e4,
+    "ge",
 )
-def kg_dispersion_sensitivity(q: float = 1.1, xs=_KG_XS, ts=_KG_TS) -> float:
-    """kg_exact_residual of a wave with omega 1% off shell over the on-shell one."""
+def _kg_dispersion_sensitivity() -> float:
     off = kg.KGWave(p=_KG_WAVE.p, E=_KG_WAVE.E * 1.01, m=_KG_WAVE.m)
-    on_res = kg_exact_residual(q, _KG_WAVE, xs, ts)
-    return kg_exact_residual(q, off, xs, ts) / on_res if on_res > 0 else math.inf
+    on_res = kg_exact_residual(1.1)
+    return kg_exact_residual(1.1, off) / on_res if on_res > 0 else math.inf
 
 
 @check(
@@ -554,7 +557,7 @@ def kg_dispersion_sensitivity(q: float = 1.1, xs=_KG_XS, ts=_KG_TS) -> float:
     "d2x, d2t and qF^{2q-1} expansions share one bracket",
     1e-14,
 )
-def kg_bracket_identity(q: float = 1.2, xs=_KG_XS, ts=_KG_TS) -> float:
+def kg_bracket_identity(q: float = 1.2) -> float:
     """Worst gap of the d2x and d2t brackets against the qF^{2q-1} one."""
 
     def pair(x, t):
@@ -566,17 +569,17 @@ def kg_bracket_identity(q: float = 1.2, xs=_KG_XS, ts=_KG_TS) -> float:
         bm = kg.approx_qF2qm1(x, t, _KG_WAVE, q) / eiu
         return max(abs(bx - bm), abs(bt - bm)), abs(bm)
 
-    return max_rel(pair(x, t) for x in xs for t in ts)
+    return max_rel(pair(x, t) for x in _KG_XS for t in _KG_TS)
 
 
 @check("kleingordon.pair_cancellation", "truncated expansions cancel identically on shell", 1e-12)
-def kg_pair_cancellation(xs=_KG_XS, ts=_KG_TS) -> float:
+def kg_pair_cancellation() -> float:
     """Worst sum of the truncated expansions over their largest term."""
     return max_rel(
         residual_pair(kg.expansion_terms_kg(x, t, _KG_WAVE, 1.0 + eps))
         for eps in _PAIR_EPSILONS
-        for x in xs
-        for t in ts
+        for x in _KG_XS
+        for t in _KG_TS
     )
 
 
@@ -607,8 +610,7 @@ def kg_qF_jet(xs=_KG_XS[::2], ts=_KG_TS) -> float:
     1e-8,
 )
 def kg_d2_fd(q: float = 1.02, xs=_KG_XS[::3], ts=_KG_TS) -> float:
-    """pw_d2x_fd of the Klein-Gordon wave, and fd_gap of d2t_approx_F in t
-    at each x."""
+    """pw_d2x_fd of the Klein-Gordon wave and fd_gap of its d2t_approx_F."""
 
     def d2t_at_x(x):
         return fd_gap(lambda t: kg.d2t_approx_F(x, t, _KG_WAVE, q),

@@ -345,7 +345,8 @@ def cmd_ratio(args, parser) -> int:
         parser.error("--beta must be nonzero")
     if args.plot != "none" and args.out is None:
         parser.error("--plot requires --out")
-    if args.plot == "svg" and os.path.splitext(args.out)[0] + ".svg" == args.out:
+    svg_path = None if args.plot == "none" else os.path.splitext(args.out)[0] + ".svg"
+    if svg_path is not None and svg_path == args.out:
         parser.error(f"--plot svg writes its plot to --out {args.out!r}: give --out another suffix")
 
     x_range = (0.0, args.xmax, args.points)
@@ -381,8 +382,8 @@ def cmd_ratio(args, parser) -> int:
         with (open(args.out, "w", encoding="utf-8", newline="")
               if args.out is not None else contextlib.nullcontext(sys.stdout)) as out:
             _write_sweep(out, args.format, header, sweep)
-        if args.plot == "svg":
-            emit_plot_svg(sweep, meta, os.path.splitext(args.out)[0] + ".svg")
+        if svg_path is not None:
+            emit_plot_svg(sweep, meta, svg_path)
     except OSError as exc:
         print(f"qwave: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE

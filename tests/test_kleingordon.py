@@ -48,8 +48,11 @@ def test_exact_residual_zero_iff_on_shell(q):
 
 
 def test_dispersion_sensitivity_factor():
-    factor = checks.kg_dispersion_sensitivity(1.1, XS, TS)
-    assert factor >= 1e4, factor
+    on = checks.kg_exact_residual(1.1, WAVE, XS, TS)
+    off = checks.kg_exact_residual(
+        1.1, kg.KGWave(p=WAVE.p, E=WAVE.E * 1.01, m=WAVE.m), XS, TS
+    )
+    assert off >= 1e4 * max(on, 1e-300)
 
 
 def test_massless_wave_on_shell():
@@ -69,13 +72,13 @@ def test_branch_cut_in_approx_family(x):
 def test_shared_bracket_identity():
     # all three first-order expansions factor through one bracket; their
     # normalized forms must agree to round-off
-    worst = checks.kg_bracket_identity(1.2, XS, TS)
+    worst = checks.kg_bracket_identity(1.2)
     assert worst <= 1e-14, worst
 
 
 def test_expansion_pair_cancels_on_shell():
     # at q - 1 = 1e-3, 1e-6 and 1e-9
-    worst = checks.kg_pair_cancellation(XS, TS)
+    worst = checks.kg_pair_cancellation()
     assert worst <= 1e-12, worst
 
 

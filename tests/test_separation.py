@@ -26,13 +26,13 @@ def test_initial_values():
 
 @pytest.mark.parametrize("q", [0.999, 1.001, 1.1, 1.5])
 def test_exact_f_eigenrelation(q):
-    worst = checks.sep_exact_residual_f(q, TS)
+    worst = checks.sep_exact_residual_f(q)
     assert worst <= 1e-10, worst
 
 
 @pytest.mark.parametrize("q", [0.999, 1.001, 1.1, 1.5])
 def test_exact_g_eigenrelation(q):
-    worst = checks.sep_exact_residual_g(q, XS)
+    worst = checks.sep_exact_residual_g(q)
     assert worst <= 1e-10, worst
 
 
@@ -53,7 +53,7 @@ def test_d2x_of_g_closed_form():
 
 def test_expansion_pairs_cancel():
     # at q - 1 = 1e-3, 1e-6 and 1e-9
-    worst = checks.sep_pair_cancellation(TS, XS)
+    worst = checks.sep_pair_cancellation()
     assert worst <= 1e-12, worst
 
 
