@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable
 
@@ -38,15 +37,13 @@ from . import separation as sep
 from . import verify
 
 
-@dataclass(frozen=True)
-class Check:
-    """One registry entry."""
+class Check(qcore.Frozen):
+    """One registry entry; sense is "le", "ge" or "report"."""
 
-    key: str
-    claim: str
-    tolerance: float
-    sense: str  # "le", "ge", or "report"
-    measure: Callable[[], float]
+    __slots__ = ("key", "claim", "tolerance", "sense", "measure")
+
+    def __init__(self, key: str, claim: str, tolerance: float, sense: str, measure: Callable):
+        self._set(key, claim, tolerance, sense, measure)
 
     @property
     def suite(self) -> str:

@@ -8,9 +8,10 @@ Two subcommands:
   (residual grids, jet-vs-FD cross-checks, order-of-convergence fits),
   selected by suite, and prints a claim/measured/tolerance table.
 
-Only ``qwave ratio`` loads numpy: the sweeps and the writers below import
-it in the functions that build or take arrays.  Importing this module and
-running ``qwave verify`` load none.
+Only ``qwave ratio`` loads numpy, and only its JSON writer json: each is
+imported in the functions that use it.  Importing this module and running
+``qwave verify`` load neither, nor inspect: the value types are immutable
+__slots__ classes on qcore.Frozen, not generated record classes.
 
 Each option is declared once, on the subcommand's argparse parser.  A
 --config file's key=value lines are read as --key=value arguments of the
@@ -28,12 +29,11 @@ Output determinism: CSV prints floats with 17 significant digits (%.17g),
 JSON with the shortest repr that round-trips, and lines end in "\n" on
 every platform, so repeated runs write identical bytes.  A sweep is
 evaluated in full, then formatted and written block by block
-(scenarios.BLOCK_ROWS rows): each block fills a row template repeated
-once per row of the block by one % operation from its interleaved
-(x, value) floats, and is written before the next is formatted.  The
-bytes are the same as formatting the whole file, or row by row, in one
-pass.  A refused sweep writes no byte: the output is opened only after
-every point has been evaluated.
+(scenarios.BLOCK_ROWS rows), each block by one % operation on a row
+template repeated once per row, with the bytes of a one-pass format.
+Nothing is written for a refused sweep, nor for an --out or plot path
+that is a directory or lies in none (refused before the sweep), and a
+failed write removes the data file and its plot: both or neither remain.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
-import json
 import math
 import os
 import re
@@ -147,6 +146,8 @@ def format_rows_json(header: tuple[str, str], rows: scenarios.Sweep, *, first: b
     {header[0]: x, header[1]: value}, written without building them.
     first=False starts with the "," after the previous block instead of
     "["; last=False leaves out the closing "]"."""
+    import json
+
     values = _interleaved(rows.x, rows.values)
     if not values:
         return "[]\n" if first and last else ""
@@ -154,6 +155,20 @@ def format_rows_json(header: tuple[str, str], rows: scenarios.Sweep, *, first: b
     record = " {\n  %s: %%r,\n  %s: %%r\n }" % (json.dumps(header[0]), json.dumps(header[1]))
     template = ",\n".join([record] * (len(values) // 2))
     return (("[\n" if first else ",\n") + template + ("\n]\n" if last else "")) % values
+
+
+@contextlib.contextmanager
+def _written(path: str):
+    """path opened for writing; if the block or the close fails, a regular
+    file there is removed again, so a failed write leaves no partial file."""
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
+        raise
 
 
 def _write_output(out: TextIO, text: str) -> None:
@@ -235,7 +250,7 @@ def emit_plot_svg(rows: scenarios.Sweep, meta: dict[str, str], out_path: str) ->
         f'transform="rotate(-90 18 {(mt + height - mb) / 2:.1f})">{meta["ylabel"]}</text>'
     )
     parts.append("</svg>")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with _written(out_path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 
@@ -348,6 +363,13 @@ def cmd_ratio(args, parser) -> int:
     svg_path = None if args.plot == "none" else os.path.splitext(args.out)[0] + ".svg"
     if svg_path is not None and svg_path == args.out:
         parser.error(f"--plot svg writes its plot to --out {args.out!r}: give --out another suffix")
+    for flag, path in (("--out", args.out), ("--plot svg", svg_path)):  # before the sweep
+        parent = os.path.dirname(path or "") or os.curdir
+        problem = ("is a directory" if os.path.isdir(path or "") else
+                   None if os.path.isdir(parent) else f"is in {parent!r}, which is no directory")
+        if path is not None and problem:
+            print(f"qwave: cannot write output: {flag} {path!r} {problem}", file=sys.stderr)
+            return EXIT_USAGE
 
     x_range = (0.0, args.xmax, args.points)
     if gaussian:
@@ -378,12 +400,13 @@ def cmd_ratio(args, parser) -> int:
             raise
         raise refusal from exc
 
-    try:
-        with (open(args.out, "w", encoding="utf-8", newline="")
-              if args.out is not None else contextlib.nullcontext(sys.stdout)) as out:
+    try:  # the data file and its plot are written both or neither
+        with (_written(args.out) if args.out is not None
+              else contextlib.nullcontext(sys.stdout)) as out:
             _write_sweep(out, args.format, header, sweep)
-        if svg_path is not None:
-            emit_plot_svg(sweep, meta, svg_path)
+            if svg_path is not None:
+                out.flush()  # a failed data write shows before the plot is written
+                emit_plot_svg(sweep, meta, svg_path)
     except OSError as exc:
         print(f"qwave: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -43,8 +43,10 @@ def dispersion_omega(k: float, m: float) -> float:
 class KGWave(pw.PlaneWave):
     """Relativistic plane wave: p = k, E = omega, nonnegative mass."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, p: float, E: float, m: float):
+        super().__init__(p, E, m)
         if self.m < 0:
             raise ValueError(f"mass must be nonnegative, got {self.m!r}")
 

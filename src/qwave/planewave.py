@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import qcore
@@ -37,16 +36,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class PlaneWave:
+class PlaneWave(qcore.Frozen):
     """Plane-wave parameters: momentum p, energy E, mass m (k = p, omega = E)."""
 
-    p: float
-    E: float
-    m: float
+    __slots__ = ("p", "E", "m")
 
-    def __post_init__(self):
-        for name in ("p", "E", "m"):
+    def __init__(self, p: float, E: float, m: float):
+        self._set(p, E, m)
+        for name in self._fields:
             if not math.isfinite(getattr(self, name)):
                 raise NonFiniteInput(f"{name} must be finite")
 
@@ -54,8 +51,10 @@ class PlaneWave:
 class SchrodingerWave(PlaneWave):
     """Schrodinger plane wave: positive mass."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, p: float, E: float, m: float):
+        super().__init__(p, E, m)
         if self.m <= 0:
             raise ValueError(f"mass must be positive, got {self.m!r}")
 
@@ -65,21 +64,20 @@ class SchrodingerWave(PlaneWave):
         return cls(p=p, E=p * p / (2.0 * m), m=m)
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(qcore.Frozen):
     """A spacetime sample point (x, t); ratio_R also takes an array of x."""
 
-    x: float | np.ndarray
-    t: float = 0.0
+    __slots__ = ("x", "t")
 
-    def __post_init__(self):
-        if isinstance(self.x, (float, int)):
-            x_finite = math.isfinite(self.x)
+    def __init__(self, x: float | np.ndarray, t: float = 0.0):
+        self._set(x, t)
+        if isinstance(x, (float, int)):
+            x_finite = math.isfinite(x)
         else:
             import numpy as np
 
-            x_finite = bool(np.isfinite(self.x).all())
-        if not (x_finite and math.isfinite(self.t)):
+            x_finite = bool(np.isfinite(x).all())
+        if not (x_finite and math.isfinite(t)):
             raise NonFiniteInput(f"phase point must be finite, got {self!r}")
 
 

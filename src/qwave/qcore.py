@@ -16,13 +16,14 @@ family over arrays, in real log-modulus arithmetic.
 Jets are truncated first-order Taylor pairs (value at q = 1, d/dq at q = 1)
 with ring arithmetic.  They mechanize the first-order expansions the wave
 modules need and serve as oracles for the closed forms implemented there.
+
+Frozen is the immutable base of every value type (QJet, PlaneWave, Check, ...).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import BranchCutViolation, DivisionByZeroJet, NonFiniteInput, NonFiniteResult
@@ -181,16 +182,52 @@ def q_exp(z, q: float) -> complex:
     return q_pow(z, q, 1.0)
 
 
-@dataclass(frozen=True)
-class QJet:
+class Frozen:
+    """A record whose fields are the __slots__ of its class and its bases, set
+    once, in order, by _set in each subclass's __init__.  Instances compare,
+    hash and repr by field; assigning or deleting a field raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+
+class QJet(Frozen):
     """First-order Taylor pair (value at q = 1, d/dq at q = 1)."""
 
-    v0: complex
-    v1: complex
+    __slots__ = ("v0", "v1")
 
-    def __post_init__(self):
-        object.__setattr__(self, "v0", _as_finite_complex(self.v0, "v0"))
-        object.__setattr__(self, "v1", _as_finite_complex(self.v1, "v1"))
+    def __init__(self, v0: complex, v1: complex):
+        self._set(_as_finite_complex(v0, "v0"), _as_finite_complex(v1, "v1"))
 
     def __add__(self, other) -> "QJet":
         o = as_jet(other)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import qcore, verify
@@ -52,16 +51,14 @@ if TYPE_CHECKING:
 FD_TOL = 1e-6  # largest FD error estimate of gaussian_terms, relative to its larger term
 
 
-@dataclass(frozen=True)
-class GaussianParams:
+class GaussianParams(qcore.Frozen):
     """Packet parameters: mass, width parameter beta, q."""
 
-    m: float
-    beta: float
-    q: float
+    __slots__ = ("m", "beta", "q")
 
-    def __post_init__(self):
-        for name in ("m", "beta", "q"):
+    def __init__(self, m: float, beta: float, q: float):
+        self._set(m, beta, q)
+        for name in self._fields:
             if not math.isfinite(getattr(self, name)):
                 raise NonFiniteInput(f"{name} must be finite")
         if self.m <= 0:
@@ -75,25 +72,22 @@ class GaussianParams:
             raise InvalidQ("q = -1 breaks the coefficient denominators (q+1)")
 
 
-@dataclass(frozen=True)
-class GaussianCoeffSet:
+class GaussianCoeffSet(qcore.Frozen):
     """Exact coefficient values a(t), b(t), c(t) at one time."""
 
-    a: complex
-    b: complex
-    c: complex
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: complex, b: complex, c: complex):
+        self._set(a, b, c)
 
 
-@dataclass(frozen=True)
-class GaussianCoeffJet:
-    """First-order splits a = a1 + (q-1) a2 etc. at one time."""
+class GaussianCoeffJet(qcore.Frozen):
+    """First-order splits a = a1 + (q-1) a2 etc. at one time, all complex."""
 
-    a1: complex
-    a2: complex
-    b1: complex
-    b2: complex
-    c1: complex
-    c2: complex
+    __slots__ = ("a1", "a2", "b1", "b2", "c1", "c2")
+
+    def __init__(self, a1, a2, b1, b2, c1, c2):
+        self._set(a1, a2, b1, b2, c1, c2)
 
 
 def _denominator(t: float, params: GaussianParams) -> complex:

@@ -14,11 +14,11 @@ and for callers who want real conversions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import NonFiniteInput
 from .planewave import PhasePoint, SchrodingerWave, ratio_R
+from .qcore import Frozen
 from .qgaussian import GaussianParams, ratio_gaussian
 
 if TYPE_CHECKING:
@@ -48,8 +48,7 @@ def mass_energy_mev(mass_kg: float) -> float:
     return joule_to_mev(mass_kg * C_M_PER_S * C_M_PER_S)
 
 
-@dataclass(frozen=True)
-class ParticleScenario:
+class ParticleScenario(Frozen):
     """One ratio-figure configuration.
 
     Kinetic energy is stored in MeV, as given; the mass in kg.  Use
@@ -57,15 +56,12 @@ class ParticleScenario:
     units of hbar c/MeV.
     """
 
-    species: str
-    mass_kg: float
-    kinetic_mev: float
-    q_minus_1: float
-    momentum_model: str = "relativistic"
-    x_range: tuple[float, float, int] = (0.0, 1.0, 2001)
-    t: float = 0.0
+    __slots__ = ("species", "mass_kg", "kinetic_mev", "q_minus_1", "momentum_model", "x_range", "t")
 
-    def __post_init__(self):
+    def __init__(self, species: str, mass_kg: float, kinetic_mev: float, q_minus_1: float,
+                 momentum_model: str = "relativistic",
+                 x_range: tuple[float, float, int] = (0.0, 1.0, 2001), t: float = 0.0):
+        self._set(species, mass_kg, kinetic_mev, q_minus_1, momentum_model, x_range, t)
         for name in ("mass_kg", "kinetic_mev", "q_minus_1", "t"):
             if not math.isfinite(getattr(self, name)):
                 raise NonFiniteInput(f"{name} must be finite")
@@ -85,27 +81,12 @@ class ParticleScenario:
             raise ValueError(f"x_range needs at least 2 points, got {npoints!r}")
 
     @classmethod
-    def from_mev(
-        cls,
-        species: str,
-        kinetic_mev: float,
-        q_minus_1: float,
-        momentum_model: str = "relativistic",
-        x_range: tuple[float, float, int] = (0.0, 1.0, 2001),
-        t: float = 0.0,
-    ) -> "ParticleScenario":
-        """Scenario for a named species: "electron" or "proton"."""
+    def from_mev(cls, species: str, *args, **kwargs) -> "ParticleScenario":
+        """Scenario for a named species, "electron" or "proton"; the other
+        arguments are the constructor's after mass_kg."""
         if species not in SPECIES_MASS_KG:
             raise ValueError(f"unknown species {species!r}")
-        return cls(
-            species=species,
-            mass_kg=SPECIES_MASS_KG[species],
-            kinetic_mev=kinetic_mev,
-            q_minus_1=q_minus_1,
-            momentum_model=momentum_model,
-            x_range=x_range,
-            t=t,
-        )
+        return cls(species, SPECIES_MASS_KG[species], *args, **kwargs)
 
 
 def momentum_from_energy(scn: ParticleScenario) -> float:
@@ -134,12 +115,14 @@ def wave_for(scn: ParticleScenario) -> SchrodingerWave:
 BLOCK_ROWS = 2048
 
 
-@dataclass(frozen=True, eq=False)
-class Sweep:
+class Sweep(Frozen):
     """A ratio sweep as two arrays: the grid x and the ratio at each x."""
 
-    x: np.ndarray
-    values: np.ndarray
+    __slots__ = ("x", "values")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity, not by the arrays
+
+    def __init__(self, x: np.ndarray, values: np.ndarray):
+        self._set(x, values)
 
     def __len__(self) -> int:
         return len(self.x)

@@ -13,27 +13,26 @@ Residuals are reduced in one place, qwave.checks.max_rel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import DegenerateFit, StencilEvaluationFailed
+from .qcore import Frozen, QJet
 
 # eps ladder for order fits: five points spanning exactly two decades.
 DEFAULT_EPSILONS = (1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5, 1e-4)
 
 
-@dataclass(frozen=True)
-class FDScheme:
+class FDScheme(Frozen):
     """Fourth-order central finite-difference scheme: base step and the
     number of Richardson halvings (at least one, which prices the error)."""
 
-    step: float
-    richardson_levels: int = 1
+    __slots__ = ("step", "richardson_levels")
 
-    def __post_init__(self):
-        if not (self.step > 0 and math.isfinite(self.step)):
-            raise ValueError(f"step must be positive and finite, got {self.step!r}")
-        if self.richardson_levels < 1:
+    def __init__(self, step: float, richardson_levels: int = 1):
+        self._set(step, richardson_levels)
+        if not (step > 0 and math.isfinite(step)):
+            raise ValueError(f"step must be positive and finite, got {step!r}")
+        if richardson_levels < 1:
             raise ValueError("richardson_levels must be >= 1")
 
 
@@ -111,20 +110,17 @@ def fd_derivative(
 def jet_from_fd(fn_of_q: Callable[[float], complex]):
     """First-order jet (f(1), df/dq at 1) measured by finite differences
     with Q_DERIV_SCHEME."""
-    from .qcore import QJet
-
     slope, _ = fd_derivative(fn_of_q, 1.0, Q_DERIV_SCHEME, deriv=1)
     return QJet(complex(fn_of_q(1.0)), slope)
 
 
-@dataclass(frozen=True)
-class OrderFit:
+class OrderFit(Frozen):
     """Least-squares fit of log(residual norm) against log(eps)."""
 
-    epsilons: tuple[float, ...]
-    residual_norms: tuple[float, ...]
-    slope: float
-    r_squared: float
+    __slots__ = ("epsilons", "residual_norms", "slope", "r_squared")
+
+    def __init__(self, epsilons: tuple, residual_norms: tuple, slope: float, r_squared: float):
+        self._set(epsilons, residual_norms, slope, r_squared)
 
 
 def order_of_convergence(

@@ -3,6 +3,7 @@ writers, SVG plots, exit codes, and the verify table."""
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import math
@@ -579,6 +580,78 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert "cannot write output" in err
 
 
+def test_failed_plot_write_leaves_no_data_file(tmp_path, capsys):
+    (tmp_path / "fig.svg").mkdir()
+    out = tmp_path / "fig.csv"
+    code, _, err = run(["ratio", "--points", "3", "--out", str(out), "--plot", "svg"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "cannot write output: --plot svg" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig.svg"]
+
+
+def test_plot_failing_after_the_data_file_removes_it(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "fig.csv"
+    out.write_text("old\n")
+
+    def no_space(rows, meta, out_path):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "emit_plot_svg", no_space)
+    code, _, err = run(["ratio", "--points", "3", "--out", str(out), "--plot", "svg"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "No space left on device" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("plot", ["none", "svg"])
+def test_failed_data_write_removes_the_partial_file(plot, tmp_path, monkeypatch, capsys):
+    written = []
+
+    def write_then_fail(out, text):
+        if written:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        written.append(out.write(text))
+
+    monkeypatch.setattr(cli, "_write_output", write_then_fail)
+    out = tmp_path / "fig.json"
+    argv = ["ratio", "--points", str(2 * B), "--format", "json", "--out", str(out), "--plot", plot]
+    code, _, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE and written
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_what_is_not_a_regular_file(tmp_path, capsys):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    link = tmp_path / "full.csv"
+    link.symlink_to("/dev/full")
+    code, _, err = run(["ratio", "--points", "3", "--out", str(link)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "cannot write output" in err
+    assert link.is_symlink() and os.readlink(link) == "/dev/full"
+
+
+@pytest.mark.parametrize("where, flag", [
+    ("dir", "--out"), ("missing/fig.csv", "--out"), ("file/fig.csv", "--out"),
+    ("fig.csv", "--plot svg"),
+])
+def test_unusable_out_is_refused_before_the_sweep(where, flag, tmp_path, monkeypatch, capsys):
+    def not_called(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(scenarios, "run_ratio_sweep", not_called)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "fig.svg").mkdir()
+    (tmp_path / "file").write_text("")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    argv = ["ratio", "--points", "2000001", "--out", str(tmp_path / where)]
+    code, _, err = run(argv + (["--plot", "svg"] if flag == "--plot svg" else []), capsys)
+    assert code == cli.EXIT_USAGE
+    assert f"cannot write output: {flag} " in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (tmp_path / "file").read_text() == ""
+
+
 def test_plot_requires_out_and_csv(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["ratio", "--plot", "svg"])
@@ -783,14 +856,22 @@ def test_verify_fits_each_order_once_per_run(monkeypatch, capsys):
 
 NUMPY_PROBE = """
 import sys
+preloaded = set(sys.modules)  # a site hook may load some of these itself
+
+def loaded(*names):
+    return [name for name in names if name in sys.modules and name not in preloaded]
+
 import qwave
 assert "numpy" not in sys.modules, "import qwave"
 from qwave import cli
 assert "numpy" not in sys.modules, "import qwave.cli"
+assert not loaded("dataclasses", "inspect", "json"), loaded("dataclasses", "inspect", "json")
 assert cli.main(["verify"]) == 0
 assert "numpy" not in sys.modules, "qwave verify"
+assert not loaded("dataclasses", "inspect", "json"), loaded("dataclasses", "inspect", "json")
 assert cli.main(["ratio", "--points", "3"]) == 0
 assert "numpy" in sys.modules, "qwave ratio"
+assert not loaded("json"), "a CSV sweep loaded json"
 """
 
 
@@ -806,3 +887,21 @@ def test_only_the_sweep_path_imports_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert "44 checks: 44 passed, 0 failed" in proc.stdout
+
+
+def test_run_figures_script_writes_every_figure(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "run_figures.py"),
+         "--points", "21", "--outdir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [f"ratio_{species}_qm1_{qm1}" for species in ("electron", "proton")
+             for qm1 in ("1e-9", "1e-12")] + ["ratio_gaussian_qm1_1e-3"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        name + suffix for name in names for suffix in (".csv", ".svg"))
+    for name in names:
+        header = (tmp_path / f"{name}.csv").read_text().partition("\n")[0]
+        assert header == ("x,ratio" if "gaussian" in name else "x,R")
+        assert (tmp_path / f"{name}.svg").read_text().startswith("<svg ")
