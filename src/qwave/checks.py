@@ -2,10 +2,10 @@
 
 Each Check has a key ("suite.name"; the suite is the prefix), the claim it
 certifies, a default tolerance, a sense ("le": measured <= tolerance, "ge":
-measured >= tolerance, "report": printed, never failing) and measure(),
-which returns one float.  The @check decorator declares a function as the
-measure of a check; REGISTRY holds the checks in declaration order, which
-is the order ``qwave verify`` prints them in.
+measured >= tolerance) and measure(), which returns one float.  The @check
+decorator declares a function as the measure of a check; REGISTRY holds the
+checks in declaration order, which is the order ``qwave verify`` prints
+them in.
 
 A measure that the tests also take is public, a function of the grid or
 q that some caller varies, each parameter defaulting to the registry's
@@ -38,7 +38,7 @@ from . import verify
 
 
 class Check(qcore.Frozen):
-    """One registry entry; sense is "le", "ge" or "report"."""
+    """One registry entry; sense is "le" or "ge"."""
 
     __slots__ = ("key", "claim", "tolerance", "sense", "measure")
 
@@ -488,20 +488,23 @@ def _qg_coeff_fd() -> float:
 def _qg_packet_norm(eps: float) -> float:
     params = _qg_params(1.0 + eps)
     return max(
-        abs(qg.residual_qgaussian(x, t, params, family="approx")) for x, t in _QG_PROBES
+        abs(sum(qg.gaussian_terms(x, t, params, family="approx"))) for x, t in _QG_PROBES
     )
 
 
 @check(
-    "gaussian.exact_residual_report",
-    "exact packet residual at q=1.001 (FD-limited, reported only)",
-    math.nan,
-    "report",
+    "gaussian.exact_residual",
+    "exact packet solves -i q G_t = (1/2m)[(1+(q-1)G) G_xx - q G_x^2] in closed form",
+    1e-13,
 )
-def qg_exact_residual() -> float:
-    """Worst exact packet residual at q = 1.001 over its larger term."""
+def qg_exact_residual(qs=(*_QG_QS, 1.5), xs=_QG_XS, ts=_QG_TS) -> float:
+    """Worst gap of the exact packet's identity over its larger side,
+    point by point, at each q of qs."""
     return max_rel(
-        residual_pair(qg.gaussian_terms(x, t, _QG_PARAMS, family="exact")) for x, t in _QG_PROBES
+        residual_pair(qg.gaussian_terms(x, t, params, family="exact"))
+        for params in map(_qg_params, qs)
+        for x in xs
+        for t in ts
     )
 
 

@@ -19,11 +19,10 @@ same parser, so flags, defaults and config keys cannot drift apart;
 precedence is defaults, then the config file, then explicit flags.
 
 Exit codes: 0 success, 1 verify found a failing check, 2 bad flags or
-config (including a --tol for no check, for a report-only check or with a
-non-finite value, and a nonzero --q-minus-1 that rounds away in
-q = 1 + (q-1)), 3 numeric failure while computing (an overflow of the
-momentum, phase or packet exponent names the flag at whose value it
-occurred).
+config (including a --tol for no check or with a non-finite value, and a
+nonzero --q-minus-1 that rounds away in q = 1 + (q-1)), 3 numeric failure
+while computing (an overflow of the momentum, phase or packet exponent
+names the flag at whose value it occurred).
 
 Output determinism: CSV prints floats with 17 significant digits (%.17g),
 JSON with the shortest repr that round-trips, and lines end in "\n" on
@@ -423,8 +422,8 @@ def _parse_tol_overrides(entries, parser) -> dict[str, float]:
         key = key.strip()
         if not eq:
             parser.error(f"--tol expects CHECK=VALUE, got {entry!r}")
-        if key not in checks.REGISTRY or checks.REGISTRY[key].sense == "report":
-            parser.error(f"--tol: no check with a tolerance named {key!r}")
+        if key not in checks.REGISTRY:
+            parser.error(f"--tol: no check named {key!r}")
         try:
             overrides[key] = float(value)
         except ValueError:
@@ -445,14 +444,11 @@ def cmd_verify(args, parser) -> int:
     print(f"{'check':<{width}}  {'measured':>12}  {'tolerance':>12}  status  claim")
     failed = 0
     for check, value in zip(selected, measured):
-        if check.sense == "report":
-            tol_text, status = "-", "INFO"
-        else:
-            tolerance = tol.get(check.key, check.tolerance)
-            tol_text = f"{'<=' if check.sense == 'le' else '>='}{tolerance:g}"
-            passed = value <= tolerance if check.sense == "le" else value >= tolerance
-            status = "PASS" if passed else "FAIL"
-            failed += 0 if passed else 1
+        tolerance = tol.get(check.key, check.tolerance)
+        tol_text = f"{'<=' if check.sense == 'le' else '>='}{tolerance:g}"
+        passed = value <= tolerance if check.sense == "le" else value >= tolerance
+        status = "PASS" if passed else "FAIL"
+        failed += 0 if passed else 1
         print(
             f"{check.key:<{width}}  {value:>12.3e}  {tol_text:>12}  "
             f"{status:<6}  {check.claim}"

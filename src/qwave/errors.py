@@ -29,9 +29,5 @@ class StencilEvaluationFailed(QWaveError):
     """A finite-difference stencil point could not be evaluated."""
 
 
-class StepTooCoarse(QWaveError):
-    """A finite-difference error estimate exceeds the requested tolerance."""
-
-
 class DegenerateFit(QWaveError):
     """An order-of-convergence fit received unusable residual norms."""

@@ -99,13 +99,6 @@ def _log1p_over_w(w: complex) -> complex:
     return complex_log1p(w) / w
 
 
-def stable_log1p_over_w(w) -> complex:
-    """log1p(w)/w with the removable singularity at w = 0 filled with 1."""
-    w = _as_finite_complex(w, "w")
-    _require_off_cut(1.0 + w, "log1p(w)/w")
-    return _log1p_over_w(w)
-
-
 def stable_expm1_over_w(w) -> complex:
     """expm1(w)/w with the removable singularity at w = 0 filled with 1."""
     w = _as_finite_complex(w, "w")

@@ -19,15 +19,24 @@ q-1 = 1e-6.  Here the pair is folded into expm1:
 
 which is exact at t = 0 (all three terms cancel, c(0) = 0 recovers
 psi(0,0) = 1) and smooth through q = 1.  Substituting the ansatz into the
-wave equation reduces it to the polynomial identity
--i q G' = (1/2m)[(1 + (q-1)G) Gxx - q Gx^2], G = ax^2+bx+c, and
-the coefficient ODEs this implies are solved by the forms above, so the
-packet is an exact solution, not merely a first-order one.
+wave equation i dt(psi^q) + (1/2m) d2x(psi) = 0 and dividing out the
+common factor psi^(2q-1) leaves the polynomial identity
+
+    -i q G_t = (1/2m)[(1 + (q-1)G) G_xx - q G_x^2],   G = ax^2+bx+c,
+
+whose coefficient ODEs the forms above solve, so the packet is an exact
+solution, not merely a first-order one.  Their rates (rates_exact) carry
+no 1/(q-1):
+
+    a_t = -i(q+1) a/D,  b_t = -i(q+1) b/D,
+    c_t = i e^M/D - i(q-1) kq e^M/D - i(q+1) kq/D^2.
 
 Everything q-dependent is exposed three ways: exact (coeffs_exact,
-exact_qgaussian), first-order closed forms (coeffs_first_order,
-approx_qgaussian), and mechanically derived jets (wavefunction_jet),
-which arbitrate between the other two in the tests.
+rates_exact, exact_qgaussian), first-order closed forms
+(coeffs_first_order, approx_qgaussian), and mechanically derived jets
+(wavefunction_jet, and rates_first_order, the jets of the exact rates),
+which arbitrate between the other two in the tests.  gaussian_terms
+gives the equation terms of either family in closed form.
 """
 
 from __future__ import annotations
@@ -36,19 +45,12 @@ import cmath
 import math
 from typing import TYPE_CHECKING
 
-from . import qcore, verify
-from .errors import (
-    BranchCutViolation,
-    InvalidQ,
-    NonFiniteInput,
-    StepTooCoarse,
-)
-from .qcore import QJet, as_jet, jet_exp, jet_ln, log1p_over_w_jet, expm1_over_w_jet
+from . import qcore
+from .errors import BranchCutViolation, InvalidQ, NonFiniteInput
+from .qcore import QJet, jet_exp, jet_ln, log1p_over_w_jet, expm1_over_w_jet
 
 if TYPE_CHECKING:
     import numpy as np
-
-FD_TOL = 1e-6  # largest FD error estimate of gaussian_terms, relative to its larger term
 
 
 class GaussianParams(qcore.Frozen):
@@ -90,23 +92,35 @@ class GaussianCoeffJet(qcore.Frozen):
         self._set(a1, a2, b1, b2, c1, c2)
 
 
-def _denominator(t: float, params: GaussianParams) -> complex:
-    return 1.0 + 1j * (params.q + 1.0) * t
+def _exact_parts(t: float, params: GaussianParams):
+    """(q, D, a, b, kq, L, M) at time t, shared by the coefficients and their rates."""
+    if not math.isfinite(t):
+        raise NonFiniteInput(f"t must be finite, got {t!r}")
+    q = params.q
+    D = 1.0 + 1j * (q + 1.0) * t
+    kq = 1.0 / (4.0 * params.m * q * params.beta * params.beta)
+    L = cmath.log(D)  # Re D = 1, so the principal log is the smooth branch
+    return q, D, params.m * q / D, 1.0 / (params.beta * D), kq, L, (q - 1.0) * L / (q + 1.0)
+
+
+def _rates(q, D, a, b, kq, eM):
+    """(a_t, b_t, c_t) as in the module docstring.  Numbers give the exact
+    rates; eps-jets (q = QJet(1, 1)) the rates of the first-order splits."""
+    k = -1j * (q + 1.0) / D
+    return k * a, k * b, 1j * (1.0 - (q - 1.0) * kq) * eM / D + k * kq / D
 
 
 def coeffs_exact(t: float, params: GaussianParams) -> GaussianCoeffSet:
     """Exact a(t), b(t), c(t); c via the expm1 pairing described above."""
-    if not math.isfinite(t):
-        raise NonFiniteInput(f"t must be finite, got {t!r}")
-    q = params.q
-    D = _denominator(t, params)
-    a = params.m * q / D
-    b = 1.0 / (params.beta * D)
-    kq = 1.0 / (4.0 * params.m * q * params.beta * params.beta)
-    L = cmath.log(D)  # Re D = 1, so the principal log is the smooth branch
-    M = (q - 1.0) * L / (q + 1.0)
+    q, D, a, b, kq, L, M = _exact_parts(t, params)
     c = (L / (q + 1.0)) * qcore.stable_expm1_over_w(M) - kq * cmath.exp(M) + kq / D
     return GaussianCoeffSet(a=a, b=b, c=c)
+
+
+def rates_exact(t: float, params: GaussianParams) -> GaussianCoeffSet:
+    """Exact time derivatives (a_t, b_t, c_t) of the coefficients."""
+    q, D, a, b, kq, _, M = _exact_parts(t, params)
+    return GaussianCoeffSet(*_rates(q, D, a, b, kq, cmath.exp(M)))
 
 
 def exponent(x, t: float, params: GaussianParams):
@@ -145,6 +159,17 @@ def first_order_exponents(x, t: float, params: GaussianParams):
     return j.a1 * x * x + j.b1 * x + j.c1, j.a2 * x * x + j.b2 * x + j.c2
 
 
+def _jet_parts(t: float, params: GaussianParams):
+    """(q, D, a, b, kq, mu) as eps-jets at time t, M = eps * mu, shared by the
+    coefficient jets and the rate jets."""
+    m, beta = params.m, params.beta
+    q = QJet(1.0, 1.0)
+    # D = 1 + i (2+eps) t
+    D = QJet(1.0 + 2j * t, 1j * t)
+    kq = 1.0 / (4.0 * m * beta * beta) / q
+    return q, D, m * q / D, 1.0 / (beta * D), kq, jet_ln(D) / (q + 1.0)
+
+
 def _coeff_jets(t: float, params: GaussianParams) -> tuple[QJet, QJet, QJet]:
     """Coefficient jets in eps = q-1 derived mechanically from the formulas.
 
@@ -153,16 +178,18 @@ def _coeff_jets(t: float, params: GaussianParams) -> tuple[QJet, QJet, QJet]:
     of c.  The eps-linear factors of D and M are absorbed by the
     dedicated pole jets (log1p_over_w_jet, expm1_over_w_jet).
     """
-    m, beta = params.m, params.beta
-    # D = 1 + i (2+eps) t
-    D = QJet(1.0 + 2j * t, 1j * t)
-    a = QJet(m, m) / D  # numerator m q = m (1 + eps)
-    b = 1.0 / (beta * D)
-    kappa = 1.0 / (4.0 * m * beta * beta)
-    kq = as_jet(kappa) / QJet(1.0, 1.0)  # kappa / q
-    mu = jet_ln(D) / QJet(2.0, 1.0)  # L / (q+1); M = eps * mu
+    _, D, a, b, kq, mu = _jet_parts(t, params)
     c = mu * expm1_over_w_jet(mu.v0) - kq * QJet(1.0, mu.v0) + kq / D
     return a, b, c
+
+
+def rates_first_order(t: float, params: GaussianParams) -> GaussianCoeffJet:
+    """Time derivatives (a1_t, a2_t, b1_t, b2_t, c1_t, c2_t) of the
+    first-order splits: the eps-jets of the exact rates, by the jet
+    arithmetic of _coeff_jets."""
+    q, D, a, b, kq, mu = _jet_parts(t, params)
+    jets = _rates(q, D, a, b, kq, QJet(1.0, mu.v0))  # e^M = 1 + eps mu + ...
+    return GaussianCoeffJet(*(v for jet in jets for v in (jet.v0, jet.v1)))
 
 
 def wavefunction_jet(x: float, t: float, params: GaussianParams) -> QJet:
@@ -173,21 +200,6 @@ def wavefunction_jet(x: float, t: float, params: GaussianParams) -> QJet:
     G = a * (x * x) + b * x + c
     # ln psi = -G * S(eps G) with S = log1p(w)/w
     return jet_exp(-(G * log1p_over_w_jet(G.v0)))
-
-
-def _log_psi(x: float, t: float, params: GaussianParams, family: str) -> complex:
-    """Continuous-branch log of the packet, the safe base for q-th powers."""
-    q = params.q
-    if family == "exact":
-        G = exponent(x, t, params)
-        return -G * qcore.stable_log1p_over_w((q - 1.0) * G)
-    if family == "approx":
-        G0, G1 = first_order_exponents(x, t, params)
-        corr = -(q - 1.0) * (G1 - 0.5 * G0 * G0)
-        if corr == -1.0:
-            raise BranchCutViolation("first-order packet vanishes here")
-        return -G0 + qcore.complex_log1p(corr)
-    raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
 
 
 def exact_qgaussian(x: float, t: float, params: GaussianParams) -> complex:
@@ -243,38 +255,33 @@ def ratio_gaussian(x, t: float, params: GaussianParams) -> float | np.ndarray:
 def gaussian_terms(
     x: float, t: float, params: GaussianParams, family: str
 ) -> tuple[complex, complex]:
-    """FD-evaluated equation terms (i dt psi^q, (1/2m) d2x psi).
+    """Closed-form equation terms of a packet family, whose sum is its residual.
 
-    The packet has no closed-form derivative API, so both terms come from
-    Richardson-extrapolated finite differences on the continuous-branch
-    log representation.  Raises StepTooCoarse when the FD error estimate
-    exceeds FD_TOL relative to the larger term: a residual smaller than
-    the differencing noise would otherwise masquerade as zero.
+    exact: the two sides of the identity the equation reduces to once the
+    common factor psi^(2q-1) is divided out, -i q G_t and
+    (1/2m)[q G_x^2 - (1 + (q-1)G) G_xx], with G_t from rates_exact.
+    approx: (i dt psi^q, (1/2m) d2x psi) of psi = P e^{-G0},
+    P = 1 - (q-1)(G1 - G0^2/2), with the rates from rates_first_order.
     """
-    if family not in ("exact", "approx"):
-        raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
     q, m = params.q, params.m
-
-    def psi_q_of_t(tv: float) -> complex:
-        return cmath.exp(q * _log_psi(x, tv, params, family))
-
-    def psi_of_x(xv: float) -> complex:
-        return cmath.exp(_log_psi(xv, t, params, family))
-
-    dt_val, dt_err = verify.fd_derivative(psi_q_of_t, t, verify.default_scheme(deriv=1), deriv=1)
-    d2x_val, d2x_err = verify.fd_derivative(psi_of_x, x, verify.default_scheme(deriv=2), deriv=2)
-    term_t = 1j * dt_val
-    term_x = (1.0 / (2.0 * m)) * d2x_val
-    scale = max(abs(term_t), abs(term_x))
-    noise = dt_err + (1.0 / (2.0 * m)) * d2x_err
-    if scale > 0.0 and noise > FD_TOL * scale:
-        raise StepTooCoarse(
-            f"FD error {noise:.3e} exceeds {FD_TOL:.1e} of term scale {scale:.3e}"
-        )
-    return term_t, term_x
-
-
-def residual_qgaussian(x: float, t: float, params: GaussianParams, family: str) -> complex:
-    """FD residual i dt(psi^q) + (1/2m) d2x(psi) of a packet family."""
-    term_t, term_x = gaussian_terms(x, t, params, family)
-    return term_t + term_x
+    if family == "exact":
+        cs, rs = coeffs_exact(t, params), rates_exact(t, params)
+        G = cs.a * x * x + cs.b * x + cs.c
+        Gx = 2.0 * cs.a * x + cs.b
+        Gt = rs.a * x * x + rs.b * x + rs.c
+        return -1j * q * Gt, (q * Gx * Gx - (1.0 + (q - 1.0) * G) * 2.0 * cs.a) / (2.0 * m)
+    if family != "approx":
+        raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
+    j, r, eps = coeffs_first_order(t, params), rates_first_order(t, params), q - 1.0
+    G0, G1 = j.a1 * x * x + j.b1 * x + j.c1, j.a2 * x * x + j.b2 * x + j.c2
+    G0x, G1x = 2.0 * j.a1 * x + j.b1, 2.0 * j.a2 * x + j.b2
+    G0t, G1t = r.a1 * x * x + r.b1 * x + r.c1, r.a2 * x * x + r.b2 * x + r.c2
+    corr = -eps * (G1 - 0.5 * G0 * G0)  # P = 1 + corr
+    if corr == -1.0:
+        raise BranchCutViolation("first-order packet vanishes here")
+    P, Pt = 1.0 + corr, -eps * (G1t - G0 * G0t)
+    Px, Pxx = -eps * (G1x - G0 * G0x), -eps * (2.0 * j.a2 - G0x * G0x - 2.0 * j.a1 * G0)
+    # psi^q on the continuous branch of log psi = -G0 + log1p(corr)
+    psi_q = cmath.exp(q * (qcore.complex_log1p(corr) - G0))
+    d2x = (Pxx - 2.0 * Px * G0x + P * (G0x * G0x - 2.0 * j.a1)) * cmath.exp(-G0)
+    return 1j * q * psi_q * (Pt / P - G0t), d2x / (2.0 * m)

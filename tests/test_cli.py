@@ -358,7 +358,7 @@ def test_ratio_exit_code_contract(tmp_path_factory, drawn):
 
 
 SUITE_CHOICES = (*checks.SUITES, "all")
-TOL_KEYS = [key for key, entry in checks.REGISTRY.items() if entry.sense != "report"]
+TOL_KEYS = list(checks.REGISTRY)
 TOL_VALUES = ["1e-3", "0", "-1", "1e400", "nan", "inf", "-inf", "abc", ""]
 CONFIG_LINES = ["suite=planewave", "suite = separation", "suite=bogus", "warp=9",
                 "no equals sign", "=1", "# comment", ""]
@@ -372,7 +372,7 @@ def verify_argvs(draw):
     for _ in range(draw(st.integers(0, 3))):
         key = draw(
             st.sampled_from(TOL_KEYS)
-            | st.sampled_from(["planewave.nope", "gaussian.exact_residual_report", ""])
+            | st.sampled_from(["planewave.nope", ""])
         )
         value = draw(st.sampled_from(TOL_VALUES) | st.floats().map(repr))
         argv += ["--tol", f"{key}={value}" if draw(st.booleans()) else key]
@@ -778,29 +778,11 @@ def test_verify_tol_that_is_not_a_number_is_usage_error(capsys):
     assert "not a number" in capsys.readouterr().err
 
 
-def test_verify_report_row_never_fails(capsys):
-    code, out, _ = run(["verify", "--suite", "gaussian"], capsys)
-    assert code == 0
-    report_lines = [l for l in out.splitlines() if "INFO" in l]
-    assert len(report_lines) == 1
-    assert "exact packet residual" in report_lines[0]
-
-
 def test_verify_unknown_tol_key_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "planewave", "--tol", "planewave.pair_cancelation=1e-30"])
     assert exc.value.code == 2
     assert "'planewave.pair_cancelation'" in capsys.readouterr().err
-
-
-def test_verify_tol_for_report_only_check_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(
-            ["verify", "--suite", "gaussian", "--tol", "gaussian.exact_residual_report=1e-30"]
-        )
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "no check with a tolerance named 'gaussian.exact_residual_report'" in err
 
 
 def test_verify_tol_for_unselected_suite_is_accepted(capsys):

@@ -1,5 +1,6 @@
 """Spreading q-Gaussian packet: coefficient closed forms, their jets,
-the first-order assembly, and the FD residual machinery."""
+the first-order assembly, the closed-form equation terms, and the
+gaussian checks that a patched formula must fail."""
 
 import cmath
 import math
@@ -7,10 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from qwave import checks
+from qwave import checks, cli
 from qwave import qgaussian as qg
 from qwave import verify
-from qwave.errors import InvalidQ, NonFiniteInput, StepTooCoarse
+from qwave.errors import InvalidQ, NonFiniteInput
 
 XS = tuple(np.linspace(-3.0, 3.0, 13))
 TS = tuple(np.linspace(0.0, 2.0, 5))
@@ -132,11 +133,23 @@ def test_literal_typo_reading_differs():
 
 
 def test_exact_packet_residual_fd_floor():
-    # the exact packet solves the equation identically; what remains is
-    # differencing noise, orders below the equation's term scale
-    # at q = 1.001
-    worst = checks.qg_exact_residual()
-    assert worst <= 1e-8, worst
+    # the exact packet solves its identity to rounding also at q the
+    # registry leaves out: far from 1, and next to it
+    worst = checks.qg_exact_residual((0.7, 1.0 + 1e-9))
+    assert worst <= 1e-14, worst
+
+
+@pytest.mark.parametrize("q", [1.02, 0.7])
+def test_approx_terms_match_fd(q):
+    # the closed-form terms against Richardson FD of approx_qgaussian; at
+    # the registry's probes the principal power psi^q is the continuous one
+    p = params_for(q)
+    for x, t in checks._QG_PROBES:
+        gap_t = checks.fd_gap(lambda tv: qg.gaussian_terms(x, tv, p, "approx")[0] / 1j,
+                              lambda tv: qg.approx_qgaussian(x, tv, p) ** q, (t,), 1.0, 1)
+        gap_x = checks.fd_gap(lambda xv: 2.0 * p.m * qg.gaussian_terms(xv, t, p, "approx")[1],
+                              lambda xv: qg.approx_qgaussian(xv, t, p), (x,), 1.0, 2)
+        assert max(gap_t, gap_x) <= 1e-8, (x, t, gap_t, gap_x)
 
 
 def test_approx_packet_insertion_order():
@@ -181,12 +194,37 @@ def test_ratio_matches_scalar_packets(q, t):
         assert abs(r - want) <= 1e-13 * want, x
 
 
-def test_step_too_coarse_guard(monkeypatch):
-    monkeypatch.setattr(qg, "FD_TOL", 1e-16)
-    with pytest.raises(StepTooCoarse):
-        qg.gaussian_terms(0.9, 0.4, params_for(1.001), family="exact")
-
-
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         qg.gaussian_terms(0.0, 0.0, params_for(1.1), family="bogus")
+
+
+def scaled(fn, **factors):
+    """fn with the named fields of its returned coefficient set scaled."""
+
+    def patched(t, params):
+        out = fn(t, params)
+        return type(out)(*(getattr(out, f) * factors.get(f, 1.0) for f in out._fields))
+
+    return patched
+
+
+# One shipped formula patched per row, and the gaussian checks it must fail.
+# A 0.1% error in the eps-coefficient of c_t (c2_t) fails no check: |c2_t|
+# is only 0.04-0.07 at the approx_order probes.  test_approx_terms_match_fd
+# catches it.
+MUTATIONS = [
+    ("coeffs_exact", {"c": 1.0 + 1e-6}, {"gaussian.exact_residual"}),
+    ("rates_exact", {"c": 1.001}, {"gaussian.exact_residual"}),
+    ("rates_first_order", {"a2": 1.001},
+     {"gaussian.approx_order", "gaussian.approx_order_r2"}),
+]
+
+
+@pytest.mark.parametrize("target, factors, must_fail", MUTATIONS)
+def test_patched_formula_fails_its_checks(monkeypatch, capsys, target, factors, must_fail):
+    monkeypatch.setattr(qg, target, scaled(getattr(qg, target), **factors))
+    assert cli.main(["verify", "--suite", "gaussian"]) == cli.EXIT_FAIL
+    failed = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if " FAIL " in line}
+    assert must_fail <= failed, failed
