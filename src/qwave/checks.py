@@ -121,7 +121,7 @@ def fd_gap(closed, fn, ats, scale: float, deriv: int) -> float:
 
     def pair(at):
         value = closed(at)
-        return abs(value - verify.fd_derivative(fn, at, scheme, deriv=deriv)[0]), abs(value)
+        return abs(value - verify.fd_derivative(fn, at, scheme, deriv=deriv)), abs(value)
 
     return max_rel(map(pair, ats))
 
@@ -202,7 +202,7 @@ def pw_pair_cancellation(xs=_PW_XS, ts=_PW_TS) -> float:
 def pw_approx_norm(eps: float, xs=_PW_XS[::2], ts=_PW_TS) -> float:
     """Largest |residual| of the first-order plane wave at q = 1 + eps."""
     return max(
-        abs(pw.residual_schrodinger(pw.PhasePoint(x, t), _PW_WAVE, 1.0 + eps, "approx"))
+        abs(sum(pw.schrodinger_terms(pw.PhasePoint(x, t), _PW_WAVE, 1.0 + eps, "approx")))
         for x in xs
         for t in ts
     )
@@ -296,7 +296,6 @@ def pw_dt_q_fd(q: float = 1.02, xs=_PW_XS[::3], ts=_PW_TS) -> float:
 
 _SEP_E = 0.845
 _SEP_P = 1.3
-_SEP_LAM = _SEP_P * _SEP_P / 2.0
 _SEP_TS = _grid(0.0, 4.0, 17)
 _SEP_XS = _grid(-6.0, 6.0, 17)
 
@@ -307,14 +306,8 @@ _SEP_XS = _grid(-6.0, 6.0, 17)
     1e-10,
 )
 def sep_exact_residual_f(q: float = 1.1) -> float:
-    """Worst |residual| of the exact time factor over E |f|."""
-    return max_rel(
-        (
-            abs(sep.residual_f(t, _SEP_E, q, family="exact")),
-            abs(_SEP_E * sep.exact_f(t, _SEP_E, q)),
-        )
-        for t in _SEP_TS
-    )
+    """Worst residual_pair of the exact time factor."""
+    return max_rel(residual_pair(sep.f_terms(t, _SEP_E, q, family="exact")) for t in _SEP_TS)
 
 
 @check(
@@ -323,14 +316,8 @@ def sep_exact_residual_f(q: float = 1.1) -> float:
     1e-10,
 )
 def sep_exact_residual_g(q: float = 1.1) -> float:
-    """Worst |residual| of the exact space factor over lam |g^q|."""
-    return max_rel(
-        (
-            abs(sep.residual_g(x, _SEP_P, q, family="exact")),
-            abs(_SEP_LAM * sep.exact_g_q(x, _SEP_P, q)),
-        )
-        for x in _SEP_XS
-    )
+    """Worst residual_pair of the exact space factor."""
+    return max_rel(residual_pair(sep.g_terms(x, _SEP_P, q, family="exact")) for x in _SEP_XS)
 
 
 @check(
@@ -339,33 +326,25 @@ def sep_exact_residual_g(q: float = 1.1) -> float:
     1e-12,
 )
 def sep_pair_cancellation() -> float:
-    """Worst truncated pair of f over E |f| and of g over lam |g^q|."""
-
-    def pairs(q):
-        for t in _SEP_TS:
-            yield (
-                abs(sep.expansion_residual_f(t, _SEP_E, q)),
-                abs(_SEP_E * sep.approx_f(t, _SEP_E, q)),
-            )
-        for x in _SEP_XS:
-            yield (
-                abs(sep.expansion_residual_g(x, _SEP_P, q)),
-                abs(_SEP_LAM * sep.approx_g_q(x, _SEP_P, q)),
-            )
-
-    return max(max_rel(pairs(1.0 + eps)) for eps in _PAIR_EPSILONS)
+    """Worst residual_pair of the truncated pairs of f and of g."""
+    return max_rel(
+        residual_pair(terms)
+        for eps in _PAIR_EPSILONS
+        for terms in (*(sep.expansion_terms_f(t, _SEP_E, 1.0 + eps) for t in _SEP_TS),
+                      *(sep.expansion_terms_g(x, _SEP_P, 1.0 + eps) for x in _SEP_XS))
+    )
 
 
 @order_fit("separation.f_order", "first-order f inserted in its equation")
 def sep_f_norm(eps: float, ts=_SEP_TS) -> float:
     """Largest |residual| of the first-order time factor at q = 1 + eps."""
-    return max(abs(sep.residual_f(t, _SEP_E, 1.0 + eps, family="approx")) for t in ts)
+    return max(abs(sum(sep.f_terms(t, _SEP_E, 1.0 + eps, family="approx"))) for t in ts)
 
 
 @order_fit("separation.g_order", "first-order g inserted in its equation")
 def sep_g_norm(eps: float, xs=_SEP_XS) -> float:
     """Largest |residual| of the first-order space factor at q = 1 + eps."""
-    return max(abs(sep.residual_g(x, _SEP_P, 1.0 + eps, family="approx")) for x in xs)
+    return max(abs(sum(sep.g_terms(x, _SEP_P, 1.0 + eps, family="approx"))) for x in xs)
 
 
 def sep_jet_gap(exact, approx, grid, k: float) -> float:
@@ -473,15 +452,17 @@ def qg_jet_authority(xs=_QG_XS, ts=_QG_TS) -> float:
     return max(max_rel(pairs(x, t)) for x in xs for t in ts)
 
 
-@check("gaussian.coeff_fd", "FD in q of the exact coefficients matches (a2, b2, c2)", 1e-6)
+@check("gaussian.coeff_fd", "FD-in-q jets of the exact a, b, c match their first-order splits",
+       1e-6)
 def _qg_coeff_fd() -> float:
     def pairs(t):
         split = qg.coeffs_first_order(t, _QG_PARAMS)
-        for name, closed in (("a", split.a2), ("b", split.b2), ("c", split.c2)):
-            fd = verify.jet_from_fd(lambda q: getattr(qg.coeffs_exact(t, _qg_params(q)), name))
-            yield abs(fd.v1 - closed), max(1.0, abs(closed))
+        for name, v0, v1 in (("a", split.a1, split.a2), ("b", split.b1, split.b2),
+                             ("c", split.c1, split.c2)):
+            yield (lambda q, name=name: getattr(qg.coeffs_exact(t, _qg_params(q)), name),
+                   lambda q, v0=v0, v1=v1: v0 + (q - 1.0) * v1)
 
-    return max_rel(pair for t in _QG_TS for pair in pairs(t))
+    return approx_jet_gap(pair for t in _QG_TS for pair in pairs(t))
 
 
 @order_fit("gaussian.approx_order", "first-order packet inserted in the full equation")
@@ -588,7 +569,9 @@ def kg_pair_cancellation() -> float:
 )
 def kg_approx_norm(eps: float, xs=_KG_XS[::2], ts=_KG_TS) -> float:
     """Largest |residual| of the first-order Klein-Gordon wave at q = 1 + eps."""
-    return max(abs(kg.residual_kg(x, t, _KG_WAVE, 1.0 + eps, "approx")) for x in xs for t in ts)
+    return max(
+        abs(sum(kg.kg_terms(x, t, _KG_WAVE, 1.0 + eps, "approx"))) for x in xs for t in ts
+    )
 
 
 @check("kleingordon.qF_jet", "approx_qF2qm1 is the q-jet of q F^{2q-1}", 1e-6)

@@ -21,7 +21,7 @@ First order in (q-1), the expansions of d2x F, d2t F and q F^(2q-1) all
 share one bracket q + 2i(q-1)u - (q-1)u^2/2 (planewave.bracket_wave), which
 is the entire self-consistency mechanism: the addends of
 expansion_terms_kg, built from the truncated forms, cancel identically on
-shell, while residual_kg with family="approx" inserts the approximant into
+shell, while kg_terms with family="approx" inserts the approximant into
 the full equation (powering along its continuous logarithm) and leaves a
 genuine O((q-1)^2) remainder.  The approximant F and its d2/dx2 are
 planewave.approx_psi and d2x_approx_psi.
@@ -99,6 +99,8 @@ def residual_kg(x: float, t: float, w: KGWave, q: float, family: str) -> complex
     On shell the exact family cancels to round-off at any q; the approx
     family leaves an O((q-1)^2) remainder.  Off shell both grow with the
     dispersion violation, which is the sensitivity check in the tests.
+    The checks sum kg_terms themselves; this wrapper is kept because the
+    benchmark times it.
     """
     term_tt, term_xx, term_mass = kg_terms(x, t, w, q, family)
     return term_tt + term_xx + term_mass

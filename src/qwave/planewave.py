@@ -7,13 +7,14 @@ kleingordon keeps only its equation.  The Schrodinger equation is
 i d/dt(psi^q) = -(1/2m) d2/dx2(psi), free on E = p^2/(2m).
 This module provides the exact wave and its q-th and (2q-1)-th powers, its
 first-order expansion around q = 1, closed-form derivatives for both, the
-Schrodinger residuals, and the ratio R = |approx/exact| used for the
-deviation sweeps.  The truncated forms share one bracket (bracket_wave) and
+addends of the Schrodinger equation, and the ratio R = |approx/exact| used
+for the deviation sweeps.  The truncated forms share one bracket (bracket_wave) and
 amp_pow powers the approximant; kleingordon uses both.
 
+Each equation is given by its addends, and its residual is their sum.
 Two residual notions coexist and both are exposed:
 
-* residual_schrodinger inserts a wave family into the full nonlinear
+* schrodinger_terms inserts a wave family into the full nonlinear
   equation.  The exact family cancels to round-off for a free particle at
   any q; the approximant leaves a genuine O((q-1)^2) remainder, which is
   what the order-of-convergence certification measures.
@@ -150,7 +151,7 @@ def dt_approx_psi_q(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
 def schrodinger_terms(
     pt: PhasePoint, w: SchrodingerWave, q: float, family: str
 ) -> tuple[complex, complex]:
-    """The two sides of the equation as (i dt psi^q, (1/2m) d2x psi).
+    """The two addends (i dt psi^q, (1/2m) d2x psi); their sum is the residual.
 
     family "exact" uses the closed-form derivatives of the exact wave;
     family "approx" treats the first-order wave as a bona fide candidate
@@ -172,16 +173,6 @@ def schrodinger_terms(
         term_x = (1.0 / (2.0 * w.m)) * d2x_approx_psi(pt, w, q)
         return term_t, term_x
     raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
-
-
-def residual_schrodinger(pt: PhasePoint, w: SchrodingerWave, q: float, family: str) -> complex:
-    """Residual i dt(psi^q) + (1/2m) d2x(psi) of a wave family.
-
-    For a free particle the exact family cancels to round-off at any q;
-    the approx family leaves an O((q-1)^2) remainder.
-    """
-    term_t, term_x = schrodinger_terms(pt, w, q, family)
-    return term_t + term_x
 
 
 def expansion_terms(

@@ -2,11 +2,11 @@
 
 Everything here is deliberately independent of the closed forms implemented
 by the wave modules: fourth-order central stencils differentiate black-box
-callables, Richardson extrapolation sharpens them and prices the truncation
-error, and least-squares fits of log(residual norm) against log(q - 1)
-certify the order of a first-order approximant (slope ~2 means the linear
-coefficient of the residual vanishes).  The fits are closed-form least
-squares summed with math.fsum, so verification runs without numpy.
+callables, Richardson extrapolation sharpens them, and least-squares fits
+of log(residual norm) against log(q - 1) certify the order of a
+first-order approximant (slope ~2 means the linear coefficient of the
+residual vanishes).  The fits are closed-form least squares summed with
+math.fsum, so verification runs without numpy.
 Residuals are reduced in one place, qwave.checks.max_rel.
 """
 
@@ -24,7 +24,7 @@ DEFAULT_EPSILONS = (1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5, 1e-4)
 
 class FDScheme(Frozen):
     """Fourth-order central finite-difference scheme: base step and the
-    number of Richardson halvings (at least one, which prices the error)."""
+    number of Richardson halvings (at least one)."""
 
     __slots__ = ("step", "richardson_levels")
 
@@ -86,13 +86,9 @@ def fd_derivative(
     at: float,
     scheme: FDScheme,
     deriv: int = 1,
-) -> tuple[complex, float]:
-    """Derivative of fn at a point, with an error estimate.
-
-    Returns (value, err).  The value is the diagonal of a Richardson
-    triangle built from step halvings; err is the magnitude of the last
-    diagonal correction.
-    """
+) -> complex:
+    """Derivative of fn at a point: the diagonal of a Richardson triangle
+    built from step halvings."""
     h, levels = scheme.step, scheme.richardson_levels
     rows = [[_stencil(fn, at, h, deriv)]]
     for j in range(1, levels + 1):
@@ -102,16 +98,13 @@ def fd_derivative(
             fac = 2.0 ** (4 + 2 * (k - 1))
             row.append(row[k - 1] + (row[k - 1] - rows[j - 1][k - 1]) / (fac - 1.0))
         rows.append(row)
-    value = rows[levels][levels]
-    err = abs(value - rows[levels - 1][levels - 1])
-    return value, err
+    return rows[levels][levels]
 
 
 def jet_from_fd(fn_of_q: Callable[[float], complex]):
     """First-order jet (f(1), df/dq at 1) measured by finite differences
     with Q_DERIV_SCHEME."""
-    slope, _ = fd_derivative(fn_of_q, 1.0, Q_DERIV_SCHEME, deriv=1)
-    return QJet(complex(fn_of_q(1.0)), slope)
+    return QJet(complex(fn_of_q(1.0)), fd_derivative(fn_of_q, 1.0, Q_DERIV_SCHEME, deriv=1))
 
 
 class OrderFit(Frozen):

@@ -42,7 +42,7 @@ def test_exact_residual_machine_zero(q):
 def test_exact_residual_needs_free_particle():
     # E != p^2/2m must show as a nonzero residual even on the exact family
     w = pw.SchrodingerWave(p=1.3, E=1.0, m=1.0)
-    r = pw.residual_schrodinger(pw.PhasePoint(0.7, 0.4), w, 1.1, "exact")
+    r = sum(pw.schrodinger_terms(pw.PhasePoint(0.7, 0.4), w, 1.1, "exact"))
     assert abs(r) > 1e-3
 
 
@@ -119,7 +119,7 @@ def test_ratio_underflow_guard():
 def test_branch_cut_in_approx_family():
     # amplitude 1 - (q-1) u^2/2 crosses zero: u = 3, q - 1 = 0.5
     with pytest.raises(BranchCutViolation):
-        pw.residual_schrodinger(pw.PhasePoint(3.0 / WAVE.p, 0.0), WAVE, 1.5, "approx")
+        pw.schrodinger_terms(pw.PhasePoint(3.0 / WAVE.p, 0.0), WAVE, 1.5, "approx")
 
 
 def test_unknown_family_rejected():

@@ -128,9 +128,9 @@ def test_non_finite_argument_is_refused():
 
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
-        sep.residual_f(0.0, E, 1.1, family="bogus")
+        sep.f_terms(0.0, E, 1.1, family="bogus")
     with pytest.raises(ValueError):
-        sep.residual_g(0.0, P, 1.1, family="bogus")
+        sep.g_terms(0.0, P, 1.1, family="bogus")
 
 
 def test_invalid_q_domains():

@@ -10,21 +10,22 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qwave import checks, verify
+from qwave import kleingordon as kg
 from qwave import planewave as pw
+from qwave import separation as sep
 from qwave.errors import DegenerateFit, StencilEvaluationFailed
 
 
 def test_fd_first_derivative_of_exp():
     scheme = verify.default_scheme(deriv=1)
-    value, err = verify.fd_derivative(cmath.exp, 0.3, scheme, deriv=1)
+    value = verify.fd_derivative(cmath.exp, 0.3, scheme, deriv=1)
     true = cmath.exp(0.3)
     assert abs(value - true) / abs(true) < 1e-11
-    assert err < 1e-8
 
 
 def test_fd_second_derivative_of_sin():
     scheme = verify.default_scheme(deriv=2)
-    value, _ = verify.fd_derivative(math.sin, 0.8, scheme, deriv=2)
+    value = verify.fd_derivative(math.sin, 0.8, scheme, deriv=2)
     assert abs(value - (-math.sin(0.8))) < 1e-10
 
 
@@ -32,7 +33,7 @@ def test_fd_oscillatory_complex():
     k = 3.0
     fn = lambda x: cmath.exp(1j * k * x)
     scheme = verify.default_scheme(1.0 / k, deriv=2)
-    value, _ = verify.fd_derivative(fn, 0.5, scheme, deriv=2)
+    value = verify.fd_derivative(fn, 0.5, scheme, deriv=2)
     true = -k * k * cmath.exp(1j * k * 0.5)
     assert abs(value - true) / abs(true) < 1e-9
 
@@ -43,16 +44,9 @@ def test_richardson_error_decreases_with_levels():
     errs = []
     for levels in (1, 2, 3):
         scheme = verify.FDScheme(step=0.5, richardson_levels=levels)
-        value, _ = verify.fd_derivative(math.exp, 1.0, scheme, deriv=1)
+        value = verify.fd_derivative(math.exp, 1.0, scheme, deriv=1)
         errs.append(abs(value - math.e))
     assert errs[0] > errs[1] > errs[2]
-
-
-def test_error_estimate_brackets_true_error():
-    scheme = verify.FDScheme(step=0.1, richardson_levels=1)
-    for deriv in (1, 2):
-        value, err = verify.fd_derivative(math.exp, 0.0, scheme, deriv=deriv)
-        assert abs(value - 1.0) < 10.0 * err
 
 
 def test_scheme_validation():
@@ -193,6 +187,43 @@ def test_pw_exact_residual_is_point_by_point():
     assert expected > max(d for d, _ in pairs) / max(s for _, s in pairs)
 
 
+@pytest.mark.parametrize("q", [0.999, 1.02, 1.1, 0.7])
+def test_exact_addends_are_fd_derivatives_of_the_exact_waves(q):
+    # the exact residual checks sum addends built from closed-form
+    # derivative identities, so a wrong identity cancels there by
+    # construction; here each addend is read back as a derivative of the
+    # exact wave and compared with its FD
+    pw_wave, kg_wave, E, P = checks._PW_WAVE, checks._KG_WAVE, checks._SEP_E, checks._SEP_P
+    xs, ts = checks._PW_XS[::3], checks._PW_TS
+    pt = pw.PhasePoint
+    gaps = {
+        "schrodinger i dt psi^q": max(
+            checks.fd_gap(lambda t: pw.schrodinger_terms(pt(x, t), pw_wave, q, "exact")[0] / 1j,
+                          lambda t: pw.exact_psi_q(pt(x, t), pw_wave, q), ts, 1.0 / pw_wave.E, 1)
+            for x in xs
+        ),
+        "schrodinger (1/2m) d2x psi": max(
+            checks.fd_gap(
+                lambda x: 2.0 * pw_wave.m * pw.schrodinger_terms(pt(x, t), pw_wave, q, "exact")[1],
+                lambda x: pw.exact_psi(pt(x, t), pw_wave, q), xs, 1.0 / pw_wave.p, 2)
+            for t in ts
+        ),
+        "klein-gordon d2t F": max(
+            checks.fd_gap(lambda t: kg.kg_terms(x, t, kg_wave, q, "exact")[0],
+                          lambda t: pw.exact_psi(pt(x, t), kg_wave, q), checks._KG_TS,
+                          1.0 / kg_wave.E, 2)
+            for x in checks._KG_XS[::2]
+        ),
+        "separation i dt f^q": checks.fd_gap(
+            lambda t: sep.f_terms(t, E, q, family="exact")[0] / 1j,
+            lambda t: sep.exact_f_q(t, E, q), checks._SEP_TS[::2], 1.0 / E, 1),
+        "separation -(1/2) d2x g": checks.fd_gap(
+            lambda x: -2.0 * sep.g_terms(x, P, q, family="exact")[0],
+            lambda x: sep.exact_g(x, P, q), checks._SEP_XS[::2], 1.0 / P, 2),
+    }
+    assert max(gaps.values()) <= 1e-8, gaps
+
+
 def test_default_scheme_second_derivative_step():
     # eps/h^2 round-off would eat a 1e-5 step alive on deriv=2
     assert verify.default_scheme(deriv=2).step > 100 * verify.default_scheme(deriv=1).step
@@ -216,7 +247,7 @@ PINNED = {
     "planewave.dt_approx_q_fd": 2.189619796632323e-10,
     "separation.exact_residual_f": 0.0,
     "separation.exact_residual_g": 0.0,
-    "separation.pair_cancellation": 2.626280316356925e-16,
+    "separation.pair_cancellation": 2.6262803163569244e-16,
     "separation.f_order": 2.000746878676632,
     "separation.f_order_r2": 0.9999999483551865,
     "separation.g_order": 1.9992084371102263,
