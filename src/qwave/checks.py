@@ -495,11 +495,10 @@ def qg_exact_residual(qs=(*_QG_QS, 1.5), xs=_QG_XS, ts=_QG_TS) -> float:
     0.1,
 )
 def _qg_ratio_band() -> float:
-    ratios = (
-        abs(qg.approx_qgaussian(x, 0.0, _QG_PARAMS)) / abs(qg.exact_qgaussian(x, 0.0, _QG_PARAMS))
-        for x in _grid(0.0, 4.0, 1001)
-    )
-    return max(abs(r - 1.0) for r in ratios)
+    cs, j = qg.coeffs_exact(0.0, _QG_PARAMS), qg.coeffs_first_order(0.0, _QG_PARAMS)
+    return max(abs(abs(qg.approx_qgaussian(x, 0.0, _QG_PARAMS, j))
+                   / abs(qg.exact_qgaussian(x, 0.0, _QG_PARAMS, cs)) - 1.0)
+               for x in _grid(0.0, 4.0, 1001))
 
 
 # -- kleingordon -----------------------------------------------------------

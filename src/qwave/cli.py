@@ -8,10 +8,10 @@ Two subcommands:
   (residual grids, jet-vs-FD cross-checks, order-of-convergence fits),
   selected by suite, and prints a claim/measured/tolerance table.
 
-Only ``qwave ratio`` loads numpy, and only its JSON writer json: each is
-imported in the functions that use it.  Importing this module and running
-``qwave verify`` load neither, nor inspect: the value types are immutable
-__slots__ classes on qcore.Frozen, not generated record classes.
+Only ``qwave ratio`` loads numpy, only its CSV writer qwave.csvtext and
+only its JSON writer json: each is imported in the functions that use it.
+Importing this module and running ``qwave verify`` load none of them, nor
+inspect: the value types are immutable __slots__ classes on qcore.Frozen.
 
 Each option is declared once, on the subcommand's argparse parser.  A
 --config file's key=value lines are read as --key=value arguments of the
@@ -24,15 +24,17 @@ nonzero --q-minus-1 that rounds away in q = 1 + (q-1)), 3 numeric failure
 while computing (an overflow of the momentum, phase or packet exponent
 names the flag at whose value it occurred).
 
-Output determinism: CSV prints floats with 17 significant digits (%.17g),
-JSON with the shortest repr that round-trips, and lines end in "\n" on
-every platform, so repeated runs write identical bytes.  A sweep is
-evaluated in full, then formatted and written block by block
-(scenarios.BLOCK_ROWS rows), each block by one % operation on a row
-template repeated once per row, with the bytes of a one-pass format.
-Nothing is written for a refused sweep, nor for an --out or plot path
-that is a directory or lies in none (refused before the sweep), and a
-failed write removes the data file and its plot: both or neither remain.
+Output determinism: CSV prints floats with the bytes of %.17g (17
+significant digits), JSON with the shortest repr that round-trips, and
+lines end in "\n" on every platform, so repeated runs write identical
+bytes.  A sweep is evaluated in full, then formatted and written block by
+block (scenarios.BLOCK_ROWS rows): CSV by qwave.csvtext in numpy from exact
+integer digits, with "%" for the values it does not prove (zero, inf, nan,
+|v| outside [1e-11, 1e17) and a few more), JSON by one % operation on a
+row template repeated once per row.  Nothing is written for a refused
+sweep, nor for an --out or plot path that is a directory or lies in none
+(refused before the sweep), and a failed write removes the data file and
+its plot: both or neither remain.
 """
 
 from __future__ import annotations
@@ -134,9 +136,9 @@ def format_rows_csv(header: tuple[str, str], rows: scenarios.Sweep, *, first: bo
                     last: bool = True) -> str:
     """CSV text of a sweep's (x, value) rows.
     first=False leaves out the header; CSV has no closing text to leave out."""
-    values = _interleaved(rows.x, rows.values)
-    text = ("%.17g,%.17g\n" * (len(values) // 2)) % values
-    return ",".join(header) + "\n" + text if first else text
+    from .csvtext import rows_text
+
+    return (",".join(header) + "\n" if first else "") + rows_text(rows.x, rows.values)
 
 
 def format_rows_json(header: tuple[str, str], rows: scenarios.Sweep, *, first: bool = True,

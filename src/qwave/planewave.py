@@ -71,7 +71,8 @@ class PhasePoint(qcore.Frozen):
     __slots__ = ("x", "t")
 
     def __init__(self, x: float | np.ndarray, t: float = 0.0):
-        self._set(x, t)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "t", t)
         if isinstance(x, (float, int)):
             x_finite = math.isfinite(x)
         else:

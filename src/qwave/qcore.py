@@ -177,8 +177,8 @@ def q_exp(z, q: float) -> complex:
 
 class Frozen:
     """A record whose fields are the __slots__ of its class and its bases, set
-    once, in order, by _set in each subclass's __init__.  Instances compare,
-    hash and repr by field; assigning or deleting a field raises AttributeError."""
+    once in __init__, by _set or (in hot types) object.__setattr__.  Instances
+    compare, hash and repr by field; assigning or deleting one raises AttributeError."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -220,7 +220,8 @@ class QJet(Frozen):
     __slots__ = ("v0", "v1")
 
     def __init__(self, v0: complex, v1: complex):
-        self._set(_as_finite_complex(v0, "v0"), _as_finite_complex(v1, "v1"))
+        object.__setattr__(self, "v0", _as_finite_complex(v0, "v0"))
+        object.__setattr__(self, "v1", _as_finite_complex(v1, "v1"))
 
     def __add__(self, other) -> "QJet":
         o = as_jet(other)

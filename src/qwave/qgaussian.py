@@ -80,7 +80,9 @@ class GaussianCoeffSet(qcore.Frozen):
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: complex, b: complex, c: complex):
-        self._set(a, b, c)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
 
 class GaussianCoeffJet(qcore.Frozen):
@@ -89,7 +91,12 @@ class GaussianCoeffJet(qcore.Frozen):
     __slots__ = ("a1", "a2", "b1", "b2", "c1", "c2")
 
     def __init__(self, a1, a2, b1, b2, c1, c2):
-        self._set(a1, a2, b1, b2, c1, c2)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "b2", b2)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
 
 
 def _exact_parts(t: float, params: GaussianParams):
@@ -123,9 +130,10 @@ def rates_exact(t: float, params: GaussianParams) -> GaussianCoeffSet:
     return GaussianCoeffSet(*_rates(q, D, a, b, kq, cmath.exp(M)))
 
 
-def exponent(x, t: float, params: GaussianParams):
-    """G = a x^2 + b x + c of the exact packet e_q(-G), at a float or an array of x."""
-    cs = coeffs_exact(t, params)
+def exponent(x, t: float, params: GaussianParams, cs=None):
+    """G = a x^2 + b x + c of the exact packet e_q(-G), at a float or an array
+    of x; cs is coeffs_exact(t, params), when the caller has it already."""
+    cs = coeffs_exact(t, params) if cs is None else cs
     return cs.a * x * x + cs.b * x + cs.c
 
 
@@ -152,10 +160,11 @@ def coeffs_first_order(t: float, params: GaussianParams) -> GaussianCoeffJet:
     return GaussianCoeffJet(a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2)
 
 
-def first_order_exponents(x, t: float, params: GaussianParams):
+def first_order_exponents(x, t: float, params: GaussianParams, j=None):
     """G0 = a1 x^2 + b1 x + c1 and G1 = a2 x^2 + b2 x + c2 of the first-order
-    packet {1 - (q-1)(G1 - G0^2/2)} e^{-G0}, at a float or an array of x."""
-    j = coeffs_first_order(t, params)
+    packet {1 - (q-1)(G1 - G0^2/2)} e^{-G0}, at a float or an array of x;
+    j is coeffs_first_order(t, params), when the caller has it already."""
+    j = coeffs_first_order(t, params) if j is None else j
     return j.a1 * x * x + j.b1 * x + j.c1, j.a2 * x * x + j.b2 * x + j.c2
 
 
@@ -202,27 +211,27 @@ def wavefunction_jet(x: float, t: float, params: GaussianParams) -> QJet:
     return jet_exp(-(G * log1p_over_w_jet(G.v0)))
 
 
-def exact_qgaussian(x: float, t: float, params: GaussianParams) -> complex:
-    """Exact packet value; branch checks live in the q-power core."""
+def exact_qgaussian(x: float, t: float, params: GaussianParams, cs=None) -> complex:
+    """Exact packet value (cs as in exponent); branch checks live in the q-power core."""
     if not (math.isfinite(x) and math.isfinite(t)):
         raise NonFiniteInput(f"point must be finite, got {(x, t)!r}")
-    G = exponent(x, t, params)
+    G = exponent(x, t, params, cs)
     # {1+(q-1)G}^{1/(1-q)} = e_q(-G): the sign convention of this packet
     # is opposite to the plane-wave phase argument
     return qcore.q_exp(-G, params.q)
 
 
-def approx_qgaussian(x: float, t: float, params: GaussianParams) -> complex:
+def approx_qgaussian(x: float, t: float, params: GaussianParams, j=None) -> complex:
     """First-order packet assembled from the closed-form coefficient splits.
 
     {1 - (q-1)[a2 x^2 + b2 x + c2 - (a1 x^2 + b1 x + c1)^2 / 2]} e^{-(a1 x^2 + b1 x + c1)}
 
     This reading of the squared bracket is the one certified against
-    wavefunction_jet.
+    wavefunction_jet.  j as in first_order_exponents.
     """
     if not (math.isfinite(x) and math.isfinite(t)):
         raise NonFiniteInput(f"point must be finite, got {(x, t)!r}")
-    G0, G1 = first_order_exponents(x, t, params)
+    G0, G1 = first_order_exponents(x, t, params, j)
     return (1.0 - (params.q - 1.0) * (G1 - 0.5 * G0 * G0)) * cmath.exp(-G0)
 
 
@@ -266,14 +275,14 @@ def gaussian_terms(
     q, m = params.q, params.m
     if family == "exact":
         cs, rs = coeffs_exact(t, params), rates_exact(t, params)
-        G = cs.a * x * x + cs.b * x + cs.c
+        G = exponent(x, t, params, cs)
         Gx = 2.0 * cs.a * x + cs.b
         Gt = rs.a * x * x + rs.b * x + rs.c
         return -1j * q * Gt, (q * Gx * Gx - (1.0 + (q - 1.0) * G) * 2.0 * cs.a) / (2.0 * m)
     if family != "approx":
         raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
     j, r, eps = coeffs_first_order(t, params), rates_first_order(t, params), q - 1.0
-    G0, G1 = j.a1 * x * x + j.b1 * x + j.c1, j.a2 * x * x + j.b2 * x + j.c2
+    G0, G1 = first_order_exponents(x, t, params, j)
     G0x, G1x = 2.0 * j.a1 * x + j.b1, 2.0 * j.a2 * x + j.b2
     G0t, G1t = r.a1 * x * x + r.b1 * x + r.c1, r.a2 * x * x + r.b2 * x + r.c2
     corr = -eps * (G1 - 0.5 * G0 * G0)  # P = 1 + corr

@@ -847,13 +847,15 @@ import qwave
 assert "numpy" not in sys.modules, "import qwave"
 from qwave import cli
 assert "numpy" not in sys.modules, "import qwave.cli"
-assert not loaded("dataclasses", "inspect", "json"), loaded("dataclasses", "inspect", "json")
+NEVER = ("dataclasses", "inspect", "json", "qwave.csvtext")
+assert not loaded(*NEVER), loaded(*NEVER)
 assert cli.main(["verify"]) == 0
 assert "numpy" not in sys.modules, "qwave verify"
-assert not loaded("dataclasses", "inspect", "json"), loaded("dataclasses", "inspect", "json")
+assert not loaded(*NEVER), loaded(*NEVER)
 assert cli.main(["ratio", "--points", "3"]) == 0
 assert "numpy" in sys.modules, "qwave ratio"
-assert not loaded("json"), "a CSV sweep loaded json"
+assert "qwave.csvtext" in sys.modules, "a CSV sweep did not use the numpy formatter"
+assert not loaded("json", "numpy.ma"), loaded("json", "numpy.ma")
 """
 
 
