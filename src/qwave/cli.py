@@ -8,9 +8,9 @@ Two subcommands:
   (residual grids, jet-vs-FD cross-checks, order-of-convergence fits),
   selected by suite, and prints a claim/measured/tolerance table.
 
-Only ``qwave ratio`` loads numpy, only its CSV writer qwave.csvtext and
-only its JSON writer json: each is imported in the functions that use it.
-Importing this module and running ``qwave verify`` load none of them, nor
+Only ``qwave ratio`` loads numpy, and only its CSV and JSON writers load
+qwave.floattext: each is imported in the functions that use it.  Importing
+this module and running ``qwave verify`` load neither, nor json or
 inspect: the value types are immutable __slots__ classes on qcore.Frozen.
 
 Each option is declared once, on the subcommand's argparse parser.  A
@@ -28,13 +28,12 @@ Output determinism: CSV prints floats with the bytes of %.17g (17
 significant digits), JSON with the shortest repr that round-trips, and
 lines end in "\n" on every platform, so repeated runs write identical
 bytes.  A sweep is evaluated in full, then formatted and written block by
-block (scenarios.BLOCK_ROWS rows): CSV by qwave.csvtext in numpy from exact
-integer digits, with "%" for the values it does not prove (zero, inf, nan,
-|v| outside [1e-11, 1e17) and a few more), JSON by one % operation on a
-row template repeated once per row.  Nothing is written for a refused
-sweep, nor for an --out or plot path that is a directory or lies in none
-(refused before the sweep), and a failed write removes the data file and
-its plot: both or neither remain.
+block (scenarios.BLOCK_ROWS rows) by qwave.floattext in numpy from exact
+integer digits, the shortest for JSON, with "%" or repr for the values it
+does not prove (zero, inf, nan, |v| outside [1e-11, 2^51) and a few more).
+Nothing is written for a refused sweep, nor for an --out or plot path that
+is a directory or lies in none (refused before the sweep), and a failed
+write removes the data file and its plot: both or neither remain.
 """
 
 from __future__ import annotations
@@ -47,16 +46,13 @@ import os
 import re
 import sys
 import time
-from typing import TYPE_CHECKING, TextIO
+from typing import TextIO
 
 from . import checks
 from . import planewave as pw
 from . import qgaussian as qg
 from . import scenarios
 from .errors import BranchCutViolation, NonFiniteInput, NonFiniteResult, QWaveError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -120,13 +116,6 @@ def _config_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
 # -- ratio subcommand ----------------------------------------------------
 
 
-def _interleaved(xs: np.ndarray, ys: np.ndarray) -> tuple[float, ...]:
-    """x0, y0, x1, y1, ... as Python floats (%r of an np.float64 is not a number)."""
-    import numpy as np
-
-    return tuple(np.column_stack((xs, ys)).ravel().tolist())
-
-
 # Both writers format a whole file, or one block of its rows: first=False
 # leaves out what opens the file and last=False what closes it, so the
 # texts of consecutive non-empty blocks concatenate to the whole file.
@@ -136,7 +125,7 @@ def format_rows_csv(header: tuple[str, str], rows: scenarios.Sweep, *, first: bo
                     last: bool = True) -> str:
     """CSV text of a sweep's (x, value) rows.
     first=False leaves out the header; CSV has no closing text to leave out."""
-    from .csvtext import rows_text
+    from .floattext import rows_text
 
     return (",".join(header) + "\n" if first else "") + rows_text(rows.x, rows.values)
 
@@ -147,15 +136,12 @@ def format_rows_json(header: tuple[str, str], rows: scenarios.Sweep, *, first: b
     {header[0]: x, header[1]: value}, written without building them.
     first=False starts with the "," after the previous block instead of
     "["; last=False leaves out the closing "]"."""
-    import json
-
-    values = _interleaved(rows.x, rows.values)
-    if not values:
+    if not len(rows):
         return "[]\n" if first and last else ""
-    # repr of a finite float is its shortest round-trip form, as json writes it
-    record = " {\n  %s: %%r,\n  %s: %%r\n }" % (json.dumps(header[0]), json.dumps(header[1]))
-    template = ",\n".join([record] * (len(values) // 2))
-    return (("[\n" if first else ",\n") + template + ("\n]\n" if last else "")) % values
+    from .floattext import records_text
+
+    text = records_text(header, rows.x, rows.values)
+    return ("[" + text[1:] if first else text) + ("\n]\n" if last else "")
 
 
 @contextlib.contextmanager
@@ -187,6 +173,8 @@ def _write_sweep(out: TextIO, fmt: str, header: tuple[str, str], sweep: scenario
 
 def emit_plot_svg(rows: scenarios.Sweep, meta: dict[str, str], out_path: str) -> None:
     """Hand-rolled SVG line plot; no plotting dependency at run time."""
+    import numpy as np
+
     if not len(rows):
         raise ValueError("no data rows to plot")
     width, height = 800.0, 500.0
@@ -236,7 +224,8 @@ def emit_plot_svg(rows: scenarios.Sweep, meta: dict[str, str], out_path: str) ->
         f'<rect x="{ml:.2f}" y="{mt:.2f}" width="{width - ml - mr:.2f}" '
         f'height="{height - mt - mb:.2f}" fill="none" stroke="black"/>'
     )
-    points = " ".join(["%.2f,%.2f"] * len(xs)) % _interleaved(sx(xs), sy(ys))
+    xy = np.column_stack((sx(xs), sy(ys))).ravel().tolist()
+    points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="1.3"/>'
     )

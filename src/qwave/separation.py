@@ -199,9 +199,8 @@ def g_terms(x: float, p: float, q: float, *, family: str) -> tuple[complex, comp
     if family == "exact":
         return -0.5 * exact_d2x_g(x, p, q), -lam * exact_g_q(x, p, q)
     if family == "approx":
-        _require_finite(x=x, p=p, q=q)
         xi = p * x
-        amp = 1.0 + (1.0 - q) / 4.0 * (1j * xi + xi * xi)
+        amp = approx_g(x, p, q) * cmath.exp(-1j * xi)  # the shipped approximant is e^{i xi} amp
         if amp == 0.0:
             raise BranchCutViolation("first-order space factor vanishes here")
         # unwrapped q-th power of the approximant e^{i xi} amp

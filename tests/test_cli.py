@@ -847,14 +847,18 @@ import qwave
 assert "numpy" not in sys.modules, "import qwave"
 from qwave import cli
 assert "numpy" not in sys.modules, "import qwave.cli"
-NEVER = ("dataclasses", "inspect", "json", "qwave.csvtext")
+NEVER = ("dataclasses", "inspect", "json", "qwave.floattext")
 assert not loaded(*NEVER), loaded(*NEVER)
 assert cli.main(["verify"]) == 0
 assert "numpy" not in sys.modules, "qwave verify"
 assert not loaded(*NEVER), loaded(*NEVER)
-assert cli.main(["ratio", "--points", "3"]) == 0
+assert cli.main(["ratio", "--points", "3", "--format", "json"]) == 0
 assert "numpy" in sys.modules, "qwave ratio"
-assert "qwave.csvtext" in sys.modules, "a CSV sweep did not use the numpy formatter"
+assert "qwave.floattext" in sys.modules, "a JSON sweep did not use the numpy formatter"
+assert not loaded("json", "numpy.ma"), loaded("json", "numpy.ma")
+del sys.modules["qwave.floattext"]
+assert cli.main(["ratio", "--points", "3"]) == 0
+assert "qwave.floattext" in sys.modules, "a CSV sweep did not use the numpy formatter"
 assert not loaded("json", "numpy.ma"), loaded("json", "numpy.ma")
 """
 

@@ -44,7 +44,7 @@ MUTATIONS = [
      {"gaussian.coeff_jets", "gaussian.jet_authority", "gaussian.coeff_fd"}),
     ("approx_g_xi2", "separation.approx_g",
      "(1j * xi + xi * xi)", "(1j * xi + 1.001 * xi * xi)",
-     {"separation.g_jet", "separation.d2x_g_fd"}),
+     {"separation.g_jet", "separation.d2x_g_fd", "separation.g_order", "separation.g_order_r2"}),
     ("dt_approx_f_q_i_tau", "separation.dt_approx_f_q",
      "(q - 1.0) * 1j * tau", "(q - 1.0) * 1.001j * tau",
      {"separation.pair_cancellation", "separation.dt_f_q_fd"}),
