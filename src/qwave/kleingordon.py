@@ -22,17 +22,17 @@ share one bracket q + 2i(q-1)u - (q-1)u^2/2 (planewave.bracket_wave), which
 is the entire self-consistency mechanism: the addends of
 expansion_terms_kg, built from the truncated forms, cancel identically on
 shell, while kg_terms with family="approx" inserts the approximant into
-the full equation (powering along its continuous logarithm) and leaves a
-genuine O((q-1)^2) remainder.  The approximant F and its d2/dx2 are
-planewave.approx_psi and d2x_approx_psi.
+the full equation (powered by qcore.first_order_pow) and leaves a genuine
+O((q-1)^2) remainder.  The approximant F, its terms (c, g0) and its d2/dx2
+are planewave.approx_psi, ratio_terms and d2x_approx_psi.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 from . import planewave as pw
+from .qcore import first_order_pow
 
 
 def dispersion_omega(k: float, m: float) -> float:
@@ -72,8 +72,8 @@ def kg_terms(
     """The three equation addends (d2t F, -d2x F, mass term).
 
     family "exact" uses the closed forms; family "approx" inserts the
-    first-order wave, powering its amplitude along log1p so that
-    F^(2q-1) never crosses the principal branch cut for |u| > pi.
+    first-order wave, powered by qcore.first_order_pow so that F^(2q-1)
+    never crosses the principal branch cut for |u| > pi.
     """
     pt = pw.PhasePoint(x, t)
     mass_coef = w.m ** 2
@@ -84,11 +84,10 @@ def kg_terms(
         term_mass = mass_coef * q * g2
         return term_tt, term_xx, term_mass
     if family == "approx":
-        u = pw.phase(pt, w)
-        power = cmath.exp(1j * (2.0 * q - 1.0) * u) * pw.amp_pow(u, q, 2.0 * q - 1.0)
+        c, g0, _ = pw.ratio_terms(pt, w, q)
         term_tt = d2t_approx_F(x, t, w, q)
         term_xx = -pw.d2x_approx_psi(pt, w, q)
-        term_mass = mass_coef * q * power
+        term_mass = mass_coef * q * first_order_pow(-g0, c, 2.0 * q - 1.0)
         return term_tt, term_xx, term_mass
     raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
 

@@ -8,8 +8,9 @@ i d/dt(psi^q) = -(1/2m) d2/dx2(psi), free on E = p^2/(2m).
 This module provides the exact wave and its q-th and (2q-1)-th powers, its
 first-order expansion around q = 1, closed-form derivatives for both, the
 addends of the Schrodinger equation, and the ratio R = |approx/exact| used
-for the deviation sweeps.  The truncated forms share one bracket (bracket_wave) and
-amp_pow powers the approximant; kleingordon uses both.
+for the deviation sweeps.  The truncated forms share one bracket (bracket_wave),
+and ratio_terms gives the approximant's terms (c, g0), powered by
+qcore.first_order_pow; kleingordon uses both.
 
 Each equation is given by its addends, and its residual is their sum.
 Two residual notions coexist and both are exposed:
@@ -31,7 +32,7 @@ import math
 from typing import TYPE_CHECKING
 
 from . import qcore
-from .errors import BranchCutViolation, NonFiniteInput
+from .errors import NonFiniteInput
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,22 +96,6 @@ def bracket_wave(u: float, q: float, coef: complex = 1.0) -> complex:
     return coef * cmath.exp(1j * u) * bracket
 
 
-def amp_pow(u: float, q: float, exponent: float) -> float:
-    """Real amplitude factor [1 + (1-q) u^2/2]**exponent of the approximant.
-
-    Powers of the approximant must follow its continuous logarithm
-    iu + log1p((1-q) u^2/2), never the wrapped principal log of the value,
-    otherwise they pick up spurious e^{2 pi i k (q-1)} factors for |u| > pi.
-    This helper supplies the amplitude part; callers attach the phase.
-    """
-    amp = 1.0 + (1.0 - q) * u * u / 2.0
-    if amp <= 0.0:
-        raise BranchCutViolation(
-            f"approximant amplitude 1 + (1-q) u^2/2 = {amp!r} is not positive"
-        )
-    return math.exp(exponent * math.log1p((1.0 - q) * u * u / 2.0))
-
-
 def exact_psi(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
     """Exact wave: q-exponential of i*u."""
     return qcore.q_exp(1j * phase(pt, w), q)
@@ -128,9 +113,9 @@ def exact_psi_2qm1(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
 
 
 def approx_psi(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
-    """First-order wave e^{iu} [1 + (1-q) u^2/2]."""
-    u = phase(pt, w)
-    return cmath.exp(1j * u) * (1.0 + (1.0 - q) * u * u / 2.0)
+    """First-order wave e^{iu} [1 + (1-q) u^2/2], from the terms of ratio_terms."""
+    c, g0, _ = ratio_terms(pt, w, q)
+    return cmath.exp(-g0) * (1.0 + c)
 
 
 def approx_psi_q(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
@@ -156,7 +141,7 @@ def schrodinger_terms(
 
     family "exact" uses the closed-form derivatives of the exact wave;
     family "approx" treats the first-order wave as a bona fide candidate
-    solution, powering it along the unwrapped logarithm.
+    solution, powering it along its continuous logarithm.
     """
     if family == "exact":
         g = exact_psi_2qm1(pt, w, q)
@@ -164,13 +149,9 @@ def schrodinger_terms(
         term_x = (1.0 / (2.0 * w.m)) * (-(q * w.p * w.p) * g)
         return term_t, term_x
     if family == "approx":
-        u = phase(pt, w)
-        eps = q - 1.0
-        amp = 1.0 - eps * u * u / 2.0
-        # i d/dt (psi_approx^q) in closed form
-        term_t = q * w.E * cmath.exp(1j * q * u) * amp_pow(u, q, q - 1.0) * (
-            amp + 1j * eps * u
-        )
+        c, g0, _ = ratio_terms(pt, w, q)
+        # i d/dt psi^q = q E psi^q (1 + i (q-1) u / (1 + c)) in closed form
+        term_t = q * w.E * qcore.first_order_pow(-g0, c, q) * (1.0 - (q - 1.0) * g0 / (1.0 + c))
         term_x = (1.0 / (2.0 * w.m)) * d2x_approx_psi(pt, w, q)
         return term_t, term_x
     raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")

@@ -10,6 +10,7 @@ costs no precision.  S is evaluated by an alternating series for |w| below
 SERIES_RADIUS and through a compensated complex log1p otherwise; the two
 paths agree to ~1e-15 across the switch.
 
+first_order_pow powers every first-order wave along its continuous log;
 modulus_ratio forms the deviation ratio |approx|/|exact| of either wave
 family over arrays, in real log-modulus arithmetic.
 
@@ -63,6 +64,14 @@ def complex_log1p(w: complex) -> complex:
     if d == w:
         return cmath.log(u)
     return cmath.log(u) * (w / d)
+
+
+def first_order_pow(phase: complex, c: complex, s: float) -> complex:
+    """[e^phase (1 + c)]**s of a first-order wave, along its continuous logarithm
+    phase + log1p(c): the wrapped principal log of the value would pick up
+    spurious e^{2 pi i k s} factors once |Im phase| > pi."""
+    _require_off_cut(1.0 + c, "first-order amplitude 1 + c")
+    return cmath.exp(s * (phase + complex_log1p(c)))
 
 
 def complex_expm1(z: complex) -> complex:

@@ -36,7 +36,9 @@ rates_exact, exact_qgaussian), first-order closed forms
 (coeffs_first_order, approx_qgaussian), and mechanically derived jets
 (wavefunction_jet, and rates_first_order, the jets of the exact rates),
 which arbitrate between the other two in the tests.  gaussian_terms
-gives the equation terms of either family in closed form.
+gives the equation terms of either family in closed form; the first-order
+packet is (1 + c) e^{-G0} with (c, G0) from first_order_parts, and its
+q-th power is qcore.first_order_pow.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import math
 from typing import TYPE_CHECKING
 
 from . import qcore
-from .errors import BranchCutViolation, InvalidQ, NonFiniteInput
+from .errors import InvalidQ, NonFiniteInput
 from .qcore import QJet, jet_exp, jet_ln, log1p_over_w_jet, expm1_over_w_jet
 
 if TYPE_CHECKING:
@@ -168,6 +170,13 @@ def first_order_exponents(x, t: float, params: GaussianParams, j=None):
     return j.a1 * x * x + j.b1 * x + j.c1, j.a2 * x * x + j.b2 * x + j.c2
 
 
+def first_order_parts(x, t: float, params: GaussianParams, j=None):
+    """(c, G0) of the first-order packet (1 + c) e^{-G0}, c = -(q-1)(G1 - G0^2/2),
+    at a float or an array of x; j as in first_order_exponents."""
+    G0, G1 = first_order_exponents(x, t, params, j)
+    return -(params.q - 1.0) * (G1 - 0.5 * G0 * G0), G0
+
+
 def _jet_parts(t: float, params: GaussianParams):
     """(q, D, a, b, kq, mu) as eps-jets at time t, M = eps * mu, shared by the
     coefficient jets and the rate jets."""
@@ -227,20 +236,19 @@ def approx_qgaussian(x: float, t: float, params: GaussianParams, j=None) -> comp
     {1 - (q-1)[a2 x^2 + b2 x + c2 - (a1 x^2 + b1 x + c1)^2 / 2]} e^{-(a1 x^2 + b1 x + c1)}
 
     This reading of the squared bracket is the one certified against
-    wavefunction_jet.  j as in first_order_exponents.
+    wavefunction_jet.  j as in first_order_exponents; (c, G0) from first_order_parts.
     """
     if not (math.isfinite(x) and math.isfinite(t)):
         raise NonFiniteInput(f"point must be finite, got {(x, t)!r}")
-    G0, G1 = first_order_exponents(x, t, params, j)
-    return (1.0 - (params.q - 1.0) * (G1 - 0.5 * G0 * G0)) * cmath.exp(-G0)
+    c, G0 = first_order_parts(x, t, params, j)
+    return (1.0 + c) * cmath.exp(-G0)
 
 
 def ratio_terms(x, t: float, params: GaussianParams):
     """(c, G0, G) such that approx_qgaussian = (1 + c) e^{-G0} and
-    exact_qgaussian = e_q(-G): c = -(q-1)(G1 - G0^2/2), at a float or an
-    array of x."""
-    G0, G1 = first_order_exponents(x, t, params)
-    return -(params.q - 1.0) * (G1 - 0.5 * G0 * G0), G0, exponent(x, t, params)
+    exact_qgaussian = e_q(-G), (c, G0) from first_order_parts, at a float or
+    an array of x."""
+    return (*first_order_parts(x, t, params), exponent(x, t, params))
 
 
 def ratio_gaussian(x, t: float, params: GaussianParams) -> float | np.ndarray:
@@ -282,15 +290,11 @@ def gaussian_terms(
     if family != "approx":
         raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
     j, r, eps = coeffs_first_order(t, params), rates_first_order(t, params), q - 1.0
-    G0, G1 = first_order_exponents(x, t, params, j)
+    corr, G0 = first_order_parts(x, t, params, j)  # P = 1 + corr
     G0x, G1x = 2.0 * j.a1 * x + j.b1, 2.0 * j.a2 * x + j.b2
     G0t, G1t = r.a1 * x * x + r.b1 * x + r.c1, r.a2 * x * x + r.b2 * x + r.c2
-    corr = -eps * (G1 - 0.5 * G0 * G0)  # P = 1 + corr
-    if corr == -1.0:
-        raise BranchCutViolation("first-order packet vanishes here")
     P, Pt = 1.0 + corr, -eps * (G1t - G0 * G0t)
     Px, Pxx = -eps * (G1x - G0 * G0x), -eps * (2.0 * j.a2 - G0x * G0x - 2.0 * j.a1 * G0)
-    # psi^q on the continuous branch of log psi = -G0 + log1p(corr)
-    psi_q = cmath.exp(q * (qcore.complex_log1p(corr) - G0))
+    psi_q = qcore.first_order_pow(-G0, corr, q)  # refuses P on the branch cut
     d2x = (Pxx - 2.0 * Px * G0x + P * (G0x * G0x - 2.0 * j.a1)) * cmath.exp(-G0)
     return 1j * q * psi_q * (Pt / P - G0t), d2x / (2.0 * m)

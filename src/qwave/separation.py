@@ -21,10 +21,10 @@ lam = p^2/2 for g, cancel with no branch bookkeeping at all.
 
 Each equation is given by its addends, as in the plane-wave module:
 f_terms and g_terms insert a whole factor family, and their sum is the
-residual (the approximants leave genuine O((q-1)^2) remainders), while
-expansion_terms_f and expansion_terms_g give the addends of the truncated
-first-order forms, whose brackets coincide and cancel identically at the
-eigenvalue.
+residual (the approximants, powered by qcore.first_order_pow, leave
+genuine O((q-1)^2) remainders), while expansion_terms_f and
+expansion_terms_g give the addends of the truncated first-order forms,
+whose brackets coincide and cancel identically at the eigenvalue.
 
 The factor f is undefined at q = 0 (its formula divides by q) and g needs
 q + 1 > 0 (the formula divides by sqrt(2(q+1))); both are rejected with
@@ -36,8 +36,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import BranchCutViolation, InvalidQ, NonFiniteInput
-from .qcore import q_pow
+from .errors import InvalidQ, NonFiniteInput
+from .qcore import first_order_pow, q_pow
 
 
 def _require_finite(**values: float) -> None:
@@ -104,26 +104,19 @@ def f_terms(t: float, E: float, q: float, *, family: str) -> tuple[complex, comp
     """The two addends (i d/dt f^q, -E f) of the time equation at lam = E.
 
     family "exact" uses the closed-form exact_dt_f_q; family "approx"
-    treats the first-order factor as a bona fide candidate, powering
-    1 + (q-1)A along its continuous logarithm.
+    treats the first-order factor as a bona fide candidate, powered by
+    qcore.first_order_pow along its continuous logarithm.
     """
     if family == "exact":
         return 1j * exact_dt_f_q(t, E, q), -E * exact_f(t, E, q)
     if family == "approx":
         _require_finite(t=t, E=E, q=q)
-        tau = E * t
-        eps = q - 1.0
-        amp = 1.0 + eps * (1j * tau + tau * tau / 2.0)
-        amp_dot = eps * (1j * E + E * E * t)
-        if amp == 0.0:
-            raise BranchCutViolation("first-order time factor vanishes here")
-        # i d/dt [e^{-iq tau} amp^q] assembled in closed form
-        term_t = (
-            q
-            * cmath.exp(-1j * q * tau)
-            * cmath.exp((q - 1.0) * cmath.log(amp))
-            * (E * amp + 1j * amp_dot)
-        )
+        tau, eps = E * t, q - 1.0
+        # restated: the equation sees f's amplitude only via its rate, so approx_f's would cancel
+        corr = eps * (1j * tau + tau * tau / 2.0)
+        rate = eps * (1j * E + E * E * t)
+        # i d/dt [e^{-i tau}(1 + corr)]^q assembled in closed form
+        term_t = q * first_order_pow(-1j * tau, corr, q) * (E + 1j * rate / (1.0 + corr))
         return term_t, -E * approx_f(t, E, q)
     raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
 
@@ -167,11 +160,16 @@ def exact_d2x_g(x: float, p: float, q: float) -> complex:
     return -(p * p) * exact_g_q(x, p, q)
 
 
+def _g_correction(xi: float, q: float) -> complex:
+    """c = (1-q)/4 (i xi + xi^2) of the first-order space factor e^{i xi}(1 + c)."""
+    return (1.0 - q) / 4.0 * (1j * xi + xi * xi)
+
+
 def approx_g(x: float, p: float, q: float) -> complex:
     """First-order space factor e^{i xi}[1 + (1-q)/4 (i xi + xi^2)], xi = px."""
     _require_finite(x=x, p=p, q=q)
     xi = p * x
-    return cmath.exp(1j * xi) * (1.0 + (1.0 - q) / 4.0 * (1j * xi + xi * xi))
+    return cmath.exp(1j * xi) * (1.0 + _g_correction(xi, q))
 
 
 def approx_g_q(x: float, p: float, q: float) -> complex:
@@ -199,13 +197,9 @@ def g_terms(x: float, p: float, q: float, *, family: str) -> tuple[complex, comp
     if family == "exact":
         return -0.5 * exact_d2x_g(x, p, q), -lam * exact_g_q(x, p, q)
     if family == "approx":
+        term_x = -0.5 * d2x_approx_g(x, p, q)  # refuses a non-finite x, p or q first
         xi = p * x
-        amp = approx_g(x, p, q) * cmath.exp(-1j * xi)  # the shipped approximant is e^{i xi} amp
-        if amp == 0.0:
-            raise BranchCutViolation("first-order space factor vanishes here")
-        # unwrapped q-th power of the approximant e^{i xi} amp
-        gq = cmath.exp(1j * q * xi + q * cmath.log(amp))
-        return -0.5 * d2x_approx_g(x, p, q), -lam * gq
+        return term_x, -lam * first_order_pow(1j * xi, _g_correction(xi, q), q)
     raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
 
 

@@ -63,9 +63,10 @@ def test_massless_wave_on_shell():
 @pytest.mark.parametrize("x", [2.0, 3.0, -5.0])
 def test_branch_cut_in_approx_family(x):
     # massless, omega = k = 1, t = 0: u = x, and at q = 1.5 the amplitude
-    # 1 - (q-1) u^2/2 is exactly 0 at x = 2 and negative beyond
+    # 1 - (q-1) u^2/2 is exactly 0 at x = 2 and negative beyond; the mass
+    # term's qcore.first_order_pow refuses it
     wave = kg.KGWave.on_shell(k=1.0, m=0.0)
-    with pytest.raises(BranchCutViolation):
+    with pytest.raises(BranchCutViolation, match="first-order amplitude"):
         kg.residual_kg(x, 0.0, wave, 1.5, "approx")
 
 

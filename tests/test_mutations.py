@@ -10,12 +10,10 @@ registry check is measured in-process, and the checks that fail must be
 exactly the row's set: a check that stops failing, or starts failing, is
 a change to what the suite can detect.
 
-Mutants that no check catches are not rows.  Two are known: the exponent
-in planewave.amp_pow scaled by 1.001 (only test_verify's erosion tripwire
-catches it), and the eps-coefficient of c_t (c2_t of
-qgaussian.rates_first_order) scaled by 1.001, which is only 0.04-0.07 at
-the gaussian.approx_order probes (test_qgaussian's
-test_approx_terms_match_fd catches it).
+Mutants that no check catches are not rows.  One is known: the
+eps-coefficient of c_t (c2_t of qgaussian.rates_first_order) scaled by
+1.001, which is only 0.04-0.07 at the gaussian.approx_order probes
+(test_qgaussian's test_approx_terms_match_fd catches it).
 """
 
 import __future__
@@ -42,7 +40,7 @@ MUTATIONS = [
     ("coeffs_first_order_c2", "qgaussian.coeffs_first_order",
      "c2=c2)", "c2=1.001 * c2)",
      {"gaussian.coeff_jets", "gaussian.jet_authority", "gaussian.coeff_fd"}),
-    ("approx_g_xi2", "separation.approx_g",
+    ("approx_g_xi2", "separation._g_correction",
      "(1j * xi + xi * xi)", "(1j * xi + 1.001 * xi * xi)",
      {"separation.g_jet", "separation.d2x_g_fd", "separation.g_order", "separation.g_order_r2"}),
     ("dt_approx_f_q_i_tau", "separation.dt_approx_f_q",
@@ -59,6 +57,16 @@ MUTATIONS = [
     ("approx_psi_q_iu", "planewave.approx_psi_q",
      "(1j * u - u * u / 2.0)", "(1.001j * u - u * u / 2.0)",
      {"planewave.psi_q_jet", "planewave.approx_jet_fd", "planewave.dt_approx_q_fd"}),
+    ("first_order_pow_s", "qcore.first_order_pow",
+     "cmath.exp(s * (", "cmath.exp(1.001 * s * (",
+     {"planewave.approx_order", "planewave.approx_order_r2", "kleingordon.approx_order",
+      "kleingordon.approx_order_r2", "gaussian.approx_order", "gaussian.approx_order_r2",
+      "separation.f_order", "separation.f_order_r2", "separation.g_order",
+      "separation.g_order_r2"}),
+    ("first_order_pow_log1p", "qcore.first_order_pow",
+     "complex_log1p(c)", "1.001 * complex_log1p(c)",
+     {"gaussian.approx_order", "gaussian.approx_order_r2", "separation.f_order",
+      "separation.f_order_r2", "separation.g_order", "separation.g_order_r2"}),
     ("log1p_over_w_series", "qcore._log1p_over_w_series",
      "return acc", "return acc + 1e-4 * w",
      {"planewave.approx_jet_fd", "separation.f_jet", "separation.f_q_jet"}),

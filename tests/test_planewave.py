@@ -117,9 +117,12 @@ def test_ratio_underflow_guard():
 
 
 def test_branch_cut_in_approx_family():
-    # amplitude 1 - (q-1) u^2/2 crosses zero: u = 3, q - 1 = 0.5
-    with pytest.raises(BranchCutViolation):
-        pw.schrodinger_terms(pw.PhasePoint(3.0 / WAVE.p, 0.0), WAVE, 1.5, "approx")
+    # p = 1, t = 0: u = x, and at q - 1 = 0.5 the amplitude 1 - (q-1) u^2/2
+    # is exactly 0 at u = 2 and negative beyond; qcore.first_order_pow refuses it
+    wave = pw.SchrodingerWave.free(p=1.0, m=1.0)
+    for u in (2.0, 3.0, -5.0):
+        with pytest.raises(BranchCutViolation, match="first-order amplitude"):
+            pw.schrodinger_terms(pw.PhasePoint(u, 0.0), wave, 1.5, "approx")
 
 
 def test_unknown_family_rejected():

@@ -131,6 +131,18 @@ def test_branch_cut_raises():
         qcore.q_exp(-2.0, 0.5)  # 1 + w = 0, pole on the cut
 
 
+def test_first_order_pow_follows_the_continuous_log():
+    # at u = 4 > pi the principal log of e^{iu}(1 + c) wraps by -2 pi i, which
+    # flips the sign of the square root; first_order_pow keeps the phase whole
+    u, s = 4.0, 0.5
+    want = cmath.exp(s * 1j * u) * 1.25**s
+    assert abs(qcore.first_order_pow(1j * u, 0.25, s) - want) <= 1e-15
+    assert abs((cmath.exp(1j * u) * 1.25) ** s + want) <= 1e-15
+    for c in (-1.0, -2.5, -1.0 + 0.0j):  # 1 + c = 0 or negative real
+        with pytest.raises(BranchCutViolation, match="first-order amplitude"):
+            qcore.first_order_pow(1j * u, c, s)
+
+
 def test_non_finite_rejected():
     with pytest.raises(NonFiniteInput):
         qcore.q_exp(float("nan"), 1.1)

@@ -11,7 +11,7 @@ import pytest
 from qwave import checks
 from qwave import qgaussian as qg
 from qwave import verify
-from qwave.errors import InvalidQ, NonFiniteInput
+from qwave.errors import BranchCutViolation, InvalidQ, NonFiniteInput
 
 XS = tuple(np.linspace(-3.0, 3.0, 13))
 TS = tuple(np.linspace(0.0, 2.0, 5))
@@ -192,6 +192,16 @@ def test_ratio_matches_scalar_packets(q, t):
     for x, r in zip(xs.tolist(), qg.ratio_gaussian(xs, t, p).tolist()):
         want = abs(qg.approx_qgaussian(x, t, p)) / abs(qg.exact_qgaussian(x, t, p))
         assert abs(r - want) <= 1e-13 * want, x
+
+
+def test_approx_terms_refuse_amplitude_on_branch_cut():
+    # at t = 0 the packet is real, and at q = 0.5, x = 1.5 its first-order
+    # amplitude 1 + c is -1.390625: psi^q has no real continuation there
+    p = params_for(0.5)
+    c, _ = qg.first_order_parts(1.5, 0.0, p)
+    assert 1.0 + c == -1.390625
+    with pytest.raises(BranchCutViolation, match="first-order amplitude"):
+        qg.gaussian_terms(1.5, 0.0, p, "approx")
 
 
 def test_unknown_family_rejected():
