@@ -6,9 +6,9 @@ branch, with e_1(z) = exp(z).  Writing w = (1-q) z, the exponent is
     log1p(w) / (1-q) = z * S(w),        S(w) = log1p(w) / w,
 
 so the 1/(1-q) pole never appears explicitly and q - 1 as small as 1e-12
-costs no precision.  S is evaluated by an alternating series for |w| below
-SERIES_RADIUS and through a compensated complex log1p otherwise; the two
-paths agree to ~1e-15 across the switch.
+costs no precision.  S and its counterpart E(w) = expm1(w) / w each have
+one path, the compensated complex log1p or expm1 over w, with only the
+removable point w = 0 filled with 1.
 
 first_order_pow powers every first-order wave along its continuous log;
 modulus_ratio forms the deviation ratio |approx|/|exact| of either wave
@@ -31,11 +31,6 @@ from .errors import BranchCutViolation, DivisionByZeroJet, NonFiniteInput, NonFi
 
 if TYPE_CHECKING:
     import numpy as np
-
-# Below this |w| the S and E series are exact to double precision with the
-# term counts used; above it the compensated direct forms are.
-SERIES_RADIUS = 1e-4
-
 
 def _as_finite_complex(value, name: str) -> complex:
     z = complex(value)
@@ -81,30 +76,10 @@ def complex_expm1(z: complex) -> complex:
     return complex(re, im)
 
 
-def _log1p_over_w_series(w: complex) -> complex:
-    # S(w) = sum_{j=0..7} (-w)^j / (j+1); |w| < 1e-4 makes the tail < 1e-33.
-    acc = 1.0 / 8.0
-    for k in range(7, 0, -1):
-        acc = 1.0 / k - w * acc
-    return acc
-
-
-_INV_FACTORIALS = (1.0, 1 / 2.0, 1 / 6.0, 1 / 24.0, 1 / 120.0, 1 / 720.0, 1 / 5040.0, 1 / 40320.0)
-
-
-def _expm1_over_w_series(w: complex) -> complex:
-    # E(w) = sum_{j=0..7} w^j / (j+1)!
-    acc = _INV_FACTORIALS[-1]
-    for coef in reversed(_INV_FACTORIALS[:-1]):
-        acc = coef + w * acc
-    return acc
-
-
 def _log1p_over_w(w: complex) -> complex:
     # S(w) for a finite w off the branch cut; callers check w first.
-    # w = 0 needs no case of its own: the series gives exactly 1
-    if abs(w) < SERIES_RADIUS:
-        return _log1p_over_w_series(w)
+    if w == 0:
+        return 1.0 + 0.0j
     return complex_log1p(w) / w
 
 
@@ -113,8 +88,6 @@ def stable_expm1_over_w(w) -> complex:
     w = _as_finite_complex(w, "w")
     if w == 0:
         return 1.0 + 0.0j
-    if abs(w) < SERIES_RADIUS:
-        return _expm1_over_w_series(w)
     return complex_expm1(w) / w
 
 

@@ -151,13 +151,13 @@ def coeffs_first_order(t: float, params: GaussianParams) -> GaussianCoeffJet:
     a2 = m * (1.0 + 1j * t) / (D0 * D0)
     b1 = 1.0 / (beta * D0)
     b2 = -1j * t / (beta * D0 * D0)
-    c1 = L0 / 2.0 - 1j * t / (2.0 * m * beta * beta * D0)
+    c1 = L0 / 2.0 - 2j * t * kappa / D0
     c2 = (
         kappa
         + 1j * t / (2.0 * D0)
         - kappa * (1.0 + 3j * t) / (D0 * D0)
         + L0 * L0 / 8.0
-        - (1.0 + 2.0 * m * beta * beta) / (8.0 * m * beta * beta) * L0
+        - (0.25 + 0.5 * kappa) * L0
     )
     return GaussianCoeffJet(a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2)
 

@@ -176,7 +176,8 @@ MAX = "1.7976931348623157e308"
         (["--gaussian", "--points", "3", "--m", "1e-320"], "exponent is not finite at --m 1e-32"),
         (["--gaussian", "--points", "3", "--m", "1e308"], "exponent is not finite at --m 1e+308"),
         (["--points", "3", "--t=-inf"], "phase p x - E t is not finite at --t -inf"),
-        (["--gaussian", "--points", "3", "--beta", "1e200"], "exponent is not finite at --beta 1e+200"),
+        # 1/beta is finite, kappa = 1/(4 m beta^2) is not
+        (["--gaussian", "--points", "3", "--beta", "1e-160"], "exponent is not finite at --beta 1e-160"),
         (["--gaussian", "--points", "3", "--m", "1e300"], "first-order term is not finite at --m 1e+300"),
         (["--q-minus-1", "0.5", "--xmax", "1e200", "--points", "3"],
          "first-order term is not finite at --xmax 1e+200"),
@@ -202,6 +203,18 @@ def test_overflow_refusal_names_the_flag(argv, named, capsys):
     assert out == ""
     assert named in err
     assert "must be finite" not in err
+
+
+def test_ratio_gaussian_huge_beta_is_its_limit(capsys):
+    # 8 m beta^2 overflows from |beta| ~ 4.7e153, where the first-order c2 must
+    # keep its -L0/4 term; the beta -> inf limit is reached by 1e150
+    code, want, err = run(["ratio", "--gaussian", "--t", "0.5", "--beta", "1e150", "--points", "3"],
+                          capsys)
+    assert (code, err) == (0, "")
+    for beta in ("5e153", "1e154", "1e200"):
+        argv = ["ratio", "--gaussian", "--t", "0.5", "--beta", beta, "--points", "3"]
+        assert run(argv, capsys) == (0, want, ""), beta
+    assert run(["ratio", "--gaussian", "--beta", "1e200", "--points", "3"], capsys)[0] == 0
 
 
 @pytest.mark.parametrize("flags", [["--xmax", "1.2"], ["--t", "0.3"]])

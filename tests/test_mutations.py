@@ -10,10 +10,14 @@ registry check is measured in-process, and the checks that fail must be
 exactly the row's set: a check that stops failing, or starts failing, is
 a change to what the suite can detect.
 
-Mutants that no check catches are not rows.  One is known: the
+Mutants that no check catches are not rows.  Two are known: the
 eps-coefficient of c_t (c2_t of qgaussian.rates_first_order) scaled by
 1.001, which is only 0.04-0.07 at the gaussian.approx_order probes
-(test_qgaussian's test_approx_terms_match_fd catches it).
+(test_qgaussian's test_approx_terms_match_fd catches it), and R scaled by
+1.001 inside qcore.modulus_ratio, which no registry check calls.
+
+Every registry check fails under some row, or is in UNKILLED with the
+reason no row fails it, so a new check comes with the row it kills.
 """
 
 import __future__
@@ -40,6 +44,15 @@ MUTATIONS = [
     ("coeffs_first_order_c2", "qgaussian.coeffs_first_order",
      "c2=c2)", "c2=1.001 * c2)",
      {"gaussian.coeff_jets", "gaussian.jet_authority", "gaussian.coeff_fd"}),
+    ("approx_f_q_tau2", "separation.approx_f_q",
+     "(q - 1.0) * tau * tau / 2.0", "1.001 * (q - 1.0) * tau * tau / 2.0",
+     {"separation.dt_f_q_fd", "separation.f_q_jet"}),
+    ("approx_g_q_i_xi", "separation.approx_g_q",
+     "3.0 * (q - 1.0) / 4.0", "1.001 * 3.0 * (q - 1.0) / 4.0",
+     {"separation.g_q_jet", "separation.pair_cancellation"}),
+    ("d2x_approx_g_xi2", "separation.d2x_approx_g",
+     "(1.0 - q) / 4.0 * xi * xi", "1.001 * (1.0 - q) / 4.0 * xi * xi",
+     {"separation.d2x_g_fd", "separation.pair_cancellation"}),
     ("approx_g_xi2", "separation._g_correction",
      "(1j * xi + xi * xi)", "(1j * xi + 1.001 * xi * xi)",
      {"separation.g_jet", "separation.d2x_g_fd", "separation.g_order", "separation.g_order_r2"}),
@@ -54,6 +67,10 @@ MUTATIONS = [
      "2j * (q - 1.0) * u", "2.001j * (q - 1.0) * u",
      {"planewave.d2x_approx_fd", "planewave.dt_approx_q_fd", "kleingordon.qF_jet",
       "kleingordon.d2_approx_fd"}),
+    ("approx_psi_c", "planewave.approx_psi",
+     "(1.0 + c)", "(1.0 + 1.001 * c)",
+     {"kleingordon.d2_approx_fd", "planewave.approx_error_order", "planewave.approx_jet_fd",
+      "planewave.d2x_approx_fd"}),
     ("approx_psi_q_iu", "planewave.approx_psi_q",
      "(1j * u - u * u / 2.0)", "(1.001j * u - u * u / 2.0)",
      {"planewave.psi_q_jet", "planewave.approx_jet_fd", "planewave.dt_approx_q_fd"}),
@@ -67,10 +84,39 @@ MUTATIONS = [
      "complex_log1p(c)", "1.001 * complex_log1p(c)",
      {"gaussian.approx_order", "gaussian.approx_order_r2", "separation.f_order",
       "separation.f_order_r2", "separation.g_order", "separation.g_order_r2"}),
-    ("log1p_over_w_series", "qcore._log1p_over_w_series",
-     "return acc", "return acc + 1e-4 * w",
-     {"planewave.approx_jet_fd", "separation.f_jet", "separation.f_q_jet"}),
+    ("log1p_over_w", "qcore._log1p_over_w",
+     "complex_log1p(w) / w", "complex_log1p(w) / w + 1e-4 * w",
+     {"kleingordon.qF_jet", "planewave.approx_jet_fd", "planewave.modulus_identity",
+      "separation.f_jet", "separation.f_q_jet", "separation.g_jet", "separation.g_q_jet"}),
+    ("expm1_over_w", "qcore.stable_expm1_over_w",
+     "complex_expm1(w) / w", "complex_expm1(w) / w + 1e-4 * w",
+     {"gaussian.coeff_fd", "gaussian.exact_residual"}),
 ]
+
+_DISPERSION_ONLY = "sums two multiples of one computed value: it checks the dispersion relation only"
+_SHARED_BRACKET = "every addend is bracket_wave times a constant, so an edit of the bracket cancels"
+
+# Registry checks that no row fails, and why
+UNKILLED = {
+    "planewave.exact_residual_q0.999": _DISPERSION_ONLY,
+    "planewave.exact_residual_q1.001": _DISPERSION_ONLY,
+    "planewave.exact_residual_q1.1": _DISPERSION_ONLY,
+    "separation.exact_residual_f": _DISPERSION_ONLY,
+    "separation.exact_residual_g": _DISPERSION_ONLY,
+    "kleingordon.exact_residual_q0.999": _DISPERSION_ONLY,
+    "kleingordon.exact_residual_q1.1": _DISPERSION_ONLY,
+    "planewave.pair_cancellation": _SHARED_BRACKET + "; it reads exactly 0.0",
+    "kleingordon.pair_cancellation": _SHARED_BRACKET,
+    "kleingordon.bracket_identity": _SHARED_BRACKET,
+    "gaussian.c_at_zero": "reads 0.0 at t = 0, where the coeffs_exact row's scaled c is still 0",
+    "gaussian.psi_origin": "reads 0.0 at the origin, where G = c(0) = 0 under every row",
+    "gaussian.ratio_band": "reads 1.3e-2 against a band of 0.1, which a 1.001 scale "
+                           "of a packet formula stays inside",
+    "kleingordon.dispersion_sensitivity": "tests the test setup (an off-shell wave), "
+                                          "not a shipped formula",
+    "separation.product_not_planewave": "tests the test setup (f g is not the plane wave), "
+                                        "not a shipped formula",
+}
 
 
 def _mutant_code(fn, old: str, new: str):
@@ -100,3 +146,8 @@ def test_mutant_fails_exactly_its_checks(monkeypatch, target, old, new, must_fai
     fn = getattr(importlib.import_module(f"qwave.{module}"), name)
     monkeypatch.setattr(fn, "__code__", _mutant_code(fn, old, new))
     assert _failing_checks() == must_fail
+
+
+def test_every_check_fails_some_row_or_is_exempt():
+    killed = set().union(*(row[-1] for row in MUTATIONS))
+    assert set(checks.REGISTRY) - killed == UNKILLED.keys()

@@ -55,6 +55,18 @@ def test_coefficients_at_t0():
     assert (split.c1, split.c2) == (0.0, 0.0)
 
 
+def test_first_order_splits_finite_for_huge_beta():
+    # 8 m beta^2 overflows from |beta| ~ 4.7e153, so c1 and c2 are formed
+    # from kappa = 1/(4 m beta^2), which only underflows towards its limit 0
+    for t in (0.5, 1.7):
+        want = qg.coeffs_first_order(t, params_for(1.0, beta=1e150))
+        for beta in (5e153, -5e153, 1e154, 1e200, 1e300):
+            got = qg.coeffs_first_order(t, params_for(1.0, beta=beta))
+            for name in ("c1", "c2"):
+                w, g = getattr(want, name), getattr(got, name)
+                assert abs(g - w) <= 1e-15 * abs(w), (beta, name, g, w)
+
+
 def test_packet_normalized_at_origin():
     for q in (0.999, 1.001, 1.1):
         assert qg.exact_qgaussian(0.0, 0.0, params_for(q)) == 1.0
