@@ -33,9 +33,10 @@ no 1/(q-1):
 
 Everything q-dependent is exposed three ways: exact (coeffs_exact,
 rates_exact, exact_qgaussian), first-order closed forms
-(coeffs_first_order, approx_qgaussian), and mechanically derived jets
-(wavefunction_jet, and rates_first_order, the jets of the exact rates),
-which arbitrate between the other two in the tests.  gaussian_terms
+(coeffs_first_order, approx_qgaussian), and eps-jets (wavefunction_jet,
+rates_first_order), which arbitrate between the other two in the tests.
+The jets are no second derivation: _coeffs_and_rates states the formulas
+above once and evaluates them on numbers or on jets.  gaussian_terms
 gives the equation terms of either family in closed form; the first-order
 packet is (1 + c) e^{-G0} with (c, G0) from first_order_parts, and its
 q-th power is qcore.first_order_pow.
@@ -101,35 +102,37 @@ class GaussianCoeffJet(qcore.Frozen):
         object.__setattr__(self, "c2", c2)
 
 
-def _exact_parts(t: float, params: GaussianParams):
-    """(q, D, a, b, kq, L, M) at time t, shared by the coefficients and their rates."""
+# (log, exp, E) of the coefficient formulas: on numbers, and on eps-jets,
+# where M = eps L/(q+1) has value part 0, so E(M) is the pole jet
+_EXACT = (cmath.log, cmath.exp, qcore.stable_expm1_over_w)
+_JETS = (jet_ln, jet_exp, lambda M: expm1_over_w_jet(M.v1))
+
+
+def _coeffs_and_rates(t: float, params: GaussianParams, q, functions):
+    """((a, b, c), (a_t, b_t, c_t)) at time t as in the module docstring,
+    with (log, exp, E) = functions.  Numbers (q = params.q, _EXACT) give the
+    exact values; eps-jets (q = QJet(1, 1), _JETS) their first-order splits."""
     if not math.isfinite(t):
         raise NonFiniteInput(f"t must be finite, got {t!r}")
-    q = params.q
+    log, exp, expm1_over_w = functions
     D = 1.0 + 1j * (q + 1.0) * t
     kq = 1.0 / (4.0 * params.m * q * params.beta * params.beta)
-    L = cmath.log(D)  # Re D = 1, so the principal log is the smooth branch
-    return q, D, params.m * q / D, 1.0 / (params.beta * D), kq, L, (q - 1.0) * L / (q + 1.0)
-
-
-def _rates(q, D, a, b, kq, eM):
-    """(a_t, b_t, c_t) as in the module docstring.  Numbers give the exact
-    rates; eps-jets (q = QJet(1, 1)) the rates of the first-order splits."""
+    L = log(D)  # Re D = 1, so the principal log is the smooth branch
+    M = (q - 1.0) * L / (q + 1.0)
+    a, b, eM = params.m * q / D, 1.0 / (params.beta * D), exp(M)
+    c = (L / (q + 1.0)) * expm1_over_w(M) - kq * eM + kq / D
     k = -1j * (q + 1.0) / D
-    return k * a, k * b, 1j * (1.0 - (q - 1.0) * kq) * eM / D + k * kq / D
+    return (a, b, c), (k * a, k * b, 1j * (1.0 - (q - 1.0) * kq) * eM / D + k * kq / D)
 
 
 def coeffs_exact(t: float, params: GaussianParams) -> GaussianCoeffSet:
     """Exact a(t), b(t), c(t); c via the expm1 pairing described above."""
-    q, D, a, b, kq, L, M = _exact_parts(t, params)
-    c = (L / (q + 1.0)) * qcore.stable_expm1_over_w(M) - kq * cmath.exp(M) + kq / D
-    return GaussianCoeffSet(a=a, b=b, c=c)
+    return GaussianCoeffSet(*_coeffs_and_rates(t, params, params.q, _EXACT)[0])
 
 
 def rates_exact(t: float, params: GaussianParams) -> GaussianCoeffSet:
     """Exact time derivatives (a_t, b_t, c_t) of the coefficients."""
-    q, D, a, b, kq, _, M = _exact_parts(t, params)
-    return GaussianCoeffSet(*_rates(q, D, a, b, kq, cmath.exp(M)))
+    return GaussianCoeffSet(*_coeffs_and_rates(t, params, params.q, _EXACT)[1])
 
 
 def exponent(x, t: float, params: GaussianParams, cs=None):
@@ -177,36 +180,18 @@ def first_order_parts(x, t: float, params: GaussianParams, j=None):
     return -(params.q - 1.0) * (G1 - 0.5 * G0 * G0), G0
 
 
-def _jet_parts(t: float, params: GaussianParams):
-    """(q, D, a, b, kq, mu) as eps-jets at time t, M = eps * mu, shared by the
-    coefficient jets and the rate jets."""
-    m, beta = params.m, params.beta
-    q = QJet(1.0, 1.0)
-    # D = 1 + i (2+eps) t
-    D = QJet(1.0 + 2j * t, 1j * t)
-    kq = 1.0 / (4.0 * m * beta * beta) / q
-    return q, D, m * q / D, 1.0 / (beta * D), kq, jet_ln(D) / (q + 1.0)
-
-
 def _coeff_jets(t: float, params: GaussianParams) -> tuple[QJet, QJet, QJet]:
-    """Coefficient jets in eps = q-1 derived mechanically from the formulas.
-
-    This is the independent derivation: no copied first-order algebra, just
-    jet arithmetic applied to a = mq/D, b = 1/(beta D) and the expm1 form
-    of c.  The eps-linear factors of D and M are absorbed by the
-    dedicated pole jets (log1p_over_w_jet, expm1_over_w_jet).
-    """
-    _, D, a, b, kq, mu = _jet_parts(t, params)
-    c = mu * expm1_over_w_jet(mu.v0) - kq * QJet(1.0, mu.v0) + kq / D
-    return a, b, c
+    """Coefficient jets in eps = q-1: coeffs_exact's formulas evaluated on
+    jets, with no first-order algebra of their own, so they check the
+    shipped formulas against the closed-form splits."""
+    return _coeffs_and_rates(t, params, QJet(1.0, 1.0), _JETS)[0]
 
 
 def rates_first_order(t: float, params: GaussianParams) -> GaussianCoeffJet:
     """Time derivatives (a1_t, a2_t, b1_t, b2_t, c1_t, c2_t) of the
-    first-order splits: the eps-jets of the exact rates, by the jet
-    arithmetic of _coeff_jets."""
-    q, D, a, b, kq, mu = _jet_parts(t, params)
-    jets = _rates(q, D, a, b, kq, QJet(1.0, mu.v0))  # e^M = 1 + eps mu + ...
+    first-order splits: the shipped rate formulas of rates_exact evaluated
+    on jets, as in _coeff_jets."""
+    jets = _coeffs_and_rates(t, params, QJet(1.0, 1.0), _JETS)[1]
     return GaussianCoeffJet(*(v for jet in jets for v in (jet.v0, jet.v1)))
 
 
@@ -282,11 +267,9 @@ def gaussian_terms(
     """
     q, m = params.q, params.m
     if family == "exact":
-        cs, rs = coeffs_exact(t, params), rates_exact(t, params)
-        G = exponent(x, t, params, cs)
-        Gx = 2.0 * cs.a * x + cs.b
-        Gt = rs.a * x * x + rs.b * x + rs.c
-        return -1j * q * Gt, (q * Gx * Gx - (1.0 + (q - 1.0) * G) * 2.0 * cs.a) / (2.0 * m)
+        (a, b, c), (a_t, b_t, c_t) = _coeffs_and_rates(t, params, q, _EXACT)
+        G, Gx, Gt = a * x * x + b * x + c, 2.0 * a * x + b, a_t * x * x + b_t * x + c_t
+        return -1j * q * Gt, (q * Gx * Gx - (1.0 + (q - 1.0) * G) * 2.0 * a) / (2.0 * m)
     if family != "approx":
         raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
     j, r, eps = coeffs_first_order(t, params), rates_first_order(t, params), q - 1.0

@@ -30,14 +30,17 @@ from qwave import checks
 
 MUTATIONS = [
     # name, target, source snippet, replacement, checks that must fail
-    ("coeffs_exact_c", "qgaussian.coeffs_exact",
-     "c=c)", "c=c * (1.0 + 1e-6))",
-     {"gaussian.exact_residual"}),
-    ("rates_exact_c_t", "qgaussian.rates_exact",
-     "GaussianCoeffSet(*_rates(q, D, a, b, kq, cmath.exp(M)))",
-     "GaussianCoeffSet(*(r * s for r, s in zip(_rates(q, D, a, b, kq, cmath.exp(M)),"
-     " (1.0, 1.0, 1.001))))",
-     {"gaussian.exact_residual"}),
+    ("coeffs_and_rates_c", "qgaussian._coeffs_and_rates",
+     "(a, b, c), (k * a", "(a, b, c * (1.0 + 1e-6)), (k * a",
+     {"gaussian.coeff_jets", "gaussian.exact_residual", "gaussian.jet_authority"}),
+    ("coeffs_and_rates_c_t", "qgaussian._coeffs_and_rates",
+     "1j * (1.0 - (q - 1.0) * kq) * eM / D + k * kq / D",
+     "(1j * (1.0 - (q - 1.0) * kq) * eM / D + k * kq / D) * 1.001",
+     {"gaussian.approx_order", "gaussian.approx_order_r2", "gaussian.exact_residual"}),
+    ("coeffs_and_rates_D", "qgaussian._coeffs_and_rates",
+     "1.0 + 1j * (q + 1.0) * t", "1.0 + 1.001j * (q + 1.0) * t",
+     {"gaussian.approx_order", "gaussian.approx_order_r2", "gaussian.coeff_fd",
+      "gaussian.coeff_jets", "gaussian.jet_authority"}),
     ("rates_first_order_a2_t", "qgaussian.rates_first_order",
      "(jet.v0, jet.v1)", "(jet.v0, jet.v1 * (1.001 if jet is jets[0] else 1.0))",
      {"gaussian.approx_order", "gaussian.approx_order_r2"}),
@@ -108,7 +111,8 @@ UNKILLED = {
     "planewave.pair_cancellation": _SHARED_BRACKET + "; it reads exactly 0.0",
     "kleingordon.pair_cancellation": _SHARED_BRACKET,
     "kleingordon.bracket_identity": _SHARED_BRACKET,
-    "gaussian.c_at_zero": "reads 0.0 at t = 0, where the coeffs_exact row's scaled c is still 0",
+    "gaussian.c_at_zero": "reads 0.0 at t = 0, where the coeffs_and_rates_c row's "
+                          "scaled c is still 0",
     "gaussian.psi_origin": "reads 0.0 at the origin, where G = c(0) = 0 under every row",
     "gaussian.ratio_band": "reads 1.3e-2 against a band of 0.1, which a 1.001 scale "
                            "of a packet formula stays inside",

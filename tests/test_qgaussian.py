@@ -37,9 +37,13 @@ def test_params_validation():
     (qg.wavefunction_jet, (math.inf, 0.0)),
     (qg.exact_qgaussian, (0.0, math.nan)),
     (qg.approx_qgaussian, (-math.inf, 0.0)),
+    (qg.rates_exact, (math.inf,)),
+    (qg.rates_first_order, (math.nan,)),
 ])
 def test_non_finite_point_is_refused(fn, point):
-    with pytest.raises(NonFiniteInput):
+    # the coefficient functions take t alone, the packet functions (x, t)
+    match = "t must be finite" if len(point) == 1 else "point must be finite"
+    with pytest.raises(NonFiniteInput, match=match):
         fn(*point, params_for(1.1))
 
 
@@ -86,8 +90,9 @@ def test_c_exact_at_q1_limit_form():
             assert abs(c_near - closed) <= 1e-7 * max(1.0, abs(closed))
 
 
-def test_coeff_jets_match_closed_splits():
-    worst = checks.qg_coeff_jets(params_for(1.001, m=1.4, beta=0.8))
+@pytest.mark.parametrize("m, beta", [(1.4, 0.8), (0.3, 2.7), (5.0, 0.2)])
+def test_coeff_jets_match_closed_splits(m, beta):
+    worst = checks.qg_coeff_jets(params_for(1.001, m=m, beta=beta))
     assert worst <= 1e-11, worst
 
 
