@@ -155,8 +155,6 @@ def _grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple([i * step + lo for i in range(n - 1)] + [hi])
 
 
-_PAIR_EPSILONS = (1e-3, 1e-6, 1e-9)
-
 # -- planewave -------------------------------------------------------------
 
 _PW_WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
@@ -178,24 +176,27 @@ def pw_exact_residual(q: float, xs=_PW_XS, ts=_PW_TS) -> float:
 for _q in (0.999, 1.001, 1.1):
     check(
         f"planewave.exact_residual_q{_q:g}",
-        f"exact wave inserted with closed-form derivatives, q={_q:g}",
+        f"exact addends cancel on E = p^2/2m, q={_q:g}",
         1e-10,
     )(partial(pw_exact_residual, _q))
 
 
-@check(
-    "planewave.pair_cancellation",
-    "truncated dt(psi^q) and d2x(psi) brackets cancel identically",
-    1e-12,
-)
-def pw_pair_cancellation(xs=_PW_XS, ts=_PW_TS) -> float:
-    """Worst truncated dt(psi^q) + d2x(psi) pair over its larger term."""
-    return max_rel(
-        residual_pair(pw.expansion_terms(pw.PhasePoint(x, t), _PW_WAVE, 1.0 + eps))
-        for eps in _PAIR_EPSILONS
-        for x in xs
-        for t in ts
+def pw_exact_fd(q: float, xs=_PW_XS[::3], ts=_PW_TS) -> float:
+    """fd_gap of the exact addends as derivatives of the exact wave: i dt
+    psi^q, in t at each x, and (1/2m) d2x psi, in x at each t."""
+    w, pt = _PW_WAVE, pw.PhasePoint
+    terms = partial(pw.schrodinger_terms, w=w, q=q, family="exact")
+    return max(
+        *(fd_gap(lambda t: terms(pt(x, t))[0] / 1j, lambda t: pw.exact_psi_q(pt(x, t), w, q),
+                 ts, 1.0 / w.E, 1) for x in xs),
+        *(fd_gap(lambda x: 2.0 * w.m * terms(pt(x, t))[1], lambda x: pw.exact_psi(pt(x, t), w, q),
+                 xs, 1.0 / w.p, 2) for t in ts),
     )
+
+
+check("planewave.exact_fd", "exact addends are FD derivatives of the exact wave, q=1.1", 1e-8)(
+    partial(pw_exact_fd, 1.1)
+)
 
 
 @order_fit("planewave.approx_order", "approximant inserted in the full equation leaves O(eps^2)")
@@ -298,11 +299,12 @@ _SEP_E = 0.845
 _SEP_P = 1.3
 _SEP_TS = _grid(0.0, 4.0, 17)
 _SEP_XS = _grid(-6.0, 6.0, 17)
+_PAIR_EPSILONS = (1e-3, 1e-6, 1e-9)
 
 
 @check(
     "separation.exact_residual_f",
-    "exact time factor satisfies its separated equation, q=1.1",
+    "exact addends of f cancel by construction (exact_fd reads them), q=1.1",
     1e-10,
 )
 def sep_exact_residual_f(q: float = 1.1) -> float:
@@ -312,12 +314,27 @@ def sep_exact_residual_f(q: float = 1.1) -> float:
 
 @check(
     "separation.exact_residual_g",
-    "exact space factor satisfies its separated equation, q=1.1",
+    "exact addends of g cancel by construction (exact_fd reads them), q=1.1",
     1e-10,
 )
 def sep_exact_residual_g(q: float = 1.1) -> float:
     """Worst residual_pair of the exact space factor."""
     return max_rel(residual_pair(sep.g_terms(x, _SEP_P, q, family="exact")) for x in _SEP_XS)
+
+
+def sep_exact_fd(q: float, ts=_SEP_TS[::2], xs=_SEP_XS[::2]) -> float:
+    """fd_gap of the exact addends as derivatives of the exact factors:
+    i dt f^q in t, and -(1/2) d2x g in x."""
+    return max(
+        fd_gap(lambda t: sep.f_terms(t, _SEP_E, q, family="exact")[0] / 1j,
+               lambda t: sep.exact_f_q(t, _SEP_E, q), ts, 1.0 / _SEP_E, 1),
+        fd_gap(lambda x: -2.0 * sep.g_terms(x, _SEP_P, q, family="exact")[0],
+               lambda x: sep.exact_g(x, _SEP_P, q), xs, 1.0 / _SEP_P, 2),
+    )
+
+
+check("separation.exact_fd", "exact addends are FD derivatives of the exact f and g, q=1.1",
+      1e-8)(partial(sep_exact_fd, 1.1))
 
 
 @check(
@@ -516,8 +533,27 @@ def kg_exact_residual(q: float, wave: kg.KGWave = _KG_WAVE, xs=_KG_XS, ts=_KG_TS
 
 for _q in (0.999, 1.1):
     check(
-        f"kleingordon.exact_residual_q{_q:g}", f"exact wave on shell, q={_q:g}", 1e-10
+        f"kleingordon.exact_residual_q{_q:g}",
+        f"exact addends cancel on w^2 = k^2 + m^2, q={_q:g}",
+        1e-10,
     )(partial(kg_exact_residual, _q))
+
+
+def kg_exact_fd(q: float, xs=_KG_XS[::2], ts=_KG_TS) -> float:
+    """fd_gap of the exact addends as derivatives of the exact wave: d2t F,
+    in t at each x, and -d2x F, in x at each t."""
+    w, pt = _KG_WAVE, pw.PhasePoint
+    return max(
+        *(fd_gap(lambda t: kg.kg_terms(x, t, w, q, "exact")[0],
+                 lambda t: pw.exact_psi(pt(x, t), w, q), ts, 1.0 / w.E, 2) for x in xs),
+        *(fd_gap(lambda x: -kg.kg_terms(x, t, w, q, "exact")[1],
+                 lambda x: pw.exact_psi(pt(x, t), w, q), xs, 1.0 / w.p, 2) for t in ts),
+    )
+
+
+check("kleingordon.exact_fd", "exact addends are FD derivatives of the exact wave, q=1.1", 1e-8)(
+    partial(kg_exact_fd, 1.1)
+)
 
 
 @check(
@@ -530,37 +566,6 @@ def _kg_dispersion_sensitivity() -> float:
     off = kg.KGWave(p=_KG_WAVE.p, E=_KG_WAVE.E * 1.01, m=_KG_WAVE.m)
     on_res = kg_exact_residual(1.1)
     return kg_exact_residual(1.1, off) / on_res if on_res > 0 else math.inf
-
-
-@check(
-    "kleingordon.bracket_identity",
-    "d2x, d2t and qF^{2q-1} expansions share one bracket",
-    1e-14,
-)
-def kg_bracket_identity(q: float = 1.2) -> float:
-    """Worst gap of the d2x and d2t brackets against the qF^{2q-1} one."""
-
-    def pair(x, t):
-        pt = pw.PhasePoint(x, t)
-        u = pw.phase(pt, _KG_WAVE)
-        eiu = complex(math.cos(u), math.sin(u))
-        bx = pw.d2x_approx_psi(pt, _KG_WAVE, q) / (-_KG_WAVE.p**2 * eiu)
-        bt = kg.d2t_approx_F(x, t, _KG_WAVE, q) / (-_KG_WAVE.E**2 * eiu)
-        bm = kg.approx_qF2qm1(x, t, _KG_WAVE, q) / eiu
-        return max(abs(bx - bm), abs(bt - bm)), abs(bm)
-
-    return max_rel(pair(x, t) for x in _KG_XS for t in _KG_TS)
-
-
-@check("kleingordon.pair_cancellation", "truncated expansions cancel identically on shell", 1e-12)
-def kg_pair_cancellation() -> float:
-    """Worst sum of the truncated expansions over their largest term."""
-    return max_rel(
-        residual_pair(kg.expansion_terms_kg(x, t, _KG_WAVE, 1.0 + eps))
-        for eps in _PAIR_EPSILONS
-        for x in _KG_XS
-        for t in _KG_TS
-    )
 
 
 @order_fit(

@@ -17,14 +17,15 @@ the dispersion relation w^2 = k^2 + m^2.
 The equation never states that relation; it is what the residual engine
 derives, exposed as dispersion_omega (E = hypot(k, m)).
 
-First order in (q-1), the expansions of d2x F, d2t F and q F^(2q-1) all
-share one bracket q + 2i(q-1)u - (q-1)u^2/2 (planewave.bracket_wave), which
-is the entire self-consistency mechanism: the addends of
-expansion_terms_kg, built from the truncated forms, cancel identically on
-shell, while kg_terms with family="approx" inserts the approximant into
-the full equation (powered by qcore.first_order_pow) and leaves a genuine
-O((q-1)^2) remainder.  The approximant F, its terms (c, g0) and its d2/dx2
-are planewave.approx_psi, ratio_terms and d2x_approx_psi.
+The exact addends of kg_terms therefore check the dispersion relation
+only; the check kleingordon.exact_fd reads d2t F and -d2x F back as FD
+derivatives of the exact wave.  kg_terms with family="approx" inserts the
+approximant into the full equation (powered by qcore.first_order_pow) and
+leaves a genuine O((q-1)^2) remainder.  First order in (q-1), the
+truncated d2x F, d2t F and q F^(2q-1) share one bracket
+q + 2i(q-1)u - (q-1)u^2/2 (planewave.bracket_wave).  The approximant F,
+its terms (c, g0) and its d2/dx2 are planewave.approx_psi, ratio_terms
+and d2x_approx_psi.
 """
 
 from __future__ import annotations
@@ -104,12 +105,3 @@ def residual_kg(x: float, t: float, w: KGWave, q: float, family: str) -> complex
     term_tt, term_xx, term_mass = kg_terms(x, t, w, q, family)
     return term_tt + term_xx + term_mass
 
-
-def expansion_terms_kg(
-    x: float, t: float, w: KGWave, q: float
-) -> tuple[complex, complex, complex]:
-    """Addends of the truncated-pair residual, for relative-scale reporting."""
-    term_tt = d2t_approx_F(x, t, w, q)
-    term_xx = -pw.d2x_approx_psi(pw.PhasePoint(x, t), w, q)
-    term_mass = w.m ** 2 * approx_qF2qm1(x, t, w, q)
-    return term_tt, term_xx, term_mass

@@ -13,16 +13,15 @@ and ratio_terms gives the approximant's terms (c, g0), powered by
 qcore.first_order_pow; kleingordon uses both.
 
 Each equation is given by its addends, and its residual is their sum.
-Two residual notions coexist and both are exposed:
+Two residual notions coexist, the two families of schrodinger_terms:
 
-* schrodinger_terms inserts a wave family into the full nonlinear
-  equation.  The exact family cancels to round-off for a free particle at
-  any q; the approximant leaves a genuine O((q-1)^2) remainder, which is
-  what the order-of-convergence certification measures.
-* expansion_terms gives the truncated first-order derivative expansions
-  of the two sides.  Their (q-1) brackets are identical, so for a free
-  particle their sum vanishes identically; this is the first-order
-  cancellation statement, checked pointwise at round-off level.
+* "exact" writes both addends in closed form as multiples of
+  exact_psi_2qm1, so they cancel on E = p^2/2m whatever that power is;
+  the check planewave.exact_fd reads them back as FD derivatives of the
+  exact wave and its q-th power.
+* "approx" inserts the first-order wave into the full nonlinear equation
+  and leaves a genuine O((q-1)^2) remainder, which is what the
+  order-of-convergence certification measures.
 """
 
 from __future__ import annotations
@@ -155,20 +154,6 @@ def schrodinger_terms(
         term_x = (1.0 / (2.0 * w.m)) * d2x_approx_psi(pt, w, q)
         return term_t, term_x
     raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
-
-
-def expansion_terms(
-    pt: PhasePoint, w: SchrodingerWave, q: float
-) -> tuple[complex, complex]:
-    """Truncated first-order forms of i dt(psi^q) and (1/2m) d2x(psi).
-
-    Both terms carry one and the same (q-1) bracket, so with E = p^2/(2m)
-    their sum cancels identically: the first-order expansion is
-    self-consistent.  Returned as a pair for relative-scale reporting.
-    """
-    term_t = 1j * dt_approx_psi_q(pt, w, q)
-    term_x = (1.0 / (2.0 * w.m)) * d2x_approx_psi(pt, w, q)
-    return term_t, term_x
 
 
 def ratio_terms(pt: PhasePoint, w: PlaneWave, q: float):

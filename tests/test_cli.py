@@ -786,16 +786,16 @@ def test_verify_bad_tol_is_usage_error(capsys):
 
 def test_verify_tol_that_is_not_a_number_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--tol", "planewave.pair_cancellation=abc"])
+        cli.main(["verify", "--tol", "planewave.exact_fd=abc"])
     assert exc.value.code == 2
     assert "not a number" in capsys.readouterr().err
 
 
 def test_verify_unknown_tol_key_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "planewave", "--tol", "planewave.pair_cancelation=1e-30"])
+        cli.main(["verify", "--suite", "planewave", "--tol", "planewave.modulus_identiy=1e-30"])
     assert exc.value.code == 2
-    assert "'planewave.pair_cancelation'" in capsys.readouterr().err
+    assert "'planewave.modulus_identiy'" in capsys.readouterr().err
 
 
 def test_verify_tol_for_unselected_suite_is_accepted(capsys):
@@ -809,9 +809,9 @@ def test_verify_tol_for_unselected_suite_is_accepted(capsys):
 @pytest.mark.parametrize("value", ["nan", "-inf", "inf", "NaN"])
 def test_verify_non_finite_tol_is_usage_error(value, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "planewave", "--tol", f"planewave.pair_cancellation={value}"])
+        cli.main(["verify", "--suite", "planewave", "--tol", f"planewave.exact_fd={value}"])
     assert exc.value.code == 2
-    assert "planewave.pair_cancellation: must be finite" in capsys.readouterr().err
+    assert "planewave.exact_fd: must be finite" in capsys.readouterr().err
 
 
 def test_verify_runs_every_registry_entry_in_order(capsys):

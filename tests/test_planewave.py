@@ -1,5 +1,5 @@
-"""Plane-wave family: exact self-consistency, first-order pair
-cancellation, genuine insertion order, and the ratio diagnostic."""
+"""Plane-wave family: exact self-consistency, genuine insertion order, and
+the ratio diagnostic."""
 
 import cmath
 
@@ -44,13 +44,6 @@ def test_exact_residual_needs_free_particle():
     w = pw.SchrodingerWave(p=1.3, E=1.0, m=1.0)
     r = sum(pw.schrodinger_terms(pw.PhasePoint(0.7, 0.4), w, 1.1, "exact"))
     assert abs(r) > 1e-3
-
-
-def test_expansion_pair_cancels_identically():
-    # 101 x 11 grid per the stated invariant, at q - 1 = 1e-3, 1e-6 and
-    # 1e-9; scale-relative bound 1e-12
-    worst = checks.pw_pair_cancellation(np.linspace(-8.0, 8.0, 101), np.linspace(0.0, 5.0, 11))
-    assert worst <= 1e-12, worst
 
 
 def test_genuine_insertion_second_order():

@@ -10,9 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qwave import checks, verify
-from qwave import kleingordon as kg
 from qwave import planewave as pw
-from qwave import separation as sep
 from qwave.errors import DegenerateFit, StencilEvaluationFailed
 
 
@@ -191,36 +189,10 @@ def test_pw_exact_residual_is_point_by_point():
 def test_exact_addends_are_fd_derivatives_of_the_exact_waves(q):
     # the exact residual checks sum addends built from closed-form
     # derivative identities, so a wrong identity cancels there by
-    # construction; here each addend is read back as a derivative of the
-    # exact wave and compared with its FD
-    pw_wave, kg_wave, E, P = checks._PW_WAVE, checks._KG_WAVE, checks._SEP_E, checks._SEP_P
-    xs, ts = checks._PW_XS[::3], checks._PW_TS
-    pt = pw.PhasePoint
-    gaps = {
-        "schrodinger i dt psi^q": max(
-            checks.fd_gap(lambda t: pw.schrodinger_terms(pt(x, t), pw_wave, q, "exact")[0] / 1j,
-                          lambda t: pw.exact_psi_q(pt(x, t), pw_wave, q), ts, 1.0 / pw_wave.E, 1)
-            for x in xs
-        ),
-        "schrodinger (1/2m) d2x psi": max(
-            checks.fd_gap(
-                lambda x: 2.0 * pw_wave.m * pw.schrodinger_terms(pt(x, t), pw_wave, q, "exact")[1],
-                lambda x: pw.exact_psi(pt(x, t), pw_wave, q), xs, 1.0 / pw_wave.p, 2)
-            for t in ts
-        ),
-        "klein-gordon d2t F": max(
-            checks.fd_gap(lambda t: kg.kg_terms(x, t, kg_wave, q, "exact")[0],
-                          lambda t: pw.exact_psi(pt(x, t), kg_wave, q), checks._KG_TS,
-                          1.0 / kg_wave.E, 2)
-            for x in checks._KG_XS[::2]
-        ),
-        "separation i dt f^q": checks.fd_gap(
-            lambda t: sep.f_terms(t, E, q, family="exact")[0] / 1j,
-            lambda t: sep.exact_f_q(t, E, q), checks._SEP_TS[::2], 1.0 / E, 1),
-        "separation -(1/2) d2x g": checks.fd_gap(
-            lambda x: -2.0 * sep.g_terms(x, P, q, family="exact")[0],
-            lambda x: sep.exact_g(x, P, q), checks._SEP_XS[::2], 1.0 / P, 2),
-    }
+    # construction; the exact_fd checks read each addend back as a
+    # derivative of the exact wave, here at q away from the registry's
+    gaps = {fd.__name__: fd(q) for fd in (checks.pw_exact_fd, checks.kg_exact_fd,
+                                          checks.sep_exact_fd)}
     assert max(gaps.values()) <= 1e-8, gaps
 
 
@@ -236,7 +208,7 @@ PINNED = {
     "planewave.exact_residual_q0.999": 1.7634237052388905e-16,
     "planewave.exact_residual_q1.001": 0.0,
     "planewave.exact_residual_q1.1": 1.6891796220374123e-16,
-    "planewave.pair_cancellation": 0.0,
+    "planewave.exact_fd": 9.861624472926337e-10,
     "planewave.approx_order": 2.0008707392680045,
     "planewave.approx_order_r2": 0.9999999444965734,
     "planewave.approx_error_order": 1.9763034402651427,
@@ -247,6 +219,7 @@ PINNED = {
     "planewave.dt_approx_q_fd": 2.189619796632323e-10,
     "separation.exact_residual_f": 0.0,
     "separation.exact_residual_g": 0.0,
+    "separation.exact_fd": 3.8802843182750185e-10,
     "separation.pair_cancellation": 2.6262803163569244e-16,
     "separation.f_order": 2.000746878676632,
     "separation.f_order_r2": 0.9999999483551865,
@@ -270,9 +243,8 @@ PINNED = {
     "gaussian.ratio_band": 0.012706596635008505,
     "kleingordon.exact_residual_q0.999": 1.955961707335161e-16,
     "kleingordon.exact_residual_q1.1": 3.029982217458847e-16,
+    "kleingordon.exact_fd": 4.626955999092601e-10,
     "kleingordon.dispersion_sensitivity": 65029921560412.33,
-    "kleingordon.bracket_identity": 3.7960499618704134e-16,
-    "kleingordon.pair_cancellation": 4.0501829068748373e-16,
     "kleingordon.approx_order": 1.9991184682254755,
     "kleingordon.approx_order_r2": 0.9999998574366472,
     "kleingordon.qF_jet": 9.40074626796345e-13,
