@@ -24,7 +24,6 @@ norm into a slope check and its _r2 fit-quality check.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import partial
 from typing import Callable, Iterable
@@ -240,7 +239,9 @@ def pw_modulus_identity(q: float = 1.37, xs=_PW_XS, ts=_PW_TS) -> float:
     "jet of psi^q reproduces the expansion coefficient of approx_psi_q",
     1e-12,
 )
-def _pw_psi_q_jet() -> float:
+def pw_psi_q_jet(points=_PW_POINTS) -> float:
+    """Worst gap of the jet of psi^q against the jet of approx_psi_q at the PhasePoints."""
+
     def pair(pt):
         # psi^q = exp(q * iu * S(w)); build the exponent jet directly,
         # jet_ln of e^{iu} would lose the winding for |u| > pi
@@ -251,7 +252,7 @@ def _pw_psi_q_jet() -> float:
         closed = approx_jet(partial(pw.approx_psi_q, pt, _PW_WAVE)).v1
         return abs(qcore.jet_exp(exponent).v1 - closed), max(1.0, abs(closed))
 
-    return max_rel(pair(pt) for pt in _PW_POINTS)
+    return max_rel(pair(pt) for pt in points)
 
 
 @check("planewave.approx_jet_fd", "approx_psi, approx_psi_q are q-jets of the exact forms", 1e-6)
@@ -343,12 +344,16 @@ check("separation.exact_fd", "exact addends are FD derivatives of the exact f an
     1e-12,
 )
 def sep_pair_cancellation() -> float:
-    """Worst residual_pair of the truncated pairs of f and of g."""
+    """Worst residual_pair of the truncated pairs (i dt_approx_f_q, -E approx_f)
+    and (-(1/2) d2x_approx_g, -(p^2/2) approx_g_q)."""
+    E, p, lam = _SEP_E, _SEP_P, _SEP_P * _SEP_P / 2.0
     return max_rel(
         residual_pair(terms)
-        for eps in _PAIR_EPSILONS
-        for terms in (*(sep.expansion_terms_f(t, _SEP_E, 1.0 + eps) for t in _SEP_TS),
-                      *(sep.expansion_terms_g(x, _SEP_P, 1.0 + eps) for x in _SEP_XS))
+        for q in (1.0 + eps for eps in _PAIR_EPSILONS)
+        for terms in (*((1j * sep.dt_approx_f_q(t, E, q), -E * sep.approx_f(t, E, q))
+                        for t in _SEP_TS),
+                      *((-0.5 * sep.d2x_approx_g(x, p, q), -lam * sep.approx_g_q(x, p, q))
+                        for x in _SEP_XS))
     )
 
 
@@ -452,19 +457,17 @@ def qg_coeff_jets(params: qg.GaussianParams = _QG_PARAMS) -> float:
     return max(max_rel(pairs(t)) for t in _QG_TS)
 
 
-@check("gaussian.jet_authority", "packet jet equals the assembled first-order closed forms", 1e-11)
+@check("gaussian.jet_authority", "packet jet equals the jet of the shipped approx_qgaussian", 1e-11)
 def qg_jet_authority(xs=_QG_XS, ts=_QG_TS) -> float:
-    """Worst gap of the packet jet at q = 1.001 against the first-order
-    closed forms assembled from first_order_exponents."""
+    """Worst gap of the packet jet at q = 1.001 against the jet of the
+    shipped approx_qgaussian."""
 
     def pairs(x, t):
         jet = qg.wavefunction_jet(x, t, _QG_PARAMS)
-        G0, G1 = qg.first_order_exponents(x, t, _QG_PARAMS)
-        assembled0 = cmath.exp(-G0)
-        assembled1 = -(G1 - 0.5 * G0 * G0) * assembled0
-        scale = max(abs(assembled0), abs(assembled1))
-        yield abs(jet.v0 - assembled0), scale
-        yield abs(jet.v1 - assembled1), scale
+        closed = approx_jet(lambda q: qg.approx_qgaussian(x, t, _qg_params(q)))
+        scale = max(abs(closed.v0), abs(closed.v1))
+        yield abs(jet.v0 - closed.v0), scale
+        yield abs(jet.v1 - closed.v1), scale
 
     return max(max_rel(pairs(x, t)) for x in xs for t in ts)
 

@@ -25,16 +25,15 @@ common factor psi^(2q-1) leaves the polynomial identity
     -i q G_t = (1/2m)[(1 + (q-1)G) G_xx - q G_x^2],   G = ax^2+bx+c,
 
 whose coefficient ODEs the forms above solve, so the packet is an exact
-solution, not merely a first-order one.  Their rates (rates_exact) carry
-no 1/(q-1):
+solution, not merely a first-order one.  Their rates carry no 1/(q-1):
 
     a_t = -i(q+1) a/D,  b_t = -i(q+1) b/D,
     c_t = i e^M/D - i(q-1) kq e^M/D - i(q+1) kq/D^2.
 
 Everything q-dependent is exposed three ways: exact (coeffs_exact,
-rates_exact, exact_qgaussian), first-order closed forms
-(coeffs_first_order, approx_qgaussian), and eps-jets (wavefunction_jet,
-rates_first_order), which arbitrate between the other two in the tests.
+exact_qgaussian), first-order closed forms (coeffs_first_order,
+approx_qgaussian), and eps-jets (wavefunction_jet, rates_first_order),
+which arbitrate between the other two in the tests.
 The jets are no second derivation: _coeffs_and_rates states the formulas
 above once and evaluates them on numbers or on jets.  gaussian_terms
 gives the equation terms of either family in closed form; the first-order
@@ -130,11 +129,6 @@ def coeffs_exact(t: float, params: GaussianParams) -> GaussianCoeffSet:
     return GaussianCoeffSet(*_coeffs_and_rates(t, params, params.q, _EXACT)[0])
 
 
-def rates_exact(t: float, params: GaussianParams) -> GaussianCoeffSet:
-    """Exact time derivatives (a_t, b_t, c_t) of the coefficients."""
-    return GaussianCoeffSet(*_coeffs_and_rates(t, params, params.q, _EXACT)[1])
-
-
 def exponent(x, t: float, params: GaussianParams, cs=None):
     """G = a x^2 + b x + c of the exact packet e_q(-G), at a float or an array
     of x; cs is coeffs_exact(t, params), when the caller has it already."""
@@ -165,18 +159,12 @@ def coeffs_first_order(t: float, params: GaussianParams) -> GaussianCoeffJet:
     return GaussianCoeffJet(a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2)
 
 
-def first_order_exponents(x, t: float, params: GaussianParams, j=None):
-    """G0 = a1 x^2 + b1 x + c1 and G1 = a2 x^2 + b2 x + c2 of the first-order
-    packet {1 - (q-1)(G1 - G0^2/2)} e^{-G0}, at a float or an array of x;
-    j is coeffs_first_order(t, params), when the caller has it already."""
-    j = coeffs_first_order(t, params) if j is None else j
-    return j.a1 * x * x + j.b1 * x + j.c1, j.a2 * x * x + j.b2 * x + j.c2
-
-
 def first_order_parts(x, t: float, params: GaussianParams, j=None):
     """(c, G0) of the first-order packet (1 + c) e^{-G0}, c = -(q-1)(G1 - G0^2/2),
-    at a float or an array of x; j as in first_order_exponents."""
-    G0, G1 = first_order_exponents(x, t, params, j)
+    with G0 = a1 x^2 + b1 x + c1 and G1 = a2 x^2 + b2 x + c2, at a float or an
+    array of x; j is coeffs_first_order(t, params), when the caller has it already."""
+    j = coeffs_first_order(t, params) if j is None else j
+    G0, G1 = j.a1 * x * x + j.b1 * x + j.c1, j.a2 * x * x + j.b2 * x + j.c2
     return -(params.q - 1.0) * (G1 - 0.5 * G0 * G0), G0
 
 
@@ -189,8 +177,8 @@ def _coeff_jets(t: float, params: GaussianParams) -> tuple[QJet, QJet, QJet]:
 
 def rates_first_order(t: float, params: GaussianParams) -> GaussianCoeffJet:
     """Time derivatives (a1_t, a2_t, b1_t, b2_t, c1_t, c2_t) of the
-    first-order splits: the shipped rate formulas of rates_exact evaluated
-    on jets, as in _coeff_jets."""
+    first-order splits: the shipped rate formulas of _coeffs_and_rates
+    evaluated on jets, as in _coeff_jets."""
     jets = _coeffs_and_rates(t, params, QJet(1.0, 1.0), _JETS)[1]
     return GaussianCoeffJet(*(v for jet in jets for v in (jet.v0, jet.v1)))
 
@@ -221,7 +209,7 @@ def approx_qgaussian(x: float, t: float, params: GaussianParams, j=None) -> comp
     {1 - (q-1)[a2 x^2 + b2 x + c2 - (a1 x^2 + b1 x + c1)^2 / 2]} e^{-(a1 x^2 + b1 x + c1)}
 
     This reading of the squared bracket is the one certified against
-    wavefunction_jet.  j as in first_order_exponents; (c, G0) from first_order_parts.
+    wavefunction_jet.  j and (c, G0) as in first_order_parts.
     """
     if not (math.isfinite(x) and math.isfinite(t)):
         raise NonFiniteInput(f"point must be finite, got {(x, t)!r}")
@@ -261,7 +249,8 @@ def gaussian_terms(
 
     exact: the two sides of the identity the equation reduces to once the
     common factor psi^(2q-1) is divided out, -i q G_t and
-    (1/2m)[q G_x^2 - (1 + (q-1)G) G_xx], with G_t from rates_exact.
+    (1/2m)[q G_x^2 - (1 + (q-1)G) G_xx], with the exact rates of
+    _coeffs_and_rates.
     approx: (i dt psi^q, (1/2m) d2x psi) of psi = P e^{-G0},
     P = 1 - (q-1)(G1 - G0^2/2), with the rates from rates_first_order.
     """

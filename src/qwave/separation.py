@@ -22,9 +22,9 @@ lam = p^2/2 for g, cancel with no branch bookkeeping at all.
 Each equation is given by its addends, as in the plane-wave module:
 f_terms and g_terms insert a whole factor family, and their sum is the
 residual (the approximants, powered by qcore.first_order_pow, leave
-genuine O((q-1)^2) remainders), while expansion_terms_f and
-expansion_terms_g give the addends of the truncated first-order forms,
-whose brackets coincide and cancel identically at the eigenvalue.
+genuine O((q-1)^2) remainders).  The truncated pairs (dt_approx_f_q,
+approx_f) and (d2x_approx_g, approx_g_q) have coinciding brackets, so
+they cancel identically at the eigenvalue.
 
 The factor f is undefined at q = 0 (its formula divides by q) and g needs
 q + 1 > 0 (the formula divides by sqrt(2(q+1))); both are rejected with
@@ -73,11 +73,6 @@ def exact_f_q(t: float, E: float, q: float) -> complex:
     return q_pow(1j * E * t / q, q, -q)
 
 
-def exact_dt_f_q(t: float, E: float, q: float) -> complex:
-    """d/dt of f^q, which collapses to -iE f for every q."""
-    return -(1j * E) * exact_f(t, E, q)
-
-
 def approx_f(t: float, E: float, q: float) -> complex:
     """First-order time factor e^{-i tau}[1 + (q-1)(i tau + tau^2/2)], tau = Et."""
     _require_finite(t=t, E=E, q=q)
@@ -103,12 +98,14 @@ def dt_approx_f_q(t: float, E: float, q: float) -> complex:
 def f_terms(t: float, E: float, q: float, *, family: str) -> tuple[complex, complex]:
     """The two addends (i d/dt f^q, -E f) of the time equation at lam = E.
 
-    family "exact" uses the closed-form exact_dt_f_q; family "approx"
+    family "exact" uses the closed-form derivative of f^q; family "approx"
     treats the first-order factor as a bona fide candidate, powered by
     qcore.first_order_pow along its continuous logarithm.
     """
     if family == "exact":
-        return 1j * exact_dt_f_q(t, E, q), -E * exact_f(t, E, q)
+        f = exact_f(t, E, q)
+        # d/dt f^q = -iE f for every q
+        return 1j * (-(1j * E) * f), -E * f
     if family == "approx":
         _require_finite(t=t, E=E, q=q)
         tau, eps = E * t, q - 1.0
@@ -125,15 +122,6 @@ def residual_f(t: float, E: float, q: float, *, family: str) -> complex:
     """Residual i d/dt(f^q) - E f, the sum of f_terms.  The checks sum the
     addends themselves; this wrapper is kept because the benchmark times it."""
     return sum(f_terms(t, E, q, family=family))
-
-
-def expansion_terms_f(t: float, E: float, q: float) -> tuple[complex, complex]:
-    """The addends (i d/dt f^q, -E f) from the truncated pair (dt_approx_f_q,
-    approx_f).  At lam = E the two first-order brackets are the same
-    polynomial in tau, so their sum vanishes identically, not merely to
-    O((q-1)^2).
-    """
-    return 1j * dt_approx_f_q(t, E, q), -E * approx_f(t, E, q)
 
 
 # -- space factor -------------------------------------------------------
@@ -153,11 +141,6 @@ def exact_g_q(x: float, p: float, q: float) -> complex:
     _check_q_for_g(q)
     mu = p / math.sqrt(2.0 * (q + 1.0))
     return q_pow(1j * mu * x, q, 2.0 * q)
-
-
-def exact_d2x_g(x: float, p: float, q: float) -> complex:
-    """d2/dx2 of g, which collapses to -p^2 g^q for every q."""
-    return -(p * p) * exact_g_q(x, p, q)
 
 
 def _g_correction(xi: float, q: float) -> complex:
@@ -195,20 +178,11 @@ def g_terms(x: float, p: float, q: float, *, family: str) -> tuple[complex, comp
     lam = p * p / 2.0
     _require_finite(lam=lam)
     if family == "exact":
-        return -0.5 * exact_d2x_g(x, p, q), -lam * exact_g_q(x, p, q)
+        g_q = exact_g_q(x, p, q)
+        # d2x g = -p^2 g^q for every q
+        return -0.5 * (-(p * p) * g_q), -lam * g_q
     if family == "approx":
         term_x = -0.5 * d2x_approx_g(x, p, q)  # refuses a non-finite x, p or q first
         xi = p * x
         return term_x, -lam * first_order_pow(1j * xi, _g_correction(xi, q), q)
     raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
-
-
-def expansion_terms_g(x: float, p: float, q: float) -> tuple[complex, complex]:
-    """The addends (-(1/2) d2/dx2 g, -lam g^q) from the truncated pair
-    (d2x_approx_g, approx_g_q).  Their sum is identically zero at
-    lam = p^2/2: the brackets of the two truncated forms are equal term
-    by term.
-    """
-    lam = p * p / 2.0
-    _require_finite(lam=lam)
-    return -0.5 * d2x_approx_g(x, p, q), -lam * approx_g_q(x, p, q)

@@ -51,6 +51,9 @@ MUTATIONS = [
     ("coeffs_first_order_c2", "qgaussian.coeffs_first_order",
      "c2=c2)", "c2=1.001 * c2)",
      {"gaussian.coeff_jets", "gaussian.jet_authority", "gaussian.coeff_fd"}),
+    ("first_order_parts_G0sq", "qgaussian.first_order_parts",
+     "0.5 * G0 * G0", "0.501 * G0 * G0",
+     {"gaussian.jet_authority"}),
     ("approx_f_q_tau2", "separation.approx_f_q",
      "(q - 1.0) * tau * tau / 2.0", "1.001 * (q - 1.0) * tau * tau / 2.0",
      {"separation.dt_f_q_fd", "separation.f_q_jet"}),

@@ -1,14 +1,12 @@
 """Plane-wave family: exact self-consistency, genuine insertion order, and
 the ratio diagnostic."""
 
-import cmath
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwave import planewave as pw
-from qwave import checks, qcore, verify
+from qwave import checks, verify
 from qwave.errors import BranchCutViolation, NonFiniteInput, NonFiniteResult
 
 WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
@@ -65,28 +63,13 @@ def test_modulus_identity():
 
 
 def test_psi_q_jet_matches_closed_coefficient():
-    # psi^q = exp(q * iu * S(w)); assembling the exponent jet from the pole
-    # absorber avoids jet_ln's winding loss at |u| > pi
-    for x in XS:
-        for t in TS:
-            u = pw.phase(pw.PhasePoint(x, t), WAVE)
-            exponent = qcore.QJet(1.0, 1.0) * (
-                qcore.as_jet(1j * u) * qcore.log1p_over_w_jet(-1j * u)
-            )
-            jet = qcore.jet_exp(exponent)
-            closed = pw.approx_psi_q(pw.PhasePoint(x, t), WAVE, 2.0)  # eps = 1
-            # approx_psi_q = e^{iu}(1 + eps(iu - u^2/2)); eps=1 isolates v0+v1
-            assert abs((jet.v0 + jet.v1) - closed) <= 1e-12 * max(1.0, abs(closed))
+    worst = checks.pw_psi_q_jet([pw.PhasePoint(x, t) for x in XS for t in TS])
+    assert worst <= 1e-12, worst
 
 
 def test_exact_psi_q_fd_in_q():
-    for x in XS[::4]:
-        for t in TS:
-            pt = pw.PhasePoint(x, t)
-            fd = verify.jet_from_fd(lambda q, pt=pt: pw.exact_psi_q(pt, WAVE, q))
-            u = pw.phase(pt, WAVE)
-            closed = (1j * u - u * u / 2.0) * cmath.exp(1j * u)
-            assert abs(fd.v1 - closed) <= 1e-6 * max(1.0, abs(closed))
+    worst = checks.pw_approx_jet_fd([pw.PhasePoint(x, t) for x in XS[::4] for t in TS])
+    assert worst <= 1e-6, worst
 
 
 def test_ratio_is_one_at_q1():

@@ -37,7 +37,6 @@ def test_params_validation():
     (qg.wavefunction_jet, (math.inf, 0.0)),
     (qg.exact_qgaussian, (0.0, math.nan)),
     (qg.approx_qgaussian, (-math.inf, 0.0)),
-    (qg.rates_exact, (math.inf,)),
     (qg.rates_first_order, (math.nan,)),
 ])
 def test_non_finite_point_is_refused(fn, point):

@@ -36,21 +36,6 @@ def test_exact_g_eigenrelation(q):
     assert worst <= 1e-10, worst
 
 
-def test_dt_of_f_q_closed_form():
-    # d/dt of f^q is -iE f with no q factor left over
-    for q in (0.95, 1.2):
-        worst = checks.fd_gap(lambda t: sep.exact_dt_f_q(t, E, q),
-                              lambda t: sep.exact_f_q(t, E, q), TS[1::3], 1.0 / E, 1)
-        assert worst <= 1e-9, (q, worst)
-
-
-def test_d2x_of_g_closed_form():
-    for q in (0.95, 1.2):
-        worst = checks.fd_gap(lambda x: sep.exact_d2x_g(x, P, q),
-                              lambda x: sep.exact_g(x, P, q), XS[1::3], 1.0 / P, 2)
-        assert worst <= 1e-7, (q, worst)
-
-
 def test_expansion_pairs_cancel():
     # at q - 1 = 1e-3, 1e-6 and 1e-9
     worst = checks.sep_pair_cancellation()

@@ -185,7 +185,7 @@ def test_pw_exact_residual_is_point_by_point():
     assert expected > max(d for d, _ in pairs) / max(s for _, s in pairs)
 
 
-@pytest.mark.parametrize("q", [0.999, 1.02, 1.1, 0.7])
+@pytest.mark.parametrize("q", [0.999, 1.02, 1.1, 0.7, 0.95, 1.2])
 def test_exact_addends_are_fd_derivatives_of_the_exact_waves(q):
     # the exact residual checks sum addends built from closed-form
     # derivative identities, so a wrong identity cancels there by
