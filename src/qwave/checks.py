@@ -433,7 +433,7 @@ _QG_PARAMS = _qg_params(1.001)
 
 
 check("gaussian.c_at_zero", "c(0) = 0 exactly", 1e-13)(
-    lambda: max(abs(qg.coeffs_exact(0.0, _qg_params(q)).c) for q in _QG_QS)
+    lambda: max(abs(qg.coeffs_exact(0.0, _qg_params(q))[2]) for q in _QG_QS)
 )
 check("gaussian.psi_origin", "psi(0,0) = 1 exactly", 1e-13)(
     lambda: max(abs(qg.exact_qgaussian(0.0, 0.0, _qg_params(q)) - 1.0) for q in _QG_QS)
@@ -445,14 +445,9 @@ def qg_coeff_jets(params: qg.GaussianParams = _QG_PARAMS) -> float:
     """Worst gap of the coefficient jets against coeffs_first_order."""
 
     def pairs(t):
-        split = qg.coeffs_first_order(t, params)
-        for jet, c0, c1 in zip(
-            qg._coeff_jets(t, params),
-            (split.a1, split.b1, split.c1),
-            (split.a2, split.b2, split.c2),
-        ):
-            yield abs(jet.v0 - c0), max(1.0, abs(c0))
-            yield abs(jet.v1 - c1), max(1.0, abs(c1))
+        for jet, (v0, v1) in zip(qg._coeff_jets(t, params), qg.coeffs_first_order(t, params)):
+            yield abs(jet.v0 - v0), max(1.0, abs(v0))
+            yield abs(jet.v1 - v1), max(1.0, abs(v1))
 
     return max(max_rel(pairs(t)) for t in _QG_TS)
 
@@ -476,10 +471,8 @@ def qg_jet_authority(xs=_QG_XS, ts=_QG_TS) -> float:
        1e-6)
 def _qg_coeff_fd() -> float:
     def pairs(t):
-        split = qg.coeffs_first_order(t, _QG_PARAMS)
-        for name, v0, v1 in (("a", split.a1, split.a2), ("b", split.b1, split.b2),
-                             ("c", split.c1, split.c2)):
-            yield (lambda q, name=name: getattr(qg.coeffs_exact(t, _qg_params(q)), name),
+        for i, (v0, v1) in enumerate(qg.coeffs_first_order(t, _QG_PARAMS)):
+            yield (lambda q, i=i: qg.coeffs_exact(t, _qg_params(q))[i],
                    lambda q, v0=v0, v1=v1: v0 + (q - 1.0) * v1)
 
     return approx_jet_gap(pair for t in _QG_TS for pair in pairs(t))

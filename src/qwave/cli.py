@@ -315,8 +315,8 @@ def _cutoff_refusal(args) -> BranchCutViolation | None:
     meets the cut at the least root x_c in [0, --xmax] of
     (q-1)(a x^2 + b x + c) = -1, the edge of a q < 1 packet's support."""
     params = qg.GaussianParams(m=args.m, beta=args.beta, q=1.0 + args.q_minus_1)
-    cs, eps = qg.coeffs_exact(args.t, params), params.q - 1.0
-    A, B, C = eps * cs.a, eps * cs.b, 1.0 + eps * cs.c
+    (a, b, c), eps = qg.coeffs_exact(args.t, params), params.q - 1.0
+    A, B, C = eps * a, eps * b, 1.0 + eps * c
     disc = (B * B - 4.0 * A * C).real
     if any(v.imag for v in (A, B, C)) or disc < 0.0:
         return None

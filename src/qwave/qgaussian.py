@@ -33,7 +33,9 @@ solution, not merely a first-order one.  Their rates carry no 1/(q-1):
 Everything q-dependent is exposed three ways: exact (coeffs_exact,
 exact_qgaussian), first-order closed forms (coeffs_first_order,
 approx_qgaussian), and eps-jets (wavefunction_jet, rates_first_order),
-which arbitrate between the other two in the tests.
+which arbitrate between the other two in the tests.  A coefficient set
+is the plain tuple (a, b, c), its first-order splits the pairs
+((a1, a2), (b1, b2), (c1, c2)) with a = a1 + (q-1) a2.
 The jets are no second derivation: _coeffs_and_rates states the formulas
 above once and evaluates them on numbers or on jets.  gaussian_terms
 gives the equation terms of either family in closed form; the first-order
@@ -76,31 +78,6 @@ class GaussianParams(qcore.Frozen):
             raise InvalidQ("q = -1 breaks the coefficient denominators (q+1)")
 
 
-class GaussianCoeffSet(qcore.Frozen):
-    """Exact coefficient values a(t), b(t), c(t) at one time."""
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: complex, b: complex, c: complex):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-
-
-class GaussianCoeffJet(qcore.Frozen):
-    """First-order splits a = a1 + (q-1) a2 etc. at one time, all complex."""
-
-    __slots__ = ("a1", "a2", "b1", "b2", "c1", "c2")
-
-    def __init__(self, a1, a2, b1, b2, c1, c2):
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "b2", b2)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-
-
 # (log, exp, E) of the coefficient formulas: on numbers, and on eps-jets,
 # where M = eps L/(q+1) has value part 0, so E(M) is the pole jet
 _EXACT = (cmath.log, cmath.exp, qcore.stable_expm1_over_w)
@@ -124,20 +101,21 @@ def _coeffs_and_rates(t: float, params: GaussianParams, q, functions):
     return (a, b, c), (k * a, k * b, 1j * (1.0 - (q - 1.0) * kq) * eM / D + k * kq / D)
 
 
-def coeffs_exact(t: float, params: GaussianParams) -> GaussianCoeffSet:
-    """Exact a(t), b(t), c(t); c via the expm1 pairing described above."""
-    return GaussianCoeffSet(*_coeffs_and_rates(t, params, params.q, _EXACT)[0])
+def coeffs_exact(t: float, params: GaussianParams) -> tuple[complex, complex, complex]:
+    """Exact (a, b, c) at time t; c via the expm1 pairing described above."""
+    return _coeffs_and_rates(t, params, params.q, _EXACT)[0]
 
 
 def exponent(x, t: float, params: GaussianParams, cs=None):
     """G = a x^2 + b x + c of the exact packet e_q(-G), at a float or an array
     of x; cs is coeffs_exact(t, params), when the caller has it already."""
-    cs = coeffs_exact(t, params) if cs is None else cs
-    return cs.a * x * x + cs.b * x + cs.c
+    a, b, c = coeffs_exact(t, params) if cs is None else cs
+    return a * x * x + b * x + c
 
 
-def coeffs_first_order(t: float, params: GaussianParams) -> GaussianCoeffJet:
-    """Closed-form first-order splits of the coefficients."""
+def coeffs_first_order(t: float, params: GaussianParams):
+    """Closed-form first-order splits ((a1, a2), (b1, b2), (c1, c2)) of the
+    coefficients, a = a1 + (q-1) a2 and so on."""
     if not math.isfinite(t):
         raise NonFiniteInput(f"t must be finite, got {t!r}")
     m, beta = params.m, params.beta
@@ -156,15 +134,15 @@ def coeffs_first_order(t: float, params: GaussianParams) -> GaussianCoeffJet:
         + L0 * L0 / 8.0
         - (0.25 + 0.5 * kappa) * L0
     )
-    return GaussianCoeffJet(a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2)
+    return (a1, a2), (b1, b2), (c1, c2)
 
 
 def first_order_parts(x, t: float, params: GaussianParams, j=None):
     """(c, G0) of the first-order packet (1 + c) e^{-G0}, c = -(q-1)(G1 - G0^2/2),
     with G0 = a1 x^2 + b1 x + c1 and G1 = a2 x^2 + b2 x + c2, at a float or an
     array of x; j is coeffs_first_order(t, params), when the caller has it already."""
-    j = coeffs_first_order(t, params) if j is None else j
-    G0, G1 = j.a1 * x * x + j.b1 * x + j.c1, j.a2 * x * x + j.b2 * x + j.c2
+    (a1, a2), (b1, b2), (c1, c2) = coeffs_first_order(t, params) if j is None else j
+    G0, G1 = a1 * x * x + b1 * x + c1, a2 * x * x + b2 * x + c2
     return -(params.q - 1.0) * (G1 - 0.5 * G0 * G0), G0
 
 
@@ -175,12 +153,12 @@ def _coeff_jets(t: float, params: GaussianParams) -> tuple[QJet, QJet, QJet]:
     return _coeffs_and_rates(t, params, QJet(1.0, 1.0), _JETS)[0]
 
 
-def rates_first_order(t: float, params: GaussianParams) -> GaussianCoeffJet:
-    """Time derivatives (a1_t, a2_t, b1_t, b2_t, c1_t, c2_t) of the
+def rates_first_order(t: float, params: GaussianParams):
+    """Time derivatives ((a1_t, a2_t), (b1_t, b2_t), (c1_t, c2_t)) of the
     first-order splits: the shipped rate formulas of _coeffs_and_rates
     evaluated on jets, as in _coeff_jets."""
     jets = _coeffs_and_rates(t, params, QJet(1.0, 1.0), _JETS)[1]
-    return GaussianCoeffJet(*(v for jet in jets for v in (jet.v0, jet.v1)))
+    return tuple((jet.v0, jet.v1) for jet in jets)
 
 
 def wavefunction_jet(x: float, t: float, params: GaussianParams) -> QJet:
@@ -261,12 +239,14 @@ def gaussian_terms(
         return -1j * q * Gt, (q * Gx * Gx - (1.0 + (q - 1.0) * G) * 2.0 * a) / (2.0 * m)
     if family != "approx":
         raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
-    j, r, eps = coeffs_first_order(t, params), rates_first_order(t, params), q - 1.0
+    j, eps = coeffs_first_order(t, params), q - 1.0
+    (a1, a2), (b1, b2), _ = j
+    (a1_t, a2_t), (b1_t, b2_t), (c1_t, c2_t) = rates_first_order(t, params)
     corr, G0 = first_order_parts(x, t, params, j)  # P = 1 + corr
-    G0x, G1x = 2.0 * j.a1 * x + j.b1, 2.0 * j.a2 * x + j.b2
-    G0t, G1t = r.a1 * x * x + r.b1 * x + r.c1, r.a2 * x * x + r.b2 * x + r.c2
+    G0x, G1x = 2.0 * a1 * x + b1, 2.0 * a2 * x + b2
+    G0t, G1t = a1_t * x * x + b1_t * x + c1_t, a2_t * x * x + b2_t * x + c2_t
     P, Pt = 1.0 + corr, -eps * (G1t - G0 * G0t)
-    Px, Pxx = -eps * (G1x - G0 * G0x), -eps * (2.0 * j.a2 - G0x * G0x - 2.0 * j.a1 * G0)
+    Px, Pxx = -eps * (G1x - G0 * G0x), -eps * (2.0 * a2 - G0x * G0x - 2.0 * a1 * G0)
     psi_q = qcore.first_order_pow(-G0, corr, q)  # refuses P on the branch cut
-    d2x = (Pxx - 2.0 * Px * G0x + P * (G0x * G0x - 2.0 * j.a1)) * cmath.exp(-G0)
+    d2x = (Pxx - 2.0 * Px * G0x + P * (G0x * G0x - 2.0 * a1)) * cmath.exp(-G0)
     return 1j * q * psi_q * (Pt / P - G0t), d2x / (2.0 * m)

@@ -49,7 +49,7 @@ MUTATIONS = [
      "(jet.v0, jet.v1)", "(jet.v0, jet.v1 * (1.001 if jet is jets[0] else 1.0))",
      {"gaussian.approx_order", "gaussian.approx_order_r2"}),
     ("coeffs_first_order_c2", "qgaussian.coeffs_first_order",
-     "c2=c2)", "c2=1.001 * c2)",
+     "return (a1, a2), (b1, b2), (c1, c2)", "return (a1, a2), (b1, b2), (c1, 1.001 * c2)",
      {"gaussian.coeff_jets", "gaussian.jet_authority", "gaussian.coeff_fd"}),
     ("first_order_parts_G0sq", "qgaussian.first_order_parts",
      "0.5 * G0 * G0", "0.501 * G0 * G0",

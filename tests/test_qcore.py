@@ -247,8 +247,14 @@ WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
         # G0^2/2 overflows in c at x = 4
         (lambda: qg.ratio_gaussian(np.linspace(0.0, 4.0, 3), 0.0,
                                    qg.GaussianParams(m=1e300, beta=1.0, q=1.001)), NonFiniteResult),
+        # 1/(4 m q beta^2) in c overflows: the kernel refuses the terms
+        (lambda: qg.ratio_gaussian(np.linspace(0.0, 4.0, 3), 0.5,
+                                   qg.GaussianParams(m=1.0, beta=1e-160, q=1.001)), NonFiniteResult),
+        (lambda: qg.ratio_gaussian(np.linspace(0.0, 4.0, 3), 0.5,
+                                   qg.GaussianParams(m=1e-320, beta=1.0, q=1.001)), NonFiniteResult),
     ],
-    ids=["nan-x-packet", "nan-x-plane-wave", "nan-q", "packet-cut", "packet-overflow"],
+    ids=["nan-x-packet", "nan-x-plane-wave", "nan-q", "packet-cut", "packet-overflow",
+         "packet-tiny-beta", "packet-tiny-m"],
 )
 def test_ratio_refusals_are_typed(ratio, error):
     with pytest.raises(error):

@@ -36,24 +36,6 @@ def test_exact_g_eigenrelation(q):
     assert worst <= 1e-10, worst
 
 
-def test_expansion_pairs_cancel():
-    # at q - 1 = 1e-3, 1e-6 and 1e-9
-    worst = checks.sep_pair_cancellation()
-    assert worst <= 1e-12, worst
-
-
-def test_genuine_f_insertion_order():
-    fit = verify.order_of_convergence(lambda eps: checks.sep_f_norm(eps, TS))
-    assert fit.slope >= 1.9, fit
-    assert fit.r_squared >= 0.999, fit
-
-
-def test_genuine_g_insertion_order():
-    fit = verify.order_of_convergence(lambda eps: checks.sep_g_norm(eps, XS))
-    assert fit.slope >= 1.9, fit
-    assert fit.r_squared >= 0.999, fit
-
-
 def test_f_jets_against_closed_forms():
     for t in TS:
         tau = E * t

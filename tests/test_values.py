@@ -2,13 +2,16 @@
 hash and repr by field."""
 
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
+import qwave
 from qwave import checks, qcore, scenarios, verify
 from qwave import kleingordon as kg
 from qwave import planewave as pw
@@ -24,13 +27,25 @@ VALUES = {
     "PhasePoint": lambda v=1.0: pw.PhasePoint(v, 0.5),
     "QJet": lambda v=1.0: qcore.QJet(v, 2j),
     "GaussianParams": lambda v=1.0: qg.GaussianParams(m=v, beta=1.0, q=1.1),
-    "GaussianCoeffSet": lambda v=1.0: qg.GaussianCoeffSet(a=v, b=2j, c=3.0),
-    "GaussianCoeffJet": lambda v=1.0: qg.GaussianCoeffJet(v, 2.0, 3.0, 4.0, 5.0, 6.0),
     "ParticleScenario": lambda v=1.0: scenarios.ParticleScenario.from_mev("proton", v, 1e-9),
     "FDScheme": lambda v=1.0: verify.FDScheme(step=v),
     "OrderFit": lambda v=1.0: verify.OrderFit((1e-2, 1e-4), (v, 1e-8), 2.0, 1.0),
     "Check": lambda v=1.0: checks.Check("suite.name", "a claim", v, "le", float),
 }
+
+
+def test_every_value_type_has_a_row():
+    # Sweep compares by identity (test_sweeps_compare_by_identity); __main__ runs the CLI
+    for module in pkgutil.iter_modules(qwave.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"qwave.{module.name}")
+    found, todo = set(), [qcore.Frozen]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("qwave."):
+                found.add(cls.__name__)
+    assert found - {"Sweep"} == set(VALUES)
 
 
 @pytest.mark.parametrize("name", VALUES)
