@@ -34,6 +34,7 @@ from . import qcore
 from . import qgaussian as qg
 from . import separation as sep
 from . import verify
+from .scenarios import linspace
 
 
 class Check(qcore.Frozen):
@@ -145,20 +146,11 @@ def approx_jet_gap(pairs) -> float:
     return max_rel(pair(*p) for p in pairs)
 
 
-def _grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
-    """n points from lo to hi, equal bit for bit to np.linspace(lo, hi, n)."""
-    delta = hi - lo
-    step = delta / (n - 1)
-    if step == 0.0:  # a subnormal spacing: linspace scales i / (n - 1) by delta instead
-        return tuple([i / (n - 1) * delta + lo for i in range(n - 1)] + [hi])
-    return tuple([i * step + lo for i in range(n - 1)] + [hi])
-
-
 # -- planewave -------------------------------------------------------------
 
 _PW_WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
-_PW_XS = _grid(-6.0, 6.0, 31)
-_PW_TS = _grid(0.0, 3.0, 5)
+_PW_XS = linspace(-6.0, 6.0, 31)
+_PW_TS = linspace(0.0, 3.0, 5)
 _PW_POINTS = tuple(pw.PhasePoint(x, t) for x in _PW_XS for t in _PW_TS)
 
 
@@ -298,8 +290,8 @@ def pw_dt_q_fd(q: float = 1.02, xs=_PW_XS[::3], ts=_PW_TS) -> float:
 
 _SEP_E = 0.845
 _SEP_P = 1.3
-_SEP_TS = _grid(0.0, 4.0, 17)
-_SEP_XS = _grid(-6.0, 6.0, 17)
+_SEP_TS = linspace(0.0, 4.0, 17)
+_SEP_XS = linspace(-6.0, 6.0, 17)
 _PAIR_EPSILONS = (1e-3, 1e-6, 1e-9)
 
 
@@ -419,8 +411,8 @@ def _sep_product_not_planewave(x0: float = 0.7, t0: float = 0.9) -> float:
 
 # -- gaussian --------------------------------------------------------------
 
-_QG_XS = _grid(-3.0, 3.0, 13)
-_QG_TS = _grid(0.0, 2.0, 5)
+_QG_XS = linspace(-3.0, 3.0, 13)
+_QG_TS = linspace(0.0, 2.0, 5)
 _QG_QS = (0.999, 1.001, 1.1)
 _QG_PROBES = tuple((x, t) for x in (0.3, 0.9, 1.6) for t in (0.2, 0.8))
 
@@ -511,14 +503,14 @@ def _qg_ratio_band() -> float:
     cs, j = qg.coeffs_exact(0.0, _QG_PARAMS), qg.coeffs_first_order(0.0, _QG_PARAMS)
     return max(abs(abs(qg.approx_qgaussian(x, 0.0, _QG_PARAMS, j))
                    / abs(qg.exact_qgaussian(x, 0.0, _QG_PARAMS, cs)) - 1.0)
-               for x in _grid(0.0, 4.0, 1001))
+               for x in linspace(0.0, 4.0, 1001))
 
 
 # -- kleingordon -----------------------------------------------------------
 
 _KG_WAVE = kg.KGWave.on_shell(k=1.1, m=1.0)
-_KG_XS = _grid(-4.0, 4.0, 17)
-_KG_TS = _grid(0.0, 3.0, 5)
+_KG_XS = linspace(-4.0, 4.0, 17)
+_KG_TS = linspace(0.0, 3.0, 5)
 
 
 def kg_exact_residual(q: float, wave: kg.KGWave = _KG_WAVE, xs=_KG_XS, ts=_KG_TS) -> float:

@@ -8,10 +8,13 @@ Two subcommands:
   (residual grids, jet-vs-FD cross-checks, order-of-convergence fits),
   selected by suite, and prints a claim/measured/tolerance table.
 
-Only ``qwave ratio`` loads numpy, and only its CSV and JSON writers load
-qwave.floattext: each is imported in the functions that use it.  Importing
-this module and running ``qwave verify`` load neither, nor json or
-inspect: the value types are immutable __slots__ classes on qcore.Frozen.
+Only a ``qwave ratio`` sweep longer than one block (scenarios.BLOCK_ROWS
+points) loads numpy, and only its CSV and JSON writers load
+qwave.floattext: each is imported in the functions that use it.  A sweep
+of one block, as both defaults and every figure are, is evaluated and
+written on Python floats.  Importing this module and running ``qwave
+verify`` load neither, nor json or inspect: the value types are
+immutable __slots__ classes on qcore.Frozen.
 
 Each option is declared once, on the subcommand's argparse parser.  A
 --config file's key=value lines are read as --key=value arguments of the
@@ -27,8 +30,9 @@ names the flag at whose value it occurred).
 Output determinism: CSV prints floats with the bytes of %.17g (17
 significant digits), JSON with the shortest repr that round-trips, and
 lines end in "\n" on every platform, so repeated runs write identical
-bytes.  A sweep is evaluated in full, then formatted and written block by
-block (scenarios.BLOCK_ROWS rows) by qwave.floattext in numpy from exact
+bytes.  A sweep is evaluated in full, then formatted and written: one
+block by "%" and repr themselves, a longer sweep block by block
+(scenarios.BLOCK_ROWS rows) by qwave.floattext in numpy from exact
 integer digits, the shortest for JSON, with "%" or repr for the values it
 does not prove (zero, inf, nan, |v| outside [1e-11, 2^51) and a few more).
 Nothing is written for a refused sweep, nor for an --out or plot path that
@@ -46,6 +50,7 @@ import os
 import re
 import sys
 import time
+from array import array
 from typing import TextIO
 
 from . import checks
@@ -119,15 +124,25 @@ def _config_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
 # Both writers format a whole file, or one block of its rows: first=False
 # leaves out what opens the file and last=False what closes it, so the
 # texts of consecutive non-empty blocks concatenate to the whole file.
+# A one-block sweep's Python floats are formatted by "%" itself, numpy
+# arrays by qwave.floattext, which writes the same bytes.
+
+
+def _python_text(row: str, rows: scenarios.Sweep) -> str:
+    """row % (x, value) for each row of a sweep of Python floats, concatenated."""
+    return (row * len(rows)) % tuple(v for pair in zip(rows.x, rows.values) for v in pair)
 
 
 def format_rows_csv(header: tuple[str, str], rows: scenarios.Sweep, *, first: bool = True,
                     last: bool = True) -> str:
     """CSV text of a sweep's (x, value) rows.
     first=False leaves out the header; CSV has no closing text to leave out."""
+    text = ",".join(header) + "\n" if first else ""
+    if isinstance(rows.x, array):
+        return text + _python_text("%.17g,%.17g\n", rows)
     from .floattext import rows_text
 
-    return (",".join(header) + "\n" if first else "") + rows_text(rows.x, rows.values)
+    return text + rows_text(rows.x, rows.values)
 
 
 def format_rows_json(header: tuple[str, str], rows: scenarios.Sweep, *, first: bool = True,
@@ -138,9 +153,12 @@ def format_rows_json(header: tuple[str, str], rows: scenarios.Sweep, *, first: b
     "["; last=False leaves out the closing "]"."""
     if not len(rows):
         return "[]\n" if first and last else ""
-    from .floattext import records_text
+    if isinstance(rows.x, array):  # repr is json's text of a finite float
+        text = _python_text(',\n {\n  "%s": %%r,\n  "%s": %%r\n }' % header, rows)
+    else:
+        from .floattext import records_text
 
-    text = records_text(header, rows.x, rows.values)
+        text = records_text(header, rows.x, rows.values)
     return ("[" + text[1:] if first else text) + ("\n]\n" if last else "")
 
 
@@ -173,15 +191,13 @@ def _write_sweep(out: TextIO, fmt: str, header: tuple[str, str], sweep: scenario
 
 def emit_plot_svg(rows: scenarios.Sweep, meta: dict[str, str], out_path: str) -> None:
     """Hand-rolled SVG line plot; no plotting dependency at run time."""
-    import numpy as np
-
     if not len(rows):
         raise ValueError("no data rows to plot")
     width, height = 800.0, 500.0
     ml, mr, mt, mb = 75.0, 20.0, 45.0, 55.0
-    xs, ys = rows.x, rows.values
-    xmin, xmax = float(xs.min()), float(xs.max())
-    ymin, ymax = float(ys.min()), float(ys.max())
+    xs, ys = rows.x.tolist(), rows.values.tolist()
+    xmin, xmax = min(xs), max(xs)
+    ymin, ymax = min(ys), max(ys)
     if xmax == xmin:
         xmax = xmin + 1.0
     pad = (ymax - ymin) or abs(ymax) or 1.0
@@ -224,8 +240,7 @@ def emit_plot_svg(rows: scenarios.Sweep, meta: dict[str, str], out_path: str) ->
         f'<rect x="{ml:.2f}" y="{mt:.2f}" width="{width - ml - mr:.2f}" '
         f'height="{height - mt - mb:.2f}" fill="none" stroke="black"/>'
     )
-    xy = np.column_stack((sx(xs), sy(ys))).ravel().tolist()
-    points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
+    points = " ".join(map("%.2f,%.2f".__mod__, zip(map(sx, xs), map(sy, ys))))
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="1.3"/>'
     )
@@ -295,7 +310,7 @@ def _overflow_refusal(args) -> NonFiniteResult | None:
         cannot be evaluated."""
         try:
             return next((name for name, v in terms(**values) if not cmath.isfinite(v)), None)
-        except (NonFiniteInput, ZeroDivisionError):
+        except NonFiniteInput:
             return quantity
 
     if non_finite("reference point"):
@@ -310,9 +325,9 @@ def _overflow_refusal(args) -> NonFiniteResult | None:
 
 
 def _cutoff_refusal(args) -> BranchCutViolation | None:
-    """The refusal of a packet sweep whose base 1 + (q-1) G met the branch
-    cut, naming x_c and --xmax.  With real a, b, c (t = 0) the base first
-    meets the cut at the least root x_c in [0, --xmax] of
+    """The refusal of a packet sweep whose grid reaches the branch cut of its
+    base 1 + (q-1) G, naming x_c and --xmax.  With real a, b, c (t = 0) the
+    base first meets the cut at the least root x_c in [0, --xmax] of
     (q-1)(a x^2 + b x + c) = -1, the edge of a q < 1 packet's support."""
     params = qg.GaussianParams(m=args.m, beta=args.beta, q=1.0 + args.q_minus_1)
     (a, b, c), eps = qg.coeffs_exact(args.t, params), params.q - 1.0
@@ -321,7 +336,8 @@ def _cutoff_refusal(args) -> BranchCutViolation | None:
     if any(v.imag for v in (A, B, C)) or disc < 0.0:
         return None
     s = -(B.real + math.copysign(math.sqrt(disc), B.real)) / 2.0  # roots s/A, C/s
-    x_c = min((r for r in (s / A.real, C.real / s) if 0.0 <= r <= args.xmax), default=None)
+    roots = (s / A.real, C.real / s) if A.real else (C.real / s,) if s else ()  # linear if A = 0
+    x_c = min((r for r in roots if 0.0 <= r <= args.xmax), default=None)
     return None if x_c is None else BranchCutViolation(
         f"the packet's q-power base 1 + (q-1) G reaches the branch cut where (q-1) G = -1: "
         f"set --xmax below x_c = {x_c!r} (got --xmax {args.xmax!r})"
@@ -380,11 +396,12 @@ def cmd_ratio(args, parser) -> int:
                 args.species, args.energy_mev, args.q_minus_1, args.momentum_model, x_range, args.t
             )
             sweep = scenarios.run_ratio_sweep(scn)
-    except (NonFiniteInput, NonFiniteResult, ZeroDivisionError, BranchCutViolation) as exc:
-        # the sweep stops at its first failing block, so a cut met there may
-        # come before an overflow that a later block holds: the overflow wins
+    except (NonFiniteInput, NonFiniteResult, BranchCutViolation) as exc:
+        # the sweep stops at its first failing block (one block at its first
+        # failing point), so the fault it meets first depends on the path: the
+        # refusal is read from the flags instead, an overflow before the cut
         refusal = _overflow_refusal(args)
-        if refusal is None and gaussian and isinstance(exc, BranchCutViolation):
+        if refusal is None and gaussian:
             refusal = _cutoff_refusal(args)
         if refusal is None:
             raise

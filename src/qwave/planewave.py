@@ -73,13 +73,7 @@ class PhasePoint(qcore.Frozen):
     def __init__(self, x: float | np.ndarray, t: float = 0.0):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "t", t)
-        if isinstance(x, (float, int)):
-            x_finite = math.isfinite(x)
-        else:
-            import numpy as np
-
-            x_finite = bool(np.isfinite(x).all())
-        if not (x_finite and math.isfinite(t)):
+        if not (qcore.all_finite(x) and math.isfinite(t)):
             raise NonFiniteInput(f"phase point must be finite, got {self!r}")
 
 
@@ -168,12 +162,8 @@ def ratio_R(pt: PhasePoint, w: PlaneWave, q: float) -> float | np.ndarray:
     """Deviation diagnostic R = |approx_psi| / |exact_psi|.
 
     qcore.modulus_ratio forms it from the terms (c, g0, g) of ratio_terms
-    in real log-modulus arithmetic.  An array pt.x gives an array; a float
-    pt.x is the one-point case of the same code, so both give identical
-    values.
+    in real log-modulus arithmetic: an array pt.x gives an array, a float
+    pt.x a float, evaluated without numpy.
     """
-    import numpy as np
-
-    with np.errstate(all="ignore"):  # an overflowing term is refused by the kernel
-        r = qcore.modulus_ratio(*ratio_terms(pt, w, q), q)
-    return r if np.ndim(pt.x) else float(r)
+    with qcore.quiet(pt.x):
+        return qcore.modulus_ratio(*ratio_terms(pt, w, q), q)

@@ -12,7 +12,8 @@ removable point w = 0 filled with 1.
 
 first_order_pow powers every first-order wave along its continuous log;
 modulus_ratio forms the deviation ratio |approx|/|exact| of either wave
-family over arrays, in real log-modulus arithmetic.
+family in real log-modulus arithmetic, with one formula evaluated on numpy
+arrays or on Python numbers.
 
 Jets are truncated first-order Taylor pairs (value at q = 1, d/dq at q = 1)
 with ring arithmetic.  They mechanize the first-order expansions the wave
@@ -24,6 +25,7 @@ Frozen is the immutable base of every value type (QJet, PlaneWave, Check, ...).
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from typing import TYPE_CHECKING
 
@@ -37,6 +39,26 @@ def _as_finite_complex(value, name: str) -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NonFiniteInput(f"{name} must be finite, got {value!r}")
     return z
+
+
+def all_finite(x) -> bool:
+    """math.isfinite of a Python int or float, or of every element of an array."""
+    if type(x) in (int, float):
+        return math.isfinite(x)
+    import numpy as np
+
+    return bool(np.isfinite(x).all())
+
+
+def quiet(x):
+    """A context for forming the ratio kernel's terms at x: numpy's
+    floating-point warnings off for numpy values, as the kernel refuses a term
+    that overflows; nothing for a Python int or float, which do not warn."""
+    if type(x) in (int, float):
+        return contextlib.nullcontext()
+    import numpy as np
+
+    return np.errstate(all="ignore")
 
 
 def _require_off_cut(v: complex, context: str) -> None:
@@ -112,44 +134,89 @@ def q_pow(z, q: float, scale: float = 1.0) -> complex:
         raise NonFiniteResult(f"q_pow overflows the double range at q-1 = {q - 1.0!r}") from None
 
 
-def _log_abs_1p(w: np.ndarray) -> np.ndarray:
-    """log|1 + w| over a complex array, to full precision near w = 0 and
-    near 1 + w = 0, where log1p(2 Re w + |w|^2)/2 would square the
-    cancellation."""
-    import numpy as np
-
-    # |w| < 1/2 keeps 1 + Re w > 1/2
-    near = np.log1p(w.real) + 0.5 * np.log1p(np.square(w.imag / (1.0 + w.real)))
-    return np.where(np.abs(w) < 0.5, near, np.log(np.abs(1.0 + w)))
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:  # numpy's exp gives inf here, which the kernel refuses
+        return math.inf
 
 
-def modulus_ratio(c, g0, g, q: float) -> np.ndarray:
+# The elementwise (all_finite, any, abs, log1p, log, exp, where) of the ratio
+# kernel on Python numbers: total where numpy's are (|z| and exp overflow to
+# inf, log(0) is -inf), and where(cond, near, far, *args) calls only the
+# branch it picks, so the branch left out cannot divide by zero.
+_ON_NUMBERS = (cmath.isfinite, bool, lambda z: math.hypot(z.real, z.imag), math.log1p,
+               lambda v: math.log(v) if v > 0.0 else -math.inf, _exp,
+               lambda cond, near, far, *args: near(*args) if cond else far(*args))
+
+
+def _on_arrays(np):
+    """The kernel's elementwise functions, as _ON_NUMBERS, on numpy arrays."""
+    return (lambda v: bool(np.isfinite(v).all()), np.any, np.abs, np.log1p, np.log, np.exp,
+            lambda cond, near, far, *args: np.where(cond, near(*args), far(*args)))
+
+
+def _log_abs_1p(w, functions):
+    """log|1 + w| elementwise, to full precision near w = 0 and near
+    1 + w = 0, where log1p(2 Re w + |w|^2)/2 would square the
+    cancellation; functions as in _ratio."""
+    _, _, abs_, _, _, _, where = functions
+    return where(abs_(w) < 0.5, _log_abs_1p_near, _log_abs_1p_far, w, functions)
+
+
+def _log_abs_1p_near(w, functions):
+    _, _, _, log1p, _, _, _ = functions
+    y = w.imag / (1.0 + w.real)  # |w| < 1/2 keeps 1 + Re w > 1/2
+    return log1p(w.real) + 0.5 * log1p(y * y)
+
+
+def _log_abs_1p_far(w, functions):
+    _, _, abs_, _, log, _, _ = functions
+    return log(abs_(1.0 + w))
+
+
+def _ratio(c, g0, g, eps: float, functions):
+    """modulus_ratio's formula and refusals at eps = q - 1, written once and
+    evaluated with functions = (all_finite, any, abs, log1p, log, exp, where):
+    _ON_NUMBERS on Python numbers, _on_arrays(numpy) on arrays."""
+    all_finite, any_, _, _, _, exp, _ = functions
+    w = eps * g
+    if not (all_finite(c) and all_finite(g0) and all_finite(w)):
+        raise NonFiniteResult("a term of the ratio overflows the double range")
+    base = 1.0 + w
+    if any_((base.imag == 0.0) & (base.real <= 0.0)):
+        raise BranchCutViolation("q-power base: a point lies on the branch cut")
+    exact = g.real if eps == 0.0 else _log_abs_1p(w, functions) / eps
+    r = exp(_log_abs_1p(c, functions) - g0.real + exact)
+    if not all_finite(r):
+        raise NonFiniteResult("ratio R overflows the double range")
+    return r
+
+
+def modulus_ratio(c, g0, g, q: float) -> float | np.ndarray:
     """|(1 + c) e^{-g0}| / |e_q(-g)| elementwise, formed in real arithmetic as
     exp(log|1 + c| - Re g0 + log|1 + (q-1) g| / (q-1)), with Re g for the
     last term at q = 1, so neither modulus overflows or vanishes on its own.
+
+    Python numbers give a float, evaluated with math and without numpy;
+    arrays give an array, evaluated with numpy's ufuncs.  The formula is the
+    same, but libm and numpy round exp and log1p differently, so the two may
+    differ in the last bits, which the 1/(q-1) of the last term magnifies.
 
     A non-finite q raises NonFiniteInput; a non-finite c, g0 or (q-1) g, or
     an R beyond the double range, NonFiniteResult; a base 1 + (q-1) g on the
     branch cut BranchCutViolation.  No inf or nan is ever returned.
     """
-    import numpy as np
-
     if not math.isfinite(q):
         raise NonFiniteInput(f"q must be finite, got {q!r}")
-    eps = q - 1.0
+    number = (int, float, complex)
+    if isinstance(c, number) and isinstance(g0, number) and isinstance(g, number):
+        return _ratio(complex(c), complex(g0), complex(g), q - 1.0, _ON_NUMBERS)
+    import numpy as np
+
     with np.errstate(all="ignore"):
         c, g0, g = (np.asarray(v, dtype=complex) for v in (c, g0, g))
-        w = eps * g
-        if not (np.isfinite(c).all() and np.isfinite(g0).all() and np.isfinite(w).all()):
-            raise NonFiniteResult("a term of the ratio overflows the double range")
-        base = 1.0 + w
-        if ((base.imag == 0.0) & (base.real <= 0.0)).any():
-            raise BranchCutViolation("q-power base: a point lies on the branch cut")
-        exact = g.real if eps == 0.0 else _log_abs_1p(w) / eps
-        r = np.exp(_log_abs_1p(c) - g0.real + exact)
-    if not np.isfinite(r).all():
-        raise NonFiniteResult("ratio R overflows the double range")
-    return r
+        return _ratio(c, g0, g, q - 1.0, _on_arrays(np))
 
 
 def q_exp(z, q: float) -> complex:

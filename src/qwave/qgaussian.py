@@ -76,6 +76,10 @@ class GaussianParams(qcore.Frozen):
             raise InvalidQ("q = 0 breaks the c(t) formula (divides by q)")
         if self.q == -1.0:
             raise InvalidQ("q = -1 breaks the coefficient denominators (q+1)")
+        for q in (self.q, 1.0):  # kq of the exact coefficients, and of the splits at q = 1
+            scale = 4.0 * self.m * q * self.beta * self.beta
+            if scale == 0.0 or not math.isfinite(1.0 / scale):
+                raise NonFiniteInput(f"kq = 1/(4 m q beta^2) must be finite at q = {q!r}")
 
 
 # (log, exp, E) of the coefficient formulas: on numbers, and on eps-jets,
@@ -195,29 +199,30 @@ def approx_qgaussian(x: float, t: float, params: GaussianParams, j=None) -> comp
     return (1.0 + c) * cmath.exp(-G0)
 
 
-def ratio_terms(x, t: float, params: GaussianParams):
+def ratio_terms(x, t: float, params: GaussianParams, cs=None, j=None):
     """(c, G0, G) such that approx_qgaussian = (1 + c) e^{-G0} and
     exact_qgaussian = e_q(-G), (c, G0) from first_order_parts, at a float or
-    an array of x."""
-    return (*first_order_parts(x, t, params), exponent(x, t, params))
+    an array of x; cs and j as in exponent and first_order_parts."""
+    return (*first_order_parts(x, t, params, j), exponent(x, t, params, cs))
 
 
-def ratio_gaussian(x, t: float, params: GaussianParams) -> float | np.ndarray:
+def ratio_gaussian(x, t: float, params: GaussianParams, cs=None, j=None) -> float | np.ndarray:
     """Modulus ratio |approx| / |exact|, the packet's deviation diagnostic.
 
     qcore.modulus_ratio forms it from the terms (c, G0, G) of ratio_terms
-    in real log-modulus arithmetic.  x may be an array: both coefficient
-    sets are computed once for the time t.  A float x is the one-point
-    case of the same code, so both give identical values.
+    in real log-modulus arithmetic: an array x gives an array, a float x a
+    float, evaluated without numpy.  cs and j are coeffs_exact(t, params)
+    and coeffs_first_order(t, params), computed here when not given, so a
+    sweep computes them once for the time t.
     """
-    import numpy as np
+    if type(x) not in (int, float):
+        import numpy as np
 
-    xs = np.asarray(x, dtype=float)
-    if not (np.isfinite(xs).all() and math.isfinite(t)):
+        x = np.asarray(x, dtype=float)
+    if not (qcore.all_finite(x) and math.isfinite(t)):
         raise NonFiniteInput("packet sweep points must be finite")
-    with np.errstate(all="ignore"):  # an overflowing term is refused by the kernel
-        r = qcore.modulus_ratio(*ratio_terms(xs, t, params), params.q)
-    return r if np.ndim(x) else float(r)
+    with qcore.quiet(x):
+        return qcore.modulus_ratio(*ratio_terms(x, t, params, cs, j), params.q)
 
 
 def gaussian_terms(

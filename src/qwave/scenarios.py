@@ -14,12 +14,13 @@ and for callers who want real conversions.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import TYPE_CHECKING
 
 from .errors import NonFiniteInput
 from .planewave import PhasePoint, SchrodingerWave, ratio_R
 from .qcore import Frozen
-from .qgaussian import GaussianParams, ratio_gaussian
+from .qgaussian import GaussianParams, coeffs_exact, coeffs_first_order, ratio_gaussian
 
 if TYPE_CHECKING:
     import numpy as np
@@ -108,37 +109,55 @@ def wave_for(scn: ParticleScenario) -> SchrodingerWave:
     return SchrodingerWave.free(p=pc, m=mass_energy_mev(scn.mass_kg))
 
 
-# Rows per block of a sweep.  The ratio kernels and the CLI writers take a
-# sweep this many points at a time, so their temporaries stay in the cache
-# and are reused instead of spanning the whole grid; 512 and 65,536 rows
-# measured slower on 200,001-point sweeps.
+# Rows per block of a sweep.  A sweep of at most this many points is one
+# block, evaluated and written on Python floats without loading numpy, as
+# every figure and both CLI defaults are.  A longer one is evaluated over
+# numpy arrays and written by qwave.floattext this many rows at a time, so
+# the temporaries stay in the cache and are reused instead of spanning the
+# whole grid; 512 and 65,536 rows measured slower on 200,001-point sweeps.
 BLOCK_ROWS = 2048
 
 
+def linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
+    """n points from lo to hi, equal bit for bit to np.linspace(lo, hi, n)."""
+    if n < 2:
+        return (lo,) * n
+    delta = hi - lo
+    step = delta / (n - 1)
+    if step == 0.0:  # a subnormal spacing: linspace scales i / (n - 1) by delta instead
+        return tuple([i / (n - 1) * delta + lo for i in range(n - 1)] + [hi])
+    return tuple([i * step + lo for i in range(n - 1)] + [hi])
+
+
 class Sweep(Frozen):
-    """A ratio sweep as two arrays: the grid x and the ratio at each x."""
+    """A ratio sweep as two columns: the grid x and the ratio at each x,
+    array.array("d") for one block of Python floats, else numpy arrays."""
 
     __slots__ = ("x", "values")
     __eq__, __hash__ = object.__eq__, object.__hash__  # by identity, not by the arrays
 
-    def __init__(self, x: np.ndarray, values: np.ndarray):
+    def __init__(self, x: array | np.ndarray, values: array | np.ndarray):
         self._set(x, values)
 
     def __len__(self) -> int:
         return len(self.x)
 
     def blocks(self) -> list[Sweep]:
-        """Consecutive views of BLOCK_ROWS rows each (the last may be shorter)."""
+        """Consecutive slices of BLOCK_ROWS rows each (the last may be shorter)."""
         return [Sweep(self.x[i:i + BLOCK_ROWS], self.values[i:i + BLOCK_ROWS])
                 for i in range(0, len(self), BLOCK_ROWS)]
 
 
 def _blockwise_sweep(x_range: tuple[float, float, int], ratio) -> Sweep:
-    """The sweep of ratio(xs) over xs = np.linspace(*x_range), block by block.
+    """The sweep of the elementwise ratio over the points np.linspace(*x_range).
 
-    ratio is elementwise and each block is a view of the one grid, so the
-    values are those of a single whole-grid call, bit for bit.
+    One block is evaluated point by point on the floats of linspace; a
+    longer sweep block by block over np.linspace, each block a view of the
+    one grid, so its values are those of a single whole-grid call, bit for bit.
     """
+    if x_range[2] <= BLOCK_ROWS:
+        xs = array("d", linspace(*x_range))
+        return Sweep(xs, array("d", map(ratio, xs)))
     import numpy as np
 
     with np.errstate(all="ignore"):  # a non-finite x is refused by ratio
@@ -162,4 +181,5 @@ def run_gaussian_sweep(
     t: float = 0.0,
 ) -> Sweep:
     """x and ratio of a packet ratio figure (natural units)."""
-    return _blockwise_sweep(x_range, lambda xs: ratio_gaussian(xs, t, params))
+    cs, j = coeffs_exact(t, params), coeffs_first_order(t, params)
+    return _blockwise_sweep(x_range, lambda xs: ratio_gaussian(xs, t, params, cs, j))

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -64,9 +65,11 @@ def json_reference(header, xs, vs):
 
 
 def check_writers(xs, vs):
-    sweep = scenarios.Sweep(np.array(xs, dtype=float), np.array(vs, dtype=float))
-    assert cli.format_rows_csv(("x", "R"), sweep) == csv_reference(("x", "R"), xs, vs)
-    assert cli.format_rows_json(("x", "ratio"), sweep) == json_reference(("x", "ratio"), xs, vs)
+    # numpy columns go to qwave.floattext, the array.array of a one-block sweep to "%"
+    for column in (lambda v: np.array(v, dtype=float), lambda v: array("d", v)):
+        sweep = scenarios.Sweep(column(xs), column(vs))
+        assert cli.format_rows_csv(("x", "R"), sweep) == csv_reference(("x", "R"), xs, vs)
+        assert cli.format_rows_json(("x", "ratio"), sweep) == json_reference(("x", "ratio"), xs, vs)
 
 
 def test_writers_on_edge_doubles():
@@ -84,30 +87,34 @@ def test_writers_on_finite_doubles(rows):
 
 
 def test_writers_on_empty_sweep():
-    empty = scenarios.Sweep(np.array([]), np.array([]))
-    assert cli.format_rows_csv(("x", "R"), empty) == "x,R\n"
-    assert cli.format_rows_json(("x", "R"), empty) == "[]\n"
+    for empty in (scenarios.Sweep(np.array([]), np.array([])),
+                  scenarios.Sweep(array("d"), array("d"))):
+        assert cli.format_rows_csv(("x", "R"), empty) == "x,R\n"
+        assert cli.format_rows_json(("x", "R"), empty) == "[]\n"
 
 
 def polyline_reference(sweep):
-    """The polyline points of emit_plot_svg, formatted point by point."""
+    """The polyline points of emit_plot_svg, scaled in numpy and formatted
+    point by point."""
     width, height, ml, mr, mt, mb = 800.0, 500.0, 75.0, 20.0, 45.0, 55.0
-    xmin, xmax = float(sweep.x.min()), float(sweep.x.max())
-    ymin, ymax = float(sweep.values.min()), float(sweep.values.max())
+    xs, vs = np.asarray(sweep.x), np.asarray(sweep.values)
+    xmin, xmax = float(xs.min()), float(xs.max())
+    ymin, ymax = float(vs.min()), float(vs.max())
     pad = (ymax - ymin) or abs(ymax) or 1.0
     ymin, ymax = ymin - 0.05 * pad, ymax + 0.05 * pad
-    sx = ml + (sweep.x - xmin) / (xmax - xmin) * (width - ml - mr)
-    sy = height - mb - (sweep.values - ymin) / (ymax - ymin) * (height - mt - mb)
+    sx = ml + (xs - xmin) / (xmax - xmin) * (width - ml - mr)
+    sy = height - mb - (vs - ymin) / (ymax - ymin) * (height - mt - mb)
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(sx.tolist(), sy.tolist()))
 
 
-@pytest.mark.parametrize("figure", ["packet", "electron"])
+@pytest.mark.parametrize("figure", ["packet", "electron", "multi-block"])
 def test_svg_polyline_matches_pointwise_form(figure, tmp_path):
     if figure == "packet":
         params = qg.GaussianParams(m=1.0, beta=1.0, q=1.001)
         sweep = scenarios.run_gaussian_sweep(params, (0.0, 4.0, 1001))
     else:
-        scn = scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-3, x_range=(0.0, 1.0, 2001))
+        n = 2001 if figure == "electron" else 2 * scenarios.BLOCK_ROWS + 1
+        scn = scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-3, x_range=(0.0, 1.0, n))
         sweep = scenarios.run_ratio_sweep(scn)
     path = tmp_path / "fig.svg"
     cli.emit_plot_svg(sweep, {"title": "t", "xlabel": "x", "ylabel": "y"}, str(path))
@@ -195,6 +202,10 @@ MAX = "1.7976931348623157e308"
         # cut at sqrt(5) - 1, where (q-1) G = -1
         (["--gaussian", "--q-minus-1", "-0.5"],
          "branch cut where (q-1) G = -1: set --xmax below x_c = 1.236067977499789"),
+        # R overflows at the last point before the cut at x_c = 31.14, which a
+        # one-block sweep meets first, point by point
+        (["--gaussian", "--q-minus-1", "-1e-3", "--xmax", "40"],
+         "branch cut where (q-1) G = -1: set --xmax below x_c = 31.142057894041514"),
     ],
 )
 def test_overflow_refusal_names_the_flag(argv, named, capsys):
@@ -203,6 +214,9 @@ def test_overflow_refusal_names_the_flag(argv, named, capsys):
     assert out == ""
     assert named in err
     assert "must be finite" not in err
+    # the other path gives the same refusal: at BLOCK_ROWS + 1 points the sweep
+    # is evaluated block by block in numpy, at fewer point by point in floats
+    assert run(["ratio", *argv, "--points", str(scenarios.BLOCK_ROWS + 1)], capsys) == (code, out, err)
 
 
 def test_ratio_gaussian_huge_beta_is_its_limit(capsys):
@@ -347,7 +361,9 @@ hostile_config_lines = st.builds(
 
 @st.composite
 def ratio_argvs(draw):
-    argv = ["ratio", "--points", str(draw(st.integers(2, 40)))]
+    # one block, evaluated point by point on floats, or two, in numpy
+    points = draw(st.integers(2, 40) | st.just(scenarios.BLOCK_ROWS + 1))
+    argv = ["ratio", "--points", str(points)]
     argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
     argv.append(draw(st.sampled_from(["--gaussian", "--no-gaussian"])))
     for flag in FLOAT_FLAGS:
@@ -368,6 +384,29 @@ def test_ratio_exit_code_contract(tmp_path_factory, drawn):
     # in process; a warning is an error here, so one printed to stderr fails
     code, err = main_in_process(*drawn, tmp_path_factory)
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERIC), (code, err)
+    assert "division by zero" not in err
+
+
+log_uniform = st.builds(lambda sign, k: sign * 10.0 ** k, st.sampled_from([1.0, -1.0]),
+                        st.floats(-320.0, 308.0))
+
+
+@settings(deadline=None, max_examples=150)
+@example(["--gaussian", "--m=1e-300", "--beta=1e-300"])
+@example(["--gaussian", "--m=1e-300", "--beta=1e-5", "--q-minus-1=1e10"])
+@given(st.builds(
+    lambda gaussian, values: [gaussian] + [f"{flag}={v!r}" for flag, v in zip(FLOAT_FLAGS, values)
+                              if v is not None],
+    st.sampled_from(["--gaussian", "--no-gaussian"]),
+    st.tuples(*[st.none() | log_uniform] * len(FLOAT_FLAGS)),
+))
+def test_no_division_by_zero_is_left_to_catch(tmp_path_factory, argv):
+    # the sweep's and _overflow_refusal's except clauses catch qwave's typed
+    # errors only: a builtin ZeroDivisionError from a sweep, its parameters or
+    # the refusals would reach main as "numeric failure: ... division by zero"
+    code, err = main_in_process(["ratio", "--points", "5", *argv], None, tmp_path_factory)
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERIC), (code, err)
+    assert "division by zero" not in err
 
 
 SUITE_CHOICES = (*checks.SUITES, "all")
@@ -684,25 +723,33 @@ def test_plot_svg_refuses_empty_rows(tmp_path):
 B = scenarios.BLOCK_ROWS
 
 
-def whole_grid_sweeps(n):
-    """(CLI flags, header, Sweep, values of one whole-array ratio call) for
-    the plane wave and the packet at n points."""
+def reference_sweeps(n):
+    """(CLI flags, header, Sweep, its values by the path it takes) for the
+    plane wave and the packet at n points: one float call per point for one
+    block, else one whole-array call."""
     scn = scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-3, x_range=(0.0, 1.0, n))
     params = qg.GaussianParams(m=1.0, beta=1.0, q=1.001)
-    xs_pw, xs_pk = np.linspace(0.0, 1.0, n), np.linspace(0.0, 4.0, n)
+    wave = scenarios.wave_for(scn)
+
+    def by_path(ratio, xmax):
+        xs = np.linspace(0.0, xmax, n)
+        return array("d", map(ratio, xs.tolist())) if n <= B else ratio(xs)
+
     return [
         (["--q-minus-1", "1e-3"], ("x", "R"), scenarios.run_ratio_sweep(scn),
-         pw.ratio_R(pw.PhasePoint(xs_pw), scenarios.wave_for(scn), 1.001)),
+         by_path(lambda xs: pw.ratio_R(pw.PhasePoint(xs), wave, 1.001), 1.0)),
         (["--gaussian"], ("x", "ratio"), scenarios.run_gaussian_sweep(params, (0.0, 4.0, n)),
-         qg.ratio_gaussian(xs_pk, 0.0, params)),
+         by_path(lambda xs: qg.ratio_gaussian(xs, 0.0, params), 4.0)),
     ]
 
 
 @pytest.mark.parametrize("n", [2, B - 1, B, B + 1, 2 * B + 1])
 def test_block_boundaries_keep_values_and_bytes(n, tmp_path, capsys):
-    for flags, header, sweep, whole in whole_grid_sweeps(n):
-        assert sweep.values.tobytes() == whole.tobytes()
-        xs, vs = sweep.x.tolist(), whole.tolist()
+    for flags, header, sweep, reference_values in reference_sweeps(n):
+        assert isinstance(sweep.values, array) == (n <= B)
+        assert sweep.x.tobytes() == np.linspace(0.0, sweep.x[-1], n).tobytes()
+        assert sweep.values.tobytes() == reference_values.tobytes()
+        xs, vs = sweep.x.tolist(), reference_values.tolist()
         for fmt, reference in (("csv", csv_reference), ("json", json_reference)):
             expected = reference(header, xs, vs)
             argv = ["ratio", *flags, "--points", str(n), "--format", fmt]
@@ -847,10 +894,11 @@ def test_verify_fits_each_order_once_per_run(monkeypatch, capsys):
         assert len(fits) == 2 * runs  # f_order and g_order, each fitted afresh per run
 
 
-# -- numpy is loaded by the sweep path only -------------------------------
+# -- numpy is loaded by the multi-block sweep path only -------------------
 
 NUMPY_PROBE = """
-import sys
+import os, runpy, sys
+out, figures = sys.argv[1:]
 preloaded = set(sys.modules)  # a site hook may load some of these itself
 
 def loaded(*names):
@@ -858,29 +906,37 @@ def loaded(*names):
 
 import qwave
 assert "numpy" not in sys.modules, "import qwave"
-from qwave import cli
+from qwave import cli, scenarios
 assert "numpy" not in sys.modules, "import qwave.cli"
 NEVER = ("dataclasses", "inspect", "json", "qwave.floattext")
 assert not loaded(*NEVER), loaded(*NEVER)
 assert cli.main(["verify"]) == 0
-assert "numpy" not in sys.modules, "qwave verify"
-assert not loaded(*NEVER), loaded(*NEVER)
-assert cli.main(["ratio", "--points", "3", "--format", "json"]) == 0
-assert "numpy" in sys.modules, "qwave ratio"
-assert "qwave.floattext" in sys.modules, "a JSON sweep did not use the numpy formatter"
-assert not loaded("json", "numpy.ma"), loaded("json", "numpy.ma")
-del sys.modules["qwave.floattext"]
-assert cli.main(["ratio", "--points", "3"]) == 0
-assert "qwave.floattext" in sys.modules, "a CSV sweep did not use the numpy formatter"
-assert not loaded("json", "numpy.ma"), loaded("json", "numpy.ma")
+assert not loaded("numpy", *NEVER), ("qwave verify", loaded("numpy", *NEVER))
+one_block = [["--format", "json"], ["--gaussian"], ["--plot", "svg", "--format", "json"]]
+for i, argv in enumerate(one_block):
+    assert cli.main(["ratio", *argv, "--out", os.path.join(out, f"one{i}")]) == 0
+    assert not loaded("numpy", *NEVER), (argv, loaded("numpy", *NEVER))
+sys.argv = [figures, "--outdir", os.path.join(out, "figures")]
+try:
+    runpy.run_path(figures, run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+assert not loaded("numpy", *NEVER), ("run_figures.py", loaded("numpy", *NEVER))
+for fmt in ("json", "csv"):
+    sys.modules.pop("qwave.floattext", None)
+    argv = ["ratio", "--points", str(scenarios.BLOCK_ROWS + 1), "--format", fmt]
+    assert cli.main([*argv, "--out", os.path.join(out, f"long.{fmt}")]) == 0
+    assert loaded("numpy", "qwave.floattext") == ["numpy", "qwave.floattext"], fmt
+    assert not loaded("json", "numpy.ma"), loaded("json", "numpy.ma")
 """
 
 
-def test_only_the_sweep_path_imports_numpy():
+def test_only_the_sweep_path_imports_numpy(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(qwave.__file__)))
+    figures = os.path.join(os.path.dirname(src), "scripts", "run_figures.py")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE],
+        [sys.executable, "-c", NUMPY_PROBE, str(tmp_path), figures],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},

@@ -21,6 +21,7 @@ from qwave.errors import (
     DivisionByZeroJet,
     NonFiniteInput,
     NonFiniteResult,
+    QWaveError,
 )
 
 # mpmath, mp.dps=50: (1 - 0.15j)**(-10) = e_q(1.5j) at q=1.1
@@ -191,14 +192,73 @@ def test_modulus_ratio_matches_scalar(eps):
     got = qcore.modulus_ratio(*_terms(np.array(zs), q), q)
     for z, g, r in zip(zs, got.tolist(), want):
         assert abs(g - r) <= 4e-15 * max(1.0, abs(z)) * r, z
+        assert abs(qcore.modulus_ratio(*_terms(z, q), q) - r) <= 4e-15 * max(1.0, abs(z)) * r, z
 
 
-def test_modulus_ratio_one_point_is_the_sweep():
-    q = 1.0 + 1e-3
-    zs = _kernel_points(q)
-    got = qcore.modulus_ratio(*_terms(zs, q), q)
-    for k, z in enumerate(zs.tolist()):
-        assert qcore.modulus_ratio(*_terms(z, q), q) == got[k]
+# The float path (math) and the array path (numpy's ufuncs) of the kernel
+# round exp, log and log1p differently: numpy's vectorized exp is within
+# 0.71 ulp where math.exp is correctly rounded, and the 1/(q-1) of
+# log|1 + (q-1) g| / (q-1) magnifies a 1-ulp gap in the log.  Measured
+# worst over the grids below: 3.6e-15 (the packet figure).
+PATH_GAP = 1e-14
+
+
+def _figure_terms():
+    """(terms over the grid, q) of the five figures' sweeps, as the CLI runs them."""
+    cases = []
+    for species in ("electron", "proton"):
+        for qm1 in (1e-9, 1e-12):
+            wave = scenarios.wave_for(scenarios.ParticleScenario.from_mev(species, 1.0, qm1))
+            point = pw.PhasePoint(np.linspace(0.0, 1.0, 2001))
+            cases.append((pw.ratio_terms(point, wave, 1.0 + qm1), 1.0 + qm1))
+    params = qg.GaussianParams(m=1.0, beta=1.0, q=1.0 + 1e-3)
+    cases.append((qg.ratio_terms(np.linspace(0.0, 4.0, 1001), 0.0, params), params.q))
+    return cases
+
+
+def test_modulus_ratio_paths_agree_within_a_bound():
+    cases = _figure_terms()
+    cases += [(_terms(_kernel_points(q), q), q) for q in (1.001, 0.999, 1.0 + 1e-9, 1.0)]
+    worst = 0.0
+    for terms, q in cases:
+        whole = qcore.modulus_ratio(*terms, q)
+        columns = [np.broadcast_to(v, whole.shape).tolist() for v in terms]
+        for k, point in enumerate(zip(*columns)):
+            one = qcore.modulus_ratio(*point, q)
+            assert type(one) is float
+            worst = max(worst, abs(one - whole[k]) / whole[k])
+    print(f"worst relative gap between the float and the array path: {worst:.3g}")
+    assert worst <= PATH_GAP
+
+
+@pytest.mark.parametrize(
+    "c, g0, g, q",
+    [
+        (0.0, -1e3 + 1j, 0.0, 1.0 + 1e-9),  # R = e^{1000}
+        (math.inf, 0.0, 0.0, 1.5),  # an infinite c
+        (0.0, 0.0, 1e308, 11.0),  # (q-1) g beyond the double range
+        (0.0, 0.0, 2.0, 0.5),  # 1 + (q-1) g = 0: on the cut
+        (0.0, 0.0, 4.0 + 0.0j, 0.5),  # 1 + (q-1) g = -1
+        (0.0, 0.0, 0.0, math.nan),
+        (-1.0, 0.0, 0.0, 1.1),  # 1 + c = 0: R = 0
+        (0.0, 0.0, complex(-1.5e308, -1.5e308), 0.0),  # |1 + (q-1) g| overflows: R = 0
+        (0.0, 0.0, complex(1.5e308, 1.5e308), 2.0),  # and R = inf
+        (0.4, 0.0, complex(3.0, 1e-300), 0.5),  # 1 + (q-1) g = -0.5 - 5e-301j, just off the cut
+    ],
+)
+def test_modulus_ratio_paths_refuse_alike(c, g0, g, q):
+    # a value within PATH_GAP, or the same error type and message, on both paths
+    outcomes = []
+    for point in ((c, g0, g), tuple(np.array([v]) for v in (c, g0, g))):
+        try:
+            outcomes.append(float(np.asarray(qcore.modulus_ratio(*point, q)).item()))
+        except QWaveError as exc:
+            outcomes.append((type(exc), str(exc)))
+    one, whole = outcomes
+    if isinstance(whole, float):
+        assert abs(one - whole) <= PATH_GAP * whole
+    else:
+        assert one == whole
 
 
 @pytest.mark.parametrize(
@@ -247,14 +307,23 @@ WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
         # G0^2/2 overflows in c at x = 4
         (lambda: qg.ratio_gaussian(np.linspace(0.0, 4.0, 3), 0.0,
                                    qg.GaussianParams(m=1e300, beta=1.0, q=1.001)), NonFiniteResult),
-        # 1/(4 m q beta^2) in c overflows: the kernel refuses the terms
+        # kq = 1/(4 m q beta^2) is not finite: GaussianParams refuses the parameters
         (lambda: qg.ratio_gaussian(np.linspace(0.0, 4.0, 3), 0.5,
-                                   qg.GaussianParams(m=1.0, beta=1e-160, q=1.001)), NonFiniteResult),
+                                   qg.GaussianParams(m=1.0, beta=1e-160, q=1.001)), NonFiniteInput),
         (lambda: qg.ratio_gaussian(np.linspace(0.0, 4.0, 3), 0.5,
-                                   qg.GaussianParams(m=1e-320, beta=1.0, q=1.001)), NonFiniteResult),
+                                   qg.GaussianParams(m=1e-320, beta=1.0, q=1.001)), NonFiniteInput),
+        # the same refusals at a float x, which the kernel evaluates without numpy
+        (lambda: qg.ratio_gaussian(math.nan, 0.0, PACKET), NonFiniteInput),
+        (lambda: pw.ratio_R(pw.PhasePoint(math.inf), WAVE, 1.001), NonFiniteInput),
+        (lambda: qg.ratio_gaussian(4.0, 0.0, qg.GaussianParams(m=1.0, beta=1.0, q=0.5)),
+         BranchCutViolation),
+        (lambda: qg.ratio_gaussian(4.0, 0.0, qg.GaussianParams(m=1e300, beta=1.0, q=1.001)),
+         NonFiniteResult),
+        (lambda: pw.ratio_R(pw.PhasePoint(1e200), WAVE, 1.5), NonFiniteResult),
     ],
     ids=["nan-x-packet", "nan-x-plane-wave", "nan-q", "packet-cut", "packet-overflow",
-         "packet-tiny-beta", "packet-tiny-m"],
+         "packet-tiny-beta", "packet-tiny-m", "nan-x-packet-float", "inf-x-plane-wave-float",
+         "packet-cut-float", "packet-overflow-float", "plane-wave-overflow-float"],
 )
 def test_ratio_refusals_are_typed(ratio, error):
     with pytest.raises(error):
@@ -315,10 +384,11 @@ def test_ratio_against_50_digit_oracle(family, q_minus_1, xmax, bound):
                 x0 = mp.findroot(lambda x: terms(x)[0], (xs[i], xs[i + 1]), solver="anderson")
                 xs += [float(x0 * (1 + s * mp.mpf(10) ** -k)) for s in (-1, 1) for k in (4, 5, 6)]
         worst = 0.0
-        for x, r in zip(xs, ratio(np.array(xs)).tolist()):
+        # the whole-array call and the float call of each point (a one-block sweep's)
+        for x, *rs in zip(xs, ratio(np.array(xs)).tolist(), map(ratio, xs)):
             one_plus_c, g0, g = terms(x)
             oracle = abs(one_plus_c) * mp.exp(-mp.re(g0) + mp.log(abs(1 + eps * g)) / eps)
-            worst = max(worst, float(abs(r - oracle) / oracle))
+            worst = max(worst, *(float(abs(r - oracle) / oracle) for r in rs))
     print(f"{family} q-1 = {q_minus_1:g} on [0, {xmax}]: max rel error {worst:.3e}")
     assert worst <= bound
 

@@ -32,6 +32,25 @@ def test_params_validation():
         params_for(-1.0)  # D(t) degenerates, M has 1/(q+1)
 
 
+def test_beta_whose_kq_overflows_is_refused():
+    # kq = 1/(4 m q beta^2) = 5e319 at beta = 1e-160: approx_qgaussian(0.5, 0.5)
+    # returned nan+nanj with no error before GaussianParams refused it
+    with pytest.raises(NonFiniteInput, match=r"kq = 1/\(4 m q beta\^2\) must be finite"):
+        params_for(0.5, beta=1e-160)
+    params_for(0.5, beta=1e-150)  # kq = 5e299
+
+
+def test_params_whose_kq_divides_by_zero_are_refused():
+    # 4 m q beta^2 underflows to 0 at m = beta = 1e-300, where approx_qgaussian
+    # and exact_qgaussian raised a builtin ZeroDivisionError
+    with pytest.raises(NonFiniteInput, match="kq"):
+        params_for(1.001, m=1e-300, beta=1e-300)
+    # the first-order splits take kq at q = 1: inf at m = 1e-300, beta = 1e-5,
+    # where the exact coefficients' kq at q = 1e10 is 2.5e299
+    with pytest.raises(NonFiniteInput, match="at q = 1.0"):
+        params_for(1e10, m=1e-300, beta=1e-5)
+
+
 @pytest.mark.parametrize("fn, point", [
     (qg.coeffs_exact, (math.nan,)),
     (qg.wavefunction_jet, (math.inf, 0.0)),
@@ -181,7 +200,7 @@ def test_ratio_band_at_desk_scale():
     from qwave.scenarios import run_gaussian_sweep
 
     rows = run_gaussian_sweep(params_for(1.001))
-    worst = float(np.abs(rows.values - 1.0).max())
+    worst = float(np.abs(np.asarray(rows.values) - 1.0).max())
     assert worst <= 0.1
     assert 0.0125 <= worst <= 0.0130, worst
 

@@ -77,7 +77,7 @@ def test_ratio_sweep_shape_and_trivial_q():
     rows = scenarios.run_ratio_sweep(scn)
     assert len(rows) == 11
     assert rows.x[0] == 0.0 and rows.x[-1] == 1.0
-    assert (rows.values == 1.0).all()
+    assert rows.values.tolist() == [1.0] * 11
 
 
 def test_ratio_sweep_matches_pointwise_calls():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qwave import checks, verify
+from qwave import checks, scenarios, verify
 from qwave import planewave as pw
 from qwave.errors import DegenerateFit, StencilEvaluationFailed
 
@@ -157,12 +157,14 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @given(finite, finite, st.integers(2, 500))
 @example(0.0, 2e-323, 10)  # a subnormal span: the step rounds to zero
 @example(-6.0, 6.0, 31)
+@example(0.0, 1.0, 2001)  # the grids of the figures' one-block sweeps
+@example(0.0, 4.0, 1001)
 def test_checks_grid_is_linspace_bit_for_bit(lo, hi, n):
     lo, hi = sorted((lo, hi))
     assume(lo < hi and math.isfinite(hi - lo))  # linspace of an overflowing span is nan
     with np.errstate(over="ignore"):  # near the double range, (n-1) step + lo may overflow
         reference = np.linspace(lo, hi, n).tolist()  # before linspace sets the last point to hi
-    assert [v.hex() for v in checks._grid(lo, hi, n)] == [v.hex() for v in reference]
+    assert [v.hex() for v in scenarios.linspace(lo, hi, n)] == [v.hex() for v in reference]
 
 
 def test_max_rel_reduces_pairs():
