@@ -154,14 +154,12 @@ _PW_TS = linspace(0.0, 3.0, 5)
 _PW_POINTS = tuple(pw.PhasePoint(x, t) for x in _PW_XS for t in _PW_TS)
 
 
-def pw_exact_residual(q: float, xs=_PW_XS, ts=_PW_TS) -> float:
-    """Exact plane wave in its equation: the worst |residual| over its
-    largest addend, point by point."""
-    return max_rel(
-        residual_pair(pw.schrodinger_terms(pw.PhasePoint(x, t), _PW_WAVE, q, "exact"))
-        for x in xs
-        for t in ts
-    )
+def pw_exact_residual(
+    q: float, xs=_PW_XS, ts=_PW_TS, w: pw.PlaneWave = _PW_WAVE, terms=pw.schrodinger_terms
+) -> float:
+    """Exact plane wave w in its equation, given by its addends terms(pt, w,
+    q, family): the worst |residual| over its largest addend, point by point."""
+    return max_rel(residual_pair(terms(pw.PhasePoint(x, t), w, q, "exact")) for x in xs for t in ts)
 
 
 for _q in (0.999, 1.001, 1.1):
@@ -191,13 +189,12 @@ check("planewave.exact_fd", "exact addends are FD derivatives of the exact wave,
 
 
 @order_fit("planewave.approx_order", "approximant inserted in the full equation leaves O(eps^2)")
-def pw_approx_norm(eps: float, xs=_PW_XS[::2], ts=_PW_TS) -> float:
-    """Largest |residual| of the first-order plane wave at q = 1 + eps."""
-    return max(
-        abs(sum(pw.schrodinger_terms(pw.PhasePoint(x, t), _PW_WAVE, 1.0 + eps, "approx")))
-        for x in xs
-        for t in ts
-    )
+def pw_approx_norm(
+    eps: float, xs=_PW_XS[::2], ts=_PW_TS, w: pw.PlaneWave = _PW_WAVE, terms=pw.schrodinger_terms
+) -> float:
+    """Largest |residual| of the first-order plane wave w at q = 1 + eps, in
+    the equation given by its addends terms, as in pw_exact_residual."""
+    return max(abs(sum(terms(pw.PhasePoint(x, t), w, 1.0 + eps, "approx"))) for x in xs for t in ts)
 
 
 def pw_error_norm(eps: float, xs=_PW_XS[::2], ts=_PW_TS) -> float:
@@ -514,9 +511,8 @@ _KG_TS = linspace(0.0, 3.0, 5)
 
 
 def kg_exact_residual(q: float, wave: kg.KGWave = _KG_WAVE, xs=_KG_XS, ts=_KG_TS) -> float:
-    """Exact Klein-Gordon wave in its equation: the worst |residual| over
-    its largest addend, point by point."""
-    return max_rel(residual_pair(kg.kg_terms(x, t, wave, q, "exact")) for x in xs for t in ts)
+    """pw_exact_residual of the Klein-Gordon wave in its equation."""
+    return pw_exact_residual(q, xs, ts, wave, kg.kg_terms)
 
 
 for _q in (0.999, 1.1):
@@ -531,11 +527,12 @@ def kg_exact_fd(q: float, xs=_KG_XS[::2], ts=_KG_TS) -> float:
     """fd_gap of the exact addends as derivatives of the exact wave: d2t F,
     in t at each x, and -d2x F, in x at each t."""
     w, pt = _KG_WAVE, pw.PhasePoint
+    terms = partial(kg.kg_terms, w=w, q=q, family="exact")
     return max(
-        *(fd_gap(lambda t: kg.kg_terms(x, t, w, q, "exact")[0],
-                 lambda t: pw.exact_psi(pt(x, t), w, q), ts, 1.0 / w.E, 2) for x in xs),
-        *(fd_gap(lambda x: -kg.kg_terms(x, t, w, q, "exact")[1],
-                 lambda x: pw.exact_psi(pt(x, t), w, q), xs, 1.0 / w.p, 2) for t in ts),
+        *(fd_gap(lambda t: terms(pt(x, t))[0], lambda t: pw.exact_psi(pt(x, t), w, q),
+                 ts, 1.0 / w.E, 2) for x in xs),
+        *(fd_gap(lambda x: -terms(pt(x, t))[1], lambda x: pw.exact_psi(pt(x, t), w, q),
+                 xs, 1.0 / w.p, 2) for t in ts),
     )
 
 
@@ -560,22 +557,17 @@ def _kg_dispersion_sensitivity() -> float:
     "kleingordon.approx_order", "approximant inserted in the full equation leaves O(eps^2)"
 )
 def kg_approx_norm(eps: float, xs=_KG_XS[::2], ts=_KG_TS) -> float:
-    """Largest |residual| of the first-order Klein-Gordon wave at q = 1 + eps."""
-    return max(
-        abs(sum(kg.kg_terms(x, t, _KG_WAVE, 1.0 + eps, "approx"))) for x in xs for t in ts
-    )
+    """pw_approx_norm of the first-order Klein-Gordon wave."""
+    return pw_approx_norm(eps, xs, ts, _KG_WAVE, kg.kg_terms)
 
 
 @check("kleingordon.qF_jet", "approx_qF2qm1 is the q-jet of q F^{2q-1}", 1e-6)
 def kg_qF_jet(xs=_KG_XS[::2], ts=_KG_TS) -> float:
     """approx_jet_gap of approx_qF2qm1 against q F^{2q-1}."""
     return approx_jet_gap(
-        (
-            lambda q, x=x, t=t: q * pw.exact_psi_2qm1(pw.PhasePoint(x, t), _KG_WAVE, q),
-            partial(kg.approx_qF2qm1, x, t, _KG_WAVE),
-        )
-        for x in xs
-        for t in ts
+        (lambda q, pt=pt: q * pw.exact_psi_2qm1(pt, _KG_WAVE, q),
+         partial(kg.approx_qF2qm1, pt, _KG_WAVE))
+        for pt in (pw.PhasePoint(x, t) for x in xs for t in ts)
     )
 
 
@@ -588,7 +580,7 @@ def kg_d2_fd(q: float = 1.02, xs=_KG_XS[::3], ts=_KG_TS) -> float:
     """pw_d2x_fd of the Klein-Gordon wave and fd_gap of its d2t_approx_F."""
 
     def d2t_at_x(x):
-        return fd_gap(lambda t: kg.d2t_approx_F(x, t, _KG_WAVE, q),
+        return fd_gap(lambda t: kg.d2t_approx_F(pw.PhasePoint(x, t), _KG_WAVE, q),
                       lambda t: pw.approx_psi(pw.PhasePoint(x, t), _KG_WAVE, q),
                       ts, 1.0 / _KG_WAVE.E, 2)
 

@@ -57,18 +57,18 @@ class KGWave(pw.PlaneWave):
         return cls(p=k, E=dispersion_omega(k, m), m=m)
 
 
-def d2t_approx_F(x: float, t: float, w: KGWave, q: float) -> complex:
+def d2t_approx_F(pt: pw.PhasePoint, w: KGWave, q: float) -> complex:
     """Exact d2/dt2 of the first-order wave."""
-    return pw.bracket_wave(pw.phase(pw.PhasePoint(x, t), w), q, -(w.E * w.E))
+    return pw.bracket_wave(pw.phase(pt, w), q, -(w.E * w.E))
 
 
-def approx_qF2qm1(x: float, t: float, w: KGWave, q: float) -> complex:
+def approx_qF2qm1(pt: pw.PhasePoint, w: KGWave, q: float) -> complex:
     """First-order expansion of q F^(2q-1): e^{iu} times the shared bracket."""
-    return pw.bracket_wave(pw.phase(pw.PhasePoint(x, t), w), q)
+    return pw.bracket_wave(pw.phase(pt, w), q)
 
 
 def kg_terms(
-    x: float, t: float, w: KGWave, q: float, family: str
+    pt: pw.PhasePoint, w: KGWave, q: float, family: str
 ) -> tuple[complex, complex, complex]:
     """The three equation addends (d2t F, -d2x F, mass term).
 
@@ -76,7 +76,6 @@ def kg_terms(
     first-order wave, powered by qcore.first_order_pow so that F^(2q-1)
     never crosses the principal branch cut for |u| > pi.
     """
-    pt = pw.PhasePoint(x, t)
     mass_coef = w.m ** 2
     if family == "exact":
         g2 = pw.exact_psi_2qm1(pt, w, q)
@@ -86,7 +85,7 @@ def kg_terms(
         return term_tt, term_xx, term_mass
     if family == "approx":
         c, g0, _ = pw.ratio_terms(pt, w, q)
-        term_tt = d2t_approx_F(x, t, w, q)
+        term_tt = d2t_approx_F(pt, w, q)
         term_xx = -pw.d2x_approx_psi(pt, w, q)
         term_mass = mass_coef * q * first_order_pow(-g0, c, 2.0 * q - 1.0)
         return term_tt, term_xx, term_mass
@@ -94,7 +93,7 @@ def kg_terms(
 
 
 def residual_kg(x: float, t: float, w: KGWave, q: float, family: str) -> complex:
-    """Residual of the q-Klein-Gordon equation for a wave family.
+    """Residual of the q-Klein-Gordon equation for a wave family at (x, t).
 
     On shell the exact family cancels to round-off at any q; the approx
     family leaves an O((q-1)^2) remainder.  Off shell both grow with the
@@ -102,6 +101,5 @@ def residual_kg(x: float, t: float, w: KGWave, q: float, family: str) -> complex
     The checks sum kg_terms themselves; this wrapper is kept because the
     benchmark times it.
     """
-    term_tt, term_xx, term_mass = kg_terms(x, t, w, q, family)
+    term_tt, term_xx, term_mass = kg_terms(pw.PhasePoint(x, t), w, q, family)
     return term_tt + term_xx + term_mass
-

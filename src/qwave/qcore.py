@@ -83,12 +83,20 @@ def complex_log1p(w: complex) -> complex:
     return cmath.log(u) * (w / d)
 
 
+def checked_exp(z: complex) -> complex:
+    """cmath.exp(z), raising NonFiniteResult where it leaves the double range."""
+    try:
+        return cmath.exp(z)
+    except OverflowError:
+        raise NonFiniteResult(f"exp overflows the double range at {z!r}") from None
+
+
 def first_order_pow(phase: complex, c: complex, s: float) -> complex:
     """[e^phase (1 + c)]**s of a first-order wave, along its continuous logarithm
     phase + log1p(c): the wrapped principal log of the value would pick up
     spurious e^{2 pi i k s} factors once |Im phase| > pi."""
     _require_off_cut(1.0 + c, "first-order amplitude 1 + c")
-    return cmath.exp(s * (phase + complex_log1p(c)))
+    return checked_exp(s * (phase + complex_log1p(c)))
 
 
 def complex_expm1(z: complex) -> complex:
@@ -128,10 +136,7 @@ def q_pow(z, q: float, scale: float = 1.0) -> complex:
     if not cmath.isfinite(w):
         raise NonFiniteResult(f"(1-q) z overflows at q-1 = {q - 1.0!r}")
     _require_off_cut(1.0 + w, "q_pow base")
-    try:
-        return cmath.exp(scale * z * _log1p_over_w(w))
-    except OverflowError:
-        raise NonFiniteResult(f"q_pow overflows the double range at q-1 = {q - 1.0!r}") from None
+    return checked_exp(scale * z * _log1p_over_w(w))
 
 
 def _exp(v: float) -> float:
@@ -313,7 +318,7 @@ def as_jet(value) -> QJet:
 
 
 def jet_exp(a: QJet) -> QJet:
-    e = cmath.exp(a.v0)
+    e = checked_exp(a.v0)
     return QJet(e, a.v1 * e)
 
 

@@ -196,7 +196,7 @@ def approx_qgaussian(x: float, t: float, params: GaussianParams, j=None) -> comp
     if not (math.isfinite(x) and math.isfinite(t)):
         raise NonFiniteInput(f"point must be finite, got {(x, t)!r}")
     c, G0 = first_order_parts(x, t, params, j)
-    return (1.0 + c) * cmath.exp(-G0)
+    return (1.0 + c) * qcore.checked_exp(-G0)
 
 
 def ratio_terms(x, t: float, params: GaussianParams, cs=None, j=None):
@@ -253,5 +253,5 @@ def gaussian_terms(
     P, Pt = 1.0 + corr, -eps * (G1t - G0 * G0t)
     Px, Pxx = -eps * (G1x - G0 * G0x), -eps * (2.0 * a2 - G0x * G0x - 2.0 * a1 * G0)
     psi_q = qcore.first_order_pow(-G0, corr, q)  # refuses P on the branch cut
-    d2x = (Pxx - 2.0 * Px * G0x + P * (G0x * G0x - 2.0 * a1)) * cmath.exp(-G0)
+    d2x = (Pxx - 2.0 * Px * G0x + P * (G0x * G0x - 2.0 * a1)) * qcore.checked_exp(-G0)
     return 1j * q * psi_q * (Pt / P - G0t), d2x / (2.0 * m)

@@ -785,23 +785,32 @@ def test_refusal_in_the_last_block_writes_nothing(tmp_path, capsys):
 def test_benchmark_sweeps_hold_no_whole_grid_temporaries(tmp_path, capsys):
     """The 200,001-point sweeps keep their two grid arrays (3.2 MB) and one
     block of temporaries and text at a time; formatting the whole file at
-    once peaked at about 30 MB."""
+    once peaked at about 30 MB.  Each file holds the library's sweep in
+    %.17g (CSV) or in the shortest round-trip digits of json.dumps (JSON)."""
+    n = 200001
+    electron = scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-9, x_range=(0.0, 1.0, n))
+    packet = qg.GaussianParams(m=1.0, beta=1.0, q=1.001)
     commands = [
-        ["ratio", "--species", "electron", "--energy-mev", "1.0", "--q-minus-1", "1e-9",
-         "--format", "json"],
-        ["ratio", "--gaussian", "--q-minus-1", "1e-3", "--m", "1.0", "--beta", "1.0",
-         "--xmax", "4.0", "--format", "csv"],
+        (["ratio", "--species", "electron", "--energy-mev", "1.0", "--q-minus-1", "1e-9",
+          "--format", "json"], json_reference, ("x", "R"),
+         lambda: scenarios.run_ratio_sweep(electron)),
+        (["ratio", "--gaussian", "--q-minus-1", "1e-3", "--m", "1.0", "--beta", "1.0",
+          "--xmax", "4.0", "--format", "csv"], csv_reference, ("x", "ratio"),
+         lambda: scenarios.run_gaussian_sweep(packet, (0.0, 4.0, n))),
     ]
-    for argv in commands:
+    for argv, reference, header, sweep in commands:
         out = str(tmp_path / "sweep")
         assert cli.main([*argv, "--points", "3", "--out", out]) == 0  # loads what the run imports
         tracemalloc.start()
         try:
-            assert cli.main([*argv, "--points", "200001", "--out", out]) == 0
+            assert cli.main([*argv, "--points", str(n), "--out", out]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8e6, (argv, peak)
+        values = sweep()
+        with open(out, encoding="utf-8") as fh:
+            assert fh.read() == reference(header, values.x.tolist(), values.values.tolist())
     assert capsys.readouterr() == ("", "")
 
 

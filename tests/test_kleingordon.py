@@ -104,4 +104,16 @@ def test_exact_reduces_to_classical_at_q1():
 
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
-        kg.kg_terms(0.0, 0.0, WAVE, 1.1, "bogus")
+        kg.kg_terms(pw.PhasePoint(0.0, 0.0), WAVE, 1.1, "bogus")
+
+
+@pytest.mark.parametrize("family", ["exact", "approx"])
+def test_residual_kg_is_the_sum_of_kg_terms(family):
+    # the (x, t) wrapper the benchmark times, at its q: the addends of
+    # kg_terms at the PhasePoint (x, t), summed in order
+    for x in XS[::4]:
+        for t in TS:
+            term_tt, term_xx, term_mass = kg.kg_terms(pw.PhasePoint(x, t), WAVE, 1.001, family)
+            want = term_tt + term_xx + term_mass
+            got = kg.residual_kg(x, t, WAVE, 1.001, family)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())

@@ -85,7 +85,7 @@ MUTATIONS = [
      "(1j * u - u * u / 2.0)", "(1.001j * u - u * u / 2.0)",
      {"planewave.psi_q_jet", "planewave.approx_jet_fd", "planewave.dt_approx_q_fd"}),
     ("first_order_pow_s", "qcore.first_order_pow",
-     "cmath.exp(s * (", "cmath.exp(1.001 * s * (",
+     "checked_exp(s * (", "checked_exp(1.001 * s * (",
      {"planewave.approx_order", "planewave.approx_order_r2", "kleingordon.approx_order",
       "kleingordon.approx_order_r2", "gaussian.approx_order", "gaussian.approx_order_r2",
       "separation.f_order", "separation.f_order_r2", "separation.g_order",
@@ -100,7 +100,7 @@ MUTATIONS = [
       "planewave.exact_fd", "planewave.modulus_identity", "separation.exact_fd",
       "separation.f_jet", "separation.f_q_jet", "separation.g_jet", "separation.g_q_jet"}),
     ("q_pow_scale", "qcore.q_pow",
-     "cmath.exp(scale * z", "cmath.exp(1.001 * scale * z",
+     "checked_exp(scale * z", "checked_exp(1.001 * scale * z",
      {"kleingordon.exact_fd", "kleingordon.qF_jet", "planewave.approx_error_order",
       "planewave.approx_jet_fd", "planewave.exact_fd", "planewave.modulus_identity",
       "separation.exact_fd", "separation.f_jet", "separation.f_q_jet", "separation.g_jet",

@@ -261,6 +261,15 @@ def test_modulus_ratio_paths_refuse_alike(c, g0, g, q):
         assert one == whole
 
 
+@pytest.mark.parametrize("g", [2.0, 2.001])
+def test_modulus_ratio_refuses_the_cut_on_both_paths(g):
+    # at q = 0.5 the base 1 - g/2 is 0 at g = 2 and -5e-4 at g = 2.001; a
+    # guard shifted by 1e-3 would return R = 4.0e6 for the second
+    for point in ((0.0, 0.0, g), tuple(np.array([v]) for v in (0.0, 0.0, g))):
+        with pytest.raises(BranchCutViolation, match="branch cut"):
+            qcore.modulus_ratio(*point, 0.5)
+
+
 @pytest.mark.parametrize(
     "z,q,error",
     [

@@ -3,6 +3,7 @@ the first-order assembly, the closed-form equation terms, and the
 gaussian checks that a patched formula must fail."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from qwave import checks
 from qwave import qgaussian as qg
 from qwave import verify
-from qwave.errors import BranchCutViolation, InvalidQ, NonFiniteInput
+from qwave.errors import BranchCutViolation, InvalidQ, NonFiniteInput, NonFiniteResult, QWaveError
 
 XS = tuple(np.linspace(-3.0, 3.0, 13))
 TS = tuple(np.linspace(0.0, 2.0, 5))
@@ -49,6 +50,43 @@ def test_params_whose_kq_divides_by_zero_are_refused():
     # where the exact coefficients' kq at q = 1e10 is 2.5e299
     with pytest.raises(NonFiniteInput, match="at q = 1.0"):
         params_for(1e10, m=1e-300, beta=1e-5)
+
+
+@pytest.mark.parametrize("m, beta", [(1.0, 1e-150), (1e-160, 1e20)])
+def test_first_order_packet_overflow_is_typed(m, beta):
+    # e^{-G0} of the first-order packet leaves the double range at (0.5, 0.5),
+    # where exact_qgaussian is 0j: a typed refusal, not cmath.exp's builtin
+    # OverflowError ("math range error")
+    params = params_for(1.001, m=m, beta=beta)
+    assert qg.exact_qgaussian(0.5, 0.5, params) == 0j
+    with pytest.raises(NonFiniteResult):
+        qg.approx_qgaussian(0.5, 0.5, params)
+    with pytest.raises(NonFiniteResult):
+        qg.gaussian_terms(0.5, 0.5, params, "approx")
+    # the jet's exp overflows at the second pair; at the first, its v1 is not finite
+    with pytest.raises(NonFiniteResult if m < 1.0 else NonFiniteInput):
+        qg.wavefunction_jet(0.5, 0.5, params)
+
+
+def test_packet_functions_raise_only_typed_errors_on_extremes():
+    # each packet function at finite extremes of m and beta returns a value
+    # (finite or not: the silent NaN is still open) or raises a QWaveError,
+    # never a builtin error
+    magnitudes = (1e-300, 1e-160, 1e-20, 1e-3, 1.0, 7.0, 1e20, 1e160, 1e300)
+    qs = (1 + 1e-12, 1.001, 0.7, 1.5, 3.0, -0.5)
+    functions = (qg.exact_qgaussian, qg.approx_qgaussian, qg.wavefunction_jet,
+                 lambda x, t, p: qg.gaussian_terms(x, t, p, "exact"),
+                 lambda x, t, p: qg.gaussian_terms(x, t, p, "approx"))
+    for m, beta, q in itertools.product(magnitudes, magnitudes, qs):
+        try:
+            params = params_for(q, m=m, beta=beta)
+        except NonFiniteInput:
+            continue
+        for fn, (x, t) in itertools.product(functions, ((0.5, 0.5), (2.0, 0.0))):
+            try:
+                fn(x, t, params)
+            except QWaveError:
+                pass
 
 
 @pytest.mark.parametrize("fn, point", [
