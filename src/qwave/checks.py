@@ -15,7 +15,8 @@ piece of code.
 
 The repeated patterns are helpers: max_rel reduces (difference, scale)
 pairs; fd_gap(closed, fn, ats, scale, deriv) gives the worst relative gap
-of closed(a) against the Richardson FD of fn at a over ats; approx_jet_gap
+of closed(a) against the Richardson FD of fn at a over ats, and pw_fd_gap
+runs it along one axis of a plane wave's PhasePoint grid; approx_jet_gap
 compares the FD-in-q jet of each exact form with the jet of its shipped
 approximant, so the jet checks read every first-order coefficient from the
 approx_* forms; and @order_fit turns one convergence fit of a residual
@@ -126,6 +127,17 @@ def fd_gap(closed, fn, ats, scale: float, deriv: int) -> float:
     return max_rel(map(pair, ats))
 
 
+def pw_fd_gap(closed, fn, axis: str, xs, ts, w: pw.PlaneWave, deriv: int) -> float:
+    """fd_gap of closed(pt) against the FD of fn(pt) over the PhasePoints of
+    xs x ts: axis "x" in x at each t, on the length 1/p, or axis "t" in t at
+    each x, on the time 1/E."""
+    if axis == "x":
+        return max(fd_gap(lambda x: closed(pw.PhasePoint(x, t)), lambda x: fn(pw.PhasePoint(x, t)),
+                          xs, 1.0 / w.p, deriv) for t in ts)
+    return max(fd_gap(lambda t: closed(pw.PhasePoint(x, t)), lambda t: fn(pw.PhasePoint(x, t)),
+                      ts, 1.0 / w.E, deriv) for x in xs)
+
+
 def approx_jet(approx: Callable[[float], complex]) -> qcore.QJet:
     """The q-jet (approx(1), approx(2) - approx(1)) of an approximant given as
     a function of q, exact because every approx_* is linear in q."""
@@ -171,16 +183,14 @@ for _q in (0.999, 1.001, 1.1):
 
 
 def pw_exact_fd(q: float, xs=_PW_XS[::3], ts=_PW_TS) -> float:
-    """fd_gap of the exact addends as derivatives of the exact wave: i dt
-    psi^q, in t at each x, and (1/2m) d2x psi, in x at each t."""
-    w, pt = _PW_WAVE, pw.PhasePoint
+    """pw_fd_gap of the exact addends as derivatives of the exact wave: i dt
+    psi^q in t, and (1/2m) d2x psi in x."""
+    w = _PW_WAVE
     terms = partial(pw.schrodinger_terms, w=w, q=q, family="exact")
-    return max(
-        *(fd_gap(lambda t: terms(pt(x, t))[0] / 1j, lambda t: pw.exact_psi_q(pt(x, t), w, q),
-                 ts, 1.0 / w.E, 1) for x in xs),
-        *(fd_gap(lambda x: 2.0 * w.m * terms(pt(x, t))[1], lambda x: pw.exact_psi(pt(x, t), w, q),
-                 xs, 1.0 / w.p, 2) for t in ts),
-    )
+    return max(pw_fd_gap(lambda pt: terms(pt)[0] / 1j, partial(pw.exact_psi_q, w=w, q=q), "t",
+                         xs, ts, w, 1),
+               pw_fd_gap(lambda pt: 2.0 * w.m * terms(pt)[1], partial(pw.exact_psi, w=w, q=q), "x",
+                         xs, ts, w, 2))
 
 
 check("planewave.exact_fd", "exact addends are FD derivatives of the exact wave, q=1.1", 1e-8)(
@@ -258,13 +268,9 @@ def pw_approx_jet_fd(points=_PW_POINTS[::3]) -> float:
 def pw_d2x_fd(
     q: float = 1.02, xs=_PW_XS[::3], ts=_PW_TS, w: pw.PlaneWave = _PW_WAVE
 ) -> float:
-    """fd_gap of d2x_approx_psi of the wave w, in x at each t."""
-
-    def at_t(t):
-        return fd_gap(lambda x: pw.d2x_approx_psi(pw.PhasePoint(x, t), w, q),
-                      lambda x: pw.approx_psi(pw.PhasePoint(x, t), w, q), xs, 1.0 / w.p, 2)
-
-    return max(map(at_t, ts))
+    """pw_fd_gap of d2x_approx_psi of the wave w, in x."""
+    return pw_fd_gap(partial(pw.d2x_approx_psi, w=w, q=q), partial(pw.approx_psi, w=w, q=q), "x",
+                     xs, ts, w, 2)
 
 
 @check(
@@ -273,14 +279,10 @@ def pw_d2x_fd(
     1e-8,
 )
 def pw_dt_q_fd(q: float = 1.02, xs=_PW_XS[::3], ts=_PW_TS) -> float:
-    """fd_gap of dt_approx_psi_q, in t at each x."""
-
-    def at_x(x):
-        return fd_gap(lambda t: pw.dt_approx_psi_q(pw.PhasePoint(x, t), _PW_WAVE, q),
-                      lambda t: pw.approx_psi_q(pw.PhasePoint(x, t), _PW_WAVE, q),
-                      ts, 1.0 / _PW_WAVE.E, 1)
-
-    return max(map(at_x, xs))
+    """pw_fd_gap of dt_approx_psi_q, in t."""
+    w = _PW_WAVE
+    return pw_fd_gap(partial(pw.dt_approx_psi_q, w=w, q=q), partial(pw.approx_psi_q, w=w, q=q), "t",
+                     xs, ts, w, 1)
 
 
 # -- separation ------------------------------------------------------------
@@ -292,34 +294,35 @@ _SEP_XS = linspace(-6.0, 6.0, 17)
 _PAIR_EPSILONS = (1e-3, 1e-6, 1e-9)
 
 
-@check(
-    "separation.exact_residual_f",
-    "exact addends of f cancel by construction (exact_fd reads them), q=1.1",
-    1e-10,
-)
-def sep_exact_residual_f(q: float = 1.1) -> float:
-    """Worst residual_pair of the exact time factor."""
-    return max_rel(residual_pair(sep.f_terms(t, _SEP_E, q, family="exact")) for t in _SEP_TS)
+# each factor's equation, terms(s, k, q, family), on its grid of s (t or x) and scale k (E or p)
+_SEP_FACTORS = (("f", sep.f_terms, _SEP_TS, _SEP_E), ("g", sep.g_terms, _SEP_XS, _SEP_P))
 
 
-@check(
-    "separation.exact_residual_g",
-    "exact addends of g cancel by construction (exact_fd reads them), q=1.1",
-    1e-10,
-)
-def sep_exact_residual_g(q: float = 1.1) -> float:
-    """Worst residual_pair of the exact space factor."""
-    return max_rel(residual_pair(sep.g_terms(x, _SEP_P, q, family="exact")) for x in _SEP_XS)
+def sep_exact_residual(terms, grid, k: float, q: float) -> float:
+    """Worst residual_pair of the exact factor in the equation terms, over s in grid."""
+    return max_rel(residual_pair(terms(s, k, q, family="exact")) for s in grid)
+
+
+for _name, *_factor in _SEP_FACTORS:
+    check(f"separation.exact_residual_{_name}",
+          f"exact addends of {_name} cancel by construction (exact_fd reads them), q=1.1",
+          1e-10)(partial(sep_exact_residual, *_factor, 1.1))
+
+
+def sep_fd(closed, fn, grid, k: float, deriv: int, q: float) -> float:
+    """fd_gap of closed(s, k, q) against the FD of fn(s, k, q) over s in grid,
+    on the scale 1/k."""
+    return fd_gap(lambda s: closed(s, k, q), lambda s: fn(s, k, q), grid, 1.0 / k, deriv)
 
 
 def sep_exact_fd(q: float, ts=_SEP_TS[::2], xs=_SEP_XS[::2]) -> float:
-    """fd_gap of the exact addends as derivatives of the exact factors:
+    """sep_fd of the exact addends as derivatives of the exact factors:
     i dt f^q in t, and -(1/2) d2x g in x."""
     return max(
-        fd_gap(lambda t: sep.f_terms(t, _SEP_E, q, family="exact")[0] / 1j,
-               lambda t: sep.exact_f_q(t, _SEP_E, q), ts, 1.0 / _SEP_E, 1),
-        fd_gap(lambda x: -2.0 * sep.g_terms(x, _SEP_P, q, family="exact")[0],
-               lambda x: sep.exact_g(x, _SEP_P, q), xs, 1.0 / _SEP_P, 2),
+        sep_fd(lambda t, E, q: sep.f_terms(t, E, q, family="exact")[0] / 1j, sep.exact_f_q,
+               ts, _SEP_E, 1, q),
+        sep_fd(lambda x, p, q: -2.0 * sep.g_terms(x, p, q, family="exact")[0], sep.exact_g,
+               xs, _SEP_P, 2, q),
     )
 
 
@@ -346,16 +349,16 @@ def sep_pair_cancellation() -> float:
     )
 
 
-@order_fit("separation.f_order", "first-order f inserted in its equation")
-def sep_f_norm(eps: float, ts=_SEP_TS) -> float:
-    """Largest |residual| of the first-order time factor at q = 1 + eps."""
-    return max(abs(sum(sep.f_terms(t, _SEP_E, 1.0 + eps, family="approx"))) for t in ts)
+def sep_norm(eps: float, terms, grid, k: float) -> float:
+    """Largest |residual| of the first-order factor in the equation terms at
+    q = 1 + eps, over s in grid."""
+    return max(abs(sum(terms(s, k, 1.0 + eps, family="approx"))) for s in grid)
 
 
-@order_fit("separation.g_order", "first-order g inserted in its equation")
-def sep_g_norm(eps: float, xs=_SEP_XS) -> float:
-    """Largest |residual| of the first-order space factor at q = 1 + eps."""
-    return max(abs(sum(sep.g_terms(x, _SEP_P, 1.0 + eps, family="approx"))) for x in xs)
+for _name, _terms, _grid_s, _k in _SEP_FACTORS:
+    order_fit(f"separation.{_name}_order", f"first-order {_name} inserted in its equation")(
+        partial(sep_norm, terms=_terms, grid=_grid_s, k=_k)
+    )
 
 
 def sep_jet_gap(exact, approx, grid, k: float) -> float:
@@ -374,18 +377,12 @@ for _key, _exact, _approx, _grid_s, _k, _tol in (
     )(partial(sep_jet_gap, _exact, _approx, _grid_s, _k))
 
 
-@check("separation.dt_f_q_fd", "closed-form dt of the first-order f^q against FD", 1e-8)
-def sep_dt_f_q_fd(q: float = 1.02, ts=_SEP_TS) -> float:
-    """fd_gap of dt_approx_f_q."""
-    return fd_gap(lambda t: sep.dt_approx_f_q(t, _SEP_E, q),
-                  lambda t: sep.approx_f_q(t, _SEP_E, q), ts, 1.0 / _SEP_E, 1)
-
-
-@check("separation.d2x_g_fd", "closed-form d2x of the first-order g against FD", 1e-8)
-def sep_d2x_g_fd(q: float = 1.02, xs=_SEP_XS) -> float:
-    """fd_gap of d2x_approx_g."""
-    return fd_gap(lambda x: sep.d2x_approx_g(x, _SEP_P, q),
-                  lambda x: sep.approx_g(x, _SEP_P, q), xs, 1.0 / _SEP_P, 2)
+check("separation.dt_f_q_fd", "closed-form dt of the first-order f^q against FD", 1e-8)(
+    partial(sep_fd, sep.dt_approx_f_q, sep.approx_f_q, _SEP_TS, _SEP_E, 1, 1.02)
+)
+check("separation.d2x_g_fd", "closed-form d2x of the first-order g against FD", 1e-8)(
+    partial(sep_fd, sep.d2x_approx_g, sep.approx_g, _SEP_XS, _SEP_P, 2, 1.02)
+)
 
 
 @check(
@@ -491,16 +488,25 @@ def qg_exact_residual(qs=(*_QG_QS, 1.5), xs=_QG_XS, ts=_QG_TS) -> float:
     )
 
 
-@check(
-    "gaussian.ratio_band",
-    "packet ratio stays within [0.9, 1.1] over the default sweep",
-    0.1,
-)
-def _qg_ratio_band() -> float:
-    cs, j = qg.coeffs_exact(0.0, _QG_PARAMS), qg.coeffs_first_order(0.0, _QG_PARAMS)
-    return max(abs(abs(qg.approx_qgaussian(x, 0.0, _QG_PARAMS, j))
-                   / abs(qg.exact_qgaussian(x, 0.0, _QG_PARAMS, cs)) - 1.0)
-               for x in linspace(0.0, 4.0, 1001))
+@check("gaussian.ratio_kernel", "the printed R is |approx| / |exact| of the packet and the plane "
+       "wave, to 1e-6 of R - 1", 1e-6)
+def qg_ratio_kernel(qs=(0.7, 0.9, 1.1, 1.3)) -> float:
+    """Worst gap of the ratio kernel's R against the quotient |approx| / |exact|,
+    relative to |R - 1|: the packet at t = 0.7, the plane wave at t = 0 with
+    its phase u kept away from 0, where R - 1 vanishes."""
+
+    def pairs(q):
+        params, t, w = _qg_params(q), 0.7, _PW_WAVE
+        cs, j = qg.coeffs_exact(t, params), qg.coeffs_first_order(t, params)
+        for x in linspace(0.0, 2.0, 41):
+            approx, exact = (qg.approx_qgaussian(x, t, params, j),
+                             qg.exact_qgaussian(x, t, params, cs))
+            yield qg.ratio_gaussian(x, t, params, cs, j), abs(approx) / abs(exact)
+        for pt in map(pw.PhasePoint, linspace(0.5, 2.5, 41)):
+            approx, exact = pw.approx_psi(pt, w, q), pw.exact_psi(pt, w, q)
+            yield pw.ratio_R(pt, w, q), abs(approx) / abs(exact)
+
+    return max_rel((abs(r - quotient), abs(r - 1.0)) for q in qs for r, quotient in pairs(q))
 
 
 # -- kleingordon -----------------------------------------------------------
@@ -524,16 +530,12 @@ for _q in (0.999, 1.1):
 
 
 def kg_exact_fd(q: float, xs=_KG_XS[::2], ts=_KG_TS) -> float:
-    """fd_gap of the exact addends as derivatives of the exact wave: d2t F,
-    in t at each x, and -d2x F, in x at each t."""
-    w, pt = _KG_WAVE, pw.PhasePoint
-    terms = partial(kg.kg_terms, w=w, q=q, family="exact")
-    return max(
-        *(fd_gap(lambda t: terms(pt(x, t))[0], lambda t: pw.exact_psi(pt(x, t), w, q),
-                 ts, 1.0 / w.E, 2) for x in xs),
-        *(fd_gap(lambda x: -terms(pt(x, t))[1], lambda x: pw.exact_psi(pt(x, t), w, q),
-                 xs, 1.0 / w.p, 2) for t in ts),
-    )
+    """pw_fd_gap of the exact addends as derivatives of the exact wave: d2t F
+    in t, and -d2x F in x."""
+    w = _KG_WAVE
+    terms, psi = partial(kg.kg_terms, w=w, q=q, family="exact"), partial(pw.exact_psi, w=w, q=q)
+    return max(pw_fd_gap(lambda pt: terms(pt)[0], psi, "t", xs, ts, w, 2),
+               pw_fd_gap(lambda pt: -terms(pt)[1], psi, "x", xs, ts, w, 2))
 
 
 check("kleingordon.exact_fd", "exact addends are FD derivatives of the exact wave, q=1.1", 1e-8)(
@@ -577,14 +579,11 @@ def kg_qF_jet(xs=_KG_XS[::2], ts=_KG_TS) -> float:
     1e-8,
 )
 def kg_d2_fd(q: float = 1.02, xs=_KG_XS[::3], ts=_KG_TS) -> float:
-    """pw_d2x_fd of the Klein-Gordon wave and fd_gap of its d2t_approx_F."""
-
-    def d2t_at_x(x):
-        return fd_gap(lambda t: kg.d2t_approx_F(pw.PhasePoint(x, t), _KG_WAVE, q),
-                      lambda t: pw.approx_psi(pw.PhasePoint(x, t), _KG_WAVE, q),
-                      ts, 1.0 / _KG_WAVE.E, 2)
-
-    return max(pw_d2x_fd(q, xs, ts, _KG_WAVE), *map(d2t_at_x, xs))
+    """pw_d2x_fd of the Klein-Gordon wave and pw_fd_gap of its d2t_approx_F."""
+    w = _KG_WAVE
+    return max(pw_d2x_fd(q, xs, ts, w),
+               pw_fd_gap(partial(kg.d2t_approx_F, w=w, q=q), partial(pw.approx_psi, w=w, q=q), "t",
+                         xs, ts, w, 2))
 
 
 SUITES: tuple[str, ...] = tuple(dict.fromkeys(entry.suite for entry in REGISTRY.values()))

@@ -310,7 +310,7 @@ def _overflow_refusal(args) -> NonFiniteResult | None:
         cannot be evaluated."""
         try:
             return next((name for name, v in terms(**values) if not cmath.isfinite(v)), None)
-        except NonFiniteInput:
+        except (NonFiniteInput, NonFiniteResult):
             return quantity
 
     if non_finite("reference point"):

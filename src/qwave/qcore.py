@@ -83,6 +83,14 @@ def complex_log1p(w: complex) -> complex:
     return cmath.log(u) * (w / d)
 
 
+def finite_result(*values: complex) -> tuple[complex, ...]:
+    """The values, unless one has left the double range (or is a NaN from
+    one): then NonFiniteResult, for a caller whose inputs are all finite."""
+    if not all(map(cmath.isfinite, values)):
+        raise NonFiniteResult(f"a result leaves the double range: {values!r}")
+    return values
+
+
 def checked_exp(z: complex) -> complex:
     """cmath.exp(z), raising NonFiniteResult where it leaves the double range."""
     try:

@@ -50,7 +50,7 @@ import math
 from typing import TYPE_CHECKING
 
 from . import qcore
-from .errors import InvalidQ, NonFiniteInput
+from .errors import InvalidQ, NonFiniteInput, NonFiniteResult
 from .qcore import QJet, jet_exp, jet_ln, log1p_over_w_jet, expm1_over_w_jet
 
 if TYPE_CHECKING:
@@ -95,14 +95,17 @@ def _coeffs_and_rates(t: float, params: GaussianParams, q, functions):
     if not math.isfinite(t):
         raise NonFiniteInput(f"t must be finite, got {t!r}")
     log, exp, expm1_over_w = functions
-    D = 1.0 + 1j * (q + 1.0) * t
-    kq = 1.0 / (4.0 * params.m * q * params.beta * params.beta)
-    L = log(D)  # Re D = 1, so the principal log is the smooth branch
-    M = (q - 1.0) * L / (q + 1.0)
-    a, b, eM = params.m * q / D, 1.0 / (params.beta * D), exp(M)
-    c = (L / (q + 1.0)) * expm1_over_w(M) - kq * eM + kq / D
-    k = -1j * (q + 1.0) / D
-    return (a, b, c), (k * a, k * b, 1j * (1.0 - (q - 1.0) * kq) * eM / D + k * kq / D)
+    try:
+        D = 1.0 + 1j * (q + 1.0) * t
+        kq = 1.0 / (4.0 * params.m * q * params.beta * params.beta)
+        L = log(D)  # Re D = 1, so the principal log is the smooth branch
+        M = (q - 1.0) * L / (q + 1.0)
+        a, b, eM = params.m * q / D, 1.0 / (params.beta * D), exp(M)
+        c = (L / (q + 1.0)) * expm1_over_w(M) - kq * eM + kq / D
+        k = -1j * (q + 1.0) / D
+        return (a, b, c), (k * a, k * b, 1j * (1.0 - (q - 1.0) * kq) * eM / D + k * kq / D)
+    except NonFiniteInput as error:  # every input is finite here: a value (a jet's) overflowed
+        raise NonFiniteResult(str(error)) from None
 
 
 def coeffs_exact(t: float, params: GaussianParams) -> tuple[complex, complex, complex]:
@@ -170,9 +173,12 @@ def wavefunction_jet(x: float, t: float, params: GaussianParams) -> QJet:
     if not (math.isfinite(x) and math.isfinite(t)):
         raise NonFiniteInput(f"point must be finite, got {(x, t)!r}")
     a, b, c = _coeff_jets(t, params)
-    G = a * (x * x) + b * x + c
-    # ln psi = -G * S(eps G) with S = log1p(w)/w
-    return jet_exp(-(G * log1p_over_w_jet(G.v0)))
+    try:
+        G = a * (x * x) + b * x + c
+        # ln psi = -G * S(eps G) with S = log1p(w)/w
+        return jet_exp(-(G * log1p_over_w_jet(G.v0)))
+    except NonFiniteInput as error:  # as in _coeffs_and_rates
+        raise NonFiniteResult(str(error)) from None
 
 
 def exact_qgaussian(x: float, t: float, params: GaussianParams, cs=None) -> complex:
@@ -196,7 +202,7 @@ def approx_qgaussian(x: float, t: float, params: GaussianParams, j=None) -> comp
     if not (math.isfinite(x) and math.isfinite(t)):
         raise NonFiniteInput(f"point must be finite, got {(x, t)!r}")
     c, G0 = first_order_parts(x, t, params, j)
-    return (1.0 + c) * qcore.checked_exp(-G0)
+    return qcore.finite_result((1.0 + c) * qcore.checked_exp(-G0))[0]
 
 
 def ratio_terms(x, t: float, params: GaussianParams, cs=None, j=None):
@@ -241,7 +247,8 @@ def gaussian_terms(
     if family == "exact":
         (a, b, c), (a_t, b_t, c_t) = _coeffs_and_rates(t, params, q, _EXACT)
         G, Gx, Gt = a * x * x + b * x + c, 2.0 * a * x + b, a_t * x * x + b_t * x + c_t
-        return -1j * q * Gt, (q * Gx * Gx - (1.0 + (q - 1.0) * G) * 2.0 * a) / (2.0 * m)
+        return qcore.finite_result(-1j * q * Gt,
+                                   (q * Gx * Gx - (1.0 + (q - 1.0) * G) * 2.0 * a) / (2.0 * m))
     if family != "approx":
         raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
     j, eps = coeffs_first_order(t, params), q - 1.0
@@ -254,4 +261,4 @@ def gaussian_terms(
     Px, Pxx = -eps * (G1x - G0 * G0x), -eps * (2.0 * a2 - G0x * G0x - 2.0 * a1 * G0)
     psi_q = qcore.first_order_pow(-G0, corr, q)  # refuses P on the branch cut
     d2x = (Pxx - 2.0 * Px * G0x + P * (G0x * G0x - 2.0 * a1)) * qcore.checked_exp(-G0)
-    return 1j * q * psi_q * (Pt / P - G0t), d2x / (2.0 * m)
+    return qcore.finite_result(1j * q * psi_q * (Pt / P - G0t), d2x / (2.0 * m))

@@ -52,10 +52,11 @@ def test_criterion_2_first_order_convergence():
     xs = np.linspace(-6.0, 6.0, 13)
     ts = np.linspace(0.0, 3.0, 5)
     f_ts = np.linspace(0.0, 4.0, 17)
+    E, P = 0.845, 1.3
     norms = {
         "planewave.approx_order": partial(checks.pw_approx_norm, xs=xs, ts=ts),
-        "separation.f_order": partial(checks.sep_f_norm, ts=f_ts),
-        "separation.g_order": partial(checks.sep_g_norm, xs=xs),
+        "separation.f_order": partial(checks.sep_norm, terms=sep.f_terms, grid=f_ts, k=E),
+        "separation.g_order": partial(checks.sep_norm, terms=sep.g_terms, grid=xs, k=P),
         "kleingordon.approx_order": partial(checks.kg_approx_norm, xs=xs, ts=ts),
     }
     fits = {key: verify.order_of_convergence(norm) for key, norm in norms.items()}
@@ -100,8 +101,8 @@ def test_criterion_3_closed_forms_vs_oracles():
         checks.pw_d2x_fd(q, xs8, ts2),
         checks.pw_dt_q_fd(q, xs8, ts2),
         checks.kg_d2_fd(q, xs8, ts2),
-        checks.sep_dt_f_q_fd(q, np.linspace(0.0, 4.0, 8)),
-        checks.sep_d2x_g_fd(q, np.linspace(-6.0, 6.0, 8)),
+        checks.sep_fd(sep.dt_approx_f_q, sep.approx_f_q, np.linspace(0.0, 4.0, 8), E, 1, q),
+        checks.sep_fd(sep.d2x_approx_g, sep.approx_g, np.linspace(-6.0, 6.0, 8), P, 2, q),
     )
 
     elapsed = time.perf_counter() - start

@@ -13,12 +13,11 @@ next decade.
 
 import decimal
 import inspect
-import json
 
 import numpy as np
 import pytest
 
-from qwave import cli, floattext, scenarios
+from qwave import floattext, scenarios
 from qwave import qgaussian as qg
 
 CHUNK = 65_536  # values per kernel call, so the kernel's temporaries stay small
@@ -222,14 +221,3 @@ def test_16_digit_ties_round_half_to_even(monkeypatch):
     bad = mismatches(values, shortest=True)
     assert bad and len(bad) < len(values)
 
-
-def test_json_writer_on_the_plane_wave_sweep():
-    """format_rows_json on the 200,001-point plane-wave sweep, block by block
-    as the CLI writes it, is json.dumps of its records."""
-    sweep = plane_wave_sweep()
-    blocks = sweep.blocks()
-    text = "".join(cli.format_rows_json(("x", "R"), block, first=i == 0,
-                                        last=i == len(blocks) - 1)
-                   for i, block in enumerate(blocks))
-    records = [{"x": x, "R": v} for x, v in zip(sweep.x.tolist(), sweep.values.tolist())]
-    assert text == json.dumps(records, indent=1) + "\n"

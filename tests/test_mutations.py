@@ -10,11 +10,10 @@ registry check is measured in-process, and the checks that fail must be
 exactly the row's set: a check that stops failing, or starts failing, is
 a change to what the suite can detect.
 
-Mutants that no check catches are not rows.  Two are known: the
+Mutants that no check catches are not rows.  One is known: the
 eps-coefficient of c_t (c2_t of qgaussian.rates_first_order) scaled by
 1.001, which is only 0.04-0.07 at the gaussian.approx_order probes
-(test_qgaussian's test_approx_terms_match_fd catches it), and R scaled by
-1.001 inside qcore.modulus_ratio, which no registry check calls.
+(test_qgaussian's test_approx_terms_match_fd catches it).
 
 Every registry check fails under some row, or is in UNKILLED with the
 reason no row fails it, so a new check comes with the row it kills.
@@ -80,7 +79,7 @@ MUTATIONS = [
     ("approx_psi_c", "planewave.approx_psi",
      "(1.0 + c)", "(1.0 + 1.001 * c)",
      {"kleingordon.d2_approx_fd", "planewave.approx_error_order", "planewave.approx_jet_fd",
-      "planewave.d2x_approx_fd"}),
+      "planewave.d2x_approx_fd", "gaussian.ratio_kernel"}),
     ("approx_psi_q_iu", "planewave.approx_psi_q",
      "(1j * u - u * u / 2.0)", "(1.001j * u - u * u / 2.0)",
      {"planewave.psi_q_jet", "planewave.approx_jet_fd", "planewave.dt_approx_q_fd"}),
@@ -98,16 +97,23 @@ MUTATIONS = [
      "complex_log1p(w) / w", "complex_log1p(w) / w + 1e-4 * w",
      {"kleingordon.exact_fd", "kleingordon.qF_jet", "planewave.approx_jet_fd",
       "planewave.exact_fd", "planewave.modulus_identity", "separation.exact_fd",
-      "separation.f_jet", "separation.f_q_jet", "separation.g_jet", "separation.g_q_jet"}),
+      "separation.f_jet", "separation.f_q_jet", "separation.g_jet", "separation.g_q_jet",
+      "gaussian.ratio_kernel"}),
     ("q_pow_scale", "qcore.q_pow",
      "checked_exp(scale * z", "checked_exp(1.001 * scale * z",
      {"kleingordon.exact_fd", "kleingordon.qF_jet", "planewave.approx_error_order",
       "planewave.approx_jet_fd", "planewave.exact_fd", "planewave.modulus_identity",
       "separation.exact_fd", "separation.f_jet", "separation.f_q_jet", "separation.g_jet",
-      "separation.g_q_jet"}),
+      "separation.g_q_jet", "gaussian.ratio_kernel"}),
     ("expm1_over_w", "qcore.stable_expm1_over_w",
      "complex_expm1(w) / w", "complex_expm1(w) / w + 1e-4 * w",
      {"gaussian.coeff_fd", "gaussian.exact_residual"}),
+    ("ratio_R", "qcore._ratio",
+     "r = exp(", "r = 1.001 * exp(",
+     {"gaussian.ratio_kernel"}),
+    ("log_abs_1p_near_half", "qcore._log_abs_1p_near",
+     "0.5 * log1p(y * y)", "0.5005 * log1p(y * y)",
+     {"gaussian.ratio_kernel"}),
 ]
 
 _DISPERSION_ONLY = "sums two multiples of one computed value: it checks the dispersion relation only"
@@ -123,8 +129,6 @@ UNKILLED = {
     "separation.exact_residual_g": _BY_CONSTRUCTION,
     "kleingordon.exact_residual_q0.999": _DISPERSION_ONLY,
     "kleingordon.exact_residual_q1.1": _DISPERSION_ONLY,
-    "gaussian.ratio_band": "reads 1.3e-2 against a band of 0.1, which a 1.001 scale "
-                           "of a packet formula stays inside",
     "kleingordon.dispersion_sensitivity": "tests the test setup (an off-shell wave), "
                                           "not a shipped formula",
     "separation.product_not_planewave": "tests the test setup (f g is not the plane wave), "

@@ -13,6 +13,7 @@ from qwave import checks
 from qwave import qgaussian as qg
 from qwave import verify
 from qwave.errors import BranchCutViolation, InvalidQ, NonFiniteInput, NonFiniteResult, QWaveError
+from qwave.qcore import QJet
 
 XS = tuple(np.linspace(-3.0, 3.0, 13))
 TS = tuple(np.linspace(0.0, 2.0, 5))
@@ -63,15 +64,16 @@ def test_first_order_packet_overflow_is_typed(m, beta):
         qg.approx_qgaussian(0.5, 0.5, params)
     with pytest.raises(NonFiniteResult):
         qg.gaussian_terms(0.5, 0.5, params, "approx")
-    # the jet's exp overflows at the second pair; at the first, its v1 is not finite
-    with pytest.raises(NonFiniteResult if m < 1.0 else NonFiniteInput):
+    # the jet's exp overflows at the second pair; at the first, its v1 does:
+    # a result, not an input fault
+    with pytest.raises(NonFiniteResult):
         qg.wavefunction_jet(0.5, 0.5, params)
 
 
 def test_packet_functions_raise_only_typed_errors_on_extremes():
-    # each packet function at finite extremes of m and beta returns a value
-    # (finite or not: the silent NaN is still open) or raises a QWaveError,
-    # never a builtin error
+    # each packet function at finite extremes of m and beta returns finite
+    # values or raises a QWaveError: never a builtin error, a silent NaN or
+    # inf, or NonFiniteInput, since every input here is finite
     magnitudes = (1e-300, 1e-160, 1e-20, 1e-3, 1.0, 7.0, 1e20, 1e160, 1e300)
     qs = (1 + 1e-12, 1.001, 0.7, 1.5, 3.0, -0.5)
     functions = (qg.exact_qgaussian, qg.approx_qgaussian, qg.wavefunction_jet,
@@ -84,9 +86,13 @@ def test_packet_functions_raise_only_typed_errors_on_extremes():
             continue
         for fn, (x, t) in itertools.product(functions, ((0.5, 0.5), (2.0, 0.0))):
             try:
-                fn(x, t, params)
+                value = fn(x, t, params)
+            except NonFiniteInput:
+                raise
             except QWaveError:
-                pass
+                continue
+            values = (value.v0, value.v1) if isinstance(value, QJet) else np.ravel(value)
+            assert all(map(cmath.isfinite, values)), (fn, m, beta, q, x, t, value)
 
 
 @pytest.mark.parametrize("fn, point", [

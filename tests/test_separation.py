@@ -26,13 +26,13 @@ def test_initial_values():
 
 @pytest.mark.parametrize("q", [0.999, 1.001, 1.1, 1.5])
 def test_exact_f_eigenrelation(q):
-    worst = checks.sep_exact_residual_f(q)
+    worst = checks.sep_exact_residual(sep.f_terms, TS, E, q)
     assert worst <= 1e-10, worst
 
 
 @pytest.mark.parametrize("q", [0.999, 1.001, 1.1, 1.5])
 def test_exact_g_eigenrelation(q):
-    worst = checks.sep_exact_residual_g(q)
+    worst = checks.sep_exact_residual(sep.g_terms, XS, P, q)
     assert worst <= 1e-10, worst
 
 
@@ -61,7 +61,8 @@ def test_g_jets_against_closed_forms():
 
 
 def test_first_order_derivative_forms_against_fd():
-    worst = max(checks.sep_dt_f_q_fd(1.02, TS[1::2]), checks.sep_d2x_g_fd(1.02, XS[1::2]))
+    worst = max(checks.sep_fd(sep.dt_approx_f_q, sep.approx_f_q, TS[1::2], E, 1, 1.02),
+                checks.sep_fd(sep.d2x_approx_g, sep.approx_g, XS[1::2], P, 2, 1.02))
     assert worst <= 1e-8, worst
 
 

@@ -242,7 +242,7 @@ PINNED = {
     "gaussian.approx_order": 1.998583838405712,
     "gaussian.approx_order_r2": 0.9999998294321978,
     "gaussian.exact_residual": 1.2181130364225856e-15,
-    "gaussian.ratio_band": 0.012706596635008505,
+    "gaussian.ratio_kernel": 7.407493498476559e-12,
     "kleingordon.exact_residual_q0.999": 1.955961707335161e-16,
     "kleingordon.exact_residual_q1.1": 3.029982217458847e-16,
     "kleingordon.exact_fd": 4.626955999092601e-10,
