@@ -3,8 +3,9 @@
 
 Four plane-wave sweeps (electron and proton at 1 MeV, q-1 of 1e-9 and
 1e-12) and one packet sweep (natural units, q-1 = 1e-3).  Everything
-goes through the CLI entry point, so the files here are byte-identical
-to what a shell invocation would produce.
+goes through cli.main, so the files here are byte-identical to what a
+shell invocation would produce, and the script runs as a qwave process
+does: through cli.run, without the cyclic garbage collector.
 
 Usage: python scripts/run_figures.py [--outdir figures] [--points N]
 """
@@ -56,4 +57,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    cli.run(main)

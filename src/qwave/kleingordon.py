@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 
 from . import planewave as pw
-from .qcore import first_order_pow
+from .qcore import finite_result, first_order_pow
 
 
 def dispersion_omega(k: float, m: float) -> float:
@@ -76,19 +76,19 @@ def kg_terms(
     first-order wave, powered by qcore.first_order_pow so that F^(2q-1)
     never crosses the principal branch cut for |u| > pi.
     """
-    mass_coef = w.m ** 2
+    mass_coef = w.m * w.m
     if family == "exact":
         g2 = pw.exact_psi_2qm1(pt, w, q)
         term_tt = -(w.E * w.E) * q * g2
         term_xx = (w.p * w.p) * q * g2
         term_mass = mass_coef * q * g2
-        return term_tt, term_xx, term_mass
+        return finite_result(term_tt, term_xx, term_mass)
     if family == "approx":
         c, g0, _ = pw.ratio_terms(pt, w, q)
         term_tt = d2t_approx_F(pt, w, q)
         term_xx = -pw.d2x_approx_psi(pt, w, q)
         term_mass = mass_coef * q * first_order_pow(-g0, c, 2.0 * q - 1.0)
-        return term_tt, term_xx, term_mass
+        return finite_result(term_tt, term_xx, term_mass)
     raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
 
 

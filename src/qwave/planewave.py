@@ -22,6 +22,10 @@ Two residual notions coexist, the two families of schrodinger_terms:
 * "approx" inserts the first-order wave into the full nonlinear equation
   and leaves a genuine O((q-1)^2) remainder, which is what the
   order-of-convergence certification measures.
+
+A value that leaves the double range for finite inputs, such as c once u^2
+overflows, raises NonFiniteResult (qcore.finite_result): no function here
+returns inf or nan.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ def bracket_wave(u: float, q: float, coef: complex = 1.0) -> complex:
     """coef e^{iu} [q + 2i(q-1)u - (q-1)u^2/2], the one bracket of the truncated
     forms of d2x psi, dt psi^q and the Klein-Gordon d2x F, d2t F, q F^(2q-1)."""
     bracket = q + 2j * (q - 1.0) * u - (q - 1.0) * u * u / 2.0
-    return coef * cmath.exp(1j * u) * bracket
+    return qcore.finite_result(coef * cmath.exp(1j * u) * bracket)[0]
 
 
 def exact_psi(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
@@ -108,13 +112,13 @@ def exact_psi_2qm1(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
 def approx_psi(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
     """First-order wave e^{iu} [1 + (1-q) u^2/2], from the terms of ratio_terms."""
     c, g0, _ = ratio_terms(pt, w, q)
-    return cmath.exp(-g0) * (1.0 + c)
+    return qcore.finite_result(cmath.exp(-g0) * (1.0 + c))[0]
 
 
 def approx_psi_q(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
     """First-order expansion of psi^q: e^{iu} [1 + (q-1)(iu - u^2/2)]."""
     u = phase(pt, w)
-    return cmath.exp(1j * u) * (1.0 + (q - 1.0) * (1j * u - u * u / 2.0))
+    return qcore.finite_result(cmath.exp(1j * u) * (1.0 + (q - 1.0) * (1j * u - u * u / 2.0)))[0]
 
 
 def d2x_approx_psi(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
@@ -140,13 +144,13 @@ def schrodinger_terms(
         g = exact_psi_2qm1(pt, w, q)
         term_t = 1j * (-(1j * q * w.E) * g)
         term_x = (1.0 / (2.0 * w.m)) * (-(q * w.p * w.p) * g)
-        return term_t, term_x
+        return qcore.finite_result(term_t, term_x)
     if family == "approx":
         c, g0, _ = ratio_terms(pt, w, q)
         # i d/dt psi^q = q E psi^q (1 + i (q-1) u / (1 + c)) in closed form
         term_t = q * w.E * qcore.first_order_pow(-g0, c, q) * (1.0 - (q - 1.0) * g0 / (1.0 + c))
         term_x = (1.0 / (2.0 * w.m)) * d2x_approx_psi(pt, w, q)
-        return term_t, term_x
+        return qcore.finite_result(term_t, term_x)
     raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
 
 

@@ -102,7 +102,9 @@ def checked_exp(z: complex) -> complex:
 def first_order_pow(phase: complex, c: complex, s: float) -> complex:
     """[e^phase (1 + c)]**s of a first-order wave, along its continuous logarithm
     phase + log1p(c): the wrapped principal log of the value would pick up
-    spurious e^{2 pi i k s} factors once |Im phase| > pi."""
+    spurious e^{2 pi i k s} factors once |Im phase| > pi.  A c that has left
+    the double range raises NonFiniteResult, as it lies on no branch cut."""
+    finite_result(c)
     _require_off_cut(1.0 + c, "first-order amplitude 1 + c")
     return checked_exp(s * (phase + complex_log1p(c)))
 

@@ -62,21 +62,12 @@ def _eval(fn: Callable[[float], complex], x: float) -> complex:
     return y
 
 
-def _stencil(fn, at: float, h: float, deriv: int) -> complex:
+def _stencil(f, at: float, h: float, deriv: int) -> complex:
     if deriv == 1:
-        return (
-            -_eval(fn, at + 2 * h)
-            + 8.0 * _eval(fn, at + h)
-            - 8.0 * _eval(fn, at - h)
-            + _eval(fn, at - 2 * h)
-        ) / (12.0 * h)
+        return (-f(at + 2 * h) + 8.0 * f(at + h) - 8.0 * f(at - h) + f(at - 2 * h)) / (12.0 * h)
     if deriv == 2:
         return (
-            -_eval(fn, at + 2 * h)
-            + 16.0 * _eval(fn, at + h)
-            - 30.0 * _eval(fn, at)
-            + 16.0 * _eval(fn, at - h)
-            - _eval(fn, at - 2 * h)
+            -f(at + 2 * h) + 16.0 * f(at + h) - 30.0 * f(at) + 16.0 * f(at - h) - f(at - 2 * h)
         ) / (12.0 * h * h)
     raise ValueError(f"deriv must be 1 or 2, got {deriv!r}")
 
@@ -88,11 +79,19 @@ def fd_derivative(
     deriv: int = 1,
 ) -> complex:
     """Derivative of fn at a point: the diagonal of a Richardson triangle
-    built from step halvings."""
+    built from step halvings.  fn is evaluated once per distinct point, as
+    the halved step's at +- 2 (h/2) are the points at +- h, bit for bit."""
+    values: dict[float, complex] = {}
+
+    def f(x: float) -> complex:
+        if x not in values:
+            values[x] = _eval(fn, x)
+        return values[x]
+
     h, levels = scheme.step, scheme.richardson_levels
-    rows = [[_stencil(fn, at, h, deriv)]]
+    rows = [[_stencil(f, at, h, deriv)]]
     for j in range(1, levels + 1):
-        row = [_stencil(fn, at, h / 2.0 ** j, deriv)]
+        row = [_stencil(f, at, h / 2.0 ** j, deriv)]
         for k in range(1, j + 1):
             # the fourth-order central stencils have even error series: h^4, h^6, ...
             fac = 2.0 ** (4 + 2 * (k - 1))

@@ -4,6 +4,7 @@ writers, SVG plots, exit codes, and the verify table."""
 import argparse
 import contextlib
 import errno
+import gc
 import io
 import json
 import math
@@ -971,3 +972,63 @@ def test_run_figures_script_writes_every_figure(tmp_path):
         header = (tmp_path / f"{name}.csv").read_text().partition("\n")[0]
         assert header == ("x,ratio" if "gaussian" in name else "x,R")
         assert (tmp_path / f"{name}.svg").read_text().startswith("<svg ")
+
+
+# -- a qwave process runs main() without the cyclic collector -------------
+
+POLICY_PROBE = """
+import atexit, gc, runpy, sys
+from qwave import cli
+
+build_parser = cli.build_parser
+
+def observed():  # main() builds its parser first
+    print("collector on in main:", gc.isenabled())
+    return build_parser()
+
+cli.build_parser = observed
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+entry, sys.argv = sys.argv[1], ["qwave", *sys.argv[2:]]
+if entry == "python -m qwave":
+    runpy.run_module("qwave", run_name="__main__", alter_sys=True)
+else:
+    cli.run()
+"""
+
+
+@pytest.mark.parametrize("entry, argv, code", [
+    ("python -m qwave", ["ratio", "--points", "3"], cli.EXIT_OK),
+    ("python -m qwave", ["verify", "--tol", "planewave.exact_fd=1e-300"], cli.EXIT_FAIL),
+    ("python -m qwave", ["ratio", "--xmax", "inf"], cli.EXIT_USAGE),
+    ("python -m qwave", ["ratio", "--gaussian", "--m", "1e300", "--points", "3"],
+     cli.EXIT_NUMERIC),
+    ("cli.run", ["ratio", "--points", "3"], cli.EXIT_OK),
+])
+def test_process_entry_runs_main_without_the_collector(entry, argv, code):
+    # the exit codes of main() hold through the process entry point, which
+    # turns the collector off before main() and freezes the heap after it,
+    # a usage error (raised inside main() by argparse) included
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qwave.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", POLICY_PROBE, entry, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "collector on in main: False"
+    assert lines[-1] == "frozen at exit: True"
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert gc.isenabled()
+    assert run(["ratio", "--points", "3"], capsys)[0] == cli.EXIT_OK
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_script_enters_through_run():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        scripts = fh.read().partition("[project.scripts]")[2].partition("[")[0]
+    assert scripts.split() == ["qwave", "=", '"qwave.cli:run"']

@@ -4,6 +4,7 @@ against np.polyfit, the fit it replaced."""
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,31 @@ def test_stencil_failure_wrapped():
         verify.fd_derivative(bad, 0.0, verify.FDScheme(step=1e-3))
     with pytest.raises(StencilEvaluationFailed):
         verify.fd_derivative(lambda x: float("nan"), 0.0, verify.FDScheme(step=1e-3))
+
+
+@pytest.mark.parametrize("deriv, levels", [(1, 1), (1, 3), (2, 1), (2, 2)])
+def test_fd_evaluates_each_stencil_point_once(deriv, levels):
+    # a halved step's points at +- 2 (h/2) are those at +- h: each level
+    # after the first adds two points, and the center is a point of d2 only
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return cmath.exp(1j * x)
+
+    verify.fd_derivative(fn, 0.3, verify.FDScheme(step=0.1, richardson_levels=levels), deriv)
+    assert len(calls) == len(set(calls)) == 4 + 2 * levels + (deriv == 2)
+
+
+def test_first_failing_stencil_point_is_the_one_reported():
+    # the points are evaluated at +2h, +h, -h, ...: -h is the first to fail
+    def fn(x):
+        if x < 0.3:
+            raise RuntimeError("left of 0.3")
+        return x
+
+    with pytest.raises(StencilEvaluationFailed, match=re.escape(f"point {0.3 - 0.1!r} failed")):
+        verify.fd_derivative(fn, 0.3, verify.FDScheme(step=0.1, richardson_levels=2))
 
 
 def test_jet_from_fd_on_known_function():
