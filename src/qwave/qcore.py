@@ -166,9 +166,17 @@ _ON_NUMBERS = (cmath.isfinite, bool, lambda z: math.hypot(z.real, z.imag), math.
 
 
 def _on_arrays(np):
-    """The kernel's elementwise functions, as _ON_NUMBERS, on numpy arrays."""
-    return (lambda v: bool(np.isfinite(v).all()), np.any, np.abs, np.log1p, np.log, np.exp,
-            lambda cond, near, far, *args: np.where(cond, near(*args), far(*args)))
+    """The kernel's elementwise functions, as _ON_NUMBERS, on numpy arrays;
+    where evaluates only one branch when every element picks it."""
+
+    def where(cond, near, far, *args):
+        if cond.all():
+            return near(*args)
+        if not cond.any():
+            return far(*args)
+        return np.where(cond, near(*args), far(*args))
+
+    return (lambda v: bool(np.isfinite(v).all()), np.any, np.abs, np.log1p, np.log, np.exp, where)
 
 
 def _log_abs_1p(w, functions):

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -813,6 +814,36 @@ def test_benchmark_sweeps_hold_no_whole_grid_temporaries(tmp_path, capsys):
         with open(out, encoding="utf-8") as fh:
             assert fh.read() == reference(header, values.x.tolist(), values.values.tolist())
     assert capsys.readouterr() == ("", "")
+
+
+def _child_page_faults(argv, env):
+    """Minor page faults of one child process, from os.wait4."""
+    pid = os.posix_spawn(sys.executable, [sys.executable, *argv], env,
+                         file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, argv
+    return usage.ru_minflt
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc's malloc on Linux")
+@pytest.mark.parametrize("argv", [
+    ["--gaussian", "--q-minus-1", "1e-3", "--m", "1.0", "--beta", "1.0", "--xmax", "4.0",
+     "--format", "csv"],
+    ["--species", "electron", "--energy-mev", "1.0", "--q-minus-1", "1e-9", "--format", "json"],
+])
+def test_benchmark_sweeps_reuse_their_heap_pages(tmp_path, argv):
+    # a 200,001-point sweep takes about 1,400 page faults more than importing
+    # numpy; when glibc trimmed each block's freed temporaries and text back to
+    # the kernel, every block faulted them in again: 11,000 to 17,000 more
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qwave.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = path
+    numpy_faults = _child_page_faults(["-c", "import numpy"], env)
+    sweep_faults = _child_page_faults(["-m", "qwave", "ratio", *argv, "--points", "200001",
+                                       "--out", str(tmp_path / "sweep")], env)
+    assert sweep_faults - numpy_faults <= 4000, (sweep_faults, numpy_faults)
 
 
 # -- verify --------------------------------------------------------------

@@ -270,6 +270,31 @@ def test_modulus_ratio_refuses_the_cut_on_both_paths(g):
             qcore.modulus_ratio(*point, 0.5)
 
 
+NEAR_W = [0.0, 1e-300, -1e-17j, 0.3 - 0.2j, -0.4999, 0.49999999999999994j]
+FAR_W = [0.5, -0.5j, 0.3 + 0.4j, -0.99 + 1e-3j, -1.0 + 1e-300j, 2.5 - 7.0j, 1e200]
+
+
+@pytest.mark.parametrize("w, branches", [
+    (NEAR_W, {"near"}), (FAR_W, {"far"}), (NEAR_W + FAR_W, {"near", "far"}),
+])
+def test_array_where_evaluates_only_the_branches_it_picks(w, branches):
+    # |w| < 0.5 picks the near branch (log1p) and the rest the far one (log);
+    # a block on one side evaluates only that side, bit for bit as np.where
+    functions = list(qcore._on_arrays(np))
+    calls = set()
+    log1p, log = functions[3], functions[4]
+    functions[3] = lambda v: calls.add("near") or log1p(v)
+    functions[4] = lambda v: calls.add("far") or log(v)
+    w = np.array(w, dtype=complex)
+    arrays = qcore._on_arrays(np)
+    with np.errstate(all="ignore"):  # as in modulus_ratio
+        got = qcore._log_abs_1p(w, tuple(functions))
+        expected = np.where(abs(w) < 0.5, qcore._log_abs_1p_near(w, arrays),
+                            qcore._log_abs_1p_far(w, arrays))
+    assert calls == branches
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize(
     "z,q,error",
     [
