@@ -30,10 +30,10 @@ names the flag at whose value it occurred).
 Output determinism: CSV prints floats with the bytes of %.17g (17
 significant digits), JSON with the shortest repr that round-trips, and
 lines end in "\n" on every platform, so repeated runs write identical
-bytes.  A sweep is evaluated in full, then formatted and written: one
-block by "%" and repr themselves, a longer sweep block by block
-(scenarios.BLOCK_ROWS rows) by qwave.floattext in numpy from exact
-integer digits, the shortest for JSON, with "%" or repr for the values it
+bytes.  A sweep is evaluated in full, then formatted and written: a
+writer's row template (one %s per column) is filled by "%" for one block,
+else block by block (scenarios.BLOCK_ROWS rows) by qwave.floattext.text
+in numpy from exact integer digits, with "%" or repr for the values it
 does not prove (zero, inf, nan, |v| outside [1e-11, 2^51) and a few more).
 Nothing is written for a refused sweep, nor for an --out or plot path that
 is a directory or lies in none (refused before the sweep), and a failed
@@ -134,41 +134,39 @@ def _config_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
 # Both writers format a whole file, or one block of its rows: first=False
 # leaves out what opens the file and last=False what closes it, so the
 # texts of consecutive non-empty blocks concatenate to the whole file.
-# A one-block sweep's Python floats are formatted by "%" itself, numpy
-# arrays by qwave.floattext, which writes the same bytes.
+# Each builds its row template from the header once, and _text fills it.
 
 
-def _python_text(row: str, rows: scenarios.Sweep) -> str:
-    """row % (x, value) for each row of a sweep of Python floats, concatenated."""
-    return (row * len(rows)) % tuple(v for pair in zip(rows.x, rows.values) for v in pair)
+def _text(template: str, columns: tuple, shortest: bool) -> str:
+    """template % (v0, v1, ...) for each row of the columns, concatenated,
+    each %s filled with "%.17g" % v or, if shortest, repr(v): by "%" itself
+    on the array.array columns of a one-block sweep, else by qwave.floattext."""
+    if isinstance(columns[0], array):
+        row = template.replace("%s", "%r" if shortest else "%.17g")
+        return (row * len(columns[0])) % tuple(v for values in zip(*columns) for v in values)
+    from .floattext import text
+
+    return text(columns, template, shortest)
 
 
-def format_rows_csv(header: tuple[str, str], rows: scenarios.Sweep, *, first: bool = True,
+def format_rows_csv(header: tuple[str, ...], rows: scenarios.Sweep, *, first: bool = True,
                     last: bool = True) -> str:
-    """CSV text of a sweep's (x, value) rows.
+    """CSV text of a sweep's (x, value) rows, a column per header name.
     first=False leaves out the header; CSV has no closing text to leave out."""
     text = ",".join(header) + "\n" if first else ""
-    if isinstance(rows.x, array):
-        return text + _python_text("%.17g,%.17g\n", rows)
-    from .floattext import rows_text
-
-    return text + rows_text(rows.x, rows.values)
+    return text + _text(",".join(["%s"] * len(header)) + "\n", (rows.x, rows.values), False)
 
 
-def format_rows_json(header: tuple[str, str], rows: scenarios.Sweep, *, first: bool = True,
+def format_rows_json(header: tuple[str, ...], rows: scenarios.Sweep, *, first: bool = True,
                      last: bool = True) -> str:
     """The bytes of json.dumps(records, indent=1) + "\n" for the records
-    {header[0]: x, header[1]: value}, written without building them.
-    first=False starts with the "," after the previous block instead of
-    "["; last=False leaves out the closing "]"."""
+    {header[0]: x, header[1]: value}, written without building them (repr is
+    json's text of a finite float).  first=False starts with the "," after
+    the previous block instead of "["; last=False leaves out the closing "]"."""
     if not len(rows):
         return "[]\n" if first and last else ""
-    if isinstance(rows.x, array):  # repr is json's text of a finite float
-        text = _python_text(',\n {\n  "%s": %%r,\n  "%s": %%r\n }' % header, rows)
-    else:
-        from .floattext import records_text
-
-        text = records_text(header, rows.x, rows.values)
+    record = ",\n {\n" + ",\n".join(f'  "{name}": %s' for name in header) + "\n }"
+    text = _text(record, (rows.x, rows.values), True)
     return ("[" + text[1:] if first else text) + ("\n]\n" if last else "")
 
 
@@ -191,7 +189,7 @@ def _write_output(out: TextIO, text: str) -> None:
     out.write(text)
 
 
-def _write_sweep(out: TextIO, fmt: str, header: tuple[str, str], sweep: scenarios.Sweep) -> None:
+def _write_sweep(out: TextIO, fmt: str, header: tuple[str, ...], sweep: scenarios.Sweep) -> None:
     """Format the sweep block by block, writing each block before the next."""
     format_rows = format_rows_csv if fmt == "csv" else format_rows_json
     blocks = sweep.blocks()

@@ -101,14 +101,15 @@ def _ascii(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (lead + 48).astype(np.uint8), rest
 
 
-def _layout(columns: tuple[np.ndarray, ...], template: bytes, shortest: bool) -> str:
-    """template % (v0, v1, ...) for each row of the n-row columns, each v
-    written as "%.17g" % v or, if shortest, repr(v); template has one %s per column."""
+def text(columns: tuple[np.ndarray, ...], template: str, shortest: bool) -> str:
+    """template % (v0, v1, ...) for each row of the n-row columns, concatenated,
+    each v written as "%.17g" % v or, if shortest, repr(v); template has one
+    %s per column, and its other text is written as it stands."""
     values = np.column_stack(columns).ravel()
     ok, k, n = _digits(np.abs(values), shortest)
     order = np.argsort(k.astype(np.int8), kind="stable")  # a radix sort: exponents in runs
     k, neg, (lead, rest) = k[order], np.signbit(values)[order], _ascii(n[order])
-    parts = template.split(b"%s")  # each slot: the literal before a field, the field, the end
+    parts = template.encode().split(b"%s")  # a slot: the text before a field, the field, the end
     before, after = parts[:-1], [b""] * (len(columns) - 1) + parts[-1:]
     width = [max(map(len, side)) for side in (before, after)]
     slots = np.zeros((len(n), width[0] + _WIDTH + width[1]), np.uint8)
@@ -141,18 +142,4 @@ def _layout(columns: tuple[np.ndarray, ...], template: bytes, shortest: bool) ->
     for i in np.flatnonzero(~ok).tolist():
         spelled = (repr(float(values[i])) if shortest else "%.17g" % values[i]).encode()
         slots[i, width[0]:width[0] + _WIDTH] = np.frombuffer(spelled.ljust(_WIDTH, b"\0"), np.uint8)
-    return slots.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def rows_text(*columns: np.ndarray) -> str:
-    """("%.17g,...,%.17g\\n" * n) % the interleaved values of the n-row columns."""
-    return _layout(columns, b",".join([b"%s"] * len(columns)) + b"\n", False)
-
-
-def records_text(names: tuple[str, ...], *columns: np.ndarray) -> str:
-    """The records ',\\n {\\n  "name": repr(v),\\n  ...\\n }' of the n-row
-    columns: json.dumps(records, indent=1) of finite values, without its
-    "[" and "]" and with a "," before the first record.  Each name is
-    written in double quotes as it stands."""
-    fields = b",\n".join(b'  "%s": %%s' % name.encode() for name in names)
-    return _layout(columns, b",\n {\n" + fields + b"\n }", True)
+    return slots.tobytes().translate(None, b"\0").decode()

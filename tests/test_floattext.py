@@ -1,23 +1,27 @@
 """The numpy float formatter writes exactly the bytes of "%.17g" (CSV) and
 of repr (JSON).
 
-floattext.rows_text is checked against Python's "%" on over a million
-doubles: every exponent and sign, both benchmark sweeps, the powers of ten
-the exponent estimate can miss, and exact decimal ties, where only
-round-half-to-even gives the bytes of "%".  floattext.records_text is
-checked against repr on over a million doubles: shortest forms of 15, 16
-and 17 digits, every power of two, the neighbours of the powers of ten
-where the fixed and exponent forms meet, and roundings that carry into the
-next decade.
+floattext.text(columns, template, shortest) fills a row template, one %s
+per column.  Its "%.17g" fields are checked against Python's "%" on over a
+million doubles: every exponent and sign, both benchmark sweeps, the
+powers of ten the exponent estimate can miss, and exact decimal ties, where
+only round-half-to-even gives the bytes of "%".  Its shortest fields, in
+the writer's JSON records, are checked against repr on over a million
+doubles: shortest forms of 15, 16 and 17 digits, every power of two, the
+neighbours of the powers of ten where the fixed and exponent forms meet,
+and roundings that carry into the next decade.  cli._text fills the same
+templates by "%" on the array.array columns of a one-block sweep; both
+paths write the same bytes for one to three columns.
 """
 
 import decimal
 import inspect
+from array import array
 
 import numpy as np
 import pytest
 
-from qwave import floattext, scenarios
+from qwave import cli, floattext, scenarios
 from qwave import qgaussian as qg
 
 CHUNK = 65_536  # values per kernel call, so the kernel's temporaries stay small
@@ -25,6 +29,9 @@ CHUNK = 65_536  # values per kernel call, so the kernel's temporaries stay small
 
 def reference(values: np.ndarray) -> str:
     return ("%.17g\n" * len(values)) % tuple(values.tolist())
+
+
+RECORD = ',\n {\n  "v": %s\n }'  # a JSON record of the writer, as cli.format_rows_json builds it
 
 
 def json_reference(values: np.ndarray) -> str:
@@ -38,9 +45,9 @@ def mismatches(values: np.ndarray, shortest: bool = False) -> list[tuple[str, st
     for i in range(0, len(values), CHUNK):
         chunk = values[i:i + CHUNK]
         if shortest:
-            got, want, cut = floattext.records_text(("v",), chunk), json_reference(chunk), " }"
+            got, want, cut = floattext.text((chunk,), RECORD, True), json_reference(chunk), " }"
         else:
-            got, want, cut = floattext.rows_text(chunk), reference(chunk), "\n"
+            got, want, cut = floattext.text((chunk,), "%s\n", False), reference(chunk), "\n"
         if got != want:
             bad += [(g, w) for g, w in zip(got.split(cut), want.split(cut)) if g != w]
     return bad
@@ -131,10 +138,19 @@ def test_ties_round_half_to_even_and_half_up_would_fail(monkeypatch):
 
 @pytest.mark.parametrize("columns", [1, 2, 3])
 def test_rows_join_columns_like_the_percent_template(columns):
+    """Both writers' templates of one to three columns: floattext.text writes
+    the bytes of "%" with "%.17g" (CSV) or "%r" (JSON) in each slot, and
+    cli._text writes the same bytes on numpy columns and on array.array ones."""
     values = np.random.default_rng(columns).normal(size=(100, columns)) * 10.0 ** np.arange(columns)
-    row = ",".join(["%.17g"] * columns) + "\n"
-    assert floattext.rows_text(*values.T) == (row * 100) % tuple(values.ravel().tolist())
-    assert floattext.rows_text(*values[:0].T) == ""
+    names = ["x", "R", "dev"][:columns]
+    csv = ",".join(["%s"] * columns) + "\n"
+    record = ",\n {\n" + ",\n".join(f'  "{name}": %s' for name in names) + "\n }"
+    for template, shortest, field in ((csv, False, "%.17g"), (record, True, "%r")):
+        want = (template.replace("%s", field) * 100) % tuple(values.ravel().tolist())
+        assert floattext.text(tuple(values.T), template, shortest) == want
+        assert cli._text(template, tuple(values.T), shortest) == want
+        assert cli._text(template, tuple(array("d", c) for c in values.T), shortest) == want
+        assert floattext.text(tuple(values[:0].T), template, shortest) == ""
 
 
 def shortest_length(v: float) -> int:

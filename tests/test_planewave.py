@@ -35,6 +35,14 @@ def test_phase():
     assert pw.phase(pw.PhasePoint(1.5, 0.5), w) == 2.0 * 1.5 - 3.0 * 0.5
 
 
+def test_numpy_scalars_become_python_floats():
+    """The scalar path runs on Python floats: np.float64 (a float subclass)
+    is converted, an array is kept."""
+    pt = pw.PhasePoint(np.float64(0.5), np.float64(0.0))
+    assert type(pt.x) is float and type(pt.t) is float and pt.x == 0.5
+    assert isinstance(pw.PhasePoint(np.array([0.5, 1.0])).x, np.ndarray)
+
+
 @pytest.mark.parametrize("q", [0.999, 1.001, 1.1])
 def test_exact_residual_machine_zero(q):
     residual = checks.pw_exact_residual(q, XS, TS)
