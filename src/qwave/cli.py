@@ -16,10 +16,11 @@ written on Python floats.  Importing this module and running ``qwave
 verify`` load neither, nor json or inspect: the value types are
 immutable __slots__ classes on qcore.Frozen.
 
-Each option is declared once, on the subcommand's argparse parser.  A
---config file's key=value lines are read as --key=value arguments of the
-same parser, so flags, defaults and config keys cannot drift apart;
-precedence is defaults, then the config file, then explicit flags.
+Each option is declared once, on the subcommand's argparse parser, and has
+one spelling: an abbreviated flag is refused, as a config key that is no
+flag is.  A --config file's key=value lines are read as --key=value
+arguments of the same parser, so flags, defaults and config keys cannot
+drift apart; precedence is defaults, then the config file, then explicit flags.
 
 Exit codes: 0 success, 1 verify found a failing check, 2 bad flags or
 config (including a --tol for no check or with a non-finite value, and a
@@ -134,7 +135,7 @@ def _config_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
 # Both writers format a whole file, or one block of its rows: first=False
 # leaves out what opens the file and last=False what closes it, so the
 # texts of consecutive non-empty blocks concatenate to the whole file.
-# Each builds its row template from the header once, and _text fills it.
+# Each builds its row template from the header's column names, and _text fills it.
 
 
 def _text(template: str, columns: tuple, shortest: bool) -> str:
@@ -151,22 +152,24 @@ def _text(template: str, columns: tuple, shortest: bool) -> str:
 
 def format_rows_csv(header: tuple[str, ...], rows: scenarios.Sweep, *, first: bool = True,
                     last: bool = True) -> str:
-    """CSV text of a sweep's (x, value) rows, a column per header name.
+    """CSV text of the sweep's columns that the header names, in its order.
     first=False leaves out the header; CSV has no closing text to leave out."""
+    columns = tuple(rows.columns[name] for name in header)
     text = ",".join(header) + "\n" if first else ""
-    return text + _text(",".join(["%s"] * len(header)) + "\n", (rows.x, rows.values), False)
+    return text + _text(",".join(["%s"] * len(header)) + "\n", columns, False)
 
 
 def format_rows_json(header: tuple[str, ...], rows: scenarios.Sweep, *, first: bool = True,
                      last: bool = True) -> str:
     """The bytes of json.dumps(records, indent=1) + "\n" for the records
-    {header[0]: x, header[1]: value}, written without building them (repr is
-    json's text of a finite float).  first=False starts with the "," after
-    the previous block instead of "["; last=False leaves out the closing "]"."""
+    {name: value, ...} of the sweep's columns that the header names, in its
+    order, written without building them (repr is json's text of a finite
+    float).  first=False starts with the "," after the previous block
+    instead of "["; last=False leaves out the closing "]"."""
     if not len(rows):
         return "[]\n" if first and last else ""
     record = ",\n {\n" + ",\n".join(f'  "{name}": %s' for name in header) + "\n }"
-    text = _text(record, (rows.x, rows.values), True)
+    text = _text(record, tuple(rows.columns[name] for name in header), True)
     return ("[" + text[1:] if first else text) + ("\n]\n" if last else "")
 
 
@@ -189,21 +192,22 @@ def _write_output(out: TextIO, text: str) -> None:
     out.write(text)
 
 
-def _write_sweep(out: TextIO, fmt: str, header: tuple[str, ...], sweep: scenarios.Sweep) -> None:
-    """Format the sweep block by block, writing each block before the next."""
+def _write_sweep(out: TextIO, fmt: str, sweep: scenarios.Sweep) -> None:
+    """Format all the sweep's columns block by block, writing each block before the next."""
     format_rows = format_rows_csv if fmt == "csv" else format_rows_json
-    blocks = sweep.blocks()
+    header, blocks = tuple(sweep.columns), sweep.blocks()
     for i, block in enumerate(blocks):
         _write_output(out, format_rows(header, block, first=i == 0, last=i == len(blocks) - 1))
 
 
 def emit_plot_svg(rows: scenarios.Sweep, meta: dict[str, str], out_path: str) -> None:
-    """Hand-rolled SVG line plot; no plotting dependency at run time."""
+    """Hand-rolled SVG line plot of the first column after x; no plotting dependency."""
     if not len(rows):
         raise ValueError("no data rows to plot")
+    name = list(rows.columns)[1]
     width, height = 800.0, 500.0
     ml, mr, mt, mb = 75.0, 20.0, 45.0, 55.0
-    xs, ys = rows.x.tolist(), rows.values.tolist()
+    xs, ys = rows.columns["x"].tolist(), rows.columns[name].tolist()
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     if xmax == xmin:
@@ -260,7 +264,7 @@ def emit_plot_svg(rows: scenarios.Sweep, meta: dict[str, str], out_path: str) ->
     parts.append(
         f'<text x="18" y="{(mt + height - mb) / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {(mt + height - mb) / 2:.1f})">{meta["ylabel"]}</text>'
+        f'transform="rotate(-90 18 {(mt + height - mb) / 2:.1f})">{name}</text>'
     )
     parts.append("</svg>")
     with _written(out_path) as fh:
@@ -386,20 +390,15 @@ def cmd_ratio(args, parser) -> int:
             return EXIT_USAGE
 
     x_range = (0.0, args.xmax, args.points)
-    if gaussian:
-        header, xlabel = ("x", "ratio"), "x (natural units)"
-        title = (f"q-Gaussian ratio vs. x: m={args.m:g}, beta={args.beta:g}, "
-                 f"q-1={args.q_minus_1:g}")
-    else:
-        header, xlabel = ("x", "R"), "x (hbar c/MeV)"
-        title = (f"Ratio R vs. x: {args.energy_mev:g} MeV {args.species}, "
-                 f"q-1={args.q_minus_1:g}")
-    meta = {"title": title, "xlabel": xlabel, "ylabel": header[1]}
     try:
         if gaussian:
+            meta = {"title": f"q-Gaussian ratio vs. x: m={args.m:g}, beta={args.beta:g}, "
+                             f"q-1={args.q_minus_1:g}", "xlabel": "x (natural units)"}
             params = qg.GaussianParams(m=args.m, beta=args.beta, q=1.0 + args.q_minus_1)
             sweep = scenarios.run_gaussian_sweep(params, x_range, args.t)
         else:
+            meta = {"title": f"Ratio R vs. x: {args.energy_mev:g} MeV {args.species}, "
+                             f"q-1={args.q_minus_1:g}", "xlabel": "x (hbar c/MeV)"}
             scn = scenarios.ParticleScenario.from_mev(
                 args.species, args.energy_mev, args.q_minus_1, args.momentum_model, x_range, args.t
             )
@@ -418,7 +417,7 @@ def cmd_ratio(args, parser) -> int:
     try:  # the data file and its plot are written both or neither
         with (_written(args.out) if args.out is not None
               else contextlib.nullcontext(sys.stdout)) as out:
-            _write_sweep(out, args.format, header, sweep)
+            _write_sweep(out, args.format, sweep)
             if svg_path is not None:
                 out.flush()  # a failed data write shows before the plot is written
                 emit_plot_svg(sweep, meta, svg_path)
@@ -487,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ratio = sub.add_parser("ratio", help="sweep the approx/exact ratio over x")
+    ratio = sub.add_parser("ratio", help="sweep the approx/exact ratio over x", allow_abbrev=False)
     ratio.add_argument("--species", choices=tuple(scenarios.SPECIES_MASS_KG), default="electron")
     ratio.add_argument("--energy-mev", type=float, default=1.0, help="kinetic energy in MeV")
     ratio.add_argument("--q-minus-1", type=float, help=_defaults_help("q_minus_1"))
@@ -512,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     ratio._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     ratio.set_defaults(func=cmd_ratio, parser=ratio)
 
-    verify_p = sub.add_parser("verify", help="run the self-consistency suites")
+    verify_p = sub.add_parser("verify", help="run the self-consistency suites", allow_abbrev=False)
     verify_p.add_argument("--suite", choices=(*checks.SUITES, "all"), default="all")
     verify_p.add_argument("--tol", action="append", metavar="CHECK=VALUE",
                           help="override one check's tolerance (repeatable)")

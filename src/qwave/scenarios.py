@@ -130,26 +130,26 @@ def linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
 
 
 class Sweep(Frozen):
-    """A ratio sweep as two columns: the grid x and the ratio at each x,
-    array.array("d") for one block of Python floats, else numpy arrays."""
+    """A ratio sweep as named columns in order, the grid "x" first, each
+    array.array("d") for one block of Python floats, else a numpy array."""
 
-    __slots__ = ("x", "values")
+    __slots__ = ("columns",)
     __eq__, __hash__ = object.__eq__, object.__hash__  # by identity, not by the arrays
 
-    def __init__(self, x: array | np.ndarray, values: array | np.ndarray):
-        self._set(x, values)
+    def __init__(self, columns: dict[str, array | np.ndarray]):
+        self._set(columns)
 
     def __len__(self) -> int:
-        return len(self.x)
+        return len(self.columns["x"])
 
     def blocks(self) -> list[Sweep]:
         """Consecutive slices of BLOCK_ROWS rows each (the last may be shorter)."""
-        return [Sweep(self.x[i:i + BLOCK_ROWS], self.values[i:i + BLOCK_ROWS])
+        return [Sweep({name: c[i:i + BLOCK_ROWS] for name, c in self.columns.items()})
                 for i in range(0, len(self), BLOCK_ROWS)]
 
 
-def _blockwise_sweep(x_range: tuple[float, float, int], ratio) -> Sweep:
-    """The sweep of the elementwise ratio over the points np.linspace(*x_range).
+def _blockwise_sweep(x_range: tuple[float, float, int], name: str, ratio) -> Sweep:
+    """The sweep of columns x = np.linspace(*x_range) and name = ratio(x).
 
     One block is evaluated point by point on the floats of linspace; a
     longer sweep block by block over np.linspace, each block a view of the
@@ -165,15 +165,15 @@ def _blockwise_sweep(x_range: tuple[float, float, int], ratio) -> Sweep:
     """
     if x_range[2] <= BLOCK_ROWS:
         xs = array("d", linspace(*x_range))
-        return Sweep(xs, array("d", map(ratio, xs)))
+        return Sweep({"x": xs, name: array("d", map(ratio, xs))})
     import numpy as np
 
     np.empty(BLOCK_ROWS * 512, np.uint8)  # freed at once: see the docstring
     with np.errstate(all="ignore"):  # a non-finite x is refused by ratio
         xs = np.linspace(*x_range)
-    sweep = Sweep(xs, np.empty_like(xs))
+    sweep = Sweep({"x": xs, name: np.empty_like(xs)})
     for block in sweep.blocks():
-        block.values[:] = ratio(block.x)
+        block.columns[name][:] = ratio(block.columns["x"])
     return sweep
 
 
@@ -181,7 +181,7 @@ def run_ratio_sweep(scn: ParticleScenario) -> Sweep:
     """x and R of a plane-wave ratio figure."""
     w = wave_for(scn)
     q = 1.0 + scn.q_minus_1
-    return _blockwise_sweep(scn.x_range, lambda xs: ratio_R(PhasePoint(xs, scn.t), w, q))
+    return _blockwise_sweep(scn.x_range, "R", lambda xs: ratio_R(PhasePoint(xs, scn.t), w, q))
 
 
 def run_gaussian_sweep(
@@ -191,4 +191,4 @@ def run_gaussian_sweep(
 ) -> Sweep:
     """x and ratio of a packet ratio figure (natural units)."""
     cs, j = coeffs_exact(t, params), coeffs_first_order(t, params)
-    return _blockwise_sweep(x_range, lambda xs: ratio_gaussian(xs, t, params, cs, j))
+    return _blockwise_sweep(x_range, "ratio", lambda xs: ratio_gaussian(xs, t, params, cs, j))

@@ -124,12 +124,12 @@ def test_criterion_4_figure_bands():
         )
         return scenarios.run_ratio_sweep(scn)
 
-    rows9 = np.asarray(electron(1e-9).values)  # one block: an array.array
-    rows12 = np.asarray(electron(1e-12).values)
+    rows9 = np.asarray(electron(1e-9).columns["R"])  # one block: an array.array
+    rows12 = np.asarray(electron(1e-12).columns["R"])
     worst9 = float(np.abs(rows9 - 1.0).max())
     closer = bool((np.abs(rows12 - 1.0) <= np.abs(rows9 - 1.0)).all())
     params = qg.GaussianParams(m=1.0, beta=1.0, q=1.0 + 1e-3)
-    ratios = np.asarray(scenarios.run_gaussian_sweep(params).values)
+    ratios = np.asarray(scenarios.run_gaussian_sweep(params).columns["ratio"])
     lo, hi = float(ratios.min()), float(ratios.max())
     elapsed = time.perf_counter() - start
     _gate(

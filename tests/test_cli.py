@@ -46,60 +46,95 @@ def test_read_config(tmp_path):
 
 
 def test_csv_formatting_17_digits():
-    rows = scenarios.Sweep(np.array([1.0 / 3.0]), np.array([0.1234567890123456789]))
+    rows = scenarios.Sweep({"x": np.array([1.0 / 3.0]), "R": np.array([0.1234567890123456789])})
     text = cli.format_rows_csv(("x", "R"), rows)
     assert text == "x,R\n0.33333333333333331,0.12345678901234568\n"
 
 
 # -- writers on Sweep input ---------------------------------------------
 
+B = scenarios.BLOCK_ROWS
 EDGE_DOUBLES = [5e-324, 1.7976931348623157e308, -0.0, 0.1 + 0.2, 1e-05, 1e16, 1e22]
 
 
-def csv_reference(header, xs, vs):
-    lines = [",".join(header)] + ["%.17g,%.17g" % row for row in zip(xs, vs)]
+def csv_reference(header, *columns):
+    lines = [",".join(header)] + [",".join(["%.17g"] * len(row)) % row for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
-def json_reference(header, xs, vs):
-    records = [{header[0]: x, header[1]: v} for x, v in zip(xs, vs)]
+def json_reference(header, *columns):
+    records = [dict(zip(header, row)) for row in zip(*columns)]
     return json.dumps(records, indent=1) + "\n"
 
 
-def check_writers(xs, vs):
-    # numpy columns go to qwave.floattext, the array.array of a one-block sweep to "%"
-    for column in (lambda v: np.array(v, dtype=float), lambda v: array("d", v)):
-        sweep = scenarios.Sweep(column(xs), column(vs))
-        assert cli.format_rows_csv(("x", "R"), sweep) == csv_reference(("x", "R"), xs, vs)
-        assert cli.format_rows_json(("x", "ratio"), sweep) == json_reference(("x", "ratio"), xs, vs)
+# numpy columns go to qwave.floattext, the array.array of a one-block sweep to "%"
+COLUMN_KINDS = (lambda v: np.array(v, dtype=float), lambda v: array("d", v))
+
+
+def check_writers(xs, vs, ws):
+    """Both writers on a three-column sweep: a header prints the columns it
+    names, all three or two of them, in its own order."""
+    for column in COLUMN_KINDS:
+        sweep = scenarios.Sweep({"x": column(xs), "R": column(vs), "w": column(ws)})
+        for header, columns in ((("x", "R", "w"), (xs, vs, ws)), (("x", "R"), (xs, vs)),
+                                (("w", "x"), (ws, xs))):
+            assert cli.format_rows_csv(header, sweep) == csv_reference(header, *columns)
+            assert cli.format_rows_json(header, sweep) == json_reference(header, *columns)
 
 
 def test_writers_on_edge_doubles():
     edges = EDGE_DOUBLES + [-v for v in EDGE_DOUBLES]
-    check_writers(edges, edges[::-1])
+    check_writers(edges, edges[::-1], edges[1:] + edges[:1])
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(deadline=None)
-@given(st.lists(st.tuples(finite, finite), max_size=20))
+@given(st.lists(st.tuples(finite, finite, finite), max_size=20))
 def test_writers_on_finite_doubles(rows):
-    check_writers([x for x, _ in rows], [v for _, v in rows])
+    check_writers(*([row[i] for row in rows] for i in range(3)))
 
 
 def test_writers_on_empty_sweep():
-    for empty in (scenarios.Sweep(np.array([]), np.array([])),
-                  scenarios.Sweep(array("d"), array("d"))):
+    for column in COLUMN_KINDS:
+        empty = scenarios.Sweep({"x": column([]), "R": column([])})
         assert cli.format_rows_csv(("x", "R"), empty) == "x,R\n"
         assert cli.format_rows_json(("x", "R"), empty) == "[]\n"
 
 
-def polyline_reference(sweep):
+@pytest.mark.parametrize("n, column", [(B, COLUMN_KINDS[1]), (2 * B + 5, COLUMN_KINDS[0])])
+def test_three_column_sweep_writes_and_plots_block_by_block(n, column, tmp_path):
+    """A sweep with a third column needs nothing new of the writers or the
+    plot: written block by block it has the bytes of the whole file, and a
+    header picks out the columns it names, and the plot the first after x."""
+    xs = np.linspace(0.0, 1.0, n).tolist()
+    vs, ws = [math.cos(x) for x in xs], [-x / 3.0 for x in xs]
+    sweep = scenarios.Sweep({"x": column(xs), "R": column(vs), "w": column(ws)})
+    blocks = sweep.blocks()
+    assert [len(b) for b in blocks] == [min(B, n - i) for i in range(0, n, B)]
+    for name, values in (("x", xs), ("R", vs), ("w", ws)):
+        assert [v for b in blocks for v in b.columns[name].tolist()] == values
+    header = ("x", "R", "w")
+    for fmt, format_rows, reference in (("csv", cli.format_rows_csv, csv_reference),
+                                        ("json", cli.format_rows_json, json_reference)):
+        out = io.StringIO()
+        cli._write_sweep(out, fmt, sweep)
+        assert out.getvalue() == format_rows(header, sweep) == reference(header, xs, vs, ws)
+        assert format_rows(("w", "x"), sweep) == reference(("w", "x"), ws, xs)
+    path = tmp_path / "w.svg"
+    w_first = scenarios.Sweep({name: sweep.columns[name] for name in ("x", "w", "R")})
+    cli.emit_plot_svg(w_first, {"title": "t", "xlabel": "x"}, str(path))
+    svg = path.read_text()
+    assert re.search(r'<polyline points="([^"]*)"', svg).group(1) == polyline_reference(xs, ws)
+    assert svg.endswith(">w</text>\n</svg>\n")
+
+
+def polyline_reference(xs, vs):
     """The polyline points of emit_plot_svg, scaled in numpy and formatted
     point by point."""
     width, height, ml, mr, mt, mb = 800.0, 500.0, 75.0, 20.0, 45.0, 55.0
-    xs, vs = np.asarray(sweep.x), np.asarray(sweep.values)
+    xs, vs = np.asarray(xs), np.asarray(vs)
     xmin, xmax = float(xs.min()), float(xs.max())
     ymin, ymax = float(vs.min()), float(vs.max())
     pad = (ymax - ymin) or abs(ymax) or 1.0
@@ -119,9 +154,9 @@ def test_svg_polyline_matches_pointwise_form(figure, tmp_path):
         scn = scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-3, x_range=(0.0, 1.0, n))
         sweep = scenarios.run_ratio_sweep(scn)
     path = tmp_path / "fig.svg"
-    cli.emit_plot_svg(sweep, {"title": "t", "xlabel": "x", "ylabel": "y"}, str(path))
+    cli.emit_plot_svg(sweep, {"title": "t", "xlabel": "x"}, str(path))
     points = re.search(r'<polyline points="([^"]*)"', path.read_text()).group(1)
-    assert points == polyline_reference(sweep)
+    assert points == polyline_reference(*sweep.columns.values())
 
 
 # -- ratio ---------------------------------------------------------------
@@ -151,9 +186,9 @@ def test_ratio_json(capsys):
     assert out == json.dumps(records, indent=1) + "\n"
     rows = [(5e-324, 1.7976931348623157e308), (-0.0, 0.1 + 0.2), (1e-05, 123456789.0)]
     records = [{"x": x, "ratio": v} for x, v in rows]
-    sweep = scenarios.Sweep(*np.array(rows).T)
+    sweep = scenarios.Sweep(dict(zip(("x", "ratio"), np.array(rows).T)))
     assert cli.format_rows_json(("x", "ratio"), sweep) == json.dumps(records, indent=1) + "\n"
-    empty = scenarios.Sweep(np.array([]), np.array([]))
+    empty = scenarios.Sweep({"x": np.array([]), "R": np.array([])})
     assert cli.format_rows_json(("x", "R"), empty) == json.dumps([], indent=1) + "\n"
 
 
@@ -588,6 +623,18 @@ def test_bad_flag_value_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["ratio", "--gauss"], ["ratio", "--poi", "3"], ["verify", "--su", "planewave"]]
+)
+def test_an_abbreviated_flag_is_unrecognized(argv, capsys):
+    # one spelling per option, as for a config key: an abbreviation would
+    # also change its meaning when a flag sharing its prefix is added
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
 def test_output_file_and_determinism(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -717,12 +764,10 @@ def test_plot_requires_out_and_csv(capsys):
 
 def test_plot_svg_refuses_empty_rows(tmp_path):
     with pytest.raises(ValueError):
-        cli.emit_plot_svg([], {"title": "t", "xlabel": "x", "ylabel": "y"}, str(tmp_path / "e.svg"))
+        cli.emit_plot_svg([], {"title": "t", "xlabel": "x"}, str(tmp_path / "e.svg"))
 
 
 # -- sweeps are evaluated and written in blocks ---------------------------
-
-B = scenarios.BLOCK_ROWS
 
 
 def reference_sweeps(n):
@@ -748,10 +793,12 @@ def reference_sweeps(n):
 @pytest.mark.parametrize("n", [2, B - 1, B, B + 1, 2 * B + 1])
 def test_block_boundaries_keep_values_and_bytes(n, tmp_path, capsys):
     for flags, header, sweep, reference_values in reference_sweeps(n):
-        assert isinstance(sweep.values, array) == (n <= B)
-        assert sweep.x.tobytes() == np.linspace(0.0, sweep.x[-1], n).tobytes()
-        assert sweep.values.tobytes() == reference_values.tobytes()
-        xs, vs = sweep.x.tolist(), reference_values.tolist()
+        assert tuple(sweep.columns) == header
+        xs, values = sweep.columns["x"], sweep.columns[header[1]]
+        assert isinstance(values, array) == (n <= B)
+        assert xs.tobytes() == np.linspace(0.0, xs[-1], n).tobytes()
+        assert values.tobytes() == reference_values.tobytes()
+        xs, vs = xs.tolist(), reference_values.tolist()
         for fmt, reference in (("csv", csv_reference), ("json", json_reference)):
             expected = reference(header, xs, vs)
             argv = ["ratio", *flags, "--points", str(n), "--format", fmt]
@@ -810,10 +857,48 @@ def test_benchmark_sweeps_hold_no_whole_grid_temporaries(tmp_path, capsys):
         finally:
             tracemalloc.stop()
         assert peak < 8e6, (argv, peak)
-        values = sweep()
+        columns = sweep().columns
         with open(out, encoding="utf-8") as fh:
-            assert fh.read() == reference(header, values.x.tolist(), values.values.tolist())
+            assert fh.read() == reference(header, *(columns[name].tolist() for name in header))
     assert capsys.readouterr() == ("", "")
+
+
+def test_the_benchmark_tracer_calls_keep_working(tmp_path, monkeypatch, capsys):
+    """The calls that perfbench/traced.py makes: it wraps the writers as
+    f(header, rows) and _write_output as f(out, text), both positional, and
+    reads header[1] and len(rows); it calls the sweeps and the plot directly."""
+    rows, written = [], []
+
+    def wrap(fn, info):
+        def wrapped(*args, **kwargs):
+            info(*args)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def rows_info(header, block):
+        rows.append((header[1], len(block)))
+
+    for name in ("format_rows_csv", "format_rows_json"):
+        monkeypatch.setattr(cli, name, wrap(getattr(cli, name), rows_info))
+    monkeypatch.setattr(cli, "_write_output",
+                        wrap(cli._write_output, lambda out, text: written.append(len(text))))
+    for flags, column in ((["--gaussian"], "ratio"), ([], "R")):
+        for fmt in ("csv", "json"):
+            rows.clear()
+            assert cli.main(["ratio", *flags, "--points", "4097", "--format", fmt]) == 0
+            assert {name for name, _ in rows} == {column}
+            assert sum(n for _, n in rows) == 4097
+            assert sum(written) == len(capsys.readouterr().out)
+            written.clear()
+
+    scn = scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-9, x_range=(0.0, 1.0, 2001))
+    params = qg.GaussianParams(m=1.0, beta=1.0, q=1.001)
+    cli.format_rows_json(("x", "R"), scenarios.run_ratio_sweep(scn))
+    cli.format_rows_csv(("x", "ratio"), scenarios.run_gaussian_sweep(params, (0.0, 4.0, 2001), 0.0))
+    path = tmp_path / "probe.svg"
+    meta = {"title": "probe", "xlabel": "x (m)", "ylabel": "R"}
+    cli.emit_plot_svg(scenarios.run_ratio_sweep(scn), meta, str(path))
+    assert path.read_text().endswith(">R</text>\n</svg>\n")
 
 
 def _child_page_faults(argv, env):

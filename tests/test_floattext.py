@@ -98,7 +98,7 @@ def sweep_values() -> np.ndarray:
     packet = scenarios.run_gaussian_sweep(qg.GaussianParams(m=1.0, beta=1.0, q=1.001),
                                           (0.0, 4.0, 200_001))
     plane = plane_wave_sweep()
-    return np.concatenate([packet.x, packet.values, plane.x, plane.values])
+    return np.concatenate([*packet.columns.values(), *plane.columns.values()])
 
 
 def test_kernel_writes_the_bytes_of_percent_17g():

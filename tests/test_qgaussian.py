@@ -244,7 +244,7 @@ def test_ratio_band_at_desk_scale():
     from qwave.scenarios import run_gaussian_sweep
 
     rows = run_gaussian_sweep(params_for(1.001))
-    worst = float(np.abs(np.asarray(rows.values) - 1.0).max())
+    worst = float(np.abs(np.asarray(rows.columns["ratio"]) - 1.0).max())
     assert worst <= 0.1
     assert 0.0125 <= worst <= 0.0130, worst
 

@@ -76,8 +76,9 @@ def test_ratio_sweep_shape_and_trivial_q():
     )
     rows = scenarios.run_ratio_sweep(scn)
     assert len(rows) == 11
-    assert rows.x[0] == 0.0 and rows.x[-1] == 1.0
-    assert rows.values.tolist() == [1.0] * 11
+    assert list(rows.columns) == ["x", "R"]
+    assert rows.columns["x"][0] == 0.0 and rows.columns["x"][-1] == 1.0
+    assert rows.columns["R"].tolist() == [1.0] * 11
 
 
 def test_ratio_sweep_matches_pointwise_calls():
@@ -86,7 +87,7 @@ def test_ratio_sweep_matches_pointwise_calls():
     )
     w = scenarios.wave_for(scn)
     sweep = scenarios.run_ratio_sweep(scn)
-    for x, r in zip(sweep.x.tolist(), sweep.values.tolist()):
+    for x, r in zip(sweep.columns["x"].tolist(), sweep.columns["R"].tolist()):
         assert r == ratio_R(PhasePoint(x, scn.t), w, 1.0 + scn.q_minus_1)
 
 
@@ -96,7 +97,7 @@ def test_gaussian_sweep_matches_pointwise_calls():
     params = GaussianParams(m=1.0, beta=1.0, q=1.001)
     for t in (0.0, 0.7):
         sweep = scenarios.run_gaussian_sweep(params, (-3.0, 4.0, 29), t)
-        for x, r in zip(sweep.x.tolist(), sweep.values.tolist()):
+        for x, r in zip(sweep.columns["x"].tolist(), sweep.columns["ratio"].tolist()):
             assert r == ratio_gaussian(x, t, params)
 
 
@@ -105,8 +106,9 @@ def test_gaussian_sweep_range():
 
     rows = scenarios.run_gaussian_sweep(GaussianParams(m=1.0, beta=1.0, q=1.001))
     assert len(rows) == 1001
-    assert (rows.x[0], rows.values[0]) == (0.0, 1.0)
-    assert rows.x[-1] == 4.0
+    assert list(rows.columns) == ["x", "ratio"]
+    assert (rows.columns["x"][0], rows.columns["ratio"][0]) == (0.0, 1.0)
+    assert rows.columns["x"][-1] == 4.0
 
 
 def test_scenario_validation():

@@ -110,8 +110,8 @@ def test_phase_point_refusal_shows_its_repr():
 
 def test_sweeps_compare_by_identity():
     x = np.linspace(0.0, 1.0, 3)
-    a, b = scenarios.Sweep(x, x), scenarios.Sweep(x, x)
+    a, b = scenarios.Sweep({"x": x, "R": x}), scenarios.Sweep({"x": x, "R": x})
     assert a == a and a != b
     assert len({a, b}) == 2
     with pytest.raises(AttributeError):
-        a.values = x
+        a.columns = {"x": x}
