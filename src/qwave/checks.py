@@ -7,11 +7,16 @@ decorator declares a function as the measure of a check; REGISTRY holds the
 checks in declaration order, which is the order ``qwave verify`` prints
 them in.
 
-A measure that the tests also take is public, a function of the grid or
+A measure that the tests also take is public, a function of the points or
 q that some caller varies, each parameter defaulting to the registry's
-value, as in pw_exact_residual(q, xs, ts).  The tests call it with their
-own bounds instead of restating it, so each claim is measured by one
-piece of code.
+value, as in pw_d2x_fd(q, xs, ts, w).  The tests call it with their own
+bounds instead of restating it, so each claim is measured by one piece of
+code.
+
+Two measures serve every equation, given as terms(pt, q=..., family=...),
+its *_terms with the wave or eigenvalue bound by partial: exact_residual
+(terms, points, q) and approx_norm(eps, terms, points).  The points are
+grid(xs, ts), a separated factor's s values, or the packet's (x, t) pairs.
 
 The repeated patterns are helpers: max_rel reduces (difference, scale)
 pairs; fd_gap(closed, fn, ats, scale, deriv) gives the worst relative gap
@@ -114,6 +119,23 @@ def residual_pair(terms) -> tuple[float, float]:
     return abs(sum(terms)), max(map(abs, terms))
 
 
+def grid(xs, ts) -> tuple[pw.PhasePoint, ...]:
+    """The PhasePoints of xs x ts, x-major."""
+    return tuple(pw.PhasePoint(x, t) for x in xs for t in ts)
+
+
+def exact_residual(terms, points, q: float) -> float:
+    """Exact solution in its equation, given by its addends terms(pt, q=...,
+    family=...): the worst |residual| over its largest addend, point by point."""
+    return max_rel(residual_pair(terms(pt, q=q, family="exact")) for pt in points)
+
+
+def approx_norm(eps: float, terms, points) -> float:
+    """Largest |residual| of the first-order solution at q = 1 + eps, in the
+    equation given by its addends terms, over the points."""
+    return max(abs(sum(terms(pt, q=1.0 + eps, family="approx"))) for pt in points)
+
+
 def fd_gap(closed, fn, ats, scale: float, deriv: int) -> float:
     """Worst |closed(a) - FD of fn at a| / |closed(a)| over ats: a closed-form
     x or t derivative of order deriv against Richardson FD, stepping as
@@ -163,23 +185,15 @@ def approx_jet_gap(pairs) -> float:
 _PW_WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
 _PW_XS = linspace(-6.0, 6.0, 31)
 _PW_TS = linspace(0.0, 3.0, 5)
-_PW_POINTS = tuple(pw.PhasePoint(x, t) for x in _PW_XS for t in _PW_TS)
-
-
-def pw_exact_residual(
-    q: float, xs=_PW_XS, ts=_PW_TS, w: pw.PlaneWave = _PW_WAVE, terms=pw.schrodinger_terms
-) -> float:
-    """Exact plane wave w in its equation, given by its addends terms(pt, w,
-    q, family): the worst |residual| over its largest addend, point by point."""
-    return max_rel(residual_pair(terms(pw.PhasePoint(x, t), w, q, "exact")) for x in xs for t in ts)
-
+_PW_POINTS = grid(_PW_XS, _PW_TS)
+_PW_TERMS = partial(pw.schrodinger_terms, w=_PW_WAVE)
 
 for _q in (0.999, 1.001, 1.1):
     check(
         f"planewave.exact_residual_q{_q:g}",
         f"exact addends cancel on E = p^2/2m, q={_q:g}",
         1e-10,
-    )(partial(pw_exact_residual, _q))
+    )(partial(exact_residual, _PW_TERMS, _PW_POINTS, _q))
 
 
 def pw_exact_fd(q: float, xs=_PW_XS[::3], ts=_PW_TS) -> float:
@@ -198,22 +212,15 @@ check("planewave.exact_fd", "exact addends are FD derivatives of the exact wave,
 )
 
 
-@order_fit("planewave.approx_order", "approximant inserted in the full equation leaves O(eps^2)")
-def pw_approx_norm(
-    eps: float, xs=_PW_XS[::2], ts=_PW_TS, w: pw.PlaneWave = _PW_WAVE, terms=pw.schrodinger_terms
-) -> float:
-    """Largest |residual| of the first-order plane wave w at q = 1 + eps, in
-    the equation given by its addends terms, as in pw_exact_residual."""
-    return max(abs(sum(terms(pw.PhasePoint(x, t), w, 1.0 + eps, "approx"))) for x in xs for t in ts)
+order_fit("planewave.approx_order", "approximant inserted in the full equation leaves O(eps^2)")(
+    partial(approx_norm, terms=_PW_TERMS, points=grid(_PW_XS[::2], _PW_TS))
+)
 
 
-def pw_error_norm(eps: float, xs=_PW_XS[::2], ts=_PW_TS) -> float:
+def pw_error_norm(eps: float, points=grid(_PW_XS[::2], _PW_TS)) -> float:
     """Largest |approx_psi - exact_psi| at q = 1 + eps."""
     q = 1.0 + eps
-    return max(
-        abs(pw.approx_psi(pt, _PW_WAVE, q) - pw.exact_psi(pt, _PW_WAVE, q))
-        for pt in (pw.PhasePoint(x, t) for x in xs for t in ts)
-    )
+    return max(abs(pw.approx_psi(pt, _PW_WAVE, q) - pw.exact_psi(pt, _PW_WAVE, q)) for pt in points)
 
 
 @check("planewave.approx_error_order", "approx_psi - exact_psi shrinks as eps^2", 1.9, "ge")
@@ -222,7 +229,7 @@ def _pw_error_order() -> float:
 
 
 @check("planewave.modulus_identity", "|exact_psi|^2 = [1+(1-q)^2 u^2]^{1/(1-q)}", 1e-12)
-def pw_modulus_identity(q: float = 1.37, xs=_PW_XS, ts=_PW_TS) -> float:
+def pw_modulus_identity(q: float = 1.37, points=_PW_POINTS) -> float:
     """Worst relative gap of |exact_psi|^2 against its closed form."""
 
     def pair(pt):
@@ -230,7 +237,7 @@ def pw_modulus_identity(q: float = 1.37, xs=_PW_XS, ts=_PW_TS) -> float:
         closed = math.exp(math.log1p((1.0 - q) ** 2 * u * u) / (1.0 - q))
         return abs(abs(pw.exact_psi(pt, _PW_WAVE, q)) ** 2 - closed), abs(closed)
 
-    return max_rel(pair(pw.PhasePoint(x, t)) for x in xs for t in ts)
+    return max_rel(map(pair, points))
 
 
 @check(
@@ -294,19 +301,14 @@ _SEP_XS = linspace(-6.0, 6.0, 17)
 _PAIR_EPSILONS = (1e-3, 1e-6, 1e-9)
 
 
-# each factor's equation, terms(s, k, q, family), on its grid of s (t or x) and scale k (E or p)
-_SEP_FACTORS = (("f", sep.f_terms, _SEP_TS, _SEP_E), ("g", sep.g_terms, _SEP_XS, _SEP_P))
+# each factor's equation, its terms with the eigenvalue bound, on its grid of s (t or x)
+_SEP_FACTORS = (("f", partial(sep.f_terms, E=_SEP_E), _SEP_TS),
+                ("g", partial(sep.g_terms, p=_SEP_P), _SEP_XS))
 
-
-def sep_exact_residual(terms, grid, k: float, q: float) -> float:
-    """Worst residual_pair of the exact factor in the equation terms, over s in grid."""
-    return max_rel(residual_pair(terms(s, k, q, family="exact")) for s in grid)
-
-
-for _name, *_factor in _SEP_FACTORS:
+for _name, _terms, _points in _SEP_FACTORS:
     check(f"separation.exact_residual_{_name}",
           f"exact addends of {_name} cancel by construction (exact_fd reads them), q=1.1",
-          1e-10)(partial(sep_exact_residual, *_factor, 1.1))
+          1e-10)(partial(exact_residual, _terms, _points, 1.1))
 
 
 def sep_fd(closed, fn, grid, k: float, deriv: int, q: float) -> float:
@@ -349,15 +351,9 @@ def sep_pair_cancellation() -> float:
     )
 
 
-def sep_norm(eps: float, terms, grid, k: float) -> float:
-    """Largest |residual| of the first-order factor in the equation terms at
-    q = 1 + eps, over s in grid."""
-    return max(abs(sum(terms(s, k, 1.0 + eps, family="approx"))) for s in grid)
-
-
-for _name, _terms, _grid_s, _k in _SEP_FACTORS:
+for _name, _terms, _points in _SEP_FACTORS:
     order_fit(f"separation.{_name}_order", f"first-order {_name} inserted in its equation")(
-        partial(sep_norm, terms=_terms, grid=_grid_s, k=_k)
+        partial(approx_norm, terms=_terms, points=_points)
     )
 
 
@@ -408,11 +404,17 @@ def _sep_product_not_planewave(x0: float = 0.7, t0: float = 0.9) -> float:
 _QG_XS = linspace(-3.0, 3.0, 13)
 _QG_TS = linspace(0.0, 2.0, 5)
 _QG_QS = (0.999, 1.001, 1.1)
+_QG_POINTS = tuple((x, t) for x in _QG_XS for t in _QG_TS)
 _QG_PROBES = tuple((x, t) for x in (0.3, 0.9, 1.6) for t in (0.2, 0.8))
 
 
 def _qg_params(q: float) -> qg.GaussianParams:
     return qg.GaussianParams(m=1.0, beta=1.0, q=q)
+
+
+def qg_terms(pt: tuple[float, float], q: float, family: str) -> tuple[complex, complex]:
+    """gaussian_terms of the packet at pt = (x, t), as exact_residual and approx_norm take them."""
+    return qg.gaussian_terms(*pt, _qg_params(q), family)
 
 
 _QG_PARAMS = _qg_params(1.001)
@@ -464,28 +466,14 @@ def _qg_coeff_fd() -> float:
     return approx_jet_gap(pair for t in _QG_TS for pair in pairs(t))
 
 
-@order_fit("gaussian.approx_order", "first-order packet inserted in the full equation")
-def _qg_packet_norm(eps: float) -> float:
-    params = _qg_params(1.0 + eps)
-    return max(
-        abs(sum(qg.gaussian_terms(x, t, params, family="approx"))) for x, t in _QG_PROBES
-    )
-
-
-@check(
+order_fit("gaussian.approx_order", "first-order packet inserted in the full equation")(
+    partial(approx_norm, terms=qg_terms, points=_QG_PROBES)
+)
+check(
     "gaussian.exact_residual",
     "exact packet solves -i q G_t = (1/2m)[(1+(q-1)G) G_xx - q G_x^2] in closed form",
     1e-13,
-)
-def qg_exact_residual(qs=(*_QG_QS, 1.5), xs=_QG_XS, ts=_QG_TS) -> float:
-    """Worst gap of the exact packet's identity over its larger side,
-    point by point, at each q of qs."""
-    return max_rel(
-        residual_pair(qg.gaussian_terms(x, t, params, family="exact"))
-        for params in map(_qg_params, qs)
-        for x in xs
-        for t in ts
-    )
+)(lambda: max(exact_residual(qg_terms, _QG_POINTS, q) for q in (*_QG_QS, 1.5)))
 
 
 @check("gaussian.ratio_kernel", "the printed R is |approx| / |exact| of the packet and the plane "
@@ -514,19 +502,15 @@ def qg_ratio_kernel(qs=(0.7, 0.9, 1.1, 1.3)) -> float:
 _KG_WAVE = kg.KGWave.on_shell(k=1.1, m=1.0)
 _KG_XS = linspace(-4.0, 4.0, 17)
 _KG_TS = linspace(0.0, 3.0, 5)
-
-
-def kg_exact_residual(q: float, wave: kg.KGWave = _KG_WAVE, xs=_KG_XS, ts=_KG_TS) -> float:
-    """pw_exact_residual of the Klein-Gordon wave in its equation."""
-    return pw_exact_residual(q, xs, ts, wave, kg.kg_terms)
-
+_KG_POINTS = grid(_KG_XS, _KG_TS)
+_KG_TERMS = partial(kg.kg_terms, w=_KG_WAVE)
 
 for _q in (0.999, 1.1):
     check(
         f"kleingordon.exact_residual_q{_q:g}",
         f"exact addends cancel on w^2 = k^2 + m^2, q={_q:g}",
         1e-10,
-    )(partial(kg_exact_residual, _q))
+    )(partial(exact_residual, _KG_TERMS, _KG_POINTS, _q))
 
 
 def kg_exact_fd(q: float, xs=_KG_XS[::2], ts=_KG_TS) -> float:
@@ -551,25 +535,23 @@ check("kleingordon.exact_fd", "exact addends are FD derivatives of the exact wav
 )
 def _kg_dispersion_sensitivity() -> float:
     off = kg.KGWave(p=_KG_WAVE.p, E=_KG_WAVE.E * 1.01, m=_KG_WAVE.m)
-    on_res = kg_exact_residual(1.1)
-    return kg_exact_residual(1.1, off) / on_res if on_res > 0 else math.inf
+    on_res = exact_residual(_KG_TERMS, _KG_POINTS, 1.1)
+    off_res = exact_residual(partial(kg.kg_terms, w=off), _KG_POINTS, 1.1)
+    return off_res / on_res if on_res > 0 else math.inf
 
 
-@order_fit(
-    "kleingordon.approx_order", "approximant inserted in the full equation leaves O(eps^2)"
+order_fit("kleingordon.approx_order", "approximant inserted in the full equation leaves O(eps^2)")(
+    partial(approx_norm, terms=_KG_TERMS, points=grid(_KG_XS[::2], _KG_TS))
 )
-def kg_approx_norm(eps: float, xs=_KG_XS[::2], ts=_KG_TS) -> float:
-    """pw_approx_norm of the first-order Klein-Gordon wave."""
-    return pw_approx_norm(eps, xs, ts, _KG_WAVE, kg.kg_terms)
 
 
 @check("kleingordon.qF_jet", "approx_qF2qm1 is the q-jet of q F^{2q-1}", 1e-6)
-def kg_qF_jet(xs=_KG_XS[::2], ts=_KG_TS) -> float:
+def kg_qF_jet(points=grid(_KG_XS[::2], _KG_TS)) -> float:
     """approx_jet_gap of approx_qF2qm1 against q F^{2q-1}."""
     return approx_jet_gap(
         (lambda q, pt=pt: q * pw.exact_psi_2qm1(pt, _KG_WAVE, q),
          partial(kg.approx_qF2qm1, pt, _KG_WAVE))
-        for pt in (pw.PhasePoint(x, t) for x in xs for t in ts)
+        for pt in points
     )
 
 

@@ -22,7 +22,6 @@ from qwave import qgaussian as qg
 from qwave import scenarios
 from qwave import separation as sep
 from qwave import verify
-from qwave.planewave import PhasePoint
 
 
 def _gate(label: str, detail: str, ok: bool) -> None:
@@ -34,9 +33,10 @@ def test_criterion_1_exact_planewave_residual():
     start = time.perf_counter()
     xs = np.linspace(-8.0, 8.0, 2001)
     ts = np.linspace(0.0, 5.0, 11)
+    points = checks.grid(xs, ts)
     worst, tol = 0.0, math.inf
     for q in (1.0 - 1e-3, 1.0 + 1e-3, 1.1):
-        worst = max(worst, checks.pw_exact_residual(q, xs, ts))
+        worst = max(worst, checks.exact_residual(checks._PW_TERMS, points, q))
         tol = min(tol, checks.REGISTRY[f"planewave.exact_residual_q{q:g}"].tolerance)
     elapsed = time.perf_counter() - start
     _gate(
@@ -53,13 +53,15 @@ def test_criterion_2_first_order_convergence():
     ts = np.linspace(0.0, 3.0, 5)
     f_ts = np.linspace(0.0, 4.0, 17)
     E, P = 0.845, 1.3
-    norms = {
-        "planewave.approx_order": partial(checks.pw_approx_norm, xs=xs, ts=ts),
-        "separation.f_order": partial(checks.sep_norm, terms=sep.f_terms, grid=f_ts, k=E),
-        "separation.g_order": partial(checks.sep_norm, terms=sep.g_terms, grid=xs, k=P),
-        "kleingordon.approx_order": partial(checks.kg_approx_norm, xs=xs, ts=ts),
+    points = checks.grid(xs, ts)
+    equations = {  # key: the equation's terms, and its points
+        "planewave.approx_order": (checks._PW_TERMS, points),
+        "separation.f_order": (partial(sep.f_terms, E=E), f_ts),
+        "separation.g_order": (partial(sep.g_terms, p=P), xs),
+        "kleingordon.approx_order": (checks._KG_TERMS, points),
     }
-    fits = {key: verify.order_of_convergence(norm) for key, norm in norms.items()}
+    fits = {key: verify.order_of_convergence(partial(checks.approx_norm, terms=terms, points=pts))
+            for key, (terms, pts) in equations.items()}
     elapsed = time.perf_counter() - start
     detail = ", ".join(
         f"{key} slope {fit.slope:.3f} r2 {fit.r_squared:.5f}" for key, fit in fits.items()
@@ -86,8 +88,8 @@ def test_criterion_3_closed_forms_vs_oracles():
     # Part A: each shipped first-order form is the q-jet of its exact form,
     # measured by FD in q at q = 1.
     worst_coeff = max(
-        checks.pw_approx_jet_fd([PhasePoint(x, t) for x in xs7 for t in ts3]),
-        checks.kg_qF_jet(xs7, ts3),
+        checks.pw_approx_jet_fd(checks.grid(xs7, ts3)),
+        checks.kg_qF_jet(checks.grid(xs7, ts3)),
         checks.sep_jet_gap(sep.exact_f, sep.approx_f, sep_ts, E),
         checks.sep_jet_gap(sep.exact_f_q, sep.approx_f_q, sep_ts, E),
         checks.sep_jet_gap(sep.exact_g, sep.approx_g, sep_xs, P),
@@ -163,10 +165,10 @@ def test_criterion_6_kg_dispersion():
     on = kg.KGWave.on_shell(k=k, m=m)
     off = kg.KGWave(p=k, E=1.01 * kg.dispersion_omega(k, m), m=m)
     xs = np.linspace(-4.0, 4.0, 41)
-    ts = np.linspace(0.0, 3.0, 9)
+    points = checks.grid(xs, np.linspace(0.0, 3.0, 9))
 
     def rel(wave, q):
-        return checks.kg_exact_residual(q, wave, xs, ts)
+        return checks.exact_residual(partial(kg.kg_terms, w=wave), points, q)
 
     qs = (0.999, 1.001, 1.1)
     worst_on = max(rel(on, q) for q in qs)

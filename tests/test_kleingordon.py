@@ -3,6 +3,7 @@ derivatives, and insertion orders."""
 
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +17,11 @@ from qwave.errors import BranchCutViolation, NonFiniteInput
 WAVE = kg.KGWave.on_shell(k=1.1, m=1.0)
 XS = tuple(np.linspace(-4.0, 4.0, 17))
 TS = tuple(np.linspace(0.0, 3.0, 5))
+POINTS = checks.grid(XS, TS)
+
+
+def exact_residual(wave: kg.KGWave, q: float) -> float:
+    return checks.exact_residual(partial(kg.kg_terms, w=wave), POINTS, q)
 
 
 def test_dispersion_omega():
@@ -42,22 +48,20 @@ def test_non_finite_point_rejected(x, t):
 
 @pytest.mark.parametrize("q", [0.999, 1.001, 1.1, 1.4])
 def test_exact_residual_zero_iff_on_shell(q):
-    assert checks.kg_exact_residual(q, WAVE, XS, TS) <= 1e-10
+    assert exact_residual(WAVE, q) <= 1e-10
     off = kg.KGWave(p=WAVE.p, E=WAVE.E * 1.01, m=WAVE.m)
-    assert checks.kg_exact_residual(q, off, XS, TS) > 1e-6
+    assert exact_residual(off, q) > 1e-6
 
 
 def test_dispersion_sensitivity_factor():
-    on = checks.kg_exact_residual(1.1, WAVE, XS, TS)
-    off = checks.kg_exact_residual(
-        1.1, kg.KGWave(p=WAVE.p, E=WAVE.E * 1.01, m=WAVE.m), XS, TS
-    )
+    on = exact_residual(WAVE, 1.1)
+    off = exact_residual(kg.KGWave(p=WAVE.p, E=WAVE.E * 1.01, m=WAVE.m), 1.1)
     assert off >= 1e4 * max(on, 1e-300)
 
 
 def test_massless_wave_on_shell():
     w = kg.KGWave.on_shell(k=2.0, m=0.0)
-    assert checks.kg_exact_residual(1.2, w, XS, TS) <= 1e-10
+    assert exact_residual(w, 1.2) <= 1e-10
 
 
 @pytest.mark.parametrize("x", [2.0, 3.0, -5.0])
@@ -71,7 +75,9 @@ def test_branch_cut_in_approx_family(x):
 
 
 def test_genuine_insertion_second_order():
-    fit = verify.order_of_convergence(lambda eps: checks.kg_approx_norm(eps, XS, TS))
+    fit = verify.order_of_convergence(
+        partial(checks.approx_norm, terms=partial(kg.kg_terms, w=WAVE), points=POINTS)
+    )
     assert fit.slope >= 1.9, fit
     assert fit.r_squared >= 0.999, fit
 
@@ -99,7 +105,7 @@ def test_exact_reduces_to_classical_at_q1():
         for t in (0.0, 1.1):
             pt = pw.PhasePoint(x, t)
             assert pw.exact_psi_2qm1(pt, WAVE, 1.0) == cmath.exp(1j * pw.phase(pt, WAVE))
-    assert checks.kg_exact_residual(1.0, WAVE, XS, TS) <= 1e-15
+    assert exact_residual(WAVE, 1.0) <= 1e-15
 
 
 def test_unknown_family_rejected():

@@ -3,6 +3,7 @@ the ratio diagnostic."""
 
 import cmath
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from qwave.errors import BranchCutViolation, NonFiniteInput, NonFiniteResult, QW
 WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
 XS = tuple(np.linspace(-6.0, 6.0, 25))
 TS = tuple(np.linspace(0.0, 3.0, 5))
+POINTS = checks.grid(XS, TS)
+TERMS = partial(pw.schrodinger_terms, w=WAVE)
 
 
 def test_free_constructor():
@@ -45,7 +48,7 @@ def test_numpy_scalars_become_python_floats():
 
 @pytest.mark.parametrize("q", [0.999, 1.001, 1.1])
 def test_exact_residual_machine_zero(q):
-    residual = checks.pw_exact_residual(q, XS, TS)
+    residual = checks.exact_residual(TERMS, POINTS, q)
     assert residual <= checks.REGISTRY[f"planewave.exact_residual_q{q:g}"].tolerance, residual
 
 
@@ -57,25 +60,24 @@ def test_exact_residual_needs_free_particle():
 
 
 def test_genuine_insertion_second_order():
-    fit = verify.order_of_convergence(lambda eps: checks.pw_approx_norm(eps, XS, TS))
+    fit = verify.order_of_convergence(partial(checks.approx_norm, terms=TERMS, points=POINTS))
     assert fit.slope >= 1.9, fit
     assert fit.r_squared >= 0.999, fit
 
 
 def test_approx_error_second_order():
-    fit = verify.order_of_convergence(
-        lambda eps: checks.pw_error_norm(eps, XS, TS), (1e-2, 1e-3, 1e-4, 1e-5)
-    )
+    fit = verify.order_of_convergence(partial(checks.pw_error_norm, points=POINTS),
+                                      (1e-2, 1e-3, 1e-4, 1e-5))
     assert fit.slope >= 1.9, fit
 
 
 def test_modulus_identity():
-    worst = checks.pw_modulus_identity(1.37, XS, TS)
+    worst = checks.pw_modulus_identity(1.37, POINTS)
     assert worst <= 1e-12, worst
 
 
 def test_psi_q_jet_matches_closed_coefficient():
-    worst = checks.pw_psi_q_jet([pw.PhasePoint(x, t) for x in XS for t in TS])
+    worst = checks.pw_psi_q_jet(POINTS)
     assert worst <= 1e-12, worst
 
 

@@ -11,7 +11,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qwave import checks, scenarios, verify
+from qwave import kleingordon as kg
 from qwave import planewave as pw
+from qwave import qgaussian as qg
+from qwave import separation as sep
 from qwave.errors import DegenerateFit, StencilEvaluationFailed
 
 
@@ -199,18 +202,31 @@ def test_max_rel_reduces_pairs():
     assert checks.max_rel([(0.0, 0.0), (1e-300, 0.0)]) == math.inf
 
 
-def test_pw_exact_residual_is_point_by_point():
-    # the worst of the point-by-point ratios, as kg_exact_residual reduces,
+_SEP_TERMS = {name: terms for name, terms, _ in checks._SEP_FACTORS}
+
+
+@pytest.mark.parametrize("terms, direct, points", [
+    pytest.param(checks._PW_TERMS,
+                 lambda pt: pw.schrodinger_terms(pt, checks._PW_WAVE, 1.1, "exact"),
+                 checks.grid(checks._PW_XS[::5], checks._PW_TS[::2]), id="planewave"),
+    pytest.param(checks._KG_TERMS, lambda pt: kg.kg_terms(pt, checks._KG_WAVE, 1.1, "exact"),
+                 checks.grid(checks._KG_XS[::4], checks._KG_TS[::2]), id="kleingordon"),
+    pytest.param(_SEP_TERMS["f"], lambda t: sep.f_terms(t, checks._SEP_E, 1.1, family="exact"),
+                 checks._SEP_TS, id="f"),
+    pytest.param(_SEP_TERMS["g"], lambda x: sep.g_terms(x, checks._SEP_P, 1.1, family="exact"),
+                 checks._SEP_XS, id="g"),
+    pytest.param(checks.qg_terms,
+                 lambda pt: qg.gaussian_terms(*pt, qg.GaussianParams(1.0, 1.0, 1.1), "exact"),
+                 checks._QG_POINTS, id="packet"),
+])
+def test_exact_residual_is_point_by_point(terms, direct, points):
+    # the worst of the point-by-point ratios of each equation's own addends,
     # not the worst residual on the grid over the largest addend on the grid
-    xs, ts = checks._PW_XS[::5], checks._PW_TS[::2]
-    points = [pw.PhasePoint(x, t) for x in xs for t in ts]
-    pairs = [
-        checks.residual_pair(pw.schrodinger_terms(pt, checks._PW_WAVE, 1.1, "exact"))
-        for pt in points
-    ]
+    pairs = [checks.residual_pair(direct(pt)) for pt in points]
     expected = max(d / s for d, s in pairs)
-    assert checks.pw_exact_residual(1.1, xs, ts) == expected
-    assert expected > max(d for d, _ in pairs) / max(s for _, s in pairs)
+    assert checks.exact_residual(terms, points, 1.1) == expected
+    if terms is checks._PW_TERMS:  # where the two reductions differ by more than rounding
+        assert expected > max(d for d, _ in pairs) / max(s for _, s in pairs)
 
 
 @pytest.mark.parametrize("q", [0.999, 1.02, 1.1, 0.7, 0.95, 1.2])
