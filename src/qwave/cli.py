@@ -314,7 +314,7 @@ def _overflow_refusal(args) -> NonFiniteResult | None:
                 args.species, energy_mev, q_minus_1, args.momentum_model
             )
             point = pw.PhasePoint(xmax, t)
-            c, g0, _ = pw.ratio_terms(point, scenarios.wave_for(scn), 1 + q_minus_1)
+            c, g0 = pw.ratio_terms(point, scenarios.wave_for(scn), 1 + q_minus_1)
             return [("phase p x - E t", g0), ("first-order term", c)]
 
     def non_finite(quantity) -> str | None:

@@ -84,7 +84,7 @@ def kg_terms(
         term_mass = mass_coef * q * g2
         return finite_result(term_tt, term_xx, term_mass)
     if family == "approx":
-        c, g0, _ = pw.ratio_terms(pt, w, q)
+        c, g0 = pw.ratio_terms(pt, w, q)
         term_tt = d2t_approx_F(pt, w, q)
         term_xx = -pw.d2x_approx_psi(pt, w, q)
         term_mass = mass_coef * q * first_order_pow(-g0, c, 2.0 * q - 1.0)

@@ -7,10 +7,11 @@ kleingordon keeps only its equation.  The Schrodinger equation is
 i d/dt(psi^q) = -(1/2m) d2/dx2(psi), free on E = p^2/(2m).
 This module provides the exact wave and its q-th and (2q-1)-th powers, its
 first-order expansion around q = 1, closed-form derivatives for both, the
-addends of the Schrodinger equation, and the ratio R = |approx/exact| used
-for the deviation sweeps.  The truncated forms share one bracket (bracket_wave),
-and ratio_terms gives the approximant's terms (c, g0), powered by
-qcore.first_order_pow; kleingordon uses both.
+addends of the Schrodinger equation, and the ratio R = |approx/exact| of the
+deviation sweeps, in real arithmetic from the phase u alone (ratio_at).
+The truncated forms share one bracket (bracket_wave), and ratio_terms gives
+the approximant's terms (c, g0), powered by qcore.first_order_pow;
+kleingordon uses both.
 
 Each equation is given by its addends, and its residual is their sum.
 Two residual notions coexist, the two families of schrodinger_terms:
@@ -35,7 +36,7 @@ import math
 from typing import TYPE_CHECKING
 
 from . import qcore
-from .errors import NonFiniteInput
+from .errors import NonFiniteInput, NonFiniteResult
 
 if TYPE_CHECKING:
     import numpy as np
@@ -112,7 +113,7 @@ def exact_psi_2qm1(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
 
 def approx_psi(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
     """First-order wave e^{iu} [1 + (1-q) u^2/2], from the terms of ratio_terms."""
-    c, g0, _ = ratio_terms(pt, w, q)
+    c, g0 = ratio_terms(pt, w, q)
     return qcore.finite_result(cmath.exp(-g0) * (1.0 + c))[0]
 
 
@@ -147,7 +148,7 @@ def schrodinger_terms(
         term_x = (1.0 / (2.0 * w.m)) * (-(q * w.p * w.p) * g)
         return qcore.finite_result(term_t, term_x)
     if family == "approx":
-        c, g0, _ = ratio_terms(pt, w, q)
+        c, g0 = ratio_terms(pt, w, q)
         # i d/dt psi^q = q E psi^q (1 + i (q-1) u / (1 + c)) in closed form
         term_t = q * w.E * qcore.first_order_pow(-g0, c, q) * (1.0 - (q - 1.0) * g0 / (1.0 + c))
         term_x = (1.0 / (2.0 * w.m)) * d2x_approx_psi(pt, w, q)
@@ -156,19 +157,49 @@ def schrodinger_terms(
 
 
 def ratio_terms(pt: PhasePoint, w: PlaneWave, q: float):
-    """(c, g0, g) such that approx_psi = (1 + c) e^{-g0} and exact_psi =
-    e_q(-g): c = (1-q) u^2/2 and g0 = g = -iu at the phase u, at a float or
-    an array of x."""
+    """(c, g0) such that approx_psi = (1 + c) e^{-g0} and exact_psi = e_q(-g0):
+    c = (1-q) u^2/2 and g0 = -iu at the phase u."""
     u = phase(pt, w)
-    return (1.0 - q) * u * u / 2.0, -1j * u, -1j * u
+    return (1.0 - q) * u * u / 2.0, -1j * u
+
+
+def _phase_ratio(u, q: float, functions):
+    """R at the phase u in qcore._ratio's form and functions: c = (1-q) u^2/2
+    and y = (q-1) u are real, so R = exp(log|1 + c| + log|1 + iy| / (q-1)),
+    the last term dropped at q = 1.  Each log splits at |w| < 1/2 (w^2 < 1/4)
+    as qcore._log_abs_1p, whose near branch is log1p(w) at a real w, bit for
+    bit.  A non-finite c, y or R raises NonFiniteResult."""
+    all_finite, _, abs_, log1p, log, exp, where = functions
+    c, y = (1.0 - q) * u * u / 2.0, (q - 1.0) * u
+    if not (all_finite(c) and all_finite(y)):
+        raise NonFiniteResult("a term of the ratio overflows the double range")
+    log_r = where(c * c < 0.25, log1p, lambda v: log(abs_(1.0 + v)), c)
+    if q != 1.0:
+        yy = y * y
+        log_r = log_r + where(yy < 0.25, lambda: 0.5 * log1p(yy),
+                              lambda: log(abs_(1 + 1j * y))) / (q - 1.0)
+    r = exp(log_r)
+    if not all_finite(r):
+        raise NonFiniteResult("ratio R overflows the double range")
+    return r
+
+
+def ratio_at(x, t: float, w: PlaneWave, q: float) -> float | np.ndarray:
+    """ratio_R at (x, t) without a PhasePoint: a Python or numpy number x gives
+    a float, without numpy, an array an array.  A non-finite x or t raises
+    NonFiniteInput."""
+    if not (qcore.all_finite(x) and math.isfinite(t)):
+        raise NonFiniteInput(f"phase point must be finite, got x={x!r}, t={t!r}")
+    if type(x) in (int, float) or not getattr(x, "ndim", 0):
+        return _phase_ratio(w.p * float(x) - w.E * t, q, qcore._ON_NUMBERS)
+    import numpy as np
+
+    with qcore.quiet(x):
+        return _phase_ratio(w.p * x - w.E * t, q, qcore._on_arrays(np))
 
 
 def ratio_R(pt: PhasePoint, w: PlaneWave, q: float) -> float | np.ndarray:
-    """Deviation diagnostic R = |approx_psi| / |exact_psi|.
-
-    qcore.modulus_ratio forms it from the terms (c, g0, g) of ratio_terms
-    in real log-modulus arithmetic: an array pt.x gives an array, a float
-    pt.x a float, evaluated without numpy.
-    """
-    with qcore.quiet(pt.x):
-        return qcore.modulus_ratio(*ratio_terms(pt, w, q), q)
+    """Deviation diagnostic R = |approx_psi| / |exact_psi| at pt, a function of
+    the phase u alone (ratio_at): a float pt.x gives a float, evaluated
+    without numpy, an array an array."""
+    return ratio_at(pt.x, pt.t, w, q)

@@ -11,9 +11,9 @@ one path, the compensated complex log1p or expm1 over w, with only the
 removable point w = 0 filled with 1.
 
 first_order_pow powers every first-order wave along its continuous log;
-modulus_ratio forms the deviation ratio |approx|/|exact| of either wave
-family in real log-modulus arithmetic, with one formula evaluated on numpy
-arrays or on Python numbers.
+modulus_ratio forms the packet's deviation ratio |approx|/|exact| in real
+log-modulus arithmetic, with one formula evaluated on numpy arrays or on
+Python numbers (the plane wave's real kernel in u takes the same functions).
 
 Jets are truncated first-order Taylor pairs (value at q = 1, d/dq at q = 1)
 with ring arithmetic.  They mechanize the first-order expansions the wave

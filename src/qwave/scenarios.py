@@ -18,7 +18,7 @@ from array import array
 from typing import TYPE_CHECKING
 
 from .errors import NonFiniteInput
-from .planewave import PhasePoint, SchrodingerWave, ratio_R
+from .planewave import SchrodingerWave, ratio_at
 from .qcore import Frozen
 from .qgaussian import GaussianParams, coeffs_exact, coeffs_first_order, ratio_gaussian
 
@@ -179,9 +179,8 @@ def _blockwise_sweep(x_range: tuple[float, float, int], name: str, ratio) -> Swe
 
 def run_ratio_sweep(scn: ParticleScenario) -> Sweep:
     """x and R of a plane-wave ratio figure."""
-    w = wave_for(scn)
-    q = 1.0 + scn.q_minus_1
-    return _blockwise_sweep(scn.x_range, "R", lambda xs: ratio_R(PhasePoint(xs, scn.t), w, q))
+    w, t, q = wave_for(scn), scn.t, 1.0 + scn.q_minus_1
+    return _blockwise_sweep(scn.x_range, "R", lambda xs: ratio_at(xs, t, w, q))
 
 
 def run_gaussian_sweep(

@@ -108,8 +108,11 @@ MUTATIONS = [
     ("expm1_over_w", "qcore.stable_expm1_over_w",
      "complex_expm1(w) / w", "complex_expm1(w) / w + 1e-4 * w",
      {"gaussian.coeff_fd", "gaussian.exact_residual"}),
-    ("ratio_R", "qcore._ratio",
+    ("ratio_packet", "qcore._ratio",
      "r = exp(", "r = 1.001 * exp(",
+     {"gaussian.ratio_kernel"}),
+    ("phase_ratio_near_half", "planewave._phase_ratio",
+     "0.5 * log1p(yy)", "1.001 * 0.5 * log1p(yy)",
      {"gaussian.ratio_kernel"}),
     ("log_abs_1p_near_half", "qcore._log_abs_1p_near",
      "0.5 * log1p(y * y)", "0.5005 * log1p(y * y)",

@@ -44,6 +44,9 @@ def test_numpy_scalars_become_python_floats():
     pt = pw.PhasePoint(np.float64(0.5), np.float64(0.0))
     assert type(pt.x) is float and type(pt.t) is float and pt.x == 0.5
     assert isinstance(pw.PhasePoint(np.array([0.5, 1.0])).x, np.ndarray)
+    for x in (1, np.float64(0.5)):
+        r = pw.ratio_at(x, 0.0, WAVE, 1.001)
+        assert type(r) is float and r == pw.ratio_at(float(x), 0.0, WAVE, 1.001)
 
 
 @pytest.mark.parametrize("q", [0.999, 1.001, 1.1])

@@ -8,6 +8,7 @@ figures' closed forms, evaluated here.
 
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -195,36 +196,46 @@ def test_modulus_ratio_matches_scalar(eps):
         assert abs(qcore.modulus_ratio(*_terms(z, q), q) - r) <= 4e-15 * max(1.0, abs(z)) * r, z
 
 
-# The float path (math) and the array path (numpy's ufuncs) of the kernel
-# round exp, log and log1p differently: numpy's vectorized exp is within
-# 0.71 ulp where math.exp is correctly rounded, and the 1/(q-1) of
+# The float path (math) and the array path (numpy's ufuncs) of each ratio
+# kernel round exp, log and log1p differently: numpy's vectorized exp is
+# within 0.71 ulp where math.exp is correctly rounded, and the 1/(q-1) of
 # log|1 + (q-1) g| / (q-1) magnifies a 1-ulp gap in the log.  Measured
-# worst over the grids below: 3.6e-15 (the packet figure).
+# worst over the grids below: 3.6e-15 (the packet figure), 1.2e-16 on the
+# plane wave's.
 PATH_GAP = 1e-14
 
+UNIT_PHASE = pw.PlaneWave(p=1.0, E=0.0, m=1.0)  # u = x at t = 0
 
-def _figure_terms():
-    """(terms over the grid, q) of the five figures' sweeps, as the CLI runs them."""
+
+def _path_cases():
+    """(ratio, columns): a ratio kernel and the arguments over which its
+    float and array paths are compared.  The plane wave's ratio_at runs over
+    its four figures' grids, as the CLI runs them, and over the phases Im z
+    of _kernel_points; the packet's modulus_ratio over its figure's terms
+    and over the terms of _kernel_points."""
     cases = []
     for species in ("electron", "proton"):
         for qm1 in (1e-9, 1e-12):
             wave = scenarios.wave_for(scenarios.ParticleScenario.from_mev(species, 1.0, qm1))
-            point = pw.PhasePoint(np.linspace(0.0, 1.0, 2001))
-            cases.append((pw.ratio_terms(point, wave, 1.0 + qm1), 1.0 + qm1))
+            cases.append((partial(pw.ratio_at, t=0.0, w=wave, q=1.0 + qm1),
+                          (np.linspace(0.0, 1.0, 2001),)))
     params = qg.GaussianParams(m=1.0, beta=1.0, q=1.0 + 1e-3)
-    cases.append((qg.ratio_terms(np.linspace(0.0, 4.0, 1001), 0.0, params), params.q))
+    cases.append((partial(qcore.modulus_ratio, q=params.q),
+                  qg.ratio_terms(np.linspace(0.0, 4.0, 1001), 0.0, params)))
+    for q in (1.001, 0.999, 1.0 + 1e-9, 1.0):
+        zs = _kernel_points(q)
+        cases.append((partial(pw.ratio_at, t=0.0, w=UNIT_PHASE, q=q), (zs.imag,)))
+        cases.append((partial(qcore.modulus_ratio, q=q), _terms(zs, q)))
     return cases
 
 
 def test_modulus_ratio_paths_agree_within_a_bound():
-    cases = _figure_terms()
-    cases += [(_terms(_kernel_points(q), q), q) for q in (1.001, 0.999, 1.0 + 1e-9, 1.0)]
     worst = 0.0
-    for terms, q in cases:
-        whole = qcore.modulus_ratio(*terms, q)
-        columns = [np.broadcast_to(v, whole.shape).tolist() for v in terms]
+    for ratio, columns in _path_cases():
+        whole = ratio(*columns)
+        columns = [np.broadcast_to(v, whole.shape).tolist() for v in columns]
         for k, point in enumerate(zip(*columns)):
-            one = qcore.modulus_ratio(*point, q)
+            one = ratio(*point)
             assert type(one) is float
             worst = max(worst, abs(one - whole[k]) / whole[k])
     print(f"worst relative gap between the float and the array path: {worst:.3g}")
@@ -354,10 +365,19 @@ WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
         (lambda: qg.ratio_gaussian(4.0, 0.0, qg.GaussianParams(m=1e300, beta=1.0, q=1.001)),
          NonFiniteResult),
         (lambda: pw.ratio_R(pw.PhasePoint(1e200), WAVE, 1.5), NonFiniteResult),
+        # the plane wave's entry at x and t, on both paths
+        (lambda: pw.ratio_at(math.nan, 0.0, WAVE, 1.001), NonFiniteInput),
+        (lambda: pw.ratio_at(0.5, math.inf, WAVE, 1.001), NonFiniteInput),
+        (lambda: pw.ratio_at(1e200, 0.0, WAVE, 1.5), NonFiniteResult),
+        (lambda: pw.ratio_at(np.array([0.0, math.inf]), 0.0, WAVE, 1.001), NonFiniteInput),
+        (lambda: pw.ratio_at(np.array([0.0, 0.5]), math.nan, WAVE, 1.001), NonFiniteInput),
+        (lambda: pw.ratio_at(np.array([0.0, 1e200]), 0.0, WAVE, 1.5), NonFiniteResult),
     ],
     ids=["nan-x-packet", "nan-x-plane-wave", "nan-q", "packet-cut", "packet-overflow",
          "packet-tiny-beta", "packet-tiny-m", "nan-x-packet-float", "inf-x-plane-wave-float",
-         "packet-cut-float", "packet-overflow-float", "plane-wave-overflow-float"],
+         "packet-cut-float", "packet-overflow-float", "plane-wave-overflow-float",
+         "nan-x-ratio-at-float", "inf-t-ratio-at-float", "ratio-at-overflow-float",
+         "inf-x-ratio-at", "nan-t-ratio-at", "ratio-at-overflow"],
 )
 def test_ratio_refusals_are_typed(ratio, error):
     with pytest.raises(error):
