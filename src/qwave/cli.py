@@ -201,13 +201,13 @@ def _write_sweep(out: TextIO, fmt: str, sweep: scenarios.Sweep) -> None:
 
 
 def emit_plot_svg(rows: scenarios.Sweep, meta: dict[str, str], out_path: str) -> None:
-    """Hand-rolled SVG line plot of the first column after x; no plotting dependency."""
+    """Hand-rolled SVG line plot of the second column over the first; no plotting dependency."""
     if not len(rows):
         raise ValueError("no data rows to plot")
-    name = list(rows.columns)[1]
+    grid, name = list(rows.columns)[:2]
     width, height = 800.0, 500.0
     ml, mr, mt, mb = 75.0, 20.0, 45.0, 55.0
-    xs, ys = rows.columns["x"].tolist(), rows.columns[name].tolist()
+    xs, ys = rows.columns[grid].tolist(), rows.columns[name].tolist()
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     if xmax == xmin:

@@ -71,15 +71,16 @@ class SchrodingerWave(PlaneWave):
 
 
 class PhasePoint(qcore.Frozen):
-    """A spacetime sample point (x, t); ratio_R also takes an array of x.  A numpy
-    scalar (a float subclass) is kept as a float: the scalar path is twice as fast."""
+    """A spacetime sample point (x, t), x by qcore.kernel_input's rule: a number
+    as a Python float, else an array, which ratio_R also takes."""
 
     __slots__ = ("x", "t")
 
     def __init__(self, x: float | np.ndarray, t: float = 0.0):
-        object.__setattr__(self, "x", float(x) if isinstance(x, float) else x)
+        x, functions, _ = qcore.kernel_input(x)
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "t", float(t) if isinstance(t, float) else t)
-        if not (qcore.all_finite(self.x) and math.isfinite(self.t)):
+        if not (functions[0](x) and math.isfinite(self.t)):
             raise NonFiniteInput(f"phase point must be finite, got {self!r}")
 
 
@@ -185,21 +186,18 @@ def _phase_ratio(u, q: float, functions):
 
 
 def ratio_at(x, t: float, w: PlaneWave, q: float) -> float | np.ndarray:
-    """ratio_R at (x, t) without a PhasePoint: a Python or numpy number x gives
-    a float, without numpy, an array an array.  A non-finite x or t raises
-    NonFiniteInput."""
-    if not (qcore.all_finite(x) and math.isfinite(t)):
+    """ratio_R at (x, t) without a PhasePoint, x taken by qcore.kernel_input's
+    rule: a number gives a float, evaluated without numpy, anything else an
+    array.  A non-finite x or t raises NonFiniteInput."""
+    x, functions, context = qcore.kernel_input(x)
+    if not (functions[0](x) and math.isfinite(t)):
         raise NonFiniteInput(f"phase point must be finite, got x={x!r}, t={t!r}")
-    if type(x) in (int, float) or not getattr(x, "ndim", 0):
-        return _phase_ratio(w.p * float(x) - w.E * t, q, qcore._ON_NUMBERS)
-    import numpy as np
-
-    with qcore.quiet(x):
-        return _phase_ratio(w.p * x - w.E * t, q, qcore._on_arrays(np))
+    with context:
+        return _phase_ratio(w.p * x - w.E * t, q, functions)
 
 
 def ratio_R(pt: PhasePoint, w: PlaneWave, q: float) -> float | np.ndarray:
     """Deviation diagnostic R = |approx_psi| / |exact_psi| at pt, a function of
     the phase u alone (ratio_at): a float pt.x gives a float, evaluated
-    without numpy, an array an array."""
+    without numpy, an array pt.x an array."""
     return ratio_at(pt.x, pt.t, w, q)

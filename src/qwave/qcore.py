@@ -11,9 +11,9 @@ one path, the compensated complex log1p or expm1 over w, with only the
 removable point w = 0 filled with 1.
 
 first_order_pow powers every first-order wave along its continuous log;
-modulus_ratio forms the packet's deviation ratio |approx|/|exact| in real
-log-modulus arithmetic, with one formula evaluated on numpy arrays or on
-Python numbers (the plane wave's real kernel in u takes the same functions).
+_ratio forms the packet's |approx|/|exact| in real log-modulus arithmetic,
+one formula on the Python numbers or numpy arrays that kernel_input makes of
+x (the plane wave's kernel in u takes the same); modulus_ratio takes any terms.
 
 Jets are truncated first-order Taylor pairs (value at q = 1, d/dq at q = 1)
 with ring arithmetic.  They mechanize the first-order expansions the wave
@@ -39,26 +39,6 @@ def _as_finite_complex(value, name: str) -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NonFiniteInput(f"{name} must be finite, got {value!r}")
     return z
-
-
-def all_finite(x) -> bool:
-    """math.isfinite of a Python int or float, or of every element of an array."""
-    if type(x) in (int, float):
-        return math.isfinite(x)
-    import numpy as np
-
-    return bool(np.isfinite(x).all())
-
-
-def quiet(x):
-    """A context for forming the ratio kernel's terms at x: numpy's
-    floating-point warnings off for numpy values, as the kernel refuses a term
-    that overflows; nothing for a Python int or float, which do not warn."""
-    if type(x) in (int, float):
-        return contextlib.nullcontext()
-    import numpy as np
-
-    return np.errstate(all="ignore")
 
 
 def _require_off_cut(v: complex, context: str) -> None:
@@ -177,6 +157,22 @@ def _on_arrays(np):
         return np.where(cond, near(*args), far(*args))
 
     return (lambda v: bool(np.isfinite(v).all()), np.any, np.abs, np.log1p, np.log, np.exp, where)
+
+
+_NO_CONTEXT = contextlib.nullcontext()
+
+
+def kernel_input(x):
+    """(x, functions, context) of a ratio kernel at x, functions[0] its all_finite.
+    A Python int or float, a numpy scalar or a 0-d array is a Python float,
+    evaluated on _ON_NUMBERS with no context and without numpy; anything else
+    is np.asarray(x, dtype=float), evaluated on _on_arrays(numpy) under
+    np.errstate(all="ignore"), as the kernels refuse a term that overflows."""
+    if isinstance(x, (float, int)) or not getattr(x, "ndim", 1):
+        return float(x), _ON_NUMBERS, _NO_CONTEXT
+    import numpy as np
+
+    return np.asarray(x, dtype=float), _on_arrays(np), np.errstate(all="ignore")
 
 
 def _log_abs_1p(w, functions):

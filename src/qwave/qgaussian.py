@@ -215,20 +215,17 @@ def ratio_terms(x, t: float, params: GaussianParams, cs=None, j=None):
 def ratio_gaussian(x, t: float, params: GaussianParams, cs=None, j=None) -> float | np.ndarray:
     """Modulus ratio |approx| / |exact|, the packet's deviation diagnostic.
 
-    qcore.modulus_ratio forms it from the terms (c, G0, G) of ratio_terms
-    in real log-modulus arithmetic: an array x gives an array, a float x a
-    float, evaluated without numpy.  cs and j are coeffs_exact(t, params)
-    and coeffs_first_order(t, params), computed here when not given, so a
-    sweep computes them once for the time t.
+    qcore._ratio forms it from the terms (c, G0, G) of ratio_terms in real
+    log-modulus arithmetic, at x taken as ratio_at takes it (qcore.kernel_input):
+    a number gives a float, without numpy, anything else an array.  cs and j are
+    coeffs_exact(t, params) and coeffs_first_order(t, params), computed here
+    when not given, so a sweep computes them once for the time t.
     """
-    if type(x) not in (int, float):
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-    if not (qcore.all_finite(x) and math.isfinite(t)):
+    x, functions, context = qcore.kernel_input(x)
+    if not (functions[0](x) and math.isfinite(t)):
         raise NonFiniteInput("packet sweep points must be finite")
-    with qcore.quiet(x):
-        return qcore.modulus_ratio(*ratio_terms(x, t, params, cs, j), params.q)
+    with context:
+        return qcore._ratio(*ratio_terms(x, t, params, cs, j), params.q - 1.0, functions)
 
 
 def gaussian_terms(

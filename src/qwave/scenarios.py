@@ -130,8 +130,8 @@ def linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
 
 
 class Sweep(Frozen):
-    """A ratio sweep as named columns in order, the grid "x" first, each
-    array.array("d") for one block of Python floats, else a numpy array."""
+    """A ratio sweep as named columns in order, the grid first whatever its name,
+    each array.array("d") for one block of Python floats, else a numpy array."""
 
     __slots__ = ("columns",)
     __eq__, __hash__ = object.__eq__, object.__hash__  # by identity, not by the arrays
@@ -140,7 +140,7 @@ class Sweep(Frozen):
         self._set(columns)
 
     def __len__(self) -> int:
-        return len(self.columns["x"])
+        return len(next(iter(self.columns.values())))
 
     def blocks(self) -> list[Sweep]:
         """Consecutive slices of BLOCK_ROWS rows each (the last may be shorter)."""

@@ -155,8 +155,14 @@ def test_svg_polyline_matches_pointwise_form(figure, tmp_path):
         sweep = scenarios.run_ratio_sweep(scn)
     path = tmp_path / "fig.svg"
     cli.emit_plot_svg(sweep, {"title": "t", "xlabel": "x"}, str(path))
-    points = re.search(r'<polyline points="([^"]*)"', path.read_text()).group(1)
+    svg = path.read_text()
+    points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
     assert points == polyline_reference(*sweep.columns.values())
+    # the grid is the first column, whatever its name: a sweep over u plots the same
+    over_u = scenarios.Sweep(dict(zip(("u", *list(sweep.columns)[1:]), sweep.columns.values())))
+    assert len(over_u) == len(sweep)
+    cli.emit_plot_svg(over_u, {"title": "t", "xlabel": "x"}, str(path))
+    assert path.read_text() == svg
 
 
 # -- ratio ---------------------------------------------------------------

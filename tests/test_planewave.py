@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from qwave import kleingordon as kg
 from qwave import planewave as pw
+from qwave import qgaussian as qg
 from qwave import checks, verify
 from qwave.errors import BranchCutViolation, NonFiniteInput, NonFiniteResult, QWaveError
 
@@ -39,14 +40,24 @@ def test_phase():
 
 
 def test_numpy_scalars_become_python_floats():
-    """The scalar path runs on Python floats: np.float64 (a float subclass)
-    is converted, an array is kept."""
+    """Every ratio entry takes x by one rule (qcore.kernel_input): a Python or
+    numpy number or a 0-d array is a Python float and gives one, equal to the
+    call on the float; a list, tuple or array gives the array call's array."""
     pt = pw.PhasePoint(np.float64(0.5), np.float64(0.0))
     assert type(pt.x) is float and type(pt.t) is float and pt.x == 0.5
     assert isinstance(pw.PhasePoint(np.array([0.5, 1.0])).x, np.ndarray)
-    for x in (1, np.float64(0.5)):
-        r = pw.ratio_at(x, 0.0, WAVE, 1.001)
-        assert type(r) is float and r == pw.ratio_at(float(x), 0.0, WAVE, 1.001)
+    assert isinstance(pw.PhasePoint([0.5, 1.0]).x, np.ndarray)
+    packet = qg.GaussianParams(m=1.0, beta=1.0, q=1.001)
+    for ratio in (lambda x: pw.ratio_at(x, 0.0, WAVE, 1.001),
+                  lambda x: pw.ratio_R(pw.PhasePoint(x), WAVE, 1.001),
+                  lambda x: qg.ratio_gaussian(x, 0.0, packet)):
+        for x in (1, np.float64(0.5), np.array(0.5)):
+            r = ratio(x)
+            assert type(r) is float and r == ratio(float(x))
+        whole = ratio(np.array([0.1, 0.2]))
+        for x in ([0.1, 0.2], (0.1, 0.2)):
+            r = ratio(x)
+            assert type(r) is np.ndarray and r.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("q", [0.999, 1.001, 1.1])

@@ -210,9 +210,9 @@ UNIT_PHASE = pw.PlaneWave(p=1.0, E=0.0, m=1.0)  # u = x at t = 0
 def _path_cases():
     """(ratio, columns): a ratio kernel and the arguments over which its
     float and array paths are compared.  The plane wave's ratio_at runs over
-    its four figures' grids, as the CLI runs them, and over the phases Im z
-    of _kernel_points; the packet's modulus_ratio over its figure's terms
-    and over the terms of _kernel_points."""
+    its four figures' grids and the packet's ratio_gaussian over its figure's,
+    as the CLI runs them; ratio_at also over the phases Im z of _kernel_points,
+    and modulus_ratio over the packet figure's terms and those of _kernel_points."""
     cases = []
     for species in ("electron", "proton"):
         for qm1 in (1e-9, 1e-12):
@@ -220,6 +220,7 @@ def _path_cases():
             cases.append((partial(pw.ratio_at, t=0.0, w=wave, q=1.0 + qm1),
                           (np.linspace(0.0, 1.0, 2001),)))
     params = qg.GaussianParams(m=1.0, beta=1.0, q=1.0 + 1e-3)
+    cases.append((partial(qg.ratio_gaussian, t=0.0, params=params), (np.linspace(0.0, 4.0, 1001),)))
     cases.append((partial(qcore.modulus_ratio, q=params.q),
                   qg.ratio_terms(np.linspace(0.0, 4.0, 1001), 0.0, params)))
     for q in (1.001, 0.999, 1.0 + 1e-9, 1.0):
@@ -372,12 +373,18 @@ WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
         (lambda: pw.ratio_at(np.array([0.0, math.inf]), 0.0, WAVE, 1.001), NonFiniteInput),
         (lambda: pw.ratio_at(np.array([0.0, 0.5]), math.nan, WAVE, 1.001), NonFiniteInput),
         (lambda: pw.ratio_at(np.array([0.0, 1e200]), 0.0, WAVE, 1.5), NonFiniteResult),
+        # a list is an array to every entry (qcore.kernel_input), a 0-d array a float
+        (lambda: pw.ratio_at([0.0, math.nan], 0.0, WAVE, 1.001), NonFiniteInput),
+        (lambda: pw.ratio_R(pw.PhasePoint([0.0, math.nan]), WAVE, 1.001), NonFiniteInput),
+        (lambda: qg.ratio_gaussian([0.0, math.nan], 0.0, PACKET), NonFiniteInput),
+        (lambda: qg.ratio_gaussian(np.array(math.nan), 0.0, PACKET), NonFiniteInput),
     ],
     ids=["nan-x-packet", "nan-x-plane-wave", "nan-q", "packet-cut", "packet-overflow",
          "packet-tiny-beta", "packet-tiny-m", "nan-x-packet-float", "inf-x-plane-wave-float",
          "packet-cut-float", "packet-overflow-float", "plane-wave-overflow-float",
          "nan-x-ratio-at-float", "inf-t-ratio-at-float", "ratio-at-overflow-float",
-         "inf-x-ratio-at", "nan-t-ratio-at", "ratio-at-overflow"],
+         "inf-x-ratio-at", "nan-t-ratio-at", "ratio-at-overflow", "nan-list-ratio-at",
+         "nan-list-plane-wave", "nan-list-packet", "nan-0d-packet"],
 )
 def test_ratio_refusals_are_typed(ratio, error):
     with pytest.raises(error):
