@@ -71,16 +71,14 @@ class SchrodingerWave(PlaneWave):
 
 
 class PhasePoint(qcore.Frozen):
-    """A spacetime sample point (x, t), x by qcore.kernel_input's rule: a number
-    as a Python float, else an array, which ratio_R also takes."""
+    """A spacetime sample point (x, t), two Python floats."""
 
     __slots__ = ("x", "t")
 
-    def __init__(self, x: float | np.ndarray, t: float = 0.0):
-        x, functions, _ = qcore.kernel_input(x)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "t", float(t) if isinstance(t, float) else t)
-        if not (functions[0](x) and math.isfinite(self.t)):
+    def __init__(self, x: float, t: float = 0.0):
+        object.__setattr__(self, "x", float(x))
+        object.__setattr__(self, "t", float(t))
+        if not (math.isfinite(self.x) and math.isfinite(self.t)):
             raise NonFiniteInput(f"phase point must be finite, got {self!r}")
 
 
@@ -164,21 +162,21 @@ def ratio_terms(pt: PhasePoint, w: PlaneWave, q: float):
     return (1.0 - q) * u * u / 2.0, -1j * u
 
 
-def _phase_ratio(u, q: float, functions):
-    """R at the phase u in qcore._ratio's form and functions: c = (1-q) u^2/2
-    and y = (q-1) u are real, so R = exp(log|1 + c| + log|1 + iy| / (q-1)),
-    the last term dropped at q = 1.  Each log splits at |w| < 1/2 (w^2 < 1/4)
+def _phase_ratio(u, eps: float, functions):
+    """R at the phase u and eps = q - 1 in qcore._ratio's form and functions:
+    c = -eps u^2/2 and y = eps u are real, so R = exp(log|1 + c| + log|1 + iy| / eps),
+    the last term dropped at eps = 0.  Each log splits at |w| < 1/2 (w^2 < 1/4)
     as qcore._log_abs_1p, whose near branch is log1p(w) at a real w, bit for
     bit.  A non-finite c, y or R raises NonFiniteResult."""
     all_finite, _, abs_, log1p, log, exp, where = functions
-    c, y = (1.0 - q) * u * u / 2.0, (q - 1.0) * u
+    c, y = -eps * u * u / 2.0, eps * u
     if not (all_finite(c) and all_finite(y)):
         raise NonFiniteResult("a term of the ratio overflows the double range")
     log_r = where(c * c < 0.25, log1p, lambda v: log(abs_(1.0 + v)), c)
-    if q != 1.0:
+    if eps != 0.0:
         yy = y * y
         log_r = log_r + where(yy < 0.25, lambda: 0.5 * log1p(yy),
-                              lambda: log(abs_(1 + 1j * y))) / (q - 1.0)
+                              lambda: log(abs_(1 + 1j * y))) / eps
     r = exp(log_r)
     if not all_finite(r):
         raise NonFiniteResult("ratio R overflows the double range")
@@ -188,16 +186,15 @@ def _phase_ratio(u, q: float, functions):
 def ratio_at(x, t: float, w: PlaneWave, q: float) -> float | np.ndarray:
     """ratio_R at (x, t) without a PhasePoint, x taken by qcore.kernel_input's
     rule: a number gives a float, evaluated without numpy, anything else an
-    array.  A non-finite x or t raises NonFiniteInput."""
-    x, functions, context = qcore.kernel_input(x)
-    if not (functions[0](x) and math.isfinite(t)):
-        raise NonFiniteInput(f"phase point must be finite, got x={x!r}, t={t!r}")
+    array.  A non-finite x, t or q raises NonFiniteInput."""
+    if not math.isfinite(q):
+        raise NonFiniteInput(f"q must be finite, got {q!r}")
+    x, functions, context = qcore.kernel_input(x, t)
     with context:
-        return _phase_ratio(w.p * x - w.E * t, q, functions)
+        return _phase_ratio(w.p * x - w.E * t, q - 1.0, functions)
 
 
-def ratio_R(pt: PhasePoint, w: PlaneWave, q: float) -> float | np.ndarray:
+def ratio_R(pt: PhasePoint, w: PlaneWave, q: float) -> float:
     """Deviation diagnostic R = |approx_psi| / |exact_psi| at pt, a function of
-    the phase u alone (ratio_at): a float pt.x gives a float, evaluated
-    without numpy, an array pt.x an array."""
+    the phase u alone: ratio_at at the point's two floats."""
     return ratio_at(pt.x, pt.t, w, q)

@@ -13,7 +13,7 @@ removable point w = 0 filled with 1.
 first_order_pow powers every first-order wave along its continuous log;
 _ratio forms the packet's |approx|/|exact| in real log-modulus arithmetic,
 one formula on the Python numbers or numpy arrays that kernel_input makes of
-x (the plane wave's kernel in u takes the same); modulus_ratio takes any terms.
+x (the plane wave's kernel in u takes the same), at the eps its entry gives.
 
 Jets are truncated first-order Taylor pairs (value at q = 1, d/dq at q = 1)
 with ring arithmetic.  They mechanize the first-order expansions the wave
@@ -27,12 +27,9 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-from typing import TYPE_CHECKING
 
 from .errors import BranchCutViolation, DivisionByZeroJet, NonFiniteInput, NonFiniteResult
 
-if TYPE_CHECKING:
-    import numpy as np
 
 def _as_finite_complex(value, name: str) -> complex:
     z = complex(value)
@@ -162,17 +159,23 @@ def _on_arrays(np):
 _NO_CONTEXT = contextlib.nullcontext()
 
 
-def kernel_input(x):
-    """(x, functions, context) of a ratio kernel at x, functions[0] its all_finite.
-    A Python int or float, a numpy scalar or a 0-d array is a Python float,
-    evaluated on _ON_NUMBERS with no context and without numpy; anything else
-    is np.asarray(x, dtype=float), evaluated on _on_arrays(numpy) under
-    np.errstate(all="ignore"), as the kernels refuse a term that overflows."""
+def kernel_input(x, t: float):
+    """(x, functions, context) of a ratio kernel at (x, t).  A Python int or
+    float, a numpy scalar or a 0-d array is a Python float, evaluated on
+    _ON_NUMBERS with no context and without numpy; anything else is
+    np.asarray(x, dtype=float), evaluated on _on_arrays(numpy) under
+    np.errstate(all="ignore"), as the kernels refuse a term that overflows.
+    A non-finite x or t raises NonFiniteInput."""
     if isinstance(x, (float, int)) or not getattr(x, "ndim", 1):
-        return float(x), _ON_NUMBERS, _NO_CONTEXT
-    import numpy as np
+        x, functions, context = float(x), _ON_NUMBERS, _NO_CONTEXT
+    else:
+        import numpy as np
 
-    return np.asarray(x, dtype=float), _on_arrays(np), np.errstate(all="ignore")
+        x, context = np.asarray(x, dtype=float), np.errstate(all="ignore")
+        functions = _on_arrays(np)
+    if not (functions[0](x) and math.isfinite(t)):
+        raise NonFiniteInput(f"point must be finite, got x={x!r}, t={t!r}")
+    return x, functions, context
 
 
 def _log_abs_1p(w, functions):
@@ -195,9 +198,15 @@ def _log_abs_1p_far(w, functions):
 
 
 def _ratio(c, g0, g, eps: float, functions):
-    """modulus_ratio's formula and refusals at eps = q - 1, written once and
-    evaluated with functions = (all_finite, any, abs, log1p, log, exp, where):
-    _ON_NUMBERS on Python numbers, _on_arrays(numpy) on arrays."""
+    """|(1 + c) e^{-g0}| / |e_q(-g)| elementwise at eps = q - 1, formed in real
+    arithmetic as exp(log|1 + c| - Re g0 + log|1 + eps g| / eps), with Re g for
+    the last term at eps = 0, so neither modulus overflows or vanishes on its own.
+    functions = (all_finite, any, abs, log1p, log, exp, where) are _ON_NUMBERS
+    on Python complex numbers, _on_arrays(numpy) on complex arrays (under
+    np.errstate(all="ignore")); libm and numpy round exp and log1p differently,
+    which the 1/eps of the last term magnifies.  A non-finite c, g0 or eps g,
+    or an R beyond the double range, raises NonFiniteResult, a base 1 + eps g
+    on the branch cut BranchCutViolation: no inf or nan is ever returned."""
     all_finite, any_, _, _, _, exp, _ = functions
     w = eps * g
     if not (all_finite(c) and all_finite(g0) and all_finite(w)):
@@ -210,32 +219,6 @@ def _ratio(c, g0, g, eps: float, functions):
     if not all_finite(r):
         raise NonFiniteResult("ratio R overflows the double range")
     return r
-
-
-def modulus_ratio(c, g0, g, q: float) -> float | np.ndarray:
-    """|(1 + c) e^{-g0}| / |e_q(-g)| elementwise, formed in real arithmetic as
-    exp(log|1 + c| - Re g0 + log|1 + (q-1) g| / (q-1)), with Re g for the
-    last term at q = 1, so neither modulus overflows or vanishes on its own.
-
-    Python numbers give a float, evaluated with math and without numpy;
-    arrays give an array, evaluated with numpy's ufuncs.  The formula is the
-    same, but libm and numpy round exp and log1p differently, so the two may
-    differ in the last bits, which the 1/(q-1) of the last term magnifies.
-
-    A non-finite q raises NonFiniteInput; a non-finite c, g0 or (q-1) g, or
-    an R beyond the double range, NonFiniteResult; a base 1 + (q-1) g on the
-    branch cut BranchCutViolation.  No inf or nan is ever returned.
-    """
-    if not math.isfinite(q):
-        raise NonFiniteInput(f"q must be finite, got {q!r}")
-    number = (int, float, complex)
-    if isinstance(c, number) and isinstance(g0, number) and isinstance(g, number):
-        return _ratio(complex(c), complex(g0), complex(g), q - 1.0, _ON_NUMBERS)
-    import numpy as np
-
-    with np.errstate(all="ignore"):
-        c, g0, g = (np.asarray(v, dtype=complex) for v in (c, g0, g))
-        return _ratio(c, g0, g, q - 1.0, _on_arrays(np))
 
 
 def q_exp(z, q: float) -> complex:

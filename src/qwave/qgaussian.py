@@ -216,14 +216,13 @@ def ratio_gaussian(x, t: float, params: GaussianParams, cs=None, j=None) -> floa
     """Modulus ratio |approx| / |exact|, the packet's deviation diagnostic.
 
     qcore._ratio forms it from the terms (c, G0, G) of ratio_terms in real
-    log-modulus arithmetic, at x taken as ratio_at takes it (qcore.kernel_input):
-    a number gives a float, without numpy, anything else an array.  cs and j are
+    log-modulus arithmetic, at x and t taken as ratio_at takes them
+    (qcore.kernel_input): a number gives a float, without numpy, anything else
+    an array, and a non-finite x or t raises NonFiniteInput.  cs and j are
     coeffs_exact(t, params) and coeffs_first_order(t, params), computed here
     when not given, so a sweep computes them once for the time t.
     """
-    x, functions, context = qcore.kernel_input(x)
-    if not (functions[0](x) and math.isfinite(t)):
-        raise NonFiniteInput("packet sweep points must be finite")
+    x, functions, context = qcore.kernel_input(x, t)
     with context:
         return qcore._ratio(*ratio_terms(x, t, params, cs, j), params.q - 1.0, functions)
 

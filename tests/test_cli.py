@@ -790,7 +790,7 @@ def reference_sweeps(n):
 
     return [
         (["--q-minus-1", "1e-3"], ("x", "R"), scenarios.run_ratio_sweep(scn),
-         by_path(lambda xs: pw.ratio_R(pw.PhasePoint(xs), wave, 1.001), 1.0)),
+         by_path(lambda xs: pw.ratio_at(xs, 0.0, wave, 1.001), 1.0)),
         (["--gaussian"], ("x", "ratio"), scenarios.run_gaussian_sweep(params, (0.0, 4.0, n)),
          by_path(lambda xs: qg.ratio_gaussian(xs, 0.0, params), 4.0)),
     ]

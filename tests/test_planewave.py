@@ -40,16 +40,17 @@ def test_phase():
 
 
 def test_numpy_scalars_become_python_floats():
-    """Every ratio entry takes x by one rule (qcore.kernel_input): a Python or
+    """Both ratio entries take x by one rule (qcore.kernel_input): a Python or
     numpy number or a 0-d array is a Python float and gives one, equal to the
-    call on the float; a list, tuple or array gives the array call's array."""
+    call on the float; a list, tuple or array gives the array call's array.
+    A PhasePoint holds two Python floats."""
     pt = pw.PhasePoint(np.float64(0.5), np.float64(0.0))
     assert type(pt.x) is float and type(pt.t) is float and pt.x == 0.5
-    assert isinstance(pw.PhasePoint(np.array([0.5, 1.0])).x, np.ndarray)
-    assert isinstance(pw.PhasePoint([0.5, 1.0]).x, np.ndarray)
+    for x in (1, np.array(0.5)):
+        pt = pw.PhasePoint(x, 0)
+        assert type(pt.x) is float and type(pt.t) is float and pt.x == float(x)
     packet = qg.GaussianParams(m=1.0, beta=1.0, q=1.001)
     for ratio in (lambda x: pw.ratio_at(x, 0.0, WAVE, 1.001),
-                  lambda x: pw.ratio_R(pw.PhasePoint(x), WAVE, 1.001),
                   lambda x: qg.ratio_gaussian(x, 0.0, packet)):
         for x in (1, np.float64(0.5), np.array(0.5)):
             r = ratio(x)

@@ -180,6 +180,17 @@ def _terms(z, q):
     return (q - 1.0) * z, -z, -z
 
 
+# The packet kernel qcore._ratio at arbitrary terms, on each of its two paths
+def _ratio_on_numbers(c, g0, g, eps):
+    return qcore._ratio(complex(c), complex(g0), complex(g), eps, qcore._ON_NUMBERS)
+
+
+def _ratio_on_arrays(c, g0, g, eps):
+    with np.errstate(all="ignore"):
+        c, g0, g = (np.asarray(v, dtype=complex) for v in (c, g0, g))
+        return qcore._ratio(c, g0, g, eps, qcore._on_arrays(np))
+
+
 @pytest.mark.parametrize("eps", [1e-3, -1e-3, 1e-6, 1e-9, 1e-12, 0.0])
 def test_modulus_ratio_matches_scalar(eps):
     q = 1.0 + eps
@@ -190,10 +201,10 @@ def test_modulus_ratio_matches_scalar(eps):
         if approx > 0.0 and exact > 0.0:  # else a modulus underflows; the kernel's logs do not
             zs.append(z)
             want.append(approx / exact)
-    got = qcore.modulus_ratio(*_terms(np.array(zs), q), q)
+    got = _ratio_on_arrays(*_terms(np.array(zs), q), q - 1.0)
     for z, g, r in zip(zs, got.tolist(), want):
         assert abs(g - r) <= 4e-15 * max(1.0, abs(z)) * r, z
-        assert abs(qcore.modulus_ratio(*_terms(z, q), q) - r) <= 4e-15 * max(1.0, abs(z)) * r, z
+        assert abs(_ratio_on_numbers(*_terms(z, q), q - 1.0) - r) <= 4e-15 * max(1.0, abs(z)) * r, z
 
 
 # The float path (math) and the array path (numpy's ufuncs) of each ratio
@@ -208,35 +219,40 @@ UNIT_PHASE = pw.PlaneWave(p=1.0, E=0.0, m=1.0)  # u = x at t = 0
 
 
 def _path_cases():
-    """(ratio, columns): a ratio kernel and the arguments over which its
-    float and array paths are compared.  The plane wave's ratio_at runs over
-    its four figures' grids and the packet's ratio_gaussian over its figure's,
-    as the CLI runs them; ratio_at also over the phases Im z of _kernel_points,
-    and modulus_ratio over the packet figure's terms and those of _kernel_points."""
+    """(on_arrays, on_numbers, columns): a ratio kernel's array and float paths
+    and the arguments over which they are compared.  The plane wave's ratio_at
+    runs over its four figures' grids and the packet's ratio_gaussian over its
+    figure's, as the CLI runs them, each entry choosing its path from x;
+    ratio_at also over the phases Im z of _kernel_points, and qcore._ratio
+    over the packet figure's terms and those of _kernel_points."""
     cases = []
     for species in ("electron", "proton"):
         for qm1 in (1e-9, 1e-12):
             wave = scenarios.wave_for(scenarios.ParticleScenario.from_mev(species, 1.0, qm1))
-            cases.append((partial(pw.ratio_at, t=0.0, w=wave, q=1.0 + qm1),
-                          (np.linspace(0.0, 1.0, 2001),)))
+            ratio = partial(pw.ratio_at, t=0.0, w=wave, q=1.0 + qm1)
+            cases.append((ratio, ratio, (np.linspace(0.0, 1.0, 2001),)))
     params = qg.GaussianParams(m=1.0, beta=1.0, q=1.0 + 1e-3)
-    cases.append((partial(qg.ratio_gaussian, t=0.0, params=params), (np.linspace(0.0, 4.0, 1001),)))
-    cases.append((partial(qcore.modulus_ratio, q=params.q),
+    ratio = partial(qg.ratio_gaussian, t=0.0, params=params)
+    cases.append((ratio, ratio, (np.linspace(0.0, 4.0, 1001),)))
+    cases.append((partial(_ratio_on_arrays, eps=params.q - 1.0),
+                  partial(_ratio_on_numbers, eps=params.q - 1.0),
                   qg.ratio_terms(np.linspace(0.0, 4.0, 1001), 0.0, params)))
     for q in (1.001, 0.999, 1.0 + 1e-9, 1.0):
         zs = _kernel_points(q)
-        cases.append((partial(pw.ratio_at, t=0.0, w=UNIT_PHASE, q=q), (zs.imag,)))
-        cases.append((partial(qcore.modulus_ratio, q=q), _terms(zs, q)))
+        ratio = partial(pw.ratio_at, t=0.0, w=UNIT_PHASE, q=q)
+        cases.append((ratio, ratio, (zs.imag,)))
+        cases.append((partial(_ratio_on_arrays, eps=q - 1.0),
+                      partial(_ratio_on_numbers, eps=q - 1.0), _terms(zs, q)))
     return cases
 
 
 def test_modulus_ratio_paths_agree_within_a_bound():
     worst = 0.0
-    for ratio, columns in _path_cases():
-        whole = ratio(*columns)
+    for on_arrays, on_numbers, columns in _path_cases():
+        whole = on_arrays(*columns)
         columns = [np.broadcast_to(v, whole.shape).tolist() for v in columns]
         for k, point in enumerate(zip(*columns)):
-            one = ratio(*point)
+            one = on_numbers(*point)
             assert type(one) is float
             worst = max(worst, abs(one - whole[k]) / whole[k])
     print(f"worst relative gap between the float and the array path: {worst:.3g}")
@@ -251,7 +267,7 @@ def test_modulus_ratio_paths_agree_within_a_bound():
         (0.0, 0.0, 1e308, 11.0),  # (q-1) g beyond the double range
         (0.0, 0.0, 2.0, 0.5),  # 1 + (q-1) g = 0: on the cut
         (0.0, 0.0, 4.0 + 0.0j, 0.5),  # 1 + (q-1) g = -1
-        (0.0, 0.0, 0.0, math.nan),
+        (0.0, 0.0, 0.0, math.nan),  # eps g is nan
         (-1.0, 0.0, 0.0, 1.1),  # 1 + c = 0: R = 0
         (0.0, 0.0, complex(-1.5e308, -1.5e308), 0.0),  # |1 + (q-1) g| overflows: R = 0
         (0.0, 0.0, complex(1.5e308, 1.5e308), 2.0),  # and R = inf
@@ -261,9 +277,10 @@ def test_modulus_ratio_paths_agree_within_a_bound():
 def test_modulus_ratio_paths_refuse_alike(c, g0, g, q):
     # a value within PATH_GAP, or the same error type and message, on both paths
     outcomes = []
-    for point in ((c, g0, g), tuple(np.array([v]) for v in (c, g0, g))):
+    for ratio, point in ((_ratio_on_numbers, (c, g0, g)),
+                         (_ratio_on_arrays, tuple(np.array([v]) for v in (c, g0, g)))):
         try:
-            outcomes.append(float(np.asarray(qcore.modulus_ratio(*point, q)).item()))
+            outcomes.append(float(np.asarray(ratio(*point, q - 1.0)).item()))
         except QWaveError as exc:
             outcomes.append((type(exc), str(exc)))
     one, whole = outcomes
@@ -277,9 +294,10 @@ def test_modulus_ratio_paths_refuse_alike(c, g0, g, q):
 def test_modulus_ratio_refuses_the_cut_on_both_paths(g):
     # at q = 0.5 the base 1 - g/2 is 0 at g = 2 and -5e-4 at g = 2.001; a
     # guard shifted by 1e-3 would return R = 4.0e6 for the second
-    for point in ((0.0, 0.0, g), tuple(np.array([v]) for v in (0.0, 0.0, g))):
+    for ratio, point in ((_ratio_on_numbers, (0.0, 0.0, g)),
+                         (_ratio_on_arrays, tuple(np.array([v]) for v in (0.0, 0.0, g)))):
         with pytest.raises(BranchCutViolation, match="branch cut"):
-            qcore.modulus_ratio(*point, 0.5)
+            ratio(*point, 0.5 - 1.0)
 
 
 NEAR_W = [0.0, 1e-300, -1e-17j, 0.3 - 0.2j, -0.4999, 0.49999999999999994j]
@@ -299,7 +317,7 @@ def test_array_where_evaluates_only_the_branches_it_picks(w, branches):
     functions[4] = lambda v: calls.add("far") or log(v)
     w = np.array(w, dtype=complex)
     arrays = qcore._on_arrays(np)
-    with np.errstate(all="ignore"):  # as in modulus_ratio
+    with np.errstate(all="ignore"):  # as in qcore.kernel_input
         got = qcore._log_abs_1p(w, tuple(functions))
         expected = np.where(abs(w) < 0.5, qcore._log_abs_1p_near(w, arrays),
                             qcore._log_abs_1p_far(w, arrays))
@@ -334,7 +352,7 @@ def test_modulus_ratio_overflow_is_typed():
         (0.0, 0.0, np.array([1.0, 1e308]), 11.0),
     ]:
         with pytest.raises(NonFiniteResult):
-            qcore.modulus_ratio(c, g0, g, q)
+            _ratio_on_arrays(c, g0, g, q - 1.0)
 
 
 PACKET = qg.GaussianParams(m=1.0, beta=1.0, q=1.001)
@@ -345,8 +363,8 @@ WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
     "ratio, error",
     [
         (lambda: qg.ratio_gaussian(np.array([0.0, math.nan]), 0.0, PACKET), NonFiniteInput),
-        (lambda: pw.ratio_R(pw.PhasePoint(np.array([0.0, math.nan])), WAVE, 1.001), NonFiniteInput),
-        (lambda: qcore.modulus_ratio(0.0, 0.0, 0.0, math.nan), NonFiniteInput),
+        (lambda: pw.ratio_at(np.array([0.0, math.nan]), 0.0, WAVE, 1.001), NonFiniteInput),
+        (lambda: pw.ratio_at(0.5, 0.0, WAVE, math.nan), NonFiniteInput),
         # 1 + (q-1) G = 1 - (x^2/2 + x)/2 is on the cut beyond x = sqrt(5) - 1
         (lambda: qg.ratio_gaussian(np.linspace(0.0, 4.0, 9), 0.0,
                                    qg.GaussianParams(m=1.0, beta=1.0, q=0.5)), BranchCutViolation),
@@ -373,9 +391,17 @@ WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
         (lambda: pw.ratio_at(np.array([0.0, math.inf]), 0.0, WAVE, 1.001), NonFiniteInput),
         (lambda: pw.ratio_at(np.array([0.0, 0.5]), math.nan, WAVE, 1.001), NonFiniteInput),
         (lambda: pw.ratio_at(np.array([0.0, 1e200]), 0.0, WAVE, 1.5), NonFiniteResult),
-        # a list is an array to every entry (qcore.kernel_input), a 0-d array a float
+        # a non-finite q is the input's fault, on both paths and through ratio_R
+        (lambda: pw.ratio_at(np.array([0.0, 0.5]), 0.0, WAVE, math.nan), NonFiniteInput),
+        (lambda: pw.ratio_at(np.array([0.0, 0.5]), 0.0, WAVE, math.inf), NonFiniteInput),
+        (lambda: pw.ratio_R(pw.PhasePoint(0.5), WAVE, -math.inf), NonFiniteInput),
+        # the packet's entry at t, on both paths
+        (lambda: qg.ratio_gaussian(0.5, math.inf, PACKET), NonFiniteInput),
+        (lambda: qg.ratio_gaussian(np.array([0.0, 0.5]), math.nan, PACKET), NonFiniteInput),
+        # a list is an array to both entries (qcore.kernel_input), a 0-d array a float;
+        # a PhasePoint holds two floats, so it refuses a list before any ratio is formed
         (lambda: pw.ratio_at([0.0, math.nan], 0.0, WAVE, 1.001), NonFiniteInput),
-        (lambda: pw.ratio_R(pw.PhasePoint([0.0, math.nan]), WAVE, 1.001), NonFiniteInput),
+        (lambda: pw.ratio_R(pw.PhasePoint([0.0, math.nan]), WAVE, 1.001), TypeError),
         (lambda: qg.ratio_gaussian([0.0, math.nan], 0.0, PACKET), NonFiniteInput),
         (lambda: qg.ratio_gaussian(np.array(math.nan), 0.0, PACKET), NonFiniteInput),
     ],
@@ -383,12 +409,29 @@ WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
          "packet-tiny-beta", "packet-tiny-m", "nan-x-packet-float", "inf-x-plane-wave-float",
          "packet-cut-float", "packet-overflow-float", "plane-wave-overflow-float",
          "nan-x-ratio-at-float", "inf-t-ratio-at-float", "ratio-at-overflow-float",
-         "inf-x-ratio-at", "nan-t-ratio-at", "ratio-at-overflow", "nan-list-ratio-at",
-         "nan-list-plane-wave", "nan-list-packet", "nan-0d-packet"],
+         "inf-x-ratio-at", "nan-t-ratio-at", "ratio-at-overflow", "nan-q-ratio-at",
+         "inf-q-ratio-at", "inf-q-plane-wave-float", "inf-t-packet-float", "nan-t-packet",
+         "nan-list-ratio-at", "nan-list-plane-wave", "nan-list-packet", "nan-0d-packet"],
 )
 def test_ratio_refusals_are_typed(ratio, error):
     with pytest.raises(error):
         ratio()
+
+
+@pytest.mark.parametrize(
+    "x, t",
+    [(math.nan, 0.0), (0.5, -math.inf), (np.array([0.0, math.inf]), 0.0),
+     (np.array([0.0, 0.5]), math.nan)],
+    ids=["nan-x-float", "inf-t-float", "inf-x-array", "nan-t-array"],
+)
+def test_both_entries_refuse_a_point_in_one_text(x, t):
+    # qcore.kernel_input states the refusal of a non-finite x or t once, for both entries
+    texts = []
+    for ratio in (lambda: pw.ratio_at(x, t, WAVE, 1.001), lambda: qg.ratio_gaussian(x, t, PACKET)):
+        with pytest.raises(NonFiniteInput, match="^point must be finite, got x=") as refusal:
+            ratio()
+        texts.append(str(refusal.value))
+    assert texts[0] == texts[1]
 
 
 # Grids of the figures' ratios at t = 0 and their bounds against a 50-digit
@@ -430,7 +473,7 @@ def test_ratio_against_50_digit_oracle(family, q_minus_1, xmax, bound):
         wave = scenarios.wave_for(scenarios.ParticleScenario.from_mev(family, 1.0, q_minus_1))
 
         def ratio(xs):
-            return pw.ratio_R(pw.PhasePoint(xs), wave, q)
+            return pw.ratio_at(xs, 0.0, wave, q)
 
         def terms(x):
             u = mp.mpf(wave.p * x)  # the double phase p x at t = 0
