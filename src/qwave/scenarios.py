@@ -111,11 +111,13 @@ def wave_for(scn: ParticleScenario) -> SchrodingerWave:
 
 # Rows per block of a sweep.  A sweep of at most this many points is one
 # block, evaluated and written on Python floats without loading numpy, as
-# every figure and both CLI defaults are.  A longer one is evaluated over
-# numpy arrays and written by qwave.floattext this many rows at a time, so
-# the temporaries stay in the cache and are reused instead of spanning the
-# whole grid; 512 and 65,536 rows measured slower on 200,001-point sweeps.
-BLOCK_ROWS = 2048
+# every figure and both CLI defaults are; a longer one is evaluated in numpy
+# and written by qwave.floattext this many rows at a time.  Median wall ms
+# of 31 fresh 200,001-point runs (2-core AMD EPYC), by rows per block:
+#   rows             2,048  4,096  8,192  16,384
+#   planewave_json    93.6   89.4   87.4   86.8   (16,384 rows outgrows the
+#   packet_csv        92.3   87.5   85.1   86.0    tests' 8 MB traced bound)
+BLOCK_ROWS = 8192
 
 
 def linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
@@ -149,19 +151,16 @@ class Sweep(Frozen):
 
 
 def _blockwise_sweep(x_range: tuple[float, float, int], name: str, ratio) -> Sweep:
-    """The sweep of columns x = np.linspace(*x_range) and name = ratio(x).
+    """The sweep of columns x = np.linspace(*x_range) and name = ratio(x): one
+    block point by point on the floats of linspace, a longer sweep block by
+    block on views of one np.linspace grid, equal bit for bit to one call on it.
 
-    One block is evaluated point by point on the floats of linspace; a
-    longer sweep block by block over np.linspace, each block a view of the
-    one grid, so its values are those of a single whole-grid call, bit for bit.
-
-    Before the grid, a longer sweep allocates and frees one untouched buffer
-    of BLOCK_ROWS * 512 bytes (1 MiB), larger than any one block's
-    temporaries or text.  Freeing it raises glibc malloc's adaptive mmap
-    threshold to its size and the trim threshold to twice that, so the heap
-    pages each block frees are kept for the next block instead of being
-    trimmed back to the kernel and faulted in again (over 10,000 fewer page
-    faults on a 200,001-point sweep).  Other allocators ignore it.
+    Before the grid, a longer sweep allocates and frees one untouched 4 MiB
+    buffer (BLOCK_ROWS * 512 bytes; a block's largest allocation is its 0.64 MB
+    of JSON slots).  That raises glibc's adaptive mmap threshold to its size
+    and the trim threshold to twice that, so the heap pages each block frees
+    are reused, not trimmed and faulted in again (over 10,000 fewer faults on
+    a 200,001-point sweep).  Other allocators ignore it.
     """
     if x_range[2] <= BLOCK_ROWS:
         xs = array("d", linspace(*x_range))

@@ -816,14 +816,15 @@ def test_block_boundaries_keep_values_and_bytes(n, tmp_path, capsys):
 
 def test_refusal_in_the_last_block_writes_nothing(tmp_path, capsys):
     # 1 - 0.5 G reaches the branch cut at x = sqrt(5) - 1 = 1.236, which the
-    # 5,000-point grid over [0, 1.25] reaches only in its last block
+    # 5 B / 2-point grid over [0, 1.25] reaches only in its last block (row 2 B is at x = 1.0)
     params = qg.GaussianParams(m=1.0, beta=1.0, q=0.5)
-    xs = np.linspace(0.0, 1.25, 5000)
+    n = 5 * B // 2
+    xs = np.linspace(0.0, 1.25, n)
     qg.ratio_gaussian(xs[: 2 * B], 0.0, params)
     with pytest.raises(BranchCutViolation):
         qg.ratio_gaussian(xs[2 * B:], 0.0, params)
     out = tmp_path / "sweep.csv"
-    argv = ["ratio", "--gaussian", "--q-minus-1", "-0.5", "--xmax", "1.25", "--points", "5000",
+    argv = ["ratio", "--gaussian", "--q-minus-1", "-0.5", "--xmax", "1.25", "--points", str(n),
             "--out", str(out)]
     refusal = (3, "", "qwave: numeric failure: the packet's q-power base 1 + (q-1) G reaches the "
                "branch cut where (q-1) G = -1: set --xmax below x_c = 1.2360679774997896 "
@@ -891,9 +892,10 @@ def test_the_benchmark_tracer_calls_keep_working(tmp_path, monkeypatch, capsys):
     for flags, column in ((["--gaussian"], "ratio"), ([], "R")):
         for fmt in ("csv", "json"):
             rows.clear()
-            assert cli.main(["ratio", *flags, "--points", "4097", "--format", fmt]) == 0
+            assert cli.main(["ratio", *flags, "--points", str(2 * B + 1), "--format", fmt]) == 0
             assert {name for name, _ in rows} == {column}
-            assert sum(n for _, n in rows) == 4097
+            assert len(rows) > 1  # the multi-block writers, not the one-block float path
+            assert sum(n for _, n in rows) == 2 * B + 1
             assert sum(written) == len(capsys.readouterr().out)
             written.clear()
 
@@ -1045,6 +1047,8 @@ assert not loaded(*NEVER), loaded(*NEVER)
 assert cli.main(["verify"]) == 0
 assert not loaded("numpy", *NEVER), ("qwave verify", loaded("numpy", *NEVER))
 one_block = [["--format", "json"], ["--gaussian"], ["--plot", "svg", "--format", "json"]]
+one_block += [[*family, "--points", str(scenarios.BLOCK_ROWS), "--format", fmt]
+              for family in ([], ["--gaussian"]) for fmt in ("csv", "json")]
 for i, argv in enumerate(one_block):
     assert cli.main(["ratio", *argv, "--out", os.path.join(out, f"one{i}")]) == 0
     assert not loaded("numpy", *NEVER), (argv, loaded("numpy", *NEVER))
