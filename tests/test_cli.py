@@ -103,7 +103,9 @@ def test_writers_on_empty_sweep():
         assert cli.format_rows_json(("x", "R"), empty) == "[]\n"
 
 
-@pytest.mark.parametrize("n, column", [(B, COLUMN_KINDS[1]), (2 * B + 5, COLUMN_KINDS[0])])
+# a float block of B rows and numpy blocks past it, and both kinds shorter than a block
+@pytest.mark.parametrize("n, column", [(2048, COLUMN_KINDS[1]), (4101, COLUMN_KINDS[0]),
+                                       (B, COLUMN_KINDS[1]), (2 * B + 5, COLUMN_KINDS[0])])
 def test_three_column_sweep_writes_and_plots_block_by_block(n, column, tmp_path):
     """A sweep with a third column needs nothing new of the writers or the
     plot: written block by block it has the bytes of the whole file, and a
@@ -796,7 +798,9 @@ def reference_sweeps(n):
     ]
 
 
-@pytest.mark.parametrize("n", [2, B - 1, B, B + 1, 2 * B + 1])
+# the edges of BLOCK_ROWS and of 2,048-row blocks; below BLOCK_ROWS the latter run as one
+# float block, whose bytes differ from the numpy path in about a tenth of the rows
+@pytest.mark.parametrize("n", sorted({2, 2047, 2048, 2049, 4097, B - 1, B, B + 1, 2 * B + 1}))
 def test_block_boundaries_keep_values_and_bytes(n, tmp_path, capsys):
     for flags, header, sweep, reference_values in reference_sweeps(n):
         assert tuple(sweep.columns) == header
