@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING
 
 from . import qcore
 from .errors import NonFiniteInput, NonFiniteResult
+from .qcore import finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,10 +49,8 @@ class PlaneWave(qcore.Frozen):
     __slots__ = ("p", "E", "m")
 
     def __init__(self, p: float, E: float, m: float):
-        self._set(p, E, m)
-        for name in self._fields:
-            if not math.isfinite(getattr(self, name)):
-                raise NonFiniteInput(f"{name} must be finite")
+        p, m = finite(p, "p"), finite(m, "m")  # m before E, so free() names a bad m as m
+        self._set(p, finite(E, "E"), m)
 
 
 class SchrodingerWave(PlaneWave):
@@ -187,8 +186,7 @@ def ratio_at(x, t: float, w: PlaneWave, q: float) -> float | np.ndarray:
     """ratio_R at (x, t) without a PhasePoint, x taken by qcore.kernel_input's
     rule: a number gives a float, evaluated without numpy, anything else an
     array.  A non-finite x, t or q raises NonFiniteInput."""
-    if not math.isfinite(q):
-        raise NonFiniteInput(f"q must be finite, got {q!r}")
+    finite(q, "q")
     x, functions, context = qcore.kernel_input(x, t)
     with context:
         return _phase_ratio(w.p * x - w.E * t, q - 1.0, functions)

@@ -18,6 +18,9 @@ x (the plane wave's kernel in u takes the same), at the eps its entry gives.
 Jets are truncated first-order Taylor pairs (value at q = 1, d/dq at q = 1)
 with ring arithmetic.  They mechanize the first-order expansions the wave
 modules need and serve as oracles for the closed forms implemented there.
+A jet enters as QJet(v0, v1), which refuses a non-finite part; jet arithmetic
+is unchecked, and each function that hands jets out refuses a non-finite part
+once, as a result (finite_result).  finite refuses every named argument.
 
 Frozen is the immutable base of every value type (QJet, PlaneWave, Check, ...).
 """
@@ -31,11 +34,12 @@ import math
 from .errors import BranchCutViolation, DivisionByZeroJet, NonFiniteInput, NonFiniteResult
 
 
-def _as_finite_complex(value, name: str) -> complex:
-    z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+def finite(value, name: str):
+    """value, a float or complex, unless it is a NaN or an infinity: then
+    NonFiniteInput, naming the argument."""
+    if not cmath.isfinite(value):
         raise NonFiniteInput(f"{name} must be finite, got {value!r}")
-    return z
+    return value
 
 
 def _require_off_cut(v: complex, context: str) -> None:
@@ -102,7 +106,7 @@ def _log1p_over_w(w: complex) -> complex:
 
 def stable_expm1_over_w(w) -> complex:
     """expm1(w)/w with the removable singularity at w = 0 filled with 1."""
-    w = _as_finite_complex(w, "w")
+    w = finite(complex(w), "w")
     if w == 0:
         return 1.0 + 0.0j
     return complex_expm1(w) / w
@@ -116,9 +120,7 @@ def q_pow(z, q: float, scale: float = 1.0) -> complex:
     cancellation-free code path.  q = 1 is the w = 0 case: exp(scale * z).
     A power beyond the double range raises NonFiniteResult.
     """
-    z = _as_finite_complex(z, "z")
-    if not math.isfinite(q):
-        raise NonFiniteInput(f"q must be finite, got {q!r}")
+    z, q = finite(complex(z), "z"), finite(q, "q")
     w = (1.0 - q) * z
     if not cmath.isfinite(w):
         raise NonFiniteResult(f"(1-q) z overflows at q-1 = {q - 1.0!r}")
@@ -266,33 +268,33 @@ class Frozen:
 
 
 class QJet(Frozen):
-    """First-order Taylor pair (value at q = 1, d/dq at q = 1)."""
+    """First-order Taylor pair (value at q = 1, d/dq at q = 1), refusing a
+    non-finite part; the operators build their jets unchecked (_jet)."""
 
     __slots__ = ("v0", "v1")
 
     def __init__(self, v0: complex, v1: complex):
-        object.__setattr__(self, "v0", _as_finite_complex(v0, "v0"))
-        object.__setattr__(self, "v1", _as_finite_complex(v1, "v1"))
+        self._set(finite(complex(v0), "v0"), finite(complex(v1), "v1"))
 
     def __add__(self, other) -> "QJet":
         o = as_jet(other)
-        return QJet(self.v0 + o.v0, self.v1 + o.v1)
+        return _jet(self.v0 + o.v0, self.v1 + o.v1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QJet":
-        return QJet(-self.v0, -self.v1)
+        return _jet(-self.v0, -self.v1)
 
     def __sub__(self, other) -> "QJet":
         o = as_jet(other)
-        return QJet(self.v0 - o.v0, self.v1 - o.v1)
+        return _jet(self.v0 - o.v0, self.v1 - o.v1)
 
     def __rsub__(self, other) -> "QJet":
         return as_jet(other) - self
 
     def __mul__(self, other) -> "QJet":
         o = as_jet(other)
-        return QJet(self.v0 * o.v0, self.v0 * o.v1 + self.v1 * o.v0)
+        return _jet(self.v0 * o.v0, self.v0 * o.v1 + self.v1 * o.v0)
 
     __rmul__ = __mul__
 
@@ -301,22 +303,29 @@ class QJet(Frozen):
         if o.v0 == 0:
             raise DivisionByZeroJet("jet division by a jet with zero value part")
         v0 = self.v0 / o.v0
-        return QJet(v0, (self.v1 - v0 * o.v1) / o.v0)
+        return _jet(v0, (self.v1 - v0 * o.v1) / o.v0)
 
     def __rtruediv__(self, other) -> "QJet":
         return as_jet(other) / self
+
+
+def _jet(v0: complex, v1: complex) -> QJet:
+    jet = object.__new__(QJet)  # computed from jets, so unchecked
+    object.__setattr__(jet, "v0", v0)
+    object.__setattr__(jet, "v1", v1)
+    return jet
 
 
 def as_jet(value) -> QJet:
     """Coerce a scalar to a constant jet; pass jets through."""
     if isinstance(value, QJet):
         return value
-    return QJet(complex(value), 0.0)
+    return _jet(complex(value), 0j)
 
 
 def jet_exp(a: QJet) -> QJet:
     e = checked_exp(a.v0)
-    return QJet(e, a.v1 * e)
+    return _jet(e, a.v1 * e)
 
 
 def jet_ln(a: QJet) -> QJet:
@@ -324,7 +333,7 @@ def jet_ln(a: QJet) -> QJet:
     if a.v0 == 0:
         raise DivisionByZeroJet("jet logarithm of a jet with zero value part")
     _require_off_cut(a.v0, "jet_ln")
-    return QJet(cmath.log(a.v0), a.v1 / a.v0)
+    return _jet(cmath.log(a.v0), a.v1 / a.v0)
 
 
 def log1p_over_w_jet(lead) -> QJet:
@@ -334,9 +343,9 @@ def log1p_over_w_jet(lead) -> QJet:
     how the wave modules absorb the 1/(q-1) poles of their exponents into
     plain jet arithmetic.
     """
-    return QJet(1.0, -0.5 * complex(lead))
+    return _jet(1 + 0j, -0.5 * complex(lead))
 
 
 def expm1_over_w_jet(lead) -> QJet:
     """Jet of E(w) = expm1(w)/w along w(q) = (q-1)*lead + O((q-1)^2)."""
-    return QJet(1.0, 0.5 * complex(lead))
+    return _jet(1 + 0j, 0.5 * complex(lead))

@@ -50,8 +50,8 @@ import math
 from typing import TYPE_CHECKING
 
 from . import qcore
-from .errors import InvalidQ, NonFiniteInput, NonFiniteResult
-from .qcore import QJet, jet_exp, jet_ln, log1p_over_w_jet, expm1_over_w_jet
+from .errors import InvalidQ, NonFiniteInput
+from .qcore import QJet, finite, finite_result, jet_exp, jet_ln, log1p_over_w_jet, expm1_over_w_jet
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,10 +63,7 @@ class GaussianParams(qcore.Frozen):
     __slots__ = ("m", "beta", "q")
 
     def __init__(self, m: float, beta: float, q: float):
-        self._set(m, beta, q)
-        for name in self._fields:
-            if not math.isfinite(getattr(self, name)):
-                raise NonFiniteInput(f"{name} must be finite")
+        self._set(finite(m, "m"), finite(beta, "beta"), finite(q, "q"))
         if self.m <= 0:
             raise ValueError(f"mass must be positive, got {self.m!r}")
         if self.beta == 0:
@@ -82,9 +79,10 @@ class GaussianParams(qcore.Frozen):
                 raise NonFiniteInput(f"kq = 1/(4 m q beta^2) must be finite at q = {q!r}")
 
 
-# (log, exp, E) of the coefficient formulas: on numbers, and on eps-jets,
-# where M = eps L/(q+1) has value part 0, so E(M) is the pole jet
-_EXACT = (cmath.log, cmath.exp, qcore.stable_expm1_over_w)
+# (log, exp, E) of the coefficient formulas: on numbers, where an M or e^M
+# beyond the double range is a NonFiniteResult, and on eps-jets, where
+# M = eps L/(q+1) has value part 0, so E(M) is the pole jet
+_EXACT = (cmath.log, qcore.checked_exp, lambda M: qcore.stable_expm1_over_w(*finite_result(M)))
 _JETS = (jet_ln, jet_exp, lambda M: expm1_over_w_jet(M.v1))
 
 
@@ -92,20 +90,16 @@ def _coeffs_and_rates(t: float, params: GaussianParams, q, functions):
     """((a, b, c), (a_t, b_t, c_t)) at time t as in the module docstring,
     with (log, exp, E) = functions.  Numbers (q = params.q, _EXACT) give the
     exact values; eps-jets (q = QJet(1, 1), _JETS) their first-order splits."""
-    if not math.isfinite(t):
-        raise NonFiniteInput(f"t must be finite, got {t!r}")
+    finite(t, "t")
     log, exp, expm1_over_w = functions
-    try:
-        D = 1.0 + 1j * (q + 1.0) * t
-        kq = 1.0 / (4.0 * params.m * q * params.beta * params.beta)
-        L = log(D)  # Re D = 1, so the principal log is the smooth branch
-        M = (q - 1.0) * L / (q + 1.0)
-        a, b, eM = params.m * q / D, 1.0 / (params.beta * D), exp(M)
-        c = (L / (q + 1.0)) * expm1_over_w(M) - kq * eM + kq / D
-        k = -1j * (q + 1.0) / D
-        return (a, b, c), (k * a, k * b, 1j * (1.0 - (q - 1.0) * kq) * eM / D + k * kq / D)
-    except NonFiniteInput as error:  # every input is finite here: a value (a jet's) overflowed
-        raise NonFiniteResult(str(error)) from None
+    D = 1.0 + 1j * (q + 1.0) * t
+    kq = 1.0 / (4.0 * params.m * q * params.beta * params.beta)
+    L = log(D)  # Re D = 1, so the principal log is the smooth branch
+    M = (q - 1.0) * L / (q + 1.0)
+    a, b, eM = params.m * q / D, 1.0 / (params.beta * D), exp(M)
+    c = (L / (q + 1.0)) * expm1_over_w(M) - kq * eM + kq / D
+    k = -1j * (q + 1.0) / D
+    return (a, b, c), (k * a, k * b, 1j * (1.0 - (q - 1.0) * kq) * eM / D + k * kq / D)
 
 
 def coeffs_exact(t: float, params: GaussianParams) -> tuple[complex, complex, complex]:
@@ -123,8 +117,7 @@ def exponent(x, t: float, params: GaussianParams, cs=None):
 def coeffs_first_order(t: float, params: GaussianParams):
     """Closed-form first-order splits ((a1, a2), (b1, b2), (c1, c2)) of the
     coefficients, a = a1 + (q-1) a2 and so on."""
-    if not math.isfinite(t):
-        raise NonFiniteInput(f"t must be finite, got {t!r}")
+    finite(t, "t")
     m, beta = params.m, params.beta
     D0 = 1.0 + 2j * t
     L0 = cmath.log(D0)
@@ -157,7 +150,10 @@ def _coeff_jets(t: float, params: GaussianParams) -> tuple[QJet, QJet, QJet]:
     """Coefficient jets in eps = q-1: coeffs_exact's formulas evaluated on
     jets, with no first-order algebra of their own, so they check the
     shipped formulas against the closed-form splits."""
-    return _coeffs_and_rates(t, params, QJet(1.0, 1.0), _JETS)[0]
+    jets = _coeffs_and_rates(t, params, QJet(1.0, 1.0), _JETS)[0]
+    for jet in jets:
+        finite_result(jet.v0, jet.v1)
+    return jets
 
 
 def rates_first_order(t: float, params: GaussianParams):
@@ -165,7 +161,7 @@ def rates_first_order(t: float, params: GaussianParams):
     first-order splits: the shipped rate formulas of _coeffs_and_rates
     evaluated on jets, as in _coeff_jets."""
     jets = _coeffs_and_rates(t, params, QJet(1.0, 1.0), _JETS)[1]
-    return tuple((jet.v0, jet.v1) for jet in jets)
+    return tuple(finite_result(jet.v0, jet.v1) for jet in jets)
 
 
 def wavefunction_jet(x: float, t: float, params: GaussianParams) -> QJet:
@@ -173,19 +169,18 @@ def wavefunction_jet(x: float, t: float, params: GaussianParams) -> QJet:
     if not (math.isfinite(x) and math.isfinite(t)):
         raise NonFiniteInput(f"point must be finite, got {(x, t)!r}")
     a, b, c = _coeff_jets(t, params)
-    try:
-        G = a * (x * x) + b * x + c
-        # ln psi = -G * S(eps G) with S = log1p(w)/w
-        return jet_exp(-(G * log1p_over_w_jet(G.v0)))
-    except NonFiniteInput as error:  # as in _coeffs_and_rates
-        raise NonFiniteResult(str(error)) from None
+    G = a * (x * x) + b * x + c
+    # ln psi = -G * S(eps G) with S = log1p(w)/w
+    psi = jet_exp(-(G * log1p_over_w_jet(G.v0)))
+    finite_result(psi.v0, psi.v1)
+    return psi
 
 
 def exact_qgaussian(x: float, t: float, params: GaussianParams, cs=None) -> complex:
     """Exact packet value (cs as in exponent); branch checks live in the q-power core."""
     if not (math.isfinite(x) and math.isfinite(t)):
         raise NonFiniteInput(f"point must be finite, got {(x, t)!r}")
-    G = exponent(x, t, params, cs)
+    G = finite_result(exponent(x, t, params, cs))[0]
     # {1+(q-1)G}^{1/(1-q)} = e_q(-G): the sign convention of this packet
     # is opposite to the plane-wave phase argument
     return qcore.q_exp(-G, params.q)

@@ -17,9 +17,8 @@ import math
 from array import array
 from typing import TYPE_CHECKING
 
-from .errors import NonFiniteInput
 from .planewave import SchrodingerWave, ratio_at
-from .qcore import Frozen
+from .qcore import Frozen, finite
 from .qgaussian import GaussianParams, coeffs_exact, coeffs_first_order, ratio_gaussian
 
 if TYPE_CHECKING:
@@ -62,10 +61,8 @@ class ParticleScenario(Frozen):
     def __init__(self, species: str, mass_kg: float, kinetic_mev: float, q_minus_1: float,
                  momentum_model: str = "relativistic",
                  x_range: tuple[float, float, int] = (0.0, 1.0, 2001), t: float = 0.0):
-        self._set(species, mass_kg, kinetic_mev, q_minus_1, momentum_model, x_range, t)
-        for name in ("mass_kg", "kinetic_mev", "q_minus_1", "t"):
-            if not math.isfinite(getattr(self, name)):
-                raise NonFiniteInput(f"{name} must be finite")
+        self._set(species, finite(mass_kg, "mass_kg"), finite(kinetic_mev, "kinetic_mev"),
+                  finite(q_minus_1, "q_minus_1"), momentum_model, x_range, finite(t, "t"))
         if self.mass_kg <= 0:
             raise ValueError(f"mass must be positive, got {self.mass_kg!r}")
         if self.kinetic_mev <= 0:
@@ -76,8 +73,7 @@ class ParticleScenario(Frozen):
                 f"got {self.momentum_model!r}"
             )
         start, stop, npoints = self.x_range
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise NonFiniteInput("x_range bounds must be finite")
+        finite(start, "x_range start"), finite(stop, "x_range stop")
         if npoints < 2:
             raise ValueError(f"x_range needs at least 2 points, got {npoints!r}")
 

@@ -36,14 +36,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import InvalidQ, NonFiniteInput
-from .qcore import first_order_pow, q_pow
-
-
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise NonFiniteInput(f"{name} must be finite, got {value!r}")
+from .errors import InvalidQ
+from .qcore import finite, first_order_pow, q_pow
 
 
 def _check_q_for_f(q: float) -> None:
@@ -61,35 +55,35 @@ def _check_q_for_g(q: float) -> None:
 
 def exact_f(t: float, E: float, q: float) -> complex:
     """Exact time factor; q -> 1 limit is e^{-iEt}."""
-    _require_finite(t=t, E=E, q=q)
+    t, E, q = finite(t, "t"), finite(E, "E"), finite(q, "q")
     _check_q_for_f(q)
     return q_pow(1j * E * t / q, q, -1.0)
 
 
 def exact_f_q(t: float, E: float, q: float) -> complex:
     """q-th power of the exact time factor."""
-    _require_finite(t=t, E=E, q=q)
+    t, E, q = finite(t, "t"), finite(E, "E"), finite(q, "q")
     _check_q_for_f(q)
     return q_pow(1j * E * t / q, q, -q)
 
 
 def approx_f(t: float, E: float, q: float) -> complex:
     """First-order time factor e^{-i tau}[1 + (q-1)(i tau + tau^2/2)], tau = Et."""
-    _require_finite(t=t, E=E, q=q)
+    t, E, q = finite(t, "t"), finite(E, "E"), finite(q, "q")
     tau = E * t
     return cmath.exp(-1j * tau) * (1.0 + (q - 1.0) * (1j * tau + tau * tau / 2.0))
 
 
 def approx_f_q(t: float, E: float, q: float) -> complex:
     """First-order expansion of f^q: the i*tau term cancels, leaving tau^2/2."""
-    _require_finite(t=t, E=E, q=q)
+    t, E, q = finite(t, "t"), finite(E, "E"), finite(q, "q")
     tau = E * t
     return cmath.exp(-1j * tau) * (1.0 + (q - 1.0) * tau * tau / 2.0)
 
 
 def dt_approx_f_q(t: float, E: float, q: float) -> complex:
     """Exact d/dt of the first-order f^q."""
-    _require_finite(t=t, E=E, q=q)
+    t, E, q = finite(t, "t"), finite(E, "E"), finite(q, "q")
     tau = E * t
     bracket = 1.0 + (q - 1.0) * tau * tau / 2.0 + (q - 1.0) * 1j * tau
     return -(1j * E) * cmath.exp(-1j * tau) * bracket
@@ -107,7 +101,7 @@ def f_terms(t: float, E: float, q: float, *, family: str) -> tuple[complex, comp
         # d/dt f^q = -iE f for every q
         return 1j * (-(1j * E) * f), -E * f
     if family == "approx":
-        _require_finite(t=t, E=E, q=q)
+        t, E, q = finite(t, "t"), finite(E, "E"), finite(q, "q")
         tau, eps = E * t, q - 1.0
         # restated: the equation sees f's amplitude only via its rate, so approx_f's would cancel
         corr = eps * (1j * tau + tau * tau / 2.0)
@@ -129,7 +123,7 @@ def residual_f(t: float, E: float, q: float, *, family: str) -> complex:
 
 def exact_g(x: float, p: float, q: float) -> complex:
     """Exact space factor; q -> 1 limit is e^{ipx}."""
-    _require_finite(x=x, p=p, q=q)
+    x, p, q = finite(x, "x"), finite(p, "p"), finite(q, "q")
     _check_q_for_g(q)
     mu = p / math.sqrt(2.0 * (q + 1.0))
     return q_pow(1j * mu * x, q, 2.0)
@@ -137,7 +131,7 @@ def exact_g(x: float, p: float, q: float) -> complex:
 
 def exact_g_q(x: float, p: float, q: float) -> complex:
     """q-th power of the exact space factor."""
-    _require_finite(x=x, p=p, q=q)
+    x, p, q = finite(x, "x"), finite(p, "p"), finite(q, "q")
     _check_q_for_g(q)
     mu = p / math.sqrt(2.0 * (q + 1.0))
     return q_pow(1j * mu * x, q, 2.0 * q)
@@ -150,14 +144,14 @@ def _g_correction(xi: float, q: float) -> complex:
 
 def approx_g(x: float, p: float, q: float) -> complex:
     """First-order space factor e^{i xi}[1 + (1-q)/4 (i xi + xi^2)], xi = px."""
-    _require_finite(x=x, p=p, q=q)
+    x, p, q = finite(x, "x"), finite(p, "p"), finite(q, "q")
     xi = p * x
     return cmath.exp(1j * xi) * (1.0 + _g_correction(xi, q))
 
 
 def approx_g_q(x: float, p: float, q: float) -> complex:
     """First-order expansion of g^q: e^{i xi}[1 + 3(q-1)/4 i xi - (q-1)/4 xi^2]."""
-    _require_finite(x=x, p=p, q=q)
+    x, p, q = finite(x, "x"), finite(p, "p"), finite(q, "q")
     xi = p * x
     bracket = 1.0 + 3.0 * (q - 1.0) / 4.0 * 1j * xi - (q - 1.0) / 4.0 * xi * xi
     return cmath.exp(1j * xi) * bracket
@@ -165,7 +159,7 @@ def approx_g_q(x: float, p: float, q: float) -> complex:
 
 def d2x_approx_g(x: float, p: float, q: float) -> complex:
     """Exact d2/dx2 of the first-order space factor."""
-    _require_finite(x=x, p=p, q=q)
+    x, p, q = finite(x, "x"), finite(p, "p"), finite(q, "q")
     xi = p * x
     bracket = 1.0 - 3.0 * (1.0 - q) / 4.0 * 1j * xi + (1.0 - q) / 4.0 * xi * xi
     return -(p * p) * cmath.exp(1j * xi) * bracket
@@ -175,14 +169,14 @@ def g_terms(x: float, p: float, q: float, *, family: str) -> tuple[complex, comp
     """The two addends (-(1/2) d2/dx2 g, -lam g^q) of the space equation at
     lam = p^2/2.  Families as in f_terms.
     """
-    lam = p * p / 2.0
-    _require_finite(lam=lam)
+    x, p, q = finite(x, "x"), finite(p, "p"), finite(q, "q")
+    lam = finite(p * p / 2.0, "lam")
     if family == "exact":
         g_q = exact_g_q(x, p, q)
         # d2x g = -p^2 g^q for every q
         return -0.5 * (-(p * p) * g_q), -lam * g_q
     if family == "approx":
-        term_x = -0.5 * d2x_approx_g(x, p, q)  # refuses a non-finite x, p or q first
+        term_x = -0.5 * d2x_approx_g(x, p, q)
         xi = p * x
         return term_x, -lam * first_order_pow(1j * xi, _g_correction(xi, q), q)
     raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")

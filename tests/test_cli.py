@@ -2,6 +2,7 @@
 writers, SVG plots, exit codes, and the verify table."""
 
 import argparse
+import ast
 import contextlib
 import errno
 import gc
@@ -1084,6 +1085,24 @@ def test_only_the_sweep_path_imports_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "44 checks: 44 passed, 0 failed" in proc.stdout
+
+
+def test_src_modules_read_every_name_they_import():
+    # CI runs no linter: each name an import binds in src/qwave/*.py must be
+    # read in its module (from __future__ import annotations aside)
+    src = os.path.dirname(os.path.abspath(qwave.__file__))
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names
+                    if not (isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                            and alias.name == "annotations")}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= read, (name, sorted(imported - read))
 
 
 def test_run_figures_script_writes_every_figure(tmp_path):

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qwave import kleingordon as kg
 from qwave import planewave as pw
 from qwave import qcore, scenarios
 from qwave import qgaussian as qg
+from qwave import separation as sep
 from qwave.errors import (
     BranchCutViolation,
     DivisionByZeroJet,
@@ -158,6 +160,46 @@ def test_non_finite_rejected():
         qcore.q_exp(1.0, float("inf"))
     with pytest.raises(NonFiniteInput):
         qcore.QJet(complex("nan"), 0.0)
+
+
+_PACKET_11 = qg.GaussianParams(m=1.0, beta=1.0, q=1.1)
+_TIME, _SPACE = dict(t=0.5, E=1.0, q=1.1), dict(x=0.5, p=1.0, q=1.1)
+# each entry that takes a named argument, with finite values for every one of them
+NAMED_ARGUMENTS = [
+    ("PlaneWave", pw.PlaneWave, dict(p=1.0, E=0.5, m=1.0)),
+    ("SchrodingerWave.free", pw.SchrodingerWave.free, dict(p=1.0, m=1.0)),
+    ("KGWave", kg.KGWave, dict(p=1.0, E=1.5, m=1.0)),
+    ("GaussianParams", qg.GaussianParams, dict(m=1.0, beta=1.0, q=1.1)),
+    ("ParticleScenario.from_mev", partial(scenarios.ParticleScenario.from_mev, "electron"),
+     dict(kinetic_mev=1.0, q_minus_1=1e-9, t=0.0)),
+    ("q_pow", qcore.q_pow, dict(z=0.5j, q=1.1)),
+    ("stable_expm1_over_w", qcore.stable_expm1_over_w, dict(w=0.5)),
+    ("QJet", qcore.QJet, dict(v0=1.0, v1=2.0)),
+    ("coeffs_exact", partial(qg.coeffs_exact, params=_PACKET_11), dict(t=0.5)),
+    ("coeffs_first_order", partial(qg.coeffs_first_order, params=_PACKET_11), dict(t=0.5)),
+    ("rates_first_order", partial(qg.rates_first_order, params=_PACKET_11), dict(t=0.5)),
+    ("ratio_at", partial(pw.ratio_at, 0.5, 0.0, pw.SchrodingerWave.free(p=1.3, m=1.0)),
+     dict(q=1.1)),
+    *((f"separation.{fn.__name__}", fn, _TIME)
+      for fn in (sep.exact_f, sep.exact_f_q, sep.approx_f, sep.approx_f_q, sep.dt_approx_f_q)),
+    *((f"separation.{fn.__name__}", fn, _SPACE)
+      for fn in (sep.exact_g, sep.exact_g_q, sep.approx_g, sep.approx_g_q, sep.d2x_approx_g)),
+    *((f"separation.{fn.__name__}[{family}]", partial(fn, family=family), args)
+      for fn, args in ((sep.f_terms, _TIME), (sep.residual_f, _TIME), (sep.g_terms, _SPACE))
+      for family in ("exact", "approx")),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("entry, name, args", [
+    pytest.param(entry, name, args, id=f"{label}-{name}")
+    for label, entry, args in NAMED_ARGUMENTS for name in args
+])
+def test_a_non_finite_named_argument_is_refused_in_one_text(entry, name, args, bad):
+    # qcore.finite is the one refusal of a named argument: its name, then the value
+    entry(**args)
+    with pytest.raises(NonFiniteInput, match=f"^{name} must be finite, got "):
+        entry(**{**args, name: bad})
 
 
 # -- ratio kernel --------------------------------------------------------

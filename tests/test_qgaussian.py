@@ -73,18 +73,22 @@ def test_first_order_packet_overflow_is_typed(m, beta):
 def test_packet_functions_raise_only_typed_errors_on_extremes():
     # each packet function at finite extremes of m and beta returns finite
     # values or raises a QWaveError: never a builtin error, a silent NaN or
-    # inf, or NonFiniteInput, since every input here is finite
+    # inf, or NonFiniteInput, since every input here is finite.  At the last
+    # two points jet arithmetic itself overflows (D at t = 1e308, G at
+    # x = 1e200): a jet is refused where it is handed out, as a result
     magnitudes = (1e-300, 1e-160, 1e-20, 1e-3, 1.0, 7.0, 1e20, 1e160, 1e300)
-    qs = (1 + 1e-12, 1.001, 0.7, 1.5, 3.0, -0.5)
+    qs = (1 + 1e-12, 1.001, 0.7, 1.5, 3.0, -0.5, -1.5)
     functions = (qg.exact_qgaussian, qg.approx_qgaussian, qg.wavefunction_jet,
+                 lambda x, t, p: qg.rates_first_order(t, p),
                  lambda x, t, p: qg.gaussian_terms(x, t, p, "exact"),
                  lambda x, t, p: qg.gaussian_terms(x, t, p, "approx"))
+    points = ((0.5, 0.5), (2.0, 0.0), (0.5, 1e308), (1e200, 0.5))
     for m, beta, q in itertools.product(magnitudes, magnitudes, qs):
         try:
             params = params_for(q, m=m, beta=beta)
         except NonFiniteInput:
             continue
-        for fn, (x, t) in itertools.product(functions, ((0.5, 0.5), (2.0, 0.0))):
+        for fn, (x, t) in itertools.product(functions, points):
             try:
                 value = fn(x, t, params)
             except NonFiniteInput:
