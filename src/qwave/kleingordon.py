@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 
 from . import planewave as pw
-from .qcore import finite_result, first_order_pow
+from .qcore import finite, finite_result, first_order_pow
 
 
 def dispersion_omega(k: float, m: float) -> float:
@@ -53,8 +53,10 @@ class KGWave(pw.PlaneWave):
 
     @classmethod
     def on_shell(cls, k: float, m: float) -> "KGWave":
-        """Wave with the dispersion relation built in."""
-        return cls(p=k, E=dispersion_omega(k, m), m=m)
+        """Wave with the dispersion relation built in; an E beyond the double
+        range is a NonFiniteResult."""
+        k, m = finite(k, "k"), finite(m, "m")
+        return cls(p=k, E=finite_result(dispersion_omega(k, m))[0], m=m)
 
 
 def d2t_approx_F(pt: pw.PhasePoint, w: KGWave, q: float) -> complex:
@@ -64,7 +66,7 @@ def d2t_approx_F(pt: pw.PhasePoint, w: KGWave, q: float) -> complex:
 
 def approx_qF2qm1(pt: pw.PhasePoint, w: KGWave, q: float) -> complex:
     """First-order expansion of q F^(2q-1): e^{iu} times the shared bracket."""
-    return pw.bracket_wave(pw.phase(pt, w), q)
+    return pw.bracket_wave(pw.phase(pt, w), q, 1.0)
 
 
 def kg_terms(

@@ -32,11 +32,10 @@ returns inf or nan.
 from __future__ import annotations
 
 import cmath
-import math
 from typing import TYPE_CHECKING
 
 from . import qcore
-from .errors import NonFiniteInput, NonFiniteResult
+from .errors import NonFiniteResult
 from .qcore import finite
 
 if TYPE_CHECKING:
@@ -49,8 +48,7 @@ class PlaneWave(qcore.Frozen):
     __slots__ = ("p", "E", "m")
 
     def __init__(self, p: float, E: float, m: float):
-        p, m = finite(p, "p"), finite(m, "m")  # m before E, so free() names a bad m as m
-        self._set(p, finite(E, "E"), m)
+        self._set(finite(p, "p"), finite(E, "E"), finite(m, "m"))
 
 
 class SchrodingerWave(PlaneWave):
@@ -65,8 +63,12 @@ class SchrodingerWave(PlaneWave):
 
     @classmethod
     def free(cls, p: float, m: float) -> "SchrodingerWave":
-        """Wave with the free-particle dispersion E = p^2/(2m) built in."""
-        return cls(p=p, E=p * p / (2.0 * m), m=m)
+        """Wave with the free-particle dispersion E = p^2/(2m) built in; an E
+        beyond the double range is a NonFiniteResult."""
+        p, m = finite(p, "p"), finite(m, "m")
+        if m <= 0:  # before E, which divides by m
+            raise ValueError(f"mass must be positive, got {m!r}")
+        return cls(p=p, E=qcore.finite_result(p * p / (2.0 * m))[0], m=m)
 
 
 class PhasePoint(qcore.Frozen):
@@ -75,10 +77,8 @@ class PhasePoint(qcore.Frozen):
     __slots__ = ("x", "t")
 
     def __init__(self, x: float, t: float = 0.0):
-        object.__setattr__(self, "x", float(x))
-        object.__setattr__(self, "t", float(t))
-        if not (math.isfinite(self.x) and math.isfinite(self.t)):
-            raise NonFiniteInput(f"phase point must be finite, got {self!r}")
+        object.__setattr__(self, "x", finite(float(x), "x"))
+        object.__setattr__(self, "t", finite(float(t), "t"))
 
 
 def phase(pt: PhasePoint, w: PlaneWave) -> float:
@@ -86,7 +86,7 @@ def phase(pt: PhasePoint, w: PlaneWave) -> float:
     return w.p * pt.x - w.E * pt.t
 
 
-def bracket_wave(u: float, q: float, coef: complex = 1.0) -> complex:
+def bracket_wave(u: float, q: float, coef: complex) -> complex:
     """coef e^{iu} [q + 2i(q-1)u - (q-1)u^2/2], the one bracket of the truncated
     forms of d2x psi, dt psi^q and the Klein-Gordon d2x F, d2t F, q F^(2q-1)."""
     bracket = q + 2j * (q - 1.0) * u - (q - 1.0) * u * u / 2.0

@@ -20,7 +20,9 @@ with ring arithmetic.  They mechanize the first-order expansions the wave
 modules need and serve as oracles for the closed forms implemented there.
 A jet enters as QJet(v0, v1), which refuses a non-finite part; jet arithmetic
 is unchecked, and each function that hands jets out refuses a non-finite part
-once, as a result (finite_result).  finite refuses every named argument.
+once, as a result (finite_result).  Only this module raises NonFiniteInput:
+finite refuses a named argument, kernel_input a kernel's point.  A value
+computed from finite arguments is refused by finite_result (NonFiniteResult).
 
 Frozen is the immutable base of every value type (QJet, PlaneWave, Check, ...).
 """

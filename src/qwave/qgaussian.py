@@ -50,7 +50,7 @@ import math
 from typing import TYPE_CHECKING
 
 from . import qcore
-from .errors import InvalidQ, NonFiniteInput
+from .errors import InvalidQ
 from .qcore import QJet, finite, finite_result, jet_exp, jet_ln, log1p_over_w_jet, expm1_over_w_jet
 
 if TYPE_CHECKING:
@@ -75,8 +75,7 @@ class GaussianParams(qcore.Frozen):
             raise InvalidQ("q = -1 breaks the coefficient denominators (q+1)")
         for q in (self.q, 1.0):  # kq of the exact coefficients, and of the splits at q = 1
             scale = 4.0 * self.m * q * self.beta * self.beta
-            if scale == 0.0 or not math.isfinite(1.0 / scale):
-                raise NonFiniteInput(f"kq = 1/(4 m q beta^2) must be finite at q = {q!r}")
+            finite_result(1.0 / scale if scale else math.inf)  # kq, inf where scale underflows
 
 
 # (log, exp, E) of the coefficient formulas: on numbers, where an M or e^M
@@ -166,8 +165,7 @@ def rates_first_order(t: float, params: GaussianParams):
 
 def wavefunction_jet(x: float, t: float, params: GaussianParams) -> QJet:
     """eps-jet of the packet at a point, from the coefficient jets alone."""
-    if not (math.isfinite(x) and math.isfinite(t)):
-        raise NonFiniteInput(f"point must be finite, got {(x, t)!r}")
+    finite(x, "x"), finite(t, "t")
     a, b, c = _coeff_jets(t, params)
     G = a * (x * x) + b * x + c
     # ln psi = -G * S(eps G) with S = log1p(w)/w
@@ -178,8 +176,7 @@ def wavefunction_jet(x: float, t: float, params: GaussianParams) -> QJet:
 
 def exact_qgaussian(x: float, t: float, params: GaussianParams, cs=None) -> complex:
     """Exact packet value (cs as in exponent); branch checks live in the q-power core."""
-    if not (math.isfinite(x) and math.isfinite(t)):
-        raise NonFiniteInput(f"point must be finite, got {(x, t)!r}")
+    finite(x, "x"), finite(t, "t")
     G = finite_result(exponent(x, t, params, cs))[0]
     # {1+(q-1)G}^{1/(1-q)} = e_q(-G): the sign convention of this packet
     # is opposite to the plane-wave phase argument
@@ -194,8 +191,7 @@ def approx_qgaussian(x: float, t: float, params: GaussianParams, j=None) -> comp
     This reading of the squared bracket is the one certified against
     wavefunction_jet.  j and (c, G0) as in first_order_parts.
     """
-    if not (math.isfinite(x) and math.isfinite(t)):
-        raise NonFiniteInput(f"point must be finite, got {(x, t)!r}")
+    finite(x, "x"), finite(t, "t")
     c, G0 = first_order_parts(x, t, params, j)
     return qcore.finite_result((1.0 + c) * qcore.checked_exp(-G0))[0]
 

@@ -7,8 +7,7 @@ is in units of hbar c/MeV = 197.327 fm; one metre is 5.068e12 of them.
 The default x range 0..1 (about 200 fm) keeps u of order unity, where the
 curves of interest live; at x = 1 m a 1 MeV electron's phase is ~7e12 and
 a sweep would probe nothing but the tails of the q-power.  The SI
-constants and joule_to_mev are here for the rest energies (mc^2 in MeV)
-and for callers who want real conversions.
+constants are here for the rest energies (mc^2 in MeV).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from array import array
 from typing import TYPE_CHECKING
 
 from .planewave import SchrodingerWave, ratio_at
-from .qcore import Frozen, finite
+from .qcore import Frozen, finite, finite_result
 from .qgaussian import GaussianParams, coeffs_exact, coeffs_first_order, ratio_gaussian
 
 if TYPE_CHECKING:
@@ -39,13 +38,9 @@ SPECIES_MASS_KG = {
 MOMENTUM_MODELS = ("relativistic", "nonrelativistic")
 
 
-def joule_to_mev(energy_j: float) -> float:
-    return energy_j / (1.0e6 * EV_J)
-
-
 def mass_energy_mev(mass_kg: float) -> float:
     """Rest energy m c^2 in MeV."""
-    return joule_to_mev(mass_kg * C_M_PER_S * C_M_PER_S)
+    return mass_kg * C_M_PER_S * C_M_PER_S / (1.0e6 * EV_J)
 
 
 class ParticleScenario(Frozen):
@@ -90,13 +85,14 @@ def momentum_from_energy(scn: ParticleScenario) -> float:
     """Momentum as pc in MeV for the scenario's kinematic model.
 
     relativistic: pc = sqrt(T^2 + 2 T mc^2); nonrelativistic:
-    pc = sqrt(2 mc^2 T) (i.e. p = sqrt(2mT) scaled by c).
+    pc = sqrt(2 mc^2 T) (i.e. p = sqrt(2mT) scaled by c).  A pc beyond the
+    double range is a NonFiniteResult.
     """
     T = scn.kinetic_mev
     mc2 = mass_energy_mev(scn.mass_kg)
     if scn.momentum_model == "relativistic":
-        return math.sqrt(T * T + 2.0 * T * mc2)
-    return math.sqrt(2.0 * mc2 * T)
+        return finite_result(math.sqrt(T * T + 2.0 * T * mc2))[0]
+    return finite_result(math.sqrt(2.0 * mc2 * T))[0]
 
 
 def wave_for(scn: ParticleScenario) -> SchrodingerWave:

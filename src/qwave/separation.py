@@ -22,9 +22,10 @@ lam = p^2/2 for g, cancel with no branch bookkeeping at all.
 Each equation is given by its addends, as in the plane-wave module:
 f_terms and g_terms insert a whole factor family, and their sum is the
 residual (the approximants, powered by qcore.first_order_pow, leave
-genuine O((q-1)^2) remainders).  The truncated pairs (dt_approx_f_q,
-approx_f) and (d2x_approx_g, approx_g_q) have coinciding brackets, so
-they cancel identically at the eigenvalue.
+genuine O((q-1)^2) remainders); an addend or a lam beyond the double
+range is a NonFiniteResult (qcore.finite_result).  The truncated pairs
+(dt_approx_f_q, approx_f) and (d2x_approx_g, approx_g_q) have coinciding
+brackets, so they cancel identically at the eigenvalue.
 
 The factor f is undefined at q = 0 (its formula divides by q) and g needs
 q + 1 > 0 (the formula divides by sqrt(2(q+1))); both are rejected with
@@ -37,7 +38,7 @@ import cmath
 import math
 
 from .errors import InvalidQ
-from .qcore import finite, first_order_pow, q_pow
+from .qcore import finite, finite_result, first_order_pow, q_pow
 
 
 def _check_q_for_f(q: float) -> None:
@@ -99,7 +100,7 @@ def f_terms(t: float, E: float, q: float, *, family: str) -> tuple[complex, comp
     if family == "exact":
         f = exact_f(t, E, q)
         # d/dt f^q = -iE f for every q
-        return 1j * (-(1j * E) * f), -E * f
+        return finite_result(1j * (-(1j * E) * f), -E * f)
     if family == "approx":
         t, E, q = finite(t, "t"), finite(E, "E"), finite(q, "q")
         tau, eps = E * t, q - 1.0
@@ -108,7 +109,7 @@ def f_terms(t: float, E: float, q: float, *, family: str) -> tuple[complex, comp
         rate = eps * (1j * E + E * E * t)
         # i d/dt [e^{-i tau}(1 + corr)]^q assembled in closed form
         term_t = q * first_order_pow(-1j * tau, corr, q) * (E + 1j * rate / (1.0 + corr))
-        return term_t, -E * approx_f(t, E, q)
+        return finite_result(term_t, -E * approx_f(t, E, q))
     raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
 
 
@@ -170,13 +171,13 @@ def g_terms(x: float, p: float, q: float, *, family: str) -> tuple[complex, comp
     lam = p^2/2.  Families as in f_terms.
     """
     x, p, q = finite(x, "x"), finite(p, "p"), finite(q, "q")
-    lam = finite(p * p / 2.0, "lam")
+    lam = finite_result(p * p / 2.0)[0]
     if family == "exact":
         g_q = exact_g_q(x, p, q)
         # d2x g = -p^2 g^q for every q
-        return -0.5 * (-(p * p) * g_q), -lam * g_q
+        return finite_result(-0.5 * (-(p * p) * g_q), -lam * g_q)
     if family == "approx":
         term_x = -0.5 * d2x_approx_g(x, p, q)
         xi = p * x
-        return term_x, -lam * first_order_pow(1j * xi, _g_correction(xi, q), q)
+        return finite_result(term_x, -lam * first_order_pow(1j * xi, _g_correction(xi, q), q))
     raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")

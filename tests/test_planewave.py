@@ -32,6 +32,9 @@ def test_constructor_validation():
         pw.SchrodingerWave(p=float("nan"), E=1.0, m=1.0)
     with pytest.raises(ValueError):
         pw.SchrodingerWave(p=1.0, E=1.0, m=0.0)
+    # free refuses the mass before it forms E = p^2/2m (was a builtin ZeroDivisionError)
+    with pytest.raises(ValueError, match="mass must be positive"):
+        pw.SchrodingerWave.free(p=1.0, m=0.0)
 
 
 def test_phase():
@@ -162,7 +165,7 @@ def test_plane_wave_functions_raise_only_typed_errors_on_extremes(wave, function
     for p, m, q in itertools.product(magnitudes, magnitudes, qs):
         try:
             w = wave(p, m)
-        except NonFiniteInput:  # E = p^2/2m overflows
+        except NonFiniteResult:  # E = p^2/2m leaves the double range
             continue
         for fn, (x, t) in itertools.product(functions, ((0.5, 0.5), (2.0, 0.0))):
             try:

@@ -169,6 +169,8 @@ NAMED_ARGUMENTS = [
     ("PlaneWave", pw.PlaneWave, dict(p=1.0, E=0.5, m=1.0)),
     ("SchrodingerWave.free", pw.SchrodingerWave.free, dict(p=1.0, m=1.0)),
     ("KGWave", kg.KGWave, dict(p=1.0, E=1.5, m=1.0)),
+    ("KGWave.on_shell", kg.KGWave.on_shell, dict(k=1.0, m=1.0)),
+    ("PhasePoint", pw.PhasePoint, dict(x=0.5, t=0.5)),
     ("GaussianParams", qg.GaussianParams, dict(m=1.0, beta=1.0, q=1.1)),
     ("ParticleScenario.from_mev", partial(scenarios.ParticleScenario.from_mev, "electron"),
      dict(kinetic_mev=1.0, q_minus_1=1e-9, t=0.0)),
@@ -178,6 +180,8 @@ NAMED_ARGUMENTS = [
     ("coeffs_exact", partial(qg.coeffs_exact, params=_PACKET_11), dict(t=0.5)),
     ("coeffs_first_order", partial(qg.coeffs_first_order, params=_PACKET_11), dict(t=0.5)),
     ("rates_first_order", partial(qg.rates_first_order, params=_PACKET_11), dict(t=0.5)),
+    *((fn.__name__, partial(fn, params=_PACKET_11), dict(x=0.5, t=0.5))
+      for fn in (qg.exact_qgaussian, qg.approx_qgaussian, qg.wavefunction_jet)),
     ("ratio_at", partial(pw.ratio_at, 0.5, 0.0, pw.SchrodingerWave.free(p=1.3, m=1.0)),
      dict(q=1.1)),
     *((f"separation.{fn.__name__}", fn, _TIME)
@@ -200,6 +204,20 @@ def test_a_non_finite_named_argument_is_refused_in_one_text(entry, name, args, b
     entry(**args)
     with pytest.raises(NonFiniteInput, match=f"^{name} must be finite, got "):
         entry(**{**args, name: bad})
+
+
+@pytest.mark.parametrize("entry, args", [
+    (pw.SchrodingerWave.free, (1e200, 1.0)),  # E = p^2/2m
+    (kg.KGWave.on_shell, (1.7e308, 1.7e308)),  # E = hypot(k, m)
+    (partial(sep.g_terms, family="exact"), (0.5, 1e200, 1.1)),  # lam = p^2/2
+    (partial(sep.g_terms, family="approx"), (0.5, 1e200, 1.1)),
+    (qg.GaussianParams, (1e-320, 1.0, 1.001)),  # kq = 1/(4 m q beta^2)
+], ids=["SchrodingerWave.free", "KGWave.on_shell", "g_terms-exact", "g_terms-approx",
+        "GaussianParams"])
+def test_a_value_computed_from_finite_arguments_is_refused_as_a_result(entry, args):
+    # NonFiniteInput is for an argument, NonFiniteResult for what is formed from finite ones
+    with pytest.raises(NonFiniteResult, match="^a result leaves the double range"):
+        entry(*args)
 
 
 # -- ratio kernel --------------------------------------------------------
@@ -413,11 +431,11 @@ WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
         # G0^2/2 overflows in c at x = 4
         (lambda: qg.ratio_gaussian(np.linspace(0.0, 4.0, 3), 0.0,
                                    qg.GaussianParams(m=1e300, beta=1.0, q=1.001)), NonFiniteResult),
-        # kq = 1/(4 m q beta^2) is not finite: GaussianParams refuses the parameters
+        # kq = 1/(4 m q beta^2) is not finite: GaussianParams refuses it as a result
         (lambda: qg.ratio_gaussian(np.linspace(0.0, 4.0, 3), 0.5,
-                                   qg.GaussianParams(m=1.0, beta=1e-160, q=1.001)), NonFiniteInput),
+                                   qg.GaussianParams(m=1.0, beta=1e-160, q=1.001)), NonFiniteResult),
         (lambda: qg.ratio_gaussian(np.linspace(0.0, 4.0, 3), 0.5,
-                                   qg.GaussianParams(m=1e-320, beta=1.0, q=1.001)), NonFiniteInput),
+                                   qg.GaussianParams(m=1e-320, beta=1.0, q=1.001)), NonFiniteResult),
         # the same refusals at a float x, which the kernel evaluates without numpy
         (lambda: qg.ratio_gaussian(math.nan, 0.0, PACKET), NonFiniteInput),
         (lambda: pw.ratio_R(pw.PhasePoint(math.inf), WAVE, 1.001), NonFiniteInput),

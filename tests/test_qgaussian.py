@@ -36,8 +36,9 @@ def test_params_validation():
 
 def test_beta_whose_kq_overflows_is_refused():
     # kq = 1/(4 m q beta^2) = 5e319 at beta = 1e-160: approx_qgaussian(0.5, 0.5)
-    # returned nan+nanj with no error before GaussianParams refused it
-    with pytest.raises(NonFiniteInput, match=r"kq = 1/\(4 m q beta\^2\) must be finite"):
+    # returned nan+nanj with no error before GaussianParams refused it, as a
+    # value computed from finite parameters
+    with pytest.raises(NonFiniteResult, match=r"\(inf,\)"):
         params_for(0.5, beta=1e-160)
     params_for(0.5, beta=1e-150)  # kq = 5e299
 
@@ -45,11 +46,12 @@ def test_beta_whose_kq_overflows_is_refused():
 def test_params_whose_kq_divides_by_zero_are_refused():
     # 4 m q beta^2 underflows to 0 at m = beta = 1e-300, where approx_qgaussian
     # and exact_qgaussian raised a builtin ZeroDivisionError
-    with pytest.raises(NonFiniteInput, match="kq"):
+    with pytest.raises(NonFiniteResult, match=r"\(inf,\)"):
         params_for(1.001, m=1e-300, beta=1e-300)
     # the first-order splits take kq at q = 1: inf at m = 1e-300, beta = 1e-5,
     # where the exact coefficients' kq at q = 1e10 is 2.5e299
-    with pytest.raises(NonFiniteInput, match="at q = 1.0"):
+    assert math.isfinite(1.0 / (4.0 * 1e-300 * 1e10 * 1e-5 * 1e-5))
+    with pytest.raises(NonFiniteResult, match=r"\(inf,\)"):
         params_for(1e10, m=1e-300, beta=1e-5)
 
 
@@ -86,7 +88,7 @@ def test_packet_functions_raise_only_typed_errors_on_extremes():
     for m, beta, q in itertools.product(magnitudes, magnitudes, qs):
         try:
             params = params_for(q, m=m, beta=beta)
-        except NonFiniteInput:
+        except NonFiniteResult:  # kq = 1/(4 m q beta^2) leaves the double range
             continue
         for fn, (x, t) in itertools.product(functions, points):
             try:
@@ -107,9 +109,11 @@ def test_packet_functions_raise_only_typed_errors_on_extremes():
     (qg.rates_first_order, (math.nan,)),
 ])
 def test_non_finite_point_is_refused(fn, point):
-    # the coefficient functions take t alone, the packet functions (x, t)
-    match = "t must be finite" if len(point) == 1 else "point must be finite"
-    with pytest.raises(NonFiniteInput, match=match):
+    # the coefficient functions take t alone, the packet functions (x, t);
+    # the refusal names the coordinate
+    names = ("t",) if len(point) == 1 else ("x", "t")
+    name = next(name for name, v in zip(names, point) if not math.isfinite(v))
+    with pytest.raises(NonFiniteInput, match=f"^{name} must be finite, got "):
         fn(*point, params_for(1.1))
 
 

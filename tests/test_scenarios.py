@@ -1,11 +1,13 @@
 """Laboratory units to dimensionless phase: constants, momentum models,
 and the sweep drivers behind the figures."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwave import scenarios
-from qwave.errors import NonFiniteInput
+from qwave.errors import NonFiniteInput, NonFiniteResult, QWaveError
 from qwave.planewave import PhasePoint, ratio_R
 
 # published rest energies, used as independent anchors for the kg masses
@@ -56,10 +58,29 @@ def test_kinetic_energy_is_stored_as_given(e_mev):
 
 
 def test_momentum_overflow_is_typed():
-    # 1e308 MeV is a valid scenario; its momentum pc overflows to inf
+    # 1e308 MeV is a valid scenario; its momentum pc overflows to inf, a value
+    # computed from finite arguments
     scn = scenarios.ParticleScenario.from_mev("electron", 1e308, 1e-9)
-    with pytest.raises(NonFiniteInput, match="p must be finite"):
+    with pytest.raises(NonFiniteResult):
         scenarios.wave_for(scn)
+
+
+def test_wave_for_raises_only_typed_errors_on_extremes():
+    # at finite extremes of the kinetic energy (up to 1e308 MeV) and of the
+    # mass, in both momentum models, wave_for returns a finite wave or raises a
+    # QWaveError: never a builtin error or NonFiniteInput, since every input
+    # here is finite
+    masses = (1e-320, 1e-300, scenarios.M_ELECTRON_KG, 1.0, 1e300)
+    energies = (1e-300, 1e-20, 1.0, 1e20, 1e160, 1e300, 1e308)
+    for mass_kg, kinetic_mev, model in itertools.product(masses, energies,
+                                                         scenarios.MOMENTUM_MODELS):
+        scn = scenarios.ParticleScenario("test", mass_kg, kinetic_mev, 1e-9, model)
+        try:
+            scenarios.wave_for(scn)  # a wave refuses a non-finite field itself
+        except NonFiniteInput:
+            raise
+        except QWaveError:
+            continue
 
 
 def test_wave_for_satisfies_free_relation():

@@ -97,10 +97,10 @@ def test_repr_lists_the_fields():
     assert repr(verify.FDScheme(0.5)) == "FDScheme(step=0.5, richardson_levels=1)"
 
 
-def test_phase_point_refusal_shows_its_repr():
-    with pytest.raises(NonFiniteInput, match=r"got PhasePoint\(x=nan, t=0\.0\)$"):
+def test_phase_point_refusal_names_its_coordinate():
+    with pytest.raises(NonFiniteInput, match=r"^x must be finite, got nan$"):
         pw.PhasePoint(math.nan)
-    with pytest.raises(NonFiniteInput, match=r"got PhasePoint\(x=1\.0, t=inf\)$"):
+    with pytest.raises(NonFiniteInput, match=r"^t must be finite, got inf$"):
         pw.PhasePoint(1.0, math.inf)
 
 
