@@ -17,16 +17,17 @@ verify`` load neither, nor json or inspect: the value types are
 immutable __slots__ classes on qcore.Frozen.
 
 Each option is declared once, on the subcommand's argparse parser, and has
-one spelling: an abbreviated flag is refused, as a config key that is no
-flag is.  A --config file's key=value lines are read as --key=value
-arguments of the same parser, so flags, defaults and config keys cannot
-drift apart; precedence is defaults, then the config file, then explicit flags.
+one spelling: an abbreviated flag is refused.  An argument @FILE is
+replaced by the file's lines, one argument each (argparse's
+fromfile_prefix_chars), so a file holds the flags themselves and position
+decides: of two values of a flag, the later one wins.
 
-Exit codes: 0 success, 1 verify found a failing check, 2 bad flags or
-config (including a --tol for no check or with a non-finite value, and a
-nonzero --q-minus-1 that rounds away in q = 1 + (q-1)), 3 numeric failure
-while computing (an overflow of the momentum, phase or packet exponent
-names the flag at whose value it occurred).
+Exit codes: 0 success, 1 verify found a failing check, 2 bad flags or an
+unreadable argument file (including a --tol for no check or with a
+non-finite value, and a nonzero --q-minus-1 that rounds away in
+q = 1 + (q-1)), 3 numeric failure while computing (an overflow of the
+momentum, phase or packet exponent names the flag at whose value it
+occurred).
 
 Output determinism: CSV prints floats with the bytes of %.17g (17
 significant digits), JSON with the shortest repr that round-trips, and
@@ -77,56 +78,6 @@ EXIT_NUMERIC = 3
 
 # Largest --points accepted; checked before the grid is allocated.
 MAX_POINTS = 10_000_000
-
-
-# -- config file ---------------------------------------------------------
-
-
-def read_config(path: str) -> list[tuple[str, str]]:
-    """(key, value) of each key=value line in order; blank lines and # comments ignored."""
-    options: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            if not eq or not key.strip():
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            options.append((key.strip().replace("-", "_"), value.strip()))
-    return options
-
-
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
-
-
-def _config_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
-    """The config file's lines, in order, as --key=value arguments of parser.
-
-    A key is a long flag of the subcommand without its dashes (repeated, it
-    acts as a repeated flag); --config and --help are not keys.  A switch
-    (--gaussian) reads 1/true/yes/on or 0/false/no/off.
-    """
-    try:
-        config = read_config(path)
-    except OSError as exc:
-        parser.error(f"cannot read config: {exc}")
-    except ValueError as exc:
-        parser.error(str(exc))
-    flags = {a.option_strings[0]: a for a in parser._actions if a.dest not in ("help", "config")}
-    args = []
-    for key, value in config:
-        flag = "--" + key.replace("_", "-")
-        if flag not in flags:
-            parser.error(f"unknown config key {key!r} in {path}")
-        if isinstance(flags[flag], argparse.BooleanOptionalAction):
-            if value.lower() not in _BOOL_WORDS:
-                parser.error(f"config {path}: {key}: expected a boolean, got {value!r}")
-            args.append(flag if _BOOL_WORDS[value.lower()] else "--no-" + flag[2:])
-        else:
-            args.append(f"{flag}={value}")
-    return args
 
 
 # -- ratio subcommand ----------------------------------------------------
@@ -483,6 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qwave",
         description="Exact and first-order q-deformed wave solutions: "
         "figure sweeps and verification suites.",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -504,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     ratio.add_argument("--out", help="output path (default: stdout)")
     ratio.add_argument("--format", choices=("csv", "json"), default="csv")
     ratio.add_argument("--plot", choices=("none", "svg"), default="none")
-    ratio.add_argument("--config", help="key=value defaults, overridden by flags")
     # Python 3.11's argparse takes "-1e-3" for an option; later versions use
     # this rule: an argument starting "-digit" or "-.digit" is a number.
     # -inf and -nan, in any case, are numbers too, as float() reads them.
@@ -515,20 +466,18 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--suite", choices=(*checks.SUITES, "all"), default="all")
     verify_p.add_argument("--tol", action="append", metavar="CHECK=VALUE",
                           help="override one check's tolerance (repeatable)")
-    verify_p.add_argument("--config", help="key=value defaults, overridden by flags")
     verify_p.set_defaults(func=cmd_verify, parser=verify_p)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config is not None:
-        # the config's arguments become the subcommand's defaults, so that
-        # flags given on the command line still win
-        config = args.parser.parse_args(_config_args(args.config, args.parser))
-        args.parser.set_defaults(**vars(config))
+    try:
         args = parser.parse_args(argv)
+    except UnicodeDecodeError as exc:  # raised by argparse's @file reader before 3.12
+        parser.error(f"cannot decode an argument file: {exc}")
+    except RecursionError:
+        parser.error("argument files nest without end: does one name itself?")
     try:
         return args.func(args, args.parser)
     except (QWaveError, ArithmeticError, ValueError) as exc:

@@ -75,7 +75,8 @@ def finite_result(*values: complex) -> tuple[complex, ...]:
 
 
 def checked_exp(z: complex) -> complex:
-    """cmath.exp(z), raising NonFiniteResult where it leaves the double range."""
+    """cmath.exp(z), raising NonFiniteResult where z or it leaves the double range."""
+    finite_result(z)
     try:
         return cmath.exp(z)
     except OverflowError:

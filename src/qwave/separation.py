@@ -22,8 +22,8 @@ lam = p^2/2 for g, cancel with no branch bookkeeping at all.
 Each equation is given by its addends, as in the plane-wave module:
 f_terms and g_terms insert a whole factor family, and their sum is the
 residual (the approximants, powered by qcore.first_order_pow, leave
-genuine O((q-1)^2) remainders); an addend or a lam beyond the double
-range is a NonFiniteResult (qcore.finite_result).  The truncated pairs
+genuine O((q-1)^2) remainders); an addend, a lam or a first-order
+factor beyond the double range is a NonFiniteResult (qcore.finite_result).  The truncated pairs
 (dt_approx_f_q, approx_f) and (d2x_approx_g, approx_g_q) have coinciding
 brackets, so they cancel identically at the eigenvalue.
 
@@ -72,14 +72,14 @@ def approx_f(t: float, E: float, q: float) -> complex:
     """First-order time factor e^{-i tau}[1 + (q-1)(i tau + tau^2/2)], tau = Et."""
     t, E, q = finite(t, "t"), finite(E, "E"), finite(q, "q")
     tau = E * t
-    return cmath.exp(-1j * tau) * (1.0 + (q - 1.0) * (1j * tau + tau * tau / 2.0))
+    return finite_result(cmath.exp(-1j * tau) * (1.0 + (q - 1.0) * (1j * tau + tau * tau / 2.0)))[0]
 
 
 def approx_f_q(t: float, E: float, q: float) -> complex:
     """First-order expansion of f^q: the i*tau term cancels, leaving tau^2/2."""
     t, E, q = finite(t, "t"), finite(E, "E"), finite(q, "q")
     tau = E * t
-    return cmath.exp(-1j * tau) * (1.0 + (q - 1.0) * tau * tau / 2.0)
+    return finite_result(cmath.exp(-1j * tau) * (1.0 + (q - 1.0) * tau * tau / 2.0))[0]
 
 
 def dt_approx_f_q(t: float, E: float, q: float) -> complex:
@@ -87,7 +87,7 @@ def dt_approx_f_q(t: float, E: float, q: float) -> complex:
     t, E, q = finite(t, "t"), finite(E, "E"), finite(q, "q")
     tau = E * t
     bracket = 1.0 + (q - 1.0) * tau * tau / 2.0 + (q - 1.0) * 1j * tau
-    return -(1j * E) * cmath.exp(-1j * tau) * bracket
+    return finite_result(-(1j * E) * cmath.exp(-1j * tau) * bracket)[0]
 
 
 def f_terms(t: float, E: float, q: float, *, family: str) -> tuple[complex, complex]:
@@ -147,7 +147,7 @@ def approx_g(x: float, p: float, q: float) -> complex:
     """First-order space factor e^{i xi}[1 + (1-q)/4 (i xi + xi^2)], xi = px."""
     x, p, q = finite(x, "x"), finite(p, "p"), finite(q, "q")
     xi = p * x
-    return cmath.exp(1j * xi) * (1.0 + _g_correction(xi, q))
+    return finite_result(cmath.exp(1j * xi) * (1.0 + _g_correction(xi, q)))[0]
 
 
 def approx_g_q(x: float, p: float, q: float) -> complex:
@@ -155,7 +155,7 @@ def approx_g_q(x: float, p: float, q: float) -> complex:
     x, p, q = finite(x, "x"), finite(p, "p"), finite(q, "q")
     xi = p * x
     bracket = 1.0 + 3.0 * (q - 1.0) / 4.0 * 1j * xi - (q - 1.0) / 4.0 * xi * xi
-    return cmath.exp(1j * xi) * bracket
+    return finite_result(cmath.exp(1j * xi) * bracket)[0]
 
 
 def d2x_approx_g(x: float, p: float, q: float) -> complex:
@@ -163,7 +163,7 @@ def d2x_approx_g(x: float, p: float, q: float) -> complex:
     x, p, q = finite(x, "x"), finite(p, "p"), finite(q, "q")
     xi = p * x
     bracket = 1.0 - 3.0 * (1.0 - q) / 4.0 * 1j * xi + (1.0 - q) / 4.0 * xi * xi
-    return -(p * p) * cmath.exp(1j * xi) * bracket
+    return finite_result(-(p * p) * cmath.exp(1j * xi) * bracket)[0]
 
 
 def g_terms(x: float, p: float, q: float, *, family: str) -> tuple[complex, complex]:

@@ -1,4 +1,4 @@
-"""CLI contract: flags and config files as one declaration, deterministic
+"""CLI contract: flags and argument files as one declaration, deterministic
 writers, SVG plots, exit codes, and the verify table."""
 
 import argparse
@@ -35,15 +35,6 @@ def run(argv, capsys):
 
 
 # -- helpers -------------------------------------------------------------
-
-
-def test_read_config(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("# comment\n\nspecies = proton\nenergy-mev=2.5\n")
-    assert cli.read_config(str(path)) == [("species", "proton"), ("energy_mev", "2.5")]
-    path.write_text("not a pair\n")
-    with pytest.raises(ValueError):
-        cli.read_config(str(path))
 
 
 def test_csv_formatting_17_digits():
@@ -327,12 +318,12 @@ def test_negative_exponent_form_is_a_value(mode, flag, capsys):
 
 
 @pytest.mark.parametrize("mode, qm1", [("--no-gaussian", "1e-17"), ("--gaussian", "-1e-17")])
-@pytest.mark.parametrize("via_config", [False, True])
-def test_q_minus_1_that_rounds_away_is_usage_error(mode, qm1, via_config, tmp_path, capsys):
+@pytest.mark.parametrize("via_file", [False, True])
+def test_q_minus_1_that_rounds_away_is_usage_error(mode, qm1, via_file, tmp_path, capsys):
     # 1.0 + 1e-17 == 1.0 in double: the sweep would run the undeformed q = 1
-    cfg = tmp_path / "q.cfg"
-    cfg.write_text(f"q-minus-1={qm1}\n")
-    given = ["--config", str(cfg)] if via_config else ["--q-minus-1", qm1]
+    path = tmp_path / "q.args"
+    path.write_text(f"--q-minus-1={qm1}\n")
+    given = [f"@{path}"] if via_file else ["--q-minus-1", qm1]
     with pytest.raises(SystemExit) as exc:
         cli.main(["ratio", mode, "--points", "3", "--xmax", "1e6", *given])
     assert exc.value.code == 2
@@ -373,16 +364,20 @@ HOSTILE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
 FLOAT_FLAGS = ("--energy-mev", "--q-minus-1", "--xmax", "--t", "--m", "--beta")
 
 
-def main_in_process(argv, config, tmp_path_factory):
-    """Exit code and stderr of cli.main(argv), with config as a --config file:
-    None for no file, "missing" for a path that does not exist, else its lines."""
-    if config is not None:
-        path = tmp_path_factory.getbasetemp() / "contract.cfg"
-        if config == "missing":
-            path.unlink(missing_ok=True)
-        else:
-            path.write_text("\n".join(config) + "\n")
-        argv = [*argv, "--config", str(path)]
+def main_in_process(argv, lines, tmp_path_factory):
+    """Exit code and stderr of cli.main(argv) with an argument file after argv:
+    None for no file, "missing" for a path that does not exist, "directory"
+    for a directory, else the file's lines (str or bytes; SELF names the file)."""
+    if lines is not None:
+        path = tmp_path_factory.getbasetemp() / "contract.args"
+        path.unlink(missing_ok=True)
+        if lines == "directory":
+            path = path.parent
+        elif lines != "missing":
+            path.write_bytes(b"".join(
+                line + b"\n" if isinstance(line, bytes) else
+                f"{line.replace(SELF, f'@{path}')}\n".encode() for line in lines))
+        argv = [*argv, f"@{path}"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -392,17 +387,19 @@ def main_in_process(argv, config, tmp_path_factory):
     return code, err.getvalue()
 
 
-# no out= line: a drawn config must not write files
-RATIO_CONFIG_LINES = ["points=5", "points=abc", "gaussian=yes", "gaussian=off", "gaussian=maybe",
-                      "species=proton", "species=muon", "momentum_model=nonrelativistic",
-                      "format=json", "format=xml", "plot=svg", "plot=script", "no-gaussian=1",
-                      "config=other.cfg", "help=1", "warp=9", "tol=x=1", "no equals sign", "=1",
-                      "# comment", ""]
-hostile_config_lines = st.builds(
-    lambda flag, value: f"{flag[2:]}={value!r}",
+SELF = "@SELF"  # a line that names its own file
+# no --out line: a drawn file must not write files
+RATIO_FILE_LINES = ["--points=5", "--points=abc", "--points", "5", "--gaussian", "--no-gaussian",
+                    "--species=proton", "--species=muon", "--momentum-model=nonrelativistic",
+                    "--format=json", "--format=xml", "--plot=svg", "--plot=script",
+                    "--config=other.args", "--gauss", "--warp=9", "--tol=x=1", "ratio",
+                    "@missing.args", "# comment", "", SELF]
+hostile_file_lines = st.builds(
+    lambda flag, value: f"{flag}={value!r}",
     st.sampled_from(FLOAT_FLAGS),
     st.sampled_from(HOSTILE_FLOATS),
 )
+file_contents = st.none() | st.sampled_from(["missing", "directory"])
 
 
 @st.composite
@@ -416,15 +413,16 @@ def ratio_argvs(draw):
         if draw(st.booleans()):
             text = repr(draw(st.sampled_from(HOSTILE_FLOATS) | st.floats()))
             argv += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
-    lines = st.sampled_from(RATIO_CONFIG_LINES) | hostile_config_lines
-    config = draw(st.none() | st.just("missing") | st.lists(lines, max_size=4))
-    return argv, config
+    lines = st.sampled_from(RATIO_FILE_LINES) | hostile_file_lines
+    return argv, draw(file_contents | st.lists(lines, max_size=4))
 
 
 @settings(deadline=None, max_examples=200)
 @example((["ratio", "--points", "8", "--t=1.7976931348623157e308"], None))
 @example((["ratio", "--points", "39", "--xmax=1.7976931348623157e308"], None))
 @example((["ratio", "--points", "39", "--xmax=1.7976931348623157e308", "--gaussian"], None))
+@example((["ratio", "--points", "3"], [b"--points=\xff"]))
+@example((["ratio", "--points", "3"], [SELF]))
 @given(ratio_argvs())
 def test_ratio_exit_code_contract(tmp_path_factory, drawn):
     # in process; a warning is an error here, so one printed to stderr fails
@@ -458,8 +456,8 @@ def test_no_division_by_zero_is_left_to_catch(tmp_path_factory, argv):
 SUITE_CHOICES = (*checks.SUITES, "all")
 TOL_KEYS = list(checks.REGISTRY)
 TOL_VALUES = ["1e-3", "0", "-1", "1e400", "nan", "inf", "-inf", "abc", ""]
-CONFIG_LINES = ["suite=planewave", "suite = separation", "suite=bogus", "warp=9",
-                "no equals sign", "=1", "# comment", ""]
+VERIFY_FILE_LINES = ["--suite=planewave", "--suite", "separation", "--suite=bogus", "--su=all",
+                     "--warp=9", "--tol=planewave.nope=1", "--tol", "# comment", "", SELF]
 
 
 @st.composite
@@ -474,11 +472,12 @@ def verify_argvs(draw):
         )
         value = draw(st.sampled_from(TOL_VALUES) | st.floats().map(repr))
         argv += ["--tol", f"{key}={value}" if draw(st.booleans()) else key]
-    config = draw(st.none() | st.just("missing") | st.lists(st.sampled_from(CONFIG_LINES)))
-    return argv, config
+    return argv, draw(file_contents | st.lists(st.sampled_from(VERIFY_FILE_LINES)))
 
 
 @settings(deadline=None, max_examples=60)
+@example((["verify"], [b"--suite=\xff"]))
+@example((["verify"], [SELF]))
 @given(verify_argvs())
 def test_verify_exit_code_contract(tmp_path_factory, drawn):
     # in process; every suite is cheap enough to run once per example
@@ -486,30 +485,12 @@ def test_verify_exit_code_contract(tmp_path_factory, drawn):
     assert code in (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_USAGE), (code, err)
 
 
-def test_config_layering(tmp_path, capsys):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("xmax=3.0\npoints=7\nxmax=2.0\n")
-    code, out, _ = run(["ratio", "--config", str(cfg), "--points", "5"], capsys)
-    assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 6  # explicit flag beats config
-    assert lines[-1].startswith("2,")  # config beats hard default; its last xmax line wins
-
-
-def test_unknown_config_key_is_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("warp=9\n")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["ratio", "--config", str(cfg)])
-    assert exc.value.code == 2
-
-
 def subcommand_parser(name):
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return sub.choices[name]
 
 
-# a non-default value of every ratio flag but --config, with the flags that
+# a non-default value of every ratio flag, with the flags that
 # make it show in the output
 RATIO_FLAG_CASES = [
     (["--species", "proton"], ["--q-minus-1", "0.01"]),
@@ -530,18 +511,18 @@ RATIO_FLAG_CASES = [
 
 def test_ratio_flag_cases_cover_every_flag():
     ratio = subcommand_parser("ratio")
-    flags = {a.option_strings[0] for a in ratio._actions} - {"-h", "--config"}
+    flags = {a.option_strings[0] for a in ratio._actions} - {"-h"}
     assert {flag[0] for flag, _ in RATIO_FLAG_CASES} == flags
 
 
 @pytest.mark.parametrize("flag, context", RATIO_FLAG_CASES, ids=lambda v: " ".join(v))
-def test_config_line_equals_flag(flag, context, tmp_path, monkeypatch, capsys):
-    """A config line gives the same stdout and files as the flag itself."""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{flag[0][2:]}={flag[1] if len(flag) > 1 else 'yes'}\n")
+def test_file_line_equals_flag(flag, context, tmp_path, monkeypatch, capsys):
+    """A line of an argument file gives the same stdout and files as the flag itself."""
+    path = tmp_path / "run.args"
+    path.write_text("=".join(flag) + "\n")
     base = ["ratio", *context] + ([] if flag[0] == "--points" else ["--points", "5"])
     results = {}
-    for how, extra in (("flag", flag), ("config", ["--config", str(cfg)]), ("neither", [])):
+    for how, extra in (("flag", flag), ("file", [f"@{path}"]), ("neither", [])):
         workdir = tmp_path / how
         workdir.mkdir()
         monkeypatch.chdir(workdir)
@@ -549,77 +530,61 @@ def test_config_line_equals_flag(flag, context, tmp_path, monkeypatch, capsys):
         files = {p.name: p.read_bytes() for p in workdir.iterdir()}
         results[how] = (code, capsys.readouterr().out, files)
     assert results["flag"][0] == 0
-    assert results["config"] == results["flag"]
+    assert results["file"] == results["flag"]
     assert results["neither"] != results["flag"]
 
 
-def test_flag_overrides_config(tmp_path, capsys):
-    cfg_ratio = tmp_path / "ratio.cfg"
-    cfg_ratio.write_text("species=proton\nq-minus-1=0.01\n")
-    base = ["ratio", "--points", "5"]
-    _, layered, _ = run([*base, "--config", str(cfg_ratio), "--species", "electron"], capsys)
-    _, electron, _ = run([*base, "--species", "electron", "--q-minus-1", "0.01"], capsys)
-    _, proton, _ = run([*base, "--species", "proton", "--q-minus-1", "0.01"], capsys)
-    assert layered == electron != proton
-    cfg_verify = tmp_path / "verify.cfg"
-    cfg_verify.write_text("suite=gaussian\n")
-    code, out, _ = run(["verify", "--config", str(cfg_verify), "--suite", "separation"], capsys)
+def test_a_later_flag_wins(tmp_path, capsys):
+    # a file's lines stand in its place on the command line
+    path = tmp_path / "ratio.args"
+    path.write_text("--species=proton\n--q-minus-1=0.01\n--xmax=3.0\n--xmax=2.0\n")
+    base = ["ratio", "--points", "5", "--q-minus-1", "0.01", "--xmax", "2.0"]
+    _, electron, _ = run([*base, "--species", "electron"], capsys)
+    _, proton, _ = run([*base, "--species", "proton"], capsys)
+    _, after, _ = run(["ratio", "--points", "5", f"@{path}", "--species", "electron"], capsys)
+    _, before, _ = run(["ratio", "--points", "5", "--species", "electron", f"@{path}"], capsys)
+    assert after == electron != proton == before  # and of the file's two --xmax, the last
+    path = tmp_path / "verify.args"
+    path.write_text("--suite=gaussian\n")
+    code, out, _ = run(["verify", f"@{path}", "--suite", "separation"], capsys)
     assert code == 0
     assert {line.split(".")[0] for line in out.splitlines()[1:-1]} == {"separation"}
 
 
-@pytest.mark.parametrize(
-    "value, header",
-    [(v, "x,ratio") for v in ("true", "yes", "on", "1", "TRUE", "Yes")]
-    + [(v, "x,R") for v in ("false", "no", "off", "0", "FALSE", "Off")],
-)
-def test_config_gaussian_spellings(value, header, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"gaussian={value}\n")
-    code, out, _ = run(["ratio", "--points", "3", "--config", str(cfg)], capsys)
-    assert code == 0
-    assert out.splitlines()[0] == header
+# not UTF-8: Python 3.12 reads the byte as a lone surrogate, a flag of no
+# option, and earlier versions raise UnicodeDecodeError, which main refuses
+@pytest.mark.parametrize("lines", ["missing", "directory", [b"--\xff"], [SELF],
+                                   ["--energy=2.5"], ["--gauss"]],
+                         ids=["missing", "directory", "not-utf-8", "self", "unknown", "abbreviated"])
+def test_a_hostile_argument_file_is_a_usage_error(lines, tmp_path_factory):
+    code, err = main_in_process(["ratio"], lines, tmp_path_factory)
+    assert code == cli.EXIT_USAGE
+    assert err.splitlines()[-1].startswith("qwave: error: ")
 
 
-@pytest.mark.parametrize("value", ["maybe", "2", "", "y"])
-def test_config_gaussian_other_value_is_usage_error(value, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"gaussian={value}\n")
+def test_an_out_path_starting_with_at_is_given_after_an_equals_sign(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["ratio", "--points", "3", "--out=@x.csv"]) == 0
+    assert (tmp_path / "@x.csv").read_text().startswith("x,R\n")
+
+
+def test_bad_file_value_gets_the_flags_message(tmp_path, capsys):
+    path = tmp_path / "run.args"
+    path.write_text("--points=abc\n")
     with pytest.raises(SystemExit) as exc:
-        cli.main(["ratio", "--config", str(cfg)])
-    assert exc.value.code == 2
-    assert "gaussian: expected a boolean" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["ratio", "verify"])
-@pytest.mark.parametrize("line", ["config=other.cfg", "help=1", "warp=9", "no-gaussian=1",
-                                  "spec=proton", "suit=all"])
-def test_config_key_that_is_no_flag_is_refused(command, line, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--config", str(cfg)])
-    assert exc.value.code == 2
-    assert "unknown config key" in capsys.readouterr().err
-
-
-def test_bad_config_value_gets_the_flags_message(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("points=abc\n")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["ratio", "--config", str(cfg), "--points", "5"])
+        cli.main(["ratio", f"@{path}", "--points", "5"])
     assert exc.value.code == 2
     assert "argument --points: invalid int value: 'abc'" in capsys.readouterr().err
 
 
-def test_verify_config_tol_is_the_tol_flag(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("tol=planewave.modulus_identity=1e-20\ntol=planewave.psi_q_jet=1e-20\n")
-    code, out, _ = run(["verify", "--suite", "planewave", "--config", str(cfg)], capsys)
+def test_verify_file_tol_is_the_tol_flag(tmp_path, capsys):
+    path = tmp_path / "run.args"
+    path.write_text("--tol=planewave.modulus_identity=1e-20\n--tol=planewave.psi_q_jet=1e-20\n")
+    code, out, _ = run(["verify", "--suite", "planewave", f"@{path}"], capsys)
     assert (code, out.count(" FAIL ")) == (1, 2)  # each line applies, as repeated --tol flags do
-    cfg.write_text("tol=planewave.nope=1\n")
+    path.write_text("--tol=planewave.nope=1\n")
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--config", str(cfg)])
+        cli.main(["verify", f"@{path}"])
     assert exc.value.code == 2
 
 
@@ -636,7 +601,7 @@ def test_bad_flag_value_is_usage_error(capsys):
     "argv", [["ratio", "--gauss"], ["ratio", "--poi", "3"], ["verify", "--su", "planewave"]]
 )
 def test_an_abbreviated_flag_is_unrecognized(argv, capsys):
-    # one spelling per option, as for a config key: an abbreviation would
+    # one spelling per option, in a file too: an abbreviation would
     # also change its meaning when a flag sharing its prefix is added
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

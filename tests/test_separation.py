@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from qwave import checks
+from qwave import qgaussian as qg
 from qwave import separation as sep
 from qwave import verify
-from qwave.errors import InvalidQ, NonFiniteInput, QWaveError
+from qwave.errors import InvalidQ, NonFiniteInput, NonFiniteResult, QWaveError
 
 E = 0.845
 P = 1.3
@@ -113,6 +114,25 @@ def test_terms_raise_only_typed_errors_on_extremes():
         except QWaveError:
             continue
         assert all(map(cmath.isfinite, values)), (terms, family, value, q, at, values)
+
+
+@pytest.mark.parametrize("fn, args", [
+    # an exponent with an infinite part: cmath.exp's builtin ValueError, or nan
+    (qg.approx_qgaussian, (1.7e308, 1e300, qg.GaussianParams(1.0, 1.0, 1.001))),
+    (sep.exact_g, (1.7e308, 2.0, 0.999)),
+    (sep.exact_g, (1.7e308, 2.0, 1.0)),
+    # the first-order factors: nan or inf parts
+    (sep.approx_f, (1e300, 0.5, 1.0)),
+    (sep.approx_f_q, (1e300, 0.5, 1.5)),
+    (sep.dt_approx_f_q, (1e300, 0.5, 1.5)),
+    (sep.approx_g, (1e300, 0.5, 1.0)),
+    (sep.approx_g_q, (1e300, 0.5, 1.5)),
+    (sep.d2x_approx_g, (0.0, 1e300, 1.0)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_a_value_that_leaves_the_double_range_is_refused(fn, args):
+    # every argument is finite, so the refusal is NonFiniteResult
+    with pytest.raises(NonFiniteResult):
+        fn(*args)
 
 
 def test_unknown_family_rejected():
