@@ -562,6 +562,47 @@ def test_a_hostile_argument_file_is_a_usage_error(lines, tmp_path_factory):
     assert err.splitlines()[-1].startswith("qwave: error: ")
 
 
+@pytest.mark.parametrize("command", ["ratio", "verify"])
+@pytest.mark.parametrize("line", ["--config=other.args", "--help=1", "--warp=9", "--no-gaussian=1",
+                                  "--spec=proton", "--suit=all"])
+def test_a_file_line_that_is_no_flag_is_refused(command, line, tmp_path_factory):
+    # --config is gone; a flag of no value takes none; one spelling per option
+    code, err = main_in_process([command], [line], tmp_path_factory)
+    assert code == cli.EXIT_USAGE
+    assert err.splitlines()[-1].startswith(("qwave: error: ", f"qwave {command}: error: "))
+
+
+@pytest.mark.parametrize("command", ["ratio", "verify"])
+@pytest.mark.parametrize("line", ["# comment", ""], ids=["comment", "blank"])
+def test_a_comment_or_blank_line_is_an_argument(command, line, tmp_path_factory):
+    # every line is an argument, and neither names one
+    code, err = main_in_process([command], [line], tmp_path_factory)
+    assert code == cli.EXIT_USAGE
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("lines, header", [
+    (["--gaussian"], "x,ratio"),
+    (["--no-gaussian"], "x,R"),
+    (["--gaussian", "--no-gaussian"], "x,R"),
+    (["--no-gaussian", "--gaussian"], "x,ratio"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_the_last_gaussian_line_of_a_file_picks_the_mode(lines, header, tmp_path, capsys):
+    path = tmp_path / "run.args"
+    path.write_text("".join(line + "\n" for line in lines))
+    code, out, _ = run(["ratio", "--points", "3", f"@{path}"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == header
+
+
+@pytest.mark.parametrize("line", ["--gaussian=yes", "--gaussian=1", "--no-gaussian=off", "--gaussian="])
+def test_a_gaussian_line_with_a_value_is_refused(line, tmp_path_factory):
+    # the mode is the flag alone: no boolean spellings
+    code, err = main_in_process(["ratio"], [line], tmp_path_factory)
+    assert code == cli.EXIT_USAGE
+    assert "ignored explicit argument" in err
+
+
 def test_an_out_path_starting_with_at_is_given_after_an_equals_sign(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["ratio", "--points", "3", "--out=@x.csv"]) == 0
