@@ -167,11 +167,13 @@ def emit_plot_svg(rows: scenarios.Sweep, meta: dict[str, str], out_path: str) ->
     ymin -= 0.05 * pad
     ymax += 0.05 * pad
 
-    def sx(x):
-        return ml + (x - xmin) / (xmax - xmin) * (width - ml - mr)
+    def sx(values):
+        span, size = xmax - xmin, width - ml - mr
+        return [ml + (x - xmin) / span * size for x in values]
 
-    def sy(y):
-        return height - mb - (y - ymin) / (ymax - ymin) * (height - mt - mb)
+    def sy(values):
+        span, size = ymax - ymin, height - mt - mb
+        return [height - mb - (y - ymin) / span * size for y in values]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -180,30 +182,30 @@ def emit_plot_svg(rows: scenarios.Sweep, meta: dict[str, str], out_path: str) ->
         f'<text x="{width / 2:.1f}" y="25" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15">{meta["title"]}</text>',
     ]
-    for i in range(5):
-        xv = xmin + i * (xmax - xmin) / 4.0
-        yv = ymin + i * (ymax - ymin) / 4.0
+    xticks = [xmin + i * (xmax - xmin) / 4.0 for i in range(5)]
+    yticks = [ymin + i * (ymax - ymin) / 4.0 for i in range(5)]
+    for xv, yv, px, py in zip(xticks, yticks, sx(xticks), sy(yticks)):
         parts.append(
-            f'<line x1="{sx(xv):.2f}" y1="{height - mb:.2f}" x2="{sx(xv):.2f}" '
+            f'<line x1="{px:.2f}" y1="{height - mb:.2f}" x2="{px:.2f}" '
             f'y2="{mt:.2f}" stroke="#dddddd" stroke-width="1"/>'
         )
         parts.append(
-            f'<line x1="{ml:.2f}" y1="{sy(yv):.2f}" x2="{width - mr:.2f}" '
-            f'y2="{sy(yv):.2f}" stroke="#dddddd" stroke-width="1"/>'
+            f'<line x1="{ml:.2f}" y1="{py:.2f}" x2="{width - mr:.2f}" '
+            f'y2="{py:.2f}" stroke="#dddddd" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{sx(xv):.2f}" y="{height - mb + 18:.2f}" text-anchor="middle" '
+            f'<text x="{px:.2f}" y="{height - mb + 18:.2f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{xv:.4g}</text>'
         )
         parts.append(
-            f'<text x="{ml - 8:.2f}" y="{sy(yv) + 4:.2f}" text-anchor="end" '
+            f'<text x="{ml - 8:.2f}" y="{py + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{yv:.6g}</text>'
         )
     parts.append(
         f'<rect x="{ml:.2f}" y="{mt:.2f}" width="{width - ml - mr:.2f}" '
         f'height="{height - mt - mb:.2f}" fill="none" stroke="black"/>'
     )
-    points = " ".join(map("%.2f,%.2f".__mod__, zip(map(sx, xs), map(sy, ys))))
+    points = ("%.2f,%.2f " * len(xs) % tuple(v for xy in zip(sx(xs), sy(ys)) for v in xy))[:-1]
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="1.3"/>'
     )

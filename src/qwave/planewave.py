@@ -161,21 +161,37 @@ def ratio_terms(pt: PhasePoint, w: PlaneWave, q: float):
     return (1.0 - q) * u * u / 2.0, -1j * u
 
 
+# The branches of _phase_ratio, as qcore._log_abs_1p_near and _far are those of
+# _ratio: log|1 + v| at a real |v| < 1/2, and log|1 + iy| at a real y either side
+# of |y| = 1/2 (log|1 + v| beyond it is qcore._log_abs_1p_far itself).
+def _log1p_near(v, functions):
+    _, _, _, log1p, _, _, _ = functions
+    return log1p(v)
+
+
+def _log_abs_1p_i_near(y, functions):
+    _, _, _, log1p, _, _, _ = functions
+    return 0.5 * log1p(y * y)
+
+
+def _log_abs_1p_i_far(y, functions):
+    return qcore._log_abs_1p_far(1j * y, functions)
+
+
 def _phase_ratio(u, eps: float, functions):
     """R at the phase u and eps = q - 1 in qcore._ratio's form and functions:
     c = -eps u^2/2 and y = eps u are real, so R = exp(log|1 + c| + log|1 + iy| / eps),
     the last term dropped at eps = 0.  Each log splits at |w| < 1/2 (w^2 < 1/4)
     as qcore._log_abs_1p, whose near branch is log1p(w) at a real w, bit for
     bit.  A non-finite c, y or R raises NonFiniteResult."""
-    all_finite, _, abs_, log1p, log, exp, where = functions
+    all_finite, _, _, _, _, exp, where = functions
     c, y = -eps * u * u / 2.0, eps * u
     if not (all_finite(c) and all_finite(y)):
         raise NonFiniteResult("a term of the ratio overflows the double range")
-    log_r = where(c * c < 0.25, log1p, lambda v: log(abs_(1.0 + v)), c)
+    log_r = where(c * c < 0.25, _log1p_near, qcore._log_abs_1p_far, c, functions)
     if eps != 0.0:
-        yy = y * y
-        log_r = log_r + where(yy < 0.25, lambda: 0.5 * log1p(yy),
-                              lambda: log(abs_(1 + 1j * y))) / eps
+        log_r = log_r + where(y * y < 0.25, _log_abs_1p_i_near, _log_abs_1p_i_far,
+                              y, functions) / eps
     r = exp(log_r)
     if not all_finite(r):
         raise NonFiniteResult("ratio R overflows the double range")

@@ -13,7 +13,8 @@ removable point w = 0 filled with 1.
 first_order_pow powers every first-order wave along its continuous log;
 _ratio forms the packet's |approx|/|exact| in real log-modulus arithmetic,
 one formula on the Python numbers or numpy arrays that kernel_input makes of
-x (the plane wave's kernel in u takes the same), at the eps its entry gives.
+x, or that a sweep picks once for all its points (the plane wave's kernel in
+u takes the same), at the eps its entry or sweep gives.
 
 Jets are truncated first-order Taylor pairs (value at q = 1, d/dq at q = 1)
 with ring arithmetic.  They mechanize the first-order expansions the wave

@@ -211,7 +211,8 @@ def ratio_gaussian(x, t: float, params: GaussianParams, cs=None, j=None) -> floa
     (qcore.kernel_input): a number gives a float, without numpy, anything else
     an array, and a non-finite x or t raises NonFiniteInput.  cs and j are
     coeffs_exact(t, params) and coeffs_first_order(t, params), computed here
-    when not given, so a sweep computes them once for the time t.
+    when not given; a sweep computes them once for the time t and calls
+    qcore._ratio on these terms itself.
     """
     x, functions, context = qcore.kernel_input(x, t)
     with context:

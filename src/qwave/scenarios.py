@@ -8,6 +8,11 @@ The default x range 0..1 (about 200 fm) keeps u of order unity, where the
 curves of interest live; at x = 1 m a 1 MeV electron's phase is ~7e12 and
 a sweep would probe nothing but the tails of the q-power.  The SI
 constants are here for the rest energies (mc^2 in MeV).
+
+A sweep calls its family's ratio kernel, planewave._phase_ratio or
+qcore._ratio, at the eps (and the plane wave's p and E) that
+planewave.ratio_at and qgaussian.ratio_gaussian form, so its values are
+theirs bit for bit; what those entries check per call, it checks once.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import math
 from array import array
 from typing import TYPE_CHECKING
 
-from .planewave import SchrodingerWave, ratio_at
-from .qcore import Frozen, finite, finite_result
-from .qgaussian import GaussianParams, coeffs_exact, coeffs_first_order, ratio_gaussian
+from .planewave import SchrodingerWave, _phase_ratio
+from .qcore import _ON_NUMBERS, Frozen, _on_arrays, _ratio, finite, finite_result
+from .qgaussian import GaussianParams, coeffs_exact, coeffs_first_order, ratio_terms
 
 if TYPE_CHECKING:
     import numpy as np
@@ -142,10 +147,15 @@ class Sweep(Frozen):
                 for i in range(0, len(self), BLOCK_ROWS)]
 
 
-def _blockwise_sweep(x_range: tuple[float, float, int], name: str, ratio) -> Sweep:
-    """The sweep of columns x = np.linspace(*x_range) and name = ratio(x): one
-    block point by point on the floats of linspace, a longer sweep block by
-    block on views of one np.linspace grid, equal bit for bit to one call on it.
+def _blockwise_sweep(x_range: tuple[float, float, int], name: str, kernel) -> Sweep:
+    """The sweep of columns x = np.linspace(*x_range) and name = kernel(x, functions),
+    checked once: an endpoint that is not finite is a NonFiniteInput, a grid
+    whose span stop - start overflows (every point lies between the ends of a
+    grid of finite span) a NonFiniteResult.  One block runs point by point on
+    the floats of linspace with functions qcore._ON_NUMBERS; a longer sweep
+    block by block on views of one np.linspace grid, with qcore._on_arrays(numpy)
+    under one np.errstate(all="ignore") (the kernels refuse a term that
+    overflows), equal bit for bit to one call on it.
 
     Before the grid, a longer sweep allocates and frees one untouched 4 MiB
     buffer (BLOCK_ROWS * 512 bytes; a block's largest allocation is its 0.64 MB
@@ -154,24 +164,28 @@ def _blockwise_sweep(x_range: tuple[float, float, int], name: str, ratio) -> Swe
     are reused, not trimmed and faulted in again (over 10,000 fewer faults on
     a 200,001-point sweep).  Other allocators ignore it.
     """
-    if x_range[2] <= BLOCK_ROWS:
-        xs = array("d", linspace(*x_range))
-        return Sweep({"x": xs, name: array("d", map(ratio, xs))})
+    start, stop, npoints = x_range
+    finite_result(finite(stop, "x_range stop") - finite(start, "x_range start"))
+    if npoints <= BLOCK_ROWS:
+        xs = array("d", linspace(start, stop, npoints))
+        return Sweep({"x": xs, name: array("d", [kernel(x, _ON_NUMBERS) for x in xs])})
     import numpy as np
 
     np.empty(BLOCK_ROWS * 512, np.uint8)  # freed at once: see the docstring
-    with np.errstate(all="ignore"):  # a non-finite x is refused by ratio
-        xs = np.linspace(*x_range)
-    sweep = Sweep({"x": xs, name: np.empty_like(xs)})
-    for block in sweep.blocks():
-        block.columns[name][:] = ratio(block.columns["x"])
+    xs = np.linspace(start, stop, npoints)
+    sweep, functions = Sweep({"x": xs, name: np.empty_like(xs)}), _on_arrays(np)
+    with np.errstate(all="ignore"):
+        for block in sweep.blocks():
+            block.columns[name][:] = kernel(block.columns["x"], functions)
     return sweep
 
 
 def run_ratio_sweep(scn: ParticleScenario) -> Sweep:
-    """x and R of a plane-wave ratio figure."""
-    w, t, q = wave_for(scn), scn.t, 1.0 + scn.q_minus_1
-    return _blockwise_sweep(scn.x_range, "R", lambda xs: ratio_at(xs, t, w, q))
+    """x and R of a plane-wave ratio figure: the kernel of planewave.ratio_at."""
+    w, t, eps = wave_for(scn), scn.t, (1.0 + scn.q_minus_1) - 1.0
+    p, E = w.p, w.E
+    return _blockwise_sweep(scn.x_range, "R",
+                            lambda x, functions: _phase_ratio(p * x - E * t, eps, functions))
 
 
 def run_gaussian_sweep(
@@ -179,6 +193,8 @@ def run_gaussian_sweep(
     x_range: tuple[float, float, int] = (0.0, 4.0, 1001),
     t: float = 0.0,
 ) -> Sweep:
-    """x and ratio of a packet ratio figure (natural units)."""
-    cs, j = coeffs_exact(t, params), coeffs_first_order(t, params)
-    return _blockwise_sweep(x_range, "ratio", lambda xs: ratio_gaussian(xs, t, params, cs, j))
+    """x and ratio of a packet ratio figure (natural units): the kernel of
+    qgaussian.ratio_gaussian."""
+    cs, j, eps = coeffs_exact(t, params), coeffs_first_order(t, params), params.q - 1.0
+    return _blockwise_sweep(x_range, "ratio", lambda x, functions: _ratio(
+        *ratio_terms(x, t, params, cs, j), eps, functions))

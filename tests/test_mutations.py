@@ -111,8 +111,8 @@ MUTATIONS = [
     ("ratio_packet", "qcore._ratio",
      "r = exp(", "r = 1.001 * exp(",
      {"gaussian.ratio_kernel"}),
-    ("phase_ratio_near_half", "planewave._phase_ratio",
-     "0.5 * log1p(yy)", "1.001 * 0.5 * log1p(yy)",
+    ("phase_ratio_near_half", "planewave._log_abs_1p_i_near",
+     "0.5 * log1p(y * y)", "1.001 * 0.5 * log1p(y * y)",
      {"gaussian.ratio_kernel"}),
     ("log_abs_1p_near_half", "qcore._log_abs_1p_near",
      "0.5 * log1p(y * y)", "0.5005 * log1p(y * y)",

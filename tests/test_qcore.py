@@ -212,8 +212,15 @@ def test_a_non_finite_named_argument_is_refused_in_one_text(entry, name, args, b
     (partial(sep.g_terms, family="exact"), (0.5, 1e200, 1.1)),  # lam = p^2/2
     (partial(sep.g_terms, family="approx"), (0.5, 1e200, 1.1)),
     (qg.GaussianParams, (1e-320, 1.0, 1.001)),  # kq = 1/(4 m q beta^2)
+    # the grid of finite endpoints whose span overflows: NaN and inf, in one block or more
+    *((lambda n: scenarios.run_ratio_sweep(scenarios.ParticleScenario.from_mev(
+        "electron", 1.0, 1e-9, x_range=(-1.7e308, 1.7e308, n))), (n,))
+      for n in (3, scenarios.BLOCK_ROWS + 1)),
+    *((partial(scenarios.run_gaussian_sweep, qg.GaussianParams(1.0, 1.0, 1.001)),
+       ((-1.7e308, 1.7e308, n),)) for n in (3, scenarios.BLOCK_ROWS + 1)),
 ], ids=["SchrodingerWave.free", "KGWave.on_shell", "g_terms-exact", "g_terms-approx",
-        "GaussianParams"])
+        "GaussianParams", "run_ratio_sweep-grid", "run_ratio_sweep-blocks",
+        "run_gaussian_sweep-grid", "run_gaussian_sweep-blocks"])
 def test_a_value_computed_from_finite_arguments_is_refused_as_a_result(entry, args):
     # NonFiniteInput is for an argument, NonFiniteResult for what is formed from finite ones
     with pytest.raises(NonFiniteResult, match="^a result leaves the double range"):

@@ -2,13 +2,16 @@
 and the sweep drivers behind the figures."""
 
 import itertools
+import math
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwave import scenarios
 from qwave.errors import NonFiniteInput, NonFiniteResult, QWaveError
-from qwave.planewave import PhasePoint, ratio_R
+from qwave.planewave import PhasePoint, ratio_at, ratio_R
+from qwave.qgaussian import GaussianParams, ratio_gaussian
 
 # published rest energies, used as independent anchors for the kg masses
 ELECTRON_MC2_MEV = 0.51099895000
@@ -102,29 +105,53 @@ def test_ratio_sweep_shape_and_trivial_q():
     assert rows.columns["R"].tolist() == [1.0] * 11
 
 
+# q - 1 where R varies over the grid, t = 0 and not, one block and more
+SWEEP_CASES = [(qm1, t, n) for qm1 in (1e-3, -0.3) for t in (0.0, 0.7)
+               for n in (29, scenarios.BLOCK_ROWS + 3)]
+
+
 def test_ratio_sweep_matches_pointwise_calls():
-    scn = scenarios.ParticleScenario.from_mev(
-        "proton", 1.0, 1e-9, x_range=(0.0, 1.0, 7)
-    )
-    w = scenarios.wave_for(scn)
-    sweep = scenarios.run_ratio_sweep(scn)
-    for x, r in zip(sweep.columns["x"].tolist(), sweep.columns["R"].tolist()):
-        assert r == ratio_R(PhasePoint(x, scn.t), w, 1.0 + scn.q_minus_1)
+    # one block is one float call of ratio_at per point; a longer sweep is one
+    # array call on its whole grid, bit for bit
+    for qm1, t, n in SWEEP_CASES:
+        scn = scenarios.ParticleScenario.from_mev("proton", 1.0, qm1, x_range=(-1.0, 1.0, n), t=t)
+        w, q = scenarios.wave_for(scn), 1.0 + qm1
+        sweep = scenarios.run_ratio_sweep(scn)
+        xs, rs = sweep.columns["x"], sweep.columns["R"]
+        reference = (array("d", [ratio_at(x, t, w, q) for x in xs]) if n <= scenarios.BLOCK_ROWS
+                     else ratio_at(xs, t, w, q))
+        assert rs.tobytes() == reference.tobytes()
+        assert len(set(rs.tolist())) > n // 2  # R varies, so a wrong phase or eps shows
+        if n <= scenarios.BLOCK_ROWS:
+            assert rs.tolist() == [ratio_R(PhasePoint(x, t), w, q) for x in xs]
 
 
 def test_gaussian_sweep_matches_pointwise_calls():
-    from qwave.qgaussian import GaussianParams, ratio_gaussian
+    for qm1, t, n in SWEEP_CASES:
+        params = GaussianParams(m=1.0, beta=1.0, q=1.0 + qm1)
+        # at q - 1 = -0.3 the base 1 + (q-1) G meets the branch cut at x = -3.0 and 1.57
+        x_range = (-3.0, 4.0, n) if qm1 > 0 else (-2.5, 1.5, n)
+        sweep = scenarios.run_gaussian_sweep(params, x_range, t)
+        xs, rs = sweep.columns["x"], sweep.columns["ratio"]
+        reference = (array("d", [ratio_gaussian(x, t, params) for x in xs])
+                     if n <= scenarios.BLOCK_ROWS else ratio_gaussian(xs, t, params))
+        assert rs.tobytes() == reference.tobytes()
+        assert len(set(rs.tolist())) > n // 2
 
-    params = GaussianParams(m=1.0, beta=1.0, q=1.001)
-    for t in (0.0, 0.7):
-        sweep = scenarios.run_gaussian_sweep(params, (-3.0, 4.0, 29), t)
-        for x, r in zip(sweep.columns["x"].tolist(), sweep.columns["ratio"].tolist()):
-            assert r == ratio_gaussian(x, t, params)
+
+@pytest.mark.parametrize("sweep", [
+    lambda x_range: scenarios.run_ratio_sweep(
+        scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-9, x_range=x_range)),
+    lambda x_range: scenarios.run_gaussian_sweep(GaussianParams(1.0, 1.0, 1.001), x_range),
+], ids=["planewave", "packet"])
+@pytest.mark.parametrize("x_range, name", [((math.nan, 1.0, 3), "start"),
+                                           ((0.0, math.inf, 3), "stop")])
+def test_sweep_refuses_a_non_finite_endpoint_by_name(sweep, x_range, name):
+    with pytest.raises(NonFiniteInput, match=f"^x_range {name} must be finite"):
+        sweep(x_range)
 
 
 def test_gaussian_sweep_range():
-    from qwave.qgaussian import GaussianParams
-
     rows = scenarios.run_gaussian_sweep(GaussianParams(m=1.0, beta=1.0, q=1.001))
     assert len(rows) == 1001
     assert list(rows.columns) == ["x", "ratio"]
