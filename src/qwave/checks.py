@@ -26,12 +26,16 @@ compares the FD-in-q jet of each exact form with the jet of its shipped
 approximant, so the jet checks read every first-order coefficient from the
 approx_* forms; and @order_fit turns one convergence fit of a residual
 norm into a slope check and its _r2 fit-quality check.
+
+A packet measure computes each coefficient set once per t, or once per
+(t, q), never per x, and passes it in (cs, j, jets, coeffs of qgaussian);
+no set outlives one measure call, so each measure reads the shipped code.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable
 
 from . import kleingordon as kg
@@ -79,23 +83,25 @@ def check(key: str, claim: str, tolerance: float, sense: str = "le"):
     return declare
 
 
-def order_fit(key: str, claim: str):
+def order_fit(key: str, claim: str, per_fit: Callable[[], dict] = dict):
     """Declare the order fit of the decorated norm(eps) as two checks: the
     slope (>= 1.9, first order leaves O(eps^2)) and key_r2 (>= 0.999).
 
     One fit per run: the slope check fits and leaves the fit to the _r2
     check after it, which takes it away (or fits afresh if measured alone).
+    per_fit() gives the keyword arguments of norm that eps leaves fixed, once per fit.
     """
 
-    def declare(norm: Callable[[float], float]):
+    def declare(norm: Callable[..., float]):
         fit: list[verify.OrderFit] = []
 
         def slope() -> float:
-            fit[:] = [verify.order_of_convergence(norm)]
+            fit[:] = [verify.order_of_convergence(partial(norm, **per_fit()))]
             return fit[0].slope
 
         def r_squared() -> float:
-            return (fit.pop() if fit else verify.order_of_convergence(norm)).r_squared
+            fitted = fit.pop() if fit else verify.order_of_convergence(partial(norm, **per_fit()))
+            return fitted.r_squared
 
         _register(
             Check(key, claim, 1.9, "ge", slope),
@@ -412,9 +418,15 @@ def _qg_params(q: float) -> qg.GaussianParams:
     return qg.GaussianParams(m=1.0, beta=1.0, q=q)
 
 
-def qg_terms(pt: tuple[float, float], q: float, family: str) -> tuple[complex, complex]:
-    """gaussian_terms of the packet at pt = (x, t), as exact_residual and approx_norm take them."""
-    return qg.gaussian_terms(*pt, _qg_params(q), family)
+def qg_terms(pt, q: float, family: str, coeffs=None) -> tuple[complex, complex]:
+    """gaussian_terms of the packet at pt = (x, t), as exact_residual and
+    approx_norm take them; coeffs, when given, is qg_coeffs(family, points, q)."""
+    return qg.gaussian_terms(*pt, _qg_params(q), family, coeffs and coeffs[pt[1]])
+
+
+def qg_coeffs(family: str, points, q: float = 1.001) -> dict:
+    """{t: terms_coeffs of the family at q} for each t of the (x, t) points, for qg_terms."""
+    return {t: qg.terms_coeffs(t, _qg_params(q), family) for t in {t for _, t in points}}
 
 
 _QG_PARAMS = _qg_params(1.001)
@@ -445,35 +457,39 @@ def qg_jet_authority(xs=_QG_XS, ts=_QG_TS) -> float:
     """Worst gap of the packet jet at q = 1.001 against the jet of the
     shipped approx_qgaussian."""
 
-    def pairs(x, t):
-        jet = qg.wavefunction_jet(x, t, _QG_PARAMS)
-        closed = approx_jet(lambda q: qg.approx_qgaussian(x, t, _qg_params(q)))
+    def pairs(x, t, jets, j):
+        jet = qg.wavefunction_jet(x, t, _QG_PARAMS, jets)
+        closed = approx_jet(lambda q: qg.approx_qgaussian(x, t, _qg_params(q), j))
         scale = max(abs(closed.v0), abs(closed.v1))
         yield abs(jet.v0 - closed.v0), scale
         yield abs(jet.v1 - closed.v1), scale
 
-    return max(max_rel(pairs(x, t)) for x in xs for t in ts)
+    sets = {t: (qg._coeff_jets(t, _QG_PARAMS), qg.coeffs_first_order(t, _QG_PARAMS)) for t in ts}
+    return max(max_rel(pairs(x, t, *sets[t])) for x in xs for t in ts)
 
 
 @check("gaussian.coeff_fd", "FD-in-q jets of the exact a, b, c match their first-order splits",
        1e-6)
 def _qg_coeff_fd() -> float:
     def pairs(t):
+        exact = cache(lambda q: qg.coeffs_exact(t, _qg_params(q)))  # one set per q, for a, b and c
         for i, (v0, v1) in enumerate(qg.coeffs_first_order(t, _QG_PARAMS)):
-            yield (lambda q, i=i: qg.coeffs_exact(t, _qg_params(q))[i],
+            yield (lambda q, i=i: exact(q)[i],
                    lambda q, v0=v0, v1=v1: v0 + (q - 1.0) * v1)
 
     return approx_jet_gap(pair for t in _QG_TS for pair in pairs(t))
 
 
-order_fit("gaussian.approx_order", "first-order packet inserted in the full equation")(
-    partial(approx_norm, terms=qg_terms, points=_QG_PROBES)
+order_fit("gaussian.approx_order", "first-order packet inserted in the full equation",
+          lambda: {"terms": partial(qg_terms, coeffs=qg_coeffs("approx", _QG_PROBES))})(
+    partial(approx_norm, points=_QG_PROBES)
 )
 check(
     "gaussian.exact_residual",
     "exact packet solves -i q G_t = (1/2m)[(1+(q-1)G) G_xx - q G_x^2] in closed form",
     1e-13,
-)(lambda: max(exact_residual(qg_terms, _QG_POINTS, q) for q in (*_QG_QS, 1.5)))
+)(lambda: max(exact_residual(partial(qg_terms, coeffs=qg_coeffs("exact", _QG_POINTS, q)),
+                             _QG_POINTS, q) for q in (*_QG_QS, 1.5)))
 
 
 @check("gaussian.ratio_kernel", "the printed R is |approx| / |exact| of the packet and the plane "

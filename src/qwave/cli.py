@@ -56,6 +56,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import functools
 import gc
 import math
 import os
@@ -431,6 +432,7 @@ def cmd_verify(args, parser) -> int:
 # -- entry point ---------------------------------------------------------
 
 
+@functools.cache  # one parser per process, shared, so read-only: main() may run many times
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwave",

@@ -70,8 +70,9 @@ def complex_log1p(w: complex) -> complex:
 def finite_result(*values: complex) -> tuple[complex, ...]:
     """The values, unless one has left the double range (or is a NaN from
     one): then NonFiniteResult, for a caller whose inputs are all finite."""
-    if not all(map(cmath.isfinite, values)):
-        raise NonFiniteResult(f"a result leaves the double range: {values!r}")
+    for value in values:  # a plain loop: half the cost of all(map(...)) on one or two values
+        if not cmath.isfinite(value):
+            raise NonFiniteResult(f"a result leaves the double range: {values!r}")
     return values
 
 

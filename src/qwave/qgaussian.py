@@ -40,7 +40,8 @@ The jets are no second derivation: _coeffs_and_rates states the formulas
 above once and evaluates them on numbers or on jets.  gaussian_terms
 gives the equation terms of either family in closed form; the first-order
 packet is (1 + c) e^{-G0} with (c, G0) from first_order_parts, and its
-q-th power is qcore.first_order_pow.
+q-th power is qcore.first_order_pow.  A function of (x, t) takes the sets
+of t it reads (cs, j, jets, coeffs) from a caller that has them already.
 """
 
 from __future__ import annotations
@@ -163,10 +164,10 @@ def rates_first_order(t: float, params: GaussianParams):
     return tuple(finite_result(jet.v0, jet.v1) for jet in jets)
 
 
-def wavefunction_jet(x: float, t: float, params: GaussianParams) -> QJet:
-    """eps-jet of the packet at a point, from the coefficient jets alone."""
+def wavefunction_jet(x: float, t: float, params: GaussianParams, jets=None) -> QJet:
+    """eps-jet of the packet at a point from its coefficient jets = _coeff_jets(t, params)."""
     finite(x, "x"), finite(t, "t")
-    a, b, c = _coeff_jets(t, params)
+    a, b, c = _coeff_jets(t, params) if jets is None else jets
     G = a * (x * x) + b * x + c
     # ln psi = -G * S(eps G) with S = log1p(w)/w
     psi = jet_exp(-(G * log1p_over_w_jet(G.v0)))
@@ -219,8 +220,16 @@ def ratio_gaussian(x, t: float, params: GaussianParams, cs=None, j=None) -> floa
         return qcore._ratio(*ratio_terms(x, t, params, cs, j), params.q - 1.0, functions)
 
 
+def terms_coeffs(t: float, params: GaussianParams, family: str):
+    """The sets of t that gaussian_terms reads: exact ((a, b, c), (a_t, b_t, c_t)),
+    approx (coeffs_first_order, rates_first_order), which do not depend on q."""
+    if family == "exact":
+        return _coeffs_and_rates(t, params, params.q, _EXACT)
+    return coeffs_first_order(t, params), rates_first_order(t, params)
+
+
 def gaussian_terms(
-    x: float, t: float, params: GaussianParams, family: str
+    x: float, t: float, params: GaussianParams, family: str, coeffs=None
 ) -> tuple[complex, complex]:
     """Closed-form equation terms of a packet family, whose sum is its residual.
 
@@ -230,18 +239,20 @@ def gaussian_terms(
     _coeffs_and_rates.
     approx: (i dt psi^q, (1/2m) d2x psi) of psi = P e^{-G0},
     P = 1 - (q-1)(G1 - G0^2/2), with the rates from rates_first_order.
+    coeffs is terms_coeffs(t, params, family), when the caller has it already.
     """
+    if family not in ("exact", "approx"):
+        raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
     q, m = params.q, params.m
+    coeffs = terms_coeffs(t, params, family) if coeffs is None else coeffs
     if family == "exact":
-        (a, b, c), (a_t, b_t, c_t) = _coeffs_and_rates(t, params, q, _EXACT)
+        (a, b, c), (a_t, b_t, c_t) = coeffs
         G, Gx, Gt = a * x * x + b * x + c, 2.0 * a * x + b, a_t * x * x + b_t * x + c_t
         return qcore.finite_result(-1j * q * Gt,
                                    (q * Gx * Gx - (1.0 + (q - 1.0) * G) * 2.0 * a) / (2.0 * m))
-    if family != "approx":
-        raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
-    j, eps = coeffs_first_order(t, params), q - 1.0
+    (j, rates), eps = coeffs, q - 1.0
     (a1, a2), (b1, b2), _ = j
-    (a1_t, a2_t), (b1_t, b2_t), (c1_t, c2_t) = rates_first_order(t, params)
+    (a1_t, a2_t), (b1_t, b2_t), (c1_t, c2_t) = rates
     corr, G0 = first_order_parts(x, t, params, j)  # P = 1 + corr
     G0x, G1x = 2.0 * a1 * x + b1, 2.0 * a2 * x + b2
     G0t, G1t = a1_t * x * x + b1_t * x + c1_t, a2_t * x * x + b2_t * x + c2_t

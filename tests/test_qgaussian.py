@@ -281,3 +281,42 @@ def test_approx_terms_refuse_amplitude_on_branch_cut():
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         qg.gaussian_terms(0.0, 0.0, params_for(1.1), family="bogus")
+    # also when the caller passes the coefficients of a family
+    coeffs = qg.terms_coeffs(0.0, params_for(1.1), "exact")
+    with pytest.raises(ValueError):
+        qg.gaussian_terms(0.0, 0.0, params_for(1.1), family="bogus", coeffs=coeffs)
+
+
+@pytest.mark.parametrize("q", [1.001, 0.7])
+def test_sets_passed_in_give_the_same_bits(q):
+    # a caller that computes the sets of t once gets the values of a call
+    # that computes them itself, to the last bit
+    p = params_for(q)
+    for t in (0.0, 0.8):
+        jets = qg._coeff_jets(t, p)
+        coeffs = {family: qg.terms_coeffs(t, p, family) for family in ("exact", "approx")}
+        for x in (-1.3, 0.0, 0.9):
+            assert qg.wavefunction_jet(x, t, p, jets) == qg.wavefunction_jet(x, t, p)
+            for family, given in coeffs.items():
+                assert qg.gaussian_terms(x, t, p, family, given) == qg.gaussian_terms(x, t, p, family)
+
+
+def test_one_verify_pass_computes_each_coefficient_set_once(monkeypatch):
+    # a, b, c and their rates depend on t (and q) but not on x: the gaussian
+    # measures of one pass need 87 distinct sets (505 calls when each grid
+    # point computed its own)
+    calls = []
+    shipped = qg._coeffs_and_rates
+    monkeypatch.setattr(qg, "_coeffs_and_rates", lambda *a: calls.append(a) or shipped(*a))
+    for entry in checks.REGISTRY.values():
+        entry.measure()
+    assert len(calls) <= 87, len(calls)
+
+
+def test_gaussian_measures_carry_no_state():
+    # each gaussian measure alone (in reverse order, so each _r2 fits afresh)
+    # reads the bits it reads in a full pass in registry order
+    gaussian = [key for key, entry in checks.REGISTRY.items() if entry.suite == "gaussian"]
+    alone = {key: float(checks.REGISTRY[key].measure()).hex() for key in reversed(gaussian)}
+    in_order = {key: float(entry.measure()).hex() for key, entry in checks.REGISTRY.items()}
+    assert alone == {key: in_order[key] for key in gaussian}
