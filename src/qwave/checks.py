@@ -28,8 +28,9 @@ approx_* forms; and @order_fit turns one convergence fit of a residual
 norm into a slope check and its _r2 fit-quality check.
 
 A packet measure computes each coefficient set once per t, or once per
-(t, q), never per x, and passes it in (cs, j, jets, coeffs of qgaussian);
-no set outlives one measure call, so each measure reads the shipped code.
+(t, q), never per x, and passes it in (cs, j, jets, coeffs of qgaussian),
+and each GaussianParams once per q (cache(_qg_params), made in the call):
+none outlives one measure call, so each measure reads the shipped code.
 """
 
 from __future__ import annotations
@@ -418,15 +419,18 @@ def _qg_params(q: float) -> qg.GaussianParams:
     return qg.GaussianParams(m=1.0, beta=1.0, q=q)
 
 
-def qg_terms(pt, q: float, family: str, coeffs=None) -> tuple[complex, complex]:
-    """gaussian_terms of the packet at pt = (x, t), as exact_residual and
-    approx_norm take them; coeffs, when given, is qg_coeffs(family, points, q)."""
-    return qg.gaussian_terms(*pt, _qg_params(q), family, coeffs and coeffs[pt[1]])
+def qg_terms(pt, q: float, family: str, coeffs=None, packets=_qg_params) -> tuple[complex, complex]:
+    """gaussian_terms of the packet packets(q) at pt = (x, t), as exact_residual
+    and approx_norm take them; coeffs, when given, is {t: terms_coeffs}."""
+    return qg.gaussian_terms(*pt, packets(q), family, coeffs and coeffs[pt[1]])
 
 
-def qg_coeffs(family: str, points, q: float = 1.001) -> dict:
-    """{t: terms_coeffs of the family at q} for each t of the (x, t) points, for qg_terms."""
-    return {t: qg.terms_coeffs(t, _qg_params(q), family) for t in {t for _, t in points}}
+def qg_bound_terms(family: str, points, q: float = 1.001):
+    """qg_terms for one measure call or fit: each packet built once per q, and
+    the family's terms_coeffs at q once per t of the (x, t) points."""
+    packets = cache(_qg_params)
+    coeffs = {t: qg.terms_coeffs(t, packets(q), family) for t in {t for _, t in points}}
+    return partial(qg_terms, coeffs=coeffs, packets=packets)
 
 
 _QG_PARAMS = _qg_params(1.001)
@@ -457,9 +461,11 @@ def qg_jet_authority(xs=_QG_XS, ts=_QG_TS) -> float:
     """Worst gap of the packet jet at q = 1.001 against the jet of the
     shipped approx_qgaussian."""
 
+    packets = cache(_qg_params)
+
     def pairs(x, t, jets, j):
         jet = qg.wavefunction_jet(x, t, _QG_PARAMS, jets)
-        closed = approx_jet(lambda q: qg.approx_qgaussian(x, t, _qg_params(q), j))
+        closed = approx_jet(lambda q: qg.approx_qgaussian(x, t, packets(q), j))
         scale = max(abs(closed.v0), abs(closed.v1))
         yield abs(jet.v0 - closed.v0), scale
         yield abs(jet.v1 - closed.v1), scale
@@ -471,8 +477,10 @@ def qg_jet_authority(xs=_QG_XS, ts=_QG_TS) -> float:
 @check("gaussian.coeff_fd", "FD-in-q jets of the exact a, b, c match their first-order splits",
        1e-6)
 def _qg_coeff_fd() -> float:
+    packets = cache(_qg_params)
+
     def pairs(t):
-        exact = cache(lambda q: qg.coeffs_exact(t, _qg_params(q)))  # one set per q, for a, b and c
+        exact = cache(lambda q: qg.coeffs_exact(t, packets(q)))  # one set per q, for a, b and c
         for i, (v0, v1) in enumerate(qg.coeffs_first_order(t, _QG_PARAMS)):
             yield (lambda q, i=i: exact(q)[i],
                    lambda q, v0=v0, v1=v1: v0 + (q - 1.0) * v1)
@@ -481,15 +489,15 @@ def _qg_coeff_fd() -> float:
 
 
 order_fit("gaussian.approx_order", "first-order packet inserted in the full equation",
-          lambda: {"terms": partial(qg_terms, coeffs=qg_coeffs("approx", _QG_PROBES))})(
+          lambda: {"terms": qg_bound_terms("approx", _QG_PROBES)})(
     partial(approx_norm, points=_QG_PROBES)
 )
 check(
     "gaussian.exact_residual",
     "exact packet solves -i q G_t = (1/2m)[(1+(q-1)G) G_xx - q G_x^2] in closed form",
     1e-13,
-)(lambda: max(exact_residual(partial(qg_terms, coeffs=qg_coeffs("exact", _QG_POINTS, q)),
-                             _QG_POINTS, q) for q in (*_QG_QS, 1.5)))
+)(lambda: max(exact_residual(qg_bound_terms("exact", _QG_POINTS, q), _QG_POINTS, q)
+                 for q in (*_QG_QS, 1.5)))
 
 
 @check("gaussian.ratio_kernel", "the printed R is |approx| / |exact| of the packet and the plane "

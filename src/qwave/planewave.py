@@ -5,10 +5,11 @@ q-exponential of the phase z = i(px - Et), with k = p and omega = E, so
 this module is the one place that evaluates a plane wave (PlaneWave) and
 kleingordon keeps only its equation.  The Schrodinger equation is
 i d/dt(psi^q) = -(1/2m) d2/dx2(psi), free on E = p^2/(2m).
-This module provides the exact wave and its q-th and (2q-1)-th powers, its
-first-order expansion around q = 1, closed-form derivatives for both, the
-addends of the Schrodinger equation, and the ratio R = |approx/exact| of the
-deviation sweeps, in real arithmetic from the phase u alone (ratio_at).
+This module provides the exact wave and its q-th and (2q-1)-th powers
+(qcore.phase_pow at the phase u), its first-order expansion around q = 1,
+closed-form derivatives for both, the addends of the Schrodinger equation,
+and the ratio R = |approx/exact| of the deviation sweeps, in real arithmetic
+from the phase u alone (ratio_at).
 The truncated forms share one bracket (bracket_wave), and ratio_terms gives
 the approximant's terms (c, g0), powered by qcore.first_order_pow;
 kleingordon uses both.
@@ -95,18 +96,18 @@ def bracket_wave(u: float, q: float, coef: complex) -> complex:
 
 def exact_psi(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
     """Exact wave: q-exponential of i*u."""
-    return qcore.q_exp(1j * phase(pt, w), q)
+    return qcore.phase_pow(phase(pt, w), q, 1.0)
 
 
 def exact_psi_q(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
     """q-th power of the exact wave, [1 + (1-q) i u]**(q/(1-q))."""
-    return qcore.q_pow(1j * phase(pt, w), q, q)
+    return qcore.phase_pow(phase(pt, w), q, q)
 
 
 def exact_psi_2qm1(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
     """(2q-1)-th power of the exact wave, [1 + (1-q) i u]**((2q-1)/(1-q)),
     onto which the exact terms of both equations reduce."""
-    return qcore.q_pow(1j * phase(pt, w), q, 2.0 * q - 1.0)
+    return qcore.phase_pow(phase(pt, w), q, 2.0 * q - 1.0)
 
 
 def approx_psi(pt: PhasePoint, w: PlaneWave, q: float) -> complex:

@@ -8,7 +8,9 @@ branch, with e_1(z) = exp(z).  Writing w = (1-q) z, the exponent is
 so the 1/(1-q) pole never appears explicitly and q - 1 as small as 1e-12
 costs no precision.  S and its counterpart E(w) = expm1(w) / w each have
 one path, the compensated complex log1p or expm1 over w, with only the
-removable point w = 0 filled with 1.
+removable point w = 0 filled with 1.  q_pow is e_q at a complex z, for
+the packet; phase_pow is e_q(i s)**k at a real phase s, in real arithmetic,
+for every plane wave and separated factor.
 
 first_order_pow powers every first-order wave along its continuous log;
 _ratio forms the packet's |approx|/|exact| in real log-modulus arithmetic,
@@ -78,11 +80,12 @@ def finite_result(*values: complex) -> tuple[complex, ...]:
 
 def checked_exp(z: complex) -> complex:
     """cmath.exp(z), raising NonFiniteResult where z or it leaves the double range."""
-    finite_result(z)
     try:
-        return cmath.exp(z)
+        if cmath.isfinite(z):
+            return cmath.exp(z)
     except OverflowError:
-        raise NonFiniteResult(f"exp overflows the double range at {z!r}") from None
+        pass
+    raise NonFiniteResult(f"exp leaves the double range at {z!r}")
 
 
 def first_order_pow(phase: complex, c: complex, s: float) -> complex:
@@ -117,20 +120,31 @@ def stable_expm1_over_w(w) -> complex:
     return complex_expm1(w) / w
 
 
-def q_pow(z, q: float, scale: float = 1.0) -> complex:
-    """[1 + (1-q) z]**(scale/(1-q)) on the principal branch.
-
-    The exponent is computed as scale * z * S((1-q) z), so any power whose
-    exponent numerator is known in closed form (1, q, 2q-1, ...) shares one
-    cancellation-free code path.  q = 1 is the w = 0 case: exp(scale * z).
-    A power beyond the double range raises NonFiniteResult.
-    """
+def q_pow(z, q: float) -> complex:
+    """The q-exponential e_q(z) = [1 + (1-q) z]**(1/(1-q)) on the principal
+    branch, the exponent computed as z * S((1-q) z); exp(z) at q = 1.  A
+    power beyond the double range raises NonFiniteResult."""
     z, q = finite(complex(z), "z"), finite(q, "q")
     w = (1.0 - q) * z
     if not cmath.isfinite(w):
         raise NonFiniteResult(f"(1-q) z overflows at q-1 = {q - 1.0!r}")
     _require_off_cut(1.0 + w, "q_pow base")
-    return checked_exp(scale * z * _log1p_over_w(w))
+    return checked_exp(z * _log1p_over_w(w))
+
+
+def phase_pow(s: float, q: float, k: float) -> complex:
+    """e_q(i s)**k = [1 + (1-q) i s]**(k/(1-q)) at a real phase s, in real
+    arithmetic: with y = (1-q) s, the modulus exponent is k s log1p(y^2)/(2y)
+    (k (s/y) log|y| past |y| = 1e150, where y^2 overflows), the argument
+    k s atan(y)/y, and exp(i k s) at y = 0.  The base has real part 1, never
+    on the branch cut.  checked_exp refuses a power beyond the double range,
+    and an s beyond it (an inf or nan exponent), as NonFiniteResult."""
+    q = finite(q, "q")
+    ks, y = k * s, (1.0 - q) * s
+    if y == 0.0:
+        return checked_exp(complex(0.0, ks))
+    log_modulus = 0.5 * math.log1p(y * y) if abs(y) <= 1e150 else math.log(abs(y))
+    return checked_exp(complex(ks * (log_modulus / y), ks * (math.atan(y) / y)))
 
 
 def _exp(v: float) -> float:
@@ -226,11 +240,6 @@ def _ratio(c, g0, g, eps: float, functions):
     if not all_finite(r):
         raise NonFiniteResult("ratio R overflows the double range")
     return r
-
-
-def q_exp(z, q: float) -> complex:
-    """q-deformed exponential [1 + (1-q) z]**(1/(1-q)); exp(z) at q = 1."""
-    return q_pow(z, q, 1.0)
 
 
 class Frozen:

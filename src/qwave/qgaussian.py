@@ -181,7 +181,7 @@ def exact_qgaussian(x: float, t: float, params: GaussianParams, cs=None) -> comp
     G = finite_result(exponent(x, t, params, cs))[0]
     # {1+(q-1)G}^{1/(1-q)} = e_q(-G): the sign convention of this packet
     # is opposite to the plane-wave phase argument
-    return qcore.q_exp(-G, params.q)
+    return qcore.q_pow(-G, params.q)
 
 
 def approx_qgaussian(x: float, t: float, params: GaussianParams, j=None) -> complex:

@@ -13,8 +13,9 @@ The exact factors are
     g(x) = [1 + i (1-q) p x / sqrt(2(q+1))]^(2/(1-q)),
 
 self-consistent with lam = E = p^2/2.  Each exact factor and its q-th
-power is one qcore.q_pow: f = q_pow(iEt/q, q, -1), f^q with scale -q,
-g = q_pow(i mu x, q, 2) with mu = p/sqrt(2(q+1)), g^q with scale 2q.
+power is one phase power e_q(i s)^k (qcore.phase_pow): f at s = Et/q and
+k = -1, f^q at k = -q, g at s = mu x, mu = p/sqrt(2(q+1)), and k = 2, g^q
+at k = 2q.
 Both satisfy closed-form derivative identities, d/dt (f^q) = -iE f and
 d2/dx2 (g) = -p^2 g^q, so the exact residuals, with lam = E for f and
 lam = p^2/2 for g, cancel with no branch bookkeeping at all.
@@ -38,7 +39,7 @@ import cmath
 import math
 
 from .errors import InvalidQ
-from .qcore import finite, finite_result, first_order_pow, q_pow
+from .qcore import finite, finite_result, first_order_pow, phase_pow
 
 
 def _check_q_for_f(q: float) -> None:
@@ -58,14 +59,14 @@ def exact_f(t: float, E: float, q: float) -> complex:
     """Exact time factor; q -> 1 limit is e^{-iEt}."""
     t, E, q = finite(t, "t"), finite(E, "E"), finite(q, "q")
     _check_q_for_f(q)
-    return q_pow(1j * E * t / q, q, -1.0)
+    return phase_pow(E * t / q, q, -1.0)
 
 
 def exact_f_q(t: float, E: float, q: float) -> complex:
     """q-th power of the exact time factor."""
     t, E, q = finite(t, "t"), finite(E, "E"), finite(q, "q")
     _check_q_for_f(q)
-    return q_pow(1j * E * t / q, q, -q)
+    return phase_pow(E * t / q, q, -q)
 
 
 def approx_f(t: float, E: float, q: float) -> complex:
@@ -127,7 +128,7 @@ def exact_g(x: float, p: float, q: float) -> complex:
     x, p, q = finite(x, "x"), finite(p, "p"), finite(q, "q")
     _check_q_for_g(q)
     mu = p / math.sqrt(2.0 * (q + 1.0))
-    return q_pow(1j * mu * x, q, 2.0)
+    return phase_pow(mu * x, q, 2.0)
 
 
 def exact_g_q(x: float, p: float, q: float) -> complex:
@@ -135,7 +136,7 @@ def exact_g_q(x: float, p: float, q: float) -> complex:
     x, p, q = finite(x, "x"), finite(p, "p"), finite(q, "q")
     _check_q_for_g(q)
     mu = p / math.sqrt(2.0 * (q + 1.0))
-    return q_pow(1j * mu * x, q, 2.0 * q)
+    return phase_pow(mu * x, q, 2.0 * q)
 
 
 def _g_correction(xi: float, q: float) -> complex:

@@ -200,7 +200,7 @@ def test_criterion_7_precision_floor():
         for pc in pcs:
             for x in np.linspace(-1.0, 1.0, 21):
                 u = pc * x
-                got = qcore.q_exp(1j * u, q)
+                got = qcore.phase_pow(u, q, 1.0)  # the exact plane wave at phase u
                 w = one_minus_q * mp.mpc(0, u)
                 oracle = mp.exp(mp.log(1 + w) / one_minus_q)
                 err = abs(mp.mpc(got) - oracle) / abs(oracle)

@@ -95,16 +95,21 @@ MUTATIONS = [
       "separation.f_order_r2", "separation.g_order", "separation.g_order_r2"}),
     ("log1p_over_w", "qcore._log1p_over_w",
      "complex_log1p(w) / w", "complex_log1p(w) / w + 1e-4 * w",
-     {"kleingordon.exact_fd", "kleingordon.qF_jet", "planewave.approx_jet_fd",
-      "planewave.exact_fd", "planewave.modulus_identity", "separation.exact_fd",
-      "separation.f_jet", "separation.f_q_jet", "separation.g_jet", "separation.g_q_jet",
-      "gaussian.ratio_kernel"}),
+     {"gaussian.ratio_kernel"}),
     ("q_pow_scale", "qcore.q_pow",
-     "checked_exp(scale * z", "checked_exp(1.001 * scale * z",
+     "checked_exp(z * ", "checked_exp(1.001 * z * ",
+     {"gaussian.ratio_kernel"}),
+    ("phase_pow_modulus", "qcore.phase_pow",
+     "ks * (log_modulus / y)", "1.001 * ks * (log_modulus / y)",
      {"kleingordon.exact_fd", "kleingordon.qF_jet", "planewave.approx_error_order",
       "planewave.approx_jet_fd", "planewave.exact_fd", "planewave.modulus_identity",
       "separation.exact_fd", "separation.f_jet", "separation.f_q_jet", "separation.g_jet",
       "separation.g_q_jet", "gaussian.ratio_kernel"}),
+    ("phase_pow_argument", "qcore.phase_pow",
+     "ks * (math.atan(y) / y)", "1.001 * ks * (math.atan(y) / y)",
+     {"kleingordon.exact_fd", "kleingordon.qF_jet", "planewave.approx_error_order",
+      "planewave.approx_jet_fd", "planewave.exact_fd", "separation.exact_fd",
+      "separation.f_jet", "separation.f_q_jet", "separation.g_jet", "separation.g_q_jet"}),
     ("expm1_over_w", "qcore.stable_expm1_over_w",
      "complex_expm1(w) / w", "complex_expm1(w) / w + 1e-4 * w",
      {"gaussian.coeff_fd", "gaussian.exact_residual"}),

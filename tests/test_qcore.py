@@ -8,6 +8,7 @@ figures' closed forms, evaluated here.
 
 import cmath
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -36,8 +37,8 @@ def rel(a, b):
     return abs(a - b) / abs(b)
 
 
-def test_q_exp_frozen_oracle():
-    v = qcore.q_exp(1.5j, 1.1)
+def test_q_pow_frozen_oracle():
+    v = qcore.q_pow(1.5j, 1.1)
     assert rel(v, Q_EXP_15J_11) < 1e-15
     assert abs(abs(v) - Q_EXP_15J_11_ABS) < 1e-15
 
@@ -50,34 +51,109 @@ def test_q_exp_frozen_oracle():
         (-0.75, 3.0, 2.5 ** -0.5),  # [1 + 1.5]**(-1/2)
     ],
 )
-def test_q_exp_hand_values(z, q, expected):
-    assert rel(qcore.q_exp(z, q), expected) < 1e-15
+def test_q_pow_hand_values(z, q, expected):
+    assert rel(qcore.q_pow(z, q), expected) < 1e-15
 
 
-def test_q_exp_at_q1_is_exp():
+def test_q_pow_at_q1_is_exp():
     for z in (0.0, 1.7, -2.0 + 3.0j, 10.0j):
-        assert qcore.q_exp(z, 1.0) == cmath.exp(z)
+        assert qcore.q_pow(z, 1.0) == cmath.exp(z)
 
 
-def test_q_pow_matches_principal_power():
+def test_phase_pow_matches_principal_power():
     # base 1 - 0.03j is close to 1, the principal power is unambiguous
-    v = qcore.q_pow(0.3j, 1.1, scale=1.2)
+    v = qcore.phase_pow(0.3, 1.1, 1.2)
     assert rel(v, (1.0 - 0.03j) ** -12.0) < 1e-14
 
 
-def test_q_pow_scale_composes():
-    z, q = 0.8 - 0.4j, 1.05
-    base = qcore.q_exp(z, q)
-    assert rel(qcore.q_pow(z, q, scale=q), base ** q) < 1e-14
-    assert rel(qcore.q_pow(z, q, scale=2.0 * q - 1.0), base ** (2.0 * q - 1.0)) < 1e-14
+def test_phase_pow_powers_compose():
+    s, q = 0.8, 1.05
+    base = qcore.q_pow(1j * s, q)
+    assert rel(qcore.phase_pow(s, q, 1.0), base) < 1e-15
+    assert rel(qcore.phase_pow(s, q, q), base ** q) < 1e-14
+    assert rel(qcore.phase_pow(s, q, 2.0 * q - 1.0), base ** (2.0 * q - 1.0)) < 1e-14
 
 
-def test_q_exp_tiny_eps_no_cancellation():
+def _power_error(got, s, q, k):
+    """The error of got = e_q(i s)^k against 50 digits, relative (or to the least normal
+    double, where the power underflows), over 1 + |L| with L the exponent
+    (k/(1-q)) log(1 + (1-q) i s), unwrapped, |L| <= |k s|: rounding the
+    exponent costs each value about an ulp of |L|."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        e = 1 - mp.mpf(q)  # the exact double offset
+        L = mp.mpf(k) / e * mp.log(1 + e * mp.mpc(0, s))
+        want = mp.exp(L)
+        scale = max(abs(want), sys.float_info.min)
+        return float(abs(got - want) / scale / (1 + abs(L)))
+
+
+def test_phase_pow_against_50_digit_oracle():
+    # the seven powers e_q(i s)^k of the plane waves and separated factors, at
+    # |s| from 1e-3 to 1e3 and q - 1 from +-1e-12 out to -0.7 and 0.9; q_pow, at
+    # k = 1, meets the same bound
+    import random
+
+    rng = random.Random(20110401)
+    worst = worst_q_pow = 0.0
+    for n in range(3000):
+        s = math.copysign(10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0))
+        reach = math.log10(0.9 if n % 2 else 0.7)
+        q = 1.0 + (1.0 if n % 2 else -1.0) * 10.0 ** rng.uniform(-12.0, reach)
+        k = rng.choice((1.0, q, 2.0 * q - 1.0, -1.0, -q, 2.0, 2.0 * q))
+        try:
+            worst = max(worst, _power_error(qcore.phase_pow(s, q, k), s, q, k))
+        except NonFiniteResult:  # the power leaves the double range: |L| > 709
+            assert abs(k * s) > 709.0
+            continue
+        if k == 1.0:
+            worst_q_pow = max(worst_q_pow, _power_error(qcore.q_pow(1j * s, q), s, q, k))
+    print(f"worst error / (1 + |L|): phase_pow {worst:.2e}, q_pow {worst_q_pow:.2e}")
+    assert worst <= 1e-15
+    assert worst_q_pow <= 1e-15
+
+
+@pytest.mark.parametrize("s, q, k", [
+    (5e149, -1.0, -1.0), (-5e149, -1.0, -1.0),  # y = (1-q) s = +-1e150, the last near point
+    (5.000000001e149, -1.0, -1.0), (-1e160, -1.0, -1.0),  # log|y| for y^2, which overflows
+    (4e150, 0.5, -1.0), (1e155, 5.0, 1.0), (1e300, 3.0, 1.0), (1e141, 1e10, 1.0),
+])
+def test_phase_pow_beyond_y_squared(s, q, k):
+    assert abs((1.0 - q) * s) >= 1e150
+    assert _power_error(qcore.phase_pow(s, q, k), s, q, k) <= 1e-15
+
+
+@pytest.mark.parametrize("s, q", [(0.0, 1.1), (0.0, -3.0), (2.5, 1.0), (-1e300, 1.0)])
+def test_phase_pow_at_y_zero_is_exp_iks(s, q):
+    for k in (1.0, q, 2.0 * q - 1.0, -1.0, 2.0):
+        assert qcore.phase_pow(s, q, k) == cmath.exp(complex(0.0, k * s))
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("q", [1.0, 1.5, 0.5])
+def test_phase_pow_refuses_a_non_finite_phase_as_a_result(s, q):
+    # every s is formed from finite arguments; one beyond the double range makes
+    # the exponent inf or nan, which checked_exp refuses
+    with pytest.raises(NonFiniteResult):
+        qcore.phase_pow(s, q, 1.0)
+
+
+@settings(deadline=None)
+@given(st.floats(min_value=-1e3, max_value=1e3), st.floats(min_value=1.0, max_value=1.9))
+def test_phase_pow_duality(s, q):
+    # e_{2-q}(-i s) = 1/e_q(i s) (Tsallis): 2 - q (exact here, by Sterbenz) flips
+    # the sign of y = (1-q) s, so the modulus exponent flips and the argument stays
+    v, dual = qcore.phase_pow(s, q, 1.0), qcore.phase_pow(s, 2.0 - q, 1.0)
+    assert abs(v * dual.conjugate() - 1.0) <= 2e-15
+
+
+def test_q_pow_tiny_eps_no_cancellation():
     # at q - 1 = 1e-12 the naive log(1+w)/(1-q) form loses ~4 digits;
     # the S(w) form must stay at machine precision: e_q(iu) has modulus
     # [1 + eps^2 u^2]^(-1/(2 eps)) ~ exp(-eps u^2 / 2)
     u, eps = 7.5, 1e-12
-    v = qcore.q_exp(1j * u, 1.0 + eps)
+    v = qcore.q_pow(1j * u, 1.0 + eps)
     expected_mod = math.exp(-math.log1p(eps * eps * u * u) / (2.0 * eps))
     # a few ulp of slack for the abs() and the reference's own rounding;
     # the naive form would sit at ~1e-12 here
@@ -123,7 +199,7 @@ def test_limit_consistency_quadratic():
 
     def dev(eps):
         return max(
-            abs(qcore.q_exp(z, 1.0 + eps) - (1.0 + eps * z * z / 2.0) * cmath.exp(z))
+            abs(qcore.q_pow(z, 1.0 + eps) - (1.0 + eps * z * z / 2.0) * cmath.exp(z))
             for z in zs
         )
 
@@ -134,11 +210,11 @@ def test_limit_consistency_quadratic():
 
 def test_branch_cut_raises():
     with pytest.raises(BranchCutViolation):
-        qcore.q_exp(-4.0, 0.5)  # 1 + w = -1
+        qcore.q_pow(-4.0, 0.5)  # 1 + w = -1
     with pytest.raises(BranchCutViolation):
-        qcore.q_exp(2.0, 2.0)  # 1 + w = -1
+        qcore.q_pow(2.0, 2.0)  # 1 + w = -1
     with pytest.raises(BranchCutViolation):
-        qcore.q_exp(-2.0, 0.5)  # 1 + w = 0, pole on the cut
+        qcore.q_pow(-2.0, 0.5)  # 1 + w = 0, pole on the cut
 
 
 def test_first_order_pow_follows_the_continuous_log():
@@ -155,9 +231,9 @@ def test_first_order_pow_follows_the_continuous_log():
 
 def test_non_finite_rejected():
     with pytest.raises(NonFiniteInput):
-        qcore.q_exp(float("nan"), 1.1)
+        qcore.q_pow(float("nan"), 1.1)
     with pytest.raises(NonFiniteInput):
-        qcore.q_exp(1.0, float("inf"))
+        qcore.q_pow(1.0, float("inf"))
     with pytest.raises(NonFiniteInput):
         qcore.QJet(complex("nan"), 0.0)
 
@@ -175,6 +251,7 @@ NAMED_ARGUMENTS = [
     ("ParticleScenario.from_mev", partial(scenarios.ParticleScenario.from_mev, "electron"),
      dict(kinetic_mev=1.0, q_minus_1=1e-9, t=0.0)),
     ("q_pow", qcore.q_pow, dict(z=0.5j, q=1.1)),
+    ("phase_pow", partial(qcore.phase_pow, 0.5, k=1.1), dict(q=1.1)),  # s is computed
     ("stable_expm1_over_w", qcore.stable_expm1_over_w, dict(w=0.5)),
     ("QJet", qcore.QJet, dict(v0=1.0, v1=2.0)),
     ("coeffs_exact", partial(qg.coeffs_exact, params=_PACKET_11), dict(t=0.5)),
@@ -227,6 +304,29 @@ def test_a_value_computed_from_finite_arguments_is_refused_as_a_result(entry, ar
         entry(*args)
 
 
+_HUGE_POINT, _HUGE_WAVES = pw.PhasePoint(1e300, 0.0), (pw.SchrodingerWave.free(1e20, 1.0),
+                                                       kg.KGWave.on_shell(1e20, 1.0))
+_HUGE_TIME, _HUGE_SPACE = dict(t=1e300, E=1e20, q=1.5), dict(x=1e300, p=1e20, q=1.5)
+
+
+@pytest.mark.parametrize("entry, args", [
+    *((fn, (_HUGE_POINT, _HUGE_WAVES[0], 1.5))
+      for fn in (pw.exact_psi, pw.exact_psi_q, pw.exact_psi_2qm1)),
+    (partial(pw.schrodinger_terms, family="exact"), (_HUGE_POINT, _HUGE_WAVES[0], 1.5)),
+    (partial(kg.kg_terms, family="exact"), (_HUGE_POINT, _HUGE_WAVES[1], 1.5)),
+    *((partial(fn, **_HUGE_TIME), ()) for fn in (sep.exact_f, sep.exact_f_q)),
+    (partial(sep.f_terms, **_HUGE_TIME, family="exact"), ()),
+    *((partial(fn, **_HUGE_SPACE), ()) for fn in (sep.exact_g, sep.exact_g_q)),
+    (partial(sep.g_terms, **_HUGE_SPACE, family="exact"), ()),
+], ids=["exact_psi", "exact_psi_q", "exact_psi_2qm1", "schrodinger_terms", "kg_terms",
+        "exact_f", "exact_f_q", "f_terms", "exact_g", "exact_g_q", "g_terms"])
+def test_an_overflowed_phase_is_refused_as_a_result(entry, args):
+    # u = p x = 1e320 (or E t, or mu x) is formed from finite arguments, so the
+    # exact power refuses it as a result, not as a non-finite argument
+    with pytest.raises(NonFiniteResult):
+        entry(*args)
+
+
 # -- ratio kernel --------------------------------------------------------
 
 
@@ -264,7 +364,7 @@ def test_modulus_ratio_matches_scalar(eps):
     zs, want = [], []
     for z in _kernel_points(q).tolist():
         approx = abs((1.0 + _terms(z, q)[0]) * cmath.exp(z))
-        exact = abs(qcore.q_exp(z, q))
+        exact = abs(qcore.q_pow(z, q))
         if approx > 0.0 and exact > 0.0:  # else a modulus underflows; the kernel's logs do not
             zs.append(z)
             want.append(approx / exact)
@@ -646,19 +746,19 @@ def test_jet_ln_inverts_exp(a):
 
 @settings(deadline=None)
 @given(complexes, st.floats(min_value=0.5, max_value=2.0, allow_nan=False))
-def test_q_exp_conjugation_symmetry(z, q):
+def test_q_pow_conjugation_symmetry(z, q):
     try:
-        v = qcore.q_exp(z, q)
+        v = qcore.q_pow(z, q)
     except (BranchCutViolation, NonFiniteResult):  # a value beyond the double range has no conjugate
         assume(False)
-    v_conj = qcore.q_exp(z.conjugate(), q)
+    v_conj = qcore.q_pow(z.conjugate(), q)
     assert abs(v_conj - v.conjugate()) <= 1e-13 * max(1.0, abs(v))
 
 
 @settings(deadline=None)
 @given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
-def test_q_exp_at_zero_argument(q):
-    assert qcore.q_exp(0.0, q) == 1.0
+def test_q_pow_at_zero_argument(q):
+    assert qcore.q_pow(0.0, q) == 1.0
 
 
 def test_pole_absorber_jets():

@@ -3,6 +3,7 @@ derivatives, and the order fit against synthetic residual norms and
 against np.polyfit, the fit it replaced."""
 
 import cmath
+import collections
 import math
 import re
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qwave import checks, scenarios, verify
+from qwave import checks, qcore, scenarios, verify
 from qwave import kleingordon as kg
 from qwave import planewave as pw
 from qwave import qgaussian as qg
@@ -316,3 +317,26 @@ def test_verify_values_do_not_erode():
         if not kept:
             eroded[key] = (pinned, value)
     assert not eroded, eroded
+
+
+def test_one_registry_pass_makes_few_q_powers_and_packets(monkeypatch):
+    # the plane waves and separated factors take qcore.phase_pow, so q_pow is
+    # the packet's alone (167 calls a pass), and each measure builds one
+    # GaussianParams per q it reads (30 a pass), not one per point
+    calls = collections.Counter()
+    q_pow, init = qcore.q_pow, qg.GaussianParams.__init__
+
+    def counted_q_pow(*args):
+        calls["q_pow"] += 1
+        return q_pow(*args)
+
+    def counted_init(self, *args, **kwargs):
+        calls["GaussianParams"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(qcore, "q_pow", counted_q_pow)
+    monkeypatch.setattr(qg.GaussianParams, "__init__", counted_init)
+    for entry in checks.REGISTRY.values():
+        entry.measure()
+    assert calls["q_pow"] <= 200, calls
+    assert calls["GaussianParams"] <= 40, calls
