@@ -9,7 +9,7 @@ This module provides the exact wave and its q-th and (2q-1)-th powers
 (qcore.phase_pow at the phase u), its first-order expansion around q = 1,
 closed-form derivatives for both, the addends of the Schrodinger equation,
 and the ratio R = |approx/exact| of the deviation sweeps, in real arithmetic
-from the phase u alone (ratio_at).
+from the phase u alone (_phase_ratio: ratio_R at a point, and the sweeps).
 The truncated forms share one bracket (bracket_wave), and ratio_terms gives
 the approximant's terms (c, g0), powered by qcore.first_order_pow;
 kleingordon uses both.
@@ -33,14 +33,10 @@ returns inf or nan.
 from __future__ import annotations
 
 import cmath
-from typing import TYPE_CHECKING
 
 from . import qcore
 from .errors import NonFiniteResult
 from .qcore import finite
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class PlaneWave(qcore.Frozen):
@@ -199,17 +195,7 @@ def _phase_ratio(u, eps: float, functions):
     return r
 
 
-def ratio_at(x, t: float, w: PlaneWave, q: float) -> float | np.ndarray:
-    """ratio_R at (x, t) without a PhasePoint, x taken by qcore.kernel_input's
-    rule: a number gives a float, evaluated without numpy, anything else an
-    array.  A non-finite x, t or q raises NonFiniteInput."""
-    finite(q, "q")
-    x, functions, context = qcore.kernel_input(x, t)
-    with context:
-        return _phase_ratio(w.p * x - w.E * t, q - 1.0, functions)
-
-
 def ratio_R(pt: PhasePoint, w: PlaneWave, q: float) -> float:
     """Deviation diagnostic R = |approx_psi| / |exact_psi| at pt, a function of
-    the phase u alone: ratio_at at the point's two floats."""
-    return ratio_at(pt.x, pt.t, w, q)
+    the phase u alone, on Python floats.  A non-finite q raises NonFiniteInput."""
+    return _phase_ratio(phase(pt, w), finite(q, "q") - 1.0, qcore._ON_NUMBERS)

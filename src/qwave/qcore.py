@@ -14,18 +14,18 @@ for every plane wave and separated factor.
 
 first_order_pow powers every first-order wave along its continuous log;
 _ratio forms the packet's |approx|/|exact| in real log-modulus arithmetic,
-one formula on the Python numbers or numpy arrays that kernel_input makes of
-x, or that a sweep picks once for all its points (the plane wave's kernel in
-u takes the same), at the eps its entry or sweep gives.
+one formula on Python numbers (_ON_NUMBERS: the per-point entries and a
+one-block sweep) or numpy arrays (_on_arrays: a longer sweep), at the eps its
+entry or sweep gives; the plane wave's kernel in u takes the same functions.
 
 Jets are truncated first-order Taylor pairs (value at q = 1, d/dq at q = 1)
 with ring arithmetic.  They mechanize the first-order expansions the wave
 modules need and serve as oracles for the closed forms implemented there.
 A jet enters as QJet(v0, v1), which refuses a non-finite part; jet arithmetic
 is unchecked, and each function that hands jets out refuses a non-finite part
-once, as a result (finite_result).  Only this module raises NonFiniteInput:
-finite refuses a named argument, kernel_input a kernel's point.  A value
-computed from finite arguments is refused by finite_result (NonFiniteResult).
+once, as a result (finite_result).  finite is the only code that raises
+NonFiniteInput, naming the argument.  A value computed from finite arguments
+is refused as a NonFiniteResult (finite_result).
 
 Frozen is the immutable base of every value type (QJet, PlaneWave, Check, ...).
 """
@@ -33,7 +33,6 @@ Frozen is the immutable base of every value type (QJet, PlaneWave, Check, ...).
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 
 from .errors import BranchCutViolation, DivisionByZeroJet, NonFiniteInput, NonFiniteResult
@@ -99,9 +98,13 @@ def first_order_pow(phase: complex, c: complex, s: float) -> complex:
 
 
 def complex_expm1(z: complex) -> complex:
-    """exp(z) - 1 without cancellation for small |z|."""
-    re = math.expm1(z.real) * math.cos(z.imag) - 2.0 * math.sin(0.5 * z.imag) ** 2
-    im = math.exp(z.real) * math.sin(z.imag)
+    """exp(z) - 1 without cancellation for small |z|; a Re z where exp
+    overflows raises NonFiniteResult."""
+    try:
+        re = math.expm1(z.real) * math.cos(z.imag) - 2.0 * math.sin(0.5 * z.imag) ** 2
+        im = math.exp(z.real) * math.sin(z.imag)
+    except OverflowError:
+        raise NonFiniteResult(f"a result leaves the double range: expm1 at {z!r}") from None
     return complex(re, im)
 
 
@@ -175,28 +178,6 @@ def _on_arrays(np):
         return np.where(cond, near(*args), far(*args))
 
     return (lambda v: bool(np.isfinite(v).all()), np.any, np.abs, np.log1p, np.log, np.exp, where)
-
-
-_NO_CONTEXT = contextlib.nullcontext()
-
-
-def kernel_input(x, t: float):
-    """(x, functions, context) of a ratio kernel at (x, t).  A Python int or
-    float, a numpy scalar or a 0-d array is a Python float, evaluated on
-    _ON_NUMBERS with no context and without numpy; anything else is
-    np.asarray(x, dtype=float), evaluated on _on_arrays(numpy) under
-    np.errstate(all="ignore"), as the kernels refuse a term that overflows.
-    A non-finite x or t raises NonFiniteInput."""
-    if isinstance(x, (float, int)) or not getattr(x, "ndim", 1):
-        x, functions, context = float(x), _ON_NUMBERS, _NO_CONTEXT
-    else:
-        import numpy as np
-
-        x, context = np.asarray(x, dtype=float), np.errstate(all="ignore")
-        functions = _on_arrays(np)
-    if not (functions[0](x) and math.isfinite(t)):
-        raise NonFiniteInput(f"point must be finite, got x={x!r}, t={t!r}")
-    return x, functions, context
 
 
 def _log_abs_1p(w, functions):

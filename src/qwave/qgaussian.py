@@ -48,14 +48,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING
 
 from . import qcore
 from .errors import InvalidQ
 from .qcore import QJet, finite, finite_result, jet_exp, jet_ln, log1p_over_w_jet, expm1_over_w_jet
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class GaussianParams(qcore.Frozen):
@@ -204,20 +200,17 @@ def ratio_terms(x, t: float, params: GaussianParams, cs=None, j=None):
     return (*first_order_parts(x, t, params, j), exponent(x, t, params, cs))
 
 
-def ratio_gaussian(x, t: float, params: GaussianParams, cs=None, j=None) -> float | np.ndarray:
+def ratio_gaussian(x: float, t: float, params: GaussianParams, cs=None, j=None) -> float:
     """Modulus ratio |approx| / |exact|, the packet's deviation diagnostic.
 
     qcore._ratio forms it from the terms (c, G0, G) of ratio_terms in real
-    log-modulus arithmetic, at x and t taken as ratio_at takes them
-    (qcore.kernel_input): a number gives a float, without numpy, anything else
-    an array, and a non-finite x or t raises NonFiniteInput.  cs and j are
-    coeffs_exact(t, params) and coeffs_first_order(t, params), computed here
-    when not given; a sweep computes them once for the time t and calls
-    qcore._ratio on these terms itself.
+    log-modulus arithmetic, on Python floats: x and t become floats, and a
+    non-finite one raises NonFiniteInput.  cs and j are coeffs_exact(t, params)
+    and coeffs_first_order(t, params), computed here when not given; a sweep
+    computes them once for the time t and calls qcore._ratio on these terms itself.
     """
-    x, functions, context = qcore.kernel_input(x, t)
-    with context:
-        return qcore._ratio(*ratio_terms(x, t, params, cs, j), params.q - 1.0, functions)
+    x, t = finite(float(x), "x"), finite(float(t), "t")
+    return qcore._ratio(*ratio_terms(x, t, params, cs, j), params.q - 1.0, qcore._ON_NUMBERS)
 
 
 def terms_coeffs(t: float, params: GaussianParams, family: str):

@@ -9,10 +9,12 @@ curves of interest live; at x = 1 m a 1 MeV electron's phase is ~7e12 and
 a sweep would probe nothing but the tails of the q-power.  The SI
 constants are here for the rest energies (mc^2 in MeV).
 
-A sweep calls its family's ratio kernel, planewave._phase_ratio or
-qcore._ratio, at the eps (and the plane wave's p and E) that
-planewave.ratio_at and qgaussian.ratio_gaussian form, so its values are
-theirs bit for bit; what those entries check per call, it checks once.
+A sweep is the one place that picks Python floats or numpy arrays for R
+(_blockwise_sweep).  It calls its family's ratio kernel, planewave._phase_ratio
+or qcore._ratio, at the eps (and the plane wave's p and E) that the per-point
+entries planewave.ratio_R and qgaussian.ratio_gaussian form, so a one-block
+sweep's values are theirs bit for bit; what those entries check per call, it
+checks once.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ def _blockwise_sweep(x_range: tuple[float, float, int], name: str, kernel) -> Sw
 
 
 def run_ratio_sweep(scn: ParticleScenario) -> Sweep:
-    """x and R of a plane-wave ratio figure: the kernel of planewave.ratio_at."""
+    """x and R of a plane-wave ratio figure: the kernel of planewave.ratio_R."""
     w, t, eps = wave_for(scn), scn.t, (1.0 + scn.q_minus_1) - 1.0
     p, E = w.p, w.E
     return _blockwise_sweep(scn.x_range, "R",

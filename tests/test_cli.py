@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qwave
-from qwave import checks, cli, scenarios
+from qwave import checks, cli, qcore, scenarios
 from qwave import planewave as pw
 from qwave import qgaussian as qg
 from qwave.errors import BranchCutViolation
@@ -785,23 +785,36 @@ def test_plot_svg_refuses_empty_rows(tmp_path):
 # -- sweeps are evaluated and written in blocks ---------------------------
 
 
+def packet_on_arrays(xs, params):
+    """The packet's ratio kernel at t = 0 on a numpy array of x, as a sweep
+    of more than one block evaluates it."""
+    with np.errstate(all="ignore"):
+        return qcore._ratio(*qg.ratio_terms(xs, 0.0, params), params.q - 1.0,
+                            qcore._on_arrays(np))
+
+
 def reference_sweeps(n):
     """(CLI flags, header, Sweep, its values by the path it takes) for the
-    plane wave and the packet at n points: one float call per point for one
-    block, else one whole-array call."""
+    plane wave and the packet at n points: one per-point entry call per point
+    for one block, else the kernel on the whole numpy grid."""
     scn = scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-3, x_range=(0.0, 1.0, n))
     params = qg.GaussianParams(m=1.0, beta=1.0, q=1.001)
     wave = scenarios.wave_for(scn)
 
-    def by_path(ratio, xmax):
+    def by_path(one, whole, xmax):
         xs = np.linspace(0.0, xmax, n)
-        return array("d", map(ratio, xs.tolist())) if n <= B else ratio(xs)
+        return array("d", map(one, xs.tolist())) if n <= B else whole(xs)
+
+    def plane_wave_on_arrays(xs):
+        with np.errstate(all="ignore"):
+            return pw._phase_ratio(wave.p * xs - wave.E * 0.0, 1.001 - 1.0, qcore._on_arrays(np))
 
     return [
         (["--q-minus-1", "1e-3"], ("x", "R"), scenarios.run_ratio_sweep(scn),
-         by_path(lambda xs: pw.ratio_at(xs, 0.0, wave, 1.001), 1.0)),
+         by_path(lambda x: pw.ratio_R(pw.PhasePoint(x), wave, 1.001), plane_wave_on_arrays, 1.0)),
         (["--gaussian"], ("x", "ratio"), scenarios.run_gaussian_sweep(params, (0.0, 4.0, n)),
-         by_path(lambda xs: qg.ratio_gaussian(xs, 0.0, params), 4.0)),
+         by_path(lambda x: qg.ratio_gaussian(x, 0.0, params),
+                 lambda xs: packet_on_arrays(xs, params), 4.0)),
     ]
 
 
@@ -831,9 +844,9 @@ def test_refusal_in_the_last_block_writes_nothing(tmp_path, capsys):
     params = qg.GaussianParams(m=1.0, beta=1.0, q=0.5)
     n = 5 * B // 2
     xs = np.linspace(0.0, 1.25, n)
-    qg.ratio_gaussian(xs[: 2 * B], 0.0, params)
+    packet_on_arrays(xs[: 2 * B], params)
     with pytest.raises(BranchCutViolation):
-        qg.ratio_gaussian(xs[2 * B:], 0.0, params)
+        packet_on_arrays(xs[2 * B:], params)
     out = tmp_path / "sweep.csv"
     argv = ["ratio", "--gaussian", "--q-minus-1", "-0.5", "--xmax", "1.25", "--points", str(n),
             "--out", str(out)]
@@ -1109,6 +1122,27 @@ def test_src_modules_read_every_name_they_import():
                             and alias.name == "annotations")}
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= read, (name, sorted(imported - read))
+
+
+def test_only_qcore_finite_raises_non_finite_input():
+    # one refusal of a non-finite argument, in one text ("<name> must be finite,
+    # got <value>"): every other entry refuses its arguments through qcore.finite
+    src = os.path.dirname(os.path.abspath(qwave.__file__))
+    sites = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None and any(
+                    "NonFiniteInput" in (getattr(part, "id", None), getattr(part, "attr", None))
+                    for part in ast.walk(node.exc)):
+                enclosing = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                sites.append((name, max(enclosing, key=lambda f: f.lineno).name
+                              if enclosing else None))
+    assert sites == [("qcore.py", "finite")]
 
 
 def test_run_figures_script_writes_every_figure(tmp_path):

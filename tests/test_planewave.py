@@ -43,25 +43,22 @@ def test_phase():
 
 
 def test_numpy_scalars_become_python_floats():
-    """Both ratio entries take x by one rule (qcore.kernel_input): a Python or
-    numpy number or a 0-d array is a Python float and gives one, equal to the
-    call on the float; a list, tuple or array gives the array call's array.
-    A PhasePoint holds two Python floats."""
+    """Both ratio entries take one point of Python floats: a Python or numpy
+    number or a 0-d array is a Python float and gives one, equal to the call
+    on the float; a list is refused.  A PhasePoint holds two Python floats."""
     pt = pw.PhasePoint(np.float64(0.5), np.float64(0.0))
     assert type(pt.x) is float and type(pt.t) is float and pt.x == 0.5
     for x in (1, np.array(0.5)):
         pt = pw.PhasePoint(x, 0)
         assert type(pt.x) is float and type(pt.t) is float and pt.x == float(x)
     packet = qg.GaussianParams(m=1.0, beta=1.0, q=1.001)
-    for ratio in (lambda x: pw.ratio_at(x, 0.0, WAVE, 1.001),
+    for ratio in (lambda x: pw.ratio_R(pw.PhasePoint(x, 0.0), WAVE, 1.001),
                   lambda x: qg.ratio_gaussian(x, 0.0, packet)):
         for x in (1, np.float64(0.5), np.array(0.5)):
             r = ratio(x)
             assert type(r) is float and r == ratio(float(x))
-        whole = ratio(np.array([0.1, 0.2]))
-        for x in ([0.1, 0.2], (0.1, 0.2)):
-            r = ratio(x)
-            assert type(r) is np.ndarray and r.tobytes() == whole.tobytes()
+        with pytest.raises(TypeError):
+            ratio([0.1, 0.2])
 
 
 @pytest.mark.parametrize("q", [0.999, 1.001, 1.1])

@@ -259,8 +259,9 @@ NAMED_ARGUMENTS = [
     ("rates_first_order", partial(qg.rates_first_order, params=_PACKET_11), dict(t=0.5)),
     *((fn.__name__, partial(fn, params=_PACKET_11), dict(x=0.5, t=0.5))
       for fn in (qg.exact_qgaussian, qg.approx_qgaussian, qg.wavefunction_jet)),
-    ("ratio_at", partial(pw.ratio_at, 0.5, 0.0, pw.SchrodingerWave.free(p=1.3, m=1.0)),
+    ("ratio_R", partial(pw.ratio_R, pw.PhasePoint(0.5, 0.0), pw.SchrodingerWave.free(p=1.3, m=1.0)),
      dict(q=1.1)),
+    ("ratio_gaussian", partial(qg.ratio_gaussian, params=_PACKET_11), dict(x=0.5, t=0.5)),
     *((f"separation.{fn.__name__}", fn, _TIME)
       for fn in (sep.exact_f, sep.exact_f_q, sep.approx_f, sep.approx_f_q, sep.dt_approx_f_q)),
     *((f"separation.{fn.__name__}", fn, _SPACE)
@@ -295,9 +296,13 @@ def test_a_non_finite_named_argument_is_refused_in_one_text(entry, name, args, b
       for n in (3, scenarios.BLOCK_ROWS + 1)),
     *((partial(scenarios.run_gaussian_sweep, qg.GaussianParams(1.0, 1.0, 1.001)),
        ((-1.7e308, 1.7e308, n),)) for n in (3, scenarios.BLOCK_ROWS + 1)),
+    # exp(1000) - 1, where math.expm1 and math.exp overflow
+    (qcore.complex_expm1, (1000.0,)),
+    (qcore.stable_expm1_over_w, (1000.0,)),
 ], ids=["SchrodingerWave.free", "KGWave.on_shell", "g_terms-exact", "g_terms-approx",
         "GaussianParams", "run_ratio_sweep-grid", "run_ratio_sweep-blocks",
-        "run_gaussian_sweep-grid", "run_gaussian_sweep-blocks"])
+        "run_gaussian_sweep-grid", "run_gaussian_sweep-blocks", "complex_expm1",
+        "stable_expm1_over_w"])
 def test_a_value_computed_from_finite_arguments_is_refused_as_a_result(entry, args):
     # NonFiniteInput is for an argument, NonFiniteResult for what is formed from finite ones
     with pytest.raises(NonFiniteResult, match="^a result leaves the double range"):
@@ -358,6 +363,20 @@ def _ratio_on_arrays(c, g0, g, eps):
         return qcore._ratio(c, g0, g, eps, qcore._on_arrays(np))
 
 
+# Each family's kernel on a numpy array of x, as a sweep of more than one block
+# evaluates it; the per-point entries ratio_R and ratio_gaussian are its float side
+def _plane_wave_on_arrays(xs, t, w, q):
+    with np.errstate(all="ignore"):
+        return pw._phase_ratio(w.p * np.asarray(xs, dtype=float) - w.E * t, q - 1.0,
+                               qcore._on_arrays(np))
+
+
+def _packet_on_arrays(xs, t, params):
+    with np.errstate(all="ignore"):
+        return qcore._ratio(*qg.ratio_terms(np.asarray(xs, dtype=float), t, params),
+                            params.q - 1.0, qcore._on_arrays(np))
+
+
 @pytest.mark.parametrize("eps", [1e-3, -1e-3, 1e-6, 1e-9, 1e-12, 0.0])
 def test_modulus_ratio_matches_scalar(eps):
     q = 1.0 + eps
@@ -385,29 +404,35 @@ PATH_GAP = 1e-14
 UNIT_PHASE = pw.PlaneWave(p=1.0, E=0.0, m=1.0)  # u = x at t = 0
 
 
+def _plane_wave_paths(w, q):
+    """(on_arrays, on_numbers) of the plane wave's R at t = 0."""
+    return (partial(_plane_wave_on_arrays, t=0.0, w=w, q=q),
+            lambda x: pw.ratio_R(pw.PhasePoint(x), w, q))
+
+
 def _path_cases():
     """(on_arrays, on_numbers, columns): a ratio kernel's array and float paths
-    and the arguments over which they are compared.  The plane wave's ratio_at
-    runs over its four figures' grids and the packet's ratio_gaussian over its
-    figure's, as the CLI runs them, each entry choosing its path from x;
-    ratio_at also over the phases Im z of _kernel_points, and qcore._ratio
-    over the packet figure's terms and those of _kernel_points."""
+    and the arguments over which they are compared.  The plane wave's R runs
+    over its four figures' grids and the packet's ratio over its figure's,
+    each as a sweep evaluates it on arrays and as its per-point entry
+    (ratio_R, ratio_gaussian) on floats; the plane wave's R also over the
+    phases Im z of _kernel_points, and qcore._ratio over the packet figure's
+    terms and those of _kernel_points."""
     cases = []
     for species in ("electron", "proton"):
         for qm1 in (1e-9, 1e-12):
             wave = scenarios.wave_for(scenarios.ParticleScenario.from_mev(species, 1.0, qm1))
-            ratio = partial(pw.ratio_at, t=0.0, w=wave, q=1.0 + qm1)
-            cases.append((ratio, ratio, (np.linspace(0.0, 1.0, 2001),)))
+            cases.append((*_plane_wave_paths(wave, 1.0 + qm1), (np.linspace(0.0, 1.0, 2001),)))
     params = qg.GaussianParams(m=1.0, beta=1.0, q=1.0 + 1e-3)
-    ratio = partial(qg.ratio_gaussian, t=0.0, params=params)
-    cases.append((ratio, ratio, (np.linspace(0.0, 4.0, 1001),)))
+    cases.append((partial(_packet_on_arrays, t=0.0, params=params),
+                  partial(qg.ratio_gaussian, t=0.0, params=params),
+                  (np.linspace(0.0, 4.0, 1001),)))
     cases.append((partial(_ratio_on_arrays, eps=params.q - 1.0),
                   partial(_ratio_on_numbers, eps=params.q - 1.0),
                   qg.ratio_terms(np.linspace(0.0, 4.0, 1001), 0.0, params)))
     for q in (1.001, 0.999, 1.0 + 1e-9, 1.0):
         zs = _kernel_points(q)
-        ratio = partial(pw.ratio_at, t=0.0, w=UNIT_PHASE, q=q)
-        cases.append((ratio, ratio, (zs.imag,)))
+        cases.append((*_plane_wave_paths(UNIT_PHASE, q), (zs.imag,)))
         cases.append((partial(_ratio_on_arrays, eps=q - 1.0),
                       partial(_ratio_on_numbers, eps=q - 1.0), _terms(zs, q)))
     return cases
@@ -484,7 +509,7 @@ def test_array_where_evaluates_only_the_branches_it_picks(w, branches):
     functions[4] = lambda v: calls.add("far") or log(v)
     w = np.array(w, dtype=complex)
     arrays = qcore._on_arrays(np)
-    with np.errstate(all="ignore"):  # as in qcore.kernel_input
+    with np.errstate(all="ignore"):  # as in scenarios._blockwise_sweep
         got = qcore._log_abs_1p(w, tuple(functions))
         expected = np.where(abs(w) < 0.5, qcore._log_abs_1p_near(w, arrays),
                             qcore._log_abs_1p_far(w, arrays))
@@ -526,23 +551,24 @@ PACKET = qg.GaussianParams(m=1.0, beta=1.0, q=1.001)
 WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
 
 
+def _packet_sweep(params, t=0.0):
+    # the packet sweep at BLOCK_ROWS + 1 points over [0, 4], evaluated on numpy arrays
+    return lambda: scenarios.run_gaussian_sweep(params, (0.0, 4.0, scenarios.BLOCK_ROWS + 1), t)
+
+
 @pytest.mark.parametrize(
     "ratio, error",
     [
-        (lambda: qg.ratio_gaussian(np.array([0.0, math.nan]), 0.0, PACKET), NonFiniteInput),
-        (lambda: pw.ratio_at(np.array([0.0, math.nan]), 0.0, WAVE, 1.001), NonFiniteInput),
-        (lambda: pw.ratio_at(0.5, 0.0, WAVE, math.nan), NonFiniteInput),
+        (lambda: pw.ratio_R(pw.PhasePoint(0.5), WAVE, math.nan), NonFiniteInput),
         # 1 + (q-1) G = 1 - (x^2/2 + x)/2 is on the cut beyond x = sqrt(5) - 1
-        (lambda: qg.ratio_gaussian(np.linspace(0.0, 4.0, 9), 0.0,
-                                   qg.GaussianParams(m=1.0, beta=1.0, q=0.5)), BranchCutViolation),
+        (_packet_sweep(qg.GaussianParams(m=1.0, beta=1.0, q=0.5)), BranchCutViolation),
         # G0^2/2 overflows in c at x = 4
-        (lambda: qg.ratio_gaussian(np.linspace(0.0, 4.0, 3), 0.0,
-                                   qg.GaussianParams(m=1e300, beta=1.0, q=1.001)), NonFiniteResult),
+        (_packet_sweep(qg.GaussianParams(m=1e300, beta=1.0, q=1.001)), NonFiniteResult),
         # kq = 1/(4 m q beta^2) is not finite: GaussianParams refuses it as a result
-        (lambda: qg.ratio_gaussian(np.linspace(0.0, 4.0, 3), 0.5,
-                                   qg.GaussianParams(m=1.0, beta=1e-160, q=1.001)), NonFiniteResult),
-        (lambda: qg.ratio_gaussian(np.linspace(0.0, 4.0, 3), 0.5,
-                                   qg.GaussianParams(m=1e-320, beta=1.0, q=1.001)), NonFiniteResult),
+        (lambda: _packet_sweep(qg.GaussianParams(m=1.0, beta=1e-160, q=1.001), 0.5)(),
+         NonFiniteResult),
+        (lambda: _packet_sweep(qg.GaussianParams(m=1e-320, beta=1.0, q=1.001), 0.5)(),
+         NonFiniteResult),
         # the same refusals at a float x, which the kernel evaluates without numpy
         (lambda: qg.ratio_gaussian(math.nan, 0.0, PACKET), NonFiniteInput),
         (lambda: pw.ratio_R(pw.PhasePoint(math.inf), WAVE, 1.001), NonFiniteInput),
@@ -551,51 +577,43 @@ WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
         (lambda: qg.ratio_gaussian(4.0, 0.0, qg.GaussianParams(m=1e300, beta=1.0, q=1.001)),
          NonFiniteResult),
         (lambda: pw.ratio_R(pw.PhasePoint(1e200), WAVE, 1.5), NonFiniteResult),
-        # the plane wave's entry at x and t, on both paths
-        (lambda: pw.ratio_at(math.nan, 0.0, WAVE, 1.001), NonFiniteInput),
-        (lambda: pw.ratio_at(0.5, math.inf, WAVE, 1.001), NonFiniteInput),
-        (lambda: pw.ratio_at(1e200, 0.0, WAVE, 1.5), NonFiniteResult),
-        (lambda: pw.ratio_at(np.array([0.0, math.inf]), 0.0, WAVE, 1.001), NonFiniteInput),
-        (lambda: pw.ratio_at(np.array([0.0, 0.5]), math.nan, WAVE, 1.001), NonFiniteInput),
-        (lambda: pw.ratio_at(np.array([0.0, 1e200]), 0.0, WAVE, 1.5), NonFiniteResult),
-        # a non-finite q is the input's fault, on both paths and through ratio_R
-        (lambda: pw.ratio_at(np.array([0.0, 0.5]), 0.0, WAVE, math.nan), NonFiniteInput),
-        (lambda: pw.ratio_at(np.array([0.0, 0.5]), 0.0, WAVE, math.inf), NonFiniteInput),
+        # the plane wave's entry at x and t, and its sweep on numpy arrays
+        (lambda: pw.ratio_R(pw.PhasePoint(math.nan), WAVE, 1.001), NonFiniteInput),
+        (lambda: pw.ratio_R(pw.PhasePoint(0.5, math.inf), WAVE, 1.001), NonFiniteInput),
+        *((lambda n=n: scenarios.run_ratio_sweep(scenarios.ParticleScenario.from_mev(
+            "electron", 1.0, 0.5, x_range=(0.0, 1e200, n))), NonFiniteResult)
+          for n in (3, scenarios.BLOCK_ROWS + 1)),
+        # a non-finite q is the input's fault
         (lambda: pw.ratio_R(pw.PhasePoint(0.5), WAVE, -math.inf), NonFiniteInput),
-        # the packet's entry at t, on both paths
+        # the packet's entry at t, and its sweep
         (lambda: qg.ratio_gaussian(0.5, math.inf, PACKET), NonFiniteInput),
-        (lambda: qg.ratio_gaussian(np.array([0.0, 0.5]), math.nan, PACKET), NonFiniteInput),
-        # a list is an array to both entries (qcore.kernel_input), a 0-d array a float;
-        # a PhasePoint holds two floats, so it refuses a list before any ratio is formed
-        (lambda: pw.ratio_at([0.0, math.nan], 0.0, WAVE, 1.001), NonFiniteInput),
+        (_packet_sweep(PACKET, math.nan), NonFiniteInput),
+        # both entries take one point of floats: a list is refused before any
+        # ratio is formed, and a 0-d array is a float
         (lambda: pw.ratio_R(pw.PhasePoint([0.0, math.nan]), WAVE, 1.001), TypeError),
-        (lambda: qg.ratio_gaussian([0.0, math.nan], 0.0, PACKET), NonFiniteInput),
+        (lambda: qg.ratio_gaussian([0.0, math.nan], 0.0, PACKET), TypeError),
         (lambda: qg.ratio_gaussian(np.array(math.nan), 0.0, PACKET), NonFiniteInput),
     ],
-    ids=["nan-x-packet", "nan-x-plane-wave", "nan-q", "packet-cut", "packet-overflow",
-         "packet-tiny-beta", "packet-tiny-m", "nan-x-packet-float", "inf-x-plane-wave-float",
-         "packet-cut-float", "packet-overflow-float", "plane-wave-overflow-float",
-         "nan-x-ratio-at-float", "inf-t-ratio-at-float", "ratio-at-overflow-float",
-         "inf-x-ratio-at", "nan-t-ratio-at", "ratio-at-overflow", "nan-q-ratio-at",
-         "inf-q-ratio-at", "inf-q-plane-wave-float", "inf-t-packet-float", "nan-t-packet",
-         "nan-list-ratio-at", "nan-list-plane-wave", "nan-list-packet", "nan-0d-packet"],
+    ids=["nan-q", "packet-cut", "packet-overflow", "packet-tiny-beta", "packet-tiny-m",
+         "nan-x-packet-float", "inf-x-plane-wave-float", "packet-cut-float",
+         "packet-overflow-float", "plane-wave-overflow-float", "nan-x-ratio-R-float",
+         "inf-t-ratio-R-float", "ratio-sweep-overflow-float", "ratio-sweep-overflow",
+         "inf-q-plane-wave-float", "inf-t-packet-float", "nan-t-packet", "nan-list-plane-wave",
+         "nan-list-packet", "nan-0d-packet"],
 )
 def test_ratio_refusals_are_typed(ratio, error):
     with pytest.raises(error):
         ratio()
 
 
-@pytest.mark.parametrize(
-    "x, t",
-    [(math.nan, 0.0), (0.5, -math.inf), (np.array([0.0, math.inf]), 0.0),
-     (np.array([0.0, 0.5]), math.nan)],
-    ids=["nan-x-float", "inf-t-float", "inf-x-array", "nan-t-array"],
-)
-def test_both_entries_refuse_a_point_in_one_text(x, t):
-    # qcore.kernel_input states the refusal of a non-finite x or t once, for both entries
+@pytest.mark.parametrize("x, t, name", [(math.nan, 0.0, "x"), (0.5, -math.inf, "t")],
+                         ids=["nan-x-float", "inf-t-float"])
+def test_both_entries_refuse_a_point_in_one_text(x, t, name):
+    # qcore.finite refuses a non-finite x or t, by name, for both entries
     texts = []
-    for ratio in (lambda: pw.ratio_at(x, t, WAVE, 1.001), lambda: qg.ratio_gaussian(x, t, PACKET)):
-        with pytest.raises(NonFiniteInput, match="^point must be finite, got x=") as refusal:
+    for ratio in (lambda: pw.ratio_R(pw.PhasePoint(x, t), WAVE, 1.001),
+                  lambda: qg.ratio_gaussian(x, t, PACKET)):
+        with pytest.raises(NonFiniteInput, match=f"^{name} must be finite, got ") as refusal:
             ratio()
         texts.append(str(refusal.value))
     assert texts[0] == texts[1]
@@ -628,7 +646,10 @@ def test_ratio_against_50_digit_oracle(family, q_minus_1, xmax, bound):
         params = qg.GaussianParams(m=1.0, beta=1.0, q=q)
 
         def ratio(xs):
-            return qg.ratio_gaussian(xs, 0.0, params)
+            return _packet_on_arrays(xs, 0.0, params)
+
+        def ratio_one(x):
+            return qg.ratio_gaussian(x, 0.0, params)
 
         def terms(x):
             # t = 0: a = m q, b = 1/beta, c = 0; a1 = a2 = m, b1 = 1/beta, the rest 0
@@ -640,7 +661,10 @@ def test_ratio_against_50_digit_oracle(family, q_minus_1, xmax, bound):
         wave = scenarios.wave_for(scenarios.ParticleScenario.from_mev(family, 1.0, q_minus_1))
 
         def ratio(xs):
-            return pw.ratio_at(xs, 0.0, wave, q)
+            return _plane_wave_on_arrays(xs, 0.0, wave, q)
+
+        def ratio_one(x):
+            return pw.ratio_R(pw.PhasePoint(x), wave, q)
 
         def terms(x):
             u = mp.mpf(wave.p * x)  # the double phase p x at t = 0
@@ -655,8 +679,9 @@ def test_ratio_against_50_digit_oracle(family, q_minus_1, xmax, bound):
                 x0 = mp.findroot(lambda x: terms(x)[0], (xs[i], xs[i + 1]), solver="anderson")
                 xs += [float(x0 * (1 + s * mp.mpf(10) ** -k)) for s in (-1, 1) for k in (4, 5, 6)]
         worst = 0.0
-        # the whole-array call and the float call of each point (a one-block sweep's)
-        for x, *rs in zip(xs, ratio(np.array(xs)).tolist(), map(ratio, xs)):
+        # the whole-array kernel (a longer sweep's) and the float call of each
+        # point (a one-block sweep's)
+        for x, *rs in zip(xs, ratio(xs).tolist(), map(ratio_one, xs)):
             one_plus_c, g0, g = terms(x)
             oracle = abs(one_plus_c) * mp.exp(-mp.re(g0) + mp.log(abs(1 + eps * g)) / eps)
             worst = max(worst, *(float(abs(r - oracle) / oracle) for r in rs))

@@ -5,13 +5,15 @@ import itertools
 import math
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwave import scenarios
 from qwave.errors import NonFiniteInput, NonFiniteResult, QWaveError
-from qwave.planewave import PhasePoint, ratio_at, ratio_R
-from qwave.qgaussian import GaussianParams, ratio_gaussian
+from qwave.planewave import PhasePoint, _phase_ratio, ratio_R
+from qwave.qcore import _on_arrays, _ratio
+from qwave.qgaussian import GaussianParams, ratio_gaussian, ratio_terms
 
 # published rest energies, used as independent anchors for the kg masses
 ELECTRON_MC2_MEV = 0.51099895000
@@ -110,20 +112,26 @@ SWEEP_CASES = [(qm1, t, n) for qm1 in (1e-3, -0.3) for t in (0.0, 0.7)
                for n in (29, scenarios.BLOCK_ROWS + 3)]
 
 
+def on_arrays(kernel):
+    """kernel(functions) on numpy arrays, as a sweep of more than one block runs it."""
+    with np.errstate(all="ignore"):
+        return kernel(_on_arrays(np))
+
+
 def test_ratio_sweep_matches_pointwise_calls():
-    # one block is one float call of ratio_at per point; a longer sweep is one
-    # array call on its whole grid, bit for bit
+    # one block is one call of ratio_R per point; a longer sweep is the kernel
+    # on numpy arrays over its whole grid, bit for bit
     for qm1, t, n in SWEEP_CASES:
         scn = scenarios.ParticleScenario.from_mev("proton", 1.0, qm1, x_range=(-1.0, 1.0, n), t=t)
         w, q = scenarios.wave_for(scn), 1.0 + qm1
         sweep = scenarios.run_ratio_sweep(scn)
         xs, rs = sweep.columns["x"], sweep.columns["R"]
-        reference = (array("d", [ratio_at(x, t, w, q) for x in xs]) if n <= scenarios.BLOCK_ROWS
-                     else ratio_at(xs, t, w, q))
+        reference = (array("d", [ratio_R(PhasePoint(x, t), w, q) for x in xs])
+                     if n <= scenarios.BLOCK_ROWS
+                     else on_arrays(lambda functions: _phase_ratio(w.p * xs - w.E * t, q - 1.0,
+                                                                   functions)))
         assert rs.tobytes() == reference.tobytes()
         assert len(set(rs.tolist())) > n // 2  # R varies, so a wrong phase or eps shows
-        if n <= scenarios.BLOCK_ROWS:
-            assert rs.tolist() == [ratio_R(PhasePoint(x, t), w, q) for x in xs]
 
 
 def test_gaussian_sweep_matches_pointwise_calls():
@@ -134,7 +142,9 @@ def test_gaussian_sweep_matches_pointwise_calls():
         sweep = scenarios.run_gaussian_sweep(params, x_range, t)
         xs, rs = sweep.columns["x"], sweep.columns["ratio"]
         reference = (array("d", [ratio_gaussian(x, t, params) for x in xs])
-                     if n <= scenarios.BLOCK_ROWS else ratio_gaussian(xs, t, params))
+                     if n <= scenarios.BLOCK_ROWS
+                     else on_arrays(lambda functions: _ratio(*ratio_terms(xs, t, params),
+                                                             params.q - 1.0, functions)))
         assert rs.tobytes() == reference.tobytes()
         assert len(set(rs.tolist())) > n // 2
 
