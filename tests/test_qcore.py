@@ -551,14 +551,23 @@ PACKET = qg.GaussianParams(m=1.0, beta=1.0, q=1.001)
 WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
 
 
-def _packet_sweep(params, t=0.0):
-    # the packet sweep at BLOCK_ROWS + 1 points over [0, 4], evaluated on numpy arrays
-    return lambda: scenarios.run_gaussian_sweep(params, (0.0, 4.0, scenarios.BLOCK_ROWS + 1), t)
+def _packet_sweep(params, t=0.0, start=0.0):
+    # the packet sweep at BLOCK_ROWS + 1 points over [start, 4], evaluated on numpy arrays
+    return lambda: scenarios.run_gaussian_sweep(params, (start, 4.0, scenarios.BLOCK_ROWS + 1), t)
+
+
+def _plane_wave_sweep(t=0.0, start=0.0):
+    # the electron's ratio sweep at BLOCK_ROWS + 1 points over [start, 4], on numpy arrays
+    return lambda: scenarios.run_ratio_sweep(scenarios.ParticleScenario.from_mev(
+        "electron", 1.0, 1e-3, x_range=(start, 4.0, scenarios.BLOCK_ROWS + 1), t=t))
 
 
 @pytest.mark.parametrize(
     "ratio, error",
     [
+        # a non-finite x on the array path: the sweeps refuse the grid's end
+        (_packet_sweep(PACKET, start=math.nan), NonFiniteInput),
+        (_plane_wave_sweep(start=math.nan), NonFiniteInput),
         (lambda: pw.ratio_R(pw.PhasePoint(0.5), WAVE, math.nan), NonFiniteInput),
         # 1 + (q-1) G = 1 - (x^2/2 + x)/2 is on the cut beyond x = sqrt(5) - 1
         (_packet_sweep(qg.GaussianParams(m=1.0, beta=1.0, q=0.5)), BranchCutViolation),
@@ -594,7 +603,7 @@ def _packet_sweep(params, t=0.0):
         (lambda: qg.ratio_gaussian([0.0, math.nan], 0.0, PACKET), TypeError),
         (lambda: qg.ratio_gaussian(np.array(math.nan), 0.0, PACKET), NonFiniteInput),
     ],
-    ids=["nan-q", "packet-cut", "packet-overflow", "packet-tiny-beta", "packet-tiny-m",
+    ids=["nan-x-packet", "nan-x-plane-wave", "nan-q", "packet-cut", "packet-overflow", "packet-tiny-beta", "packet-tiny-m",
          "nan-x-packet-float", "inf-x-plane-wave-float", "packet-cut-float",
          "packet-overflow-float", "plane-wave-overflow-float", "nan-x-ratio-R-float",
          "inf-t-ratio-R-float", "ratio-sweep-overflow-float", "ratio-sweep-overflow",
@@ -606,13 +615,28 @@ def test_ratio_refusals_are_typed(ratio, error):
         ratio()
 
 
-@pytest.mark.parametrize("x, t, name", [(math.nan, 0.0, "x"), (0.5, -math.inf, "t")],
-                         ids=["nan-x-float", "inf-t-float"])
-def test_both_entries_refuse_a_point_in_one_text(x, t, name):
-    # qcore.finite refuses a non-finite x or t, by name, for both entries
+def _entries_at(x, t):
+    # the per-point entries at one point of floats
+    return (lambda: pw.ratio_R(pw.PhasePoint(x, t), WAVE, 1.001),
+            lambda: qg.ratio_gaussian(x, t, PACKET))
+
+
+def _sweeps_from(x, t):
+    # both sweeps on numpy arrays, from x at time t
+    return _plane_wave_sweep(t, start=x), _packet_sweep(PACKET, t, start=x)
+
+
+@pytest.mark.parametrize(
+    "x, t, name, ratios",
+    [(math.nan, 0.0, "x", _entries_at), (0.5, -math.inf, "t", _entries_at),
+     (math.inf, 0.0, "x_range start", _sweeps_from), (0.0, math.nan, "t", _sweeps_from)],
+    ids=["nan-x-float", "inf-t-float", "inf-x-array", "nan-t-array"],
+)
+def test_both_entries_refuse_a_point_in_one_text(x, t, name, ratios):
+    # qcore.finite refuses a non-finite x or t, by name, for both families:
+    # at a point through the per-point entries, on arrays through the sweeps
     texts = []
-    for ratio in (lambda: pw.ratio_R(pw.PhasePoint(x, t), WAVE, 1.001),
-                  lambda: qg.ratio_gaussian(x, t, PACKET)):
+    for ratio in ratios(x, t):
         with pytest.raises(NonFiniteInput, match=f"^{name} must be finite, got ") as refusal:
             ratio()
         texts.append(str(refusal.value))
