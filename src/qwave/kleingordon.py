@@ -38,7 +38,7 @@ from .qcore import finite, finite_result, first_order_pow
 
 def dispersion_omega(k: float, m: float) -> float:
     """Positive root of w^2 = k^2 + m^2."""
-    return math.hypot(k, m)
+    return math.hypot(finite(k, "k"), finite(m, "m"))
 
 
 class KGWave(pw.PlaneWave):
@@ -55,7 +55,6 @@ class KGWave(pw.PlaneWave):
     def on_shell(cls, k: float, m: float) -> "KGWave":
         """Wave with the dispersion relation built in; an E beyond the double
         range is a NonFiniteResult."""
-        k, m = finite(k, "k"), finite(m, "m")
         return cls(p=k, E=finite_result(dispersion_omega(k, m))[0], m=m)
 
 

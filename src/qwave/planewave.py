@@ -85,8 +85,10 @@ def phase(pt: PhasePoint, w: PlaneWave) -> float:
 
 def bracket_wave(u: float, q: float, coef: complex) -> complex:
     """coef e^{iu} [q + 2i(q-1)u - (q-1)u^2/2], the one bracket of the truncated
-    forms of d2x psi, dt psi^q and the Klein-Gordon d2x F, d2t F, q F^(2q-1)."""
-    bracket = q + 2j * (q - 1.0) * u - (q - 1.0) * u * u / 2.0
+    forms of d2x psi, dt psi^q and the Klein-Gordon d2x F, d2t F, q F^(2q-1).
+    q passes qcore.finite; u and coef are computed by the callers, so a
+    non-finite one is refused with the value, as a NonFiniteResult."""
+    bracket = finite(q, "q") + 2j * (q - 1.0) * u - (q - 1.0) * u * u / 2.0
     return qcore.finite_result(coef * cmath.exp(1j * u) * bracket)[0]
 
 
@@ -114,8 +116,8 @@ def approx_psi(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
 
 def approx_psi_q(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
     """First-order expansion of psi^q: e^{iu} [1 + (q-1)(iu - u^2/2)]."""
-    u = phase(pt, w)
-    return qcore.finite_result(cmath.exp(1j * u) * (1.0 + (q - 1.0) * (1j * u - u * u / 2.0)))[0]
+    u, eps = phase(pt, w), finite(q, "q") - 1.0
+    return qcore.finite_result(cmath.exp(1j * u) * (1.0 + eps * (1j * u - u * u / 2.0)))[0]
 
 
 def d2x_approx_psi(pt: PhasePoint, w: PlaneWave, q: float) -> complex:
@@ -155,7 +157,7 @@ def ratio_terms(pt: PhasePoint, w: PlaneWave, q: float):
     """(c, g0) such that approx_psi = (1 + c) e^{-g0} and exact_psi = e_q(-g0):
     c = (1-q) u^2/2 and g0 = -iu at the phase u."""
     u = phase(pt, w)
-    return (1.0 - q) * u * u / 2.0, -1j * u
+    return (1.0 - finite(q, "q")) * u * u / 2.0, -1j * u
 
 
 # The branches of _phase_ratio, as qcore._log_abs_1p_near and _far are those of

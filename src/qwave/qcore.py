@@ -57,9 +57,12 @@ def complex_log1p(w: complex) -> complex:
 
     Uses the compensated form log(u) * w / (u - 1) with u = 1 + w, which
     evaluates the logarithm at the rounded point and rescales by the exact
-    argument, keeping full relative precision down to |w| ~ eps.
+    argument, keeping full relative precision down to |w| ~ eps.  At 1 + w = 0
+    it raises BranchCutViolation; a negative real 1 + w keeps its principal log.
     """
-    u = 1.0 + w
+    u = 1.0 + finite(w, "w")
+    if u == 0:
+        raise BranchCutViolation(f"log1p at {w!r}: 1 + w = 0 lies on the branch cut")
     if u == 1.0 + 0.0j:
         return complex(w)
     d = u - 1.0
@@ -100,6 +103,7 @@ def first_order_pow(phase: complex, c: complex, s: float) -> complex:
 def complex_expm1(z: complex) -> complex:
     """exp(z) - 1 without cancellation for small |z|; a Re z where exp
     overflows raises NonFiniteResult."""
+    finite(z, "z")
     try:
         re = math.expm1(z.real) * math.cos(z.imag) - 2.0 * math.sin(0.5 * z.imag) ** 2
         im = math.exp(z.real) * math.sin(z.imag)

@@ -100,7 +100,7 @@ def _coeffs_and_rates(t: float, params: GaussianParams, q, functions):
 
 def coeffs_exact(t: float, params: GaussianParams) -> tuple[complex, complex, complex]:
     """Exact (a, b, c) at time t; c via the expm1 pairing described above."""
-    return _coeffs_and_rates(t, params, params.q, _EXACT)[0]
+    return finite_result(*_coeffs_and_rates(t, params, params.q, _EXACT)[0])
 
 
 def exponent(x, t: float, params: GaussianParams, cs=None):
@@ -130,6 +130,7 @@ def coeffs_first_order(t: float, params: GaussianParams):
         + L0 * L0 / 8.0
         - (0.25 + 0.5 * kappa) * L0
     )
+    finite_result(a1, a2, b1, b2, c1, c2)
     return (a1, a2), (b1, b2), (c1, c2)
 
 
@@ -217,7 +218,8 @@ def terms_coeffs(t: float, params: GaussianParams, family: str):
     """The sets of t that gaussian_terms reads: exact ((a, b, c), (a_t, b_t, c_t)),
     approx (coeffs_first_order, rates_first_order), which do not depend on q."""
     if family == "exact":
-        return _coeffs_and_rates(t, params, params.q, _EXACT)
+        cs, rates = _coeffs_and_rates(t, params, params.q, _EXACT)
+        return finite_result(*cs), finite_result(*rates)
     return coeffs_first_order(t, params), rates_first_order(t, params)
 
 
@@ -236,7 +238,7 @@ def gaussian_terms(
     """
     if family not in ("exact", "approx"):
         raise ValueError(f"family must be 'exact' or 'approx', got {family!r}")
-    q, m = params.q, params.m
+    q, m, x = params.q, params.m, finite(x, "x")
     coeffs = terms_coeffs(t, params, family) if coeffs is None else coeffs
     if family == "exact":
         (a, b, c), (a_t, b_t, c_t) = coeffs

@@ -47,7 +47,7 @@ MOMENTUM_MODELS = ("relativistic", "nonrelativistic")
 
 def mass_energy_mev(mass_kg: float) -> float:
     """Rest energy m c^2 in MeV."""
-    return mass_kg * C_M_PER_S * C_M_PER_S / (1.0e6 * EV_J)
+    return finite_result(finite(mass_kg, "mass_kg") * C_M_PER_S * C_M_PER_S / (1.0e6 * EV_J))[0]
 
 
 class ParticleScenario(Frozen):

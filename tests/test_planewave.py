@@ -1,19 +1,16 @@
 """Plane-wave family: exact self-consistency, genuine insertion order, and
 the ratio diagnostic."""
 
-import cmath
-import itertools
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwave import kleingordon as kg
 from qwave import planewave as pw
 from qwave import qgaussian as qg
 from qwave import checks, verify
-from qwave.errors import BranchCutViolation, NonFiniteInput, NonFiniteResult, QWaveError
+from qwave.errors import BranchCutViolation, NonFiniteResult
 
 WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
 XS = tuple(np.linspace(-6.0, 6.0, 25))
@@ -28,8 +25,6 @@ def test_free_constructor():
 
 
 def test_constructor_validation():
-    with pytest.raises(NonFiniteInput):
-        pw.SchrodingerWave(p=float("nan"), E=1.0, m=1.0)
     with pytest.raises(ValueError):
         pw.SchrodingerWave(p=1.0, E=1.0, m=0.0)
     # free refuses the mass before it forms E = p^2/2m (was a builtin ZeroDivisionError)
@@ -139,39 +134,6 @@ def test_overflowed_amplitude_is_a_result_fault_not_the_branch_cut():
             fn(pt, wave, 1 + 1e-12)
     with pytest.raises(NonFiniteResult):
         pw.schrodinger_terms(pt, wave, 1 + 1e-12, "approx")
-
-
-def _terms(terms, family):
-    return lambda pt, w, q: terms(pt, w, q, family)
-
-
-@pytest.mark.parametrize("wave, functions", [
-    (pw.SchrodingerWave.free, (pw.exact_psi, pw.exact_psi_q, pw.exact_psi_2qm1, pw.approx_psi,
-                               pw.approx_psi_q, pw.d2x_approx_psi, pw.dt_approx_psi_q,
-                               pw.ratio_R, _terms(pw.schrodinger_terms, "exact"),
-                               _terms(pw.schrodinger_terms, "approx"))),
-    (kg.KGWave.on_shell, (kg.d2t_approx_F, kg.approx_qF2qm1, _terms(kg.kg_terms, "exact"),
-                          _terms(kg.kg_terms, "approx"))),
-], ids=["schrodinger", "kleingordon"])
-def test_plane_wave_functions_raise_only_typed_errors_on_extremes(wave, functions):
-    # each plane-wave function at finite extremes of p and m returns finite
-    # values or raises a QWaveError: never a builtin error, a silent NaN or
-    # inf, or NonFiniteInput, since every input here is finite
-    magnitudes = (1e-300, 1e-160, 1e-20, 1e-3, 1.0, 7.0, 1e20, 1e160, 1e300)
-    qs = (1 + 1e-12, 1.001, 0.7, 1.5, 3.0, -0.5)
-    for p, m, q in itertools.product(magnitudes, magnitudes, qs):
-        try:
-            w = wave(p, m)
-        except NonFiniteResult:  # E = p^2/2m leaves the double range
-            continue
-        for fn, (x, t) in itertools.product(functions, ((0.5, 0.5), (2.0, 0.0))):
-            try:
-                value = fn(pw.PhasePoint(x, t), w, q)
-            except NonFiniteInput:
-                raise
-            except QWaveError:
-                continue
-            assert all(map(cmath.isfinite, np.ravel(value))), (fn, p, m, q, x, t, value)
 
 
 def test_unknown_family_rejected():

@@ -1,7 +1,6 @@
 """Laboratory units to dimensionless phase: constants, momentum models,
 and the sweep drivers behind the figures."""
 
-import itertools
 import math
 from array import array
 
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwave import scenarios
-from qwave.errors import NonFiniteInput, NonFiniteResult, QWaveError
+from qwave.errors import NonFiniteInput, NonFiniteResult
 from qwave.planewave import PhasePoint, _phase_ratio, ratio_R
 from qwave.qcore import _on_arrays, _ratio
 from qwave.qgaussian import GaussianParams, ratio_gaussian, ratio_terms
@@ -68,24 +67,6 @@ def test_momentum_overflow_is_typed():
     scn = scenarios.ParticleScenario.from_mev("electron", 1e308, 1e-9)
     with pytest.raises(NonFiniteResult):
         scenarios.wave_for(scn)
-
-
-def test_wave_for_raises_only_typed_errors_on_extremes():
-    # at finite extremes of the kinetic energy (up to 1e308 MeV) and of the
-    # mass, in both momentum models, wave_for returns a finite wave or raises a
-    # QWaveError: never a builtin error or NonFiniteInput, since every input
-    # here is finite
-    masses = (1e-320, 1e-300, scenarios.M_ELECTRON_KG, 1.0, 1e300)
-    energies = (1e-300, 1e-20, 1.0, 1e20, 1e160, 1e300, 1e308)
-    for mass_kg, kinetic_mev, model in itertools.product(masses, energies,
-                                                         scenarios.MOMENTUM_MODELS):
-        scn = scenarios.ParticleScenario("test", mass_kg, kinetic_mev, 1e-9, model)
-        try:
-            scenarios.wave_for(scn)  # a wave refuses a non-finite field itself
-        except NonFiniteInput:
-            raise
-        except QWaveError:
-            continue
 
 
 def test_wave_for_satisfies_free_relation():

@@ -2,8 +2,6 @@
 first-order pair cancellation, and the q-derivative closed forms."""
 
 import cmath
-import itertools
-import math
 from functools import partial
 
 import numpy as np
@@ -13,7 +11,7 @@ from qwave import checks
 from qwave import qgaussian as qg
 from qwave import separation as sep
 from qwave import verify
-from qwave.errors import InvalidQ, NonFiniteInput, NonFiniteResult, QWaveError
+from qwave.errors import InvalidQ, NonFiniteResult
 
 E = 0.845
 P = 1.3
@@ -90,30 +88,6 @@ def test_product_check_reads_the_hand_coefficients_from_the_approximants():
     hand = abs(coef_fg - coef_pw) / max(abs(coef_fg), abs(coef_pw))
     measured = checks.REGISTRY["separation.product_not_planewave"].measure()
     assert abs(measured - hand) <= 1e-14 * hand
-
-
-def test_non_finite_argument_is_refused():
-    with pytest.raises(NonFiniteInput, match="t must be finite"):
-        sep.exact_f(math.nan, E, 1.1)
-
-
-def test_terms_raise_only_typed_errors_on_extremes():
-    # f_terms and g_terms at finite extremes of E and p return finite values or
-    # raise a QWaveError: never a builtin error, a silent NaN or inf, or
-    # NonFiniteInput, since every input here is finite (lam = p^2/2 overflows
-    # from p ~ 1.9e154, and the exact f_terms reach nan at E = 1e300, q = 3)
-    magnitudes = (1e-300, 1e-160, 1e-20, 1e-3, 1.0, 7.0, 1e20, 1e160, 1e300)
-    qs = (1 + 1e-12, 1.001, 0.7, 1.5, 3.0, -0.5)
-    for terms, family, value, q, at in itertools.product(
-            (sep.f_terms, sep.g_terms), ("exact", "approx"),
-            (*magnitudes, *(-v for v in magnitudes)), qs, (0.5, 2.0)):
-        try:
-            values = terms(at, value, q, family=family)
-        except NonFiniteInput:
-            raise
-        except QWaveError:
-            continue
-        assert all(map(cmath.isfinite, values)), (terms, family, value, q, at, values)
 
 
 @pytest.mark.parametrize("fn, args", [
