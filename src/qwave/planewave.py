@@ -33,6 +33,7 @@ returns inf or nan.
 from __future__ import annotations
 
 import cmath
+import math
 
 from . import qcore
 from .errors import NonFiniteResult
@@ -79,8 +80,9 @@ class PhasePoint(qcore.Frozen):
 
 
 def phase(pt: PhasePoint, w: PlaneWave) -> float:
-    """Dimensionless phase u = p x - E t."""
-    return w.p * pt.x - w.E * pt.t
+    """Dimensionless phase u = p x - E t; one beyond the double range is a NonFiniteResult."""
+    u = w.p * pt.x - w.E * pt.t
+    return u if math.isfinite(u) else qcore.finite_result(u)[0]
 
 
 def bracket_wave(u: float, q: float, coef: complex) -> complex:

@@ -22,10 +22,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qwave
-from qwave import checks, cli, qcore, scenarios
-from qwave import planewave as pw
+from qwave import checks, cli, scenarios
 from qwave import qgaussian as qg
 from qwave.errors import BranchCutViolation
+from ratio_paths import BLOCK_EDGES, Packet, PlaneWave
 
 
 def run(argv, capsys):
@@ -785,50 +785,18 @@ def test_plot_svg_refuses_empty_rows(tmp_path):
 # -- sweeps are evaluated and written in blocks ---------------------------
 
 
-def packet_on_arrays(xs, params):
-    """The packet's ratio kernel at t = 0 on a numpy array of x, as a sweep
-    of more than one block evaluates it."""
-    with np.errstate(all="ignore"):
-        return qcore._ratio(*qg.ratio_terms(xs, 0.0, params), params.q - 1.0,
-                            qcore._on_arrays(np))
-
-
 def reference_sweeps(n):
-    """(CLI flags, header, Sweep, its values by the path it takes) for the
-    plane wave and the packet at n points: one per-point entry call per point
-    for one block, else the kernel on the whole numpy grid."""
-    scn = scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-3, x_range=(0.0, 1.0, n))
-    params = qg.GaussianParams(m=1.0, beta=1.0, q=1.001)
-    wave = scenarios.wave_for(scn)
-
-    def by_path(one, whole, xmax):
-        xs = np.linspace(0.0, xmax, n)
-        return array("d", map(one, xs.tolist())) if n <= B else whole(xs)
-
-    def plane_wave_on_arrays(xs):
-        with np.errstate(all="ignore"):
-            return pw._phase_ratio(wave.p * xs - wave.E * 0.0, 1.001 - 1.0, qcore._on_arrays(np))
-
-    return [
-        (["--q-minus-1", "1e-3"], ("x", "R"), scenarios.run_ratio_sweep(scn),
-         by_path(lambda x: pw.ratio_R(pw.PhasePoint(x), wave, 1.001), plane_wave_on_arrays, 1.0)),
-        (["--gaussian"], ("x", "ratio"), scenarios.run_gaussian_sweep(params, (0.0, 4.0, n)),
-         by_path(lambda x: qg.ratio_gaussian(x, 0.0, params),
-                 lambda xs: packet_on_arrays(xs, params), 4.0)),
-    ]
+    """(CLI flags, header, x, R by the path the sweep takes) for the plane wave
+    and the packet at n points (test_ratio holds each sweep to its path)."""
+    return [(flags, ("x", family.column), np.linspace(*x_range).tolist(), family.path(x_range))
+            for flags, family, x_range in ((["--q-minus-1", "1e-3"], PlaneWave(1e-3), (0.0, 1.0, n)),
+                                           (["--gaussian"], Packet(1e-3), (0.0, 4.0, n)))]
 
 
-# the edges of BLOCK_ROWS and of 2,048-row blocks; below BLOCK_ROWS the latter run as one
-# float block, whose bytes differ from the numpy path in about a tenth of the rows
-@pytest.mark.parametrize("n", sorted({2, 2047, 2048, 2049, 4097, B - 1, B, B + 1, 2 * B + 1}))
+@pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_block_boundaries_keep_values_and_bytes(n, tmp_path, capsys):
-    for flags, header, sweep, reference_values in reference_sweeps(n):
-        assert tuple(sweep.columns) == header
-        xs, values = sweep.columns["x"], sweep.columns[header[1]]
-        assert isinstance(values, array) == (n <= B)
-        assert xs.tobytes() == np.linspace(0.0, xs[-1], n).tobytes()
-        assert values.tobytes() == reference_values.tobytes()
-        xs, vs = xs.tolist(), reference_values.tolist()
+    for flags, header, xs, reference_values in reference_sweeps(n):
+        vs = reference_values.tolist()
         for fmt, reference in (("csv", csv_reference), ("json", json_reference)):
             expected = reference(header, xs, vs)
             argv = ["ratio", *flags, "--points", str(n), "--format", fmt]
@@ -841,12 +809,12 @@ def test_block_boundaries_keep_values_and_bytes(n, tmp_path, capsys):
 def test_refusal_in_the_last_block_writes_nothing(tmp_path, capsys):
     # 1 - 0.5 G reaches the branch cut at x = sqrt(5) - 1 = 1.236, which the
     # 5 B / 2-point grid over [0, 1.25] reaches only in its last block (row 2 B is at x = 1.0)
-    params = qg.GaussianParams(m=1.0, beta=1.0, q=0.5)
+    packet = Packet(-0.5)
     n = 5 * B // 2
     xs = np.linspace(0.0, 1.25, n)
-    packet_on_arrays(xs[: 2 * B], params)
+    packet.kernel(xs[: 2 * B])
     with pytest.raises(BranchCutViolation):
-        packet_on_arrays(xs[2 * B:], params)
+        packet.kernel(xs[2 * B:])
     out = tmp_path / "sweep.csv"
     argv = ["ratio", "--gaussian", "--q-minus-1", "-0.5", "--xmax", "1.25", "--points", str(n),
             "--out", str(out)]

@@ -1,9 +1,7 @@
-"""Oracles and algebraic properties for the q-exponential, the ratio
-kernel and the jets.
+"""Oracles and algebraic properties for the q-exponential and the jets.
 
 Frozen reference values were computed once with mpmath at 50 digits and
-pasted in; the ratio kernel is held to a 50-digit mpmath oracle of the
-figures' closed forms, evaluated here.
+pasted in.  The ratio kernel is held in test_ratio.
 """
 
 import cmath
@@ -11,7 +9,6 @@ import math
 import sys
 from functools import partial
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -20,13 +17,7 @@ from qwave import planewave as pw
 from qwave import qcore, scenarios
 from qwave import qgaussian as qg
 from qwave import separation as sep
-from qwave.errors import (
-    BranchCutViolation,
-    DivisionByZeroJet,
-    NonFiniteInput,
-    NonFiniteResult,
-    QWaveError,
-)
+from qwave.errors import BranchCutViolation, DivisionByZeroJet, NonFiniteInput, NonFiniteResult
 
 # mpmath, mp.dps=50: (1 - 0.15j)**(-10) = e_q(1.5j) at q=1.1
 Q_EXP_15J_11 = 0.073192239193782492005 + 0.89171353487106878592j
@@ -271,195 +262,10 @@ _HUGE_TIME, _HUGE_SPACE = dict(t=1e300, E=1e20, q=1.5), dict(x=1e300, p=1e20, q=
 ], ids=["exact_psi", "exact_psi_q", "exact_psi_2qm1", "schrodinger_terms", "kg_terms",
         "exact_f", "exact_f_q", "f_terms", "exact_g", "exact_g_q", "g_terms"])
 def test_an_overflowed_phase_is_refused_as_a_result(entry, args):
-    # u = p x = 1e320 (or E t, or mu x) is formed from finite arguments, so the
-    # exact power refuses it as a result, not as a non-finite argument
+    # u = p x = 1e320 (or E t, or mu x) is formed from finite arguments, so
+    # planewave.phase or the exact power refuses it as a result, not as an argument
     with pytest.raises(NonFiniteResult):
         entry(*args)
-
-
-# -- ratio kernel --------------------------------------------------------
-
-
-def _kernel_points(q):
-    """Imaginary axis, the packet's left half-plane, w = 0, and the small
-    |w| = 1e-4 along directions where |e_q| stays finite."""
-    zs = [1j * y for y in np.linspace(-40.0, 40.0, 81)]
-    zs += [complex(re, im) for re in np.linspace(-20.0, 0.0, 11) for im in (-7.0, -0.5, 0.0, 3.0)]
-    zs.append(0.0)
-    if q != 1.0:
-        for direction in (1j, -1j, -1.0, (-1.0 + 1j) / math.sqrt(2.0)):
-            zs.append(direction * 1e-4 / abs(1.0 - q))
-    return np.array(zs, dtype=complex)
-
-
-def _terms(z, q):
-    """(c, g0, g) of the ratio (1 + c) e^{z} / e_q(z) with c = (q-1) z."""
-    return (q - 1.0) * z, -z, -z
-
-
-# The packet kernel qcore._ratio at arbitrary terms, on each of its two paths
-def _ratio_on_numbers(c, g0, g, eps):
-    return qcore._ratio(complex(c), complex(g0), complex(g), eps, qcore._ON_NUMBERS)
-
-
-def _ratio_on_arrays(c, g0, g, eps):
-    with np.errstate(all="ignore"):
-        c, g0, g = (np.asarray(v, dtype=complex) for v in (c, g0, g))
-        return qcore._ratio(c, g0, g, eps, qcore._on_arrays(np))
-
-
-# Each family's kernel on a numpy array of x, as a sweep of more than one block
-# evaluates it; the per-point entries ratio_R and ratio_gaussian are its float side
-def _plane_wave_on_arrays(xs, t, w, q):
-    with np.errstate(all="ignore"):
-        return pw._phase_ratio(w.p * np.asarray(xs, dtype=float) - w.E * t, q - 1.0,
-                               qcore._on_arrays(np))
-
-
-def _packet_on_arrays(xs, t, params):
-    with np.errstate(all="ignore"):
-        return qcore._ratio(*qg.ratio_terms(np.asarray(xs, dtype=float), t, params),
-                            params.q - 1.0, qcore._on_arrays(np))
-
-
-@pytest.mark.parametrize("eps", [1e-3, -1e-3, 1e-6, 1e-9, 1e-12, 0.0])
-def test_modulus_ratio_matches_scalar(eps):
-    q = 1.0 + eps
-    zs, want = [], []
-    for z in _kernel_points(q).tolist():
-        approx = abs((1.0 + _terms(z, q)[0]) * cmath.exp(z))
-        exact = abs(qcore.q_pow(z, q))
-        if approx > 0.0 and exact > 0.0:  # else a modulus underflows; the kernel's logs do not
-            zs.append(z)
-            want.append(approx / exact)
-    got = _ratio_on_arrays(*_terms(np.array(zs), q), q - 1.0)
-    for z, g, r in zip(zs, got.tolist(), want):
-        assert abs(g - r) <= 4e-15 * max(1.0, abs(z)) * r, z
-        assert abs(_ratio_on_numbers(*_terms(z, q), q - 1.0) - r) <= 4e-15 * max(1.0, abs(z)) * r, z
-
-
-# The float path (math) and the array path (numpy's ufuncs) of each ratio
-# kernel round exp, log and log1p differently: numpy's vectorized exp is
-# within 0.71 ulp where math.exp is correctly rounded, and the 1/(q-1) of
-# log|1 + (q-1) g| / (q-1) magnifies a 1-ulp gap in the log.  Measured
-# worst over the grids below: 3.6e-15 (the packet figure), 1.2e-16 on the
-# plane wave's.
-PATH_GAP = 1e-14
-
-UNIT_PHASE = pw.PlaneWave(p=1.0, E=0.0, m=1.0)  # u = x at t = 0
-
-
-def _plane_wave_paths(w, q):
-    """(on_arrays, on_numbers) of the plane wave's R at t = 0."""
-    return (partial(_plane_wave_on_arrays, t=0.0, w=w, q=q),
-            lambda x: pw.ratio_R(pw.PhasePoint(x), w, q))
-
-
-def _path_cases():
-    """(on_arrays, on_numbers, columns): a ratio kernel's array and float paths
-    and the arguments over which they are compared.  The plane wave's R runs
-    over its four figures' grids and the packet's ratio over its figure's,
-    each as a sweep evaluates it on arrays and as its per-point entry
-    (ratio_R, ratio_gaussian) on floats; the plane wave's R also over the
-    phases Im z of _kernel_points, and qcore._ratio over the packet figure's
-    terms and those of _kernel_points."""
-    cases = []
-    for species in ("electron", "proton"):
-        for qm1 in (1e-9, 1e-12):
-            wave = scenarios.wave_for(scenarios.ParticleScenario.from_mev(species, 1.0, qm1))
-            cases.append((*_plane_wave_paths(wave, 1.0 + qm1), (np.linspace(0.0, 1.0, 2001),)))
-    params = qg.GaussianParams(m=1.0, beta=1.0, q=1.0 + 1e-3)
-    cases.append((partial(_packet_on_arrays, t=0.0, params=params),
-                  partial(qg.ratio_gaussian, t=0.0, params=params),
-                  (np.linspace(0.0, 4.0, 1001),)))
-    cases.append((partial(_ratio_on_arrays, eps=params.q - 1.0),
-                  partial(_ratio_on_numbers, eps=params.q - 1.0),
-                  qg.ratio_terms(np.linspace(0.0, 4.0, 1001), 0.0, params)))
-    for q in (1.001, 0.999, 1.0 + 1e-9, 1.0):
-        zs = _kernel_points(q)
-        cases.append((*_plane_wave_paths(UNIT_PHASE, q), (zs.imag,)))
-        cases.append((partial(_ratio_on_arrays, eps=q - 1.0),
-                      partial(_ratio_on_numbers, eps=q - 1.0), _terms(zs, q)))
-    return cases
-
-
-def test_modulus_ratio_paths_agree_within_a_bound():
-    worst = 0.0
-    for on_arrays, on_numbers, columns in _path_cases():
-        whole = on_arrays(*columns)
-        columns = [np.broadcast_to(v, whole.shape).tolist() for v in columns]
-        for k, point in enumerate(zip(*columns)):
-            one = on_numbers(*point)
-            assert type(one) is float
-            worst = max(worst, abs(one - whole[k]) / whole[k])
-    print(f"worst relative gap between the float and the array path: {worst:.3g}")
-    assert worst <= PATH_GAP
-
-
-@pytest.mark.parametrize(
-    "c, g0, g, q",
-    [
-        (0.0, -1e3 + 1j, 0.0, 1.0 + 1e-9),  # R = e^{1000}
-        (math.inf, 0.0, 0.0, 1.5),  # an infinite c
-        (0.0, 0.0, 1e308, 11.0),  # (q-1) g beyond the double range
-        (0.0, 0.0, 2.0, 0.5),  # 1 + (q-1) g = 0: on the cut
-        (0.0, 0.0, 4.0 + 0.0j, 0.5),  # 1 + (q-1) g = -1
-        (0.0, 0.0, 0.0, math.nan),  # eps g is nan
-        (-1.0, 0.0, 0.0, 1.1),  # 1 + c = 0: R = 0
-        (0.0, 0.0, complex(-1.5e308, -1.5e308), 0.0),  # |1 + (q-1) g| overflows: R = 0
-        (0.0, 0.0, complex(1.5e308, 1.5e308), 2.0),  # and R = inf
-        (0.4, 0.0, complex(3.0, 1e-300), 0.5),  # 1 + (q-1) g = -0.5 - 5e-301j, just off the cut
-    ],
-)
-def test_modulus_ratio_paths_refuse_alike(c, g0, g, q):
-    # a value within PATH_GAP, or the same error type and message, on both paths
-    outcomes = []
-    for ratio, point in ((_ratio_on_numbers, (c, g0, g)),
-                         (_ratio_on_arrays, tuple(np.array([v]) for v in (c, g0, g)))):
-        try:
-            outcomes.append(float(np.asarray(ratio(*point, q - 1.0)).item()))
-        except QWaveError as exc:
-            outcomes.append((type(exc), str(exc)))
-    one, whole = outcomes
-    if isinstance(whole, float):
-        assert abs(one - whole) <= PATH_GAP * whole
-    else:
-        assert one == whole
-
-
-@pytest.mark.parametrize("g", [2.0, 2.001])
-def test_modulus_ratio_refuses_the_cut_on_both_paths(g):
-    # at q = 0.5 the base 1 - g/2 is 0 at g = 2 and -5e-4 at g = 2.001; a
-    # guard shifted by 1e-3 would return R = 4.0e6 for the second
-    for ratio, point in ((_ratio_on_numbers, (0.0, 0.0, g)),
-                         (_ratio_on_arrays, tuple(np.array([v]) for v in (0.0, 0.0, g)))):
-        with pytest.raises(BranchCutViolation, match="branch cut"):
-            ratio(*point, 0.5 - 1.0)
-
-
-NEAR_W = [0.0, 1e-300, -1e-17j, 0.3 - 0.2j, -0.4999, 0.49999999999999994j]
-FAR_W = [0.5, -0.5j, 0.3 + 0.4j, -0.99 + 1e-3j, -1.0 + 1e-300j, 2.5 - 7.0j, 1e200]
-
-
-@pytest.mark.parametrize("w, branches", [
-    (NEAR_W, {"near"}), (FAR_W, {"far"}), (NEAR_W + FAR_W, {"near", "far"}),
-])
-def test_array_where_evaluates_only_the_branches_it_picks(w, branches):
-    # |w| < 0.5 picks the near branch (log1p) and the rest the far one (log);
-    # a block on one side evaluates only that side, bit for bit as np.where
-    functions = list(qcore._on_arrays(np))
-    calls = set()
-    log1p, log = functions[3], functions[4]
-    functions[3] = lambda v: calls.add("near") or log1p(v)
-    functions[4] = lambda v: calls.add("far") or log(v)
-    w = np.array(w, dtype=complex)
-    arrays = qcore._on_arrays(np)
-    with np.errstate(all="ignore"):  # as in scenarios._blockwise_sweep
-        got = qcore._log_abs_1p(w, tuple(functions))
-        expected = np.where(abs(w) < 0.5, qcore._log_abs_1p_near(w, arrays),
-                            qcore._log_abs_1p_far(w, arrays))
-    assert calls == branches
-    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -479,173 +285,6 @@ def test_array_where_evaluates_only_the_branches_it_picks(w, branches):
 def test_q_pow_raises_typed(z, q, error):
     with pytest.raises(error):
         qcore.q_pow(z, q)
-
-
-def test_modulus_ratio_overflow_is_typed():
-    # R = e^{1000}; an infinite c; (q-1) g beyond the double range
-    for c, g0, g, q in [
-        (0.0, np.array([0.0, -1e3 + 1j]), 0.0, 1.0 + 1e-9),
-        (np.array([0.0, math.inf]), 0.0, 0.0, 1.5),
-        (0.0, 0.0, np.array([1.0, 1e308]), 11.0),
-    ]:
-        with pytest.raises(NonFiniteResult):
-            _ratio_on_arrays(c, g0, g, q - 1.0)
-
-
-PACKET = qg.GaussianParams(m=1.0, beta=1.0, q=1.001)
-WAVE = pw.SchrodingerWave.free(p=1.3, m=1.0)
-
-
-def _packet_sweep(params, t=0.0, start=0.0):
-    # the packet sweep at BLOCK_ROWS + 1 points over [start, 4], evaluated on numpy arrays
-    return lambda: scenarios.run_gaussian_sweep(params, (start, 4.0, scenarios.BLOCK_ROWS + 1), t)
-
-
-def _plane_wave_sweep(t=0.0, start=0.0):
-    # the electron's ratio sweep at BLOCK_ROWS + 1 points over [start, 4], on numpy arrays
-    return lambda: scenarios.run_ratio_sweep(scenarios.ParticleScenario.from_mev(
-        "electron", 1.0, 1e-3, x_range=(start, 4.0, scenarios.BLOCK_ROWS + 1), t=t))
-
-
-@pytest.mark.parametrize(
-    "ratio, error",
-    [
-        # a non-finite x on the array path: the sweeps refuse the grid's end
-        (_packet_sweep(PACKET, start=math.nan), NonFiniteInput),
-        (_plane_wave_sweep(start=math.nan), NonFiniteInput),
-        # 1 + (q-1) G = 1 - (x^2/2 + x)/2 is on the cut beyond x = sqrt(5) - 1
-        (_packet_sweep(qg.GaussianParams(m=1.0, beta=1.0, q=0.5)), BranchCutViolation),
-        # G0^2/2 overflows in c at x = 4
-        (_packet_sweep(qg.GaussianParams(m=1e300, beta=1.0, q=1.001)), NonFiniteResult),
-        # kq = 1/(4 m q beta^2) is not finite: GaussianParams refuses it as a result
-        (lambda: _packet_sweep(qg.GaussianParams(m=1.0, beta=1e-160, q=1.001), 0.5)(),
-         NonFiniteResult),
-        (lambda: _packet_sweep(qg.GaussianParams(m=1e-320, beta=1.0, q=1.001), 0.5)(),
-         NonFiniteResult),
-        # the same refusals at a float x, which the kernel evaluates without numpy
-        (lambda: qg.ratio_gaussian(4.0, 0.0, qg.GaussianParams(m=1.0, beta=1.0, q=0.5)),
-         BranchCutViolation),
-        (lambda: qg.ratio_gaussian(4.0, 0.0, qg.GaussianParams(m=1e300, beta=1.0, q=1.001)),
-         NonFiniteResult),
-        (lambda: pw.ratio_R(pw.PhasePoint(1e200), WAVE, 1.5), NonFiniteResult),
-        # the plane wave's sweep, in one block and on numpy arrays
-        *((lambda n=n: scenarios.run_ratio_sweep(scenarios.ParticleScenario.from_mev(
-            "electron", 1.0, 0.5, x_range=(0.0, 1e200, n))), NonFiniteResult)
-          for n in (3, scenarios.BLOCK_ROWS + 1)),
-        # the packet's sweep at a non-finite t
-        (_packet_sweep(PACKET, math.nan), NonFiniteInput),
-        # both entries take one point of floats: a list is refused before any
-        # ratio is formed, and a 0-d array is a float
-        (lambda: pw.ratio_R(pw.PhasePoint([0.0, math.nan]), WAVE, 1.001), TypeError),
-        (lambda: qg.ratio_gaussian([0.0, math.nan], 0.0, PACKET), TypeError),
-        (lambda: qg.ratio_gaussian(np.array(math.nan), 0.0, PACKET), NonFiniteInput),
-    ],
-    ids=["nan-x-packet", "nan-x-plane-wave", "packet-cut", "packet-overflow", "packet-tiny-beta",
-         "packet-tiny-m", "packet-cut-float", "packet-overflow-float", "plane-wave-overflow-float",
-         "ratio-sweep-overflow-float", "ratio-sweep-overflow", "nan-t-packet", "nan-list-plane-wave",
-         "nan-list-packet", "nan-0d-packet"],
-)
-def test_ratio_refusals_are_typed(ratio, error):
-    with pytest.raises(error):
-        ratio()
-
-
-def _entries_at(x, t):
-    # the per-point entries at one point of floats
-    return (lambda: pw.ratio_R(pw.PhasePoint(x, t), WAVE, 1.001),
-            lambda: qg.ratio_gaussian(x, t, PACKET))
-
-
-def _sweeps_from(x, t):
-    # both sweeps on numpy arrays, from x at time t
-    return _plane_wave_sweep(t, start=x), _packet_sweep(PACKET, t, start=x)
-
-
-@pytest.mark.parametrize(
-    "x, t, name, ratios",
-    [(math.nan, 0.0, "x", _entries_at), (0.5, -math.inf, "t", _entries_at),
-     (math.inf, 0.0, "x_range start", _sweeps_from), (0.0, math.nan, "t", _sweeps_from)],
-    ids=["nan-x-float", "inf-t-float", "inf-x-array", "nan-t-array"],
-)
-def test_both_entries_refuse_a_point_in_one_text(x, t, name, ratios):
-    # qcore.finite refuses a non-finite x or t, by name, for both families:
-    # at a point through the per-point entries, on arrays through the sweeps
-    texts = []
-    for ratio in ratios(x, t):
-        with pytest.raises(NonFiniteInput, match=f"^{name} must be finite, got ") as refusal:
-            ratio()
-        texts.append(str(refusal.value))
-    assert texts[0] == texts[1]
-
-
-# Grids of the figures' ratios at t = 0 and their bounds against a 50-digit
-# oracle: 2e-13 where the ratio is well conditioned, 1e-9 on the grids that
-# cross a zero of the first-order amplitude 1 + c or end 8e-8 short of the
-# packet's cut at x = sqrt(5) - 1, where rounding the inputs alone costs up
-# to that much.  Each zero of 1 + c is approached to 1e-4, 1e-5 and 1e-6 of
-# its x from both sides.
-ORACLE_GRIDS = [
-    *[(species, eps, 1.0, 2e-13) for species in ("electron", "proton")
-      for eps in (1e-12, 1e-9, 1e-3)],
-    ("packet", 1e-3, 4.0, 2e-13),
-    ("packet", -1e-3, 4.0, 2e-13),
-    ("packet", 0.5, 20.0, 2e-13),
-    ("packet", -0.05, 3.0, 1e-9),
-    ("packet", -0.5, 1.2360679, 1e-9),
-    ("electron", 0.3, 2.0, 1e-9),
-]
-
-
-@pytest.mark.parametrize("family, q_minus_1, xmax, bound", ORACLE_GRIDS)
-def test_ratio_against_50_digit_oracle(family, q_minus_1, xmax, bound):
-    import mpmath as mp
-
-    q = 1.0 + q_minus_1
-    if family == "packet":
-        params = qg.GaussianParams(m=1.0, beta=1.0, q=q)
-
-        def ratio(xs):
-            return _packet_on_arrays(xs, 0.0, params)
-
-        def ratio_one(x):
-            return qg.ratio_gaussian(x, 0.0, params)
-
-        def terms(x):
-            # t = 0: a = m q, b = 1/beta, c = 0; a1 = a2 = m, b1 = 1/beta, the rest 0
-            x = mp.mpf(x)
-            g0 = x * x + x
-            return 1 - eps * (x * x - g0 * g0 / 2), g0, mp.mpf(q) * x * x + x
-
-    else:
-        wave = scenarios.wave_for(scenarios.ParticleScenario.from_mev(family, 1.0, q_minus_1))
-
-        def ratio(xs):
-            return _plane_wave_on_arrays(xs, 0.0, wave, q)
-
-        def ratio_one(x):
-            return pw.ratio_R(pw.PhasePoint(x), wave, q)
-
-        def terms(x):
-            u = mp.mpf(wave.p * x)  # the double phase p x at t = 0
-            return 1 - eps * u * u / 2, 0, mp.mpc(0, -u)
-
-    with mp.workdps(50):
-        eps = mp.mpf(q) - 1  # the exact double offset
-        xs = np.linspace(0.0, xmax, 201).tolist()
-        amp = [terms(x)[0] for x in xs]
-        for i in range(len(xs) - 1):
-            if amp[i] * amp[i + 1] < 0:
-                x0 = mp.findroot(lambda x: terms(x)[0], (xs[i], xs[i + 1]), solver="anderson")
-                xs += [float(x0 * (1 + s * mp.mpf(10) ** -k)) for s in (-1, 1) for k in (4, 5, 6)]
-        worst = 0.0
-        # the whole-array kernel (a longer sweep's) and the float call of each
-        # point (a one-block sweep's)
-        for x, *rs in zip(xs, ratio(xs).tolist(), map(ratio_one, xs)):
-            one_plus_c, g0, g = terms(x)
-            oracle = abs(one_plus_c) * mp.exp(-mp.re(g0) + mp.log(abs(1 + eps * g)) / eps)
-            worst = max(worst, *(float(abs(r - oracle) / oracle) for r in rs))
-    print(f"{family} q-1 = {q_minus_1:g} on [0, {xmax}]: max rel error {worst:.3e}")
-    assert worst <= bound
 
 
 # -- jet ring ------------------------------------------------------------

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qwave import checks, qcore
+from qwave import checks
 from qwave import qgaussian as qg
 from qwave import verify
 from qwave.errors import BranchCutViolation, InvalidQ, NonFiniteResult
@@ -209,20 +209,6 @@ def test_ratio_band_at_desk_scale():
     worst = float(np.abs(np.asarray(rows.columns["ratio"]) - 1.0).max())
     assert worst <= 0.1
     assert 0.0125 <= worst <= 0.0130, worst
-
-
-@pytest.mark.parametrize("t", [0.7, 3.0])
-@pytest.mark.parametrize("q", [1.001, 0.999, 1.3])
-def test_ratio_matches_scalar_packets(q, t):
-    # the kernel on numpy arrays (a sweep's) and ratio_gaussian at each float
-    p = params_for(q)
-    xs = np.linspace(-4.0, 4.0, 81)
-    with np.errstate(all="ignore"):
-        whole = qcore._ratio(*qg.ratio_terms(xs, t, p), p.q - 1.0, qcore._on_arrays(np))
-    for x, r in zip(xs.tolist(), whole.tolist()):
-        want = abs(qg.approx_qgaussian(x, t, p)) / abs(qg.exact_qgaussian(x, t, p))
-        for got in (r, qg.ratio_gaussian(x, t, p)):
-            assert abs(got - want) <= 1e-13 * want, x
 
 
 def test_approx_terms_refuse_amplitude_on_branch_cut():

@@ -60,6 +60,10 @@ CROSS = {
     "p": _cross("p m q x t", MAG, MAG, QS[:7], POINTS) + _cross("p q x", SIGNED, QS[:7], (0.5, 2.0)),
     "k": _cross("k m q x t", MAG, MAG, QS[:7], POINTS),
     "E": _cross("E q t", SIGNED, QS[:7], (0.5, 2.0)),
+    # a point argument with the wave fields that scale it in the phase p x - E t (a free
+    # or on-shell wave forms E from p or k)
+    "x": _cross("x p", SIGNED, SIGNED) + _cross("x k", SIGNED, SIGNED),
+    "t": _cross("t E", SIGNED, SIGNED) + _cross("t p", SIGNED, SIGNED) + _cross("t k", SIGNED, SIGNED),
     "m": _cross("m q", SIGNED, QS),
     "beta": _cross("m beta q x t", MAG, MAG, QS[:7], POINTS + ((0.5, 1e308), (1e200, 0.5))),
     "kinetic_mev": _cross("mass_kg kinetic_mev momentum_model",
