@@ -176,7 +176,7 @@ def _id(row):
     if isinstance(wave, pw.PlaneWave):
         wave = f"p={wave.p!r}"
     elif isinstance(wave, tuple):
-        wave = "m={!r},beta={!r}".format(*wave)
+        wave = "{!r},{!r}".format(*wave)  # (m, beta)
     wave = "" if wave is None else f"-{wave}"
     return f"{row.family.__name__}{wave}-{row.q_minus_1:g}-t{row.t:g}-{x}"
 
