@@ -38,7 +38,7 @@ else block by block (scenarios.BLOCK_ROWS rows) by qwave.floattext.text
 in numpy from exact integer digits, with "%" or repr for the values it
 does not prove (zero, inf, nan, |v| outside [1e-11, 2^51) and a few more).
 Nothing is written for a refused sweep, nor for an --out or plot path that
-is a directory or lies in none (refused before the sweep), and a failed
+is empty, a directory or in none (refused before the sweep), and a failed
 write removes the data file and its plot: both or neither remain.
 
 A qwave process (the console script, python -m qwave and
@@ -337,7 +337,8 @@ def cmd_ratio(args, parser) -> int:
         parser.error(f"--plot svg writes its plot to --out {args.out!r}: give --out another suffix")
     for flag, path in (("--out", args.out), ("--plot svg", svg_path)):  # before the sweep
         parent = os.path.dirname(path or "") or os.curdir
-        problem = ("is a directory" if os.path.isdir(path or "") else
+        problem = ("names no file" if path == "" else
+                   "is a directory" if os.path.isdir(path or "") else
                    None if os.path.isdir(parent) else f"is in {parent!r}, which is no directory")
         if path is not None and problem:
             print(f"qwave: cannot write output: {flag} {path!r} {problem}", file=sys.stderr)

@@ -1,5 +1,6 @@
-"""CLI contract: flags and argument files as one declaration, deterministic
-writers, SVG plots, exit codes, and the verify table."""
+"""CLI contract: each invocation's exit code, output and files in one table
+(CONTRACT), flags and argument files as one declaration, deterministic
+writers, SVG plots and the verify table."""
 
 import argparse
 import ast
@@ -16,6 +17,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -162,21 +164,6 @@ def test_svg_polyline_matches_pointwise_form(figure, tmp_path):
 # -- ratio ---------------------------------------------------------------
 
 
-def test_ratio_stdout_csv(capsys):
-    code, out, _ = run(["ratio", "--points", "5", "--q-minus-1", "0"], capsys)
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "x,R"
-    assert len(lines) == 6
-    assert all(line.endswith(",1") for line in lines[1:])
-
-
-def test_ratio_gaussian_header(capsys):
-    code, out, _ = run(["ratio", "--gaussian", "--points", "3"], capsys)
-    assert code == 0
-    assert out.splitlines()[0] == "x,ratio"
-
-
 def test_ratio_json(capsys):
     code, out, _ = run(["ratio", "--points", "3", "--format", "json"], capsys)
     assert code == 0
@@ -192,70 +179,6 @@ def test_ratio_json(capsys):
     assert cli.format_rows_json(("x", "R"), empty) == json.dumps([], indent=1) + "\n"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_ratio_refuses_non_finite_values(fmt, capsys):
-    # (1-q) x^2 overflows the double range at q - 1 = 1e300
-    code, out, err = run(
-        ["ratio", "--gaussian", "--q-minus-1", "1e300", "--points", "5", "--format", fmt],
-        capsys,
-    )
-    assert code == 3
-    assert out == ""
-    assert "numeric failure" in err
-
-
-MAX = "1.7976931348623157e308"
-
-
-@pytest.mark.parametrize(
-    "argv, named",
-    [
-        (["--points", "8", f"--t={MAX}"], "phase p x - E t is not finite at --t 1.797"),
-        (["--points", "39", f"--xmax={MAX}"], "phase p x - E t is not finite at --xmax 1.797"),
-        (["--gaussian", "--points", "39", f"--xmax={MAX}"], "exponent is not finite at --xmax"),
-        (["--gaussian", "--points", "8", f"--t={MAX}"], "exponent is not finite at --t 1.797"),
-        (["--gaussian", "--points", "3", "--t=-inf"], "exponent is not finite at --t -inf"),
-        (["--points", "3", "--energy-mev", "1e308"], "momentum is not finite at --energy-mev 1e"),
-        (["--gaussian", "--points", "3", "--beta", "1e-320"], "exponent is not finite at --beta"),
-        (["--gaussian", "--points", "3", "--m", "1e-320"], "exponent is not finite at --m 1e-32"),
-        (["--gaussian", "--points", "3", "--m", "1e308"], "exponent is not finite at --m 1e+308"),
-        (["--points", "3", "--t=-inf"], "phase p x - E t is not finite at --t -inf"),
-        # 1/beta is finite, kappa = 1/(4 m beta^2) is not
-        (["--gaussian", "--points", "3", "--beta", "1e-160"], "exponent is not finite at --beta 1e-160"),
-        (["--gaussian", "--points", "3", "--m", "1e300"], "first-order term is not finite at --m 1e+300"),
-        (["--q-minus-1", "0.5", "--xmax", "1e200", "--points", "3"],
-         "first-order term is not finite at --xmax 1e+200"),
-        # the first block meets the branch cut, a later one the overflow
-        (["--gaussian", "--q-minus-1", "-0.5", "--xmax", "1e79", "--points", "1000000"],
-         "first-order term is not finite at --xmax 1e+79"),
-        # --q-minus-1 is set last, on top of the mode's defaults
-        (["--q-minus-1", "1e308", "--points", "3"], "is not finite at --q-minus-1 1e+308"),
-        (["--gaussian", "--q-minus-1", "1e308"], "is not finite at --q-minus-1 1e+308"),
-        (["--q-minus-1", "nan", "--points", "3"], "is not finite at --q-minus-1 nan"),
-        (["--gaussian", "--q-minus-1", "inf"], "is not finite at --q-minus-1 inf"),
-        (["--gaussian", "--q-minus-1", "1e300", "--points", "5"],
-         "argument (q-1) G is not finite at --q-minus-1 1e+300"),
-        # a q < 1 packet at t = 0 has compact support: the base reaches the
-        # cut at sqrt(5) - 1, where (q-1) G = -1
-        (["--gaussian", "--q-minus-1", "-0.5"],
-         "branch cut where (q-1) G = -1: set --xmax below x_c = 1.236067977499789"),
-        # R overflows at the last point before the cut at x_c = 31.14, which a
-        # one-block sweep meets first, point by point
-        (["--gaussian", "--q-minus-1", "-1e-3", "--xmax", "40"],
-         "branch cut where (q-1) G = -1: set --xmax below x_c = 31.142057894041514"),
-    ],
-)
-def test_overflow_refusal_names_the_flag(argv, named, capsys):
-    code, out, err = run(["ratio", *argv], capsys)
-    assert code == 3
-    assert out == ""
-    assert named in err
-    assert "must be finite" not in err
-    # the other path gives the same refusal: at BLOCK_ROWS + 1 points the sweep
-    # is evaluated block by block in numpy, at fewer point by point in floats
-    assert run(["ratio", *argv, "--points", str(scenarios.BLOCK_ROWS + 1)], capsys) == (code, out, err)
-
-
 def test_ratio_gaussian_huge_beta_is_its_limit(capsys):
     # 8 m beta^2 overflows from |beta| ~ 4.7e153, where the first-order c2 must
     # keep its -L0/4 term; the beta -> inf limit is reached by 1e150
@@ -266,43 +189,6 @@ def test_ratio_gaussian_huge_beta_is_its_limit(capsys):
         argv = ["ratio", "--gaussian", "--t", "0.5", "--beta", beta, "--points", "3"]
         assert run(argv, capsys) == (0, want, ""), beta
     assert run(["ratio", "--gaussian", "--beta", "1e200", "--points", "3"], capsys)[0] == 0
-
-
-@pytest.mark.parametrize("flags", [["--xmax", "1.2"], ["--t", "0.3"]])
-def test_q_below_one_packet_inside_its_cutoff_is_not_refused(flags, capsys):
-    # below x_c = sqrt(5) - 1, or off t = 0 where the base leaves the real axis
-    code, out, err = run(["ratio", "--gaussian", "--q-minus-1", "-0.5", *flags], capsys)
-    assert (code, err) == (0, "")
-    assert out.startswith("x,ratio\n")
-
-
-@pytest.mark.parametrize("xmax", ["inf", "nan", "-inf", "-nan", "-INF", "-NaN", "-Infinity"])
-def test_non_finite_xmax_is_usage_error(xmax, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["ratio", "--xmax", xmax])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--xmax must be finite and positive" in err
-    assert "Warning" not in err
-
-
-@pytest.mark.parametrize("spelling", ["-inf", "-nan"])
-def test_negative_non_finite_t_is_numeric_failure(spelling, capsys):
-    assert cli.main(["ratio", "--points", "3", "--t", spelling]) == 3
-    spaced = capsys.readouterr()
-    assert cli.main(["ratio", "--points", "3", f"--t={spelling}"]) == 3
-    assert spaced == capsys.readouterr()
-    assert spaced.out == "" and "numeric failure" in spaced.err
-
-
-@pytest.mark.parametrize(
-    "argv", [["ratio", "--xmax", "inf"], ["verify", "--tol", "no-equals-sign"]]
-)
-def test_usage_error_shows_subcommand_usage(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.startswith(f"usage: qwave {argv[0]}")
 
 
 @pytest.mark.parametrize(
@@ -317,25 +203,6 @@ def test_negative_exponent_form_is_a_value(mode, flag, capsys):
     assert spaced == capsys.readouterr().out
 
 
-@pytest.mark.parametrize("mode, qm1", [("--no-gaussian", "1e-17"), ("--gaussian", "-1e-17")])
-@pytest.mark.parametrize("via_file", [False, True])
-def test_q_minus_1_that_rounds_away_is_usage_error(mode, qm1, via_file, tmp_path, capsys):
-    # 1.0 + 1e-17 == 1.0 in double: the sweep would run the undeformed q = 1
-    path = tmp_path / "q.args"
-    path.write_text(f"--q-minus-1={qm1}\n")
-    given = [f"@{path}"] if via_file else ["--q-minus-1", qm1]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["ratio", mode, "--points", "3", "--xmax", "1e6", *given])
-    assert exc.value.code == 2
-    assert "--q-minus-1" in capsys.readouterr().err.splitlines()[-1]
-
-
-def test_zero_q_minus_1_is_not_refused(capsys):
-    code, out, err = run(["ratio", "--points", "3", "--q-minus-1", "0"], capsys)
-    assert (code, err) == (0, "")
-    assert out.splitlines()[1:] == ["0,1", "0.5,1", "1,1"]
-
-
 def test_ratio_help_shows_both_modes_defaults(capsys):
     # each flag's help reads its plane-wave and packet defaults from _MODE_DEFAULTS
     with pytest.raises(SystemExit) as exc:
@@ -348,14 +215,6 @@ def test_ratio_help_shows_both_modes_defaults(capsys):
         assert re.search(rf"{flag} [A-Z_0-9]+ [^-]*default {plane}; {packet} packet", text), key
 
 
-def test_points_bound_is_checked_before_allocating(capsys):
-    for points in (10**11, cli.MAX_POINTS + 1):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["ratio", "--points", str(points)])
-        assert exc.value.code == 2
-    assert str(cli.MAX_POINTS) in capsys.readouterr().err
-
-
 # -- the exit-code contract under hostile values --------------------------
 
 HOSTILE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
@@ -364,12 +223,13 @@ HOSTILE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
 FLOAT_FLAGS = ("--energy-mev", "--q-minus-1", "--xmax", "--t", "--m", "--beta")
 
 
-def main_in_process(argv, lines, tmp_path_factory):
-    """Exit code and stderr of cli.main(argv) with an argument file after argv:
-    None for no file, "missing" for a path that does not exist, "directory"
-    for a directory, else the file's lines (str or bytes; SELF names the file)."""
+def main_in_process(argv, lines, directory):
+    """Exit code, stdout and stderr of cli.main(argv) with an argument file in
+    directory after argv: None for no file, "missing" for a path that does not
+    exist, "directory" for a directory, else the file's lines (str or bytes;
+    SELF names the file)."""
     if lines is not None:
-        path = tmp_path_factory.getbasetemp() / "contract.args"
+        path = directory / "contract.args"
         path.unlink(missing_ok=True)
         if lines == "directory":
             path = path.parent
@@ -384,7 +244,22 @@ def main_in_process(argv, lines, tmp_path_factory):
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+NUMERIC, ERROR = "qwave: numeric failure: ", "qwave: error: "
+RATIO_ERROR, VERIFY_ERROR = "qwave ratio: error: ", "qwave verify: error: "
+UNWRITABLE = "qwave: cannot write output: "
+PREFIXES = (NUMERIC, ERROR, RATIO_ERROR, VERIFY_ERROR, UNWRITABLE)  # the CLI's refusals
+
+
+def check_streams(code, out, err):
+    """Exit 0 or 1 writes nothing to stderr; exit 2 or 3 writes nothing to
+    stdout, and stderr's last line is one of the CLI's refusals, not a traceback."""
+    if code in (cli.EXIT_OK, cli.EXIT_FAIL):
+        assert err == "", (code, err)
+    else:
+        assert out == "" and (err.splitlines() or [""])[-1].startswith(PREFIXES), (code, out, err)
 
 
 SELF = "@SELF"  # a line that names its own file
@@ -426,9 +301,10 @@ def ratio_argvs(draw):
 @given(ratio_argvs())
 def test_ratio_exit_code_contract(tmp_path_factory, drawn):
     # in process; a warning is an error here, so one printed to stderr fails
-    code, err = main_in_process(*drawn, tmp_path_factory)
+    code, out, err = main_in_process(*drawn, tmp_path_factory.getbasetemp())
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERIC), (code, err)
     assert "division by zero" not in err
+    check_streams(code, out, err)
 
 
 log_uniform = st.builds(lambda sign, k: sign * 10.0 ** k, st.sampled_from([1.0, -1.0]),
@@ -448,9 +324,11 @@ def test_no_division_by_zero_is_left_to_catch(tmp_path_factory, argv):
     # the sweep's and _overflow_refusal's except clauses catch qwave's typed
     # errors only: a builtin ZeroDivisionError from a sweep, its parameters or
     # the refusals would reach main as "numeric failure: ... division by zero"
-    code, err = main_in_process(["ratio", "--points", "5", *argv], None, tmp_path_factory)
+    code, out, err = main_in_process(["ratio", "--points", "5", *argv], None,
+                                     tmp_path_factory.getbasetemp())
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERIC), (code, err)
     assert "division by zero" not in err
+    check_streams(code, out, err)
 
 
 SUITE_CHOICES = (*checks.SUITES, "all")
@@ -481,8 +359,9 @@ def verify_argvs(draw):
 @given(verify_argvs())
 def test_verify_exit_code_contract(tmp_path_factory, drawn):
     # in process; every suite is cheap enough to run once per example
-    code, err = main_in_process(*drawn, tmp_path_factory)
+    code, out, err = main_in_process(*drawn, tmp_path_factory.getbasetemp())
     assert code in (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_USAGE), (code, err)
+    check_streams(code, out, err)
 
 
 def subcommand_parser(name):
@@ -551,103 +430,236 @@ def test_a_later_flag_wins(tmp_path, capsys):
     assert {line.split(".")[0] for line in out.splitlines()[1:-1]} == {"separation"}
 
 
-# not UTF-8: Python 3.12 reads the byte as a lone surrogate, a flag of no
-# option, and earlier versions raise UnicodeDecodeError, which main refuses
-@pytest.mark.parametrize("lines", ["missing", "directory", [b"--\xff"], [SELF],
-                                   ["--energy=2.5"], ["--gauss"]],
-                         ids=["missing", "directory", "not-utf-8", "self", "unknown", "abbreviated"])
-def test_a_hostile_argument_file_is_a_usage_error(lines, tmp_path_factory):
-    code, err = main_in_process(["ratio"], lines, tmp_path_factory)
-    assert code == cli.EXIT_USAGE
-    assert err.splitlines()[-1].startswith("qwave: error: ")
+# -- the CLI contract: one invocation a row -------------------------------
 
 
-@pytest.mark.parametrize("command", ["ratio", "verify"])
-@pytest.mark.parametrize("line", ["--config=other.args", "--help=1", "--warp=9", "--no-gaussian=1",
-                                  "--spec=proton", "--suit=all"])
-def test_a_file_line_that_is_no_flag_is_refused(command, line, tmp_path_factory):
-    # --config is gone; a flag of no value takes none; one spelling per option
-    code, err = main_in_process([command], [line], tmp_path_factory)
-    assert code == cli.EXIT_USAGE
-    assert err.splitlines()[-1].startswith(("qwave: error: ", f"qwave {command}: error: "))
+class Call(NamedTuple):
+    id: str
+    argv: str  # the arguments after "qwave", split at spaces
+    code: int
+    text: str = ""  # the start of stderr's last line; exit 0 and 1 write no stderr
+    out: str = ""  # a pattern for the whole of stdout (re.fullmatch)
+    lines: object = None  # an argument file after argv, as main_in_process takes it
+    files: tuple = ()  # (name, pattern of its text) of each file the call adds
 
 
-@pytest.mark.parametrize("command", ["ratio", "verify"])
-@pytest.mark.parametrize("line", ["# comment", ""], ids=["comment", "blank"])
-def test_a_comment_or_blank_line_is_an_argument(command, line, tmp_path_factory):
-    # every line is an argument, and neither names one
-    code, err = main_in_process([command], [line], tmp_path_factory)
-    assert code == cli.EXIT_USAGE
-    assert "unrecognized arguments" in err
+UNRECOGNIZED = f"{ERROR}unrecognized arguments: "
+MAX = "1.7976931348623157e308"
+PHASE, EXPONENT, FIRST = "phase p x - E t", "packet exponent", "first-order term"
+CUT = ("the packet's q-power base 1 + (q-1) G reaches the branch cut where (q-1) G = -1: "
+       "set --xmax below")
+GAUSSIAN_VALUE = f"{RATIO_ERROR}argument --gaussian/--no-gaussian: ignored explicit argument"
+ANY_LINES = r"(.*\n)*"
+FIXTURES = {"dir": None, "file": b"", "taken.svg": None}  # each call's working directory
 
 
-@pytest.mark.parametrize("lines, header", [
-    (["--gaussian"], "x,ratio"),
-    (["--no-gaussian"], "x,R"),
-    (["--gaussian", "--no-gaussian"], "x,R"),
-    (["--no-gaussian", "--gaussian"], "x,ratio"),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
-def test_the_last_gaussian_line_of_a_file_picks_the_mode(lines, header, tmp_path, capsys):
-    path = tmp_path / "run.args"
-    path.write_text("".join(line + "\n" for line in lines))
-    code, out, _ = run(["ratio", "--points", "3", f"@{path}"], capsys)
-    assert code == 0
-    assert out.splitlines()[0] == header
+def csv(header, n):
+    """The pattern of a CSV text of n rows under its header."""
+    return header + r"\n(.*,.*\n){%d}" % n
 
 
-@pytest.mark.parametrize("line", ["--gaussian=yes", "--gaussian=1", "--no-gaussian=off", "--gaussian="])
-def test_a_gaussian_line_with_a_value_is_refused(line, tmp_path_factory):
-    # the mode is the flag alone: no boolean spellings
-    code, err = main_in_process(["ratio"], [line], tmp_path_factory)
-    assert code == cli.EXIT_USAGE
-    assert "ignored explicit argument" in err
+def verify_table(checks_run, failed):
+    """The pattern of verify's table, whose time invoke masks."""
+    return f"{ANY_LINES}{checks_run} checks: {checks_run - failed} passed, {failed} failed \\[s\\]\n"
 
 
-def test_an_out_path_starting_with_at_is_given_after_an_equals_sign(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(["ratio", "--points", "3", "--out=@x.csv"]) == 0
-    assert (tmp_path / "@x.csv").read_text().startswith("x,R\n")
+CONTRACT = [
+    # stdout: R = 1 at q - 1 = 0; the packet's header; a q < 1 packet inside its
+    # cutoff x_c = sqrt(5) - 1, or off t = 0, where the base leaves the real axis
+    Call("csv-stdout", "ratio --points 5 --q-minus-1 0", 0,
+         out=r"x,R\n0,1\n0\.25,1\n0\.5,1\n0\.75,1\n1,1\n"),
+    Call("zero-q-minus-1-is-not-refused", "ratio --points 3 --q-minus-1 0", 0,
+         out=r"x,R\n0,1\n0\.5,1\n1,1\n"),
+    Call("gaussian-header", "ratio --gaussian --points 3", 0, out=csv("x,ratio", 3)),
+    *(Call(f"q-below-one-packet-inside-its-cutoff-{flags}",
+           f"ratio --gaussian --q-minus-1 -0.5 {flags}", 0, out=csv("x,ratio", 1001))
+      for flags in ("--xmax 1.2", "--t 0.3")),
+    Call("out-path-starting-with-at-after-an-equals-sign", "ratio --points 3 --out=@x.csv", 0,
+         files=(("@x.csv", csv("x,R", 3)),)),
+    # exit 3: an overflow names its quantity and the flag at whose value it occurred;
+    # --q-minus-1 is set last, on top of the mode's defaults
+    *(Call(name, f"ratio {flags}", 3, f"{NUMERIC}the {quantity} is not finite at {at}")
+      for name, flags, quantity, at in (
+          ("t-max-phase", f"--points 8 --t={MAX}", PHASE, "--t 1.797"),
+          ("xmax-max-phase", f"--points 39 --xmax={MAX}", PHASE, "--xmax 1.797"),
+          ("xmax-max-packet", f"--gaussian --points 39 --xmax={MAX}", EXPONENT, "--xmax 1.797"),
+          ("t-max-packet", f"--gaussian --points 8 --t={MAX}", EXPONENT, "--t 1.797"),
+          ("t-minus-inf-packet", "--gaussian --points 3 --t=-inf", EXPONENT, "--t -inf"),
+          ("energy-mev-1e308", "--points 3 --energy-mev 1e308", "momentum", "--energy-mev 1e+308"),
+          ("beta-1e-320", "--gaussian --points 3 --beta 1e-320", EXPONENT, "--beta 1e-320"),
+          ("m-1e-320", "--gaussian --points 3 --m 1e-320", EXPONENT, "--m 1e-320"),
+          ("m-1e308", "--gaussian --points 3 --m 1e308", EXPONENT, "--m 1e+308"),
+          # -inf and -nan are numbers, spaced or after an equals sign
+          *((f"t{sep}{v}-phase", f"--points 3 --t{sep}{v}", PHASE, f"--t {float(v)!r}")
+            for sep in "= " for v in ("-inf", "-nan")),
+          # 1/beta is finite, kappa = 1/(4 m beta^2) is not
+          ("beta-1e-160", "--gaussian --points 3 --beta 1e-160", EXPONENT, "--beta 1e-160"),
+          ("m-1e300", "--gaussian --points 3 --m 1e300", FIRST, "--m 1e+300"),
+          ("xmax-1e200-plane-wave", "--q-minus-1 0.5 --xmax 1e200 --points 3", FIRST, "--xmax 1e+200"),
+          # the first block meets the branch cut, a later one the overflow
+          ("xmax-1e79-packet", "--gaussian --q-minus-1 -0.5 --xmax 1e79 --points 1000000", FIRST,
+           "--xmax 1e+79"),
+          ("q-minus-1-1e308", "--q-minus-1 1e308 --points 3", FIRST, "--q-minus-1 1e+308"),
+          ("q-minus-1-1e308-packet", "--gaussian --q-minus-1 1e308", EXPONENT, "--q-minus-1 1e+308"),
+          ("q-minus-1-nan", "--q-minus-1 nan --points 3", FIRST, "--q-minus-1 nan"),
+          ("q-minus-1-inf-packet", "--gaussian --q-minus-1 inf", FIRST, "--q-minus-1 inf"),
+          # (1-q) x^2 overflows the double range at q - 1 = 1e300, in each format
+          *((f"q-minus-1-1e300-packet{fmt}", f"--gaussian --q-minus-1 1e300 --points 5{fmt}",
+             "q-exponential argument (q-1) G", "--q-minus-1 1e+300")
+            for fmt in ("", " --format csv", " --format json")))),
+    # a q < 1 packet at t = 0 has compact support: the base reaches the cut at
+    # sqrt(5) - 1; R overflows at the last point before the cut at x_c = 31.14,
+    # which a one-block sweep meets first, point by point
+    Call("cut-of-a-q-below-one-packet", "ratio --gaussian --q-minus-1 -0.5", 3,
+         f"{NUMERIC}{CUT} x_c = 1.236067977499789"),
+    Call("cut-after-an-overflowing-point", "ratio --gaussian --q-minus-1 -1e-3 --xmax 40", 3,
+         f"{NUMERIC}{CUT} x_c = 31.142057894041514"),
+    # exit 2, bad values: a non-finite --xmax in any spelling; a nonzero --q-minus-1
+    # that rounds away in q = 1 + (q-1), typed or in a file; --points out of its
+    # bounds, checked before the grid is allocated; a bad choice; a bad value,
+    # though a later one is good
+    *(Call(f"xmax-{value}{mode}", f"ratio{mode} --xmax {value}", 2,
+           f"{RATIO_ERROR}--xmax must be finite and positive, got {float(value)}")
+      for value, mode in [(v, "") for v in ("inf", "nan", "-inf", "-nan", "-INF", "-NaN", "-Infinity")]
+      + [("inf", " --gaussian")]),
+    *(Call(f"q-minus-1-rounds-away{mode}{'-in-a-file' if lines else ''}",
+           f"ratio {mode} --points 3 --xmax 1e6" + ("" if lines else f" --q-minus-1 {qm1}"), 2,
+           f"{RATIO_ERROR}--q-minus-1 {qm1} rounds away: 1 + (q-1) == 1 in double", lines=lines)
+      for mode, qm1 in (("--no-gaussian", "1e-17"), ("--gaussian", "-1e-17"))
+      for lines in (None, [f"--q-minus-1={qm1}"])),
+    *(Call(f"points-{points}", f"ratio --points {points}", 2,
+           f"{RATIO_ERROR}--points must be at most {cli.MAX_POINTS}, got {points}")
+      for points in (10**11, cli.MAX_POINTS + 1)),
+    Call("points-1", "ratio --points 1", 2, f"{RATIO_ERROR}--points must be at least 2, got 1"),
+    Call("species-muon", "ratio --species muon", 2,
+         f"{RATIO_ERROR}argument --species: invalid choice: 'muon'"),
+    Call("bad-value-before-a-good-one", "ratio --points=abc --points 5", 2,
+         f"{RATIO_ERROR}argument --points: invalid int value: 'abc'"),
+    # one spelling per option, in a file too: an abbreviation would also change
+    # its meaning when a flag sharing its prefix is added
+    *(Call(f"abbreviated-{argv}", argv, 2, UNRECOGNIZED + argv.partition(" ")[2])
+      for argv in ("ratio --gauss", "ratio --poi 3", "verify --su planewave")),
+    # argument files
+    Call("file-missing", "ratio", 2, f"{ERROR}[Errno 2] No such file or directory: ", lines="missing"),
+    Call("file-directory", "ratio", 2, f"{ERROR}[Errno 21] Is a directory: ", lines="directory"),
+    # not UTF-8: Python 3.12 reads the byte as a lone surrogate, a flag of no option, and
+    # earlier versions raise UnicodeDecodeError, which main refuses: the texts share their start
+    Call("file-not-utf-8", "ratio", 2, ERROR, lines=[b"--\xff"]),
+    Call("file-self", "ratio", 2, f"{ERROR}argument files nest without end: does one name itself?",
+         lines=[SELF]),
+    *(Call(f"file-{line}", "ratio", 2, UNRECOGNIZED + line, lines=[line])
+      for line in ("--energy=2.5", "--gauss")),
+    # every line is one argument: a comment or a blank line names none; --config is
+    # gone; a flag of no value takes none, nor has the mode a boolean spelling
+    *(Call(f"{command}-file-line-{line or 'blank'}", command, 2,
+           f"qwave {command}: error: argument -h/--help: ignored explicit argument '1'"
+           if line == "--help=1"
+           else f"{GAUSSIAN_VALUE} '1'" if (command, line) == ("ratio", "--no-gaussian=1")
+           else UNRECOGNIZED + line, lines=[line])
+      for command in ("ratio", "verify")
+      for line in ("--config=other.args", "--help=1", "--warp=9", "--no-gaussian=1", "--spec=proton",
+                   "--suit=all", "# comment", "")),
+    *(Call(f"ratio-file-line-{line}", "ratio", 2, f"{GAUSSIAN_VALUE} {line.partition('=')[2]!r}",
+           lines=[line])
+      for line in ("--gaussian=yes", "--gaussian=1", "--no-gaussian=off", "--gaussian=")),
+    # the last mode line of a file picks the mode
+    *(Call(f"last-file-line-picks-the-mode-{' '.join(lines)}", "ratio --points 3", 0,
+           out=csv(header, 3), lines=lines) for lines, header in (
+        (["--gaussian"], "x,ratio"), (["--no-gaussian"], "x,R"),
+        (["--gaussian", "--no-gaussian"], "x,R"), (["--no-gaussian", "--gaussian"], "x,ratio"))),
+    Call("verify-file-tol-for-no-check", "verify", 2,
+         f"{VERIFY_ERROR}--tol: no check named 'planewave.nope'", lines=["--tol=planewave.nope=1"]),
+    # output paths, refused before the sweep, in a working directory that holds FIXTURES
+    *(Call(name, argv, 2, f"{RATIO_ERROR}argument --plot: invalid choice: 'script'") for name, argv in (
+        ("plot-script", "ratio --points 10 --out fig.csv --plot script"),
+        ("plot-script-with-json", "ratio --plot script --format json --out x.json"))),
+    Call("plot-requires-out", "ratio --plot svg", 2, f"{RATIO_ERROR}--plot requires --out"),
+    Call("plot-svg-refuses-an-svg-out", "ratio --points 3 --out fig.svg --plot svg", 2,
+         f"{RATIO_ERROR}--plot svg writes its plot to --out 'fig.svg': give --out another suffix"),
+    *(Call(name, f"ratio --points {points} {flags}", 2, UNWRITABLE + text)
+      for name, points, flags, text in (
+          ("out-is-the-working-directory", 3, "--out .", "--out '.' is a directory"),
+          ("plot-path-is-a-directory", 3, "--out taken.csv --plot svg",
+           "--plot svg 'taken.svg' is a directory"),
+          ("out-is-a-directory", 2000001, "--out dir", "--out 'dir' is a directory"),
+          *((f"out-in-{parent}", 2000001, f"--out {parent}/fig.csv",
+             f"--out '{parent}/fig.csv' is in '{parent}', which is no directory")
+            for parent in ("missing", "file")),
+          ("plot-path-is-a-directory-before-a-long-sweep", 2000001, "--out taken.csv --plot svg",
+           "--plot svg 'taken.svg' is a directory"),
+          ("empty-out", 2000000, "--out=", "--out '' names no file"))),
+    # verify: a --tol can fail a check, and one for a suite not selected is accepted
+    Call("verify-single-suite", "verify --suite separation", 0,
+         out=f"check .*\n{ANY_LINES}separation\\.exact_residual_f .* PASS .*\n{verify_table(15, 0)}"),
+    Call("verify-tol-override-can-fail",
+         "verify --suite planewave --tol planewave.modulus_identity=1e-20", 1,
+         out=f"{ANY_LINES}planewave\\.modulus_identity .* FAIL .*\n{verify_table(12, 1)}"),
+    Call("verify-repeated-tol", "verify --suite planewave --tol planewave.modulus_identity=1e-20 "
+         "--tol planewave.psi_q_jet=1e-20", 1, out=verify_table(12, 2)),
+    Call("verify-tol-for-unselected-suite", "verify --suite planewave --tol separation.f_jet=1e-30", 0,
+         out=verify_table(12, 0)),
+    *(Call(name, f"verify {flags}", 2, VERIFY_ERROR + text) for name, flags, text in (
+        ("verify-tol-without-equals-sign", "--tol no-equals-sign",
+         "--tol expects CHECK=VALUE, got 'no-equals-sign'"),
+        ("verify-suite-and-tol-without-equals-sign", "--suite planewave --tol no-equals-sign",
+         "--tol expects CHECK=VALUE, got 'no-equals-sign'"),
+        ("verify-tol-not-a-number", "--tol planewave.exact_fd=abc",
+         "--tol planewave.exact_fd: not a number: 'abc'"),
+        ("verify-unknown-tol-key", "--suite planewave --tol planewave.modulus_identiy=1e-30",
+         "--tol: no check named 'planewave.modulus_identiy'"),
+        *((f"verify-tol-{v}", f"--suite planewave --tol planewave.exact_fd={v}",
+           f"--tol planewave.exact_fd: must be finite, got '{v}'")
+          for v in ("nan", "-inf", "inf", "NaN")))),
+]
 
 
-def test_bad_file_value_gets_the_flags_message(tmp_path, capsys):
-    path = tmp_path / "run.args"
-    path.write_text("--points=abc\n")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["ratio", f"@{path}", "--points", "5"])
-    assert exc.value.code == 2
-    assert "argument --points: invalid int value: 'abc'" in capsys.readouterr().err
+def invoke(argv, lines, where, monkeypatch):
+    """(code, stdout, stderr, files) of one call in a new working directory
+    where that holds FIXTURES; files maps each path under it to its bytes
+    (None for a directory), and verify's time reads [s]."""
+    where.mkdir()
+    for name, data in FIXTURES.items():
+        (where / name).mkdir() if data is None else (where / name).write_bytes(data)
+    monkeypatch.chdir(where)
+    code, out, err = main_in_process(argv, lines, where.parent)
+    files = {str(p.relative_to(where)): None if p.is_dir() else p.read_bytes()
+             for p in where.rglob("*")}
+    return code, re.sub(r"\[\d+\.\d\d s\]\n\Z", "[s]\n", out), err, files
 
 
-def test_verify_file_tol_is_the_tol_flag(tmp_path, capsys):
-    path = tmp_path / "run.args"
-    path.write_text("--tol=planewave.modulus_identity=1e-20\n--tol=planewave.psi_q_jet=1e-20\n")
-    code, out, _ = run(["verify", "--suite", "planewave", f"@{path}"], capsys)
-    assert (code, out.count(" FAIL ")) == (1, 2)  # each line applies, as repeated --tol flags do
-    path.write_text("--tol=planewave.nope=1\n")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", f"@{path}"])
-    assert exc.value.code == 2
+def argparse_usage(prog):
+    """The usage that argparse prints before its error line in prog's name."""
+    parser = cli.build_parser() if prog == "qwave" else subcommand_parser(prog.split()[1])
+    return parser.format_usage()
 
 
-def test_bad_flag_value_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["ratio", "--species", "muon"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["ratio", "--points", "1"])
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize(
-    "argv", [["ratio", "--gauss"], ["ratio", "--poi", "3"], ["verify", "--su", "planewave"]]
-)
-def test_an_abbreviated_flag_is_unrecognized(argv, capsys):
-    # one spelling per option, in a file too: an abbreviation would
-    # also change its meaning when a flag sharing its prefix is added
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+@pytest.mark.parametrize("row", CONTRACT, ids=[row.id for row in CONTRACT])
+def test_cli_contract(row, tmp_path, monkeypatch):
+    """One invocation: its exit code, stdout, stderr's last line (after argparse's
+    usage for its errors) and added files; exit 2 runs no sweep; a ratio refused
+    with exit 3 is refused alike in numpy blocks; typed arguments give the same
+    result moved into an argument file."""
+    argv = row.argv.split(" ")
+    if row.code == cli.EXIT_USAGE:  # refused before the sweep
+        for name in ("run_ratio_sweep", "run_gaussian_sweep"):
+            monkeypatch.setattr(scenarios, name, lambda *args: pytest.fail("the sweep ran"))
+    result = invoke(argv, row.lines, tmp_path / "typed", monkeypatch)
+    code, out, err, files = result
+    assert code == row.code, err
+    assert re.fullmatch(row.out, out), out
+    check_streams(code, out, err)  # exit 0 and 1: no stderr; exit 2 and 3: no stdout
+    last = (err.splitlines() or [""])[-1]
+    assert last.startswith(row.text), last
+    prog, usage_error, _ = last.partition(": error: ")
+    assert err == ((argparse_usage(prog) if usage_error else "") + last + "\n" if err else "")
+    added = {name: data for name, data in files.items() if name not in FIXTURES}
+    assert files == {**FIXTURES, **added} and added.keys() == dict(row.files).keys()
+    assert all(re.fullmatch(pattern, added[name].decode()) for name, pattern in row.files)
+    if argv[0] == "ratio" and code == cli.EXIT_NUMERIC:  # the float path and the numpy blocks
+        blocks = invoke([*argv, "--points", str(B + 1)], row.lines, tmp_path / "blocks", monkeypatch)
+        assert blocks == result
+    if row.lines is None:
+        assert invoke(argv[:1], argv[1:], tmp_path / "from-file", monkeypatch) == result
 
 
 def test_output_file_and_determinism(tmp_path, capsys):
@@ -660,15 +672,6 @@ def test_output_file_and_determinism(tmp_path, capsys):
     assert b"\r" not in a.read_bytes()
 
 
-def test_plot_script_is_usage_error(tmp_path, capsys):
-    out = tmp_path / "fig.csv"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["ratio", "--points", "10", "--out", str(out), "--plot", "script"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'script'" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_plot_svg_emission(tmp_path, capsys):
     out = tmp_path / "fig.csv"
     code = cli.main(
@@ -679,30 +682,6 @@ def test_plot_svg_emission(tmp_path, capsys):
     svg = (tmp_path / "fig.svg").read_text()
     assert svg.startswith("<svg ")
     assert "polyline" in svg
-
-
-def test_plot_svg_refuses_an_svg_out(tmp_path, capsys):
-    out = tmp_path / "fig.svg"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["ratio", "--points", "3", "--out", str(out), "--plot", "svg"])
-    assert exc.value.code == 2
-    assert "--out" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_unwritable_out_is_usage_error(tmp_path, capsys):
-    code, _, err = run(["ratio", "--points", "3", "--out", str(tmp_path)], capsys)
-    assert code == cli.EXIT_USAGE
-    assert "cannot write output" in err
-
-
-def test_failed_plot_write_leaves_no_data_file(tmp_path, capsys):
-    (tmp_path / "fig.svg").mkdir()
-    out = tmp_path / "fig.csv"
-    code, _, err = run(["ratio", "--points", "3", "--out", str(out), "--plot", "svg"], capsys)
-    assert code == cli.EXIT_USAGE
-    assert "cannot write output: --plot svg" in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig.svg"]
 
 
 def test_plot_failing_after_the_data_file_removes_it(tmp_path, monkeypatch, capsys):
@@ -745,36 +724,6 @@ def test_failed_write_keeps_what_is_not_a_regular_file(tmp_path, capsys):
     assert code == cli.EXIT_USAGE
     assert "cannot write output" in err
     assert link.is_symlink() and os.readlink(link) == "/dev/full"
-
-
-@pytest.mark.parametrize("where, flag", [
-    ("dir", "--out"), ("missing/fig.csv", "--out"), ("file/fig.csv", "--out"),
-    ("fig.csv", "--plot svg"),
-])
-def test_unusable_out_is_refused_before_the_sweep(where, flag, tmp_path, monkeypatch, capsys):
-    def not_called(*args):
-        raise AssertionError("the sweep ran")
-
-    monkeypatch.setattr(scenarios, "run_ratio_sweep", not_called)
-    (tmp_path / "dir").mkdir()
-    (tmp_path / "fig.svg").mkdir()
-    (tmp_path / "file").write_text("")
-    before = sorted(p.name for p in tmp_path.iterdir())
-    argv = ["ratio", "--points", "2000001", "--out", str(tmp_path / where)]
-    code, _, err = run(argv + (["--plot", "svg"] if flag == "--plot svg" else []), capsys)
-    assert code == cli.EXIT_USAGE
-    assert f"cannot write output: {flag} " in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == before
-    assert (tmp_path / "file").read_text() == ""
-
-
-def test_plot_requires_out_and_csv(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["ratio", "--plot", "svg"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["ratio", "--plot", "script", "--format", "json", "--out", "x.json"])
-    assert exc.value.code == 2
 
 
 def test_plot_svg_refuses_empty_rows(tmp_path):
@@ -932,59 +881,6 @@ def test_benchmark_sweeps_reuse_their_heap_pages(tmp_path, argv):
 
 
 # -- verify --------------------------------------------------------------
-
-
-def test_verify_single_suite_passes(capsys):
-    code, out, _ = run(["verify", "--suite", "separation"], capsys)
-    assert code == 0
-    assert "separation.exact_residual_f" in out
-    assert "FAIL" not in out
-    assert "0 failed" in out.strip().splitlines()[-1]
-
-
-def test_verify_tol_override_can_fail(capsys):
-    code, out, _ = run(
-        ["verify", "--suite", "planewave", "--tol", "planewave.modulus_identity=1e-20"],
-        capsys,
-    )
-    assert code == 1
-    assert "FAIL" in out
-
-
-def test_verify_bad_tol_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--tol", "no-equals-sign"])
-    assert exc.value.code == 2
-
-
-def test_verify_tol_that_is_not_a_number_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--tol", "planewave.exact_fd=abc"])
-    assert exc.value.code == 2
-    assert "not a number" in capsys.readouterr().err
-
-
-def test_verify_unknown_tol_key_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "planewave", "--tol", "planewave.modulus_identiy=1e-30"])
-    assert exc.value.code == 2
-    assert "'planewave.modulus_identiy'" in capsys.readouterr().err
-
-
-def test_verify_tol_for_unselected_suite_is_accepted(capsys):
-    code, out, _ = run(
-        ["verify", "--suite", "planewave", "--tol", "separation.f_jet=1e-30"], capsys
-    )
-    assert code == 0
-    assert out.strip().splitlines()[-1].startswith("12 checks: 12 passed, 0 failed")
-
-
-@pytest.mark.parametrize("value", ["nan", "-inf", "inf", "NaN"])
-def test_verify_non_finite_tol_is_usage_error(value, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "planewave", "--tol", f"planewave.exact_fd={value}"])
-    assert exc.value.code == 2
-    assert "planewave.exact_fd: must be finite" in capsys.readouterr().err
 
 
 def test_verify_runs_every_registry_entry_in_order(capsys):
