@@ -445,9 +445,6 @@ class Call(NamedTuple):
 
 UNRECOGNIZED = f"{ERROR}unrecognized arguments: "
 MAX = "1.7976931348623157e308"
-PHASE, EXPONENT, FIRST = "phase p x - E t", "packet exponent", "first-order term"
-CUT = ("the packet's q-power base 1 + (q-1) G reaches the branch cut where (q-1) G = -1: "
-       "set --xmax below")
 GAUSSIAN_VALUE = f"{RATIO_ERROR}argument --gaussian/--no-gaussian: ignored explicit argument"
 ANY_LINES = r"(.*\n)*"
 FIXTURES = {"dir": None, "file": b"", "taken.svg": None}  # each call's working directory
@@ -463,6 +460,48 @@ def verify_table(checks_run, failed):
     return f"{ANY_LINES}{checks_run} checks: {checks_run - failed} passed, {failed} failed \\[s\\]\n"
 
 
+# exit 3: an overflow names its quantity and the flag at whose value it occurred;
+# --q-minus-1 is set last, on top of the mode's defaults. A row (flags, text before
+# its id, id, text after it) pins the whole message; its test id is argvN-id
+PACKET, FIRST, BASE = "packet ", "first-order term ", "packet's q-power base 1 + (q-1) G reaches the "
+OVERFLOW = [Call(named, f"ratio {flags}", 3, f"{NUMERIC}the {before}{named}{after}")
+            for flags, before, named, after in [
+    (f"--points 8 --t={MAX}", "", "phase p x - E t is not finite at --t 1.797", ""),
+    (f"--points 39 --xmax={MAX}", "", "phase p x - E t is not finite at --xmax 1.797", ""),
+    (f"--gaussian --points 39 --xmax={MAX}", PACKET, "exponent is not finite at --xmax", " 1.797"),
+    (f"--gaussian --points 8 --t={MAX}", PACKET, "exponent is not finite at --t 1.797", ""),
+    ("--gaussian --points 3 --t=-inf", PACKET, "exponent is not finite at --t -inf", ""),
+    ("--points 3 --energy-mev 1e308", "", "momentum is not finite at --energy-mev 1e", "+308"),
+    ("--gaussian --points 3 --beta 1e-320", PACKET, "exponent is not finite at --beta", " 1e-320"),
+    ("--gaussian --points 3 --m 1e-320", PACKET, "exponent is not finite at --m 1e-32", "0"),
+    ("--gaussian --points 3 --m 1e308", PACKET, "exponent is not finite at --m 1e+308", ""),
+    ("--points 3 --t=-inf", "", "phase p x - E t is not finite at --t -inf", ""),
+    # 1/beta is finite, kappa = 1/(4 m beta^2) is not
+    ("--gaussian --points 3 --beta 1e-160", PACKET, "exponent is not finite at --beta 1e-160", ""),
+    ("--gaussian --points 3 --m 1e300", "", "first-order term is not finite at --m 1e+300", ""),
+    ("--q-minus-1 0.5 --xmax 1e200 --points 3", "", "first-order term is not finite at --xmax 1e+200", ""),
+    # the first block meets the branch cut, a later one the overflow
+    ("--gaussian --q-minus-1 -0.5 --xmax 1e79 --points 1000000", "",
+     "first-order term is not finite at --xmax 1e+79", ""),
+    ("--q-minus-1 1e308 --points 3", FIRST, "is not finite at --q-minus-1 1e+308", ""),
+    ("--gaussian --q-minus-1 1e308", PACKET + "exponent ", "is not finite at --q-minus-1 1e+308", ""),
+    ("--q-minus-1 nan --points 3", FIRST, "is not finite at --q-minus-1 nan", ""),
+    ("--gaussian --q-minus-1 inf", FIRST, "is not finite at --q-minus-1 inf", ""),
+    # (1-q) x^2 overflows the double range at q - 1 = 1e300, in each format (below)
+    ("--gaussian --q-minus-1 1e300 --points 5", "q-exponential ",
+     "argument (q-1) G is not finite at --q-minus-1 1e+300", ""),
+    # a q < 1 packet at t = 0 has compact support: the base reaches the cut at sqrt(5) - 1;
+    # R overflows just before the cut at x_c = 31.14, which the one-block float path meets first
+    *((flags, BASE, f"branch cut where (q-1) G = -1: set --xmax below x_c = {x_c}", "")
+      for flags, x_c in (("--gaussian --q-minus-1 -0.5", "1.236067977499789"),
+                         ("--gaussian --q-minus-1 -1e-3 --xmax 40", "31.142057894041514"))),
+    # -inf and -nan are numbers, spaced or after an equals sign
+    *((f"--points 3 --t{sep}{v}", "", f"phase p x - E t is not finite at --t {float(v)!r}", "")
+      for sep, v in (("=", "-nan"), (" ", "-inf"), (" ", "-nan"))),
+    *((f"--gaussian --q-minus-1 1e300 --points 5 --format {fmt}", "q-exponential ",
+       "argument (q-1) G is not finite at --q-minus-1 1e+300", "") for fmt in ("csv", "json"))]]
+
+
 CONTRACT = [
     # stdout: R = 1 at q - 1 = 0; the packet's header; a q < 1 packet inside its
     # cutoff x_c = sqrt(5) - 1, or off t = 0, where the base leaves the real axis
@@ -476,44 +515,6 @@ CONTRACT = [
       for flags in ("--xmax 1.2", "--t 0.3")),
     Call("out-path-starting-with-at-after-an-equals-sign", "ratio --points 3 --out=@x.csv", 0,
          files=(("@x.csv", csv("x,R", 3)),)),
-    # exit 3: an overflow names its quantity and the flag at whose value it occurred;
-    # --q-minus-1 is set last, on top of the mode's defaults
-    *(Call(name, f"ratio {flags}", 3, f"{NUMERIC}the {quantity} is not finite at {at}")
-      for name, flags, quantity, at in (
-          ("t-max-phase", f"--points 8 --t={MAX}", PHASE, "--t 1.797"),
-          ("xmax-max-phase", f"--points 39 --xmax={MAX}", PHASE, "--xmax 1.797"),
-          ("xmax-max-packet", f"--gaussian --points 39 --xmax={MAX}", EXPONENT, "--xmax 1.797"),
-          ("t-max-packet", f"--gaussian --points 8 --t={MAX}", EXPONENT, "--t 1.797"),
-          ("t-minus-inf-packet", "--gaussian --points 3 --t=-inf", EXPONENT, "--t -inf"),
-          ("energy-mev-1e308", "--points 3 --energy-mev 1e308", "momentum", "--energy-mev 1e+308"),
-          ("beta-1e-320", "--gaussian --points 3 --beta 1e-320", EXPONENT, "--beta 1e-320"),
-          ("m-1e-320", "--gaussian --points 3 --m 1e-320", EXPONENT, "--m 1e-320"),
-          ("m-1e308", "--gaussian --points 3 --m 1e308", EXPONENT, "--m 1e+308"),
-          # -inf and -nan are numbers, spaced or after an equals sign
-          *((f"t{sep}{v}-phase", f"--points 3 --t{sep}{v}", PHASE, f"--t {float(v)!r}")
-            for sep in "= " for v in ("-inf", "-nan")),
-          # 1/beta is finite, kappa = 1/(4 m beta^2) is not
-          ("beta-1e-160", "--gaussian --points 3 --beta 1e-160", EXPONENT, "--beta 1e-160"),
-          ("m-1e300", "--gaussian --points 3 --m 1e300", FIRST, "--m 1e+300"),
-          ("xmax-1e200-plane-wave", "--q-minus-1 0.5 --xmax 1e200 --points 3", FIRST, "--xmax 1e+200"),
-          # the first block meets the branch cut, a later one the overflow
-          ("xmax-1e79-packet", "--gaussian --q-minus-1 -0.5 --xmax 1e79 --points 1000000", FIRST,
-           "--xmax 1e+79"),
-          ("q-minus-1-1e308", "--q-minus-1 1e308 --points 3", FIRST, "--q-minus-1 1e+308"),
-          ("q-minus-1-1e308-packet", "--gaussian --q-minus-1 1e308", EXPONENT, "--q-minus-1 1e+308"),
-          ("q-minus-1-nan", "--q-minus-1 nan --points 3", FIRST, "--q-minus-1 nan"),
-          ("q-minus-1-inf-packet", "--gaussian --q-minus-1 inf", FIRST, "--q-minus-1 inf"),
-          # (1-q) x^2 overflows the double range at q - 1 = 1e300, in each format
-          *((f"q-minus-1-1e300-packet{fmt}", f"--gaussian --q-minus-1 1e300 --points 5{fmt}",
-             "q-exponential argument (q-1) G", "--q-minus-1 1e+300")
-            for fmt in ("", " --format csv", " --format json")))),
-    # a q < 1 packet at t = 0 has compact support: the base reaches the cut at
-    # sqrt(5) - 1; R overflows at the last point before the cut at x_c = 31.14,
-    # which a one-block sweep meets first, point by point
-    Call("cut-of-a-q-below-one-packet", "ratio --gaussian --q-minus-1 -0.5", 3,
-         f"{NUMERIC}{CUT} x_c = 1.236067977499789"),
-    Call("cut-after-an-overflowing-point", "ratio --gaussian --q-minus-1 -1e-3 --xmax 40", 3,
-         f"{NUMERIC}{CUT} x_c = 31.142057894041514"),
     # exit 2, bad values: a non-finite --xmax in any spelling; a nonzero --q-minus-1
     # that rounds away in q = 1 + (q-1), typed or in a file; --points out of its
     # bounds, checked before the grid is allocated; a bad choice; a bad value,
@@ -635,16 +636,14 @@ def argparse_usage(prog):
 
 @pytest.mark.parametrize("row", CONTRACT, ids=[row.id for row in CONTRACT])
 def test_cli_contract(row, tmp_path, monkeypatch):
-    """One invocation: its exit code, stdout, stderr's last line (after argparse's
-    usage for its errors) and added files; exit 2 runs no sweep; a ratio refused
-    with exit 3 is refused alike in numpy blocks; typed arguments give the same
-    result moved into an argument file."""
+    """One invocation: its exit code, stdout, stderr's last line (after argparse's usage
+    for its errors) and added files; exit 2 runs no sweep; a ratio refused with exit 3 is
+    refused alike in numpy blocks; typed arguments give the same result from a file."""
     argv = row.argv.split(" ")
     if row.code == cli.EXIT_USAGE:  # refused before the sweep
         for name in ("run_ratio_sweep", "run_gaussian_sweep"):
             monkeypatch.setattr(scenarios, name, lambda *args: pytest.fail("the sweep ran"))
-    result = invoke(argv, row.lines, tmp_path / "typed", monkeypatch)
-    code, out, err, files = result
+    code, out, err, files = result = invoke(argv, row.lines, tmp_path / "typed", monkeypatch)
     assert code == row.code, err
     assert re.fullmatch(row.out, out), out
     check_streams(code, out, err)  # exit 0 and 1: no stderr; exit 2 and 3: no stdout
@@ -660,6 +659,11 @@ def test_cli_contract(row, tmp_path, monkeypatch):
         assert blocks == result
     if row.lines is None:
         assert invoke(argv[:1], argv[1:], tmp_path / "from-file", monkeypatch) == result
+
+
+@pytest.mark.parametrize("row", OVERFLOW, ids=[f"argv{i}-{row.id}" for i, row in enumerate(OVERFLOW)])
+def test_overflow_refusal_names_the_flag(row, tmp_path, monkeypatch):
+    test_cli_contract(row, tmp_path, monkeypatch)
 
 
 def test_output_file_and_determinism(tmp_path, capsys):
