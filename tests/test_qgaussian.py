@@ -11,7 +11,6 @@ import pytest
 from qwave import checks
 from qwave import qgaussian as qg
 from qwave import verify
-from qwave.errors import BranchCutViolation, InvalidQ, NonFiniteResult
 
 XS = tuple(np.linspace(-3.0, 3.0, 13))
 TS = tuple(np.linspace(0.0, 2.0, 5))
@@ -21,53 +20,18 @@ def params_for(q, m=1.0, beta=1.0):
     return qg.GaussianParams(m=m, beta=beta, q=q)
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        params_for(1.1, m=0.0)
-    with pytest.raises(ValueError):
-        params_for(1.1, beta=0.0)
-    with pytest.raises(InvalidQ):
-        params_for(0.0)  # kappa_q has 1/q
-    with pytest.raises(InvalidQ):
-        params_for(-1.0)  # D(t) degenerates, M has 1/(q+1)
-
-
-def test_beta_whose_kq_overflows_is_refused():
-    # kq = 1/(4 m q beta^2) = 5e319 at beta = 1e-160: approx_qgaussian(0.5, 0.5)
-    # returned nan+nanj with no error before GaussianParams refused it, as a
-    # value computed from finite parameters
-    with pytest.raises(NonFiniteResult, match=r"\(inf,\)"):
-        params_for(0.5, beta=1e-160)
-    params_for(0.5, beta=1e-150)  # kq = 5e299
-
-
-def test_params_whose_kq_divides_by_zero_are_refused():
-    # 4 m q beta^2 underflows to 0 at m = beta = 1e-300, where approx_qgaussian
-    # and exact_qgaussian raised a builtin ZeroDivisionError
-    with pytest.raises(NonFiniteResult, match=r"\(inf,\)"):
-        params_for(1.001, m=1e-300, beta=1e-300)
-    # the first-order splits take kq at q = 1: inf at m = 1e-300, beta = 1e-5,
-    # where the exact coefficients' kq at q = 1e10 is 2.5e299
+def test_the_refused_packets_sit_at_their_edges():
+    # next to the packet rows of tests/test_refusals.py: kq = 1/(4 m q beta^2) is
+    # 5e299 at beta = 1e-150, which is kept, and 2.5e299 at m = 1e-300, beta = 1e-5,
+    # q = 1e10, so there only the first-order splits' kq at q = 1 is inf
+    params_for(0.5, beta=1e-150)
     assert math.isfinite(1.0 / (4.0 * 1e-300 * 1e10 * 1e-5 * 1e-5))
-    with pytest.raises(NonFiniteResult, match=r"\(inf,\)"):
-        params_for(1e10, m=1e-300, beta=1e-5)
-
-
-@pytest.mark.parametrize("m, beta", [(1.0, 1e-150), (1e-160, 1e20)])
-def test_first_order_packet_overflow_is_typed(m, beta):
-    # e^{-G0} of the first-order packet leaves the double range at (0.5, 0.5),
-    # where exact_qgaussian is 0j: a typed refusal, not cmath.exp's builtin
-    # OverflowError ("math range error")
-    params = params_for(1.001, m=m, beta=beta)
-    assert qg.exact_qgaussian(0.5, 0.5, params) == 0j
-    with pytest.raises(NonFiniteResult):
-        qg.approx_qgaussian(0.5, 0.5, params)
-    with pytest.raises(NonFiniteResult):
-        qg.gaussian_terms(0.5, 0.5, params, "approx")
-    # the jet's exp overflows at the second pair; at the first, its v1 does:
-    # a result, not an input fault
-    with pytest.raises(NonFiniteResult):
-        qg.wavefunction_jet(0.5, 0.5, params)
+    # where the first-order packet leaves the double range, the exact one is 0j
+    for m, beta in ((1.0, 1e-150), (1e-160, 1e20)):
+        assert qg.exact_qgaussian(0.5, 0.5, params_for(1.001, m=m, beta=beta)) == 0j
+    # the first-order amplitude 1 + c refused on the cut at q = 0.5, x = 1.5, t = 0
+    c, _ = qg.first_order_parts(1.5, 0.0, params_for(0.5))
+    assert 1.0 + c == -1.390625
 
 
 def test_coefficients_at_t0():
@@ -209,25 +173,6 @@ def test_ratio_band_at_desk_scale():
     worst = float(np.abs(np.asarray(rows.columns["ratio"]) - 1.0).max())
     assert worst <= 0.1
     assert 0.0125 <= worst <= 0.0130, worst
-
-
-def test_approx_terms_refuse_amplitude_on_branch_cut():
-    # at t = 0 the packet is real, and at q = 0.5, x = 1.5 its first-order
-    # amplitude 1 + c is -1.390625: psi^q has no real continuation there
-    p = params_for(0.5)
-    c, _ = qg.first_order_parts(1.5, 0.0, p)
-    assert 1.0 + c == -1.390625
-    with pytest.raises(BranchCutViolation, match="first-order amplitude"):
-        qg.gaussian_terms(1.5, 0.0, p, "approx")
-
-
-def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
-        qg.gaussian_terms(0.0, 0.0, params_for(1.1), family="bogus")
-    # also when the caller passes the coefficients of a family
-    coeffs = qg.terms_coeffs(0.0, params_for(1.1), "exact")
-    with pytest.raises(ValueError):
-        qg.gaussian_terms(0.0, 0.0, params_for(1.1), family="bogus", coeffs=coeffs)
 
 
 @pytest.mark.parametrize("q", [1.001, 0.7])

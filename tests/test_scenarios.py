@@ -1,11 +1,9 @@
 """Laboratory units to dimensionless phase: constants, momentum models,
 and the sweep drivers behind the figures."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwave import scenarios
-from qwave.errors import NonFiniteResult
 from qwave.qgaussian import GaussianParams
 
 # published rest energies, used as independent anchors for the kg masses
@@ -55,14 +53,6 @@ def test_kinetic_energy_is_stored_as_given(e_mev):
     assert scenarios.ParticleScenario.from_mev("electron", e_mev, 1e-9).kinetic_mev == e_mev
 
 
-def test_momentum_overflow_is_typed():
-    # 1e308 MeV is a valid scenario; its momentum pc overflows to inf, a value
-    # computed from finite arguments
-    scn = scenarios.ParticleScenario.from_mev("electron", 1e308, 1e-9)
-    with pytest.raises(NonFiniteResult):
-        scenarios.wave_for(scn)
-
-
 def test_wave_for_satisfies_free_relation():
     scn = scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-9)
     w = scenarios.wave_for(scn)
@@ -90,12 +80,3 @@ def test_gaussian_sweep_range():
     assert rows.columns["x"][-1] == 4.0
 
 
-def test_scenario_validation():
-    with pytest.raises(ValueError):
-        scenarios.ParticleScenario.from_mev("muon", 1.0, 1e-9)
-    with pytest.raises(ValueError):
-        scenarios.ParticleScenario.from_mev("electron", -1.0, 1e-9)
-    with pytest.raises(ValueError):
-        scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-9, momentum_model="warp")
-    with pytest.raises(ValueError):
-        scenarios.ParticleScenario.from_mev("electron", 1.0, 1e-9, x_range=(0.0, 1.0, 1))

@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from qwave import checks
-from qwave import qgaussian as qg
 from qwave import separation as sep
 from qwave import verify
-from qwave.errors import InvalidQ, NonFiniteResult
 
 E = 0.845
 P = 1.3
@@ -90,36 +88,3 @@ def test_product_check_reads_the_hand_coefficients_from_the_approximants():
     assert abs(measured - hand) <= 1e-14 * hand
 
 
-@pytest.mark.parametrize("fn, args", [
-    # an exponent with an infinite part: cmath.exp's builtin ValueError, or nan
-    (qg.approx_qgaussian, (1.7e308, 1e300, qg.GaussianParams(1.0, 1.0, 1.001))),
-    (sep.exact_g, (1.7e308, 2.0, 0.999)),
-    (sep.exact_g, (1.7e308, 2.0, 1.0)),
-    # the first-order factors: nan or inf parts
-    (sep.approx_f, (1e300, 0.5, 1.0)),
-    (sep.approx_f_q, (1e300, 0.5, 1.5)),
-    (sep.dt_approx_f_q, (1e300, 0.5, 1.5)),
-    (sep.approx_g, (1e300, 0.5, 1.0)),
-    (sep.approx_g_q, (1e300, 0.5, 1.5)),
-    (sep.d2x_approx_g, (0.0, 1e300, 1.0)),
-], ids=lambda v: getattr(v, "__name__", None))
-def test_a_value_that_leaves_the_double_range_is_refused(fn, args):
-    # every argument is finite, so the refusal is NonFiniteResult
-    with pytest.raises(NonFiniteResult):
-        fn(*args)
-
-
-def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
-        sep.f_terms(0.0, E, 1.1, family="bogus")
-    with pytest.raises(ValueError):
-        sep.g_terms(0.0, P, 1.1, family="bogus")
-
-
-def test_invalid_q_domains():
-    with pytest.raises(InvalidQ):
-        sep.exact_f(1.0, E, 0.0)  # exponent q in f's argument
-    with pytest.raises(InvalidQ):
-        sep.exact_g(1.0, P, -1.0)  # mu has sqrt(2(q+1))
-    with pytest.raises(InvalidQ):
-        sep.exact_g(1.0, P, -2.0)

@@ -3,7 +3,6 @@ hash and repr by field."""
 
 import copy
 import importlib
-import math
 import pickle
 import pkgutil
 
@@ -15,7 +14,6 @@ from qwave import checks, qcore, scenarios, verify
 from qwave import kleingordon as kg
 from qwave import planewave as pw
 from qwave import qgaussian as qg
-from qwave.errors import NonFiniteInput
 
 
 # each class: two calls that build equal values, then one that differs in a field
@@ -95,13 +93,6 @@ def test_repr_lists_the_fields():
     assert repr(kg.KGWave(1.0, 2.0, 0.0)) == "KGWave(p=1.0, E=2.0, m=0.0)"
     assert repr(qcore.QJet(1, 2)) == "QJet(v0=(1+0j), v1=(2+0j))"
     assert repr(verify.FDScheme(0.5)) == "FDScheme(step=0.5, richardson_levels=1)"
-
-
-def test_phase_point_refusal_names_its_coordinate():
-    with pytest.raises(NonFiniteInput, match=r"^x must be finite, got nan$"):
-        pw.PhasePoint(math.nan)
-    with pytest.raises(NonFiniteInput, match=r"^t must be finite, got inf$"):
-        pw.PhasePoint(1.0, math.inf)
 
 
 def test_sweeps_compare_by_identity():
